@@ -17,6 +17,13 @@ import (
 // inbox, routed by session id. End releases the session but leaves the
 // fleet's connections standing for the next run (unless the transport
 // owns a one-shot fleet, built by Dial, which it closes).
+//
+// Node-side traffic moves as one batch per connection per schedule step.
+// The Transport contract fixes both the number and the order of the
+// executor's calls in every step, so the transport needs no schedule of
+// its own: outbound entries are staged per connection and flushed when
+// the connection's last entry of the step arrives, and inbound batches
+// are decoded one frame at a time as the step's calls consume them.
 type Transport struct {
 	fleet     *Fleet
 	params    []byte
@@ -28,14 +35,40 @@ type Transport struct {
 	sess     uint32
 	conns    []*fleetConn // run-local connection index → peer
 	assign   []int        // node → run-local connection index
+	hosted   [][]int      // connection → its nodes ascending (batch order)
+	edges    []int        // connection → Σ degree of its nodes (exchange batch size)
 	seqs     []int        // per-connection outbound frame sequence (LinkFaults keying)
 	inbox    chan inFrame
 	sinkDone chan struct{}
-	// pending buffers frames from peers running ahead of the coordinator's
-	// schedule walk, keyed by pendKey (frame type and round).
+	// pending buffers batch frames from peers running ahead of the
+	// coordinator's schedule walk, keyed by pendKey (frame type and round).
 	pending map[uint64][]inFrame
-	ended   bool
-	failed  bool
+	// out stages each connection's share of the current coordinator→peer
+	// step; in is the current peer→coordinator step.
+	out    []staged
+	in     collect
+	ended  bool
+	failed bool
+}
+
+// staged is one connection's outbound batch under construction.
+type staged struct {
+	batch
+	left int // entries the step still owes this connection; 0 = none open
+}
+
+// collect is the peer→coordinator step in progress: the entries of the
+// last decoded batch frame not yet returned to the executor, and what
+// each connection still owes.
+type collect struct {
+	owed  []int // per connection
+	left  int   // Σ owed; 0 = no step open
+	conn  int   // connection of the decoded frame
+	first int   // index in hosted[conn] of the frame's first entry
+	count int   // entries in the frame
+	head  int   // next entry to return
+	msgs  []wire.Message
+	decs  []bool
 }
 
 // inFrame is one frame (or terminal read error) from a peer connection,
@@ -86,11 +119,17 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 
 	k := len(t.conns)
 	t.assign = make([]int, run.N)
+	t.hosted = make([][]int, k)
+	t.edges = make([]int, k)
 	t.seqs = make([]int, k)
+	t.out = make([]staged, k)
+	t.in.owed = make([]int, k)
 	perConn := make([][]helloNode, k)
 	for v := 0; v < run.N; v++ {
 		ci := v % k
 		t.assign[v] = ci
+		t.hosted[ci] = append(t.hosted[ci], v)
+		t.edges[ci] += len(run.Neighbors[v])
 		var input wire.Message
 		if run.Inputs != nil {
 			input = run.Inputs[v]
@@ -105,7 +144,10 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	}
 
 	t.sess = t.fleet.sess.Add(1)
-	t.inbox = make(chan inFrame, 2*run.N+16)
+	// A run receives a handful of batch frames per connection per step;
+	// the buffer lets peers running a step or two ahead deliver without
+	// stalling the connection's reader.
+	t.inbox = make(chan inFrame, 4*k+16)
 	t.sinkDone = make(chan struct{})
 	for _, fc := range t.conns {
 		// Count before registering so every release path decrements
@@ -132,8 +174,8 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	}
 
 	// Await one helloOK per involved peer. A fast peer's post-handshake
-	// frames can arrive before a slow peer's acknowledgement; those are
-	// buffered for their phase like any ahead-of-schedule frame.
+	// batches can arrive before a slow peer's acknowledgement; those are
+	// buffered for their step like any ahead-of-schedule frame.
 	acked := make([]bool, k)
 	timer := time.NewTimer(t.fleet.opts.IOTimeout)
 	defer timer.Stop()
@@ -170,14 +212,11 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 				}
 				t.release(true)
 				return ef.runError()
-			case frameChallenge, frameForward:
-				if fr, ok := frameRound(f); ok {
-					key := pendKey(f.typ, fr)
-					t.pending[key] = append(t.pending[key], f)
+			case frameChallenge, frameForward, frameDecision:
+				if rerr := t.hold(f, -1); rerr != nil {
+					t.release(true)
+					return rerr
 				}
-			case frameDecision:
-				key := pendKey(f.typ, 0)
-				t.pending[key] = append(t.pending[key], f)
 			default:
 				t.release(true)
 				return t.failf(-1, -1, "peer %s handshake frame type 0x%02x", t.conns[f.conn].addr, f.typ)
@@ -194,39 +233,39 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	return nil
 }
 
-// pendKey buckets buffered ahead-of-phase frames: challenge and forward
-// frames carry their round in the payload's first four bytes, decision
-// frames have no round.
-func pendKey(typ byte, round int) uint64 {
-	if typ == frameDecision {
-		round = 0
-	}
-	return uint64(typ)<<32 | uint64(uint32(round))
+// pendKey buckets buffered ahead-of-step batch frames by type and the
+// round in their header (the decide step's round is -1).
+func pendKey(typ byte, round uint32) uint64 {
+	return uint64(typ)<<32 | uint64(round)
 }
 
-// frameRound extracts a delivery frame's own round claim (ok=false when the
-// payload is too short to carry one).
-func frameRound(f inFrame) (int, bool) {
+// hold buffers a batch frame that arrived ahead of its step under its own
+// (type, round) key. A frame too short to name its round can never be
+// served, so it fails the run.
+func (t *Transport) hold(f inFrame, round int) *network.RunError {
 	if len(f.payload) < 4 {
-		return 0, false
+		return t.failf(round, -1, "peer %s sent a %d-byte batch frame", t.conns[f.conn].addr, len(f.payload))
 	}
-	return int(binary.BigEndian.Uint32(f.payload)), true
+	key := pendKey(f.typ, binary.BigEndian.Uint32(f.payload))
+	t.pending[key] = append(t.pending[key], f)
+	return nil
 }
 
-// recv returns the next frame of the expected type and round, translating
-// terminal conditions: connection loss and silence past IOTimeout become
-// PhaseTransport errors, engine cancellation becomes PhaseCanceled, and a
-// peer's error frame surfaces as the RunError it carries.
+// recv returns the next batch frame of the expected type and round,
+// translating terminal conditions: connection loss and silence past
+// IOTimeout become PhaseTransport errors, engine cancellation becomes
+// PhaseCanceled, and a peer's error frame surfaces as the RunError it
+// carries.
 //
 // Peers walk the schedule without waiting for the coordinator, so on
 // consecutive peer→coordinator steps (an Arthur round straight into
-// decide, or two Arthur rounds back to back) a fast peer's frames for a
-// later collect phase arrive while the current one is still draining.
-// Those frames are buffered under their own (type, round) key and served
-// when their phase comes; only types a peer can never legitimately send
-// are protocol violations.
+// decide, or two Arthur rounds back to back) a fast peer's batch for a
+// later step arrives while the current one is still draining. Those
+// frames are buffered under their own (type, round) key and served when
+// their step comes; only types a peer can never legitimately send are
+// protocol violations.
 func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network.RunError) {
-	want := pendKey(expect, round)
+	want := pendKey(expect, uint32(round))
 	if q := t.pending[want]; len(q) > 0 {
 		f := q[0]
 		t.pending[want] = q[1:]
@@ -247,24 +286,13 @@ func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network
 					return f, t.failf(round, -1, "peer %s error frame: %v", t.conns[f.conn].addr, jerr)
 				}
 				return f, ef.runError()
-			case frameChallenge, frameForward:
-				fr, ok := frameRound(f)
-				if !ok {
-					// Too short to even carry a round: hand it to the caller's
-					// decoder, which reports the malformed payload.
+			case frameChallenge, frameForward, frameDecision:
+				if f.typ == expect && len(f.payload) >= 4 && binary.BigEndian.Uint32(f.payload) == uint32(round) {
 					return f, nil
 				}
-				if f.typ == expect && fr == round {
-					return f, nil
+				if rerr := t.hold(f, round); rerr != nil {
+					return f, rerr
 				}
-				key := pendKey(f.typ, fr)
-				t.pending[key] = append(t.pending[key], f)
-			case frameDecision:
-				if f.typ == expect {
-					return f, nil
-				}
-				key := pendKey(f.typ, 0)
-				t.pending[key] = append(t.pending[key], f)
 			default:
 				return f, t.failf(round, -1, "peer %s sent frame type 0x%02x awaiting %s", t.conns[f.conn].addr, f.typ, what)
 			}
@@ -277,6 +305,49 @@ func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network
 	}
 }
 
+// next returns the node and entry index of the current peer→coordinator
+// step's next entry, decoding another batch frame when the decoded
+// entries run out. A step opens on its first call with every connection
+// owing one entry per hosted node; the frame's count is checked against
+// what its connection still owes before anything is decoded, and its
+// entries map positionally onto the connection's hosted nodes.
+func (t *Transport) next(expect byte, round int, what string) (int, int, *network.RunError) {
+	in := &t.in
+	if in.head == in.count {
+		if in.left == 0 {
+			for ci, h := range t.hosted {
+				in.owed[ci] = len(h)
+			}
+			in.left = t.n
+		}
+		f, rerr := t.recv(expect, round, what)
+		if rerr != nil {
+			return -1, -1, rerr
+		}
+		owed := in.owed[f.conn]
+		if owed == 0 {
+			return -1, -1, t.failf(round, -1, "peer %s sent a surplus %s batch", t.conns[f.conn].addr, what)
+		}
+		count, body, err := readBatch(f.payload, round, 0, owed)
+		if err == nil {
+			if expect == frameDecision {
+				in.decs, err = decodeDecisions(in.decs[:0], body, count)
+			} else {
+				in.msgs, err = decodeMessages(in.msgs[:0], body, count)
+			}
+		}
+		if err != nil {
+			return -1, -1, t.failf(round, -1, "peer %s %s batch: %v", t.conns[f.conn].addr, what, err)
+		}
+		in.conn, in.first, in.count, in.head = f.conn, len(t.hosted[f.conn])-owed, count, 0
+		in.owed[f.conn] -= count
+		in.left -= count
+	}
+	i := in.head
+	in.head++
+	return t.hosted[in.conn][in.first+i], i, nil
+}
+
 // send writes one run frame to run-local connection ci, applying the
 // fleet's LinkFaults policy first: a delayed frame waits out its
 // injected latency on a timer that still honors run cancellation (a
@@ -284,7 +355,7 @@ func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network
 // frame never reaches the socket — the emulated partition stalls the
 // session until a deadline fires and the run fails with a structured
 // transport error. Faults apply only to the run's message traffic
-// (responses and exchanges), never to session control frames, so a
+// (response and exchange batches), never to session control frames, so a
 // faulted link degrades or kills runs but cannot corrupt a handshake.
 func (t *Transport) send(ci int, typ byte, payload []byte) *network.RunError {
 	fc := t.conns[ci]
@@ -313,90 +384,70 @@ func (t *Transport) send(ci int, typ byte, payload []byte) *network.RunError {
 	return nil
 }
 
-// checkSource validates that the peer reporting for node v is the
-// connection the node was assigned to — one peer cannot speak for
-// another's nodes.
-func (t *Transport) checkSource(f inFrame, round, v int, what string) *network.RunError {
-	if v < 0 || v >= t.n {
-		return t.failf(round, -1, "peer %s sent %s for node %d of %d", t.conns[f.conn].addr, what, v, t.n)
+// stage appends one outbound entry to connection ci's batch for the
+// current step, whose batch holds size entries in all, and sends the
+// batch once its last entry is in. The executor's call order is the
+// batch's positional order, so entries are appended as they come.
+func (t *Transport) stage(ci int, typ byte, ri int, flags byte, size, node int, m wire.Message) *network.RunError {
+	o := &t.out[ci]
+	if o.left == 0 {
+		*o = staged{batch: batch{round: ri, flags: flags}, left: size}
 	}
-	if t.assign[v] != f.conn {
-		return t.failf(round, v, "peer %s sent %s for node %d, hosted by %s",
-			t.conns[f.conn].addr, what, v, t.conns[t.assign[v]].addr)
+	if err := o.addMessage(m); err != nil {
+		return t.failf(ri, node, "encoding batch for peer %s: %v", t.conns[ci].addr, err)
+	}
+	if o.left--; o.left > 0 {
+		return nil
+	}
+	for _, p := range o.finish() {
+		if rerr := t.send(ci, typ, p); rerr != nil {
+			return rerr
+		}
 	}
 	return nil
 }
 
 // RecvChallenge implements network.Transport.
 func (t *Transport) RecvChallenge(ri int) (int, wire.Message, *network.RunError) {
-	f, rerr := t.recv(frameChallenge, ri, "challenge")
+	v, i, rerr := t.next(frameChallenge, ri, "challenge")
 	if rerr != nil {
 		return -1, wire.Message{}, rerr
 	}
-	round, v, m, err := decodeDelivery(f.payload)
-	if err != nil {
-		return -1, wire.Message{}, t.failf(ri, -1, "peer %s challenge: %v", t.conns[f.conn].addr, err)
-	}
-	if rerr := t.checkSource(f, ri, v, "challenge"); rerr != nil {
-		return -1, wire.Message{}, rerr
-	}
-	if round != ri {
-		return -1, wire.Message{}, t.failf(ri, v, "challenge for round %d during round %d", round, ri)
-	}
-	return v, m, nil
+	return v, t.in.msgs[i], nil
 }
 
 // SendResponse implements network.Transport.
 func (t *Transport) SendResponse(ri, node int, m wire.Message) *network.RunError {
-	payload, err := encodeDelivery(ri, node, m)
-	if err != nil {
-		return t.failf(ri, node, "encoding response: %v", err)
-	}
-	return t.send(t.assign[node], frameResponse, payload)
+	ci := t.assign[node]
+	return t.stage(ci, frameResponse, ri, 0, len(t.hosted[ci]), node, m)
 }
 
 // RecvForward implements network.Transport.
 func (t *Transport) RecvForward(ri int) (int, wire.Message, *network.RunError) {
-	f, rerr := t.recv(frameForward, ri, "forward")
+	v, i, rerr := t.next(frameForward, ri, "forward")
 	if rerr != nil {
 		return -1, wire.Message{}, rerr
 	}
-	round, v, m, err := decodeDelivery(f.payload)
-	if err != nil {
-		return -1, wire.Message{}, t.failf(ri, -1, "peer %s forward: %v", t.conns[f.conn].addr, err)
-	}
-	if rerr := t.checkSource(f, ri, v, "forward"); rerr != nil {
-		return -1, wire.Message{}, rerr
-	}
-	if round != ri {
-		return -1, wire.Message{}, t.failf(ri, v, "forward for round %d during round %d", round, ri)
-	}
-	return v, m, nil
+	return v, t.in.msgs[i], nil
 }
 
 // SendExchange implements network.Transport.
 func (t *Transport) SendExchange(ri, from, to int, chal bool, m wire.Message) *network.RunError {
-	payload, err := encodeExchange(ri, from, to, chal, m)
-	if err != nil {
-		return t.failf(ri, from, "encoding exchange: %v", err)
+	var flags byte
+	if chal {
+		flags = flagChal
 	}
-	return t.send(t.assign[to], frameExchange, payload)
+	ci := t.assign[to]
+	return t.stage(ci, frameExchange, ri, flags, t.edges[ci], from, m)
 }
 
 // RecvDecision implements network.Transport.
 func (t *Transport) RecvDecision() (int, bool, *network.RunError) {
-	f, rerr := t.recv(frameDecision, -1, "decision")
+	v, i, rerr := t.next(frameDecision, -1, "decision")
 	if rerr != nil {
 		return -1, false, rerr
 	}
-	v, d, err := decodeDecision(f.payload)
-	if err != nil {
-		return -1, false, t.failf(-1, -1, "peer %s decision: %v", t.conns[f.conn].addr, err)
-	}
-	if rerr := t.checkSource(f, -1, v, "decision"); rerr != nil {
-		return -1, false, rerr
-	}
-	return v, d, nil
+	return v, t.in.decs[i], nil
 }
 
 // End implements network.Transport: tell every involved peer how the run

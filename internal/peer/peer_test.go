@@ -321,6 +321,16 @@ func TestPeerFleetReuse(t *testing.T) {
 	if completed != 6 || open != 0 {
 		t.Fatalf("sessions completed=%d open=%d, want 6 completed (3 runs × 2 peers), 0 open", completed, open)
 	}
+	// One batch frame per peer per schedule step: hello, helloOK, the
+	// challenge, response, exchange and decision batches, end — 7 frames
+	// per peer per run, whatever the number of hosted nodes.
+	var frames int64
+	for _, ps := range st.Peers {
+		frames += ps.FramesSent + ps.FramesReceived
+	}
+	if frames != 3*2*7 {
+		t.Fatalf("%d frames for 3 runs on 2 peers, want %d (7 per peer per run)", frames, 3*2*7)
+	}
 }
 
 // TestSessionStorm is the multiplexing gate: many concurrent sessions —
@@ -485,35 +495,41 @@ func TestV1ClientRejected(t *testing.T) {
 	}
 }
 
-// TestWrongProtoHelloRejected covers the in-framing version gate: a v2
-// frame whose hello claims the wrong proto is refused with an error
-// naming the required version.
+// TestWrongProtoHelloRejected covers the in-framing version gate: a hello
+// claiming any other protocol — v1's number inside the session-id framing,
+// or a v2 coordinator's — is refused with an error naming the required
+// version.
 func TestWrongProtoHelloRejected(t *testing.T) {
 	addrs := startFleet(t, 1)
-	conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello, _ := json.Marshal(helloFrame{Proto: 1, Seed: 1, N: 2,
-		Nodes: []helloNode{{V: 0, Neighbors: []int{1}}}})
-	if err := writeFrame(conn, 9, frameHello, hello); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	sess, typ, payload, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess != 9 || typ != frameError {
-		t.Fatalf("reply session %d type 0x%02x, want session 9 error", sess, typ)
-	}
-	var ef errorFrame
-	if err := json.Unmarshal(payload, &ef); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ef.Message, fmt.Sprintf("requires wire protocol %d", Version)) {
-		t.Fatalf("rejection %q does not name the required version", ef.Message)
+	for _, proto := range []int{1, 2} {
+		t.Run(fmt.Sprintf("proto-%d", proto), func(t *testing.T) {
+			conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			hello, _ := json.Marshal(helloFrame{Proto: proto, Seed: 1, N: 2,
+				Nodes: []helloNode{{V: 0, Neighbors: []int{1}}}})
+			if err := writeFrame(conn, 9, frameHello, hello); err != nil {
+				t.Fatal(err)
+			}
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			sess, typ, payload, err := readFrame(bufio.NewReader(conn))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sess != 9 || typ != frameError {
+				t.Fatalf("reply session %d type 0x%02x, want session 9 error", sess, typ)
+			}
+			var ef errorFrame
+			if err := json.Unmarshal(payload, &ef); err != nil {
+				t.Fatal(err)
+			}
+			if ef.Phase != string(network.PhaseTransport) ||
+				!strings.Contains(ef.Message, "requires wire protocol 3") {
+				t.Fatalf("rejection %+v does not name protocol 3", ef)
+			}
+		})
 	}
 }
 
@@ -537,10 +553,11 @@ func TestRemoteCallbackError(t *testing.T) {
 	}
 }
 
-// stallPeer is a hand-rolled fake peer: it completes the handshake, sends
-// `challenges` valid challenge frames, and then goes silent until its
-// connection is closed — a peer process that hangs mid-round.
-func stallPeer(t *testing.T, challenges int) string {
+// fakePeer is a hand-rolled peer: it completes the handshake, lets play
+// write whatever frames the case needs on the session, and then goes
+// silent until its connection is closed — a peer that lies or hangs
+// mid-step.
+func fakePeer(t *testing.T, play func(w io.Writer, sess uint32, hello helloFrame) error) string {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -553,8 +570,7 @@ func stallPeer(t *testing.T, challenges int) string {
 			return
 		}
 		defer conn.Close()
-		br := bufio.NewReader(conn)
-		sess, _, payload, err := readFrame(br)
+		sess, _, payload, err := readFrame(bufio.NewReader(conn))
 		if err != nil {
 			return
 		}
@@ -563,14 +579,8 @@ func stallPeer(t *testing.T, challenges int) string {
 			return
 		}
 		ok, _ := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(hello.Nodes)})
-		if writeFrame(conn, sess, frameHelloOK, ok) != nil {
+		if writeFrame(conn, sess, frameHelloOK, ok) != nil || play(conn, sess, hello) != nil {
 			return
-		}
-		for i := 0; i < challenges && i < len(hello.Nodes); i++ {
-			p, err := encodeDelivery(0, hello.Nodes[i].V, wire.Message{})
-			if err != nil || writeFrame(conn, sess, frameChallenge, p) != nil {
-				return
-			}
 		}
 		// Stall: swallow coordinator traffic without ever answering.
 		io.Copy(io.Discard, conn)
@@ -578,9 +588,145 @@ func stallPeer(t *testing.T, challenges int) string {
 	return l.Addr().String()
 }
 
+// stallPeer sends the first `challenges` entries of its challenge batch as
+// a split frame, then stalls mid-step.
+func stallPeer(t *testing.T, challenges int) string {
+	return fakePeer(t, func(w io.Writer, sess uint32, _ helloFrame) error {
+		p := appendBatchHeader(nil, 0, flagMore, challenges)
+		for i := 0; i < challenges; i++ {
+			p, _ = appendMessage(p, wire.Message{})
+		}
+		return writeFrame(w, sess, frameChallenge, p)
+	})
+}
+
+// TestBatchCountMismatch pins the positional codec's count gate on the
+// coordinator: a peer whose batch carries more or fewer entries than it
+// hosts fails the run at once with a PhaseTransport error — never a
+// timeout, and never a decision read from the wrong slot.
+func TestBatchCountMismatch(t *testing.T) {
+	entries := func(round int, flags byte, count, n int) []byte {
+		p := appendBatchHeader(nil, round, flags, count)
+		for i := 0; i < n; i++ {
+			p, _ = appendMessage(p, wire.Message{})
+		}
+		return p
+	}
+	decisions := func(count, n int) []byte {
+		p := appendBatchHeader(nil, -1, 0, count)
+		for i := 0; i < n; i++ {
+			p = append(p, 1)
+		}
+		return p
+	}
+	// One peer hosts all four nodes of a 4-cycle.
+	cases := []struct {
+		name    string
+		spec    string
+		typ     byte
+		payload []byte
+	}{
+		{"challenge-over", "echo", frameChallenge, entries(0, 0, 5, 5)},
+		{"challenge-under", "echo", frameChallenge, entries(0, 0, 3, 3)},
+		{"challenge-split-overrun", "echo", frameChallenge, entries(0, flagMore, 4, 4)},
+		{"decision-over", "input", frameDecision, decisions(5, 5)},
+		{"decision-under", "input", frameDecision, decisions(3, 3)},
+		{"decision-trailing", "input", frameDecision, decisions(4, 5)},
+	}
+	g := graph.Cycle(4)
+	inputs := make([]wire.Message, 4)
+	for v := range inputs {
+		inputs[v] = wire.Message{Data: []byte{byte(v)}, Bits: 8}
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := fakePeer(t, func(w io.Writer, sess uint32, _ helloFrame) error {
+				return writeFrame(w, sess, tc.typ, tc.payload)
+			})
+			coord, err := Dial([]string{addr}, marshalParams(t, tc.spec, 8), Options{IOTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := buildTestSpec(marshalParams(t, tc.spec, 8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			res, err := network.Run(spec, g, inputs, echoProver{}, network.Options{Seed: 1, Transport: coord})
+			var rerr *network.RunError
+			if !errors.As(err, &rerr) || rerr.Phase != network.PhaseTransport || res != nil {
+				t.Fatalf("res = %v, err = %v, want a PhaseTransport RunError", res, err)
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("mismatch detected after %v, want at once", elapsed)
+			}
+		})
+	}
+}
+
+// TestBatchSplitMatchesSequential forces every batch past the frame cap —
+// batchLimit shrunk so each entry travels in a frame of its own — and
+// requires the reassembled runs to stay byte-identical to the sequential
+// engine, with exactly one frame per entry on the wire.
+func TestBatchSplitMatchesSequential(t *testing.T) {
+	setBatchLimit(t, 1)
+	cases := []struct {
+		name  string
+		spec  string
+		bits  int
+		g     *graph.Graph
+		peers int
+		// entries counts one run's data entries: one per node per
+		// challenge, response, forward and decision step, one per directed
+		// edge per exchange step.
+		entries func(n, arcs int) int
+	}{
+		{"echo", "echo", 24, graph.Complete(5), 2, func(n, arcs int) int { return 3*n + arcs }},
+		{"digest", "digest", 16, graph.Cycle(8), 3, func(n, arcs int) int { return 6*n + 2*arcs }},
+		{"share", "share", 8, graph.Path(7), 2, func(n, arcs int) int { return 3*n + 2*arcs }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			params := marshalParams(t, tc.spec, tc.bits)
+			spec, err := buildTestSpec(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := network.Options{Seed: 11, RecordTranscript: true}
+			seqOpts := opts
+			seqOpts.Sequential = true
+			seqRes, err := network.Run(spec, tc.g, nil, echoProver{}, seqOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, err := DialFleet(startFleet(t, tc.peers), Options{IOTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
+			opts.Transport = fleet.NewRun(params)
+			netRes, err := network.Run(spec, tc.g, nil, echoProver{}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(seqRes, netRes) {
+				t.Fatal("split-batch run diverged from sequential")
+			}
+			var frames int64
+			for _, ps := range fleet.Stats().Peers {
+				frames += ps.FramesSent + ps.FramesReceived
+			}
+			// Control frames: hello, helloOK and end per peer.
+			if want := int64(3*tc.peers + tc.entries(tc.g.N(), 2*tc.g.NumEdges())); frames != want {
+				t.Fatalf("%d frames, want %d (one per entry plus control)", frames, want)
+			}
+		})
+	}
+}
+
 // TestStalledPeerTimesOut is the cancellation satellite: a peer that
-// stalls mid-round (handshake done, one challenge delivered, then
-// silence) must surface as a structured timeout RunError on the
+// stalls mid-step (handshake done, the first frame of a split challenge
+// batch delivered, then silence) must surface as a structured timeout RunError on the
 // coordinator — PhaseTransport via the transport's own I/O deadline, or
 // PhaseCanceled via a caller deadline — and must not leak goroutines.
 func TestStalledPeerTimesOut(t *testing.T) {

@@ -154,7 +154,7 @@ type srvConn struct {
 	torn     bool
 }
 
-// validFrameType reports whether typ is a defined v2 frame type.
+// validFrameType reports whether typ is a defined frame type.
 func validFrameType(typ byte) bool {
 	switch typ {
 	case frameHello, frameHelloOK, frameChallenge, frameResponse,
@@ -304,14 +304,15 @@ type session struct {
 	cancelOnce sync.Once
 	cause      error
 
-	spec  *network.Spec
-	n     int
+	spec *network.Spec
+	n    int
+	// nodes are the hosted nodes ascending — the positional order of every
+	// batch — and nbrs[i] is nodes[i]'s neighbor list as the hello shipped
+	// it, the sender order of its exchange entries; edges is Σ len(nbrs),
+	// the entry count of one exchange batch.
 	nodes []*network.NodeState
-	// owned maps a global node index to its hosted NodeState (nil when the
-	// node lives elsewhere); degrees holds each hosted node's neighbor
-	// count for exchange-completion tracking.
-	owned   map[int]*network.NodeState
-	degrees map[int]int
+	nbrs  [][]int
+	edges int
 }
 
 // cancel aborts the session from outside (connection teardown, server
@@ -412,9 +413,10 @@ func (st *session) run() *network.RunError {
 			Err: fmt.Errorf("peer: compiling schedule: %w", err)}
 	}
 
-	st.owned = make(map[int]*network.NodeState, len(hello.Nodes))
-	st.degrees = make(map[int]int, len(hello.Nodes))
-	for _, hn := range hello.Nodes {
+	for i, hn := range hello.Nodes {
+		if i > 0 && hn.V <= hello.Nodes[i-1].V {
+			return st.failf(-1, "hello nodes not strictly ascending at node %d", hn.V)
+		}
 		input := wire.Message{Data: hn.InputData, Bits: hn.InputBits}
 		if input.Bits < 0 || input.Bits > maxMsgBits || len(input.Data) != (input.Bits+7)/8 {
 			return st.failf(-1, "node %d input: Bits=%d len(Data)=%d", hn.V, input.Bits, len(input.Data))
@@ -423,12 +425,9 @@ func (st *session) run() *network.RunError {
 		if nerr != nil {
 			return st.failf(-1, "node %d: %v", hn.V, nerr)
 		}
-		if st.owned[hn.V] != nil {
-			return st.failf(-1, "node %d provisioned twice", hn.V)
-		}
-		st.owned[hn.V] = ns
-		st.degrees[hn.V] = len(hn.Neighbors)
 		st.nodes = append(st.nodes, ns)
+		st.nbrs = append(st.nbrs, hn.Neighbors)
+		st.edges += len(hn.Neighbors)
 	}
 
 	okPayload, err := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(st.nodes)})
@@ -458,42 +457,31 @@ func (st *session) run() *network.RunError {
 	return nil
 }
 
-// step plays the node-facing half of one schedule step.
+// step plays the node-facing half of one schedule step: one batch out
+// (the challenges, digests, or decisions of every hosted node) or one
+// batch in (responses or exchange copies), in hosted-node order.
 func (st *session) step(step network.ScheduleStep) *network.RunError {
 	switch step.Kind {
 	case network.StepChallenge:
+		b := batch{round: step.Round}
 		for _, ns := range st.nodes {
 			m, rerr := ns.Challenge(step.Round)
 			if rerr != nil {
 				return rerr
 			}
-			payload, err := encodeDelivery(step.Round, ns.V(), m)
-			if err != nil {
+			if err := b.addMessage(m); err != nil {
 				return st.failf(step.Round, "encoding challenge: %v", err)
 			}
-			if rerr := st.send(frameChallenge, payload); rerr != nil {
-				return rerr
-			}
 		}
+		return st.sendBatch(frameChallenge, &b)
 
 	case network.StepRespond:
-		for range st.nodes {
-			typ, payload, rerr := st.readNext()
-			if rerr != nil {
-				return rerr
-			}
-			if typ != frameResponse {
-				return st.failf(step.Round, "frame type 0x%02x during respond step", typ)
-			}
-			ri, v, m, err := decodeDelivery(payload)
-			if err != nil {
-				return st.failf(step.Round, "response frame: %v", err)
-			}
-			ns := st.owned[v]
-			if ri != step.Round || ns == nil {
-				return st.failf(step.Round, "response for round %d node %d (hosting round %d)", ri, v, step.Round)
-			}
-			ns.PushResponse(m)
+		msgs, rerr := st.readMessages(frameResponse, step.Round, 0, len(st.nodes))
+		if rerr != nil {
+			return rerr
+		}
+		for i, ns := range st.nodes {
+			ns.PushResponse(msgs[i])
 		}
 
 	case network.StepExchange:
@@ -513,70 +501,80 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 			return st.failf(step.Round, "FailSoft hook: session #%d aborted by configuration", st.seq)
 		}
 		if st.spec.Rounds[step.Round].Digest != nil {
+			b := batch{round: step.Round}
 			for _, ns := range st.nodes {
 				out, rerr := ns.ExchangeOut(step)
 				if rerr != nil {
 					return rerr
 				}
-				payload, err := encodeDelivery(step.Round, ns.V(), out)
-				if err != nil {
+				if err := b.addMessage(out); err != nil {
 					return st.failf(step.Round, "encoding forward: %v", err)
 				}
-				if rerr := st.send(frameForward, payload); rerr != nil {
-					return rerr
-				}
 			}
-		}
-		want := 0
-		for _, deg := range st.degrees {
-			want += deg
-		}
-		got := make(map[int]map[int]wire.Message, len(st.nodes))
-		for i := 0; i < want; i++ {
-			typ, payload, rerr := st.readNext()
-			if rerr != nil {
+			if rerr := st.sendBatch(frameForward, &b); rerr != nil {
 				return rerr
 			}
-			if typ != frameExchange {
-				return st.failf(step.Round, "frame type 0x%02x during exchange step", typ)
-			}
-			ri, from, to, chal, m, err := decodeExchange(payload)
-			if err != nil {
-				return st.failf(step.Round, "exchange frame: %v", err)
-			}
-			ns := st.owned[to]
-			if ri != step.Round || chal != step.Chal || ns == nil {
-				return st.failf(step.Round, "exchange for round %d chal=%v node %d (hosting round %d chal=%v)",
-					ri, chal, to, step.Round, step.Chal)
-			}
-			bucket := got[to]
-			if bucket == nil {
-				bucket = make(map[int]wire.Message, st.degrees[to])
-				got[to] = bucket
-			}
-			if _, dup := bucket[from]; dup || len(bucket) >= st.degrees[to] {
-				return st.failf(step.Round, "surplus exchange %d→%d", from, to)
-			}
-			bucket[from] = m
 		}
-		for _, ns := range st.nodes {
-			bucket := got[ns.V()]
-			if bucket == nil {
-				bucket = make(map[int]wire.Message)
+		var flags byte
+		if step.Chal {
+			flags = flagChal
+		}
+		msgs, rerr := st.readMessages(frameExchange, step.Round, flags, st.edges)
+		if rerr != nil {
+			return rerr
+		}
+		for i, ns := range st.nodes {
+			got := make(map[int]wire.Message, len(st.nbrs[i]))
+			for _, u := range st.nbrs[i] {
+				got[u], msgs = msgs[0], msgs[1:]
 			}
-			ns.PushExchange(step, bucket)
+			ns.PushExchange(step, got)
 		}
 
 	case network.StepDecide:
+		b := batch{round: step.Round}
 		for _, ns := range st.nodes {
 			d, rerr := ns.Decide()
 			if rerr != nil {
 				return rerr
 			}
-			if rerr := st.send(frameDecision, encodeDecision(ns.V(), d)); rerr != nil {
-				return rerr
-			}
+			b.addDecision(d)
+		}
+		return st.sendBatch(frameDecision, &b)
+	}
+	return nil
+}
+
+// sendBatch writes b's frames for this session.
+func (st *session) sendBatch(typ byte, b *batch) *network.RunError {
+	for _, p := range b.finish() {
+		if rerr := st.send(typ, p); rerr != nil {
+			return rerr
 		}
 	}
 	return nil
+}
+
+// readMessages collects one step's inbound batch of want message entries:
+// one frame, or several when the sender split the batch at the frame cap.
+// A step owing nothing reads nothing.
+func (st *session) readMessages(typ byte, round int, flags byte, want int) ([]wire.Message, *network.RunError) {
+	msgs := make([]wire.Message, 0, want)
+	for len(msgs) < want {
+		got, payload, rerr := st.readNext()
+		if rerr != nil {
+			return nil, rerr
+		}
+		if got != typ {
+			return nil, st.failf(round, "frame type 0x%02x during a step awaiting 0x%02x", got, typ)
+		}
+		count, body, err := readBatch(payload, round, flags, want-len(msgs))
+		if err == nil {
+			msgs, err = decodeMessages(msgs, body, count)
+		}
+		if err != nil {
+			return nil, st.failf(round, "batch 0x%02x: %v", typ, err)
+		}
+	}
+	return msgs, nil
 }
