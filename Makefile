@@ -1,10 +1,12 @@
 GO ?= go
 
-.PHONY: verify lint vet build test race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
+.PHONY: verify lint vet build test examples race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
 
-# verify is the tier-1 gate: lint, build, tests, the race check across the
-# whole module (short mode keeps it minutes, not hours), a results-file
-# smoke round-trip, a short mutation burst on every decoder fuzz target,
+# verify is the tier-1 gate: lint, build, tests, the six example programs
+# run end to end, the race check across the whole module (short mode
+# keeps it minutes, not hours), a results-file smoke round-trip that also
+# requires the committed sidecars to regenerate byte-for-byte, a short
+# mutation burst on every decoder fuzz target,
 # a fault-matrix smoke run, a live service round-trip (dipserve under
 # dipload, drained cleanly), a plain+batch load round-trip with a
 # leak check on the drained service, an adversarial chaos session
@@ -16,7 +18,7 @@ GO ?= go
 # and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
 # standing dippeer fleet, one peer killed mid-load, structured 502s and
 # recovery on the survivors, clean drain end to end).
-verify: lint build test race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+verify: lint build test examples race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
 
 # lint fails on unformatted files or vet findings.
 lint:
@@ -35,16 +37,29 @@ build:
 test:
 	$(GO) test ./...
 
-# race covers every package: the concurrent engine and trial-harness pool
-# have real concurrency, and the rest is cheap under -short.
+# examples runs the six example programs. Each exits non-zero on an error
+# or a wrong protocol outcome; `go test ./...` only compiles them.
+examples:
+	@for ex in quickstart separation gni adversary lowerbound extensions; do \
+		$(GO) run ./examples/$$ex >/dev/null || { echo "examples/$$ex failed"; exit 1; }; \
+	done; \
+	echo "examples: ok"
+
+# race covers every package: the peer fleet, the serving tiers and the
+# trial-harness pool have real concurrency, and the rest is cheap under
+# -short.
 race:
 	$(GO) test -race -short ./...
 
-# smoke emits a quick machine-readable benchmark file and round-trips it
-# through the schema validator, then re-validates every committed results
-# sidecar so a hand-edited or stale artifact cannot sit in the tree.
+# smoke regenerates the quick machine-readable benchmark file and requires
+# it to be byte-identical to the committed BENCH_seed1.json (GOMAXPROCS=1,
+# the setting the sidecar records), so a hand-edited or stale artifact
+# cannot sit in the tree; it then round-trips the file through the schema
+# validator and schema-checks every committed results sidecar (the LOAD
+# files are timing measurements, so only their schema is checked).
 smoke:
-	$(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json /tmp/dip-bench-smoke.json >/dev/null
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json /tmp/dip-bench-smoke.json >/dev/null
+	@cmp /tmp/dip-bench-smoke.json BENCH_seed1.json || { echo "BENCH_seed1.json is stale: regenerate it with make tables"; exit 1; }
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-bench-smoke.json
 	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json LOAD_seed1.json LOAD_seed2.json LOAD_seed3.json LOAD_seed4.json
 
@@ -63,10 +78,13 @@ fuzz-short:
 		$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
 	done
 
-# fault-smoke runs the quick fault matrix (E12) end to end and round-trips
-# the dip-fault/v1 file through the schema validator.
+# fault-smoke runs the quick fault matrix (E12) end to end, requires the
+# dip-fault/v1 file to be byte-identical to the committed FAULT_seed1.json
+# (at GOMAXPROCS=1, like smoke), and round-trips it through the schema
+# validator.
 fault-smoke:
-	$(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json /tmp/dip-fault-smoke.json >/dev/null
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json /tmp/dip-fault-smoke.json >/dev/null
+	@cmp /tmp/dip-fault-smoke.json FAULT_seed1.json || { echo "FAULT_seed1.json is stale: regenerate it with make tables"; exit 1; }
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-fault-smoke.json
 
 # serve-smoke exercises the verification service end to end: build
@@ -287,7 +305,8 @@ fleet-smoke:
 	for i in 2 3; do grep -q drained $$dir/peer$$i.log || { echo "no drain marker in peer $$i log"; cat $$dir/peer$$i.log; exit 1; }; done; \
 	echo "fleet-smoke: ok"
 
-# bench runs the engine-mode comparison (sequential vs goroutine-per-node).
+# bench times the engine micro-benchmark (one echo round on a 256-node
+# cycle, default executor).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 2s .
 
@@ -299,13 +318,13 @@ bench-check:
 	$(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json LOAD_seed2.json
 
 # tables regenerates every EXPERIMENTS.md table at full trial counts and
-# the committed BENCH_seed1.json / FAULT_seed1.json sidecars (quick sizes,
-# like CI checks).
+# the committed BENCH_seed1.json / FAULT_seed1.json sidecars (quick sizes
+# at GOMAXPROCS=1, exactly what smoke and fault-smoke compare against).
 tables:
 	$(GO) run ./cmd/dipbench -seed 1
 	$(GO) run ./cmd/dipbench -faults -seed 1
-	$(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json BENCH_seed1.json >/dev/null
-	$(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json FAULT_seed1.json >/dev/null
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json BENCH_seed1.json >/dev/null
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json FAULT_seed1.json >/dev/null
 
 tables-quick:
 	$(GO) run ./cmd/dipbench -seed 1 -quick

@@ -278,25 +278,9 @@ func echoBenchSpec() *network.Spec {
 	}
 }
 
-// BenchmarkEngineEchoRound measures the concurrent (goroutine-per-node)
-// engine on a 256-node cycle.
-func BenchmarkEngineEchoRound(b *testing.B) {
-	g := graph.Cycle(256)
-	spec := echoBenchSpec()
-	prover := echoBenchProver{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := network.Options{Seed: int64(i), Concurrent: true}
-		if _, err := network.Run(spec, g, nil, prover, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEngineSequential measures the single-goroutine scheduler on the
-// identical workload; the ratio to BenchmarkEngineEchoRound is the price of
-// the literal goroutine-per-node realization.
+// BenchmarkEngineSequential measures the default (sequential) executor on
+// one echo round over a 256-node cycle — the workload whose allocs/op
+// BENCH_seed1.json records and `make bench-check` gates.
 func BenchmarkEngineSequential(b *testing.B) {
 	g := graph.Cycle(256)
 	spec := echoBenchSpec()
@@ -304,7 +288,7 @@ func BenchmarkEngineSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opts := network.Options{Seed: int64(i), Sequential: true}
+		opts := network.Options{Seed: int64(i)}
 		if _, err := network.Run(spec, g, nil, prover, opts); err != nil {
 			b.Fatal(err)
 		}

@@ -12,13 +12,11 @@
 // Every protocol is reachable through one entry point: build a Request
 // (protocol name, graph as an edge list, options) and call Run — or
 // RunContext to bound the run by a context. Protocols lists the registry.
-// The historical per-protocol functions (ProveSymmetry, ...) remain as
-// thin wrappers over Run for source compatibility. The full machinery —
-// the proof engine, the hash families, graph generators, adversarial
-// provers, the lower-bound framework and the experiment harness — lives in
-// the internal packages and is exercised by the examples, the experiment
-// binary (cmd/dipbench), the verification service (cmd/dipserve) and the
-// benchmark suite.
+// The full machinery — the proof engine, the hash families, graph
+// generators, adversarial provers, the lower-bound framework and the
+// experiment harness — lives in the internal packages and is exercised by
+// the examples, the experiment binary (cmd/dipbench), the verification
+// service (cmd/dipserve) and the benchmark suite.
 package dip
 
 import (
@@ -164,41 +162,6 @@ func buildGraph(n int, edges [][2]int) (*graph.Graph, error) {
 	return g, nil
 }
 
-// ProveSymmetry runs Protocol 1 (Theorem 1.1): the O(log n)-bit dMAM
-// interactive proof that the graph has a non-trivial automorphism, against
-// the honest prover (which searches for the automorphism itself). The graph
-// must be connected.
-func ProveSymmetry(n int, edges [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "sym-dmam", N: n, Edges: edges, Options: opts})
-}
-
-// ProveSymmetryChallengeFirst runs Protocol 2 (Theorem 1.3): the
-// O(n log n)-bit dAM proof of symmetry, where the nodes speak first. The
-// graph must be connected.
-func ProveSymmetryChallengeFirst(n int, edges [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "sym-dam", N: n, Edges: edges, Options: opts})
-}
-
-// ProveDumbbellSymmetry runs the DSym dAM protocol of Theorem 1.2's upper
-// bound: O(log n) bits for dumbbell graphs with the fixed side-swapping
-// automorphism. side and half are the (n, r) of Definition 5; the graph
-// must have 2·side + 2·half + 1 vertices.
-func ProveDumbbellSymmetry(side, half int, edges [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "dsym-dam", Side: side, Half: half, Edges: edges, Options: opts})
-}
-
-// ProveNonIsomorphism runs the distributed Goldwasser–Sipser dAMAM protocol
-// of Theorem 1.5 on the pair (G₀, G₁): G₀ (edges0) is the network graph and
-// G₁ (edges1) is handed to the nodes as inputs, row by row. Both graphs
-// should be connected and asymmetric (the paper's promise; compose with
-// ProveSymmetry to discharge it). Acceptance indicates non-isomorphism.
-//
-// The honest prover enumerates up to 2·n! permutations per repetition;
-// keep n at most about 8.
-func ProveNonIsomorphism(n int, edges0, edges1 [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "gni-damam", N: n, Edges: edges0, Edges1: edges1, Options: opts})
-}
-
 // SymmetryAdviceBits returns the per-node advice length of the
 // non-interactive ("distributed NP") baseline for symmetry — the Θ(n²)
 // cost that Theorems 1.1–1.2 beat exponentially.
@@ -208,11 +171,6 @@ func SymmetryAdviceBits(n int) (int, error) {
 		return 0, err
 	}
 	return lcp.AdviceBits(), nil
-}
-
-// ProveSymmetryNonInteractive runs the Θ(n²)-bit LCP baseline.
-func ProveSymmetryNonInteractive(n int, edges [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "sym-lcp", N: n, Edges: edges, Options: opts})
 }
 
 // IsSymmetric decides symmetry centrally (no protocol): a ground-truth
@@ -237,32 +195,4 @@ func AreIsomorphic(n int, edges0, edges1 [][2]int) (bool, error) {
 		return false, err
 	}
 	return graph.AreIsomorphic(g0, g1), nil
-}
-
-// ProveNonIsomorphismGeneral runs the promise-free GNI protocol (the
-// automorphism-compensated extension): unlike ProveNonIsomorphism it is
-// correct on symmetric graphs too. The prover enumerates the automorphism
-// groups by brute force, so n is limited to 8.
-func ProveNonIsomorphismGeneral(n int, edges0, edges1 [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "gni-general", N: n, Edges: edges0, Edges1: edges1, Options: opts})
-}
-
-// ProveSymmetryFingerprinted runs the randomized proof-labeling scheme
-// ([4]-style): the prover's advice is the full Θ(n²) certificate, but the
-// nodes verify mutual consistency by exchanging O(log n)-bit fingerprints
-// instead of the advice itself. Compare Report.MaxNodeToNodeBits against
-// ProveSymmetryNonInteractive to see the saving.
-func ProveSymmetryFingerprinted(n int, edges [][2]int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "sym-rpls", N: n, Edges: edges, Options: opts})
-}
-
-// ProveInducedNonIsomorphism runs the marked formulation of GNI (the
-// paper's Section 2.3 alternative): edges describes the single network
-// graph, and marks assigns each node 0, 1 or -1 (⊥). The protocol decides
-// whether the subgraph induced by the 0-marked nodes is non-isomorphic to
-// the one induced by the 1-marked nodes; both marked sets must have the
-// same size k, and the induced subgraphs should be asymmetric (the paper's
-// promise). The prover enumerates 2·k! permutations per repetition.
-func ProveInducedNonIsomorphism(n int, edges [][2]int, marks []int, opts Options) (Report, error) {
-	return Run(Request{Protocol: "gni-marked", N: n, Edges: edges, Marks: marks, Options: opts})
 }

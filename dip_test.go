@@ -16,7 +16,7 @@ func edgesOf(g *graph.Graph) [][2]int {
 
 func TestProveSymmetryOnCycle(t *testing.T) {
 	g := graph.Cycle(8)
-	rep, err := ProveSymmetry(8, edgesOf(g), Options{Seed: 1})
+	rep, err := Run(Request{Protocol: "sym-dmam", N: 8, Edges: edgesOf(g), Options: Options{Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestProveSymmetryRejectsAsymmetric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := ProveSymmetry(8, edgesOf(g), Options{Seed: 2})
+	rep, err := Run(Request{Protocol: "sym-dmam", N: 8, Edges: edgesOf(g), Options: Options{Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestProveSymmetryRejectsAsymmetric(t *testing.T) {
 
 func TestProveSymmetryChallengeFirst(t *testing.T) {
 	g := graph.Complete(6)
-	rep, err := ProveSymmetryChallengeFirst(6, edgesOf(g), Options{Seed: 3})
+	rep, err := Run(Request{Protocol: "sym-dam", N: 6, Edges: edgesOf(g), Options: Options{Seed: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestProveDumbbellSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := graph.ConnectedGNP(6, 0.5, rng)
 	g := graph.DSymGraph(f, 1)
-	rep, err := ProveDumbbellSymmetry(6, 1, edgesOf(g), Options{Seed: 4})
+	rep, err := Run(Request{Protocol: "dsym-dam", Side: 6, Half: 1, Edges: edgesOf(g), Options: Options{Seed: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,9 @@ func TestProveNonIsomorphism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rep, err := ProveNonIsomorphism(6, edgesOf(a), edgesOf(b), Options{Seed: 5, Repetitions: 30})
+	req := Request{Protocol: "gni-damam", N: 6, Edges: edgesOf(a), Edges1: edgesOf(b),
+		Options: Options{Seed: 5, Repetitions: 30}}
+	rep, err := Run(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,8 @@ func TestProveNonIsomorphism(t *testing.T) {
 	// instance; retry a couple of seeds to keep the test robust.
 	accepted := rep.Accepted
 	for s := int64(6); !accepted && s < 9; s++ {
-		rep, err = ProveNonIsomorphism(6, edgesOf(a), edgesOf(b), Options{Seed: s, Repetitions: 30})
+		req.Options.Seed = s
+		rep, err = Run(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +125,7 @@ func TestBaselines(t *testing.T) {
 		t.Fatalf("baseline advice %d not quadratic", bits)
 	}
 	g := graph.Star(6)
-	rep, err := ProveSymmetryNonInteractive(6, edgesOf(g), Options{})
+	rep, err := Run(Request{Protocol: "sym-lcp", N: 6, Edges: edgesOf(g)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,13 +150,13 @@ func TestGroundTruthHelpers(t *testing.T) {
 }
 
 func TestBuildGraphValidation(t *testing.T) {
-	if _, err := ProveSymmetry(0, nil, Options{}); err == nil {
+	if _, err := Run(Request{Protocol: "sym-dmam", N: 0}); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := ProveSymmetry(3, [][2]int{{0, 3}}, Options{}); err == nil {
+	if _, err := Run(Request{Protocol: "sym-dmam", N: 3, Edges: [][2]int{{0, 3}}}); err == nil {
 		t.Fatal("out-of-range edge accepted")
 	}
-	if _, err := ProveSymmetry(3, [][2]int{{1, 1}}, Options{}); err == nil {
+	if _, err := Run(Request{Protocol: "sym-dmam", N: 3, Edges: [][2]int{{1, 1}}}); err == nil {
 		t.Fatal("self-loop accepted")
 	}
 	if _, err := AreIsomorphic(3, nil, [][2]int{{9, 1}}); err == nil {
@@ -172,8 +175,8 @@ func TestProveNonIsomorphismGeneralOnSymmetricGraphs(t *testing.T) {
 			k33.AddEdge(u, v)
 		}
 	}
-	rep, err := ProveNonIsomorphismGeneral(6, edgesOf(c6), edgesOf(k33),
-		Options{Seed: 9, Repetitions: 50})
+	rep, err := Run(Request{Protocol: "gni-general", N: 6, Edges: edgesOf(c6), Edges1: edgesOf(k33),
+		Options: Options{Seed: 9, Repetitions: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,8 +187,8 @@ func TestProveNonIsomorphismGeneralOnSymmetricGraphs(t *testing.T) {
 		t.Fatal("symmetric non-isomorphic pair rejected")
 	}
 	// Isomorphic symmetric pair must be rejected.
-	rep, err = ProveNonIsomorphismGeneral(6, edgesOf(c6), edgesOf(graph.Cycle(6)),
-		Options{Seed: 10, Repetitions: 50})
+	rep, err = Run(Request{Protocol: "gni-general", N: 6, Edges: edgesOf(c6), Edges1: edgesOf(graph.Cycle(6)),
+		Options: Options{Seed: 10, Repetitions: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +199,11 @@ func TestProveNonIsomorphismGeneralOnSymmetricGraphs(t *testing.T) {
 
 func TestProveSymmetryFingerprinted(t *testing.T) {
 	ring := graph.Cycle(24)
-	full, err := ProveSymmetryNonInteractive(24, edgesOf(ring), Options{Seed: 11})
+	full, err := Run(Request{Protocol: "sym-lcp", N: 24, Edges: edgesOf(ring), Options: Options{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := ProveSymmetryFingerprinted(24, edgesOf(ring), Options{Seed: 11})
+	fp, err := Run(Request{Protocol: "sym-rpls", N: 24, Edges: edgesOf(ring), Options: Options{Seed: 11}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +252,8 @@ func TestProveInducedNonIsomorphism(t *testing.T) {
 	for v := 0; v < 12; v++ {
 		edges = append(edges, [2]int{v, 12})
 	}
-	rep, err := ProveInducedNonIsomorphism(n, edges, marks, Options{Seed: 21, Repetitions: 40})
+	rep, err := Run(Request{Protocol: "gni-marked", N: n, Edges: edges, Marks: marks,
+		Options: Options{Seed: 21, Repetitions: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +265,10 @@ func TestProveInducedNonIsomorphism(t *testing.T) {
 	}
 
 	// Validation paths.
-	if _, err := ProveInducedNonIsomorphism(2, nil, []int{0}, Options{}); err == nil {
+	if _, err := Run(Request{Protocol: "gni-marked", N: 2, Marks: []int{0}}); err == nil {
 		t.Fatal("mark count mismatch accepted")
 	}
-	if _, err := ProveInducedNonIsomorphism(2, nil, []int{0, 7}, Options{}); err == nil {
+	if _, err := Run(Request{Protocol: "gni-marked", N: 2, Marks: []int{0, 7}}); err == nil {
 		t.Fatal("invalid mark accepted")
 	}
 }
@@ -274,15 +278,18 @@ func TestProveInducedNonIsomorphism(t *testing.T) {
 // library-wide default (which dipsim's -k flag shares).
 func TestRepetitionsValidation(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}}
-	_, err := ProveNonIsomorphism(3, edges, edges, Options{Repetitions: -1})
+	_, err := Run(Request{Protocol: "gni-damam", N: 3, Edges: edges, Edges1: edges,
+		Options: Options{Repetitions: -1}})
 	if err == nil || !strings.Contains(err.Error(), "must be non-negative") {
 		t.Fatalf("negative Repetitions returned %v, want validation error", err)
 	}
-	if _, err := ProveNonIsomorphismGeneral(3, edges, edges, Options{Repetitions: -7}); err == nil {
-		t.Fatal("negative Repetitions accepted by ProveNonIsomorphismGeneral")
+	if _, err := Run(Request{Protocol: "gni-general", N: 3, Edges: edges, Edges1: edges,
+		Options: Options{Repetitions: -7}}); err == nil {
+		t.Fatal("negative Repetitions accepted by gni-general")
 	}
-	if _, err := ProveInducedNonIsomorphism(3, edges, []int{0, 1, -1}, Options{Repetitions: -7}); err == nil {
-		t.Fatal("negative Repetitions accepted by ProveInducedNonIsomorphism")
+	if _, err := Run(Request{Protocol: "gni-marked", N: 3, Edges: edges, Marks: []int{0, 1, -1},
+		Options: Options{Repetitions: -7}}); err == nil {
+		t.Fatal("negative Repetitions accepted by gni-marked")
 	}
 	if k, err := resolveRepetitions(0); err != nil || k != core.DefaultGNIRepetitions {
 		t.Fatalf("resolveRepetitions(0) = %d, %v; want the shared default %d",

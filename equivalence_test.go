@@ -16,151 +16,6 @@ import (
 	"dip/internal/peer"
 )
 
-// TestLegacyEntryPointsMatchRun is the facade's compatibility contract:
-// every historical Prove* function must return a Report identical — field
-// for field, per-round breakdown included — to dip.Run on the equivalent
-// Request at the same seed. The table covers all eight protocol entry
-// points, so any future divergence between a wrapper and the registry
-// (changed defaults, reordered validation, different instance assembly)
-// fails here before it reaches a release.
-func TestLegacyEntryPointsMatchRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs every protocol once")
-	}
-
-	cycle8 := edgesOf(graph.Cycle(8))
-	ring24 := edgesOf(graph.Cycle(24))
-
-	rng := rand.New(rand.NewSource(40))
-	dumbbell := edgesOf(graph.DSymGraph(graph.ConnectedGNP(6, 0.5, rng), 1))
-
-	// A rigid non-isomorphic pair for the GNI protocols.
-	gniRng := rand.New(rand.NewSource(41))
-	a, err := graph.RandomAsymmetricConnected(6, gniRng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b *graph.Graph
-	for {
-		if b, err = graph.RandomAsymmetricConnected(6, gniRng); err != nil {
-			t.Fatal(err)
-		}
-		if !graph.AreIsomorphic(a, b) {
-			break
-		}
-	}
-	edgesA, edgesB := edgesOf(a), edgesOf(b)
-
-	// C6 vs K3,3: both symmetric, exercising the promise-free protocol.
-	c6 := edgesOf(graph.Cycle(6))
-	k33g := graph.New(6)
-	for u := 0; u < 3; u++ {
-		for v := 3; v < 6; v++ {
-			k33g.AddEdge(u, v)
-		}
-	}
-	k33 := edgesOf(k33g)
-
-	// Marked formulation: a on 0..5 (mark 0), b on 6..11 (mark 1), hub 12.
-	markedN := 13
-	marks := make([]int, markedN)
-	var markedEdges [][2]int
-	for v := 0; v < 6; v++ {
-		marks[v] = 0
-		marks[v+6] = 1
-	}
-	marks[12] = -1
-	markedEdges = append(markedEdges, edgesA...)
-	for _, e := range edgesB {
-		markedEdges = append(markedEdges, [2]int{e[0] + 6, e[1] + 6})
-	}
-	for v := 0; v < 12; v++ {
-		markedEdges = append(markedEdges, [2]int{v, 12})
-	}
-
-	cases := []struct {
-		name   string
-		legacy func() (Report, error)
-		req    Request
-	}{
-		{
-			name:   "ProveSymmetry",
-			legacy: func() (Report, error) { return ProveSymmetry(8, cycle8, Options{Seed: 101}) },
-			req:    Request{Protocol: "sym-dmam", N: 8, Edges: cycle8, Options: Options{Seed: 101}},
-		},
-		{
-			name:   "ProveSymmetryChallengeFirst",
-			legacy: func() (Report, error) { return ProveSymmetryChallengeFirst(8, cycle8, Options{Seed: 102}) },
-			req:    Request{Protocol: "sym-dam", N: 8, Edges: cycle8, Options: Options{Seed: 102}},
-		},
-		{
-			name:   "ProveSymmetryNonInteractive",
-			legacy: func() (Report, error) { return ProveSymmetryNonInteractive(8, cycle8, Options{Seed: 103}) },
-			req:    Request{Protocol: "sym-lcp", N: 8, Edges: cycle8, Options: Options{Seed: 103}},
-		},
-		{
-			name:   "ProveSymmetryFingerprinted",
-			legacy: func() (Report, error) { return ProveSymmetryFingerprinted(24, ring24, Options{Seed: 104}) },
-			req:    Request{Protocol: "sym-rpls", N: 24, Edges: ring24, Options: Options{Seed: 104}},
-		},
-		{
-			name:   "ProveDumbbellSymmetry",
-			legacy: func() (Report, error) { return ProveDumbbellSymmetry(6, 1, dumbbell, Options{Seed: 105}) },
-			req:    Request{Protocol: "dsym-dam", Side: 6, Half: 1, Edges: dumbbell, Options: Options{Seed: 105}},
-		},
-		{
-			name: "ProveNonIsomorphism",
-			legacy: func() (Report, error) {
-				return ProveNonIsomorphism(6, edgesA, edgesB, Options{Seed: 106, Repetitions: 6})
-			},
-			req: Request{Protocol: "gni-damam", N: 6, Edges: edgesA, Edges1: edgesB,
-				Options: Options{Seed: 106, Repetitions: 6}},
-		},
-		{
-			name: "ProveNonIsomorphismGeneral",
-			legacy: func() (Report, error) {
-				return ProveNonIsomorphismGeneral(6, c6, k33, Options{Seed: 107, Repetitions: 6})
-			},
-			req: Request{Protocol: "gni-general", N: 6, Edges: c6, Edges1: k33,
-				Options: Options{Seed: 107, Repetitions: 6}},
-		},
-		{
-			name: "ProveInducedNonIsomorphism",
-			legacy: func() (Report, error) {
-				return ProveInducedNonIsomorphism(markedN, markedEdges, marks, Options{Seed: 108, Repetitions: 6})
-			},
-			req: Request{Protocol: "gni-marked", N: markedN, Edges: markedEdges, Marks: marks,
-				Options: Options{Seed: 108, Repetitions: 6}},
-		},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			legacy, lerr := tc.legacy()
-			unified, uerr := Run(tc.req)
-			if lerr != nil || uerr != nil {
-				t.Fatalf("legacy err %v, Run err %v", lerr, uerr)
-			}
-			if legacy.Protocol != tc.req.Protocol {
-				t.Fatalf("legacy report names protocol %q, want %q", legacy.Protocol, tc.req.Protocol)
-			}
-			if !reflect.DeepEqual(legacy, unified) {
-				t.Fatalf("reports diverge at seed %d:\nlegacy  %+v\nunified %+v",
-					tc.req.Options.Seed, legacy, unified)
-			}
-			// Same seed, same request: the run must also be deterministic,
-			// or the equality above would be meaningless.
-			again, err := Run(tc.req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(unified, again) {
-				t.Fatalf("Run is not deterministic for %s at seed %d", tc.req.Protocol, tc.req.Options.Seed)
-			}
-		})
-	}
-}
-
 // fleetTestRequests builds one request per registry protocol — every
 // family, every instance shape (single graph, GNI pair, dumbbell, marked)
 // — for the fleet equivalence column.
@@ -262,9 +117,12 @@ func startDipPeers(t *testing.T, k int) []string {
 // every registry protocol, executed through dip.Fleet onto real TCP peer
 // processes — all of them concurrently, multiplexed over one standing
 // fleet — must produce a Report identical to dip.Run on the same request.
+// dip.Run itself must be deterministic, or that equality would be
+// meaningless: a second in-process run of each request must match the
+// first.
 func TestFleetMatchesRun(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs every protocol twice")
+		t.Skip("runs every protocol three times")
 	}
 	reqs := fleetTestRequests(t)
 	fleet, err := DialFleet(startDipPeers(t, 3), FleetOptions{IOTimeout: 30 * time.Second})
@@ -298,9 +156,92 @@ func TestFleetMatchesRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			again, err := Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(local, again) {
+				t.Fatalf("Run is not deterministic at seed %d", req.Options.Seed)
+			}
 			if !reflect.DeepEqual(*outcomes[i].fleet, local) {
 				t.Fatalf("fleet report diverges from dip.Run:\nfleet %+v\nlocal %+v",
 					*outcomes[i].fleet, local)
+			}
+		})
+	}
+}
+
+// TestLegacyEntryPointsMatchRun is the compatibility contract for callers
+// of the retired Prove* entry points. Each was a thin mapping onto one
+// registry protocol, and the Report it returned — recorded below field for
+// field, per-round breakdown included, from the last revision that still
+// shipped the wrappers — must be exactly what dip.Run returns for the
+// request it mapped to. A changed default, reordered validation or drifted
+// instance assembly in the registry fails here.
+func TestLegacyEntryPointsMatchRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every protocol once")
+	}
+	accepts := func(n int) []bool {
+		d := make([]bool, n)
+		for v := range d {
+			d[v] = true
+		}
+		return d
+	}
+	reqs := make(map[string]Request)
+	for _, req := range fleetTestRequests(t) {
+		reqs[req.Protocol] = req
+	}
+	cases := []struct {
+		name string
+		seed int64
+		want Report
+	}{
+		{"ProveSymmetry", 101, Report{Protocol: "sym-dmam", Accepted: true, Decisions: accepts(8),
+			MaxProverBits: 72, TotalProverBits: 576, MaxNodeToNodeBits: 114, MaxNode: 0,
+			PerRound: []RoundCost{{"Merlin", 0, 12, 24}, {"Arthur", 15, 0, 0}, {"Merlin", 0, 45, 90}}}},
+		{"ProveSymmetryChallengeFirst", 102, Report{Protocol: "sym-dam", Accepted: true, Decisions: accepts(8),
+			MaxProverBits: 181, TotalProverBits: 1448, MaxNodeToNodeBits: 288, MaxNode: 0,
+			PerRound: []RoundCost{{"Arthur", 37, 0, 0}, {"Merlin", 0, 144, 288}}}},
+		{"ProveSymmetryNonInteractive", 103, Report{Protocol: "sym-lcp", Accepted: true, Decisions: accepts(8),
+			MaxProverBits: 55, TotalProverBits: 440, MaxNodeToNodeBits: 110, MaxNode: 0,
+			PerRound: []RoundCost{{"Merlin", 0, 55, 110}}}},
+		{"ProveSymmetryFingerprinted", 104, Report{Protocol: "sym-rpls", Accepted: true, Decisions: accepts(24),
+			MaxProverBits: 401, TotalProverBits: 9624, MaxNodeToNodeBits: 80, MaxNode: 0,
+			PerRound: []RoundCost{{"Merlin", 0, 401, 80}}}},
+		{"ProveDumbbellSymmetry", 105, Report{Protocol: "dsym-dam", Accepted: true, Decisions: accepts(15),
+			MaxProverBits: 76, TotalProverBits: 1140, MaxNodeToNodeBits: 295, MaxNode: 0,
+			PerRound: []RoundCost{{"Arthur", 17, 0, 0}, {"Merlin", 0, 59, 295}}}},
+		{"ProveNonIsomorphism", 106, Report{Protocol: "gni-damam", Accepted: true, Decisions: accepts(6),
+			MaxProverBits: 1829, TotalProverBits: 10902, MaxNodeToNodeBits: 5788, MaxNode: 2,
+			PerRound: []RoundCost{{"Arthur", 360, 0, 0}, {"Merlin", 0, 1140, 4560},
+				{"Arthur", 22, 0, 0}, {"Merlin", 0, 307, 1228}}}},
+		{"ProveNonIsomorphismGeneral", 107, Report{Protocol: "gni-general", Accepted: true, Decisions: accepts(6),
+			MaxProverBits: 2956, TotalProverBits: 17736, MaxNodeToNodeBits: 4976, MaxNode: 0,
+			PerRound: []RoundCost{{"Arthur", 468, 0, 0}, {"Merlin", 0, 2488, 4976}}}},
+		// Node 0 rejects at this seed: the recorded report is a rejection,
+		// and Run must reproduce it just as exactly.
+		{"ProveInducedNonIsomorphism", 108, Report{Protocol: "gni-marked", Accepted: false,
+			Decisions:     append([]bool{false}, accepts(12)...),
+			MaxProverBits: 359, TotalProverBits: 4167, MaxNodeToNodeBits: 2004, MaxNode: 12,
+			PerRound: []RoundCost{{"Arthur", 168, 0, 0}, {"Merlin", 0, 95, 1140},
+				{"Arthur", 24, 0, 0}, {"Merlin", 0, 72, 864}}}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			req, ok := reqs[tc.want.Protocol]
+			if !ok {
+				t.Fatalf("no request for protocol %q", tc.want.Protocol)
+			}
+			req.Options.Seed = tc.seed
+			got, err := Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("Run diverges from the %s report at seed %d:\ngot  %+v\nwant %+v",
+					tc.name, tc.seed, got, tc.want)
 			}
 		})
 	}

@@ -7,15 +7,16 @@ import (
 )
 
 // A ring is symmetric: rotating it by one position is a non-trivial
-// automorphism. Protocol 1 proves this interactively in O(log n) bits per
-// node.
-func ExampleProveSymmetry() {
+// automorphism. Protocol 1 (sym-dmam) proves this interactively in
+// O(log n) bits per node.
+func ExampleRun() {
 	const n = 8
 	var edges [][2]int
 	for v := 0; v < n; v++ {
 		edges = append(edges, [2]int{v, (v + 1) % n})
 	}
-	rep, err := dip.ProveSymmetry(n, edges, dip.Options{Seed: 1})
+	rep, err := dip.Run(dip.Request{Protocol: "sym-dmam", N: n, Edges: edges,
+		Options: dip.Options{Seed: 1}})
 	if err != nil {
 		fmt.Println("error:", err)
 		return

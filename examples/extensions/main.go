@@ -37,8 +37,9 @@ func main() {
 			k33.AddEdge(u, v)
 		}
 	}
-	rep, err := dip.ProveNonIsomorphismGeneral(n, c6.Edges(), k33.Edges(),
-		dip.Options{Seed: 5, Repetitions: 60})
+	rep, err := dip.Run(dip.Request{Protocol: "gni-general", N: n,
+		Edges: c6.Edges(), Edges1: k33.Edges(),
+		Options: dip.Options{Seed: 5, Repetitions: 60}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,8 +47,9 @@ func main() {
 		rep.Protocol, rep.Accepted, rep.MaxProverBits)
 
 	// ... and the same protocol must reject an isomorphic symmetric pair.
-	rep2, err := dip.ProveNonIsomorphismGeneral(n, c6.Edges(), graph.Cycle(n).Edges(),
-		dip.Options{Seed: 6, Repetitions: 60})
+	rep2, err := dip.Run(dip.Request{Protocol: "gni-general", N: n,
+		Edges: c6.Edges(), Edges1: graph.Cycle(n).Edges(),
+		Options: dip.Options{Seed: 6, Repetitions: 60}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +58,13 @@ func main() {
 	// 3. Fingerprinted verification: same Θ(n²) advice, tiny neighbor
 	// traffic.
 	ring := graph.Cycle(48)
-	lcp, err := dip.ProveSymmetryNonInteractive(48, ring.Edges(), dip.Options{Seed: 7})
+	lcp, err := dip.Run(dip.Request{Protocol: "sym-lcp", N: 48, Edges: ring.Edges(),
+		Options: dip.Options{Seed: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rpls, err := dip.ProveSymmetryFingerprinted(48, ring.Edges(), dip.Options{Seed: 7})
+	rpls, err := dip.Run(dip.Request{Protocol: "sym-rpls", N: 48, Edges: ring.Edges(),
+		Options: dip.Options{Seed: 7}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,5 +72,9 @@ func main() {
 	fmt.Printf("  full exchange:   %6d node-to-node bits\n", lcp.MaxNodeToNodeBits)
 	fmt.Printf("  fingerprinted:   %6d node-to-node bits (accepted=%v)\n",
 		rpls.MaxNodeToNodeBits, rpls.Accepted)
+
+	if !rep.Accepted || rep2.Accepted || !lcp.Accepted || !rpls.Accepted {
+		log.Fatal("an extension protocol returned the wrong outcome")
+	}
 	fmt.Println("\nsee cmd/dipbench -experiment E10 / E11 for the full tables")
 }

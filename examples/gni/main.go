@@ -49,8 +49,9 @@ func main() {
 	}
 	fmt.Printf("ground truth: isomorphic = %v (claim: non-isomorphic)\n", truth)
 
-	rep, err := dip.ProveNonIsomorphism(n, communityA.Edges(), shuffledB.Edges(),
-		dip.Options{Seed: 11, Repetitions: 40})
+	rep, err := dip.Run(dip.Request{Protocol: "gni-damam", N: n,
+		Edges: communityA.Edges(), Edges1: shuffledB.Edges(),
+		Options: dip.Options{Seed: 11, Repetitions: 40}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +61,16 @@ func main() {
 	// Now let the operator lie: present a relabeled copy of community A
 	// itself and claim it is different.
 	impostor, _ := communityA.Shuffle(rng)
-	lie, err := dip.ProveNonIsomorphism(n, communityA.Edges(), impostor.Edges(),
-		dip.Options{Seed: 12, Repetitions: 40})
+	lie, err := dip.Run(dip.Request{Protocol: "gni-damam", N: n,
+		Edges: communityA.Edges(), Edges1: impostor.Edges(),
+		Options: dip.Options{Seed: 12, Repetitions: 40}})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("lying operator (isomorphic pair): accepted = %v\n", lie.Accepted)
+
+	if rep.Accepted == truth || lie.Accepted {
+		log.Fatal("protocol outcomes disagree with ground truth")
+	}
 	fmt.Println("\nhonest claims pass, fabricated ones fail — without any member seeing the whole graph")
 }

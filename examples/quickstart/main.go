@@ -34,7 +34,8 @@ func main() {
 	fmt.Printf("ground truth: symmetric = %v\n", truth)
 
 	// The interactive proof: honest prover, O(log n) bits per node.
-	rep, err := dip.ProveSymmetry(n, edges, dip.Options{Seed: 42})
+	rep, err := dip.Run(dip.Request{Protocol: "sym-dmam", N: n, Edges: edges,
+		Options: dip.Options{Seed: 42}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,7 +30,8 @@ func main() {
 		g := graph.DSymGraph(f, half)
 		edges := g.Edges()
 
-		rep, err := dip.ProveDumbbellSymmetry(side, half, edges, dip.Options{Seed: 7})
+		rep, err := dip.Run(dip.Request{Protocol: "dsym-dam", Side: side, Half: half, Edges: edges,
+			Options: dip.Options{Seed: 7}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -15,9 +15,9 @@ import (
 
 // peerFleet boots k peer servers on ephemeral TCP ports, each rebuilding
 // the case's spec through its SpecBuilder exactly as a dippeer process
-// would, and returns their addresses. The networked equivalence column
-// dials this fleet per run.
-func peerFleet(t *testing.T, k int, build func() *network.Spec) []string {
+// would, and returns a fleet over them, closed at cleanup. Every run of
+// the networked equivalence column is a session minted from it.
+func peerFleet(t *testing.T, k int, build func() *network.Spec) *peer.Fleet {
 	t.Helper()
 	addrs := make([]string, k)
 	for i := range addrs {
@@ -33,13 +33,18 @@ func peerFleet(t *testing.T, k int, build func() *network.Spec) []string {
 		})
 		addrs[i] = l.Addr().String()
 	}
-	return addrs
+	fleet, err := peer.NewFleet(addrs, peer.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fleet.Close() })
+	return fleet
 }
 
-// equivCase is one protocol workload run under both engines.
+// equivCase is one protocol workload run under both executors.
 type equivCase struct {
 	name string
-	// spec is rebuilt per run so closure state cannot leak between modes.
+	// spec is rebuilt per run so closure state cannot leak between runs.
 	spec func() *network.Spec
 	g    *graph.Graph
 	// inputs may be nil.
@@ -48,11 +53,11 @@ type equivCase struct {
 	prover func() network.Prover
 }
 
-// TestEngineEquivalenceAllProtocols is the contract behind defaulting to
-// the sequential engine: for every protocol in the repository, all three
-// executors — sequential, concurrent, and networked (verifier nodes hosted
-// by a real TCP peer fleet) — must produce bit-identical Cost, Decisions,
-// and Transcript at a fixed seed, for honest and cheating provers alike.
+// TestEngineEquivalenceAllProtocols is the executor contract: for every
+// protocol in the repository, the sequential executor and the networked
+// one (verifier nodes hosted by a real TCP peer fleet) must produce
+// bit-identical Cost, Decisions, and Transcript at a fixed seed, for
+// honest and cheating provers alike.
 func TestEngineEquivalenceAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full protocol sweep is slow")
@@ -135,8 +140,8 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 
 	cases := []equivCase{
 		{"sym-dmam-honest", dmam.Spec, sym, nil, dmam.HonestProver},
-		// The factory reseeds its own RNG so both engine runs see the same
-		// cheating mapping.
+		// The factory reseeds its own RNG so both executor runs see the
+		// same cheating mapping.
 		{"sym-dmam-cheat", dmam.Spec, asym, nil, func() network.Prover {
 			return dmam.RandomMappingProver(rand.New(rand.NewSource(7)))
 		}},
@@ -157,43 +162,26 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addrs := peerFleet(t, 3, tc.spec)
+			fleet := peerFleet(t, 3, tc.spec)
 			for _, seed := range []int64{1, 17} {
 				opts := network.Options{Seed: seed, RecordTranscript: true}
-				seqOpts, conOpts := opts, opts
-				seqOpts.Sequential = true
-				conOpts.Concurrent = true
-				seqRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), seqOpts)
+				seqRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), opts)
 				if err != nil {
 					t.Fatalf("sequential: %v", err)
 				}
-				conRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), conOpts)
-				if err != nil {
-					t.Fatalf("concurrent: %v", err)
-				}
-				if !reflect.DeepEqual(seqRes, conRes) {
-					t.Fatalf("seed %d: engines diverge:\nsequential: accepted=%v decisions=%v cost=%+v\nconcurrent: accepted=%v decisions=%v cost=%+v",
-						seed,
-						seqRes.Accepted, seqRes.Decisions, seqRes.Cost,
-						conRes.Accepted, conRes.Decisions, conRes.Cost)
-				}
-				coord, err := peer.Dial(addrs, nil, peer.Options{})
-				if err != nil {
-					t.Fatalf("networked: %v", err)
-				}
 				netOpts := opts
-				netOpts.Transport = coord
+				netOpts.Transport = fleet.NewRun(nil)
 				netRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), netOpts)
 				if err != nil {
 					t.Fatalf("networked: %v", err)
 				}
 				if !reflect.DeepEqual(seqRes, netRes) {
-					t.Fatalf("seed %d: networked engine diverges:\nsequential: accepted=%v decisions=%v cost=%+v\nnetworked:  accepted=%v decisions=%v cost=%+v",
+					t.Fatalf("seed %d: executors diverge:\nsequential: accepted=%v decisions=%v cost=%+v\nnetworked:  accepted=%v decisions=%v cost=%+v",
 						seed,
 						seqRes.Accepted, seqRes.Decisions, seqRes.Cost,
 						netRes.Accepted, netRes.Decisions, netRes.Cost)
 				}
-				// The DeepEqual above proves the engines agree on the
+				// The DeepEqual above proves the executors agree on the
 				// per-round breakdown; check it is also internally
 				// consistent — every round charged, nothing double-counted.
 				checkPerRoundSums(t, seed, &seqRes.Cost)

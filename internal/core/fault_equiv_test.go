@@ -8,17 +8,16 @@ import (
 	"dip/internal/faults"
 	"dip/internal/graph"
 	"dip/internal/network"
-	"dip/internal/peer"
 )
 
 // TestEngineEquivalenceUnderFaults extends the engine-equivalence contract
-// to corrupted runs: for every fault class, on each plane it supports, all
-// three executors — sequential, concurrent, and networked over a real TCP
-// peer fleet — must produce bit-identical Results (decisions, cost, and
-// the full transcript, which records the corrupted deliveries). This is
-// the property that makes the fault matrix engine-agnostic: a fault
-// schedule is a pure function of the seed, not of goroutine interleaving
-// or socket timing — and on the networked executor the corrupted copies
+// to corrupted runs: for every fault class, on each plane it supports, the
+// sequential executor and the networked one over a real TCP peer fleet
+// must produce bit-identical Results (decisions, cost, and the full
+// transcript, which records the corrupted deliveries). This is the
+// property that makes the fault matrix executor-agnostic: a fault
+// schedule is a pure function of the seed, not of where nodes run or of
+// socket timing — and on the networked executor the corrupted copies
 // genuinely cross sockets, since injectors run in the coordinator's
 // funnel before each delivery is shipped to its peer.
 func TestEngineEquivalenceUnderFaults(t *testing.T) {
@@ -67,7 +66,7 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addrs := peerFleet(t, 3, tc.spec)
+			fleet := peerFleet(t, 3, tc.spec)
 			for _, name := range faults.Names() {
 				class, ok := faults.ByName(name)
 				if !ok {
@@ -78,17 +77,8 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 						const seed = 17
 						run := func(mode string) *network.Result {
 							opts := network.Options{Seed: seed, RecordTranscript: true}
-							switch mode {
-							case "sequential":
-								opts.Sequential = true
-							case "concurrent":
-								opts.Concurrent = true
-							case "networked":
-								coord, err := peer.Dial(addrs, nil, peer.Options{})
-								if err != nil {
-									t.Fatal(err)
-								}
-								opts.Transport = coord
+							if mode == "networked" {
+								opts.Transport = fleet.NewRun(nil)
 							}
 							// Fresh injector per run: Replay and NodeSwap
 							// carry per-run state.
@@ -105,15 +95,12 @@ func TestEngineEquivalenceUnderFaults(t *testing.T) {
 							}
 							return res
 						}
-						seqRes := run("sequential")
-						for _, mode := range []string{"concurrent", "networked"} {
-							other := run(mode)
-							if !reflect.DeepEqual(seqRes, other) {
-								t.Fatalf("engines diverge under %s on %s plane:\nsequential: accepted=%v decisions=%v\n%s: accepted=%v decisions=%v",
-									name, plane,
-									seqRes.Accepted, seqRes.Decisions,
-									mode, other.Accepted, other.Decisions)
-							}
+						seqRes, netRes := run("sequential"), run("networked")
+						if !reflect.DeepEqual(seqRes, netRes) {
+							t.Fatalf("executors diverge under %s on %s plane:\nsequential: accepted=%v decisions=%v\nnetworked: accepted=%v decisions=%v",
+								name, plane,
+								seqRes.Accepted, seqRes.Decisions,
+								netRes.Accepted, netRes.Decisions)
 						}
 						checkPerRoundSums(t, seed, &seqRes.Cost)
 					})

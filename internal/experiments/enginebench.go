@@ -64,7 +64,7 @@ func MeasureEngineAllocs() (*EngineBench, error) {
 		if runErr != nil {
 			return
 		}
-		opts := network.Options{Seed: seed, Sequential: true}
+		opts := network.Options{Seed: seed}
 		seed++
 		if _, err := network.Run(spec, g, nil, prover, opts); err != nil {
 			runErr = err

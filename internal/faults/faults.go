@@ -9,10 +9,11 @@
 // prover→node plane (network.Options.Corrupt) and ExchangeCorruptor the
 // node→node forward/digest plane (network.Options.CorruptExchange). All
 // randomness is derived statelessly from (seed, plane, round, from, to),
-// so a fault schedule is a pure function of the run seed: the sequential
-// and concurrent engines — which invoke exchange-plane corruptors in
-// different orders and from different goroutines — observe the identical
-// schedule, and so stay bit-identical under injection (asserted by the
+// so a fault schedule is a pure function of the run seed and of each
+// delivery's coordinates. Both engine executors — sequential, and
+// networked with the nodes in peer processes — call the hooks on the
+// coordinator in the same fixed order, so they observe the identical
+// schedule and stay bit-identical under injection (asserted by the
 // engine-equivalence suite).
 package faults
 
@@ -105,9 +106,9 @@ func Drop() Injector {
 // Replay delivers the message from the previous round on the same channel
 // (same plane and (from, to) pair) instead of the current one; the first
 // delivery on each channel passes through. Stateful: build a fresh
-// injector per run. Safe under either engine because rounds ascend per
-// directed pair in both, so the per-channel history is order-independent
-// even though global call orders differ.
+// injector per run. Rounds ascend on every channel, so "the previous
+// round's message" is well defined whatever the order of calls across
+// channels.
 func Replay() Injector {
 	type channel struct {
 		plane    Plane
@@ -134,10 +135,10 @@ func Replay() Injector {
 // delivery must be produced before the next message is seen — so the
 // one-position shift is the canonical misrouting fault; it breaks any
 // protocol whose per-node advice is node-specific. Prover plane only
-// (exchange deliveries pass through: their interleaving is
-// engine-dependent, so no shift over them is order-independent).
-// Stateful: build a fresh injector per run. Relies on the engine contract
-// that prover-plane corruptor calls ascend in node order within a round.
+// (exchange deliveries pass through: they are per directed edge, not one
+// per node, so "node v-1's message" has no meaning there). Stateful:
+// build a fresh injector per run. Relies on the engine contract that
+// prover-plane corruptor calls ascend in node order within a round.
 func NodeSwap() Injector {
 	var mu sync.Mutex
 	last := make(map[int]wire.Message) // per Merlin round

@@ -52,7 +52,7 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 
 // cancelingProver cancels the run's own context from inside Respond, so
 // the cancellation is guaranteed to land mid-run, before the next step
-// boundary — in both engines.
+// boundary — under both executors.
 type cancelingProver struct{ cancel context.CancelFunc }
 
 func (p *cancelingProver) Respond(_ int, view *ProverView) (*Response, error) {

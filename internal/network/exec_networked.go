@@ -6,44 +6,40 @@ import (
 	"dip/internal/wire"
 )
 
-// networkedExecutor interprets the round script against remote verifier
-// nodes reached through Options.Transport. It is the coordinator half of a
+// runNetworked interprets the round script against remote verifier nodes
+// reached through Options.Transport. It is the coordinator half of a
 // distributed run: the prover, the delivery funnel (validation, cost
 // charging, fault corruption), and the transcript all execute here, in
-// exactly the sequential executor's order, while every node-side callback
+// exactly runSequential's order, while every node-side callback
 // (Challenge, Digest, Decide) runs wherever the transport's far side hosts
 // the node — its RNG seeded mix(Seed, v) there, via NodeState.
 //
-// Bit-identity with the in-process executors follows from three facts:
-// node randomness is per-node (so it does not matter which process draws
-// it), every funnel delivery happens here in the sequential order (so cost
+// Bit-identity with runSequential follows from three facts: node
+// randomness is per-node (so it does not matter which process draws it),
+// every funnel delivery happens here in the sequential order (so cost
 // rows, corruption call order, and transcript rows match), and the copies
 // the far side observes are the post-funnel messages this side sends (so
 // views — and hence decisions — match). The equivalence suite asserts all
 // of it protocol-by-protocol.
-type networkedExecutor struct{}
-
-func (networkedExecutor) run(s *runState) *RunError {
+func runNetworked(s *runState) *RunError {
 	t := s.opts.Transport
-	n := s.n
-	tr := &TransportRun{
+	rerr := t.Begin(&TransportRun{
 		Spec:      s.spec,
 		Seed:      s.opts.Seed,
-		N:         n,
+		N:         s.n,
 		Neighbors: s.nbrs,
 		Inputs:    s.inputs,
 		Cancel:    s.opts.Cancel,
+	})
+	if rerr == nil {
+		rerr = playNetworked(s, t)
 	}
-	if rerr := t.Begin(tr); rerr != nil {
-		t.End(rerr)
-		return rerr
-	}
-	rerr := runNetworked(s, t)
 	t.End(rerr)
 	return rerr
 }
 
-func runNetworked(s *runState, t Transport) *RunError {
+// playNetworked walks the script once Begin has provisioned the far side.
+func playNetworked(s *runState, t Transport) *RunError {
 	n := s.n
 	// seen tracks which nodes have reported within one collect phase
 	// (challenges, forwards, decisions): a transport frame for an
@@ -68,8 +64,8 @@ func runNetworked(s *runState, t Transport) *RunError {
 				}
 				row[v] = c
 			}
-			// Charge in ascending node order — the funnel order every
-			// executor shares. (The challenge plane has no corruption hook,
+			// Charge in ascending node order — the funnel order both
+			// executors share. (The challenge plane has no corruption hook,
 			// so deliver returns the message unchanged.)
 			for v := 0; v < n; v++ {
 				m, rerr := s.deliver(planeChallenge, st.ri, v, -1, row[v])
@@ -99,12 +95,12 @@ func runNetworked(s *runState, t Transport) *RunError {
 			s.recordRound(Merlin, s.delivered)
 
 		case StepExchange:
-			// Pick what each node forwards, mirroring the sequential
-			// executor: the round's challenges and plain (digest-less)
-			// responses are copies the coordinator already holds, so only
-			// digests cross the wire back — each node computes its own
-			// digest (the RNG draw must happen on the node's host) and
-			// reports it before any delivery.
+			// Pick what each node forwards, mirroring runSequential: the
+			// round's challenges and plain (digest-less) responses are
+			// copies the coordinator already holds, so only digests cross
+			// the wire back — each node computes its own digest (the RNG
+			// draw must happen on the node's host) and reports it before
+			// any delivery.
 			var msgs []wire.Message
 			if st.chal {
 				msgs = s.chalRows[st.arthur*n : (st.arthur+1)*n]

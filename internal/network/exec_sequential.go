@@ -2,15 +2,11 @@ package network
 
 import "dip/internal/wire"
 
-// sequentialExecutor interprets the round script on the calling goroutine:
-// no channels, no per-node goroutines. Each node still owns a private RNG
-// seeded by mix(Seed, v) and its callbacks run in the same per-node order
-// as under the concurrent executor, so every random draw, message, cost
-// increment, transcript entry, and decision is bit-identical to a
-// concurrent run with the same seed and prover.
-type sequentialExecutor struct{}
-
-func (sequentialExecutor) run(s *runState) *RunError {
+// runSequential interprets the round script on the calling goroutine,
+// playing every node's half of each step itself. Each node still owns a
+// private RNG seeded by mix(Seed, v), so its draws do not depend on which
+// executor or host runs it.
+func runSequential(s *runState) *RunError {
 	n := s.n
 	for _, st := range s.script.steps {
 		if rerr := s.checkCancel(st.ri); rerr != nil {
@@ -52,8 +48,7 @@ func (sequentialExecutor) run(s *runState) *RunError {
 			// Pick what each node forwards: the round's challenges, the
 			// delivered responses, or their digests. Digests draw from the
 			// node RNGs, so they run for all nodes (ascending) before any
-			// delivery — the same per-node callback order as the
-			// concurrent executor's digest-then-exchange.
+			// delivery.
 			var msgs []wire.Message
 			if st.chal {
 				msgs = s.chalRows[st.arthur*n : (st.arthur+1)*n]

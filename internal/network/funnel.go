@@ -10,11 +10,11 @@ import (
 
 // This file is the delivery-funnel layer: every message of a run — on
 // every plane, under either executor — passes through deliver exactly
-// once. Validation, bit-charging (aggregate and per-round), and fault
-// injection therefore each exist in exactly one place, which is the seam
-// where internal/faults adapters attach (Options.Corrupt /
-// Options.CorruptExchange) and whose charge totals the internal/obs
-// delivery meters are published from (runState.finish).
+// once, on the run's goroutine. Validation, bit-charging (aggregate and
+// per-round), and fault injection therefore each exist in exactly one
+// place, which is the seam where internal/faults adapters attach
+// (Options.Corrupt / Options.CorruptExchange) and whose charge totals the
+// internal/obs delivery meters are published from (runState.finish).
 
 // plane identifies the direction of a delivery inside the funnel.
 type plane uint8
@@ -35,11 +35,6 @@ const (
 // -1 standing for the prover. Cost semantics are "charged, then
 // corrupted" on every plane: the sender's honest bits are metered before
 // any injector rewrites them.
-//
-// Concurrency: the challenge and response planes are only driven from the
-// run's driver goroutine. On the exchange plane, from is always the
-// calling node's own index under the concurrent executor, so the
-// NodeToNode[from] increments stay element-exclusive per goroutine.
 func (s *runState) deliver(pl plane, ri, from, to int, m wire.Message) (wire.Message, *RunError) {
 	switch pl {
 	case planeChallenge:
@@ -107,8 +102,7 @@ func (s *runState) runError(phase Phase, round, node int, err error) *RunError {
 
 // guardNode runs a Spec callback with panic containment: a panic in f
 // becomes a *RunError attributed to (phase, round, node) instead of
-// crashing the process (or, in the concurrent engine, deadlocking the
-// other nodes; or, in a peer process, killing the node host). It is a free
+// crashing the process (in a peer process, the node host). It is a free
 // function because it also guards callbacks on NodeState, where no
 // runState exists.
 func guardNode(protocol string, phase Phase, round, node int, f func()) (rerr *RunError) {
@@ -126,7 +120,7 @@ func guardNode(protocol string, phase Phase, round, node int, f func()) (rerr *R
 // containment, response-shape validation, and (when Options.ProverTimeout
 // is set) a deadline. Both executors call the prover exclusively through
 // this helper, so a hostile prover implementation fails identically under
-// either engine.
+// either executor.
 func (s *runState) callRespond(ri, merlinRound int) (*Response, *RunError) {
 	call := func() (resp *Response, rerr *RunError) {
 		defer func() {

@@ -12,11 +12,12 @@ import (
 	"dip/internal/wire"
 )
 
-// engineModes runs a subtest under each engine, so every hardening path is
-// pinned to behave identically in both.
+// engineModes runs a subtest under each executor — the networked one over
+// a fresh in-memory loopTransport — so every hardening path is pinned to
+// behave identically in both.
 func engineModes(t *testing.T, f func(t *testing.T, opts Options)) {
-	t.Run("sequential", func(t *testing.T) { f(t, Options{Seed: 1, Sequential: true}) })
-	t.Run("concurrent", func(t *testing.T) { f(t, Options{Seed: 1, Concurrent: true}) })
+	t.Run("sequential", func(t *testing.T) { f(t, Options{Seed: 1}) })
+	t.Run("networked", func(t *testing.T) { f(t, Options{Seed: 1, Transport: &loopTransport{}}) })
 }
 
 // wantRunError asserts err is a *RunError with the given attribution.
@@ -141,8 +142,8 @@ func panicSpec(phase Phase, node int) (*Spec, Prover) {
 }
 
 // TestPanicContainment: a panic in any Spec/Prover callback becomes a
-// *RunError attributed to the right phase, round, and node — in both
-// engines, without crashing or deadlocking.
+// *RunError attributed to the right phase, round, and node — under both
+// executors, without crashing or hanging.
 func TestPanicContainment(t *testing.T) {
 	g := graph.Cycle(6)
 	cases := []struct {
@@ -177,7 +178,7 @@ func (p *blockingProver) Respond(int, *ProverView) (*Response, error) {
 }
 
 // TestProverTimeout: a hung prover aborts the run with a deadline
-// *RunError in both engines instead of hanging it forever.
+// *RunError under both executors instead of hanging it forever.
 func TestProverTimeout(t *testing.T) {
 	g := graph.Path(3)
 	spec := &Spec{
@@ -194,10 +195,9 @@ func TestProverTimeout(t *testing.T) {
 	})
 }
 
-// TestProverTimeoutLeaksNoGoroutines extends the abort leak test
-// (TestConcurrentAbortLeaksNoGoroutines) to the deadline path: after the
+// TestProverTimeoutLeaksNoGoroutines pins the deadline path: after the
 // hung provers are released, the goroutine count must settle back to the
-// baseline — neither node goroutines nor the deadline watchdogs may leak.
+// baseline — the deadline watchdogs may not leak.
 func TestProverTimeoutLeaksNoGoroutines(t *testing.T) {
 	g := graph.Cycle(16)
 	spec := &Spec{
@@ -209,7 +209,7 @@ func TestProverTimeoutLeaksNoGoroutines(t *testing.T) {
 	release := make(chan struct{})
 	for i := 0; i < 10; i++ {
 		p := &hangAfterProver{failRound: 1, release: release}
-		opts := Options{Seed: int64(i), Concurrent: true, ProverTimeout: 5 * time.Millisecond}
+		opts := Options{Seed: int64(i), ProverTimeout: 5 * time.Millisecond}
 		if _, err := Run(spec, g, nil, p, opts); err == nil {
 			t.Fatal("hung prover did not error")
 		} else {
@@ -249,8 +249,8 @@ func (p *hangAfterProver) Respond(merlinRound int, view *ProverView) (*Response,
 
 // TestCorruptExchangeBothEngines pins (a) that exchange-plane corruption
 // changes what neighbors see, (b) that the sender is still charged for
-// the original message ("charged, then corrupted"), and (c) that the two
-// engines agree bit-for-bit under it.
+// the original message ("charged, then corrupted"), and (c) that the
+// sequential and networked executors agree bit-for-bit under it.
 func TestCorruptExchangeBothEngines(t *testing.T) {
 	g := graph.Cycle(8)
 	spec := broadcastSpec()
@@ -264,7 +264,7 @@ func TestCorruptExchangeBothEngines(t *testing.T) {
 		out.Data[0] ^= 1
 		return out
 	}
-	clean, err := Run(spec, g, nil, broadcastProver{liar: -1}, Options{Seed: 5, Sequential: true})
+	clean, err := Run(spec, g, nil, broadcastProver{liar: -1}, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,12 +272,12 @@ func TestCorruptExchangeBothEngines(t *testing.T) {
 		t.Fatal("honest broadcast rejected without corruption")
 	}
 	seq, err := Run(spec, g, nil, broadcastProver{liar: -1},
-		Options{Seed: 5, Sequential: true, CorruptExchange: cx})
+		Options{Seed: 5, CorruptExchange: cx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := Run(spec, g, nil, broadcastProver{liar: -1},
-		Options{Seed: 5, Concurrent: true, CorruptExchange: cx})
+	netRes, err := Run(spec, g, nil, broadcastProver{liar: -1},
+		Options{Seed: 5, CorruptExchange: cx, Transport: &loopTransport{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestCorruptExchangeBothEngines(t *testing.T) {
 			t.Fatalf("node %d accepted a corrupted neighbor copy", v)
 		}
 	}
-	resultsIdentical(t, "corrupt-exchange", seq, conc)
+	resultsIdentical(t, "corrupt-exchange", seq, netRes)
 	// Charged-then-corrupted: node-to-node cost must equal the clean run's
 	// (the corrupted copy is larger nowhere, but pin exact equality).
 	for v := range clean.Cost.NodeToNode {

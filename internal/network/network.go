@@ -19,20 +19,20 @@
 //   - The round script (script.go) compiles a Spec into the synchronous
 //     schedule of a run — challenge, respond, exchange, decide steps — and
 //     holds the shared per-node step helpers. The schedule exists once;
-//     executors only decide which goroutine runs which step.
+//     executors only decide where each node's half of a step runs.
 //   - The delivery funnel (funnel.go) is the single seam every message on
 //     every plane passes through: validate → charge → corrupt, in
 //     runState.deliver. Fault injectors (internal/faults via
 //     Options.Corrupt / Options.CorruptExchange) attach here, and the
 //     internal/obs delivery meters are published from its charge totals.
-//   - The executors (executor.go, exec_sequential.go, exec_concurrent.go)
-//     are two scheduling strategies for the same script: the sequential
-//     engine plays all node steps round-robin on one goroutine (the
-//     default); the concurrent engine (Options.Concurrent) spawns one
-//     goroutine per node plus a prover driver and moves every message over
-//     a channel — a literal realization of the distributed system. Because
-//     every node draws from its own seeded RNG and all semantics live in
-//     the shared layers, the two produce bit-identical results (Cost,
+//   - The executors walk the same script on the calling goroutine. The
+//     sequential executor (exec_sequential.go, the default) plays every
+//     node's steps itself. The networked executor (exec_networked.go,
+//     selected by Options.Transport) keeps the prover, funnel and
+//     transcript and has the transport's far side — NodeState hosts,
+//     typically separate processes — play the node steps. Because every
+//     node draws from its own seeded RNG and all semantics live in the
+//     shared layers, the two produce bit-identical results (Cost,
 //     Decisions, Transcript) for every protocol at a fixed seed; the test
 //     suite asserts this.
 //   - The run state (state.go) gathers everything a run touches — node
@@ -215,9 +215,9 @@ type Result struct {
 // failures when testing verifier robustness. It is applied after cost
 // accounting of the original message: the node is charged for what the
 // prover sent, then receives the corrupted bits ("charged, then
-// corrupted"). Both engines invoke it from a single goroutine, once per
-// (merlinRound, node) in ascending node order within each round, so a
-// Corruptor may carry state keyed on that order without locking.
+// corrupted"). Both executors call it on the run's goroutine, once per
+// (merlinRound, node), nodes ascending within each round, so a Corruptor
+// may carry state keyed on that order without locking.
 type Corruptor func(merlinRound, node int, m wire.Message) wire.Message
 
 // ExchangeCorruptor mutates a node→node message on the exchange plane: the
@@ -228,12 +228,9 @@ type Corruptor func(merlinRound, node int, m wire.Message) wire.Message
 // neighbor. Cost semantics mirror Corruptor: the sender is charged for the
 // original message, then `to` receives the corrupted copy.
 //
-// Unlike Corruptor, the concurrent engine invokes an ExchangeCorruptor from
-// many node goroutines at once and in no fixed (from, to) order. To keep
-// the two engines bit-identical, an ExchangeCorruptor must be safe for
-// concurrent use and order-independent: its output may depend only on
-// (round, from, to, m) — or on per-(from,to) history, since rounds ascend
-// per directed pair in both engines — never on global call order.
+// Both executors call it on the run's goroutine in one fixed order: within
+// each exchange, receivers ascending, and for each receiver its senders in
+// neighbour-list order.
 type ExchangeCorruptor func(round, from, to int, m wire.Message) wire.Message
 
 // Options configure a run.
@@ -264,32 +261,22 @@ type Options struct {
 	Cancel <-chan struct{}
 	// RecordTranscript attaches a full message transcript to the Result.
 	RecordTranscript bool
-	// Sequential forces the single-goroutine scheduler; Concurrent forces
-	// the goroutine-per-node engine. Setting both is an error. When neither
-	// is set the engine auto-selects sequential: transcript recording and
-	// corruption injection are both driven synchronously by the round
-	// schedule, so no option requires real interleaving, and the two
-	// engines are bit-identical by construction (and by test).
-	Sequential bool
-	Concurrent bool
 	// Transport, when non-nil, selects the networked executor: node-side
 	// steps (challenges, digests, decisions) run wherever the transport's
 	// far side hosts them — typically separate OS processes dialed by
 	// internal/peer — while this process keeps the coordinator half: the
 	// prover, the delivery funnel (validation, cost, corruption), and the
-	// transcript. Combining Transport with Sequential or Concurrent is an
-	// error. See the Transport interface for the contract that makes the
-	// networked engine bit-identical to the in-process ones.
+	// transcript. When nil, the sequential executor plays every node in
+	// this goroutine. See the Transport interface for the contract that
+	// makes the two executors bit-identical.
 	Transport Transport
 }
 
 // validation errors returned by Run.
 var (
-	errNilGraph      = errors.New("network: nil graph")
-	errNilSpec       = errors.New("network: nil spec")
-	errNilDecide     = errors.New("network: spec has no Decide function")
-	errBothModes     = errors.New("network: Options.Sequential and Options.Concurrent both set")
-	errTransportMode = errors.New("network: Options.Transport cannot be combined with Sequential or Concurrent")
+	errNilGraph  = errors.New("network: nil graph")
+	errNilSpec   = errors.New("network: nil spec")
+	errNilDecide = errors.New("network: spec has no Decide function")
 	// errNilProver is the cause inside the *RunError returned when a spec
 	// with Merlin rounds is run without a prover (formerly a nil-interface
 	// panic at the first Respond call).
@@ -337,12 +324,6 @@ func Run(spec *Spec, g *graph.Graph, inputs []wire.Message, p Prover, opts Optio
 	if g == nil {
 		return nil, errNilGraph
 	}
-	if opts.Sequential && opts.Concurrent {
-		return nil, errBothModes
-	}
-	if opts.Transport != nil && (opts.Sequential || opts.Concurrent) {
-		return nil, errTransportMode
-	}
 	n := g.N()
 	if inputs != nil && len(inputs) != n {
 		return nil, fmt.Errorf("network: %d inputs for %d nodes", len(inputs), n)
@@ -361,7 +342,13 @@ func Run(spec *Spec, g *graph.Graph, inputs []wire.Message, p Prover, opts Optio
 
 	s := acquireState()
 	s.reset(spec, g, inputs, p, opts, n)
-	if rerr := executorFor(opts).run(s); rerr != nil {
+	var rerr *RunError
+	if opts.Transport != nil {
+		rerr = runNetworked(s)
+	} else {
+		rerr = runSequential(s)
+	}
+	if rerr != nil {
 		s.release()
 		return nil, rerr
 	}

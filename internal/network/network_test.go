@@ -323,16 +323,16 @@ func TestProverErrorPropagates(t *testing.T) {
 
 func TestMalformedResponseShape(t *testing.T) {
 	g := graph.Path(3)
-	p := proverFunc(func(int, *ProverView) (*Response, error) {
-		return &Response{PerNode: make([]wire.Message, 2)}, nil
-	})
 	spec := &Spec{
 		Name:   "shape",
 		Rounds: []Round{{Kind: Merlin}},
 		Decide: func(int, *NodeView) bool { return true },
 	}
-	if _, err := Run(spec, g, nil, p, Options{}); err == nil {
-		t.Fatal("wrong-shape response accepted")
+	for _, resp := range []*Response{{PerNode: make([]wire.Message, 2)}, nil} {
+		p := proverFunc(func(int, *ProverView) (*Response, error) { return resp, nil })
+		if _, err := Run(spec, g, nil, p, Options{}); err == nil {
+			t.Fatalf("wrong-shape response %v accepted", resp)
+		}
 	}
 }
 

@@ -8,15 +8,13 @@ import (
 )
 
 // NodeState is one verifier node extracted from the engine: its RNG, its
-// view, and nothing else. It exists for node hosts outside this process —
+// view, and nothing else. It exists for node hosts behind a Transport —
 // internal/peer builds one NodeState per hosted node and walks Schedule()
 // against it — and is deliberately a thin shell over the same free
-// functions (challengeNode, forwardNode, decideNode) the in-process
-// executors run, so a node behaves bit-identically wherever it lives.
+// functions (challengeNode, forwardNode, decideNode) the sequential
+// executor runs, so a node behaves bit-identically wherever it lives.
 //
-// A NodeState is single-goroutine: the host drives it in schedule order,
-// exactly like the concurrent executor's per-node goroutine drives its
-// slice of runState.
+// A NodeState is single-goroutine: the host drives it in schedule order.
 type NodeState struct {
 	spec *Spec
 	v, n int
@@ -53,7 +51,7 @@ func (ns *NodeState) Challenge(ri int) (wire.Message, *RunError) {
 }
 
 // PushResponse records the prover's delivered (post-funnel) Merlin-round
-// message, exactly as the in-process executors append to
+// message, exactly as the sequential executor appends to
 // views[v].Responses.
 func (ns *NodeState) PushResponse(m wire.Message) {
 	ns.view.Responses = append(ns.view.Responses, m)
@@ -63,7 +61,7 @@ func (ns *NodeState) PushResponse(m wire.Message) {
 // st: its latest challenge (challenge exchanges), or its latest delivered
 // response — digested through the round's Digest when one is defined,
 // drawing from the node RNG in the same schedule position as the
-// in-process executors.
+// sequential executor.
 func (ns *NodeState) ExchangeOut(st ScheduleStep) (wire.Message, *RunError) {
 	if st.Chal {
 		mc := ns.view.MyChallenges

@@ -2,9 +2,7 @@ package network
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"dip/internal/graph"
 	"dip/internal/wire"
@@ -47,7 +45,7 @@ func checkPerRound(t *testing.T, spec *Spec, c *Cost) {
 }
 
 // TestPerRoundCostSums runs a multi-round echo protocol on a star (so
-// node costs are heterogeneous) under both engines and checks that the
+// node costs are heterogeneous) under both executors and checks that the
 // per-round breakdown decomposes every aggregate exactly.
 func TestPerRoundCostSums(t *testing.T) {
 	g := graph.Star(7)
@@ -62,8 +60,8 @@ func TestPerRoundCostSums(t *testing.T) {
 		Decide: func(v int, view *NodeView) bool { return true },
 	}
 	for _, opts := range []Options{
-		{Seed: 5, Sequential: true},
-		{Seed: 5, Concurrent: true},
+		{Seed: 5},
+		{Seed: 5, Transport: &loopTransport{}},
 	} {
 		res, err := Run(spec, g, nil, echoProver{}, opts)
 		if err != nil {
@@ -83,7 +81,7 @@ func TestPerRoundCostSums(t *testing.T) {
 
 // TestPerRoundCostWithSharedChallengesAndDigest covers the two special
 // cost paths: Arthur-round neighbor exchanges (ShareChallenges) and
-// digest-metered Merlin forwarding, in both engines.
+// digest-metered Merlin forwarding, under both executors.
 func TestPerRoundCostWithSharedChallengesAndDigest(t *testing.T) {
 	g := graph.Cycle(5)
 	digest := func(v int, rng *rand.Rand, m wire.Message) wire.Message {
@@ -101,8 +99,8 @@ func TestPerRoundCostWithSharedChallengesAndDigest(t *testing.T) {
 		ShareChallenges: true,
 	}
 	for _, opts := range []Options{
-		{Seed: 9, Sequential: true},
-		{Seed: 9, Concurrent: true},
+		{Seed: 9},
+		{Seed: 9, Transport: &loopTransport{}},
 	} {
 		res, err := Run(spec, g, nil, echoProver{}, opts)
 		if err != nil {
@@ -117,69 +115,5 @@ func TestPerRoundCostWithSharedChallengesAndDigest(t *testing.T) {
 		if got := res.Cost.PerRound[1].NodeToNode[2]; got != 2 {
 			t.Fatalf("Merlin-round NodeToNode[2] = %d, want 2 (digest bits)", got)
 		}
-	}
-}
-
-// malformedAfterProver answers the first Merlin round honestly and then
-// returns a malformed response: nil, or one with the wrong PerNode
-// length.
-type malformedAfterProver struct {
-	failRound int
-	resp      *Response // returned on failRound (nil = nil response)
-}
-
-func (p *malformedAfterProver) Respond(merlinRound int, view *ProverView) (*Response, error) {
-	if merlinRound >= p.failRound {
-		return p.resp, nil
-	}
-	return Broadcast(view.Graph.N(), wire.Empty), nil
-}
-
-// TestConcurrentAbortLeaksNoGoroutines pins the abort path of the
-// goroutine-per-node engine: a prover implementation that returns a
-// wrong-shaped Response mid-run (after nodes are already blocked on
-// channels) must error out without leaking node goroutines.
-func TestConcurrentAbortLeaksNoGoroutines(t *testing.T) {
-	g := graph.Cycle(16)
-	spec := &Spec{
-		Name: "mam",
-		Rounds: []Round{
-			{Kind: Merlin},
-			challengeRound(4),
-			{Kind: Merlin},
-		},
-		Decide: func(v int, view *NodeView) bool { return true },
-	}
-	cases := []struct {
-		name   string
-		prover Prover
-	}{
-		{"nil-response", &malformedAfterProver{failRound: 1, resp: nil}},
-		{"short-response", &malformedAfterProver{failRound: 1,
-			resp: &Response{PerNode: make([]wire.Message, 3)}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			for i := 0; i < 10; i++ {
-				if _, err := Run(spec, g, nil, tc.prover, Options{Seed: int64(i), Concurrent: true}); err == nil {
-					t.Fatal("malformed response did not error")
-				}
-			}
-			// The engine waits for its node goroutines before returning,
-			// so the count must settle back to the baseline; poll briefly
-			// to tolerate unrelated runtime goroutines winding down.
-			deadline := time.Now().Add(2 * time.Second)
-			for {
-				if runtime.NumGoroutine() <= before {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines leaked: %d before, %d after aborted runs",
-						before, runtime.NumGoroutine())
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		})
 	}
 }

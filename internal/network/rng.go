@@ -3,10 +3,11 @@ package network
 import "math/rand"
 
 // nodeRNG builds node v's private randomness stream: a splitmix64 sequence
-// seeded by mix(seed, v). Both executors construct node RNGs exclusively
-// through this function (directly, or by re-seeding a pooled *rand.Rand
-// with the same mix — see runState.reset) — that shared construction is
-// what makes their random draws, and hence their results, bit-identical.
+// seeded by mix(seed, v). The sequential executor and every NodeState
+// host construct node RNGs exclusively through this seeding (directly, or
+// by re-seeding a pooled *rand.Rand with the same mix — see
+// runState.reset) — that shared construction is what makes their random
+// draws, and hence their results, bit-identical.
 //
 // The source is deliberately not math/rand's default: the lagged-Fibonacci
 // rngSource pays a ~10µs, 4.8KB initialization per node, which at n=256

@@ -10,18 +10,14 @@ import (
 
 // This file is the round-script layer: the synchronous schedule of a run,
 // compiled once per run from the Spec and then *interpreted* by both
-// executors. The schedule used to be written out twice — once inside
-// runSequential and once split across the concurrent driver and the node
-// goroutines — so every semantic addition (per-round metering, exchange
-// corruption) had to be implemented twice and proven equivalent by test.
-// Now there is exactly one description of "what happens in which order":
-// the step list below, plus the shared per-node step helpers that both
-// executors call for every Spec callback.
+// executors and by every remote node host. It is the one description of
+// "what happens in which order": the step list below, plus the shared
+// per-node step helpers that run every Spec callback.
 
 // StepKind enumerates the script's step types. It is exported because the
 // schedule itself is part of the engine's distributed contract: an
 // out-of-process node host (internal/peer) walks the same schedule as the
-// in-process executors, playing the node-facing half of each step.
+// executors, playing the node-facing half of each step.
 type StepKind uint8
 
 const (
@@ -214,10 +210,10 @@ func ResetScriptCache() {
 // The helpers below are the per-node halves of the script's steps. They
 // are free functions over (spec, rng, view) — the complete state of one
 // verifier node — so the same code runs whether the node lives inside a
-// pooled runState (the in-process executors) or alone in a peer process
-// (NodeState, driven by internal/peer). Both executors and every node
-// host run every Spec callback exclusively through them, so panic
-// containment, RunError attribution, and view bookkeeping exist once.
+// pooled runState (the sequential executor) or in a NodeState behind a
+// Transport (internal/peer). Every Spec callback runs exclusively through
+// them, so panic containment, RunError attribution, and view bookkeeping
+// exist once.
 
 // challengeNode runs node v's Challenge callback for Arthur round ri and
 // appends the result to v's view.

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"dip/internal/graph"
@@ -90,8 +91,148 @@ func digestSpec() *Spec {
 	}
 }
 
+// goTransport hosts every node on a goroutine of its own, each driving its
+// NodeState from a FIFO inbox, and hands collect-phase replies to the
+// executor in whatever order the node goroutines finish — a stand-in for a
+// fleet of peers answering concurrently. Messages are copied at the
+// boundary in both directions, as a wire would, so no node shares bytes
+// with the coordinator or with another node.
+type goTransport struct {
+	n       int
+	inbox   []chan func(*NodeState)
+	replies chan nodeReply
+	hosts   sync.WaitGroup
+	// chalCur, fwdCur and decCur count the Recv* calls of each collect
+	// phase; the first call of a phase fans the step out to every node.
+	chalCur, fwdCur, decCur int
+	// pending accumulates exchange deliveries per receiver until the
+	// receiver's neighbor set is complete.
+	pending map[int]map[int]wire.Message
+	degrees []int
+	ended   bool
+	failure *RunError
+}
+
+// nodeReply is one node's answer in a collect phase.
+type nodeReply struct {
+	v        int
+	m        wire.Message
+	decision bool
+	rerr     *RunError
+}
+
+func cloneMessage(m wire.Message) wire.Message {
+	return wire.Message{Data: append([]byte(nil), m.Data...), Bits: m.Bits}
+}
+
+func (gt *goTransport) Begin(run *TransportRun) *RunError {
+	nodes := make([]*NodeState, run.N)
+	gt.degrees = make([]int, run.N)
+	for v := range nodes {
+		var input wire.Message
+		if run.Inputs != nil {
+			input = run.Inputs[v]
+		}
+		nbrs := append([]int(nil), run.Neighbors[v]...)
+		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed)
+		if err != nil {
+			return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport,
+				Round: -1, Node: v, Err: err}
+		}
+		nodes[v] = ns
+		gt.degrees[v] = len(nbrs)
+	}
+	gt.n = run.N
+	gt.pending = make(map[int]map[int]wire.Message)
+	// At most one reply per node is outstanding, so hosts never block on
+	// replies, even when the executor aborts mid-phase.
+	gt.replies = make(chan nodeReply, run.N)
+	gt.inbox = make([]chan func(*NodeState), run.N)
+	for v, ns := range nodes {
+		in := make(chan func(*NodeState), 4)
+		gt.inbox[v] = in
+		gt.hosts.Add(1)
+		go func(ns *NodeState) {
+			defer gt.hosts.Done()
+			for f := range in {
+				f(ns)
+			}
+		}(ns)
+	}
+	return nil
+}
+
+// collect returns the next reply of a collect phase, first asking every
+// node when cur starts a new phase.
+func (gt *goTransport) collect(cur *int, ask func(ns *NodeState) nodeReply) nodeReply {
+	if *cur%gt.n == 0 {
+		for _, in := range gt.inbox {
+			in <- func(ns *NodeState) { gt.replies <- ask(ns) }
+		}
+	}
+	*cur++
+	return <-gt.replies
+}
+
+func (gt *goTransport) RecvChallenge(ri int) (int, wire.Message, *RunError) {
+	r := gt.collect(&gt.chalCur, func(ns *NodeState) nodeReply {
+		m, rerr := ns.Challenge(ri)
+		return nodeReply{v: ns.V(), m: cloneMessage(m), rerr: rerr}
+	})
+	return r.v, r.m, r.rerr
+}
+
+func (gt *goTransport) SendResponse(ri, node int, m wire.Message) *RunError {
+	m = cloneMessage(m)
+	gt.inbox[node] <- func(ns *NodeState) { ns.PushResponse(m) }
+	return nil
+}
+
+func (gt *goTransport) RecvForward(ri int) (int, wire.Message, *RunError) {
+	r := gt.collect(&gt.fwdCur, func(ns *NodeState) nodeReply {
+		m, rerr := ns.ExchangeOut(ScheduleStep{Kind: StepExchange, Round: ri})
+		return nodeReply{v: ns.V(), m: cloneMessage(m), rerr: rerr}
+	})
+	return r.v, r.m, r.rerr
+}
+
+func (gt *goTransport) SendExchange(ri, from, to int, chal bool, m wire.Message) *RunError {
+	got := gt.pending[to]
+	if got == nil {
+		got = make(map[int]wire.Message, gt.degrees[to])
+		gt.pending[to] = got
+	}
+	got[from] = cloneMessage(m)
+	if len(got) == gt.degrees[to] {
+		st := ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}
+		gt.inbox[to] <- func(ns *NodeState) { ns.PushExchange(st, got) }
+		delete(gt.pending, to)
+	}
+	return nil
+}
+
+func (gt *goTransport) RecvDecision() (int, bool, *RunError) {
+	r := gt.collect(&gt.decCur, func(ns *NodeState) nodeReply {
+		d, rerr := ns.Decide()
+		return nodeReply{v: ns.V(), decision: d, rerr: rerr}
+	})
+	return r.v, r.decision, r.rerr
+}
+
+// End stops every node goroutine and waits for it to exit.
+func (gt *goTransport) End(failure *RunError) {
+	for _, in := range gt.inbox {
+		close(in)
+	}
+	gt.hosts.Wait()
+	gt.ended, gt.failure = true, failure
+}
+
 // TestSequentialMatchesConcurrent runs a mix of specs, graphs, provers, and
-// options under both engines and requires bit-identical results.
+// options on the sequential executor and on the networked executor over
+// goTransport — every node on a goroutine of its own, answering in
+// arrival order — and requires bit-identical results: a node's output
+// depends only on its own view, never on which goroutine ran it or when.
 func TestSequentialMatchesConcurrent(t *testing.T) {
 	corrupt := func(round, node int, m wire.Message) wire.Message {
 		if node%3 != 1 || m.Bits == 0 {
@@ -134,49 +275,28 @@ func TestSequentialMatchesConcurrent(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				opts := tc.opts
 				opts.Seed += seed * 1000
-				seqOpts, conOpts := opts, opts
-				seqOpts.Sequential = true
-				conOpts.Concurrent = true
-				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, seqOpts)
+				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
+				gt := &goTransport{}
+				conOpts := opts
+				conOpts.Transport = gt
 				conRes, err := Run(tc.spec, tc.g, nil, tc.prover, conOpts)
 				if err != nil {
 					t.Fatal(err)
 				}
 				resultsIdentical(t, tc.name, seqRes, conRes)
+				if !gt.ended || gt.failure != nil {
+					t.Fatalf("transport End(failure=%v), ended=%v", gt.failure, gt.ended)
+				}
 			}
 		})
 	}
 }
 
-// TestAutoSelectsSequential pins the default: with neither mode forced, the
-// engine behaves exactly like the forced-sequential engine.
-func TestAutoSelectsSequential(t *testing.T) {
-	g := graph.Cycle(6)
-	auto, err := Run(echoSpec(16), g, nil, echoProver{}, Options{Seed: 11, RecordTranscript: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := Run(echoSpec(16), g, nil, echoProver{},
-		Options{Seed: 11, RecordTranscript: true, Sequential: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resultsIdentical(t, "auto-vs-sequential", auto, seq)
-}
-
-func TestBothModesRejected(t *testing.T) {
-	g := graph.Path(3)
-	_, err := Run(echoSpec(8), g, nil, echoProver{},
-		Options{Sequential: true, Concurrent: true})
-	if err == nil {
-		t.Fatal("conflicting mode options accepted")
-	}
-}
-
-// TestSequentialProverErrors mirrors the concurrent-engine error paths.
+// TestSequentialProverErrors pins the wrong-shape response error on the
+// default executor.
 func TestSequentialProverErrors(t *testing.T) {
 	g := graph.Path(3)
 	spec := &Spec{
@@ -187,7 +307,7 @@ func TestSequentialProverErrors(t *testing.T) {
 	wrongShape := proverFunc(func(int, *ProverView) (*Response, error) {
 		return &Response{PerNode: make([]wire.Message, 1)}, nil
 	})
-	if _, err := Run(spec, g, nil, wrongShape, Options{Sequential: true}); err == nil {
+	if _, err := Run(spec, g, nil, wrongShape, Options{}); err == nil {
 		t.Fatal("wrong-shape response accepted by sequential engine")
 	}
 }
@@ -214,24 +334,24 @@ func (mutatingProver) Respond(_ int, view *ProverView) (*Response, error) {
 }
 
 // TestProverMutationCannotAffectDecisions runs the echo protocol with a
-// prover that rewires the graph mid-run, under both engines: every node
+// prover that rewires the graph mid-run, under both executors: every node
 // must still receive its echo over the original topology and accept, with
 // costs identical to an honest run on the pristine graph.
 func TestProverMutationCannotAffectDecisions(t *testing.T) {
-	for _, mode := range []string{"sequential", "concurrent"} {
+	for _, mode := range []string{"sequential", "networked"} {
 		t.Run(mode, func(t *testing.T) {
-			opts := Options{Seed: 21}
-			if mode == "sequential" {
-				opts.Sequential = true
-			} else {
-				opts.Concurrent = true
+			run := func(p Prover) (*Result, error) {
+				opts := Options{Seed: 21}
+				if mode == "networked" {
+					opts.Transport = &loopTransport{}
+				}
+				return Run(echoSpec(16), graph.Cycle(8), nil, p, opts)
 			}
-			honest, err := Run(echoSpec(16), graph.Cycle(8), nil, echoProver{}, opts)
+			honest, err := run(echoProver{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			g := graph.Cycle(8)
-			mutated, err := Run(echoSpec(16), g, nil, mutatingProver{}, opts)
+			mutated, err := run(mutatingProver{})
 			if err != nil {
 				t.Fatal(err)
 			}

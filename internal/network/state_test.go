@@ -8,7 +8,7 @@ import (
 )
 
 // TestPooledStateBitIdentical interleaves runs of different protocols,
-// graph sizes, and engines so that every run after the first executes on a
+// graph sizes, and executors so that every run after the first executes on a
 // recycled runState, and requires each repeat of a configuration to be
 // bit-identical to its first (pool-cold) execution. This is the contract
 // that makes pooling invisible: reset must leave no residue from the
@@ -18,17 +18,26 @@ func TestPooledStateBitIdentical(t *testing.T) {
 		name string
 		spec *Spec
 		g    *graph.Graph
-		opts Options
+		seed int64
+		// networked runs over a fresh loopTransport per run.
+		networked bool
 	}
 	cfgs := []cfg{
-		{"echo-cycle6", echoSpec(16), graph.Cycle(6), Options{Seed: 7}},
-		{"echo-cycle6-conc", echoSpec(16), graph.Cycle(6), Options{Seed: 7, Concurrent: true}},
-		{"digest-complete5", digestSpec(), graph.Complete(5), Options{Seed: 11}},
-		{"echo-cycle12", echoSpec(32), graph.Cycle(12), Options{Seed: 3, Sequential: true}},
+		{"echo-cycle6", echoSpec(16), graph.Cycle(6), 7, false},
+		{"echo-cycle6-net", echoSpec(16), graph.Cycle(6), 7, true},
+		{"digest-complete5", digestSpec(), graph.Complete(5), 11, false},
+		{"echo-cycle12", echoSpec(32), graph.Cycle(12), 3, false},
+	}
+	run := func(c cfg) (*Result, error) {
+		opts := Options{Seed: c.seed}
+		if c.networked {
+			opts.Transport = &loopTransport{}
+		}
+		return Run(c.spec, c.g, nil, echoProver{}, opts)
 	}
 	first := make([]*Result, len(cfgs))
 	for i, c := range cfgs {
-		res, err := Run(c.spec, c.g, nil, echoProver{}, c.opts)
+		res, err := run(c)
 		if err != nil {
 			t.Fatalf("%s: first run failed: %v", c.name, err)
 		}
@@ -39,7 +48,7 @@ func TestPooledStateBitIdentical(t *testing.T) {
 	// different round counts) have stretched and shrunk the buffers.
 	for pass := 0; pass < 3; pass++ {
 		for i, c := range cfgs {
-			res, err := Run(c.spec, c.g, nil, echoProver{}, c.opts)
+			res, err := run(c)
 			if err != nil {
 				t.Fatalf("%s: pooled run failed: %v", c.name, err)
 			}

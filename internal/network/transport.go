@@ -11,9 +11,9 @@ import "dip/internal/wire"
 // coming back from nodes, responses and exchange deliveries going out to
 // them, digests coming back when a Merlin round defines one.
 //
-// The in-memory path needs no Transport at all (the two in-process
-// executors touch runState directly, with zero indirection); the interface
-// exists purely so internal/peer can put a TCP connection on the far side.
+// The in-memory path needs no Transport at all (the sequential executor
+// touches runState directly, with zero indirection); the interface exists
+// so internal/peer can put a TCP connection on the far side.
 
 // TransportRun is everything the far side needs to host its nodes for one
 // run: the spec identity is negotiated out of band (internal/peer ships a
@@ -26,7 +26,7 @@ type TransportRun struct {
 	Spec *Spec
 	// Seed is Options.Seed; node v's RNG is derived as mix(Seed, v) on
 	// whatever host runs the node, which is what keeps a networked run
-	// bit-identical to an in-process one.
+	// bit-identical to a sequential one.
 	Seed int64
 	// N is the node count; Neighbors[v] lists node v's neighbors ascending.
 	N         int

@@ -139,6 +139,7 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 		opts   Options
 	}{
 		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}},
+		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}},
 		{"echo-transcript", echoSpec(24), graph.Path(6), echoProver{},
 			Options{Seed: 3, RecordTranscript: true}},
 		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}},
@@ -157,9 +158,7 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 			for seed := int64(0); seed < 3; seed++ {
 				opts := tc.opts
 				opts.Seed += seed * 1000
-				seqOpts := opts
-				seqOpts.Sequential = true
-				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, seqOpts)
+				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,18 +175,6 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestTransportModeExclusive(t *testing.T) {
-	g := graph.Path(3)
-	for _, opts := range []Options{
-		{Transport: &loopTransport{}, Sequential: true},
-		{Transport: &loopTransport{}, Concurrent: true},
-	} {
-		if _, err := Run(echoSpec(8), g, nil, echoProver{}, opts); !errors.Is(err, errTransportMode) {
-			t.Fatalf("Transport+forced-mode: err = %v, want errTransportMode", err)
-		}
 	}
 }
 

@@ -15,8 +15,7 @@ import (
 // provisions every involved peer; the frame traffic of the run then
 // flows through the fleet's per-connection readers into this run's
 // inbox, routed by session id. End releases the session but leaves the
-// fleet's connections standing for the next run (unless the transport
-// owns a one-shot fleet, built by Dial, which it closes).
+// fleet's connections standing for the next run.
 //
 // Node-side traffic moves as one batch per connection per schedule step.
 // The Transport contract fixes both the number and the order of the
@@ -25,9 +24,8 @@ import (
 // the connection's last entry of the step arrives, and inbound batches
 // are decoded one frame at a time as the step's calls consume them.
 type Transport struct {
-	fleet     *Fleet
-	params    []byte
-	ownsFleet bool
+	fleet  *Fleet
+	params []byte
 
 	protocol string
 	n        int
@@ -474,9 +472,9 @@ func (t *Transport) End(failure *network.RunError) {
 	t.release(t.failed)
 }
 
-// release unregisters the run's session from every involved connection,
-// settles the gauges, and (for one-shot transports) closes the fleet.
-// Safe to call more than once; Begin's error paths use it before End.
+// release unregisters the run's session from every involved connection
+// and settles the gauges. Safe to call more than once; Begin's error
+// paths use it before End.
 func (t *Transport) release(failed bool) {
 	if t.sinkDone != nil {
 		select {
@@ -494,8 +492,5 @@ func (t *Transport) release(failed bool) {
 				}
 			}
 		}
-	}
-	if t.ownsFleet {
-		t.fleet.Close()
 	}
 }

@@ -161,20 +161,6 @@ func (f *Fleet) Stats() FleetStats {
 	return st
 }
 
-// Dial builds a one-shot transport: a private single-run fleet over
-// addrs that tears itself down at End. It keeps the "hand a transport to
-// network.Run before the fleet is reachable" shape the simulator and the
-// equivalence suites use — connections are not opened until Begin.
-func Dial(addrs []string, params []byte, opts Options) (*Transport, error) {
-	f, err := NewFleet(addrs, opts)
-	if err != nil {
-		return nil, err
-	}
-	t := f.NewRun(params)
-	t.ownsFleet = true
-	return t, nil
-}
-
 // sink routes one run's inbound frames: the run's shared inbox plus the
 // run-local index of the connection the frames arrive on. done is closed
 // when the run ends, so a reader never blocks forever delivering to an

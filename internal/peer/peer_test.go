@@ -200,6 +200,18 @@ func settleGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// oneRun builds a fleet over addrs and mints one run on it — the same
+// NewFleet/NewRun lifecycle dip.Fleet uses. The caller closes the fleet,
+// before any settleGoroutines gate.
+func oneRun(t *testing.T, addrs []string, params []byte, opts Options) (*Fleet, *Transport) {
+	t.Helper()
+	fleet, err := NewFleet(addrs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fleet, fleet.NewRun(params)
+}
+
 // TestPeerMatchesSequential is the socket half of the equivalence
 // contract: runs through real TCP peer fleets — including fleets hosting
 // several nodes per process — must be byte-identical to the sequential
@@ -253,18 +265,13 @@ func TestPeerMatchesSequential(t *testing.T) {
 			if tc.spec != "input" {
 				prover = echoProver{}
 			}
-			seqOpts := tc.opts
-			seqOpts.Sequential = true
-			seqRes, err := network.Run(spec, tc.g, inputs, prover, seqOpts)
+			seqRes, err := network.Run(spec, tc.g, inputs, prover, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			addrs := startFleet(t, tc.peers)
-			coord, err := Dial(addrs, marshalParams(t, tc.spec, tc.bits), Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fleet, coord := oneRun(t, startFleet(t, tc.peers), marshalParams(t, tc.spec, tc.bits), Options{})
+			defer fleet.Close()
 			netOpts := tc.opts
 			netOpts.Transport = coord
 			netRes, err := network.Run(spec, tc.g, inputs, prover, netOpts)
@@ -293,7 +300,7 @@ func TestPeerFleetReuse(t *testing.T) {
 	spec := echoSpec(16)
 	for seed := int64(1); seed <= 3; seed++ {
 		seqRes, err := network.Run(spec, g, nil, echoProver{},
-			network.Options{Seed: seed, Sequential: true})
+			network.Options{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -386,7 +393,7 @@ func TestSessionStorm(t *testing.T) {
 				return
 			}
 			seqRes, err := network.Run(spec, jb.g, nil, echoProver{},
-				network.Options{Seed: jb.seed, Sequential: true})
+				network.Options{Seed: jb.seed})
 			if err != nil {
 				results[i] = err
 				return
@@ -535,14 +542,11 @@ func TestWrongProtoHelloRejected(t *testing.T) {
 
 // TestRemoteCallbackError pins cross-process failure attribution: a node
 // callback panicking inside a peer process surfaces on the coordinator as
-// the same phase/round/node RunError the in-process engines would raise.
+// the same phase/round/node RunError the sequential executor would raise.
 func TestRemoteCallbackError(t *testing.T) {
-	addrs := startFleet(t, 2)
-	coord, err := Dial(addrs, marshalParams(t, "panic", 0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = network.Run(panicSpec(), graph.Cycle(5), nil, echoProver{},
+	fleet, coord := oneRun(t, startFleet(t, 2), marshalParams(t, "panic", 0), Options{})
+	defer fleet.Close()
+	_, err := network.Run(panicSpec(), graph.Cycle(5), nil, echoProver{},
 		network.Options{Seed: 1, Transport: coord})
 	var rerr *network.RunError
 	if !errors.As(err, &rerr) {
@@ -643,10 +647,8 @@ func TestBatchCountMismatch(t *testing.T) {
 			addr := fakePeer(t, func(w io.Writer, sess uint32, _ helloFrame) error {
 				return writeFrame(w, sess, tc.typ, tc.payload)
 			})
-			coord, err := Dial([]string{addr}, marshalParams(t, tc.spec, 8), Options{IOTimeout: 10 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
+			fleet, coord := oneRun(t, []string{addr}, marshalParams(t, tc.spec, 8), Options{IOTimeout: 10 * time.Second})
+			defer fleet.Close()
 			spec, err := buildTestSpec(marshalParams(t, tc.spec, 8))
 			if err != nil {
 				t.Fatal(err)
@@ -693,9 +695,7 @@ func TestBatchSplitMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := network.Options{Seed: 11, RecordTranscript: true}
-			seqOpts := opts
-			seqOpts.Sequential = true
-			seqRes, err := network.Run(spec, tc.g, nil, echoProver{}, seqOpts)
+			seqRes, err := network.Run(spec, tc.g, nil, echoProver{}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -735,14 +735,10 @@ func TestStalledPeerTimesOut(t *testing.T) {
 
 	t.Run("io-timeout", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		addr := stallPeer(t, 1)
-		coord, err := Dial([]string{addr}, marshalParams(t, "echo", 8),
+		fleet, coord := oneRun(t, []string{stallPeer(t, 1)}, marshalParams(t, "echo", 8),
 			Options{IOTimeout: 150 * time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
 		start := time.Now()
-		_, err = network.Run(spec, g, nil, echoProver{},
+		_, err := network.Run(spec, g, nil, echoProver{},
 			network.Options{Seed: 1, Transport: coord})
 		var rerr *network.RunError
 		if !errors.As(err, &rerr) || rerr.Phase != network.PhaseTransport {
@@ -751,25 +747,23 @@ func TestStalledPeerTimesOut(t *testing.T) {
 		if elapsed := time.Since(start); elapsed > 3*time.Second {
 			t.Fatalf("stall detection took %v", elapsed)
 		}
+		fleet.Close()
 		settleGoroutines(t, baseline)
 	})
 
 	t.Run("context-deadline", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
-		addr := stallPeer(t, 1)
-		coord, err := Dial([]string{addr}, marshalParams(t, "echo", 8),
+		fleet, coord := oneRun(t, []string{stallPeer(t, 1)}, marshalParams(t, "echo", 8),
 			Options{IOTimeout: 30 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 		defer cancel()
-		_, err = network.RunContext(ctx, spec, g, nil, echoProver{},
+		_, err := network.RunContext(ctx, spec, g, nil, echoProver{},
 			network.Options{Seed: 1, Transport: coord})
 		var rerr *network.RunError
 		if !errors.As(err, &rerr) || rerr.Phase != network.PhaseCanceled {
 			t.Fatalf("err = %v, want PhaseCanceled RunError", err)
 		}
+		fleet.Close()
 		settleGoroutines(t, baseline)
 	})
 }
@@ -783,11 +777,9 @@ func TestDeadPeerFailsRun(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close() // nothing listens here anymore
-	coord, err := Dial([]string{addr}, marshalParams(t, "echo", 8),
+	fleet, coord := oneRun(t, []string{addr}, marshalParams(t, "echo", 8),
 		Options{DialTimeout: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer fleet.Close()
 	_, err = network.Run(echoSpec(8), graph.Cycle(4), nil, echoProver{},
 		network.Options{Seed: 1, Transport: coord})
 	var rerr *network.RunError
@@ -802,16 +794,13 @@ func TestLinkFaultDelaySlowLink(t *testing.T) {
 	g := graph.Path(4)
 	spec := echoSpec(8)
 	seqRes, err := network.Run(spec, g, nil, echoProver{},
-		network.Options{Seed: 1, Sequential: true})
+		network.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	addrs := startFleet(t, 2)
-	coord, err := Dial(addrs, marshalParams(t, "echo", 8),
+	fleet, coord := oneRun(t, startFleet(t, 2), marshalParams(t, "echo", 8),
 		Options{LinkFaults: &faults.LinkPolicy{Seed: 1, Delay: time.Millisecond, DelayProb: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	defer fleet.Close()
 	netRes, err := network.Run(spec, g, nil, echoProver{},
 		network.Options{Seed: 1, Transport: coord})
 	if err != nil {
@@ -828,16 +817,12 @@ func TestLinkFaultDelaySlowLink(t *testing.T) {
 // channel instead of sleeping through it — and must not leak goroutines.
 func TestLinkFaultDelayCancel(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	addrs := startFleet(t, 2)
-	coord, err := Dial(addrs, marshalParams(t, "echo", 8),
+	fleet, coord := oneRun(t, startFleet(t, 2), marshalParams(t, "echo", 8),
 		Options{LinkFaults: &faults.LinkPolicy{Seed: 1, Delay: time.Minute, DelayProb: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err = network.RunContext(ctx, echoSpec(8), graph.Cycle(4), nil, echoProver{},
+	_, err := network.RunContext(ctx, echoSpec(8), graph.Cycle(4), nil, echoProver{},
 		network.Options{Seed: 1, Transport: coord})
 	elapsed := time.Since(start)
 	var rerr *network.RunError
@@ -847,6 +832,7 @@ func TestLinkFaultDelayCancel(t *testing.T) {
 	if elapsed > 3*time.Second {
 		t.Fatalf("canceled run blocked %v inside the injected delay", elapsed)
 	}
+	fleet.Close()
 	settleGoroutines(t, baseline)
 }
 

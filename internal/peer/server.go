@@ -19,7 +19,7 @@ import (
 // stays below the protocol registry in the dependency order: cmd/dippeer
 // wires it to dip.BuildSpec, and tests wire it to fixtures. The builder
 // must be deterministic in its parameters — both sides of a run construct
-// the Spec independently, and bit-identity with the in-process executors
+// the Spec independently, and bit-identity with the sequential executor
 // relies on the constructions agreeing.
 type SpecBuilder func(params []byte) (*network.Spec, error)
 

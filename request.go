@@ -156,7 +156,7 @@ func Protocols() []ProtocolInfo {
 
 // Run executes the named protocol on the request's instance against its
 // honest prover and reports the outcome and costs. It is the single entry
-// point behind every Prove* wrapper and behind cmd/dipserve.
+// point of the library and of cmd/dipserve.
 func Run(req Request) (Report, error) {
 	return RunContext(context.Background(), req)
 }
