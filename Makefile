@@ -1,10 +1,11 @@
 GO ?= go
 
-.PHONY: verify lint vet build test examples race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
+.PHONY: verify lint vet build test examples race bench-vet smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
 
 # verify is the tier-1 gate: lint, build, tests, the six example programs
 # run end to end, the race check across the whole module (short mode
-# keeps it minutes, not hours), a results-file smoke round-trip that also
+# keeps it minutes, not hours), vet and unit tests of the benchmark
+# module, a results-file smoke round-trip that also
 # requires the committed sidecars to regenerate byte-for-byte, a short
 # mutation burst on every decoder fuzz target,
 # a fault-matrix smoke run, a live service round-trip (dipserve under
@@ -18,7 +19,7 @@ GO ?= go
 # and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
 # standing dippeer fleet, one peer killed mid-load, structured 502s and
 # recovery on the survivors, clean drain end to end).
-verify: lint build test examples race smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+verify: lint build test examples race bench-vet smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
 
 # lint fails on unformatted files or vet findings.
 lint:
@@ -50,6 +51,13 @@ examples:
 # -short.
 race:
 	$(GO) test -race -short ./...
+
+# bench-vet vets and unit-tests the benchmark module. bench/ is a module
+# of its own (replace dip => ../), so the root's build, vet and test skip
+# it, and a change to an API it calls would otherwise break it unseen.
+# -short skips its end-to-end TestQuick.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
 
 # smoke regenerates the quick machine-readable benchmark file and requires
 # it to be byte-identical to the committed BENCH_seed1.json (GOMAXPROCS=1,
@@ -254,15 +262,22 @@ peer-smoke:
 # answers, which it counts as errors), the load file must record a
 # non-zero error count for the kill window, /readyz must stay 200 while
 # naming the dead peer unreachable, and a fresh load against the
-# two-peer remainder must complete with zero errors. Finally a SIGTERM
-# drain of dipserve and both surviving peers must log every drain marker.
+# two-peer remainder must complete with zero errors. The kill waits until
+# the service's request counter has grown by 100 since the load started
+# (service.requests: the only "requests" key at the second level of the
+# indented /metrics document), so it lands mid-load however fast the
+# fleet serves, and the kill load runs 8 clients against the 4 workers,
+# so every worker always holds a run that the kill interrupts (with one
+# client per worker, a worker between requests sometimes held none).
+# Finally a SIGTERM drain of dipserve and both surviving peers must log
+# every drain marker.
 fleet-smoke:
 	@dir=$$(mktemp -d /tmp/dip-fleet-smoke.XXXXXX); \
 	$(GO) build -o $$dir/dippeer ./cmd/dippeer || exit 1; \
 	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
 	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
 	pids=""; \
-	trap 'kill -9 $$pids $$srvpid 2>/dev/null; rm -rf '"$$dir" EXIT; \
+	trap 'kill -9 $$pids $$srvpid $$loadpid 2>/dev/null; rm -rf '"$$dir" EXIT; \
 	for i in 1 2 3; do \
 		$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/peer$$i.addr >$$dir/peer$$i.log 2>&1 & \
 		eval p$$i=$$!; \
@@ -285,9 +300,18 @@ fleet-smoke:
 	$(GO) run ./cmd/dipbench -validate $$dir/plain.json $$dir/batch.json || exit 1; \
 	grep -q '"errors": 0' $$dir/plain.json || { echo "healthy-fleet plain load reported errors"; cat $$dir/plain.json; exit 1; }; \
 	grep -q '"errors": 0' $$dir/batch.json || { echo "healthy-fleet batch load reported errors"; cat $$dir/batch.json; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 1500 -seed 4 -json $$dir/kill.json >$$dir/kill.out 2>&1 & \
+	served() { curl -sf http://$$addr/metrics | sed -n 's/^    "requests": \([0-9]*\),$$/\1/p'; }; \
+	base=$$(served); \
+	[ -n "$$base" ] || { echo "no service.requests on /metrics"; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 8 -requests 1500 -seed 4 -json $$dir/kill.json >$$dir/kill.out 2>&1 & \
 	loadpid=$$!; \
-	sleep 1; \
+	now=$$base; \
+	for t in $$(seq 1 400); do \
+		now=$$(served); \
+		[ "$${now:-0}" -ge $$((base + 100)) ] && break; \
+		sleep 0.025; \
+	done; \
+	[ "$${now:-0}" -ge $$((base + 100)) ] || { echo "kill load never reached 100 requests (at $$now, from $$base)"; cat $$dir/kill.out; exit 1; }; \
 	kill -9 $$p1; \
 	wait $$loadpid || { echo "load across the peer kill dropped connections"; cat $$dir/kill.out $$dir/serve.log; exit 1; }; \
 	if grep -q '"errors": 0' $$dir/kill.json; then \

@@ -1,10 +1,11 @@
 // Command dippeer runs a verifier peer: one OS process hosting a slice of
 // a proof's nodes behind the length-prefixed TCP protocol of
-// internal/peer. A coordinator (cmd/dipsim -peers, dipserve -peers, or
-// any other peer.Fleet caller) provisions each session over the wire —
-// protocol parameters as a JSON dip.Request without edge lists, the run
-// seed, and the hosted nodes' neighbor lists and inputs — so a peer
-// process needs no configuration beyond an address to listen on.
+// internal/peer (wire protocol 4). A coordinator (cmd/dipsim -peers,
+// dipserve -peers, or any other peer.Fleet caller) provisions each
+// session with a binary hello — protocol parameters as a JSON dip.Request
+// without edge lists, the run seed, and the hosted nodes' neighbor lists
+// and inputs — so a peer process needs no configuration beyond an address
+// to listen on. A session ends when the peer has written its decisions.
 //
 //	dippeer -addr 127.0.0.1:0 -addr-file peer0.addr
 //

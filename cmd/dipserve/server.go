@@ -627,6 +627,11 @@ func mapRunError(err error) (status int, phase string) {
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return http.StatusGatewayTimeout, "deadline"
 	}
+	if errors.Is(err, errServerStopped) {
+		// stop() failed the job while it was still queued: the same
+		// answer as admission after stop.
+		return http.StatusServiceUnavailable, "stopped"
+	}
 	return http.StatusInternalServerError, "internal"
 }
 

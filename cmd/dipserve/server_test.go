@@ -475,6 +475,7 @@ func TestMapRunError(t *testing.T) {
 		{"context deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
 		{"context canceled", context.Canceled, http.StatusGatewayTimeout, "deadline"},
 		{"wrapped context deadline", fmt.Errorf("run: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, "deadline"},
+		{"server stopped", errServerStopped, http.StatusServiceUnavailable, "stopped"},
 		{"unclassified", errors.New("disk on fire"), http.StatusInternalServerError, "internal"},
 		{"wrapped unclassified", fmt.Errorf("outer: %w", errors.New("inner")), http.StatusInternalServerError, "internal"},
 	}

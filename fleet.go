@@ -114,9 +114,9 @@ func (f *Fleet) EngineTransport(req Request) (network.Transport, error) {
 
 // fleetParams serializes a request for the fleet's SpecBuilder (dippeer
 // rebuilds the Spec via BuildSpec): the edge lists are stripped — each
-// peer receives only its own nodes' neighbor slices in the session
-// handshake — while spec-shaping fields (protocol, N, Side/Half, Marks,
-// seed, repetitions) travel whole.
+// peer receives only its own nodes' neighbor slices in the session's
+// hello — while spec-shaping fields (protocol, N, Side/Half, Marks, seed,
+// repetitions) travel whole.
 func fleetParams(req Request) ([]byte, error) {
 	req.Edges = nil
 	req.Edges1 = nil
@@ -145,7 +145,10 @@ type PeerStats struct {
 	SessionsCompleted int64 `json:"sessions_completed"`
 	SessionsFailed    int64 `json:"sessions_failed"`
 	FramesSent        int64 `json:"frames_sent"`
-	FramesReceived    int64 `json:"frames_received"`
+	// Writes counts the socket writes that carried FramesSent: frames
+	// staged while a run sends are written together when it next waits.
+	Writes         int64 `json:"writes"`
+	FramesReceived int64 `json:"frames_received"`
 	// FramesDropped counts outbound frames a LinkFaults policy swallowed.
 	FramesDropped int64 `json:"frames_dropped,omitempty"`
 	BytesSent     int64 `json:"bytes_sent"`

@@ -107,9 +107,9 @@ type ScheduleStep struct {
 }
 
 // Schedule compiles spec's synchronous schedule into its exported form.
-// Remote node hosts (internal/peer) walk this exact step list in lockstep
-// with the coordinator's networked executor; because both sides derive it
-// from the same Spec, no schedule negotiation happens on the wire.
+// Remote node hosts (internal/peer) walk this exact step list alongside
+// the coordinator's networked executor; because both sides derive it from
+// the same Spec, no schedule negotiation happens on the wire.
 func Schedule(spec *Spec) ([]ScheduleStep, error) {
 	if _, err := validateSpec(spec); err != nil {
 		return nil, err

@@ -68,8 +68,9 @@ type TransportRun struct {
 // release every resource the run pinned (reader goroutines, buffers).
 type Transport interface {
 	// Begin starts a run: provision the far side (spec parameters, seed,
-	// graph slices, inputs) and return only when every node host is ready
-	// to play the schedule, or fail with a *RunError.
+	// graph slices, inputs) or fail with a *RunError. It need not wait for
+	// the node hosts to acknowledge: a host that cannot play the schedule
+	// fails the run from the first call that waits on it.
 	Begin(run *TransportRun) *RunError
 	// RecvChallenge returns the next node challenge for Arthur round ri.
 	RecvChallenge(ri int) (node int, m wire.Message, rerr *RunError)

@@ -12,7 +12,7 @@ import (
 
 // Transport implements network.Transport for one run over a Fleet: Begin
 // places the run's nodes on the live peers, mints one session id, and
-// provisions every involved peer; the frame traffic of the run then
+// stages every involved peer's hello; the frame traffic of the run then
 // flows through the fleet's per-connection readers into this run's
 // inbox, routed by session id. End releases the session but leaves the
 // fleet's connections standing for the next run.
@@ -20,9 +20,14 @@ import (
 // Node-side traffic moves as one batch per connection per schedule step.
 // The Transport contract fixes both the number and the order of the
 // executor's calls in every step, so the transport needs no schedule of
-// its own: outbound entries are staged per connection and flushed when
-// the connection's last entry of the step arrives, and inbound batches
-// are decoded one frame at a time as the step's calls consume them.
+// its own: outbound entries are appended to a per-connection batch that
+// is sealed when the connection's last entry of the step arrives, and
+// inbound batches are decoded one frame at a time as the step's calls
+// consume them. Sealed frames are not written at once: each connection's
+// frames wait in its staging buffer until the transport is about to block
+// on a peer, and then go out in one Write per connection. The hello,
+// every step the coordinator sends before its first wait, and every later
+// stretch of consecutive send steps thus cost one write per peer.
 type Transport struct {
 	fleet  *Fleet
 	params []byte
@@ -36,23 +41,27 @@ type Transport struct {
 	hosted   [][]int      // connection → its nodes ascending (batch order)
 	edges    []int        // connection → Σ degree of its nodes (exchange batch size)
 	seqs     []int        // per-connection outbound frame sequence (LinkFaults keying)
+	acked    []bool       // connection → its helloOK has arrived
 	inbox    chan inFrame
 	sinkDone chan struct{}
 	// pending buffers batch frames from peers running ahead of the
 	// coordinator's schedule walk, keyed by pendKey (frame type and round).
 	pending map[uint64][]inFrame
 	// out stages each connection's share of the current coordinator→peer
-	// step; in is the current peer→coordinator step.
-	out    []staged
-	in     collect
-	ended  bool
-	failed bool
+	// step and its frames awaiting the next flush; in is the current
+	// peer→coordinator step.
+	out   []staged
+	in    collect
+	ended bool
 }
 
-// staged is one connection's outbound batch under construction.
+// staged is one connection's outbound state: the batch under
+// construction and the encoded frames not yet written.
 type staged struct {
 	batch
-	left int // entries the step still owes this connection; 0 = none open
+	left   int    // entries the step still owes this connection; 0 = none open
+	frames []byte // encoded frames awaiting the next flush
+	count  int    // frames in frames
 }
 
 // collect is the peer→coordinator step in progress: the entries of the
@@ -84,11 +93,12 @@ func (t *Transport) failf(round, node int, format string, args ...any) *network.
 		Round: round, Node: node, Err: fmt.Errorf(format, args...)}
 }
 
-// Begin places the run on the fleet's live peers, provisions each with
-// its node slice, and waits for all handshake acknowledgements. Nodes go
-// round-robin over the live peers (node v on live peer v mod k); peers
-// whose connections are down are redialed once and skipped if still
-// unreachable, so a fleet missing a peer keeps serving on the rest.
+// Begin places the run on the fleet's live peers and stages each one's
+// hello; it does not wait for the peers. Nodes go round-robin over the
+// live peers (node v on live peer v mod k); peers whose connections are
+// down are redialed once and skipped if still unreachable, so a fleet
+// missing a peer keeps serving on the rest. The hellos go out with the
+// first flush, and each peer's helloOK is checked when it arrives (ack).
 func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	t.protocol = run.Spec.Name
 	t.n = run.N
@@ -120,9 +130,13 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	t.hosted = make([][]int, k)
 	t.edges = make([]int, k)
 	t.seqs = make([]int, k)
+	t.acked = make([]bool, k)
 	t.out = make([]staged, k)
 	t.in.owed = make([]int, k)
-	perConn := make([][]helloNode, k)
+	hellos := make([]hello, k)
+	for ci := range hellos {
+		hellos[ci] = hello{seed: run.Seed, n: run.N, params: t.params}
+	}
 	for v := 0; v < run.N; v++ {
 		ci := v % k
 		t.assign[v] = ci
@@ -132,18 +146,14 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 		if run.Inputs != nil {
 			input = run.Inputs[v]
 		}
-		perConn[ci] = append(perConn[ci], helloNode{
-			V: v,
-			// Copy: TransportRun.Neighbors aliases pooled engine state.
-			Neighbors: append([]int(nil), run.Neighbors[v]...),
-			InputBits: input.Bits,
-			InputData: input.Data,
-		})
+		// Neighbors aliases pooled engine state; the hello is encoded
+		// below, before Begin returns, so nothing retains it.
+		hellos[ci].nodes = append(hellos[ci].nodes, helloNode{v: v, nbrs: run.Neighbors[v], input: input})
 	}
 
 	t.sess = t.fleet.sess.Add(1)
-	// A run receives a handful of batch frames per connection per step;
-	// the buffer lets peers running a step or two ahead deliver without
+	// A run receives a handful of frames per connection per step; the
+	// buffer lets peers running a step or two ahead deliver without
 	// stalling the connection's reader.
 	t.inbox = make(chan inFrame, 4*k+16)
 	t.sinkDone = make(chan struct{})
@@ -158,76 +168,35 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 			return t.failf(-1, -1, "%v", err)
 		}
 	}
-	for i, fc := range t.conns {
-		hello := helloFrame{Proto: Version, Params: t.params, Seed: run.Seed, N: run.N, Nodes: perConn[i]}
-		payload, jerr := json.Marshal(hello)
-		if jerr != nil {
-			t.release(true)
-			return t.failf(-1, -1, "marshaling hello: %v", jerr)
+	for ci := range t.conns {
+		payload, err := appendHello(nil, &hellos[ci])
+		if err == nil {
+			err = t.queue(ci, frameHello, payload)
 		}
-		if err := fc.sendFrame(t.sess, frameHello, payload); err != nil {
+		if err != nil {
 			t.release(true)
-			return t.failf(-1, -1, "%v", err)
+			return t.failf(-1, -1, "hello for peer %s: %v", t.conns[ci].addr, err)
 		}
 	}
+	return nil
+}
 
-	// Await one helloOK per involved peer. A fast peer's post-handshake
-	// batches can arrive before a slow peer's acknowledgement; those are
-	// buffered for their step like any ahead-of-schedule frame.
-	acked := make([]bool, k)
-	timer := time.NewTimer(t.fleet.opts.IOTimeout)
-	defer timer.Stop()
-	for remaining := k; remaining > 0; {
-		select {
-		case f := <-t.inbox:
-			if f.err != nil {
-				t.release(true)
-				return t.failf(-1, -1, "handshake: %v", f.err)
-			}
-			switch f.typ {
-			case frameHelloOK:
-				var ok helloOKFrame
-				if jerr := json.Unmarshal(f.payload, &ok); jerr != nil {
-					t.release(true)
-					return t.failf(-1, -1, "peer %s handshake: %v", t.conns[f.conn].addr, jerr)
-				}
-				if ok.Proto != Version || ok.Nodes != len(perConn[f.conn]) {
-					t.release(true)
-					return t.failf(-1, -1, "peer %s acknowledged proto %d, %d nodes (want %d, %d)",
-						t.conns[f.conn].addr, ok.Proto, ok.Nodes, Version, len(perConn[f.conn]))
-				}
-				if acked[f.conn] {
-					t.release(true)
-					return t.failf(-1, -1, "peer %s acknowledged twice", t.conns[f.conn].addr)
-				}
-				acked[f.conn] = true
-				remaining--
-			case frameError:
-				var ef errorFrame
-				if jerr := json.Unmarshal(f.payload, &ef); jerr != nil {
-					t.release(true)
-					return t.failf(-1, -1, "peer %s handshake error frame: %v", t.conns[f.conn].addr, jerr)
-				}
-				t.release(true)
-				return ef.runError()
-			case frameChallenge, frameForward, frameDecision:
-				if rerr := t.hold(f, -1); rerr != nil {
-					t.release(true)
-					return rerr
-				}
-			default:
-				t.release(true)
-				return t.failf(-1, -1, "peer %s handshake frame type 0x%02x", t.conns[f.conn].addr, f.typ)
-			}
-		case <-t.cancel:
-			t.release(true)
-			return &network.RunError{Protocol: t.protocol, Phase: network.PhaseCanceled,
-				Round: -1, Node: -1, Err: fmt.Errorf("run canceled during handshake")}
-		case <-timer.C:
-			t.release(true)
-			return t.failf(-1, -1, "handshake incomplete within %v", t.fleet.opts.IOTimeout)
-		}
+// ack checks a peer's helloOK: one per session, before any batch, naming
+// this build's protocol and the number of nodes the hello placed there.
+func (t *Transport) ack(f inFrame, round int) *network.RunError {
+	addr := t.conns[f.conn].addr
+	if t.acked[f.conn] {
+		return t.failf(round, -1, "peer %s acknowledged twice", addr)
 	}
+	proto, nodes, err := decodeHelloOK(f.payload)
+	if err != nil {
+		return t.failf(round, -1, "peer %s: %v", addr, err)
+	}
+	if proto != Version || nodes != len(t.hosted[f.conn]) {
+		return t.failf(round, -1, "peer %s acknowledged proto %d, %d nodes (want %d, %d)",
+			addr, proto, nodes, Version, len(t.hosted[f.conn]))
+	}
+	t.acked[f.conn] = true
 	return nil
 }
 
@@ -253,7 +222,11 @@ func (t *Transport) hold(f inFrame, round int) *network.RunError {
 // translating terminal conditions: connection loss and silence past
 // IOTimeout become PhaseTransport errors, engine cancellation becomes
 // PhaseCanceled, and a peer's error frame surfaces as the RunError it
-// carries.
+// carries. Before it blocks it flushes every connection's staged frames,
+// so no peer is ever left waiting on a frame still staged here.
+//
+// Each peer's first frame of the session (error frames aside) must be
+// its helloOK; a batch ahead of it, or a second helloOK, fails the run.
 //
 // Peers walk the schedule without waiting for the coordinator, so on
 // consecutive peer→coordinator steps (an Arthur round straight into
@@ -268,6 +241,9 @@ func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network
 		f := q[0]
 		t.pending[want] = q[1:]
 		return f, nil
+	}
+	if rerr := t.flush(round); rerr != nil {
+		return inFrame{}, rerr
 	}
 	timer := time.NewTimer(t.fleet.opts.IOTimeout)
 	defer timer.Stop()
@@ -284,7 +260,14 @@ func (t *Transport) recv(expect byte, round int, what string) (inFrame, *network
 					return f, t.failf(round, -1, "peer %s error frame: %v", t.conns[f.conn].addr, jerr)
 				}
 				return f, ef.runError()
+			case frameHelloOK:
+				if rerr := t.ack(f, round); rerr != nil {
+					return f, rerr
+				}
 			case frameChallenge, frameForward, frameDecision:
+				if !t.acked[f.conn] {
+					return f, t.failf(round, -1, "peer %s sent a batch before its helloOK", t.conns[f.conn].addr)
+				}
 				if f.typ == expect && len(f.payload) >= 4 && binary.BigEndian.Uint32(f.payload) == uint32(round) {
 					return f, nil
 				}
@@ -346,18 +329,18 @@ func (t *Transport) next(expect byte, round int, what string) (int, int, *networ
 	return t.hosted[in.conn][in.first+i], i, nil
 }
 
-// send writes one run frame to run-local connection ci, applying the
-// fleet's LinkFaults policy first: a delayed frame waits out its
-// injected latency on a timer that still honors run cancellation (a
-// canceled run returns promptly however large the delay), and a dropped
-// frame never reaches the socket — the emulated partition stalls the
-// session until a deadline fires and the run fails with a structured
-// transport error. Faults apply only to the run's message traffic
-// (response and exchange batches), never to session control frames, so a
-// faulted link degrades or kills runs but cannot corrupt a handshake.
+// send stages one batch frame for run-local connection ci, applying the
+// fleet's LinkFaults policy first: a delayed frame waits out its injected
+// latency on a timer that still honors run cancellation (a canceled run
+// returns promptly however large the delay), and a dropped frame is never
+// staged — the emulated partition stalls the session until a deadline
+// fires and the run fails with a structured transport error. Faults apply
+// only to the run's message traffic (response and exchange batches),
+// never to the hello, so a faulted link degrades or kills runs but cannot
+// corrupt a handshake.
 func (t *Transport) send(ci int, typ byte, payload []byte) *network.RunError {
-	fc := t.conns[ci]
-	if lf := t.fleet.opts.LinkFaults; lf != nil && lf.Enabled() && (typ == frameResponse || typ == frameExchange) {
+	if lf := t.fleet.opts.LinkFaults; lf != nil && lf.Enabled() {
+		fc := t.conns[ci]
 		seq := t.seqs[ci]
 		t.seqs[ci]++
 		delay, drop := lf.Decide(fc.idx, seq)
@@ -376,20 +359,49 @@ func (t *Transport) send(ci int, typ byte, payload []byte) *network.RunError {
 			}
 		}
 	}
-	if err := fc.sendFrame(t.sess, typ, payload); err != nil {
+	if err := t.queue(ci, typ, payload); err != nil {
 		return t.failf(-1, -1, "%v", err)
 	}
 	return nil
 }
 
+// queue appends one frame to connection ci's staged frames.
+func (t *Transport) queue(ci int, typ byte, payload []byte) error {
+	o := &t.out[ci]
+	frames, err := appendFrame(o.frames, t.sess, typ, payload)
+	if err != nil {
+		return err
+	}
+	o.frames = frames
+	o.count++
+	return nil
+}
+
+// flush writes every connection's staged frames, one Write per
+// connection.
+func (t *Transport) flush(round int) *network.RunError {
+	for ci, fc := range t.conns {
+		o := &t.out[ci]
+		if o.count == 0 {
+			continue
+		}
+		err := fc.write(o.frames, o.count)
+		o.frames, o.count = o.frames[:0], 0
+		if err != nil {
+			return t.failf(round, -1, "%v", err)
+		}
+	}
+	return nil
+}
+
 // stage appends one outbound entry to connection ci's batch for the
-// current step, whose batch holds size entries in all, and sends the
-// batch once its last entry is in. The executor's call order is the
-// batch's positional order, so entries are appended as they come.
+// current step, whose batch holds size entries in all, and stages the
+// batch's frames once its last entry is in. The executor's call order is
+// the batch's positional order, so entries are appended as they come.
 func (t *Transport) stage(ci int, typ byte, ri int, flags byte, size, node int, m wire.Message) *network.RunError {
 	o := &t.out[ci]
 	if o.left == 0 {
-		*o = staged{batch: batch{round: ri, flags: flags}, left: size}
+		o.batch, o.left = batch{round: ri, flags: flags}, size
 	}
 	if err := o.addMessage(m); err != nil {
 		return t.failf(ri, node, "encoding batch for peer %s: %v", t.conns[ci].addr, err)
@@ -448,28 +460,27 @@ func (t *Transport) RecvDecision() (int, bool, *network.RunError) {
 	return v, t.in.decs[i], nil
 }
 
-// End implements network.Transport: tell every involved peer how the run
-// finished (end on success, the failure otherwise), then release the
-// session. The fleet's connections stay up for the next run; a one-shot
-// transport (Dial) closes its private fleet.
+// End implements network.Transport. A completed run writes nothing: each
+// peer's session ended when it wrote its decision batch. A failed run
+// drops whatever is still staged and tells every involved peer why in an
+// error frame, so their sessions abandon the schedule. Either way the
+// session is released; the fleet's connections stay up for the next run.
 func (t *Transport) End(failure *network.RunError) {
 	if t.ended {
 		return
 	}
 	t.ended = true
-	var payload []byte
-	typ := frameEnd
 	if failure != nil {
-		typ = frameError
-		payload, _ = json.Marshal(errorFrameOf(failure))
+		payload, _ := json.Marshal(errorFrameOf(failure))
+		if frame, err := appendFrame(nil, t.sess, frameError, payload); err == nil {
+			for _, fc := range t.conns {
+				// Best effort: a peer whose connection already died is
+				// skipped by the error path inside write.
+				_ = fc.write(frame, 1)
+			}
+		}
 	}
-	for _, fc := range t.conns {
-		// Best effort: a peer whose connection already died is skipped by
-		// the write error path inside sendFrame.
-		_ = fc.sendFrame(t.sess, typ, payload)
-	}
-	t.failed = failure != nil
-	t.release(t.failed)
+	t.release(failure != nil)
 }
 
 // release unregisters the run's session from every involved connection

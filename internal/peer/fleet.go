@@ -126,7 +126,10 @@ type PeerStats struct {
 	SessionsCompleted int64 `json:"sessions_completed"`
 	SessionsFailed    int64 `json:"sessions_failed"`
 	FramesSent        int64 `json:"frames_sent"`
-	FramesReceived    int64 `json:"frames_received"`
+	// Writes counts the socket writes that carried FramesSent: frames
+	// staged while a run sends are written together when it next waits.
+	Writes         int64 `json:"writes"`
+	FramesReceived int64 `json:"frames_received"`
 	// FramesDropped counts outbound frames a LinkFaults policy swallowed.
 	FramesDropped int64 `json:"frames_dropped,omitempty"`
 	BytesSent     int64 `json:"bytes_sent"`
@@ -152,6 +155,7 @@ func (f *Fleet) Stats() FleetStats {
 			SessionsCompleted: fc.sessionsCompleted.Load(),
 			SessionsFailed:    fc.sessionsFailed.Load(),
 			FramesSent:        fc.framesOut.Load(),
+			Writes:            fc.writes.Load(),
 			FramesReceived:    fc.framesIn.Load(),
 			FramesDropped:     fc.framesDropped.Load(),
 			BytesSent:         fc.bytesOut.Load(),
@@ -196,6 +200,7 @@ type fleetConn struct {
 	sessionsCompleted atomic.Int64
 	sessionsFailed    atomic.Int64
 	framesOut         atomic.Int64
+	writes            atomic.Int64
 	framesIn          atomic.Int64
 	framesDropped     atomic.Int64
 	bytesOut          atomic.Int64
@@ -323,26 +328,30 @@ func (fc *fleetConn) unregister(id uint32) {
 	fc.mu.Unlock()
 }
 
-// sendFrame writes one frame under the write lock and I/O deadline; a
-// write failure retires the connection so the next run redials.
-func (fc *fleetConn) sendFrame(sess uint32, typ byte, payload []byte) error {
+// write sends count encoded frames with one Write under the write lock
+// and I/O deadline; a write failure retires the connection so the next
+// run redials. It is the fleet's only path to the socket: runs stage
+// their frames and call it when they are about to wait (Transport.flush)
+// or to report a failure (Transport.End).
+func (fc *fleetConn) write(frames []byte, count int) error {
 	fc.mu.Lock()
 	conn, gen := fc.conn, fc.gen
 	fc.mu.Unlock()
 	if conn == nil {
 		return fmt.Errorf("peer %s: not connected", fc.addr)
 	}
-	// wmu serializes whole frames: each writeFrame is a single Write call,
-	// so concurrent runs' frames never interleave on the shared socket.
+	// wmu serializes whole buffers, so concurrent runs' frames never
+	// interleave on the shared socket.
 	fc.wmu.Lock()
 	conn.SetWriteDeadline(time.Now().Add(fc.opts.IOTimeout))
-	err := writeFrame(conn, sess, typ, payload)
+	_, err := conn.Write(frames)
 	fc.wmu.Unlock()
 	if err != nil {
 		fc.teardown(gen, fmt.Errorf("write: %w", err))
 		return fmt.Errorf("peer %s write: %v", fc.addr, err)
 	}
-	fc.framesOut.Add(1)
-	fc.bytesOut.Add(int64(9 + len(payload)))
+	fc.writes.Add(1)
+	fc.framesOut.Add(int64(count))
+	fc.bytesOut.Add(int64(len(frames)))
 	return nil
 }

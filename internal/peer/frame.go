@@ -3,16 +3,18 @@
 // dialing a set of servers, so the engine's networked executor drives
 // actual sockets.
 //
-// The wire protocol (v3) is deliberately minimal: length-prefixed binary
+// The wire protocol (v4) is deliberately minimal: length-prefixed binary
 // frames, each stamped with a session id, over TCP. One peer process
 // hosts many interleaved sessions — over a shared connection, or over
 // per-session connections — and the session id routes every frame to its
-// session's state. A session opens with a JSON handshake (hello →
-// helloOK) that provisions the peer — protocol parameters, run seed, and
-// the graph *slice* of every node the peer hosts (its neighbor lists and
-// inputs, never the whole graph) — and then both sides walk the
-// spec-derived schedule (network.Schedule) in lockstep, so no round
-// negotiation ever crosses the wire.
+// session's state. A session opens with a binary hello that provisions
+// the peer — protocol parameters, run seed, and the graph *slice* of
+// every node the peer hosts (its neighbor lists and inputs, never the
+// whole graph) — and then both sides walk the spec-derived schedule
+// (network.Schedule), so no round negotiation ever crosses the wire. The
+// peer acknowledges the hello with a helloOK, but nobody waits for it:
+// the coordinator sends its first steps right behind the hello and checks
+// the helloOK when it arrives, ahead of the peer's first batch.
 //
 // Each schedule step's node-side traffic between the coordinator and one
 // peer travels as one batch frame (several only when it would exceed the
@@ -23,6 +25,13 @@
 // a peer cannot speak for a node it does not host. The schedule itself is
 // the round barrier: each side knows exactly how many entries of which
 // type the current step owes, and reads until it has them.
+//
+// Neither side writes a frame as soon as it is made. Each stages its
+// frames and writes them, one Write per connection, only when it is about
+// to wait for the other side, so consecutive steps in one direction share
+// a write. A run therefore costs each side one write per peer for every
+// stretch of the schedule in which it sends, and a successful session
+// needs no closing frame: it ends with the peer's decision batch.
 //
 // Everything semantic stays on the coordinator: validation, cost
 // accounting, fault corruption, and the transcript live in the engine's
@@ -44,11 +53,12 @@ import (
 	"dip/internal/wire"
 )
 
-// Version is the wire protocol version. The hello handshake carries it in
-// its proto field; a peer refuses any other version with a structured
+// Version is the wire protocol version. The hello carries it in its first
+// field and the helloOK echoes it; a peer refuses any other version — and
+// any JSON hello, the handshake of protocols 1 to 3 — with a structured
 // error naming the version it requires, so mixed-build fleets fail loudly
-// at dial time.
-const Version = 3
+// on their first run.
+const Version = 4
 
 const (
 	// maxFrame caps one frame body (session id + type byte + payload): a
@@ -62,19 +72,18 @@ const (
 )
 
 // Frame types. The coordinator→peer direction carries hello, response,
-// exchange, error, and end frames; the peer→coordinator direction carries
+// exchange, and error frames; the peer→coordinator direction carries
 // helloOK, challenge, forward, decision, and error frames. The five data
 // types are batch frames: u32 round | u8 flags | u32 count | entries.
 const (
-	frameHello     byte = 0x01 // JSON helloFrame
-	frameHelloOK   byte = 0x02 // JSON helloOKFrame
+	frameHello     byte = 0x01 // binary hello (appendHello)
+	frameHelloOK   byte = 0x02 // u32 proto | u32 hosted nodes
 	frameChallenge byte = 0x10 // batch of messages, hosted nodes ascending
 	frameResponse  byte = 0x11 // batch of messages, hosted nodes ascending
 	frameForward   byte = 0x12 // batch of messages, hosted nodes ascending
 	frameExchange  byte = 0x13 // batch of messages, receiver ascending, senders in neighbor-list order
 	frameDecision  byte = 0x14 // batch of u8 decisions, hosted nodes ascending
 	frameError     byte = 0x1E // JSON errorFrame; aborts the session
-	frameEnd       byte = 0x1F // empty; normal session completion
 )
 
 // Batch flags.
@@ -95,31 +104,28 @@ const batchHeader = 9
 // splits on small runs.
 var batchLimit = maxFrame
 
-// writeFrame emits one frame: a 4-byte big-endian length covering the
-// session id, type byte, and payload, then all three. The frame is
-// assembled into one buffer so a single Write call reaches the socket —
-// frames from concurrent sessions sharing a connection can never
-// interleave as long as each send holds the connection's write lock for
-// exactly one writeFrame call. A batch frame is one schedule step's
-// traffic for one peer, so a step costs one Write per peer.
-func writeFrame(w io.Writer, sess uint32, typ byte, payload []byte) error {
+// appendFrame appends one frame to b: a 4-byte big-endian length covering
+// the session id, type byte, and payload, then all three. Both sides
+// stage their frames this way and write everything staged for a
+// connection with a single Write when they are about to wait — frames
+// from concurrent sessions sharing a connection can never interleave as
+// long as each write holds the connection's write lock for the whole
+// buffer.
+func appendFrame(b []byte, sess uint32, typ byte, payload []byte) ([]byte, error) {
 	body := 5 + len(payload)
 	if body > maxFrame {
-		return fmt.Errorf("peer: frame type 0x%02x body of %d bytes exceeds the %d cap", typ, body, maxFrame)
+		return nil, fmt.Errorf("peer: frame type 0x%02x body of %d bytes exceeds the %d cap", typ, body, maxFrame)
 	}
-	buf := make([]byte, 4+body)
-	binary.BigEndian.PutUint32(buf, uint32(body))
-	binary.BigEndian.PutUint32(buf[4:], sess)
-	buf[8] = typ
-	copy(buf[9:], payload)
-	_, err := w.Write(buf)
-	return err
+	b = binary.BigEndian.AppendUint32(b, uint32(body))
+	b = binary.BigEndian.AppendUint32(b, sess)
+	b = append(b, typ)
+	return append(b, payload...), nil
 }
 
 // readFrame reads one frame, returning its session id, type, and payload.
 // The length prefix is validated before any allocation, so a malformed or
 // hostile peer cannot trigger an oversized read. The frame layout is the
-// same in protocols v2 and v3; only the batch payloads differ.
+// same in protocols v2 to v4; only the payloads differ.
 func readFrame(r io.Reader) (uint32, byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -333,35 +339,152 @@ func decodeDecisions(dst []bool, body []byte, count int) ([]bool, error) {
 	return dst, nil
 }
 
-// helloFrame is the coordinator's session-opening handshake: everything a
-// peer needs to host its slice of the run. Proto is the wire protocol
-// version (Version); a peer rejects any other value with a structured
-// error naming the version it requires. Params is an opaque protocol
-// parameter blob the peer's SpecBuilder understands (for dippeer: a
-// dip.Request without edge lists); Nodes lists the hosted nodes, strictly
-// ascending, with their neighbor slices and private inputs — the peer
+// hello is the coordinator's session-opening frame: everything a peer
+// needs to host its slice of the run. params is an opaque protocol
+// parameter blob the peer's SpecBuilder understands (for dippeer: a JSON
+// dip.Request without edge lists); nodes lists the hosted nodes, strictly
+// ascending, with their neighbor lists and private inputs — the peer
 // never sees the rest of the graph. The node order and each neighbor
 // list's order are the positional order of every batch in the session.
-type helloFrame struct {
-	Proto  int             `json:"proto"`
-	Params json.RawMessage `json:"params"`
-	Seed   int64           `json:"seed"`
-	N      int             `json:"n"`
-	Nodes  []helloNode     `json:"nodes"`
+//
+// On the wire (appendHello, decodeHello):
+//
+//	u32 proto | u64 seed | u32 n | u32 len | params |
+//	u32 count | count × (u32 v | u32 degree | degree × u32 | input message)
+type hello struct {
+	seed   int64
+	n      int
+	params []byte
+	nodes  []helloNode
 }
 
 // helloNode is one hosted node's slice of the run.
 type helloNode struct {
-	V         int    `json:"v"`
-	Neighbors []int  `json:"neighbors"`
-	InputBits int    `json:"input_bits"`
-	InputData []byte `json:"input_data,omitempty"`
+	v     int
+	nbrs  []int
+	input wire.Message
 }
 
-// helloOKFrame is the peer's handshake acknowledgement.
-type helloOKFrame struct {
-	Proto int `json:"proto"`
-	Nodes int `json:"nodes"`
+const (
+	// helloHeader is the length of a hello's fields before params:
+	// u32 proto | u64 seed | u32 n | u32 len.
+	helloHeader = 20
+	// helloNodeMin is the length of the smallest node entry: u32 v |
+	// u32 degree | an empty input message (u32 bits).
+	helloNodeMin = 12
+)
+
+// appendHello appends h's wire form, stamped with this build's Version.
+func appendHello(b []byte, h *hello) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, Version)
+	b = binary.BigEndian.AppendUint64(b, uint64(h.seed))
+	b = binary.BigEndian.AppendUint32(b, uint32(h.n))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h.params)))
+	b = append(b, h.params...)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(h.nodes)))
+	for _, hn := range h.nodes {
+		b = binary.BigEndian.AppendUint32(b, uint32(hn.v))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(hn.nbrs)))
+		for _, u := range hn.nbrs {
+			b = binary.BigEndian.AppendUint32(b, uint32(u))
+		}
+		var err error
+		if b, err = appendMessage(b, hn.input); err != nil {
+			return nil, fmt.Errorf("node %d input: %w", hn.v, err)
+		}
+	}
+	return b, nil
+}
+
+// decodeHello decodes a hello payload and checks everything a session
+// relies on before it builds any node: the protocol version (a payload
+// opening with '{' is the JSON hello of protocols 1 to 3), the node
+// count, nodes strictly ascending in [0, n), and every neighbor list in
+// the NodeView contract — strictly ascending, in [0, n), without the node
+// itself. Every count is bounded by the bytes left before anything is
+// allocated for it. params and the inputs alias p.
+func decodeHello(p []byte) (*hello, error) {
+	if len(p) > 0 && p[0] == '{' {
+		return nil, fmt.Errorf("peer: JSON hello (wire protocol 3 or older): this peer requires wire protocol %d", Version)
+	}
+	if len(p) < 4 {
+		return nil, fmt.Errorf("peer: hello truncated (%d bytes)", len(p))
+	}
+	if proto := binary.BigEndian.Uint32(p); proto != Version {
+		return nil, fmt.Errorf("peer: hello proto %d: this peer requires wire protocol %d", proto, Version)
+	}
+	if len(p) < helloHeader {
+		return nil, fmt.Errorf("peer: hello header truncated (%d bytes)", len(p))
+	}
+	n, plen := binary.BigEndian.Uint32(p[12:]), binary.BigEndian.Uint32(p[16:])
+	h := &hello{seed: int64(binary.BigEndian.Uint64(p[4:])), n: int(n)}
+	p = p[helloHeader:]
+	if uint64(plen)+4 > uint64(len(p)) {
+		return nil, fmt.Errorf("peer: hello params of %d bytes truncated (%d left)", plen, len(p))
+	}
+	h.params = p[:plen:plen]
+	count := binary.BigEndian.Uint32(p[plen:])
+	p = p[plen+4:]
+	if count < 1 || count > n {
+		return nil, fmt.Errorf("peer: hello provisions %d nodes of %d", count, n)
+	}
+	if uint64(count) > uint64(len(p)/helloNodeMin) {
+		return nil, fmt.Errorf("peer: hello claims %d nodes in %d bytes", count, len(p))
+	}
+	h.nodes = make([]helloNode, count)
+	var prev uint32
+	for i := range h.nodes {
+		if len(p) < 8 {
+			return nil, fmt.Errorf("peer: hello node %d truncated", i)
+		}
+		v, deg := binary.BigEndian.Uint32(p), binary.BigEndian.Uint32(p[4:])
+		p = p[8:]
+		if v >= n || (i > 0 && v <= prev) {
+			return nil, fmt.Errorf("peer: hello nodes not strictly ascending in [0,%d) at node %d", n, v)
+		}
+		prev = v
+		if uint64(deg) > uint64(len(p)/4) {
+			return nil, fmt.Errorf("peer: hello node %d claims %d neighbors in %d bytes", v, deg, len(p))
+		}
+		nbrs := make([]int, deg)
+		var last uint32
+		for j := range nbrs {
+			u := binary.BigEndian.Uint32(p[4*j:])
+			switch {
+			case u >= n:
+				return nil, fmt.Errorf("peer: hello node %d neighbor %d out of range [0,%d)", v, u, n)
+			case u == v:
+				return nil, fmt.Errorf("peer: hello node %d lists itself as a neighbor", v)
+			case j > 0 && u <= last:
+				return nil, fmt.Errorf("peer: hello node %d neighbors not strictly ascending at %d", v, u)
+			}
+			nbrs[j], last = int(u), u
+		}
+		input, rest, err := decodeMessage(p[4*int(deg):])
+		if err != nil {
+			return nil, fmt.Errorf("hello node %d input: %w", v, err)
+		}
+		h.nodes[i], p = helloNode{v: int(v), nbrs: nbrs, input: input}, rest
+	}
+	if len(p) != 0 {
+		return nil, fmt.Errorf("peer: hello has %d trailing bytes", len(p))
+	}
+	return h, nil
+}
+
+// appendHelloOK appends the peer's acknowledgement of a hello: this
+// build's Version and the number of nodes the session hosts.
+func appendHelloOK(b []byte, nodes int) []byte {
+	b = binary.BigEndian.AppendUint32(b, Version)
+	return binary.BigEndian.AppendUint32(b, uint32(nodes))
+}
+
+// decodeHelloOK decodes a helloOK payload into its proto and node count.
+func decodeHelloOK(p []byte) (proto, nodes int, err error) {
+	if len(p) != 8 {
+		return 0, 0, fmt.Errorf("peer: helloOK of %d bytes (want 8)", len(p))
+	}
+	return int(binary.BigEndian.Uint32(p)), int(binary.BigEndian.Uint32(p[4:])), nil
 }
 
 // errorFrame carries a structured *network.RunError across the wire, in

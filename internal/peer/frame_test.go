@@ -4,11 +4,129 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
 	"dip/internal/wire"
 )
+
+// writeFrame writes one frame with its own Write, as a hand-rolled test
+// peer or client does.
+func writeFrame(w io.Writer, sess uint32, typ byte, payload []byte) error {
+	b, err := appendFrame(nil, sess, typ, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
+}
+
+// sampleHello is a small well-formed hello: the two ends of a 3-node
+// path, one with an input.
+func sampleHello() *hello {
+	return &hello{seed: -7, n: 3, params: []byte(`{"spec":"echo","bits":8}`), nodes: []helloNode{
+		{v: 0, nbrs: []int{1}},
+		{v: 2, nbrs: []int{1}, input: wire.Message{Data: []byte{0xA0}, Bits: 3}},
+	}}
+}
+
+// encodeHello is appendHello for a hello the test knows to be encodable.
+func encodeHello(tb testing.TB, h *hello) []byte {
+	tb.Helper()
+	p, err := appendHello(nil, h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// TestHelloRoundTrip pins the binary hello and helloOK layouts: what
+// appendHello writes decodeHello returns, field for field, and the
+// helloOK carries the version and the hosted-node count.
+func TestHelloRoundTrip(t *testing.T) {
+	want := sampleHello()
+	p := encodeHello(t, want)
+	if got := binary.BigEndian.Uint32(p); got != Version {
+		t.Fatalf("hello opens with proto %d, want %d", got, Version)
+	}
+	got, err := decodeHello(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.seed != want.seed || got.n != want.n || !bytes.Equal(got.params, want.params) || len(got.nodes) != len(want.nodes) {
+		t.Fatalf("round trip got %+v, want %+v", got, want)
+	}
+	for i, hn := range got.nodes {
+		w := want.nodes[i]
+		if hn.v != w.v || len(hn.nbrs) != len(w.nbrs) || hn.nbrs[0] != w.nbrs[0] ||
+			hn.input.Bits != w.input.Bits || !bytes.Equal(hn.input.Data, w.input.Data) {
+			t.Fatalf("node %d: round trip got %+v, want %+v", i, hn, w)
+		}
+	}
+	proto, nodes, err := decodeHelloOK(appendHelloOK(nil, 5))
+	if err != nil || proto != Version || nodes != 5 {
+		t.Fatalf("helloOK round trip got (%d, %d, %v)", proto, nodes, err)
+	}
+	if _, _, err := decodeHelloOK([]byte(`{"proto":3,"nodes":5}`)); err == nil {
+		t.Fatal("accepted a JSON helloOK")
+	}
+}
+
+// TestHelloRejectsMalformed pins the hello decoder's gates: the version
+// and JSON checks, truncation anywhere, counts larger than the bytes
+// left, trailing bytes, and hosted nodes out of order or out of range.
+// The neighbor-list checks are pinned end to end by
+// TestBadNeighborListsRejected.
+func TestHelloRejectsMalformed(t *testing.T) {
+	good := encodeHello(t, sampleHello())
+	// withU32 overwrites u32 fields of the good hello: offset, value pairs.
+	withU32 := func(fields ...int) []byte {
+		p := append([]byte(nil), good...)
+		for i := 0; i < len(fields); i += 2 {
+			binary.BigEndian.PutUint32(p[fields[i]:], uint32(fields[i+1]))
+		}
+		return p
+	}
+	// withNodes is the good hello hosting the given node ids instead.
+	withNodes := func(vs ...int) []byte {
+		h := sampleHello()
+		h.nodes = nil
+		for _, v := range vs {
+			h.nodes = append(h.nodes, helloNode{v: v})
+		}
+		return encodeHello(t, h)
+	}
+	params := len(sampleHello().params)
+	count := helloHeader + params
+	cases := []struct {
+		name string
+		p    []byte
+		frag string
+	}{
+		{"json", []byte(`{"proto":3,"seed":1}`), "requires wire protocol 4"},
+		{"proto-5", withU32(0, 5), "requires wire protocol 4"},
+		{"empty", nil, "truncated"},
+		{"short-header", good[:helloHeader-1], "truncated"},
+		{"params-overrun", withU32(16, 1<<31), "params"},
+		{"zero-nodes", withU32(count, 0), "provisions 0 nodes"},
+		{"more-nodes-than-n", withU32(count, 4), "provisions 4 nodes of 3"},
+		{"node-count-overrun", withU32(12, 1<<30, count, 1<<29), "nodes in"},
+		{"degree-overrun", withU32(count+8, 1<<30), "neighbors in"},
+		{"truncated-input", good[:len(good)-1], "truncated"},
+		{"trailing", append(append([]byte(nil), good...), 0), "trailing"},
+		{"nodes-unsorted", withNodes(2, 0), "not strictly ascending"},
+		{"nodes-duplicate", withNodes(1, 1), "not strictly ascending"},
+		{"node-out-of-range", withNodes(0, 3), "not strictly ascending in [0,3)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if h, err := decodeHello(tc.p); err == nil || !strings.Contains(err.Error(), tc.frag) {
+				t.Fatalf("decodeHello = %+v, %v; want an error mentioning %q", h, err, tc.frag)
+			}
+		})
+	}
+}
 
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -17,8 +135,8 @@ func TestFrameRoundTrip(t *testing.T) {
 		typ     byte
 		payload []byte
 	}{
-		{0, frameHello, []byte(`{"proto":3}`)},
-		{1, frameEnd, nil},
+		{0, frameHello, encodeHello(t, sampleHello())},
+		{1, frameError, nil},
 		{0xFFFFFFFF, frameHelloOK, []byte{0xDE, 0xAD}},
 		{42, frameChallenge, []byte{1, 2, 3}},
 	}
@@ -45,10 +163,10 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 		frag string
 	}{
 		{"zero-length", []byte{0, 0, 0, 0}, "shorter than the frame header"},
-		{"v1-length", []byte{0, 0, 0, 1, frameEnd}, "shorter than the frame header"},
+		{"v1-length", []byte{0, 0, 0, 1, frameError}, "shorter than the frame header"},
 		{"oversized-claim", []byte{0xFF, 0xFF, 0xFF, 0xFF}, "exceeds"},
 		{"truncated-header", []byte{0, 0}, "EOF"},
-		{"truncated-body", []byte{0, 0, 0, 9, 0, 0, 0, 1, frameEnd}, "truncated"},
+		{"truncated-body", []byte{0, 0, 0, 9, 0, 0, 0, 1, frameError}, "truncated"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -61,8 +179,8 @@ func TestReadFrameRejectsMalformed(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversized(t *testing.T) {
-	if err := writeFrame(&bytes.Buffer{}, 1, frameHello, make([]byte, maxFrame)); err == nil {
-		t.Fatal("writeFrame accepted a body over the cap")
+	if _, err := appendFrame(nil, 1, frameHello, make([]byte, maxFrame)); err == nil {
+		t.Fatal("appendFrame accepted a body over the cap")
 	}
 }
 
@@ -85,7 +203,7 @@ func TestLooksLikeV1(t *testing.T) {
 	}
 	// A genuine session-id hello must not be flagged.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, 7, frameHello, []byte(`{"proto":3}`)); err != nil {
+	if err := writeFrame(&buf, 7, frameHello, encodeHello(t, sampleHello())); err != nil {
 		t.Fatal(err)
 	}
 	sess, typ, _, err = readFrame(&buf)
@@ -101,7 +219,7 @@ func TestLooksLikeV1(t *testing.T) {
 // v1 reader: u32 len | type | payload, carrying the structured error.
 func TestWriteV1Error(t *testing.T) {
 	var buf bytes.Buffer
-	ef := errorFrame{Phase: "transport", Round: -1, Node: -1, Message: "peer speaks wire protocol 3"}
+	ef := errorFrame{Phase: "transport", Round: -1, Node: -1, Message: "peer speaks wire protocol 4"}
 	if err := writeV1Error(&buf, ef); err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,11 @@ type fuzzSeed struct {
 
 // peerFrameSeeds builds the seed set: well-formed frames of every type
 // across session-id shapes (zero, small counters, ids whose bytes collide
-// with the v1-hello heuristic), the v1 framing, and the malformed shapes
-// in between — truncated frames and batches, sub-header and oversized
-// length claims, hostile bit counts, over- and under-count batches, split
+// with the v1-hello heuristic), the v1 framing, the JSON hello of
+// protocol 3, a hello, response and exchange back to back as one v4
+// write carries them, and the malformed shapes in between — truncated
+// frames, batches and hellos, sub-header and oversized length claims,
+// hostile bit counts, over- and under-count batches and hellos, split
 // frames, unknown flags, and trailing bytes.
 func peerFrameSeeds(tb testing.TB) []fuzzSeed {
 	framed := func(sess uint32, typ byte, payload []byte) []byte {
@@ -45,18 +47,32 @@ func peerFrameSeeds(tb testing.TB) []fuzzSeed {
 	e := wire.Message{}
 	twoAB := msgs(0, 0, 2, a, b)
 	hostile := binary.BigEndian.AppendUint32(appendBatchHeader(nil, 0, 0, 1), 0xFFFFFFFF)
+	h, err := appendHello(nil, &hello{seed: 7, n: 4, params: []byte(`{"spec":"mam","bits":8}`), nodes: []helloNode{
+		{v: 0, nbrs: []int{1, 3}},
+		{v: 2, nbrs: []int{1, 3}, input: c},
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	// overCount claims 2^32-1 nodes of a 2^32-1-node run in a few bytes.
+	overCount := append([]byte(nil), h[:helloHeader]...)
+	binary.BigEndian.PutUint32(overCount[12:], 0xFFFFFFFF)
+	binary.BigEndian.PutUint32(overCount[16:], 0)
+	overCount = append(binary.BigEndian.AppendUint32(overCount, 0xFFFFFFFF), 0, 0, 0, 0)
+	coalesced := append(append(framed(6, frameHello, h),
+		framed(6, frameResponse, msgs(0, 0, 2, b, c))...),
+		framed(6, frameExchange, msgs(0, 0, 4, a, b, c, e))...)
 	return []fuzzSeed{
 		{"valid-challenge", framed(1, frameChallenge, twoAB)},
 		{"valid-response", framed(0, frameResponse, msgs(2, 0, 1, e))},
 		{"valid-forward", framed(0xFFFFFFFF, frameForward, msgs(1, 0, 3, b, e, a))},
 		{"valid-exchange", framed(7, frameExchange, msgs(1, flagChal, 2, c, a))},
 		{"valid-decision", framed(0x017B2276, frameDecision, append(appendBatchHeader(nil, -1, 0, 3), 1, 0, 1))},
-		{"valid-hello", framed(2, frameHello, []byte(`{"proto":3,"seed":7,"n":4,"nodes":[{"v":0,"neighbors":[1]}]}`))},
+		{"valid-hello", framed(2, frameHello, h)},
 		{"valid-error", framed(3, frameError, []byte(`{"phase":"transport","round":1,"node":2,"message":"x"}`))},
-		{"valid-end", framed(4, frameEnd, nil)},
 		{"v1-hello", append([]byte{0, 0, 0, 14, 0x01}, []byte(`{"version":1}`)...)},
 		{"zero-length", []byte{0, 0, 0, 0}},
-		{"sub-header-length", []byte{0, 0, 0, 1, frameEnd}},
+		{"sub-header-length", []byte{0, 0, 0, 1, frameError}},
 		{"oversized-claim", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0x10}},
 		{"truncated-body", []byte{0, 0, 1, 0, 0, 0, 0, 1, 0x10, 1, 2, 3}},
 		{"hostile-bits", framed(1, frameChallenge, hostile)},
@@ -68,6 +84,12 @@ func peerFrameSeeds(tb testing.TB) []fuzzSeed {
 		{"truncated-header", framed(1, frameDecision, []byte{0xFF, 0xFF, 0xFF})},
 		{"decision-byte", framed(1, frameDecision, append(appendBatchHeader(nil, -1, 0, 2), 1, 2))},
 		{"unknown-flags", framed(1, frameExchange, msgs(0, 0x04, 1, a))},
+		{"valid-hellook", framed(2, frameHelloOK, appendHelloOK(nil, 2))},
+		{"v3-hello", framed(2, frameHello, []byte(`{"proto":3,"seed":7,"n":4,"nodes":[{"v":0,"neighbors":[1]}]}`))},
+		{"hello-truncated", framed(2, frameHello, h[:len(h)-1])},
+		{"hello-over-count", framed(2, frameHello, overCount)},
+		{"hello-trailing", framed(2, frameHello, append(append([]byte(nil), h...), 0))},
+		{"coalesced", coalesced},
 	}
 }
 
@@ -77,12 +99,14 @@ var fuzzOwed = []int{1, 2, 3}
 
 // FuzzPeerFrame throws arbitrary bytes at the full inbound path a peer or
 // coordinator exposes to the network: the length-prefixed frame reader
-// (session id | type | payload) followed by every batch decoder, run
-// against fixed expected counts. The invariants under test: no panic; no
-// allocation driven by an unvalidated count (decoders append into buffers
-// sized by the expected count and must never outgrow them); every decoded
-// message obeys len(Data) == ceil(Bits/8); and every accepted batch
-// re-encodes byte-identically.
+// (session id | type | payload) followed by the hello and helloOK
+// decoders and every batch decoder, the latter run against fixed expected
+// counts. The invariants under test: no panic; no allocation driven by an
+// unvalidated count (batch decoders append into buffers sized by the
+// expected count and must never outgrow them, and the hello decoder
+// allocates nothing its remaining bytes could not fill); every decoded
+// message obeys len(Data) == ceil(Bits/8); and every accepted hello,
+// helloOK and batch re-encodes byte-identically.
 func FuzzPeerFrame(f *testing.F) {
 	for _, s := range peerFrameSeeds(f) {
 		f.Add(s.data)
@@ -98,11 +122,48 @@ func FuzzPeerFrame(f *testing.F) {
 				t.Fatalf("readFrame returned a %d-byte payload past the cap", len(payload))
 			}
 			switch typ {
+			case frameHello:
+				checkHello(t, payload)
+			case frameHelloOK:
+				if proto, nodes, err := decodeHelloOK(payload); err == nil {
+					re := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(proto)), uint32(nodes))
+					if !bytes.Equal(re, payload) {
+						t.Fatalf("accepted helloOK re-encodes differently:\n got %x\nwant %x", re, payload)
+					}
+				}
 			case frameChallenge, frameResponse, frameForward, frameExchange, frameDecision:
 				checkBatch(t, typ, payload)
 			}
 		}
 	})
+}
+
+// checkHello decodes one hello payload and checks an accepted one: no
+// slice longer than the payload bytes its entries need, well-formed
+// inputs, and a byte-identical re-encode.
+func checkHello(t *testing.T, p []byte) {
+	h, err := decodeHello(p)
+	if err != nil {
+		return
+	}
+	if cap(h.nodes)*helloNodeMin > len(p) {
+		t.Fatalf("hello decoder allocated %d nodes for a %d-byte payload", cap(h.nodes), len(p))
+	}
+	for _, hn := range h.nodes {
+		if 4*cap(hn.nbrs) > len(p) {
+			t.Fatalf("hello decoder allocated %d neighbors for a %d-byte payload", cap(hn.nbrs), len(p))
+		}
+		if m := hn.input; m.Bits < 0 || m.Bits > maxMsgBits || len(m.Data) != (m.Bits+7)/8 {
+			t.Fatalf("hello decoder produced a malformed input Bits=%d len(Data)=%d", m.Bits, len(m.Data))
+		}
+	}
+	re, err := appendHello(nil, h)
+	if err != nil {
+		t.Fatalf("accepted hello fails re-encode: %v", err)
+	}
+	if !bytes.Equal(re, p) {
+		t.Fatalf("accepted hello re-encodes differently:\n got %x\nwant %x", re, p)
+	}
 }
 
 // checkBatch decodes one batch payload against every fuzzOwed count,

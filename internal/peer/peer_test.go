@@ -2,6 +2,7 @@ package peer
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,6 +68,24 @@ func echoSpec(bits int) *network.Spec {
 				}
 			}
 			return len(view.NeighborResponses[0]) == len(view.Neighbors)
+		},
+	}
+}
+
+// mamSpec is shaped like sym-dmam: Merlin, Arthur, Merlin. The prover
+// answers round 0 before any challenge exists, so the coordinator sends
+// the hello, the round-0 responses and the round-0 exchange before it
+// first waits on a peer.
+func mamSpec(bits int) *network.Spec {
+	return &network.Spec{
+		Name:   "peer-mam",
+		Rounds: []network.Round{{Kind: network.Merlin}, challengeRound(bits), {Kind: network.Merlin}},
+		Decide: func(v int, view *network.NodeView) bool {
+			id, echo, chal := view.Responses[0], view.Responses[1], view.MyChallenges[0]
+			return id.Bits == 8 && id.Data[0] == byte(v) &&
+				echo.Bits == chal.Bits && bytes.Equal(echo.Data, chal.Data) &&
+				len(view.NeighborResponses[0]) == len(view.Neighbors) &&
+				len(view.NeighborResponses[1]) == len(view.Neighbors)
 		},
 	}
 }
@@ -134,6 +154,8 @@ func buildTestSpec(params []byte) (*network.Spec, error) {
 	switch p.Spec {
 	case "echo":
 		return echoSpec(p.Bits), nil
+	case "mam":
+		return mamSpec(p.Bits), nil
 	case "digest":
 		return digestSpec(p.Bits), nil
 	case "share":
@@ -147,10 +169,18 @@ func buildTestSpec(params []byte) (*network.Spec, error) {
 	}
 }
 
-// echoProver answers every node with its own last challenge.
+// echoProver answers every node with its own last challenge or, before
+// any challenge exists, with its node id as one byte.
 type echoProver struct{}
 
 func (echoProver) Respond(_ int, view *network.ProverView) (*network.Response, error) {
+	if len(view.Challenges) == 0 {
+		resp := &network.Response{PerNode: make([]wire.Message, view.Graph.N())}
+		for v := range resp.PerNode {
+			resp.PerNode[v] = wire.Message{Data: []byte{byte(v)}, Bits: 8}
+		}
+		return resp, nil
+	}
 	last := view.Challenges[len(view.Challenges)-1]
 	resp := &network.Response{PerNode: make([]wire.Message, len(last))}
 	copy(resp.PerNode, last)
@@ -162,23 +192,35 @@ func (echoProver) Respond(_ int, view *network.ProverView) (*network.Response, e
 func startServers(t *testing.T, k int, tweak func(*Server)) []string {
 	t.Helper()
 	addrs := make([]string, k)
-	for i := 0; i < k; i++ {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := &Server{Build: buildTestSpec, Opts: Options{IOTimeout: 10 * time.Second}}
-		if tweak != nil {
-			tweak(srv)
-		}
-		go srv.Serve(l)
-		t.Cleanup(func() {
-			l.Close()
-			srv.Close()
-		})
-		addrs[i] = l.Addr().String()
+	for i := range addrs {
+		addrs[i] = serve(t, listen(t), tweak)
 	}
 	return addrs
+}
+
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// serve runs a fixture peer server on l until the test ends and returns
+// its address.
+func serve(t *testing.T, l net.Listener, tweak func(*Server)) string {
+	t.Helper()
+	srv := &Server{Build: buildTestSpec, Opts: Options{IOTimeout: 10 * time.Second}}
+	if tweak != nil {
+		tweak(srv)
+	}
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		l.Close()
+		srv.Close()
+	})
+	return l.Addr().String()
 }
 
 func startFleet(t *testing.T, k int) []string {
@@ -245,6 +287,7 @@ func TestPeerMatchesSequential(t *testing.T) {
 		{"echo-1peer", "echo", 16, graph.Cycle(6), nil, 1, network.Options{Seed: 1}},
 		{"echo-4peers", "echo", 16, graph.Cycle(9), nil, 4, network.Options{Seed: 2, RecordTranscript: true}},
 		{"echo-n-peers", "echo", 24, graph.Complete(5), nil, 5, network.Options{Seed: 3}},
+		{"merlin-first", "mam", 16, graph.Cycle(7), nil, 2, network.Options{Seed: 8, RecordTranscript: true}},
 		{"digest", "digest", 16, graph.Cycle(8), nil, 3, network.Options{Seed: 4, RecordTranscript: true}},
 		{"share", "share", 8, graph.Path(7), nil, 2, network.Options{Seed: 5}},
 		{"inputs", "input", 0, graph.Star(6), byteInputs, 2, network.Options{Seed: 6}},
@@ -328,15 +371,15 @@ func TestPeerFleetReuse(t *testing.T) {
 	if completed != 6 || open != 0 {
 		t.Fatalf("sessions completed=%d open=%d, want 6 completed (3 runs × 2 peers), 0 open", completed, open)
 	}
-	// One batch frame per peer per schedule step: hello, helloOK, the
-	// challenge, response, exchange and decision batches, end — 7 frames
-	// per peer per run, whatever the number of hosted nodes.
+	// One batch frame per peer per schedule step: hello, helloOK, and the
+	// challenge, response, exchange and decision batches — 6 frames per
+	// peer per run, whatever the number of hosted nodes.
 	var frames int64
 	for _, ps := range st.Peers {
 		frames += ps.FramesSent + ps.FramesReceived
 	}
-	if frames != 3*2*7 {
-		t.Fatalf("%d frames for 3 runs on 2 peers, want %d (7 per peer per run)", frames, 3*2*7)
+	if frames != 3*2*6 {
+		t.Fatalf("%d frames for 3 runs on 2 peers, want %d (6 per peer per run)", frames, 3*2*6)
 	}
 }
 
@@ -497,44 +540,87 @@ func TestV1ClientRejected(t *testing.T) {
 	if err := json.Unmarshal(body[1:], &ef); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ef.Message, "protocol 2") && !strings.Contains(ef.Message, fmt.Sprintf("protocol %d", Version)) {
+	if !strings.Contains(ef.Message, fmt.Sprintf("protocol %d", Version)) {
 		t.Fatalf("rejection %q does not name the required version", ef.Message)
 	}
 }
 
-// TestWrongProtoHelloRejected covers the in-framing version gate: a hello
-// claiming any other protocol — v1's number inside the session-id framing,
-// or a v2 coordinator's — is refused with an error naming the required
-// version.
+// helloReply sends payload as the hello of session 9 over a raw
+// connection and returns the error frame the peer answers it with.
+func helloReply(t *testing.T, addr string, payload []byte) errorFrame {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, 9, frameHello, payload); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sess, typ, reply, err := readFrame(bufio.NewReader(conn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sess != 9 || typ != frameError {
+		t.Fatalf("reply session %d type 0x%02x, want session 9 error", sess, typ)
+	}
+	var ef errorFrame
+	if err := json.Unmarshal(reply, &ef); err != nil {
+		t.Fatal(err)
+	}
+	return ef
+}
+
+// TestWrongProtoHelloRejected covers the in-framing version gate: the
+// JSON hello of protocols 1 to 3 inside the session-id framing, and a
+// binary hello naming a later protocol, are refused with an error naming
+// the required version.
 func TestWrongProtoHelloRejected(t *testing.T) {
 	addrs := startFleet(t, 1)
-	for _, proto := range []int{1, 2} {
-		t.Run(fmt.Sprintf("proto-%d", proto), func(t *testing.T) {
-			conn, err := net.DialTimeout("tcp", addrs[0], 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer conn.Close()
-			hello, _ := json.Marshal(helloFrame{Proto: proto, Seed: 1, N: 2,
-				Nodes: []helloNode{{V: 0, Neighbors: []int{1}}}})
-			if err := writeFrame(conn, 9, frameHello, hello); err != nil {
-				t.Fatal(err)
-			}
-			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-			sess, typ, payload, err := readFrame(bufio.NewReader(conn))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sess != 9 || typ != frameError {
-				t.Fatalf("reply session %d type 0x%02x, want session 9 error", sess, typ)
-			}
-			var ef errorFrame
-			if err := json.Unmarshal(payload, &ef); err != nil {
-				t.Fatal(err)
-			}
+	jsonHello := func(proto int) []byte {
+		return []byte(fmt.Sprintf(`{"proto":%d,"seed":1,"n":2,"nodes":[{"v":0,"neighbors":[1]}]}`, proto))
+	}
+	next := encodeHello(t, &hello{seed: 1, n: 2, nodes: []helloNode{{v: 0, nbrs: []int{1}}}})
+	binary.BigEndian.PutUint32(next, 5)
+	cases := []struct {
+		proto   int
+		payload []byte
+	}{{1, jsonHello(1)}, {2, jsonHello(2)}, {3, jsonHello(3)}, {5, next}}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("proto-%d", tc.proto), func(t *testing.T) {
+			ef := helloReply(t, addrs[0], tc.payload)
 			if ef.Phase != string(network.PhaseTransport) ||
-				!strings.Contains(ef.Message, "requires wire protocol 3") {
-				t.Fatalf("rejection %+v does not name protocol 3", ef)
+				!strings.Contains(ef.Message, "requires wire protocol 4") {
+				t.Fatalf("rejection %+v does not name protocol 4", ef)
+			}
+		})
+	}
+}
+
+// TestBadNeighborListsRejected pins the peer's NodeView gate on hello
+// neighbor lists: a list with an id out of range, a duplicate, an
+// unsorted pair, or the node itself is refused with a structured
+// PhaseTransport error on the hello's session, before any node is built.
+func TestBadNeighborListsRejected(t *testing.T) {
+	addrs := startFleet(t, 1)
+	cases := []struct {
+		name string
+		nbrs []int
+		frag string
+	}{
+		{"out-of-range", []int{1, 4}, "out of range"},
+		{"duplicate", []int{1, 1}, "not strictly ascending"},
+		{"unsorted", []int{3, 1}, "not strictly ascending"},
+		{"self-loop", []int{0, 1}, "itself"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &hello{seed: 1, n: 4, params: marshalParams(t, "echo", 8),
+				nodes: []helloNode{{v: 0, nbrs: tc.nbrs}}}
+			ef := helloReply(t, addrs[0], encodeHello(t, h))
+			if ef.Phase != string(network.PhaseTransport) || !strings.Contains(ef.Message, tc.frag) {
+				t.Fatalf("rejection %+v does not mention %q", ef, tc.frag)
 			}
 		})
 	}
@@ -557,16 +643,13 @@ func TestRemoteCallbackError(t *testing.T) {
 	}
 }
 
-// fakePeer is a hand-rolled peer: it completes the handshake, lets play
+// rawPeer is a hand-rolled peer: it reads a session's hello, lets play
 // write whatever frames the case needs on the session, and then goes
 // silent until its connection is closed — a peer that lies or hangs
 // mid-step.
-func fakePeer(t *testing.T, play func(w io.Writer, sess uint32, hello helloFrame) error) string {
+func rawPeer(t *testing.T, play func(w io.Writer, sess uint32, h *hello) error) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := listen(t)
 	t.Cleanup(func() { l.Close() })
 	go func() {
 		conn, err := l.Accept()
@@ -578,12 +661,8 @@ func fakePeer(t *testing.T, play func(w io.Writer, sess uint32, hello helloFrame
 		if err != nil {
 			return
 		}
-		var hello helloFrame
-		if json.Unmarshal(payload, &hello) != nil {
-			return
-		}
-		ok, _ := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(hello.Nodes)})
-		if writeFrame(conn, sess, frameHelloOK, ok) != nil || play(conn, sess, hello) != nil {
+		h, err := decodeHello(payload)
+		if err != nil || play(conn, sess, h) != nil {
 			return
 		}
 		// Stall: swallow coordinator traffic without ever answering.
@@ -592,10 +671,20 @@ func fakePeer(t *testing.T, play func(w io.Writer, sess uint32, hello helloFrame
 	return l.Addr().String()
 }
 
+// fakePeer is a rawPeer that acknowledges the hello before playing.
+func fakePeer(t *testing.T, play func(w io.Writer, sess uint32, h *hello) error) string {
+	return rawPeer(t, func(w io.Writer, sess uint32, h *hello) error {
+		if err := writeFrame(w, sess, frameHelloOK, appendHelloOK(nil, len(h.nodes))); err != nil {
+			return err
+		}
+		return play(w, sess, h)
+	})
+}
+
 // stallPeer sends the first `challenges` entries of its challenge batch as
 // a split frame, then stalls mid-step.
 func stallPeer(t *testing.T, challenges int) string {
-	return fakePeer(t, func(w io.Writer, sess uint32, _ helloFrame) error {
+	return fakePeer(t, func(w io.Writer, sess uint32, _ *hello) error {
 		p := appendBatchHeader(nil, 0, flagMore, challenges)
 		for i := 0; i < challenges; i++ {
 			p, _ = appendMessage(p, wire.Message{})
@@ -644,7 +733,7 @@ func TestBatchCountMismatch(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			addr := fakePeer(t, func(w io.Writer, sess uint32, _ helloFrame) error {
+			addr := fakePeer(t, func(w io.Writer, sess uint32, _ *hello) error {
 				return writeFrame(w, sess, tc.typ, tc.payload)
 			})
 			fleet, coord := oneRun(t, []string{addr}, marshalParams(t, tc.spec, 8), Options{IOTimeout: 10 * time.Second})
@@ -716,9 +805,238 @@ func TestBatchSplitMatchesSequential(t *testing.T) {
 			for _, ps := range fleet.Stats().Peers {
 				frames += ps.FramesSent + ps.FramesReceived
 			}
-			// Control frames: hello, helloOK and end per peer.
-			if want := int64(3*tc.peers + tc.entries(tc.g.N(), 2*tc.g.NumEdges())); frames != want {
+			// Control frames: hello and helloOK per peer.
+			if want := int64(2*tc.peers + tc.entries(tc.g.N(), 2*tc.g.NumEdges())); frames != want {
 				t.Fatalf("%d frames, want %d (one per entry plus control)", frames, want)
+			}
+		})
+	}
+}
+
+// countingListener counts the Write calls on every connection it
+// accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// sendStretches counts the maximal stretches of consecutive schedule
+// steps in one direction: coordinator→peer (the hello opens the first)
+// and peer→coordinator. A digest exchange step is both: the peers'
+// forward batch, then the coordinator's exchange batch.
+func sendStretches(t *testing.T, spec *network.Spec) (coord, peer int) {
+	t.Helper()
+	steps, err := network.Schedule(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	toPeer := []bool{true} // the hello
+	for _, st := range steps {
+		switch st.Kind {
+		case network.StepChallenge, network.StepDecide:
+			toPeer = append(toPeer, false)
+		case network.StepRespond:
+			toPeer = append(toPeer, true)
+		case network.StepExchange:
+			if !st.Chal && spec.Rounds[st.Round].Digest != nil {
+				toPeer = append(toPeer, false)
+			}
+			toPeer = append(toPeer, true)
+		}
+	}
+	for i, d := range toPeer {
+		switch {
+		case i > 0 && toPeer[i-1] == d:
+		case d:
+			coord++
+		default:
+			peer++
+		}
+	}
+	return coord, peer
+}
+
+// TestWritesPerRun pins write coalescing on both sides of the wire: in
+// every run each side writes once per peer for each maximal stretch of
+// consecutive schedule steps in which it sends — the hello travels in the
+// coordinator's first stretch, the helloOK in the peer's first — and a
+// completed run writes nothing more. The Merlin-first case sends the
+// hello, the round-0 responses and the round-0 exchange in one write.
+// Coordinator writes come from the fleet's writes gauge, peer writes from
+// a listener counting the Write calls of the connections it accepts.
+func TestWritesPerRun(t *testing.T) {
+	cases := []struct {
+		spec        string
+		coord, peer int // send stretches per run, from the schedule
+	}{
+		{"mam", 2, 2},
+		{"echo", 2, 2},
+		{"digest", 4, 4},
+		{"share", 2, 2},
+	}
+	const peers, runs = 2, 3
+	for _, tc := range cases {
+		t.Run(tc.spec, func(t *testing.T) {
+			params := marshalParams(t, tc.spec, 8)
+			spec, err := buildTestSpec(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coord, peer := sendStretches(t, spec); coord != tc.coord || peer != tc.peer {
+				t.Fatalf("schedule has %d/%d send stretches, table says %d/%d", coord, peer, tc.coord, tc.peer)
+			}
+			var peerWrites atomic.Int64
+			addrs := make([]string, peers)
+			for i := range addrs {
+				addrs[i] = serve(t, countingListener{listen(t), &peerWrites}, nil)
+			}
+			fleet, err := DialFleet(addrs, Options{IOTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fleet.Close()
+			g := graph.Cycle(6)
+			for seed := int64(1); seed <= runs; seed++ {
+				seqRes, err := network.Run(spec, g, nil, echoProver{}, network.Options{Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				netRes, err := network.Run(spec, g, nil, echoProver{},
+					network.Options{Seed: seed, Transport: fleet.NewRun(params)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(seqRes, netRes) {
+					t.Fatalf("seed %d: results differ", seed)
+				}
+				if !seqRes.Accepted {
+					t.Fatalf("seed %d: the honest prover was rejected: %v", seed, seqRes.Decisions)
+				}
+			}
+			var coordWrites int64
+			for _, ps := range fleet.Stats().Peers {
+				coordWrites += ps.Writes
+			}
+			if want := int64(runs * peers * tc.coord); coordWrites != want {
+				t.Fatalf("coordinator wrote %d times, want %d (%d per peer per run)", coordWrites, want, tc.coord)
+			}
+			if got, want := peerWrites.Load(), int64(runs*peers*tc.peer); got != want {
+				t.Fatalf("peers wrote %d times, want %d (%d per peer per run)", got, want, tc.peer)
+			}
+		})
+	}
+}
+
+// TestSpecRejectedFailsFast pins the failure path of a hello nobody waits
+// for: a peer whose SpecBuilder refuses the params answers with its own
+// PhaseSetup error, and the run fails with it at once — well under the
+// I/O timeout — whether the coordinator has already sent round-0 batches
+// behind the hello (Merlin-first) or waits right after it (echo), and
+// without leaking goroutines.
+func TestSpecRejectedFailsFast(t *testing.T) {
+	for _, name := range []string{"mam", "echo"} {
+		t.Run(name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			addrs := startServers(t, 2, func(s *Server) {
+				s.Build = func([]byte) (*network.Spec, error) { return nil, errors.New("params refused") }
+			})
+			params := marshalParams(t, name, 8)
+			spec, err := buildTestSpec(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fleet, coord := oneRun(t, addrs, params, Options{IOTimeout: 10 * time.Second})
+			start := time.Now()
+			_, err = network.Run(spec, graph.Cycle(6), nil, echoProver{}, network.Options{Seed: 1, Transport: coord})
+			var rerr *network.RunError
+			if !errors.As(err, &rerr) || rerr.Phase != network.PhaseSetup || !strings.Contains(rerr.Err.Error(), "params refused") {
+				t.Fatalf("err = %v, want the peer's PhaseSetup RunError", err)
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("refusal surfaced after %v, want at once", elapsed)
+			}
+			fleet.Close()
+			settleGoroutines(t, baseline)
+		})
+	}
+}
+
+// TestHelloOKOrder pins where a helloOK may stand now that Begin does not
+// wait for it: first among the peer's frames of the session, once, with
+// this protocol and the hosted-node count. A batch ahead of it, a second
+// helloOK, or a wrong proto or count fails the run at once with
+// PhaseTransport.
+func TestHelloOKOrder(t *testing.T) {
+	challenges := func(h *hello) []byte {
+		p := appendBatchHeader(nil, 0, 0, len(h.nodes))
+		for range h.nodes {
+			p, _ = appendMessage(p, wire.Message{})
+		}
+		return p
+	}
+	helloOK := func(proto, nodes int) []byte {
+		return binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(nil, uint32(proto)), uint32(nodes))
+	}
+	type frame struct {
+		typ     byte
+		payload []byte
+	}
+	cases := []struct {
+		name   string
+		frames func(h *hello) []frame
+	}{
+		{"batch-first", func(h *hello) []frame {
+			return []frame{{frameChallenge, challenges(h)}, {frameHelloOK, helloOK(Version, len(h.nodes))}}
+		}},
+		{"two-hellooks", func(h *hello) []frame {
+			ok := helloOK(Version, len(h.nodes))
+			return []frame{{frameHelloOK, ok}, {frameHelloOK, ok}}
+		}},
+		{"wrong-proto", func(h *hello) []frame {
+			return []frame{{frameHelloOK, helloOK(Version+1, len(h.nodes))}}
+		}},
+		{"wrong-count", func(h *hello) []frame {
+			return []frame{{frameHelloOK, helloOK(Version, len(h.nodes)+1)}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := rawPeer(t, func(w io.Writer, sess uint32, h *hello) error {
+				for _, f := range tc.frames(h) {
+					if err := writeFrame(w, sess, f.typ, f.payload); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			fleet, coord := oneRun(t, []string{addr}, marshalParams(t, "echo", 8), Options{IOTimeout: 10 * time.Second})
+			defer fleet.Close()
+			start := time.Now()
+			_, err := network.Run(echoSpec(8), graph.Cycle(4), nil, echoProver{}, network.Options{Seed: 1, Transport: coord})
+			var rerr *network.RunError
+			if !errors.As(err, &rerr) || rerr.Phase != network.PhaseTransport {
+				t.Fatalf("err = %v, want a PhaseTransport RunError", err)
+			}
+			if elapsed := time.Since(start); elapsed > 3*time.Second {
+				t.Fatalf("violation detected after %v, want at once", elapsed)
 			}
 		})
 	}

@@ -14,12 +14,12 @@ import (
 	"dip/internal/wire"
 )
 
-// SpecBuilder rebuilds a protocol Spec from the handshake's opaque
-// parameter blob. It is injected rather than imported so this package
-// stays below the protocol registry in the dependency order: cmd/dippeer
-// wires it to dip.BuildSpec, and tests wire it to fixtures. The builder
-// must be deterministic in its parameters — both sides of a run construct
-// the Spec independently, and bit-identity with the sequential executor
+// SpecBuilder rebuilds a protocol Spec from the hello's opaque parameter
+// blob. It is injected rather than imported so this package stays below
+// the protocol registry in the dependency order: cmd/dippeer wires it to
+// dip.BuildSpec, and tests wire it to fixtures. The builder must be
+// deterministic in its parameters — both sides of a run construct the
+// Spec independently, and bit-identity with the sequential executor
 // relies on the constructions agreeing.
 type SpecBuilder func(params []byte) (*network.Spec, error)
 
@@ -132,9 +132,10 @@ type srvFrame struct {
 	payload []byte
 }
 
-// sessionInboxCap bounds one session's inbound frame queue. The schedule
-// keeps both sides in lockstep, so a session's queue depth is bounded by
-// what TCP had in flight, not by run size; if a queue ever fills, the
+// sessionInboxCap bounds one session's inbound frame queue. The
+// coordinator runs ahead of a session only by the steps it sends before
+// its next wait, so a session's queue depth is bounded by the schedule
+// and what TCP had in flight, not by run size; if a queue ever fills, the
 // demux loop applies backpressure on the whole connection until the
 // session drains it (or exits, which unblocks the demux immediately).
 const sessionInboxCap = 256
@@ -144,9 +145,9 @@ const sessionInboxCap = 256
 type srvConn struct {
 	srv  *Server
 	conn net.Conn
-	// wmu serializes frame writes from this connection's sessions; each
-	// send holds it for exactly one writeFrame call, so concurrent
-	// sessions' frames never interleave on the wire.
+	// wmu serializes writes from this connection's sessions; each write
+	// holds it for one whole buffer of frames, so concurrent sessions'
+	// frames never interleave on the wire.
 	wmu sync.Mutex
 
 	mu       sync.Mutex
@@ -158,7 +159,7 @@ type srvConn struct {
 func validFrameType(typ byte) bool {
 	switch typ {
 	case frameHello, frameHelloOK, frameChallenge, frameResponse,
-		frameForward, frameExchange, frameDecision, frameError, frameEnd:
+		frameForward, frameExchange, frameDecision, frameError:
 		return true
 	}
 	return false
@@ -276,6 +277,17 @@ func (c *srvConn) unregister(id uint32) {
 	c.mu.Unlock()
 }
 
+// write sends encoded frames with one Write under the connection's write
+// lock and the I/O deadline. It is the server's only path to a
+// coordinator: session flushes and error frames both go through it.
+func (c *srvConn) write(frames []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	c.conn.SetWriteDeadline(time.Now().Add(c.srv.ioTimeout()))
+	_, err := c.conn.Write(frames)
+	return err
+}
+
 // sendError reports a structured failure for one session (best effort:
 // the session is ending either way).
 func (c *srvConn) sendError(id uint32, rerr *network.RunError) {
@@ -283,10 +295,9 @@ func (c *srvConn) sendError(id uint32, rerr *network.RunError) {
 	if err != nil {
 		return
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.srv.ioTimeout()))
-	_ = writeFrame(c.conn, id, frameError, payload)
+	if frame, err := appendFrame(nil, id, frameError, payload); err == nil {
+		_ = c.write(frame)
+	}
 }
 
 // session is one run's server half: the hosted nodes, the routed inbox,
@@ -313,6 +324,10 @@ type session struct {
 	nodes []*network.NodeState
 	nbrs  [][]int
 	edges int
+	// out holds the frames staged since the last flush; batched reports
+	// that they include a batch, not only the helloOK.
+	out     []byte
+	batched bool
 }
 
 // cancel aborts the session from outside (connection teardown, server
@@ -324,7 +339,8 @@ func (st *session) cancel(cause error) {
 	})
 }
 
-// serve runs one session to completion: handshake, schedule walk, end.
+// serve runs one session to completion: hello, schedule walk, and the
+// final flush of its decision batch.
 func (st *session) serve() {
 	rerr := st.run()
 	close(st.done)
@@ -338,10 +354,17 @@ func (st *session) serve() {
 }
 
 // readNext waits for the session's next routed frame under its own
-// deadline, translating coordinator-initiated aborts: an error frame
-// surfaces the coordinator's RunError, an end frame mid-run means the run
-// finished without us.
+// deadline, translating a coordinator-initiated abort: an error frame
+// surfaces the coordinator's RunError. A session that has staged a batch
+// since its last write flushes first, because the coordinator may be
+// waiting on it; the helloOK alone is never worth a write, so it goes out
+// with the session's first batch.
 func (st *session) readNext() (byte, []byte, *network.RunError) {
+	if st.batched {
+		if rerr := st.flush(); rerr != nil {
+			return 0, nil, rerr
+		}
+	}
 	timer := time.NewTimer(st.srv.ioTimeout())
 	defer timer.Stop()
 	select {
@@ -361,12 +384,24 @@ func (st *session) readNext() (byte, []byte, *network.RunError) {
 	}
 }
 
-// send writes one frame for this session under the shared write lock.
+// send stages one frame for this session's next flush.
 func (st *session) send(typ byte, payload []byte) *network.RunError {
-	st.c.wmu.Lock()
-	defer st.c.wmu.Unlock()
-	st.c.conn.SetWriteDeadline(time.Now().Add(st.srv.ioTimeout()))
-	if err := writeFrame(st.c.conn, st.id, typ, payload); err != nil {
+	out, err := appendFrame(st.out, st.id, typ, payload)
+	if err != nil {
+		return st.failf(-1, "%v", err)
+	}
+	st.out = out
+	return nil
+}
+
+// flush writes the session's staged frames in one Write.
+func (st *session) flush() *network.RunError {
+	if len(st.out) == 0 {
+		return nil
+	}
+	err := st.c.write(st.out)
+	st.out, st.batched = st.out[:0], false
+	if err != nil {
 		return st.failf(-1, "coordinator write: %v", err)
 	}
 	return nil
@@ -391,70 +426,44 @@ func (st *session) run() *network.RunError {
 	if typ != frameHello {
 		return st.failf(-1, "first frame type 0x%02x, want hello", typ)
 	}
-	var hello helloFrame
-	if err := json.Unmarshal(payload, &hello); err != nil {
-		return st.failf(-1, "malformed hello: %v", err)
+	h, err := decodeHello(payload)
+	if err != nil {
+		return st.failf(-1, "%v", err)
 	}
-	if hello.Proto != Version {
-		return st.failf(-1, "hello proto %d: this peer requires wire protocol %d", hello.Proto, Version)
-	}
-	if hello.N < 1 || len(hello.Nodes) < 1 || len(hello.Nodes) > hello.N {
-		return st.failf(-1, "hello provisions %d nodes of %d", len(hello.Nodes), hello.N)
-	}
-	spec, err := srv.Build(hello.Params)
+	spec, err := srv.Build(h.params)
 	if err != nil {
 		return &network.RunError{Protocol: "", Phase: network.PhaseSetup, Round: -1, Node: -1,
 			Err: fmt.Errorf("peer: building spec: %w", err)}
 	}
-	st.spec, st.n = spec, hello.N
+	st.spec, st.n = spec, h.n
 	steps, err := network.Schedule(spec)
 	if err != nil {
 		return &network.RunError{Protocol: spec.Name, Phase: network.PhaseSetup, Round: -1, Node: -1,
 			Err: fmt.Errorf("peer: compiling schedule: %w", err)}
 	}
-
-	for i, hn := range hello.Nodes {
-		if i > 0 && hn.V <= hello.Nodes[i-1].V {
-			return st.failf(-1, "hello nodes not strictly ascending at node %d", hn.V)
-		}
-		input := wire.Message{Data: hn.InputData, Bits: hn.InputBits}
-		if input.Bits < 0 || input.Bits > maxMsgBits || len(input.Data) != (input.Bits+7)/8 {
-			return st.failf(-1, "node %d input: Bits=%d len(Data)=%d", hn.V, input.Bits, len(input.Data))
-		}
-		ns, nerr := network.NewNodeState(spec, hn.V, hello.N, hn.Neighbors, input, hello.Seed)
+	for _, hn := range h.nodes {
+		ns, nerr := network.NewNodeState(spec, hn.v, h.n, hn.nbrs, hn.input, h.seed)
 		if nerr != nil {
-			return st.failf(-1, "node %d: %v", hn.V, nerr)
+			return st.failf(-1, "node %d: %v", hn.v, nerr)
 		}
 		st.nodes = append(st.nodes, ns)
-		st.nbrs = append(st.nbrs, hn.Neighbors)
-		st.edges += len(hn.Neighbors)
+		st.nbrs = append(st.nbrs, hn.nbrs)
+		st.edges += len(hn.nbrs)
 	}
-
-	okPayload, err := json.Marshal(helloOKFrame{Proto: Version, Nodes: len(st.nodes)})
-	if err != nil {
-		return st.failf(-1, "marshaling helloOK: %v", err)
-	}
-	if rerr := st.send(frameHelloOK, okPayload); rerr != nil {
+	if rerr := st.send(frameHelloOK, appendHelloOK(nil, len(st.nodes))); rerr != nil {
 		return rerr
 	}
-	srv.logf("peer: session %d (#%d): hosting %d of %d nodes (%s)", st.id, st.seq, len(st.nodes), hello.N, spec.Name)
+	srv.logf("peer: session %d (#%d): hosting %d of %d nodes (%s)", st.id, st.seq, len(st.nodes), h.n, spec.Name)
 
 	for _, step := range steps {
 		if rerr := st.step(step); rerr != nil {
 			return rerr
 		}
 	}
-
-	// The schedule is done; wait for the coordinator's end frame so the
-	// final decision frames are known-delivered before the session closes.
-	typ, _, rerr = st.readNext()
-	if rerr != nil {
-		return rerr
-	}
-	if typ != frameEnd {
-		return st.failf(-1, "post-run frame type 0x%02x, want end", typ)
-	}
-	return nil
+	// Every schedule ends with the decide step, so the decision batch is
+	// staged; writing it completes the session. The coordinator sends no
+	// closing frame.
+	return st.flush()
 }
 
 // step plays the node-facing half of one schedule step: one batch out
@@ -487,9 +496,9 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 	case network.StepExchange:
 		srv := st.srv
 		if srv.FailSession > 0 && st.seq == srv.FailSession {
-			// Crash-test hook: die mid-round, after the handshake and at
-			// least one full message phase, without any cleanup — exactly
-			// like a peer host losing power.
+			// Crash-test hook: die mid-round, after the hello and at least
+			// one full message phase, without any cleanup — exactly like a
+			// peer host losing power.
 			srv.logf("peer: session %d (#%d): FailSession crash hook firing", st.id, st.seq)
 			os.Exit(2)
 		}
@@ -545,13 +554,14 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 	return nil
 }
 
-// sendBatch writes b's frames for this session.
+// sendBatch stages b's frames for this session.
 func (st *session) sendBatch(typ byte, b *batch) *network.RunError {
 	for _, p := range b.finish() {
 		if rerr := st.send(typ, p); rerr != nil {
 			return rerr
 		}
 	}
+	st.batched = true
 	return nil
 }
 

@@ -139,6 +139,9 @@ func Percentile(xs []float64, p float64) float64 {
 	if lo == hi {
 		return xs[lo]
 	}
-	frac := rank - float64(lo)
-	return xs[lo]*(1-frac) + xs[hi]*frac
+	// a + (b-a)·frac, clamped to [a, b]: equal neighbors give exactly
+	// their value, and the result never leaves its segment, so quantiles
+	// stay monotone in p. The form a·(1-frac) + b·frac can round past b.
+	a, b := xs[lo], xs[hi]
+	return math.Min(math.Max(a+(b-a)*(rank-float64(lo)), a), b)
 }

@@ -141,4 +141,19 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile([]float64{7}, 99); got != 7 {
 		t.Errorf("single element: %v", got)
 	}
+	// A tie at the top of 60 samples: p95 and p99 interpolate between
+	// equal values and must both be that value exactly. The a·(1-f) + b·f
+	// form gave p95 = 1.1531850000000001 > p99 here, and dip-load/v1
+	// validation refused the file as non-monotone.
+	ties := make([]float64, 60)
+	for i := range ties {
+		ties[i] = float64(i) / 100
+	}
+	for i := 56; i < 60; i++ {
+		ties[i] = 1.153185
+	}
+	p95, p99 := Percentile(ties, 95), Percentile(ties, 99)
+	if p95 != 1.153185 || p99 != 1.153185 {
+		t.Errorf("tied top: p95 = %v, p99 = %v, want both 1.153185", p95, p99)
+	}
 }
