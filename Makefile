@@ -6,7 +6,9 @@ GO ?= go
 # run end to end, the race check across the whole module (short mode
 # keeps it minutes, not hours), vet and unit tests of the benchmark
 # module, a results-file smoke round-trip that also
-# requires the committed sidecars to regenerate byte-for-byte, a short
+# requires the committed sidecars to regenerate byte-for-byte, the
+# allocation-budget check of the engine and the full request path
+# (bench-check, under a second), a short
 # mutation burst on every decoder fuzz target,
 # a fault-matrix smoke run, a live service round-trip (dipserve under
 # dipload, drained cleanly), a plain+batch load round-trip with a
@@ -19,7 +21,7 @@ GO ?= go
 # and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
 # standing dippeer fleet, one peer killed mid-load, structured 502s and
 # recovery on the survivors, clean drain end to end).
-verify: lint build test examples race bench-vet smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+verify: lint build test examples race bench-vet smoke bench-check fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
 
 # lint fails on unformatted files or vet findings.
 lint:

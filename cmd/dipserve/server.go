@@ -171,10 +171,12 @@ func newServer(cfg config) (*server, error) {
 // start launches the worker pool. stop drains it: the admission queue is
 // closed and every queued job still runs before workers exit.
 func (s *server) start() {
-	// Size the shared engine-state pool to the serving concurrency so a
-	// fully loaded worker pool recycles state instead of allocating; keep
-	// the default floor so harness runs in the same process stay pooled.
-	if n := s.cfg.workers; n > 32 {
+	// Size the shared engine-state pool to the engine concurrency — the
+	// request workers plus the job workers, which run through the same pool
+	// at the same time — so a fully loaded service recycles state instead
+	// of allocating; keep the default floor so harness runs in the same
+	// process stay pooled.
+	if n := s.cfg.workers + max(s.cfg.jobs.workers, 0); n > 32 {
 		network.SetStatePoolCapacity(n)
 	}
 	for i := 0; i < s.cfg.workers; i++ {

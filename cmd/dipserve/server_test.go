@@ -311,6 +311,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatePoolSizedForAllEngineWorkers: request workers and job workers
+// run through the one process-wide state pool at the same time, so a
+// server whose combined count exceeds the default floor sizes the pool to
+// the sum, not to the request workers alone.
+func TestStatePoolSizedForAllEngineWorkers(t *testing.T) {
+	prev := network.SetStatePoolCapacity(0)
+	t.Cleanup(func() { network.SetStatePoolCapacity(prev) })
+	cfg := config{workers: 40, jobs: defaultJobsConfig()}
+	cfg.jobs.workers = 8
+	startTestServer(t, cfg, nil)
+	if got := network.StatePoolStats().Capacity; got != 48 {
+		t.Fatalf("state pool capacity %d, want 48 (40 workers + 8 job workers)", got)
+	}
+}
+
 // TestRequestStorm hammers the service with real concurrent runs over the
 // shared engine pool: every request must come back 200 or 503, every 200
 // must decode into a valid report, and nothing may hang. Run with -race

@@ -136,36 +136,10 @@ func (f *Fleet) Close() error { return f.pf.Close() }
 
 // PeerStats is one peer's gauge snapshot. The JSON form appears under
 // "fleet" in dipserve's /metrics document.
-type PeerStats struct {
-	Addr      string `json:"addr"`
-	Connected bool   `json:"connected"`
-	// SessionsOpen counts sessions currently running on the peer;
-	// SessionsCompleted and SessionsFailed are cumulative outcomes.
-	SessionsOpen      int64 `json:"sessions_open"`
-	SessionsCompleted int64 `json:"sessions_completed"`
-	SessionsFailed    int64 `json:"sessions_failed"`
-	FramesSent        int64 `json:"frames_sent"`
-	// Writes counts the socket writes that carried FramesSent: frames
-	// staged while a run sends are written together when it next waits.
-	Writes         int64 `json:"writes"`
-	FramesReceived int64 `json:"frames_received"`
-	// FramesDropped counts outbound frames a LinkFaults policy swallowed.
-	FramesDropped int64 `json:"frames_dropped,omitempty"`
-	BytesSent     int64 `json:"bytes_sent"`
-	BytesReceived int64 `json:"bytes_received"`
-}
+type PeerStats = peer.PeerStats
 
 // FleetStats is a point-in-time snapshot of every peer's gauges.
-type FleetStats struct {
-	Peers []PeerStats `json:"peers"`
-}
+type FleetStats = peer.FleetStats
 
 // Stats snapshots the fleet's per-peer gauges.
-func (f *Fleet) Stats() FleetStats {
-	st := f.pf.Stats()
-	out := FleetStats{Peers: make([]PeerStats, len(st.Peers))}
-	for i, ps := range st.Peers {
-		out.Peers[i] = PeerStats(ps)
-	}
-	return out
-}
+func (f *Fleet) Stats() FleetStats { return f.pf.Stats() }

@@ -118,11 +118,8 @@ func TestStatePoolStats(t *testing.T) {
 		}
 	}
 	after := StatePoolStats()
-	// configure rounds the capacity up to one state per shard, so the
-	// retained-state bound is max(n, shards) whatever GOMAXPROCS is.
-	wantCap := func(n int, s PoolStats) int { return max(n, len(s.Shards)) }
-	if want := wantCap(4, after); after.Capacity != want {
-		t.Fatalf("capacity = %d, want %d (max(4, %d shards))", after.Capacity, want, len(after.Shards))
+	if after.Capacity != 4 {
+		t.Fatalf("capacity = %d, want 4", after.Capacity)
 	}
 	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != 8 {
 		t.Fatalf("hits+misses advanced by %d, want 8 (one per run)", got)
@@ -136,9 +133,26 @@ func TestStatePoolStats(t *testing.T) {
 		t.Fatalf("free = %d, want within [1, %d]", after.Free, after.Capacity)
 	}
 
+	// Drive the pool to its bound: with capacity+3 states checked out at
+	// once, releasing them all fills the list and drops exactly three.
+	held := make([]*runState, after.Capacity+3)
+	for i := range held {
+		held[i] = acquireState()
+	}
+	for _, s := range held {
+		s.release()
+	}
+	full := StatePoolStats()
+	if full.Free != full.Capacity {
+		t.Fatalf("free = %d after releasing %d states, want capacity %d", full.Free, len(held), full.Capacity)
+	}
+	if got := full.Drops - after.Drops; got != 3 {
+		t.Fatalf("drops advanced by %d, want 3", got)
+	}
+
 	// Shrinking below the current free count drops the excess immediately.
 	SetStatePoolCapacity(1)
-	if s := StatePoolStats(); s.Free > s.Capacity || s.Capacity != wantCap(1, s) {
-		t.Fatalf("after shrink: %+v (want capacity max(1, %d shards))", s, len(s.Shards))
+	if s := StatePoolStats(); s.Capacity != 1 || s.Free != 1 {
+		t.Fatalf("after shrink: %+v, want capacity 1 and 1 free", s)
 	}
 }

@@ -2,9 +2,7 @@ package network
 
 import (
 	"math/rand"
-	"sync"
 
-	"dip/internal/obs"
 	"dip/internal/wire"
 )
 
@@ -114,97 +112,13 @@ func Schedule(spec *Spec) ([]ScheduleStep, error) {
 	if _, err := validateSpec(spec); err != nil {
 		return nil, err
 	}
-	var own script
-	sc := compiledScript(spec, &own)
+	var sc script
+	sc.compile(spec)
 	out := make([]ScheduleStep, len(sc.steps))
 	for i, st := range sc.steps {
 		out[i] = ScheduleStep{Kind: st.kind, Round: st.ri, Merlin: st.merlin, Arthur: st.arthur, Chal: st.chal}
 	}
 	return out, nil
-}
-
-// The script of a run depends on nothing but the round-kind sequence and
-// ShareChallenges (compile reads no other Spec field), so compiled scripts
-// are memoized process-wide under that structural key. The whole key packs
-// into a small comparable struct: one bit per round for schedules of up to
-// 64 rounds — every protocol in this module has at most four. Executors
-// treat the script as read-only, so one compiled instance is safely shared
-// by concurrent runs.
-
-// scriptKey is the structural identity of a schedule.
-type scriptKey struct {
-	rounds int
-	share  bool
-	// merlins has bit r set iff round r is a Merlin round.
-	merlins uint64
-}
-
-// scriptCacheCap bounds the memo; the number of distinct schedules is tiny
-// in practice, so the bound exists only as a leak guard for adversarial
-// spec churn. Beyond it (or beyond 64 rounds) runs fall back to compiling
-// into their state's own buffers.
-const scriptCacheCap = 256
-
-var scriptCache struct {
-	mu    sync.RWMutex
-	m     map[scriptKey]*script
-	meter *obs.CacheMeter
-}
-
-func init() {
-	scriptCache.meter = obs.Cache("scripts")
-	scriptCache.meter.Capacity.Set(scriptCacheCap)
-}
-
-// compiledScript returns the memoized script for spec, compiling and
-// caching it on first sight. own is the calling state's fallback buffer
-// for uncacheable schedules. Spec.Rounds has already been validated by
-// Run.
-func compiledScript(spec *Spec, own *script) *script {
-	if len(spec.Rounds) > 64 {
-		scriptCache.meter.Misses.Add(1)
-		own.compile(spec)
-		return own
-	}
-	key := scriptKey{rounds: len(spec.Rounds), share: spec.ShareChallenges}
-	for ri := range spec.Rounds {
-		if spec.Rounds[ri].Kind == Merlin {
-			key.merlins |= 1 << uint(ri)
-		}
-	}
-	scriptCache.mu.RLock()
-	sc := scriptCache.m[key]
-	scriptCache.mu.RUnlock()
-	if sc != nil {
-		scriptCache.meter.Hits.Add(1)
-		return sc
-	}
-	scriptCache.meter.Misses.Add(1)
-	fresh := &script{}
-	fresh.compile(spec)
-	scriptCache.mu.Lock()
-	defer scriptCache.mu.Unlock()
-	if cur, ok := scriptCache.m[key]; ok {
-		return cur
-	}
-	if len(scriptCache.m) >= scriptCacheCap {
-		return fresh // full: serve uncached rather than evict a hot entry
-	}
-	if scriptCache.m == nil {
-		scriptCache.m = make(map[scriptKey]*script)
-	}
-	scriptCache.m[key] = fresh
-	scriptCache.meter.Size.Set(int64(len(scriptCache.m)))
-	return fresh
-}
-
-// ResetScriptCache drops every memoized schedule (tests comparing cold and
-// warm request paths; see dip.ResetSetupCaches).
-func ResetScriptCache() {
-	scriptCache.mu.Lock()
-	scriptCache.m = nil
-	scriptCache.meter.Size.Set(0)
-	scriptCache.mu.Unlock()
 }
 
 // The helpers below are the per-node halves of the script's steps. They

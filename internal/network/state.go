@@ -2,9 +2,7 @@ package network
 
 import (
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"dip/internal/graph"
 	"dip/internal/obs"
@@ -40,16 +38,9 @@ type runState struct {
 	opts   Options
 	n      int
 
-	// script is the compiled schedule both executors interpret. It points
-	// into the process-global script cache for cacheable schedules (see
-	// compiledScript) and at ownScript otherwise; either way the executors
-	// treat it as read-only.
-	script    *script
-	ownScript script
-
-	// home is the pool shard this state was checked out for; release
-	// returns it there first so a warm shard stays warm.
-	home int
+	// script is the compiled schedule both executors interpret; reset
+	// recompiles it into its own pooled buffers for every run.
+	script script
 
 	// nbrs is the adjacency snapshot: both executors route messages
 	// exclusively through it, never through g after reset, which (a)
@@ -101,139 +92,27 @@ type runState struct {
 // harness's trial workers and the verification service's request workers
 // all check states out of this pool, so a warm server recycles engine
 // state across requests exactly like a warm harness recycles it across
-// trials.
-//
-// The pool is sharded: one freelist per P (GOMAXPROCS at init) plus a
-// global overflow list, so concurrent workers do not serialize on one
-// mutex. A caller is assigned a home shard round-robin from an atomic
-// counter; acquire tries home → overflow → stealing from the other shards
-// before allocating fresh, which keeps the steady-state allocation count
-// deterministic (the bench-check gate over BENCH_seed1.json depends on
-// that) while spreading lock traffic C-ways. release returns a state to
-// its home shard, spilling to overflow and finally dropping when full —
-// total retained states stay bounded by the configured capacity.
-var statePool pool
-
-type pool struct {
-	next atomic.Uint64
-	// shards is swapped atomically by configure so the lock-free hot path
-	// never races a reconfiguration; a release that lands in an orphaned
-	// shard merely loses that one state to the garbage collector.
-	shards   atomic.Pointer[[]poolShard]
-	overflow poolShard
-
-	// mu guards capacity reconfiguration only; the hot path never takes it.
-	mu      sync.Mutex
-	nominal int // last SetStatePoolCapacity argument (0 = default)
-}
-
-// poolShard is one mutex-guarded LIFO freelist. Its counters describe the
-// shard's own freelist traffic: hits are pops served from this shard
-// (including steals by other home shards), misses are acquisitions that
-// found the whole pool empty and allocated (charged to the home shard),
-// drops are releases discarded because every eligible list was full
-// (charged to the overflow shard, the last resort).
-type poolShard struct {
-	mu                  sync.Mutex
-	free                []*runState
-	cap                 int
+// trials. A checkout holds the lock only to pop or push one pointer, next
+// to a run of tens of microseconds or more, so one mutex serves every
+// worker. Retained states stay bounded by cap.
+var statePool struct {
+	mu   sync.Mutex
+	free []*runState
+	cap  int
+	// hits are checkouts served from the list, misses are checkouts that
+	// found it empty and allocated, drops are releases discarded because
+	// the list was full.
 	hits, misses, drops int64
-}
-
-func (sh *poolShard) tryPop() *runState {
-	sh.mu.Lock()
-	n := len(sh.free)
-	if n == 0 {
-		sh.mu.Unlock()
-		return nil
-	}
-	s := sh.free[n-1]
-	sh.free[n-1] = nil
-	sh.free = sh.free[:n-1]
-	sh.hits++
-	sh.mu.Unlock()
-	return s
-}
-
-func (sh *poolShard) tryPush(s *runState) bool {
-	sh.mu.Lock()
-	if len(sh.free) >= sh.cap {
-		sh.mu.Unlock()
-		return false
-	}
-	sh.free = append(sh.free, s)
-	sh.mu.Unlock()
-	return true
 }
 
 const defaultPoolCap = 32
 
-func init() {
-	shards := runtime.GOMAXPROCS(0)
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > 64 {
-		shards = 64
-	}
-	statePool.configure(shards, 0)
-}
+func init() { statePool.cap = defaultPoolCap }
 
-// configure rebuilds the shard layout for a total capacity of nominal
-// states (0 selects the default). The capacity is spread evenly across the
-// shards — rounded up to at least one state per shard so no shard
-// degenerates to pass-through — with the remainder as the overflow list's
-// budget. Retained states already in the lists are dropped; configure is
-// called at init, from SetStatePoolCapacity, and from tests.
-func (p *pool) configure(shards, nominal int) {
-	total := nominal
-	if total <= 0 {
-		total = defaultPoolCap
-	}
-	perShard := total / shards
-	if perShard < 1 {
-		perShard = 1
-	}
-	overflowCap := total - perShard*shards
-	if overflowCap < 0 {
-		overflowCap = 0
-	}
-	fresh := make([]poolShard, shards)
-	for i := range fresh {
-		fresh[i].cap = perShard
-	}
-	// Preserve monotone counters and as many warm states as fit.
-	if old := p.shards.Load(); old != nil {
-		for i := range *old {
-			sh := &(*old)[i]
-			sh.mu.Lock()
-			dst := &fresh[i%shards]
-			dst.hits += sh.hits
-			dst.misses += sh.misses
-			dst.drops += sh.drops
-			for _, s := range sh.free {
-				if !dst.tryPush(s) {
-					break
-				}
-			}
-			sh.mu.Unlock()
-		}
-	}
-	p.shards.Store(&fresh)
-	p.overflow.mu.Lock()
-	p.overflow.cap = overflowCap
-	if len(p.overflow.free) > overflowCap {
-		for i := overflowCap; i < len(p.overflow.free); i++ {
-			p.overflow.free[i] = nil
-		}
-		p.overflow.free = p.overflow.free[:overflowCap]
-	}
-	p.overflow.mu.Unlock()
-	p.nominal = nominal
-}
-
-// PoolShardStats is the snapshot of one pool shard.
-type PoolShardStats struct {
+// PoolStats is a snapshot of the engine-state pool, exported for service
+// metrics: a hit ratio near 1 means steady-state traffic runs
+// allocation-free through the pool.
+type PoolStats struct {
 	Capacity int   `json:"capacity"`
 	Free     int   `json:"free"`
 	Hits     int64 `json:"hits"`
@@ -241,102 +120,51 @@ type PoolShardStats struct {
 	Drops    int64 `json:"drops"`
 }
 
-func (sh *poolShard) snapshot() PoolShardStats {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return PoolShardStats{
-		Capacity: sh.cap,
-		Free:     len(sh.free),
-		Hits:     sh.hits,
-		Misses:   sh.misses,
-		Drops:    sh.drops,
-	}
-}
-
-// PoolStats is a snapshot of the sharded engine-state pool, exported for
-// service metrics: a hit ratio near 1 means steady-state traffic runs
-// allocation-free through the pool. The top-level fields aggregate across
-// all shards (Capacity is the true retained-state bound, which may round
-// the configured capacity up to one state per shard); Shards and Overflow
-// break the same numbers down per freelist.
-type PoolStats struct {
-	Capacity int              `json:"capacity"`
-	Free     int              `json:"free"`
-	Hits     int64            `json:"hits"`
-	Misses   int64            `json:"misses"`
-	Drops    int64            `json:"drops"`
-	Shards   []PoolShardStats `json:"shards,omitempty"`
-	Overflow *PoolShardStats  `json:"overflow,omitempty"`
-}
-
 // StatePoolStats returns the current pool snapshot.
 func StatePoolStats() PoolStats {
-	statePool.mu.Lock()
-	defer statePool.mu.Unlock()
-	var out PoolStats
-	shards := *statePool.shards.Load()
-	out.Shards = make([]PoolShardStats, len(shards))
-	for i := range shards {
-		s := shards[i].snapshot()
-		out.Shards[i] = s
-		out.Capacity += s.Capacity
-		out.Free += s.Free
-		out.Hits += s.Hits
-		out.Misses += s.Misses
-		out.Drops += s.Drops
-	}
-	ov := statePool.overflow.snapshot()
-	out.Overflow = &ov
-	out.Capacity += ov.Capacity
-	out.Free += ov.Free
-	out.Hits += ov.Hits
-	out.Misses += ov.Misses
-	out.Drops += ov.Drops
-	return out
+	p := &statePool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return PoolStats{Capacity: p.cap, Free: len(p.free), Hits: p.hits, Misses: p.misses, Drops: p.drops}
 }
 
-// SetStatePoolCapacity resizes the pool and returns the previously
-// configured capacity. Long-running servers size it to their worker count
-// so a full complement of in-flight requests can recycle state without
-// allocating; n <= 0 restores the default. Shrinking drops the excess
-// retained states immediately.
+// SetStatePoolCapacity resizes the pool and returns the previous
+// capacity. Long-running servers size it to their engine concurrency so a
+// full complement of in-flight runs can recycle state without allocating;
+// n <= 0 restores the default. Shrinking drops the excess retained states
+// immediately.
 func SetStatePoolCapacity(n int) int {
-	statePool.mu.Lock()
-	defer statePool.mu.Unlock()
-	prev := statePool.nominal
-	if prev <= 0 {
-		prev = defaultPoolCap
+	if n <= 0 {
+		n = defaultPoolCap
 	}
-	statePool.configure(len(*statePool.shards.Load()), n)
+	p := &statePool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	prev := p.cap
+	p.cap = n
+	if len(p.free) > n {
+		clear(p.free[n:])
+		p.free = p.free[:n]
+	}
 	return prev
 }
 
-// acquireState pops a pooled state — home shard, then overflow, then
-// stealing from the remaining shards — or builds an empty one.
+// acquireState pops a pooled state, or builds an empty one when the pool
+// is empty.
 func acquireState() *runState {
 	p := &statePool
-	shards := *p.shards.Load()
-	nShards := len(shards)
-	h := int((p.next.Add(1) - 1) % uint64(nShards))
-	if s := shards[h].tryPop(); s != nil {
-		s.home = h
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		s := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		p.hits++
+		p.mu.Unlock()
 		return s
 	}
-	if s := p.overflow.tryPop(); s != nil {
-		s.home = h
-		return s
-	}
-	for i := 1; i < nShards; i++ {
-		if s := shards[(h+i)%nShards].tryPop(); s != nil {
-			s.home = h
-			return s
-		}
-	}
-	sh := &shards[h]
-	sh.mu.Lock()
-	sh.misses++
-	sh.mu.Unlock()
-	return &runState{home: h}
+	p.misses++
+	p.mu.Unlock()
+	return &runState{}
 }
 
 // reset prepares the state for one run: compiles the script, takes the
@@ -345,7 +173,7 @@ func acquireState() *runState {
 func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Prover, opts Options, n int) {
 	s.spec, s.g, s.inputs, s.prover, s.opts, s.n = spec, g, inputs, p, opts, n
 	s.abandoned = false
-	s.script = compiledScript(spec, &s.ownScript)
+	s.script.compile(spec)
 	nA, nM := s.script.nA, s.script.nM
 
 	s.cost = newCost(spec, n)
@@ -452,19 +280,15 @@ func (s *runState) release() {
 	s.cost = Cost{}
 	s.transcript = nil
 	s.decisions = nil
-	s.script = nil
 
 	p := &statePool
-	shards := *p.shards.Load()
-	if s.home < len(shards) && shards[s.home].tryPush(s) {
-		return
+	p.mu.Lock()
+	if len(p.free) < p.cap {
+		p.free = append(p.free, s)
+	} else {
+		p.drops++
 	}
-	if p.overflow.tryPush(s) {
-		return
-	}
-	p.overflow.mu.Lock()
-	p.overflow.drops++
-	p.overflow.mu.Unlock()
+	p.mu.Unlock()
 }
 
 // finish assembles the Result of a completed run and publishes the

@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"dip/internal/graph"
@@ -130,5 +131,82 @@ func TestProverErrorDoesNotPoison(t *testing.T) {
 	}
 	if !res.Accepted {
 		t.Fatalf("run after failed run rejected")
+	}
+}
+
+// TestConcurrentPoolBitIdentical checks the pooling contract under
+// contention: 8 goroutines share one small pool, every concurrent run stays
+// bit-identical to its pool-cold execution, and the pool retains no more
+// than its capacity.
+func TestConcurrentPoolBitIdentical(t *testing.T) {
+	prev := SetStatePoolCapacity(8)
+	t.Cleanup(func() { SetStatePoolCapacity(prev) })
+
+	g := graph.Cycle(10)
+	spec := echoSpec(24)
+	opts := Options{Seed: 5}
+	want, err := Run(spec, g, nil, echoProver{}, opts)
+	if err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+
+	const workers, iters = 8, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				res, err := Run(spec, g, nil, echoProver{}, opts)
+				if err != nil {
+					errs <- err
+					return
+				}
+				for v := range want.Decisions {
+					if res.Decisions[v] != want.Decisions[v] ||
+						res.Cost.ToProver[v] != want.Cost.ToProver[v] ||
+						res.Cost.FromProver[v] != want.Cost.FromProver[v] ||
+						res.Cost.NodeToNode[v] != want.Cost.NodeToNode[v] {
+						errs <- errMismatch
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("concurrent pooled run: %v", err)
+	}
+
+	st := StatePoolStats()
+	if st.Free > st.Capacity {
+		t.Fatalf("pool leaked: %d free > %d capacity", st.Free, st.Capacity)
+	}
+	if st.Hits+st.Misses < workers*iters+1 {
+		t.Fatalf("pool under-counted: %d hits + %d misses for %d runs",
+			st.Hits, st.Misses, workers*iters+1)
+	}
+}
+
+var errMismatch = errors.New("pooled result differs from cold run")
+
+// TestSetStatePoolCapacityRoundTrip pins SetStatePoolCapacity's return
+// contract: each call returns the capacity the previous one configured,
+// and n <= 0 restores the default.
+func TestSetStatePoolCapacityRoundTrip(t *testing.T) {
+	orig := SetStatePoolCapacity(0)
+	t.Cleanup(func() { SetStatePoolCapacity(orig) })
+	if prev := SetStatePoolCapacity(48); prev != defaultPoolCap {
+		t.Fatalf("first resize returned %d, want default %d", prev, defaultPoolCap)
+	}
+	if prev := SetStatePoolCapacity(0); prev != 48 {
+		t.Fatalf("second resize returned %d, want 48", prev)
+	}
+	st := StatePoolStats()
+	if st.Capacity != defaultPoolCap {
+		t.Fatalf("capacity %d after restore, want %d", st.Capacity, defaultPoolCap)
 	}
 }

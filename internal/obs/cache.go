@@ -6,7 +6,7 @@ import (
 )
 
 // CacheMeter meters one named memo cache (the setup caches of the request
-// path: graphs, graph artifacts, protocol instances, compiled scripts).
+// path: graphs, graph artifacts, protocol instances).
 // Hits/Misses/Evictions are monotone event counters; Size and Capacity are
 // gauges the owning cache keeps current, so a /metrics snapshot can report
 // occupancy next to the hit ratio. Like the rest of this package, meters

@@ -15,14 +15,14 @@
 //     and verified content, so cached and cold paths are bit-identical by
 //     construction (asserted end-to-end by TestCachedRunsByteIdentical in
 //     the root package).
-//  2. Contention-free lookups. Each cache is sharded by key hash; a
-//     lookup takes one shard mutex for a map read. Builds run outside
-//     the lock (an automorphism search can take milliseconds) and
-//     re-check before inserting, so concurrent misses for one key build
-//     twice but cache once.
+//  2. Short critical sections. Each cache is one map under one mutex; a
+//     lookup holds it for a map read. Builds run outside the lock (an
+//     automorphism search can take milliseconds) and re-check before
+//     inserting, so concurrent misses for one key build twice but cache
+//     once.
 //  3. Bounded. Each cache holds at most its capacity, evicting in FIFO
-//     order per shard, and meters hits/misses/evictions/size through
-//     internal/obs so cmd/dipserve can expose them on /metrics.
+//     order, and meters hits/misses/evictions/size through internal/obs
+//     so cmd/dipserve can expose them on /metrics.
 package setupcache
 
 import (
@@ -44,49 +44,26 @@ type Key struct {
 	Digest uint64
 }
 
-const fnvPrime = 1099511628211
+// Cache is one named, bounded memo table: a map under one mutex plus the
+// FIFO queue of its keys.
+type Cache struct {
+	meter    *obs.CacheMeter
+	capacity int
 
-func (k Key) hash() uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.Kind); i++ {
-		h ^= uint64(k.Kind[i])
-		h *= fnvPrime
-	}
-	for _, x := range [...]uint64{uint64(k.A), uint64(k.B), uint64(k.C), uint64(k.D), k.Digest} {
-		h ^= x
-		h *= fnvPrime
-	}
-	return h
-}
-
-// cacheShards is the lock-striping factor (a power of two). The caches are
-// read-mostly once warm, so a modest factor suffices to keep shard mutexes
-// uncontended next to the millisecond-scale runs between lookups.
-const cacheShards = 8
-
-type cacheShard struct {
 	mu sync.Mutex
 	m  map[Key]any
-	// order is the FIFO eviction ring of this shard's keys, oldest first.
+	// order is the FIFO eviction queue of the cached keys, oldest first.
 	order []Key
 }
 
-// Cache is one named, sharded, bounded memo table.
-type Cache struct {
-	meter  *obs.CacheMeter
-	perCap int
-	shards [cacheShards]cacheShard
-}
-
 // New returns a cache registered under name holding at most capacity
-// entries (rounded up to one per shard).
+// entries (at least one).
 func New(name string, capacity int) *Cache {
-	perCap := capacity / cacheShards
-	if perCap < 1 {
-		perCap = 1
+	if capacity < 1 {
+		capacity = 1
 	}
-	c := &Cache{meter: obs.Cache(name), perCap: perCap}
-	c.meter.Capacity.Set(int64(perCap * cacheShards))
+	c := &Cache{meter: obs.Cache(name), capacity: capacity}
+	c.meter.Capacity.Set(int64(capacity))
 	return c
 }
 
@@ -96,10 +73,9 @@ func New(name string, capacity int) *Cache {
 // candidate is rebuilt and the cached entry left in place. build errors
 // are returned without caching.
 func (c *Cache) Do(key Key, verify func(v any) bool, build func() (any, error)) (any, error) {
-	sh := &c.shards[key.hash()&(cacheShards-1)]
-	sh.mu.Lock()
-	v, ok := sh.m[key]
-	sh.mu.Unlock()
+	c.mu.Lock()
+	v, ok := c.m[key]
+	c.mu.Unlock()
 	if ok && (verify == nil || verify(v)) {
 		c.meter.Hits.Add(1)
 		return v, nil
@@ -109,9 +85,9 @@ func (c *Cache) Do(key Key, verify func(v any) bool, build func() (any, error)) 
 	if err != nil {
 		return nil, err
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if cur, ok := sh.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if cur, ok := c.m[key]; ok {
 		// Raced with another builder, or a verified collision holds the
 		// slot: prefer the incumbent when it matches (bounding memory),
 		// otherwise serve our build uncached.
@@ -120,43 +96,34 @@ func (c *Cache) Do(key Key, verify func(v any) bool, build func() (any, error)) 
 		}
 		return built, nil
 	}
-	if sh.m == nil {
-		sh.m = make(map[Key]any, c.perCap)
+	if c.m == nil {
+		c.m = make(map[Key]any, c.capacity)
 	}
-	if len(sh.m) >= c.perCap {
-		oldest := sh.order[0]
-		sh.order = sh.order[1:]
-		delete(sh.m, oldest)
+	if len(c.m) >= c.capacity {
+		oldest := c.order[0]
+		c.order = c.order[1:]
+		delete(c.m, oldest)
 		c.meter.Evictions.Add(1)
 		c.meter.Size.Add(-1)
 	}
-	sh.m[key] = built
-	sh.order = append(sh.order, key)
+	c.m[key] = built
+	c.order = append(c.order, key)
 	c.meter.Size.Add(1)
 	return built, nil
 }
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.m)
 }
 
 // Reset drops every entry (tests and cold-path baselines).
 func (c *Cache) Reset() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		removed := len(sh.m)
-		sh.m = nil
-		sh.order = nil
-		sh.mu.Unlock()
-		c.meter.Size.Add(-int64(removed))
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.meter.Size.Add(-int64(len(c.m)))
+	c.m = nil
+	c.order = nil
 }

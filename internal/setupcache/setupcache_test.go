@@ -51,17 +51,50 @@ func TestDoBuildErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestEvictionBounded fills a cache well past its bound and requires it to
+// hold, and to report, exactly its capacity, with no rounding of odd
+// bounds such as 12.
 func TestEvictionBounded(t *testing.T) {
-	const capacity = 16
-	c := New("test-evict", capacity)
-	for i := 0; i < capacity*4; i++ {
-		k := Key{Kind: "k", A: int64(i)}
-		if _, err := c.Do(k, nil, func() (any, error) { return i, nil }); err != nil {
+	for _, capacity := range []int{16, 12} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			c := New(fmt.Sprintf("test-evict-%d", capacity), capacity)
+			t.Cleanup(c.Reset) // the meter outlives c under -count
+			for i := 0; i < capacity*4; i++ {
+				k := Key{Kind: "k", A: int64(i)}
+				if _, err := c.Do(k, nil, func() (any, error) { return i, nil }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := c.Len(); n != capacity {
+				t.Fatalf("cache holds %d entries, want capacity %d", n, capacity)
+			}
+			if got := c.meter.Capacity.Value(); got != int64(capacity) {
+				t.Fatalf("meter reports capacity %d, want %d", got, capacity)
+			}
+			if got := c.meter.Size.Value(); got != int64(capacity) {
+				t.Fatalf("meter reports size %d, want %d", got, capacity)
+			}
+		})
+	}
+}
+
+// TestEvictionFIFO: one insert past the bound evicts the oldest key and
+// keeps every later one.
+func TestEvictionFIFO(t *testing.T) {
+	const capacity = 12
+	c := New("test-fifo", capacity)
+	for i := 0; i <= capacity; i++ {
+		if _, err := c.Do(Key{Kind: "k", A: int64(i)}, nil, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > capacity {
-		t.Fatalf("cache grew to %d entries, capacity %d", n, capacity)
+	if _, ok := c.m[Key{Kind: "k", A: 0}]; ok {
+		t.Fatal("first key survived an insert past capacity")
+	}
+	for i := 1; i <= capacity; i++ {
+		if _, ok := c.m[Key{Kind: "k", A: int64(i)}]; !ok {
+			t.Fatalf("key %d evicted, want only key 0 evicted", i)
+		}
 	}
 }
 

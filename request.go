@@ -7,6 +7,7 @@ import (
 	"dip/internal/core"
 	"dip/internal/graph"
 	"dip/internal/network"
+	"dip/internal/wire"
 )
 
 // Request names a protocol and carries its instance: the graph(s) as edge
@@ -47,11 +48,13 @@ type ProtocolInfo struct {
 	Summary string `json:"summary"`
 }
 
-// entry is a registry row: the public description plus the run function
-// and the set of Request fields the protocol consumes.
+// entry is a registry row: the public description plus the instance
+// builder and the set of Request fields the protocol consumes.
 type entry struct {
 	info entryInfo
-	run  func(ctx context.Context, req *Request) (Report, error)
+	// build validates the request and assembles its instance; RunContext
+	// runs every protocol's instance through the same engine call.
+	build func(req *Request) (engineRun, error)
 	// spec rebuilds the protocol's Spec without running it; see BuildSpec.
 	spec func(req *Request) (*network.Spec, error)
 	// uses flags which optional Request fields this protocol reads;
@@ -85,59 +88,59 @@ var registry = map[string]*entry{
 	"sym-dmam": {
 		info: entryInfo{Name: "sym-dmam", Family: "sym", Rounds: 3,
 			Summary: "O(log n) dMAM proof of graph symmetry (Theorem 1.1)"},
-		run:  runSymDMAM,
-		spec: specOf(protoSymDMAM),
+		build: graphRun(protoSymDMAM),
+		spec:  specOf(protoSymDMAM),
 	},
 	"sym-dam": {
 		info: entryInfo{Name: "sym-dam", Family: "sym", Rounds: 2,
 			Summary: "O(n log n) dAM proof of symmetry, nodes speak first (Theorem 1.3)"},
-		run:  runSymDAM,
-		spec: specOf(protoSymDAM),
+		build: graphRun(protoSymDAM),
+		spec:  specOf(protoSymDAM),
 	},
 	"dsym-dam": {
 		info: entryInfo{Name: "dsym-dam", Family: "sym", Rounds: 2,
 			Summary: "O(log n) dAM proof of dumbbell symmetry (Theorem 1.2)"},
-		run:      runDSymDAM,
+		build:    buildDSymDAM,
 		spec:     specOf(protoDSymDAM),
 		usesSide: true,
 	},
 	"sym-lcp": {
 		info: entryInfo{Name: "sym-lcp", Family: "sym", Rounds: 1,
 			Summary: "Θ(n²) non-interactive labeling-scheme baseline for symmetry"},
-		run:  runSymLCP,
-		spec: specOf(protoSymLCP),
+		build: graphRun(protoSymLCP),
+		spec:  specOf(protoSymLCP),
 	},
 	"sym-rpls": {
 		info: entryInfo{Name: "sym-rpls", Family: "sym", Rounds: 1,
 			Summary: "randomized proof-labeling scheme: Θ(n²) advice, O(log n) fingerprint exchange"},
-		run:  runSymRPLS,
-		spec: specOf(protoSymRPLS),
+		build: graphRun(protoSymRPLS),
+		spec:  specOf(protoSymRPLS),
 	},
 	"gni-damam": {
 		info: entryInfo{Name: "gni-damam", Family: "gni", Rounds: 4,
 			Summary: "distributed Goldwasser–Sipser dAMAM proof of non-isomorphism (Theorem 1.5)"},
-		run:        runGNIDAMAM,
+		build:      pairRun(protoGNIDAMAM),
 		spec:       specOf(protoGNIDAMAM),
 		usesEdges1: true,
 	},
 	"gni-general": {
 		info: entryInfo{Name: "gni-general", Family: "gni", Rounds: 2,
 			Summary: "promise-free GNI, correct on symmetric graphs too"},
-		run:        runGNIGeneral,
+		build:      pairRun(protoGNIGeneral),
 		spec:       specOf(protoGNIGeneral),
 		usesEdges1: true,
 	},
 	"gni-marked": {
 		info: entryInfo{Name: "gni-marked", Family: "gni", Rounds: 4,
 			Summary: "marked single-graph formulation of GNI (Section 2.3)"},
-		run:       runGNIMarked,
+		build:     buildGNIMarked,
 		spec:      specOf(protoGNIMarked),
 		usesMarks: true,
 	},
 	"gni-lcp": {
 		info: entryInfo{Name: "gni-lcp", Family: "gni", Rounds: 1,
 			Summary: "Θ(n²) non-interactive baseline for non-isomorphism"},
-		run:        runGNILCP,
+		build:      pairRun(protoGNILCP),
 		spec:       specOf(protoGNILCP),
 		usesEdges1: true,
 	},
@@ -172,7 +175,19 @@ func RunContext(ctx context.Context, req Request) (Report, error) {
 	if err := e.checkFields(&req); err != nil {
 		return Report{}, err
 	}
-	return e.run(ctx, &req)
+	run, err := e.build(&req)
+	if err != nil {
+		return Report{}, err
+	}
+	nopts, err := engineOptions(ctx, req.Options)
+	if err != nil {
+		return Report{}, err
+	}
+	res, err := network.RunContext(ctx, run.spec, run.g, run.inputs, run.prover, nopts)
+	if err != nil {
+		return Report{}, err
+	}
+	return report(e.info.Name, res), nil
 }
 
 // engineOptions validates the request options and maps them onto the
@@ -201,171 +216,94 @@ func transportFrom(ctx context.Context) network.Transport {
 	return t
 }
 
-// finish runs an assembled single-graph instance (no node inputs) through
-// the engine and shapes the Report.
-func finish(ctx context.Context, name string, spec *network.Spec, g *graph.Graph,
-	prover network.Prover, opts Options) (Report, error) {
-	nopts, err := engineOptions(ctx, opts)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := network.RunContext(ctx, spec, g, nil, prover, nopts)
-	if err != nil {
-		return Report{}, err
-	}
-	return report(name, res), nil
+// engineRun is one assembled instance: everything the engine call needs
+// besides the context and the options.
+type engineRun struct {
+	spec   *network.Spec
+	g      *graph.Graph
+	inputs []wire.Message
+	prover network.Prover
 }
 
-func runSymDMAM(ctx context.Context, req *Request) (Report, error) {
-	g, err := cachedGraph(req.N, req.Edges)
-	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoSymDMAM(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finish(ctx, "sym-dmam", proto.Spec(), g, proto.HonestProver(), req.Options)
+// protocol is the run-side face of every core protocol type.
+type protocol interface {
+	Spec() *network.Spec
+	HonestProver() network.Prover
 }
 
-func runSymDAM(ctx context.Context, req *Request) (Report, error) {
-	g, err := cachedGraph(req.N, req.Edges)
-	if err != nil {
-		return Report{}, err
+// graphRun builds a single-graph instance (no node inputs); the graph is
+// validated before the protocol is built.
+func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (engineRun, error) {
+	return func(req *Request) (engineRun, error) {
+		g, err := cachedGraph(req.N, req.Edges)
+		if err != nil {
+			return engineRun{}, err
+		}
+		p, err := proto(req)
+		if err != nil {
+			return engineRun{}, err
+		}
+		return engineRun{spec: p.Spec(), g: g, prover: p.HonestProver()}, nil
 	}
-	proto, err := protoSymDAM(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finish(ctx, "sym-dam", proto.Spec(), g, proto.HonestProver(), req.Options)
 }
 
-func runDSymDAM(ctx context.Context, req *Request) (Report, error) {
+// pairRun builds a two-graph GNI instance: G₀ is the network, G₁ travels
+// as node inputs, row by row. Both graphs are validated before the
+// protocol is built.
+func pairRun[T protocol](proto func(*Request) (T, error)) func(*Request) (engineRun, error) {
+	return func(req *Request) (engineRun, error) {
+		g0, err := cachedGraph(req.N, req.Edges)
+		if err != nil {
+			return engineRun{}, err
+		}
+		g1, err := cachedGraph(req.N, req.Edges1)
+		if err != nil {
+			return engineRun{}, err
+		}
+		p, err := proto(req)
+		if err != nil {
+			return engineRun{}, err
+		}
+		return engineRun{spec: p.Spec(), g: g0, inputs: core.EncodeGNIInputs(g1), prover: p.HonestProver()}, nil
+	}
+}
+
+// buildDSymDAM derives the vertex count from Side and Half, so the
+// protocol is built before the graph it must match.
+func buildDSymDAM(req *Request) (engineRun, error) {
 	proto, err := protoDSymDAM(req)
 	if err != nil {
-		return Report{}, err
+		return engineRun{}, err
 	}
 	if req.N != 0 && req.N != proto.N() {
-		return Report{}, badRequestf("dip: dsym-dam with side=%d half=%d has %d vertices, request says n=%d",
+		return engineRun{}, badRequestf("dip: dsym-dam with side=%d half=%d has %d vertices, request says n=%d",
 			req.Side, req.Half, proto.N(), req.N)
 	}
 	g, err := cachedGraph(proto.N(), req.Edges)
 	if err != nil {
-		return Report{}, err
+		return engineRun{}, err
 	}
-	return finish(ctx, "dsym-dam", proto.Spec(), g, proto.HonestProver(), req.Options)
+	return engineRun{spec: proto.Spec(), g: g, prover: proto.HonestProver()}, nil
 }
 
-func runSymLCP(ctx context.Context, req *Request) (Report, error) {
+// buildGNIMarked ships the marks as node inputs; they are decoded before
+// the protocol is built.
+func buildGNIMarked(req *Request) (engineRun, error) {
 	g, err := cachedGraph(req.N, req.Edges)
 	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoSymLCP(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finish(ctx, "sym-lcp", proto.Spec(), g, proto.HonestProver(), req.Options)
-}
-
-func runSymRPLS(ctx context.Context, req *Request) (Report, error) {
-	g, err := cachedGraph(req.N, req.Edges)
-	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoSymRPLS(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finish(ctx, "sym-rpls", proto.Spec(), g, proto.HonestProver(), req.Options)
-}
-
-// buildGNIPair validates both edge lists of a GNI request.
-func buildGNIPair(req *Request) (g0, g1 *graph.Graph, err error) {
-	if g0, err = cachedGraph(req.N, req.Edges); err != nil {
-		return nil, nil, err
-	}
-	if g1, err = cachedGraph(req.N, req.Edges1); err != nil {
-		return nil, nil, err
-	}
-	return g0, g1, nil
-}
-
-func runGNIDAMAM(ctx context.Context, req *Request) (Report, error) {
-	g0, g1, err := buildGNIPair(req)
-	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoGNIDAMAM(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finishGNI(ctx, "gni-damam", proto.Spec(), g0, g1, proto.HonestProver(), req.Options)
-}
-
-func runGNIGeneral(ctx context.Context, req *Request) (Report, error) {
-	g0, g1, err := buildGNIPair(req)
-	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoGNIGeneral(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finishGNI(ctx, "gni-general", proto.Spec(), g0, g1, proto.HonestProver(), req.Options)
-}
-
-func runGNILCP(ctx context.Context, req *Request) (Report, error) {
-	g0, g1, err := buildGNIPair(req)
-	if err != nil {
-		return Report{}, err
-	}
-	proto, err := protoGNILCP(req)
-	if err != nil {
-		return Report{}, err
-	}
-	return finishGNI(ctx, "gni-lcp", proto.Spec(), g0, g1, proto.HonestProver(), req.Options)
-}
-
-func runGNIMarked(ctx context.Context, req *Request) (Report, error) {
-	g, err := cachedGraph(req.N, req.Edges)
-	if err != nil {
-		return Report{}, err
+		return engineRun{}, err
 	}
 	coreMarks, _, err := decodeMarks(req)
 	if err != nil {
-		return Report{}, err
+		return engineRun{}, err
 	}
 	proto, err := protoGNIMarked(req)
 	if err != nil {
-		return Report{}, err
+		return engineRun{}, err
 	}
 	inputs, err := core.EncodeMarks(coreMarks)
 	if err != nil {
-		return Report{}, asBadRequest(err)
+		return engineRun{}, asBadRequest(err)
 	}
-	nopts, err := engineOptions(ctx, req.Options)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := network.RunContext(ctx, proto.Spec(), g, inputs, proto.HonestProver(), nopts)
-	if err != nil {
-		return Report{}, err
-	}
-	return report("gni-marked", res), nil
-}
-
-// finishGNI runs a two-graph instance: g0 is the network, g1 travels as
-// node inputs, row by row.
-func finishGNI(ctx context.Context, name string, spec *network.Spec, g0, g1 *graph.Graph,
-	prover network.Prover, opts Options) (Report, error) {
-	nopts, err := engineOptions(ctx, opts)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := network.RunContext(ctx, spec, g0, core.EncodeGNIInputs(g1), prover, nopts)
-	if err != nil {
-		return Report{}, err
-	}
-	return report(name, res), nil
+	return engineRun{spec: proto.Spec(), g: g, inputs: inputs, prover: proto.HonestProver()}, nil
 }

@@ -2,7 +2,6 @@ package dip
 
 import (
 	"dip/internal/graph"
-	"dip/internal/network"
 	"dip/internal/setupcache"
 )
 
@@ -93,12 +92,10 @@ func cachedProtocol(kind string, a, b, c, seed int64, build func() (any, error))
 }
 
 // ResetSetupCaches drops every request-path memo: graphs, protocol
-// instances, per-graph artifacts (automorphisms, spanning trees) and
-// compiled round scripts. Tests use it to compare cold and warm runs; a
-// server never needs it.
+// instances and per-graph artifacts (automorphisms, spanning trees).
+// Tests use it to compare cold and warm runs; a server never needs it.
 func ResetSetupCaches() {
 	graphCache.Reset()
 	protoCache.Reset()
 	setupcache.ResetAll()
-	network.ResetScriptCache()
 }
