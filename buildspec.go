@@ -97,29 +97,34 @@ func protoGNILCP(req *Request) (*core.GNILCP, error) {
 }
 
 // decodeMarks validates a gni-marked request's marking and returns it in
-// core form together with k, the number of zero-marked nodes — a spec
+// core form together with k, the size of each marked set — a spec
 // parameter, which is why a peer rebuilding the spec needs Marks even
-// though it never sees the edge lists.
+// though it never sees the edge lists. The two marked sets must have the
+// same size: the protocol compares induced subgraphs on k vertices each.
 func decodeMarks(req *Request) ([]core.Mark, int, error) {
 	if len(req.Marks) != req.N {
 		return nil, 0, badRequestf("dip: %d marks for %d nodes", len(req.Marks), req.N)
 	}
 	coreMarks := make([]core.Mark, req.N)
-	k := 0
+	var size [2]int
 	for v, m := range req.Marks {
 		switch m {
 		case 0:
 			coreMarks[v] = core.MarkZero
-			k++
+			size[0]++
 		case 1:
 			coreMarks[v] = core.MarkOne
+			size[1]++
 		case -1:
 			coreMarks[v] = core.MarkNone
 		default:
 			return nil, 0, badRequestf("dip: mark %d at node %d (want 0, 1 or -1)", m, v)
 		}
 	}
-	return coreMarks, k, nil
+	if size[0] != size[1] {
+		return nil, 0, badRequestf("dip: marked sets have sizes %d and %d (want equal sizes)", size[0], size[1])
+	}
+	return coreMarks, size[0], nil
 }
 
 func protoGNIMarked(req *Request) (*core.MarkedGNI, error) {

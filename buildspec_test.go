@@ -12,7 +12,7 @@ import (
 // behind them are memoized per (protocol, params, seed), so callbacks in
 // both specs close over the same cached instance.
 func TestBuildSpecAllProtocols(t *testing.T) {
-	marks := []int{0, 0, 0, 1, -1, -1}
+	marks := []int{0, 0, 0, 1, 1, 1}
 	stripped := map[string]Request{
 		"sym-dmam":    {Protocol: "sym-dmam", N: 8, Options: Options{Seed: 3}},
 		"sym-dam":     {Protocol: "sym-dam", N: 8, Options: Options{Seed: 3}},
@@ -68,6 +68,7 @@ func TestBuildSpecRejects(t *testing.T) {
 		{"stray-side", Request{Protocol: "sym-lcp", N: 4, Side: 3}, "takes no Side"},
 		{"marks-length", Request{Protocol: "gni-marked", N: 4, Marks: []int{0}}, "marks for"},
 		{"bad-mark", Request{Protocol: "gni-marked", N: 2, Marks: []int{0, 7}}, "mark 7"},
+		{"unequal-marked-sets", Request{Protocol: "gni-marked", N: 7, Marks: []int{0, 0, 0, 1, 1, 1, 1}}, "sizes 3 and 4"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

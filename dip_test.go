@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -270,6 +271,18 @@ func TestProveInducedNonIsomorphism(t *testing.T) {
 	}
 	if _, err := Run(Request{Protocol: "gni-marked", N: 2, Marks: []int{0, 7}}); err == nil {
 		t.Fatal("invalid mark accepted")
+	}
+}
+
+// TestMarkedUnequalSetsRejected pins that a marking whose two marked sets
+// differ in size is refused as the caller's error before a run starts,
+// not left to the honest prover to fail mid-run.
+func TestMarkedUnequalSetsRejected(t *testing.T) {
+	path := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 6}}
+	_, err := Run(Request{Protocol: "gni-marked", N: 7, Edges: path, Marks: []int{0, 0, 0, 1, 1, 1, 1}})
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "sizes 3 and 4") {
+		t.Fatalf("err = %v, want a RequestError naming the set sizes", err)
 	}
 }
 

@@ -62,6 +62,40 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full protocol sweep is slow")
 	}
+	for _, tc := range equivCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := peerFleet(t, 3, tc.spec)
+			for _, seed := range []int64{1, 17} {
+				opts := network.Options{Seed: seed, RecordTranscript: true}
+				seqRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), opts)
+				if err != nil {
+					t.Fatalf("sequential: %v", err)
+				}
+				netOpts := opts
+				netOpts.Transport = fleet.NewRun(nil)
+				netRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), netOpts)
+				if err != nil {
+					t.Fatalf("networked: %v", err)
+				}
+				if !reflect.DeepEqual(seqRes, netRes) {
+					t.Fatalf("seed %d: executors diverge:\nsequential: accepted=%v decisions=%v cost=%+v\nnetworked:  accepted=%v decisions=%v cost=%+v",
+						seed,
+						seqRes.Accepted, seqRes.Decisions, seqRes.Cost,
+						netRes.Accepted, netRes.Decisions, netRes.Cost)
+				}
+				// The DeepEqual above proves the executors agree on the
+				// per-round breakdown; check it is also internally
+				// consistent — every round charged, nothing double-counted.
+				checkPerRoundSums(t, seed, &seqRes.Cost)
+			}
+		})
+	}
+}
+
+// equivCases builds one workload per protocol in the repository (honest
+// and cheating provers alike) on fixed instances drawn from seed 42.
+func equivCases(t *testing.T) []equivCase {
+	t.Helper()
 	rng := rand.New(rand.NewSource(42))
 	base, err := graph.RandomAsymmetricConnected(7, rng)
 	if err != nil {
@@ -138,7 +172,7 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 
 	cheatRho := perm.RandomNonIdentity(n, rand.New(rand.NewSource(3)))
 
-	cases := []equivCase{
+	return []equivCase{
 		{"sym-dmam-honest", dmam.Spec, sym, nil, dmam.HonestProver},
 		// The factory reseeds its own RNG so both executor runs see the
 		// same cheating mapping.
@@ -158,35 +192,6 @@ func TestEngineEquivalenceAllProtocols(t *testing.T) {
 		{"gni-dam", gniDAM.Spec, gniYes.G0, EncodeGNIInputs(gniYes.G1), gniDAM.HonestProver},
 		{"gni-general", general.Spec, c6, EncodeGNIInputs(c6Shuffled), general.HonestProver},
 		{"gni-marked", marked.Spec, markedG, markInputs, marked.HonestProver},
-	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			fleet := peerFleet(t, 3, tc.spec)
-			for _, seed := range []int64{1, 17} {
-				opts := network.Options{Seed: seed, RecordTranscript: true}
-				seqRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), opts)
-				if err != nil {
-					t.Fatalf("sequential: %v", err)
-				}
-				netOpts := opts
-				netOpts.Transport = fleet.NewRun(nil)
-				netRes, err := network.Run(tc.spec(), tc.g, tc.inputs, tc.prover(), netOpts)
-				if err != nil {
-					t.Fatalf("networked: %v", err)
-				}
-				if !reflect.DeepEqual(seqRes, netRes) {
-					t.Fatalf("seed %d: executors diverge:\nsequential: accepted=%v decisions=%v cost=%+v\nnetworked:  accepted=%v decisions=%v cost=%+v",
-						seed,
-						seqRes.Accepted, seqRes.Decisions, seqRes.Cost,
-						netRes.Accepted, netRes.Decisions, netRes.Cost)
-				}
-				// The DeepEqual above proves the executors agree on the
-				// per-round breakdown; check it is also internally
-				// consistent — every round charged, nothing double-counted.
-				checkPerRoundSums(t, seed, &seqRes.Cost)
-			}
-		})
 	}
 }
 

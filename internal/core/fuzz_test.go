@@ -6,7 +6,8 @@ package core
 // never read out of bounds. Each target fuzzes one protocol family's
 // decoders with instance parameters matching the checked-in seed corpus
 // under testdata/fuzz (boundary shapes here via f.Add, honest protocol
-// encodings in testdata — regenerate with `go run gen_fuzz_corpus.go`).
+// encodings in testdata — TestFuzzCorpus checks them and rewrites them
+// under WRITE_CORPUS=1).
 // `make fuzz-short` gives each target a few seconds of mutation on every
 // verify run.
 
@@ -83,14 +84,47 @@ func FuzzGNIDecoders(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, bits int) {
 		m := fuzzMessage(t, data, bits)
 		_, _ = gni.decodeFirst(m, nil)
-		_, _ = gni.decodeFirst(m, []int{3, 3, 3})
-		_, _ = gni.decodeSecond(m, 2)
-		_, _ = gnid.decode(m)
-		_, _ = gng.decode(m)
-		_, _ = marked.decodeFirstPrefix(m)
-		_, _ = marked.decodeFirst(m, 3)
-		_, _ = marked.decodeSecond(m)
+		if first, err := gni.decodeFirst(m, []int{3, 3, 3}); err == nil {
+			requireReencodes(t, m, gni.encodeFirst(first.reps, first.tree, first.images))
+		}
+		for successes := 0; successes <= gni.K(); successes++ {
+			if second, err := gni.decodeSecond(m, successes); err == nil {
+				requireReencodes(t, m, gni.encodeSecond(second))
+			}
+		}
+		if msg, err := gnid.decode(m); err == nil {
+			requireReencodes(t, m, gnid.encode(msg))
+		}
+		if msg, err := gng.decode(m); err == nil {
+			requireReencodes(t, m, gng.encode(msg))
+		}
+		_, _ = marked.decodeFirst(m, -1)
+		// Every degree a node of the 15-node network can have, so that the
+		// honest seeds of nodes of any degree reach the full decoder.
+		for degree := 0; degree < marked.N(); degree++ {
+			if first, err := marked.decodeFirst(m, degree); err == nil {
+				requireReencodes(t, m, marked.encodeFirst(first))
+			}
+		}
+		if second, err := marked.decodeSecond(m); err == nil {
+			requireReencodes(t, m, marked.encodeSecond(second))
+		}
 	})
+}
+
+// requireReencodes fails unless enc, the re-encoding of a message a
+// decoder accepted, reproduces m's Bits bits. Padding beyond Bits is not
+// part of the message.
+func requireReencodes(t *testing.T, m, enc wire.Message) {
+	t.Helper()
+	if enc.Bits != m.Bits {
+		t.Fatalf("re-encoded %d-bit message as %d bits", m.Bits, enc.Bits)
+	}
+	for i := 0; i < m.Bits; i++ {
+		if m.Data[i/8]>>(i%8)&1 != enc.Data[i/8]>>(i%8)&1 {
+			t.Fatalf("re-encoding of a %d-bit message differs at bit %d", m.Bits, i)
+		}
+	}
 }
 
 func FuzzLCPDecoders(f *testing.F) {

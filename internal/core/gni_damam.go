@@ -3,16 +3,12 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"math/rand"
-	"sort"
 
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
-	"dip/internal/perm"
-	"dip/internal/prime"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -60,11 +56,8 @@ import (
 // hashed object to be exactly σ(G_b) ∈ S, so the Goldwasser–Sipser counting
 // argument applies.
 type GNIDAMAM struct {
-	n      int
-	k      int
-	params *hashing.GSParams
-	p2     *big.Int // consistency-check prime, ≈ 1000·k·n³
-	thresh int      // accept iff ≥ thresh verified successes
+	gsKit
+	p2 *big.Int // consistency-check prime, ≈ 1000·k·n³
 }
 
 // NewGNIDAMAM builds the protocol for graphs on n vertices with k parallel
@@ -81,49 +74,17 @@ func NewGNIDAMAM(n, k int, seed int64) (*GNIDAMAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: GNI hash params: %w", err)
 	}
-	lo := big.NewInt(int64(1000 * k))
-	lo.Mul(lo, big.NewInt(int64(n*n*n)))
-	hi := new(big.Int).Mul(lo, big.NewInt(2))
-	p2, err := prime.InWindow(lo, hi, seed+7)
-	if err != nil {
+	g := &GNIDAMAM{gsKit: newGSKit(n, k, params)}
+	if g.p2, err = g.consistencyPrime(seed + 7); err != nil {
 		return nil, fmt.Errorf("core: GNI consistency prime: %w", err)
 	}
-	g := &GNIDAMAM{n: n, k: k, params: params, p2: p2}
-	yes, no := g.SingleShotBounds()
-	g.thresh = int(math.Ceil(float64(k) * (yes + no) / 2))
 	return g, nil
 }
 
-// N returns the number of vertices; K the repetition count.
-func (g *GNIDAMAM) N() int { return g.n }
-
 // K returns the number of parallel repetitions.
-func (g *GNIDAMAM) K() int { return g.k }
+func (g *GNIDAMAM) K() int { return g.reps }
 
-// Threshold returns the number of verified successes the root requires.
-func (g *GNIDAMAM) Threshold() int { return g.thresh }
-
-// SingleShotBounds returns Poisson estimates of the probability that a
-// single repetition succeeds on a yes- and a no-instance: with |S| targets
-// distributed nearly pairwise-independently over a range of size p, the
-// number of preimages of y is approximately Poisson(μ), μ = |S|/p, so
-// Pr[∃ preimage] ≈ 1 - e^{-μ}. The acceptance threshold sits midway
-// between the two estimates; the hash's ε = O(1/n²) distortion is far
-// smaller than the gap. (The paper's inclusion-exclusion bounds
-// μ - μ²/2 ≤ Pr ≤ μ bracket these estimates.)
-func (g *GNIDAMAM) SingleShotBounds() (yesRate, noRate float64) {
-	fact, _ := new(big.Float).SetInt(prime.Factorial(g.n)).Float64()
-	p, _ := new(big.Float).SetInt(g.params.P()).Float64()
-	muYes := 2 * fact / p
-	yesRate = 1 - math.Exp(-muYes)
-	noRate = 1 - math.Exp(-muYes/2)
-	return yesRate, noRate
-}
-
-func (g *GNIDAMAM) idWidth() int  { return wire.WidthFor(g.n) }
-func (g *GNIDAMAM) qWidth() int   { return wire.WidthForBig(g.params.Q()) }
-func (g *GNIDAMAM) p2Width() int  { return wire.WidthForBig(g.p2) }
-func (g *GNIDAMAM) echoBits() int { return g.n * g.params.SliceWidth() }
+func (g *GNIDAMAM) p2Width() int { return wire.WidthForBig(g.p2) }
 
 // EncodeGNIInputs encodes G₁ into per-node inputs: node v receives its open
 // G₁-neighborhood as an n-bit row.
@@ -156,148 +117,50 @@ func decodeGNIInput(m wire.Message, n int) ([]int, error) {
 	return out, r.Done()
 }
 
-// subBits extracts m's bits [from, from+width).
-func subBits(m wire.Message, from, width int) (wire.Message, error) {
-	if from < 0 || width < 0 || from+width > m.Bits {
-		return wire.Message{}, fmt.Errorf("core: bit range [%d,%d) outside message of %d bits",
-			from, from+width, m.Bits)
-	}
-	var w wire.Writer
-	for i := from; i < from+width; i++ {
-		w.WriteBool(m.Data[i/8]&(1<<(uint(i)%8)) != 0)
-	}
-	return w.Message(), nil
-}
-
-// slicesFromEcho splits an n·SliceWidth-bit echo into per-node slices.
-func (g *GNIDAMAM) slicesFromEcho(echo wire.Message) ([]wire.Message, error) {
-	sw := g.params.SliceWidth()
-	out := make([]wire.Message, g.n)
-	for v := 0; v < g.n; v++ {
-		s, err := subBits(echo, v*sw, sw)
-		if err != nil {
-			return nil, err
-		}
-		out[v] = s
-	}
-	return out, nil
-}
-
-// gniRepClaim is the per-repetition broadcast section of M₁.
-type gniRepClaim struct {
-	success  bool
-	b        int
-	seedEcho wire.Message // n·SliceWidth bits; only set when success
-}
-
-// gniFirst is node v's decoded M₁ message.
+// gniFirst is node v's decoded M₁ message: the broadcast section and tree
+// advice, then per successful repetition the images σ(u) of v's closed
+// G_b-neighborhood.
 type gniFirst struct {
-	reps   []gniRepClaim
-	tree   spantree.Advice
-	images [][]int // per successful repetition (dense, in claim order)
+	gsHead
+	images [][]int // indexed by repetition, nil for failed ones
 }
 
 // encodeFirst encodes M₁ for one node; images is indexed by repetition and
 // nil for failed repetitions.
-func (g *GNIDAMAM) encodeFirst(reps []gniRepClaim, tree spantree.Advice, images [][]int) wire.Message {
+func (g *GNIDAMAM) encodeFirst(reps []gsRep, tree spantree.Advice, images [][]int) wire.Message {
 	var w wire.Writer
-	for _, c := range reps {
-		w.WriteBool(c.success)
-		if c.success {
-			w.WriteInt(c.b, 1)
-			w.WriteBits(c.seedEcho.Data, c.seedEcho.Bits)
-		}
-	}
-	w.WriteInt(tree.Parent, g.idWidth())
-	w.WriteInt(tree.Dist, g.idWidth())
+	g.writeHead(&w, gsLayout{}, reps, tree)
 	for r, c := range reps {
-		if !c.success {
-			continue
-		}
-		for _, img := range images[r] {
-			w.WriteInt(img, g.idWidth())
+		if c.success {
+			writeInts(&w, images[r], g.idWidth())
 		}
 	}
 	return w.Message()
 }
 
-// decodeFirstPrefix parses the broadcast section and the tree advice — the
-// part of a *neighbor's* M₁ that a node needs. imageCounts, when non-nil,
-// additionally parses the per-repetition image lists, each of the given
-// length (counting only successful repetitions, in order).
+// decodeFirst parses M₁. With imageCounts nil it parses only the broadcast
+// section and the tree advice — the part of a *neighbor's* M₁ that a node
+// needs; otherwise it also parses the per-repetition image lists, each of
+// the given length (counting only successful repetitions, in order).
 func (g *GNIDAMAM) decodeFirst(m wire.Message, imageCounts []int) (gniFirst, error) {
 	r := wire.NewReader(m)
-	out := gniFirst{reps: make([]gniRepClaim, g.k)}
-	for i := range out.reps {
-		ok, err := r.ReadBool()
-		if err != nil {
-			return out, err
-		}
-		out.reps[i].success = ok
-		if !ok {
-			continue
-		}
-		if out.reps[i].b, err = r.ReadInt(1); err != nil {
-			return out, err
-		}
-		echo, err := r.ReadBig(g.echoBits())
-		if err != nil {
-			return out, err
-		}
-		var w wire.Writer
-		w.WriteBig(echo, g.echoBits())
-		out.reps[i].seedEcho = w.Message()
-	}
-	var err error
-	if out.tree.Parent, err = r.ReadInt(g.idWidth()); err != nil {
+	head, err := g.readHead(r, gsLayout{})
+	out := gniFirst{gsHead: head}
+	if err != nil || imageCounts == nil {
 		return out, err
 	}
-	if out.tree.Dist, err = r.ReadInt(g.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent >= g.n {
-		return out, errors.New("core: parent id out of range")
-	}
-	out.tree.Root = 0
-	if imageCounts == nil {
-		return out, nil // neighbor view: images not needed
-	}
-	out.images = make([][]int, g.k)
+	out.images = make([][]int, g.reps)
 	ci := 0
-	for i := range out.reps {
-		if !out.reps[i].success {
+	for i, c := range out.reps {
+		if !c.success {
 			continue
 		}
-		count := imageCounts[ci]
-		ci++
-		imgs := make([]int, count)
-		for j := range imgs {
-			if imgs[j], err = r.ReadInt(g.idWidth()); err != nil {
-				return out, err
-			}
-			if imgs[j] >= g.n {
-				return out, errors.New("core: image out of range")
-			}
+		if out.images[i], err = readInts(r, imageCounts[ci], g.n, g.idWidth()); err != nil {
+			return out, err
 		}
-		out.images[i] = imgs
+		ci++
 	}
 	return out, r.Done()
-}
-
-// sameClaims reports whether two M₁ broadcast sections agree.
-func sameClaims(a, b []gniRepClaim) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].success != b[i].success {
-			return false
-		}
-		if a[i].success && (a[i].b != b[i].b || !msgEqual(a[i].seedEcho, b[i].seedEcho)) {
-			return false
-		}
-	}
-	return true
 }
 
 // gniSums are one node's subtree aggregates for one repetition.
@@ -362,13 +225,7 @@ func (g *GNIDAMAM) Spec() *network.Spec {
 	return &network.Spec{
 		Name: "gni-damam",
 		Rounds: []network.Round{
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				var w wire.Writer
-				for i := 0; i < g.k*g.params.SliceWidth(); i++ {
-					w.WriteBool(rng.Intn(2) == 1)
-				}
-				return w.Message()
-			}},
+			g.seedChallenge(g.sw),
 			{Kind: network.Merlin},
 			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
 				return bigChallenge(rng, g.p2)
@@ -379,38 +236,14 @@ func (g *GNIDAMAM) Spec() *network.Spec {
 	}
 }
 
-// closedNbhd returns v's sorted closed G_b-neighborhood as seen by the
-// verifier: the network neighbors for b = 0, the decoded input for b = 1.
-func closedNbhdFromView(view *network.NodeView, b, n int) ([]int, error) {
-	var open []int
-	if b == 0 {
-		open = view.Neighbors
-	} else {
-		decoded, err := decodeGNIInput(view.Input, n)
-		if err != nil {
-			return nil, err
-		}
-		open = decoded
-	}
-	closed := make([]int, 0, len(open)+1)
-	closed = append(closed, open...)
-	closed = append(closed, view.V)
-	sort.Ints(closed)
-	return closed, nil
-}
-
-func expMod(base *big.Int, e int, mod *big.Int) *big.Int {
-	return new(big.Int).Exp(base, big.NewInt(int64(e)), mod)
-}
-
 // decide is the verification procedure, run at node v.
 func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	if view.NumVertices != g.n {
 		return false
 	}
 	// Node v's own closed neighborhoods determine its image-list lengths.
-	closedB := make([][]int, 2)
-	for b := 0; b < 2; b++ {
+	var closedB [2][]int
+	for b := range closedB {
 		c, err := closedNbhdFromView(view, b, g.n)
 		if err != nil {
 			return false
@@ -419,39 +252,32 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	}
 
 	// First pass on our own M₁: claims determine image counts.
-	prefix, err := g.decodeFirst(view.Responses[0], nil)
+	first, err := g.decodeFirst(view.Responses[0], nil)
 	if err == nil {
 		var counts []int
-		for _, c := range prefix.reps {
+		for _, c := range first.reps {
 			if c.success {
 				counts = append(counts, len(closedB[c.b]))
 			}
 		}
-		prefix, err = g.decodeFirst(view.Responses[0], counts)
+		first, err = g.decodeFirst(view.Responses[0], counts)
 	}
 	if err != nil {
 		return false
 	}
-	first := prefix
 
 	// Neighbors' M₁: broadcast sections must match ours.
-	neighborFirst := make(map[int]gniFirst, len(view.Neighbors))
+	trees := make(map[int]spantree.Advice, len(view.Neighbors))
 	for _, u := range view.Neighbors {
 		nf, err := g.decodeFirst(view.NeighborResponses[0][u], nil)
-		if err != nil {
+		if err != nil || !sameReps(first.reps, nf.reps) {
 			return false
 		}
-		if !sameClaims(first.reps, nf.reps) {
-			return false
-		}
-		neighborFirst[u] = nf
+		trees[u] = nf.tree
 	}
 
 	// Verify our own seed slices inside each successful repetition's echo.
-	sw := g.params.SliceWidth()
-	repIdx := 0
 	type repData struct {
-		rep   int
 		b     int
 		seed  *hashing.GSSeed
 		image []int
@@ -461,48 +287,26 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		if !c.success {
 			continue
 		}
-		mySlice, err := subBits(c.seedEcho, v*sw, sw)
-		if err != nil {
-			return false
-		}
-		sent, err := subBits(view.MyChallenges[0], rI*sw, sw)
-		if err != nil {
-			return false
-		}
-		if !msgEqual(mySlice, sent) {
+		seed, ok := g.verifierSeed(v, view.MyChallenges[0], c.seedEcho, rI*g.sw)
+		if !ok {
 			return false // the prover tampered with our seed contribution
 		}
-		slices, err := g.slicesFromEcho(c.seedEcho)
-		if err != nil {
-			return false
-		}
-		seed, err := g.params.SeedFromSlices(slices)
-		if err != nil {
-			return false
-		}
-		reps = append(reps, repData{rep: rI, b: c.b, seed: seed, image: first.images[rI]})
-		repIdx++
+		reps = append(reps, repData{b: c.b, seed: seed, image: first.images[rI]})
 	}
-	successes := repIdx
 
-	// Spanning-tree checks (root is node 0 by convention).
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
-	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
+	children, ok := treeChildren(v, first.tree, trees, view)
+	if !ok {
 		return false
 	}
-	children := spantree.Children(v, treeAdvice)
 
 	// M₂ of ourselves and our neighbors.
-	second, err := g.decodeSecond(view.Responses[1], successes)
+	second, err := g.decodeSecond(view.Responses[1], first.successes)
 	if err != nil {
 		return false
 	}
 	neighborSecond := make(map[int]gniSecond, len(view.Neighbors))
 	for _, u := range view.Neighbors {
-		ns, err := g.decodeSecond(view.NeighborResponses[1][u], successes)
+		ns, err := g.decodeSecond(view.NeighborResponses[1][u], first.successes)
 		if err != nil {
 			return false
 		}
@@ -523,17 +327,12 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	for si, rd := range reps {
 		closed := closedB[rd.b]
 		images := rd.image
-		if len(images) != len(closed) {
+		// Row claims must form a set (σ injective on the neighborhood).
+		if len(images) != len(closed) || hasDuplicate(images) {
 			return false
 		}
-		// Row claims must form a set (σ injective on the neighborhood).
-		seen := map[int]bool{}
 		var sigmaV int
 		for j, u := range closed {
-			if seen[images[j]] {
-				return false
-			}
-			seen[images[j]] = true
 			if u == v {
 				sigmaV = images[j]
 			}
@@ -587,14 +386,14 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 			if second.sums[si].s3.Cmp(multiset) != 0 {
 				return false
 			}
-			if g.params.Finish(rd.seed, second.sums[si].c).Cmp(rd.seed.Y) != 0 {
+			if !g.hits(rd.seed, second.sums[si].c) {
 				return false // claimed success did not hash to the target
 			}
 		}
 	}
 
 	// Root: enough verified successes?
-	if v == 0 && successes < g.thresh {
+	if v == 0 && first.successes < g.thresh {
 		return false
 	}
 	return true
@@ -618,17 +417,10 @@ func (g *GNIDAMAM) HonestProver() network.Prover {
 	return &gniProver{proto: g}
 }
 
-type gniRepState struct {
-	success bool
-	b       int
-	sigma   perm.Perm
-	seed    *hashing.GSSeed
-	echo    wire.Message
-}
-
 type gniProver struct {
 	proto  *GNIDAMAM
-	reps   []gniRepState
+	reps   []gsRep
+	seeds  []*hashing.GSSeed
 	advice []spantree.Advice
 	closed [2][][]int // per b, per node: sorted closed neighborhood
 }
@@ -646,109 +438,41 @@ func (p *gniProver) Respond(round int, view *network.ProverView) (*network.Respo
 
 func (p *gniProver) first(view *network.ProverView) (*network.Response, error) {
 	g := p.proto
-	n := g.n
-	g0 := view.Graph
-	if g0.N() != n {
-		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g0.N(), n)
-	}
-	if len(view.Inputs) != n {
-		return nil, errors.New("core: GNI prover needs G1 inputs")
-	}
-
-	// Reconstruct both closed-neighborhood tables.
-	for v := 0; v < n; v++ {
-		closed0 := append([]int(nil), g0.Neighbors(v)...)
-		closed0 = append(closed0, v)
-		sort.Ints(closed0)
-		p.closed[0] = append(p.closed[0], closed0)
-
-		open1, err := decodeGNIInput(view.Inputs[v], n)
-		if err != nil {
-			return nil, fmt.Errorf("core: GNI prover input %d: %w", v, err)
-		}
-		closed1 := append(open1, v)
-		sort.Ints(closed1)
-		p.closed[1] = append(p.closed[1], closed1)
+	var err error
+	if _, p.closed, err = g.pairTables(view, "GNI"); err != nil {
+		return nil, err
 	}
 
 	// Assemble the per-repetition seeds from the nodes' slices and search
 	// for preimages.
-	sw := g.params.SliceWidth()
-	p.reps = make([]gniRepState, g.k)
-	for r := 0; r < g.k; r++ {
-		slices := make([]wire.Message, n)
-		var echo wire.Writer
-		for v := 0; v < n; v++ {
-			s, err := subBits(view.Challenges[0][v], r*sw, sw)
-			if err != nil {
-				return nil, fmt.Errorf("core: GNI prover slice (%d,%d): %w", r, v, err)
-			}
-			slices[v] = s
-			echo.WriteBits(s.Data, s.Bits)
-		}
-		seed, err := g.params.SeedFromSlices(slices)
+	p.reps = make([]gsRep, g.reps)
+	p.seeds = make([]*hashing.GSSeed, g.reps)
+	for r := range p.reps {
+		echo, seed, err := g.proverSeed(view.Challenges[0], r, g.sw)
 		if err != nil {
 			return nil, fmt.Errorf("core: GNI prover seed %d: %w", r, err)
 		}
-		st := gniRepState{seed: seed, echo: echo.Message()}
-		if b, sigma, ok := p.searchPreimage(seed); ok {
-			st.success, st.b, st.sigma = true, b, sigma
-		}
-		p.reps[r] = st
+		b, sigma, ok := searchGNIPreimage(g.params, p.closed, seed)
+		p.reps[r] = gsRep{success: ok, b: b, seedEcho: echo, sigma: sigma}
+		p.seeds[r] = seed
 	}
 
-	advice, err := spantree.Compute(g0, 0)
-	if err != nil {
+	if p.advice, err = spantree.Compute(view.Graph, 0); err != nil {
 		return nil, fmt.Errorf("core: GNI prover tree: %w", err)
 	}
-	p.advice = advice
 
 	// Build the per-node M₁ messages.
-	resp := &network.Response{PerNode: make([]wire.Message, n)}
-	for v := 0; v < n; v++ {
-		claims := make([]gniRepClaim, g.k)
-		images := make([][]int, g.k)
+	resp := &network.Response{PerNode: make([]wire.Message, g.n)}
+	for v := range resp.PerNode {
+		images := make([][]int, g.reps)
 		for r, st := range p.reps {
-			claims[r] = gniRepClaim{success: st.success, b: st.b, seedEcho: st.echo}
 			if st.success {
-				closed := p.closed[st.b][v]
-				imgs := make([]int, len(closed))
-				for j, u := range closed {
-					imgs[j] = st.sigma[u]
-				}
-				images[r] = imgs
+				images[r] = imagesOf(st.sigma, p.closed[st.b][v])
 			}
 		}
-		resp.PerNode[v] = g.encodeFirst(claims, advice[v], images)
+		resp.PerNode[v] = g.encodeFirst(p.reps, p.advice[v], images)
 	}
 	return resp, nil
-}
-
-// searchPreimage enumerates (b, σ) for a member of S hashing to the target.
-func (p *gniProver) searchPreimage(seed *hashing.GSSeed) (int, perm.Perm, bool) {
-	g := p.proto
-	table := g.params.Powers(seed.Alpha)
-	for b := 0; b < 2; b++ {
-		sigma := perm.Identity(g.n)
-		for {
-			f := new(big.Int)
-			for v := 0; v < g.n; v++ {
-				closed := p.closed[b][v]
-				cols := make([]int, len(closed))
-				for j, u := range closed {
-					cols[j] = sigma[u]
-				}
-				f = g.params.AddModQ(f, g.params.RowTerm(table, sigma[v], cols))
-			}
-			if g.params.Finish(seed, f).Cmp(seed.Y) == 0 {
-				return b, sigma.Clone(), true
-			}
-			if !sigma.NextLex() {
-				break
-			}
-		}
-	}
-	return 0, nil, false
 }
 
 func (p *gniProver) second(view *network.ProverView) (*network.Response, error) {
@@ -763,23 +487,20 @@ func (p *gniProver) second(view *network.ProverView) (*network.Response, error) 
 	order := spantree.PostOrder(p.advice)
 
 	// Per successful repetition, compute all four aggregates bottom-up.
-	type perNode struct{ c, s1, s2, s3 *big.Int }
-	var allSums [][]perNode // [successIdx][node]
-	for _, st := range p.reps {
+	var allSums [][]gniSums // [successIdx][node]
+	for r, st := range p.reps {
 		if !st.success {
 			continue
 		}
-		sums := make([]perNode, n)
-		table := g.params.Powers(st.seed.Alpha)
+		sums := make([]gniSums, n)
+		table := g.params.Powers(p.seeds[r].Alpha)
 		for _, v := range order {
 			closed := p.closed[st.b][v]
-			cols := make([]int, len(closed))
 			s1 := new(big.Int)
-			for j, u := range closed {
-				cols[j] = st.sigma[u]
+			for _, u := range closed {
 				s1.Add(s1, expMod(z, u*n+st.sigma[u]+1, g.p2))
 			}
-			c := g.params.RowTerm(table, st.sigma[v], cols)
+			c := g.params.RowTerm(table, st.sigma[v], imagesOf(st.sigma, closed))
 			s2 := expMod(z, v*n+st.sigma[v]+1, g.p2)
 			s2.Mul(s2, big.NewInt(int64(len(closed))))
 			s3 := expMod(z, st.sigma[v]+1, g.p2)
@@ -792,7 +513,7 @@ func (p *gniProver) second(view *network.ProverView) (*network.Response, error) 
 			s1.Mod(s1, g.p2)
 			s2.Mod(s2, g.p2)
 			s3.Mod(s3, g.p2)
-			sums[v] = perNode{c: c, s1: s1, s2: s2, s3: s3}
+			sums[v] = gniSums{c: c, s1: s1, s2: s2, s3: s3}
 		}
 		allSums = append(allSums, sums)
 	}
@@ -801,8 +522,7 @@ func (p *gniProver) second(view *network.ProverView) (*network.Response, error) 
 	for v := 0; v < n; v++ {
 		msg := gniSecond{zEcho: z, sums: make([]gniSums, len(allSums))}
 		for si := range allSums {
-			s := allSums[si][v]
-			msg.sums[si] = gniSums{c: s.c, s1: s.s1, s2: s.s2, s3: s.s3}
+			msg.sums[si] = allSums[si][v]
 		}
 		resp.PerNode[v] = g.encodeSecond(msg)
 	}

@@ -3,10 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
-	"math/rand"
-	"sort"
 
 	"dip/internal/graph"
 	"dip/internal/hashing"
@@ -48,11 +45,8 @@ import (
 //
 // Round structure: a single Arthur-Merlin exchange, as in GNIDAM.
 type GNIGeneral struct {
-	n      int
-	k      int
-	params *hashing.GSParams // dimension 2n²
-	q3     *big.Int          // automorphism-check modulus
-	thresh int
+	gsKit          // hash dimension 2n²
+	q3    *big.Int // automorphism-check modulus
 }
 
 // NewGNIGeneral builds the promise-free protocol for graphs on n vertices
@@ -79,32 +73,13 @@ func NewGNIGeneral(n, k int, seed int64) (*GNIGeneral, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: GNIGeneral q3: %w", err)
 	}
-	g := &GNIGeneral{n: n, k: k, params: params, q3: q3}
-	yes, no := g.SingleShotBounds()
-	g.thresh = int(math.Ceil(float64(k) * (yes + no) / 2))
-	return g, nil
+	return &GNIGeneral{gsKit: newGSKit(n, k, params), q3: q3}, nil
 }
 
-// N, K, Threshold mirror the other GNI variants.
-func (g *GNIGeneral) N() int         { return g.n }
-func (g *GNIGeneral) K() int         { return g.k }
-func (g *GNIGeneral) Threshold() int { return g.thresh }
+// K returns the number of parallel repetitions.
+func (g *GNIGeneral) K() int { return g.reps }
 
-// SingleShotBounds mirrors GNIDAMAM.SingleShotBounds (Poisson estimates)
-// with |S'| = 2·n!.
-func (g *GNIGeneral) SingleShotBounds() (yesRate, noRate float64) {
-	fact, _ := new(big.Float).SetInt(prime.Factorial(g.n)).Float64()
-	p, _ := new(big.Float).SetInt(g.params.P()).Float64()
-	muYes := 2 * fact / p
-	yesRate = 1 - math.Exp(-muYes)
-	noRate = 1 - math.Exp(-muYes/2)
-	return yesRate, noRate
-}
-
-func (g *GNIGeneral) idWidth() int  { return wire.WidthFor(g.n) }
-func (g *GNIGeneral) qWidth() int   { return wire.WidthForBig(g.params.Q()) }
-func (g *GNIGeneral) q3Width() int  { return wire.WidthForBig(g.q3) }
-func (g *GNIGeneral) echoBits() int { return g.n * g.params.SliceWidth() }
+func (g *GNIGeneral) q3Width() int { return wire.WidthForBig(g.q3) }
 
 // q3RawBits is the raw randomness backing α3 (oversampled to kill modular
 // bias, as in hashing.GSParams).
@@ -113,13 +88,13 @@ func (g *GNIGeneral) q3RawBits() int { return g.q3Width() + 64 }
 // q3SliceWidth is each node's share of the α3 randomness.
 func (g *GNIGeneral) q3SliceWidth() int { return (g.q3RawBits() + g.n - 1) / g.n }
 
-// q3EchoBits is the padded width of the echoed α3 slice bundle.
-func (g *GNIGeneral) q3EchoBits() int { return g.n * g.q3SliceWidth() }
+// stride is the per-repetition width of the Arthur message: a seed slice
+// and then an α3 slice.
+func (g *GNIGeneral) stride() int { return g.sw + g.q3SliceWidth() }
 
-// challengeWidth is the per-node Arthur message width: per repetition, a
-// seed slice plus an α3 slice.
-func (g *GNIGeneral) challengeWidth() int {
-	return g.k * (g.params.SliceWidth() + g.q3SliceWidth())
+// layout broadcasts the α3 echo, σ and τ with every successful repetition.
+func (g *GNIGeneral) layout() gsLayout {
+	return gsLayout{a3Bits: g.n * g.q3SliceWidth(), perm: g.n, permWidth: g.idWidth(), tau: true}
 }
 
 // alpha3FromEcho reduces the echoed raw bits into Z_{q3}.
@@ -144,17 +119,8 @@ func (g *GNIGeneral) h3Row(alpha3 *big.Int, row int, cols []int) *big.Int {
 	return sum.Mod(sum, g.q3)
 }
 
-type gniGenRep struct {
-	success    bool
-	b          int
-	seedEcho   wire.Message
-	alpha3Echo wire.Message
-	sigma, tau []int
-}
-
 type gniGenMessage struct {
-	reps []gniGenRep
-	tree spantree.Advice
+	gsHead
 	// per successful repetition, in claim order:
 	c    []*big.Int // ε-API partial sums (Z_q)
 	d, e []*big.Int // automorphism-check partial sums (Z_{q3})
@@ -162,23 +128,7 @@ type gniGenMessage struct {
 
 func (g *GNIGeneral) encode(m gniGenMessage) wire.Message {
 	var w wire.Writer
-	for _, r := range m.reps {
-		w.WriteBool(r.success)
-		if !r.success {
-			continue
-		}
-		w.WriteInt(r.b, 1)
-		w.WriteBits(r.seedEcho.Data, r.seedEcho.Bits)
-		w.WriteBits(r.alpha3Echo.Data, r.alpha3Echo.Bits)
-		for _, img := range r.sigma {
-			w.WriteInt(img, g.idWidth())
-		}
-		for _, img := range r.tau {
-			w.WriteInt(img, g.idWidth())
-		}
-	}
-	w.WriteInt(m.tree.Parent, g.idWidth())
-	w.WriteInt(m.tree.Dist, g.idWidth())
+	g.writeHead(&w, g.layout(), m.reps, m.tree)
 	for i := range m.c {
 		w.WriteBig(m.c[i], g.qWidth())
 		w.WriteBig(m.d[i], g.q3Width())
@@ -189,71 +139,15 @@ func (g *GNIGeneral) encode(m gniGenMessage) wire.Message {
 
 func (g *GNIGeneral) decode(m wire.Message) (gniGenMessage, error) {
 	r := wire.NewReader(m)
-	out := gniGenMessage{reps: make([]gniGenRep, g.k)}
-	successes := 0
-	readPerm := func() ([]int, error) {
-		p := make([]int, g.n)
-		for v := range p {
-			var err error
-			if p[v], err = r.ReadInt(g.idWidth()); err != nil {
-				return nil, err
-			}
-			if p[v] >= g.n {
-				return nil, errors.New("core: image out of range")
-			}
-		}
-		return p, nil
-	}
-	readEcho := func(bits int) (wire.Message, error) {
-		raw, err := r.ReadBig(bits)
-		if err != nil {
-			return wire.Message{}, err
-		}
-		var w wire.Writer
-		w.WriteBig(raw, bits)
-		return w.Message(), nil
-	}
-	for i := range out.reps {
-		ok, err := r.ReadBool()
-		if err != nil {
-			return out, err
-		}
-		out.reps[i].success = ok
-		if !ok {
-			continue
-		}
-		successes++
-		if out.reps[i].b, err = r.ReadInt(1); err != nil {
-			return out, err
-		}
-		if out.reps[i].seedEcho, err = readEcho(g.echoBits()); err != nil {
-			return out, err
-		}
-		if out.reps[i].alpha3Echo, err = readEcho(g.q3EchoBits()); err != nil {
-			return out, err
-		}
-		if out.reps[i].sigma, err = readPerm(); err != nil {
-			return out, err
-		}
-		if out.reps[i].tau, err = readPerm(); err != nil {
-			return out, err
-		}
-	}
-	var err error
-	if out.tree.Parent, err = r.ReadInt(g.idWidth()); err != nil {
+	head, err := g.readHead(r, g.layout())
+	out := gniGenMessage{gsHead: head}
+	if err != nil {
 		return out, err
 	}
-	if out.tree.Dist, err = r.ReadInt(g.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent >= g.n {
-		return out, errors.New("core: parent id out of range")
-	}
-	out.tree.Root = 0
-	out.c = make([]*big.Int, successes)
-	out.d = make([]*big.Int, successes)
-	out.e = make([]*big.Int, successes)
-	for i := 0; i < successes; i++ {
+	out.c = make([]*big.Int, out.successes)
+	out.d = make([]*big.Int, out.successes)
+	out.e = make([]*big.Int, out.successes)
+	for i := 0; i < out.successes; i++ {
 		if out.c[i], err = r.ReadBig(g.qWidth()); err != nil {
 			return out, err
 		}
@@ -270,58 +164,13 @@ func (g *GNIGeneral) decode(m wire.Message) (gniGenMessage, error) {
 	return out, r.Done()
 }
 
-func sameGNIGenBroadcast(a, b gniGenMessage) bool {
-	if len(a.reps) != len(b.reps) {
-		return false
-	}
-	for i := range a.reps {
-		x, y := a.reps[i], b.reps[i]
-		if x.success != y.success {
-			return false
-		}
-		if !x.success {
-			continue
-		}
-		if x.b != y.b || !msgEqual(x.seedEcho, y.seedEcho) || !msgEqual(x.alpha3Echo, y.alpha3Echo) {
-			return false
-		}
-		for v := range x.sigma {
-			if x.sigma[v] != y.sigma[v] || x.tau[v] != y.tau[v] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Spec returns the protocol's round schedule and verifier.
 func (g *GNIGeneral) Spec() *network.Spec {
 	return &network.Spec{
-		Name: "gni-general",
-		Rounds: []network.Round{
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				var w wire.Writer
-				for i := 0; i < g.challengeWidth(); i++ {
-					w.WriteBool(rng.Intn(2) == 1)
-				}
-				return w.Message()
-			}},
-			{Kind: network.Merlin},
-		},
+		Name:   "gni-general",
+		Rounds: []network.Round{g.seedChallenge(g.stride()), {Kind: network.Merlin}},
 		Decide: g.decide,
 	}
-}
-
-// challengeSlices extracts (seedSlice, alpha3Slice) of repetition rI from a
-// node's Arthur message.
-func (g *GNIGeneral) challengeSlices(ch wire.Message, rI int) (seed, a3 wire.Message, err error) {
-	per := g.params.SliceWidth() + g.q3SliceWidth()
-	seed, err = subBits(ch, rI*per, g.params.SliceWidth())
-	if err != nil {
-		return
-	}
-	a3, err = subBits(ch, rI*per+g.params.SliceWidth(), g.q3SliceWidth())
-	return
 }
 
 func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
@@ -333,25 +182,18 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	neighborMsgs := make(map[int]gniGenMessage, len(view.Neighbors))
+	trees := make(map[int]spantree.Advice, len(view.Neighbors))
 	for _, u := range view.Neighbors {
 		nm, err := g.decode(view.NeighborResponses[0][u])
-		if err != nil {
+		if err != nil || !sameReps(msg.reps, nm.reps) {
 			return false
 		}
-		if !sameGNIGenBroadcast(msg, nm) {
-			return false
-		}
-		neighborMsgs[u] = nm
+		neighborMsgs[u], trees[u] = nm, nm.tree
 	}
-
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
-	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
+	children, ok := treeChildren(v, msg.tree, trees, view)
+	if !ok {
 		return false
 	}
-	children := spantree.Children(v, treeAdvice)
 
 	si := 0
 	for rI, rep := range msg.reps {
@@ -362,30 +204,12 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 		// Verify both of our slice contributions inside the echoes.
-		mySeed, myA3, err := g.challengeSlices(view.MyChallenges[0], rI)
-		if err != nil {
+		off := rI * g.stride()
+		seed, ok := g.verifierSeed(v, view.MyChallenges[0], rep.seedEcho, off)
+		if !ok || !echoedIntact(rep.a3Echo, view.MyChallenges[0], v, off+g.sw, g.q3SliceWidth()) {
 			return false
 		}
-		echoSeed, err := subBits(rep.seedEcho, v*g.params.SliceWidth(), g.params.SliceWidth())
-		if err != nil || !msgEqual(echoSeed, mySeed) {
-			return false
-		}
-		echoA3, err := subBits(rep.alpha3Echo, v*g.q3SliceWidth(), g.q3SliceWidth())
-		if err != nil || !msgEqual(echoA3, myA3) {
-			return false
-		}
-		// Assemble the seeds from the echoes.
-		slices := make([]wire.Message, g.n)
-		for u := 0; u < g.n; u++ {
-			if slices[u], err = subBits(rep.seedEcho, u*g.params.SliceWidth(), g.params.SliceWidth()); err != nil {
-				return false
-			}
-		}
-		seed, err := g.params.SeedFromSlices(slices)
-		if err != nil {
-			return false
-		}
-		alpha3, err := g.alpha3FromEcho(rep.alpha3Echo)
+		alpha3, err := g.alpha3FromEcho(rep.a3Echo)
 		if err != nil {
 			return false
 		}
@@ -395,10 +219,7 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		if err != nil {
 			return false
 		}
-		cols := make([]int, len(closed))
-		for j, u := range closed {
-			cols[j] = rep.sigma[u]
-		}
+		cols := imagesOf(rep.sigma, closed)
 		sigmaV := rep.sigma[v]
 		cExpect := g.params.RowTermSlow(seed.Alpha, sigmaV, cols)
 		// τ block: row n + σ(v), single column τ(σ(v)).
@@ -414,11 +235,7 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		// Automorphism comparison, Lemma 3.1 style: d aggregates
 		// h3([σ(v), row]), e aggregates h3([τ(σ(v)), τ(row)]).
 		dExpect := g.h3Row(alpha3, sigmaV, cols)
-		tauCols := make([]int, len(cols))
-		for j, c := range cols {
-			tauCols[j] = rep.tau[c]
-		}
-		eExpect := g.h3Row(alpha3, rep.tau[sigmaV], tauCols)
+		eExpect := g.h3Row(alpha3, rep.tau[sigmaV], imagesOf(rep.tau, cols))
 		for _, u := range children {
 			dExpect.Add(dExpect, neighborMsgs[u].d[si])
 			eExpect.Add(eExpect, neighborMsgs[u].e[si])
@@ -433,7 +250,7 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 			if msg.d[si].Cmp(msg.e[si]) != 0 {
 				return false // τ is not an automorphism of σ(G_b)
 			}
-			if g.params.Finish(seed, msg.c[si]).Cmp(seed.Y) != 0 {
+			if !g.hits(seed, msg.c[si]) {
 				return false
 			}
 		}
@@ -463,78 +280,47 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 	}
 	g := p.proto
 	n := g.n
-	g0 := view.Graph
-	if g0.N() != n {
-		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g0.N(), n)
+	rows, closed, err := g.pairTables(view, "GNIGeneral")
+	if err != nil {
+		return nil, err
 	}
-	if len(view.Inputs) != n {
-		return nil, errors.New("core: GNIGeneral prover needs G1 inputs")
-	}
-
-	graphs := [2]*graph.Graph{g0, nil}
 	g1 := graph.New(n)
-	for v := 0; v < n; v++ {
-		open, err := decodeGNIInput(view.Inputs[v], n)
-		if err != nil {
-			return nil, fmt.Errorf("core: GNIGeneral prover input %d: %w", v, err)
-		}
+	for v, open := range rows {
 		for _, u := range open {
 			if u > v {
 				g1.AddEdge(v, u)
 			}
 		}
 	}
-	graphs[1] = g1
+	auts := [2][]perm.Perm{graph.AllAutomorphisms(view.Graph), graph.AllAutomorphisms(g1)}
 
-	var closed [2][][]int
-	var auts [2][]perm.Perm
-	for b := 0; b < 2; b++ {
-		for v := 0; v < n; v++ {
-			c := append([]int(nil), graphs[b].Neighbors(v)...)
-			c = append(c, v)
-			sort.Ints(c)
-			closed[b] = append(closed[b], c)
-		}
-		auts[b] = graph.AllAutomorphisms(graphs[b])
-	}
-
-	advice, err := spantree.Compute(g0, 0)
+	advice, err := spantree.Compute(view.Graph, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: GNIGeneral prover tree: %w", err)
 	}
 	childLists := spantree.ChildLists(advice)
 	order := spantree.PostOrder(advice)
 
-	reps := make([]gniGenRep, g.k)
+	reps := make([]gsRep, g.reps)
 	type sums struct{ c, d, e []*big.Int }
 	var all []sums
-	for rI := 0; rI < g.k; rI++ {
+	for rI := range reps {
 		// Assemble both seeds from the nodes' slices.
-		slices := make([]wire.Message, n)
-		var seedEcho, a3Echo wire.Writer
-		for v := 0; v < n; v++ {
-			sd, a3, err := g.challengeSlices(view.Challenges[0][v], rI)
-			if err != nil {
-				return nil, err
-			}
-			slices[v] = sd
-			seedEcho.WriteBits(sd.Data, sd.Bits)
-			a3Echo.WriteBits(a3.Data, a3.Bits)
-		}
-		seed, err := g.params.SeedFromSlices(slices)
+		seedEcho, seed, err := g.proverSeed(view.Challenges[0], rI, g.stride())
 		if err != nil {
 			return nil, err
 		}
-		rep := gniGenRep{seedEcho: seedEcho.Message(), alpha3Echo: a3Echo.Message()}
-
+		a3Echo, err := echoSlices(view.Challenges[0], rI*g.stride()+g.sw, g.q3SliceWidth())
+		if err != nil {
+			return nil, err
+		}
 		b, sigma, tau, ok := p.search(closed, auts, seed)
-		rep.success, rep.b, rep.sigma, rep.tau = ok, b, sigma, tau
-		reps[rI] = rep
+		reps[rI] = gsRep{success: ok, b: b, seedEcho: seedEcho, a3Echo: a3Echo, sigma: sigma, tau: tau}
 		if !ok {
 			continue
 		}
 
-		alpha3, err := g.alpha3FromEcho(rep.alpha3Echo)
+		alpha3, err := g.alpha3FromEcho(a3Echo)
 		if err != nil {
 			return nil, err
 		}
@@ -545,20 +331,12 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 			e: make([]*big.Int, n),
 		}
 		for _, v := range order {
-			cls := closed[b][v]
-			cols := make([]int, len(cls))
-			for j, u := range cls {
-				cols[j] = sigma[u]
-			}
+			cols := imagesOf(sigma, closed[b][v])
 			sigmaV := sigma[v]
 			c := g.params.RowTerm(table, sigmaV, cols)
 			c = g.params.AddModQ(c, g.params.RowTerm(table, n+sigmaV, []int{tau[sigmaV]}))
 			d := g.h3Row(alpha3, sigmaV, cols)
-			tauCols := make([]int, len(cols))
-			for j, x := range cols {
-				tauCols[j] = tau[x]
-			}
-			e := g.h3Row(alpha3, tau[sigmaV], tauCols)
+			e := g.h3Row(alpha3, tau[sigmaV], imagesOf(tau, cols))
 			for _, ch := range childLists[v] {
 				c = g.params.AddModQ(c, s.c[ch])
 				d.Add(d, s.d[ch])
@@ -573,7 +351,7 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 
 	resp := &network.Response{PerNode: make([]wire.Message, n)}
 	for v := 0; v < n; v++ {
-		msg := gniGenMessage{reps: reps, tree: advice[v]}
+		msg := gniGenMessage{gsHead: gsHead{reps: reps, tree: advice[v]}}
 		for _, s := range all {
 			msg.c = append(msg.c, s.c[v])
 			msg.d = append(msg.d, s.d[v])
@@ -596,13 +374,8 @@ func (p *gniGenProver) search(closed [2][][]int, auts [2][]perm.Perm, seed *hash
 			if cosetMinimal(sigma, auts[b]) {
 				// Matrix-block hash, shared by all τ for this σ.
 				base := new(big.Int)
-				for v := 0; v < n; v++ {
-					cls := closed[b][v]
-					cols := make([]int, len(cls))
-					for j, u := range cls {
-						cols[j] = sigma[u]
-					}
-					base = g.params.AddModQ(base, g.params.RowTerm(table, sigma[v], cols))
+				for v, cls := range closed[b] {
+					base = g.params.AddModQ(base, g.params.RowTerm(table, sigma[v], imagesOf(sigma, cls)))
 				}
 				sigmaInv := sigma.Inverse()
 				for _, a := range auts[b] {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/big"
 	"math/rand"
 
@@ -11,7 +10,6 @@ import (
 	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
-	"dip/internal/prime"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -60,12 +58,9 @@ const (
 // claims), Arthur (z), Merlin (multiset + hash aggregates) — a dAMAM
 // protocol, like Theorem 1.5's.
 type MarkedGNI struct {
-	n      int // network size
-	k      int // size of each marked set
-	reps   int
-	params *hashing.GSParams // built for k-vertex graphs
-	p2     *big.Int          // rank-multiset modulus
-	thresh int
+	gsKit          // hash built for k-vertex graphs, seed spread over all n nodes
+	k     int      // size of each marked set
+	p2    *big.Int // rank-multiset modulus
 }
 
 // NewMarkedGNI builds the protocol for an n-node network whose two marked
@@ -84,44 +79,24 @@ func NewMarkedGNI(n, k, reps int, seed int64) (*MarkedGNI, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: MarkedGNI hash params: %w", err)
 	}
-	lo := big.NewInt(int64(1000 * reps))
-	lo.Mul(lo, big.NewInt(int64(n*n*n)))
-	hi := new(big.Int).Mul(lo, big.NewInt(2))
-	p2, err := prime.InWindow(lo, hi, seed+17)
-	if err != nil {
+	g := &MarkedGNI{gsKit: newGSKit(n, reps, params), k: k}
+	if g.p2, err = g.consistencyPrime(seed + 17); err != nil {
 		return nil, fmt.Errorf("core: MarkedGNI p2: %w", err)
 	}
-	g := &MarkedGNI{n: n, k: k, reps: reps, params: params, p2: p2}
-	yes, no := g.SingleShotBounds()
-	g.thresh = int(math.Ceil(float64(reps) * (yes + no) / 2))
 	return g, nil
 }
 
-// N, K, Reps, Threshold report the protocol parameters.
-func (g *MarkedGNI) N() int         { return g.n }
-func (g *MarkedGNI) K() int         { return g.k }
-func (g *MarkedGNI) Reps() int      { return g.reps }
-func (g *MarkedGNI) Threshold() int { return g.thresh }
+// K returns the size of each marked set; Reps the repetition count.
+func (g *MarkedGNI) K() int    { return g.k }
+func (g *MarkedGNI) Reps() int { return g.reps }
 
-// SingleShotBounds returns the Poisson estimates for |S| = 2·k! vs k!.
-func (g *MarkedGNI) SingleShotBounds() (yesRate, noRate float64) {
-	fact, _ := new(big.Float).SetInt(prime.Factorial(g.k)).Float64()
-	p, _ := new(big.Float).SetInt(g.params.P()).Float64()
-	muYes := 2 * fact / p
-	yesRate = 1 - math.Exp(-muYes)
-	noRate = 1 - math.Exp(-muYes/2)
-	return yesRate, noRate
-}
-
-func (g *MarkedGNI) idWidth() int    { return wire.WidthFor(g.n) }
 func (g *MarkedGNI) rankWidth() int  { return wire.WidthFor(g.k) }
 func (g *MarkedGNI) countWidth() int { return wire.WidthFor(g.n + 1) }
-func (g *MarkedGNI) qWidth() int     { return wire.WidthForBig(g.params.Q()) }
 func (g *MarkedGNI) p2Width() int    { return wire.WidthForBig(g.p2) }
 
-// sliceWidth spreads the k-vertex hash seed over all n network nodes.
-func (g *MarkedGNI) sliceWidth() int { return (g.params.SeedBits() + g.n - 1) / g.n }
-func (g *MarkedGNI) echoBits() int   { return g.n * g.sliceWidth() }
+// layout broadcasts σ, a permutation of [k], with every successful
+// repetition.
+func (g *MarkedGNI) layout() gsLayout { return gsLayout{perm: g.k, permWidth: g.rankWidth()} }
 
 // EncodeMarks encodes per-node marks as 2-bit inputs.
 func EncodeMarks(marks []Mark) ([]wire.Message, error) {
@@ -139,25 +114,23 @@ func EncodeMarks(marks []Mark) ([]wire.Message, error) {
 
 func decodeMark(m wire.Message) (Mark, error) {
 	r := wire.NewReader(m)
-	v, err := r.ReadInt(2)
+	mark, err := readMark(r)
 	if err != nil {
 		return 0, err
 	}
-	if err := r.Done(); err != nil {
+	return mark, r.Done()
+}
+
+// readMark reads a 2-bit mark.
+func readMark(r *wire.Reader) (Mark, error) {
+	v, err := r.ReadInt(2)
+	if err != nil {
 		return 0, err
 	}
 	if v > int(MarkNone) {
 		return 0, errors.New("core: invalid mark value")
 	}
 	return Mark(v), nil
-}
-
-// markedRep is one repetition's broadcast section.
-type markedRep struct {
-	success  bool
-	b        int
-	seedEcho wire.Message
-	sigma    []int // permutation of [k]
 }
 
 // markedNeighborClaim is the prover's claim about one network neighbor.
@@ -168,9 +141,8 @@ type markedNeighborClaim struct {
 
 // markedFirst is node v's decoded M₁.
 type markedFirst struct {
-	k0, k1  int // claimed marked-set sizes (broadcast)
-	reps    []markedRep
-	tree    spantree.Advice
+	k0, k1 int // claimed marked-set sizes (broadcast)
+	gsHead
 	rank    int  // v's own rank (meaningful if v is marked)
 	ownMark Mark // v's own mark, echoed so neighbors can bind claims to it
 	claims  []markedNeighborClaim
@@ -182,19 +154,7 @@ func (g *MarkedGNI) encodeFirst(m markedFirst) wire.Message {
 	var w wire.Writer
 	w.WriteInt(m.k0, g.countWidth())
 	w.WriteInt(m.k1, g.countWidth())
-	for _, r := range m.reps {
-		w.WriteBool(r.success)
-		if !r.success {
-			continue
-		}
-		w.WriteInt(r.b, 1)
-		w.WriteBits(r.seedEcho.Data, r.seedEcho.Bits)
-		for _, img := range r.sigma {
-			w.WriteInt(img, g.rankWidth())
-		}
-	}
-	w.WriteInt(m.tree.Parent, g.idWidth())
-	w.WriteInt(m.tree.Dist, g.idWidth())
+	g.writeHead(&w, g.layout(), m.reps, m.tree)
 	w.WriteInt(m.rank, g.rankWidth())
 	w.WriteInt(int(m.ownMark), 2)
 	for _, cl := range m.claims {
@@ -210,7 +170,10 @@ func (g *MarkedGNI) encodeFirst(m markedFirst) wire.Message {
 }
 
 // decodeFirst parses M₁; numNeighbors is the receiving context's neighbor
-// count (the claims section length).
+// count (the claims section length). A negative count selects the
+// neighbor view: a neighbor's claims section is sized by its own degree,
+// which v does not know, so the claims are skipped and the fixed-width
+// counts and sums are read from the END of the message.
 func (g *MarkedGNI) decodeFirst(m wire.Message, numNeighbors int) (markedFirst, error) {
 	r := wire.NewReader(m)
 	var out markedFirst
@@ -221,71 +184,31 @@ func (g *MarkedGNI) decodeFirst(m wire.Message, numNeighbors int) (markedFirst, 
 	if out.k1, err = r.ReadInt(g.countWidth()); err != nil {
 		return out, err
 	}
-	out.reps = make([]markedRep, g.reps)
-	successes := 0
-	for i := range out.reps {
-		ok, err := r.ReadBool()
-		if err != nil {
-			return out, err
-		}
-		out.reps[i].success = ok
-		if !ok {
-			continue
-		}
-		successes++
-		if out.reps[i].b, err = r.ReadInt(1); err != nil {
-			return out, err
-		}
-		raw, err := r.ReadBig(g.echoBits())
-		if err != nil {
-			return out, err
-		}
-		var ew wire.Writer
-		ew.WriteBig(raw, g.echoBits())
-		out.reps[i].seedEcho = ew.Message()
-		out.reps[i].sigma = make([]int, g.k)
-		for x := range out.reps[i].sigma {
-			if out.reps[i].sigma[x], err = r.ReadInt(g.rankWidth()); err != nil {
-				return out, err
-			}
-			if out.reps[i].sigma[x] >= g.k {
-				return out, errors.New("core: image out of range")
-			}
-		}
-	}
-	if out.tree.Parent, err = r.ReadInt(g.idWidth()); err != nil {
+	if out.gsHead, err = g.readHead(r, g.layout()); err != nil {
 		return out, err
 	}
-	if out.tree.Dist, err = r.ReadInt(g.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent >= g.n {
-		return out, errors.New("core: parent id out of range")
-	}
-	out.tree.Root = 0
 	if out.rank, err = r.ReadInt(g.rankWidth()); err != nil {
 		return out, err
 	}
-	om, err := r.ReadInt(2)
-	if err != nil {
+	if out.ownMark, err = readMark(r); err != nil {
 		return out, err
 	}
-	if om > int(MarkNone) {
-		return out, errors.New("core: invalid own-mark value")
-	}
-	out.ownMark = Mark(om)
-	out.claims = make([]markedNeighborClaim, numNeighbors)
-	for i := range out.claims {
-		mk, err := r.ReadInt(2)
+	if numNeighbors < 0 {
+		tailBits := 2*g.countWidth() + out.successes*g.qWidth()
+		tail, err := subBits(m, m.Bits-tailBits, tailBits)
 		if err != nil {
 			return out, err
 		}
-		if mk > int(MarkNone) {
-			return out, errors.New("core: invalid mark claim")
-		}
-		out.claims[i].mark = Mark(mk)
-		if out.claims[i].rank, err = r.ReadInt(g.rankWidth()); err != nil {
-			return out, err
+		r = wire.NewReader(tail)
+	} else {
+		out.claims = make([]markedNeighborClaim, numNeighbors)
+		for i := range out.claims {
+			if out.claims[i].mark, err = readMark(r); err != nil {
+				return out, err
+			}
+			if out.claims[i].rank, err = r.ReadInt(g.rankWidth()); err != nil {
+				return out, err
+			}
 		}
 	}
 	if out.c0, err = r.ReadInt(g.countWidth()); err != nil {
@@ -294,7 +217,7 @@ func (g *MarkedGNI) decodeFirst(m wire.Message, numNeighbors int) (markedFirst, 
 	if out.c1, err = r.ReadInt(g.countWidth()); err != nil {
 		return out, err
 	}
-	out.sums = make([]*big.Int, successes)
+	out.sums = make([]*big.Int, out.successes)
 	for i := range out.sums {
 		if out.sums[i], err = r.ReadBig(g.qWidth()); err != nil {
 			return out, err
@@ -304,31 +227,6 @@ func (g *MarkedGNI) decodeFirst(m wire.Message, numNeighbors int) (markedFirst, 
 		}
 	}
 	return out, r.Done()
-}
-
-// sameMarkedBroadcast compares broadcast sections.
-func sameMarkedBroadcast(a, b markedFirst) bool {
-	if a.k0 != b.k0 || a.k1 != b.k1 || len(a.reps) != len(b.reps) {
-		return false
-	}
-	for i := range a.reps {
-		x, y := a.reps[i], b.reps[i]
-		if x.success != y.success {
-			return false
-		}
-		if !x.success {
-			continue
-		}
-		if x.b != y.b || !msgEqual(x.seedEcho, y.seedEcho) {
-			return false
-		}
-		for j := range x.sigma {
-			if x.sigma[j] != y.sigma[j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // markedSecond is node v's decoded M₂: the z echo and the two rank-multiset
@@ -372,13 +270,7 @@ func (g *MarkedGNI) Spec() *network.Spec {
 	return &network.Spec{
 		Name: "gni-marked",
 		Rounds: []network.Round{
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				var w wire.Writer
-				for i := 0; i < g.reps*g.sliceWidth(); i++ {
-					w.WriteBool(rng.Intn(2) == 1)
-				}
-				return w.Message()
-			}},
+			g.seedChallenge(g.sw),
 			{Kind: network.Merlin},
 			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
 				return bigChallenge(rng, g.p2)
@@ -402,18 +294,13 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	neighborFirst := make(map[int]markedFirst, len(view.Neighbors))
+	trees := make(map[int]spantree.Advice, len(view.Neighbors))
 	for _, u := range view.Neighbors {
-		// A neighbor's claims section is sized by its own degree, which v
-		// does not know; decodeFirstPrefix parses everything else (the
-		// broadcast section and the fixed-width head and tail fields).
-		nf, err := g.decodeFirstPrefix(view.NeighborResponses[0][u])
-		if err != nil {
+		nf, err := g.decodeFirst(view.NeighborResponses[0][u], -1)
+		if err != nil || nf.k0 != first.k0 || nf.k1 != first.k1 || !sameReps(first.reps, nf.reps) {
 			return false
 		}
-		if !sameMarkedBroadcast(first, nf) {
-			return false
-		}
-		neighborFirst[u] = nf
+		neighborFirst[u], trees[u] = nf, nf.tree
 	}
 
 	// Truthful self-fields: each node verifies its own mark echo, so a
@@ -439,14 +326,10 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		}
 	}
 
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
-	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
+	children, ok := treeChildren(v, first.tree, trees, view)
+	if !ok {
 		return false
 	}
-	children := spantree.Children(v, treeAdvice)
 
 	// Counting: c_b(v) = [m_v = b] + Σ children.
 	c0, c1 := 0, 0
@@ -523,7 +406,6 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	}
 
 	// GS repetitions.
-	sw := g.sliceWidth()
 	si := 0
 	for rI, rep := range first.reps {
 		if !rep.success {
@@ -532,30 +414,20 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		if !perm.IsValid(rep.sigma) {
 			return false
 		}
-		mySlice, err := subBits(rep.seedEcho, v*sw, sw)
-		if err != nil {
-			return false
-		}
-		sent, err := subBits(view.MyChallenges[0], rI*sw, sw)
-		if err != nil || !msgEqual(mySlice, sent) {
-			return false
-		}
-		seed, err := g.params.SeedFromBits(rep.seedEcho)
-		if err != nil {
+		seed, ok := g.verifierSeed(v, view.MyChallenges[0], rep.seedEcho, rI*g.sw)
+		if !ok {
 			return false
 		}
 		contrib := new(big.Int)
 		if int(myMark) == rep.b {
 			cols := []int{rep.sigma[first.rank]}
-			for i, u := range view.Neighbors {
-				cl := first.claims[i]
+			for _, cl := range first.claims {
 				if int(cl.mark) == rep.b {
 					if cl.rank >= g.k {
 						return false
 					}
 					cols = append(cols, rep.sigma[cl.rank])
 				}
-				_ = u
 			}
 			if hasDuplicate(cols) {
 				return false
@@ -569,7 +441,7 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		if cExpect.Cmp(first.sums[si]) != 0 {
 			return false
 		}
-		if v == 0 && g.params.Finish(seed, first.sums[si]).Cmp(seed.Y) != 0 {
+		if v == 0 && !g.hits(seed, first.sums[si]) {
 			return false
 		}
 		si++
@@ -578,114 +450,6 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	return true
-}
-
-// decodeFirstPrefix parses a neighbor's M₁ without its variable-length
-// claims section: the broadcast fields, tree advice, own rank, and — by
-// reading from the END of the message — the count and sum fields, whose
-// widths are fixed.
-func (g *MarkedGNI) decodeFirstPrefix(m wire.Message) (markedFirst, error) {
-	// The fixed-width head: broadcast section + tree + rank.
-	r := wire.NewReader(m)
-	var out markedFirst
-	var err error
-	if out.k0, err = r.ReadInt(g.countWidth()); err != nil {
-		return out, err
-	}
-	if out.k1, err = r.ReadInt(g.countWidth()); err != nil {
-		return out, err
-	}
-	out.reps = make([]markedRep, g.reps)
-	successes := 0
-	for i := range out.reps {
-		ok, err := r.ReadBool()
-		if err != nil {
-			return out, err
-		}
-		out.reps[i].success = ok
-		if !ok {
-			continue
-		}
-		successes++
-		if out.reps[i].b, err = r.ReadInt(1); err != nil {
-			return out, err
-		}
-		raw, err := r.ReadBig(g.echoBits())
-		if err != nil {
-			return out, err
-		}
-		var ew wire.Writer
-		ew.WriteBig(raw, g.echoBits())
-		out.reps[i].seedEcho = ew.Message()
-		out.reps[i].sigma = make([]int, g.k)
-		for x := range out.reps[i].sigma {
-			if out.reps[i].sigma[x], err = r.ReadInt(g.rankWidth()); err != nil {
-				return out, err
-			}
-			if out.reps[i].sigma[x] >= g.k {
-				return out, errors.New("core: image out of range")
-			}
-		}
-	}
-	if out.tree.Parent, err = r.ReadInt(g.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Dist, err = r.ReadInt(g.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent >= g.n {
-		return out, errors.New("core: parent id out of range")
-	}
-	out.tree.Root = 0
-	if out.rank, err = r.ReadInt(g.rankWidth()); err != nil {
-		return out, err
-	}
-	om, err := r.ReadInt(2)
-	if err != nil {
-		return out, err
-	}
-	if om > int(MarkNone) {
-		return out, errors.New("core: invalid own-mark value")
-	}
-	out.ownMark = Mark(om)
-	// Tail fields: counts then per-success sums, fixed widths, at the end.
-	tailBits := 2*g.countWidth() + successes*g.qWidth()
-	tailStart := m.Bits - tailBits
-	if tailStart < 0 {
-		return out, errors.New("core: message too short for tail")
-	}
-	tail, err := subBits(m, tailStart, tailBits)
-	if err != nil {
-		return out, err
-	}
-	tr := wire.NewReader(tail)
-	if out.c0, err = tr.ReadInt(g.countWidth()); err != nil {
-		return out, err
-	}
-	if out.c1, err = tr.ReadInt(g.countWidth()); err != nil {
-		return out, err
-	}
-	out.sums = make([]*big.Int, successes)
-	for i := range out.sums {
-		if out.sums[i], err = tr.ReadBig(g.qWidth()); err != nil {
-			return out, err
-		}
-		if out.sums[i].Cmp(g.params.Q()) >= 0 {
-			return out, errors.New("core: partial sum out of range")
-		}
-	}
-	return out, nil
-}
-
-func hasDuplicate(xs []int) bool {
-	seen := map[int]bool{}
-	for _, x := range xs {
-		if seen[x] {
-			return true
-		}
-		seen[x] = true
-	}
-	return false
 }
 
 // Run executes the protocol on network graph g0 with the given marks.
@@ -759,23 +523,17 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 	}
 
 	// Build the induced subgraphs on [k] via the ranks.
-	induced := [2]*graph.Graph{graph.New(g.k), graph.New(g.k)}
-	for b := 0; b < 2; b++ {
+	var closed [2][][]int
+	for b := range closed {
+		induced := graph.New(g.k)
 		for _, v := range set[b] {
 			for _, u := range g0.Neighbors(v) {
 				if marks[u] == Mark(b) && u > v {
-					induced[b].AddEdge(ranks[v], ranks[u])
+					induced.AddEdge(ranks[v], ranks[u])
 				}
 			}
 		}
-	}
-	var closed [2][][]int
-	for b := 0; b < 2; b++ {
-		for x := 0; x < g.k; x++ {
-			c := append([]int(nil), induced[b].Neighbors(x)...)
-			c = append(c, x)
-			closed[b] = append(closed[b], sortedInts(c))
-		}
+		closed[b] = closedTable(g.k, induced.Neighbors)
 	}
 
 	advice, err := spantree.Compute(g0, 0)
@@ -803,26 +561,15 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 	}
 
 	// GS repetitions over the induced pair.
-	sw := g.sliceWidth()
-	reps := make([]markedRep, g.reps)
+	reps := make([]gsRep, g.reps)
 	var allSums [][]*big.Int
-	for rI := 0; rI < g.reps; rI++ {
-		var echo wire.Writer
-		for v := 0; v < n; v++ {
-			s, err := subBits(view.Challenges[0][v], rI*sw, sw)
-			if err != nil {
-				return nil, err
-			}
-			echo.WriteBits(s.Data, s.Bits)
-		}
-		rep := markedRep{seedEcho: echo.Message()}
-		seed, err := g.params.SeedFromBits(rep.seedEcho)
+	for rI := range reps {
+		echo, seed, err := g.proverSeed(view.Challenges[0], rI, g.sw)
 		if err != nil {
 			return nil, err
 		}
 		b, sigma, ok := searchGNIPreimage(g.params, closed, seed)
-		rep.success, rep.b, rep.sigma = ok, b, sigma
-		reps[rI] = rep
+		reps[rI] = gsRep{success: ok, b: b, seedEcho: echo, sigma: sigma}
 		if !ok {
 			continue
 		}
@@ -831,12 +578,7 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 		for _, v := range order {
 			s := new(big.Int)
 			if int(marks[v]) == b {
-				cls := closed[b][ranks[v]]
-				cols := make([]int, len(cls))
-				for j, u := range cls {
-					cols[j] = sigma[u]
-				}
-				s = g.params.RowTerm(table, sigma[ranks[v]], cols)
+				s = g.params.RowTerm(table, sigma[ranks[v]], imagesOf(sigma, closed[b][ranks[v]]))
 			}
 			for _, ch := range childLists[v] {
 				s = g.params.AddModQ(s, sums[ch])
@@ -854,8 +596,7 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 		}
 		msg := markedFirst{
 			k0: g.k, k1: g.k,
-			reps:    reps,
-			tree:    advice[v],
+			gsHead:  gsHead{reps: reps, tree: advice[v]},
 			rank:    ranks[v],
 			ownMark: marks[v],
 			claims:  claims,
@@ -901,13 +642,4 @@ func (p *markedProver) second(view *network.ProverView) (*network.Response, erro
 		resp.PerNode[v] = g.encodeSecond(markedSecond{zEcho: z, m0: m0[v], m1: m1[v]})
 	}
 	return resp, nil
-}
-
-func sortedInts(xs []int) []int {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-	return xs
 }

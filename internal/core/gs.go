@@ -1,0 +1,409 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/big"
+	"math/rand"
+	"slices"
+	"sort"
+
+	"dip/internal/hashing"
+	"dip/internal/network"
+	"dip/internal/perm"
+	"dip/internal/prime"
+	"dip/internal/spantree"
+	"dip/internal/wire"
+)
+
+// gsKit is the distributed Goldwasser–Sipser machinery that the four GNI
+// protocols (GNIDAMAM, GNIDAM, GNIGeneral and MarkedGNI) share: the hash
+// parameters and acceptance threshold, the seed-slice challenge and its
+// echo check, the codec of the per-repetition broadcast section and of the
+// spanning-tree advice, and the prover's preimage search. Each protocol
+// embeds one and adds only what it broadcasts beyond the section, its
+// aggregates and its checks.
+type gsKit struct {
+	n      int // network size
+	reps   int // parallel repetitions
+	params *hashing.GSParams
+	sw     int // seed bits per node and repetition: ceil(SeedBits / n)
+	thresh int // the root accepts iff at least thresh repetitions verify
+}
+
+// newGSKit builds the kit for an n-node network running reps repetitions
+// of the hash params describes. The seed is spread over all n nodes, which
+// equals params.SliceWidth() whenever the network is the hashed graph.
+func newGSKit(n, reps int, params *hashing.GSParams) gsKit {
+	kit := gsKit{n: n, reps: reps, params: params, sw: (params.SeedBits() + n - 1) / n}
+	yes, no := kit.SingleShotBounds()
+	kit.thresh = int(math.Ceil(float64(reps) * (yes + no) / 2))
+	return kit
+}
+
+// N returns the number of network nodes.
+func (kit *gsKit) N() int { return kit.n }
+
+// Threshold returns the number of verified successes the root requires.
+func (kit *gsKit) Threshold() int { return kit.thresh }
+
+// SingleShotBounds returns Poisson estimates of the probability that a
+// single repetition succeeds on a yes- and a no-instance: with |S| targets
+// distributed nearly pairwise-independently over a range of size p, the
+// number of preimages of y is approximately Poisson(μ), μ = |S|/p, so
+// Pr[∃ preimage] ≈ 1 - e^{-μ}, where |S| = 2·m! on a yes-instance and m!
+// on a no-instance for graphs on m vertices (m = n for the pair protocols,
+// the marked-set size for MarkedGNI). The acceptance threshold sits midway
+// between the two estimates; the hash's ε = O(1/m²) distortion is far
+// smaller than the gap. (The paper's inclusion-exclusion bounds
+// μ - μ²/2 ≤ Pr ≤ μ bracket these estimates.)
+func (kit *gsKit) SingleShotBounds() (yesRate, noRate float64) {
+	fact, _ := new(big.Float).SetInt(prime.Factorial(kit.params.N())).Float64()
+	p, _ := new(big.Float).SetInt(kit.params.P()).Float64()
+	muYes := 2 * fact / p
+	yesRate = 1 - math.Exp(-muYes)
+	noRate = 1 - math.Exp(-muYes/2)
+	return yesRate, noRate
+}
+
+func (kit *gsKit) idWidth() int  { return wire.WidthFor(kit.n) }
+func (kit *gsKit) qWidth() int   { return wire.WidthForBig(kit.params.Q()) }
+func (kit *gsKit) echoBits() int { return kit.n * kit.sw }
+
+// consistencyPrime draws the modulus p₂ ∈ [1000·reps·n³, 2000·reps·n³] of
+// the post-commitment Schwartz–Zippel checks.
+func (kit *gsKit) consistencyPrime(seed int64) (*big.Int, error) {
+	lo := big.NewInt(int64(1000 * kit.reps))
+	lo.Mul(lo, big.NewInt(int64(kit.n*kit.n*kit.n)))
+	return prime.InWindow(lo, new(big.Int).Mul(lo, big.NewInt(2)), seed)
+}
+
+// seedChallenge is the first Arthur round: per repetition, stride coin
+// flips whose first sw bits are the node's seed slice.
+func (kit *gsKit) seedChallenge(stride int) network.Round {
+	return network.Round{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
+		var w wire.Writer
+		for i := 0; i < kit.reps*stride; i++ {
+			w.WriteBool(rng.Intn(2) == 1)
+		}
+		return w.Message()
+	}}
+}
+
+// gsRep is one repetition's broadcast section, which every node receives
+// and compares with its neighbors' copies.
+type gsRep struct {
+	success    bool
+	b          int
+	seedEcho   wire.Message // the nodes' seed slices, node 0 first
+	a3Echo     wire.Message // GNIGeneral: the nodes' α3 slices
+	sigma, tau []int
+}
+
+// gsLayout is what a protocol broadcasts per successful repetition after
+// success | b | seed echo: an α3 echo of a3Bits bits if a3Bits > 0, then σ
+// as perm entries in [0, perm) of permWidth bits each if perm > 0, then τ
+// in the same form if tau is set.
+type gsLayout struct {
+	a3Bits          int
+	perm, permWidth int
+	tau             bool
+}
+
+// gsHead opens every GNI M₁: the broadcast section and v's spanning-tree
+// advice.
+type gsHead struct {
+	reps      []gsRep
+	successes int
+	tree      spantree.Advice
+}
+
+func (kit *gsKit) writeHead(w *wire.Writer, lay gsLayout, reps []gsRep, tree spantree.Advice) {
+	for _, r := range reps {
+		w.WriteBool(r.success)
+		if !r.success {
+			continue
+		}
+		w.WriteInt(r.b, 1)
+		w.WriteBits(r.seedEcho.Data, r.seedEcho.Bits)
+		if lay.a3Bits > 0 {
+			w.WriteBits(r.a3Echo.Data, r.a3Echo.Bits)
+		}
+		if lay.perm > 0 {
+			writeInts(w, r.sigma, lay.permWidth)
+		}
+		if lay.tau {
+			writeInts(w, r.tau, lay.permWidth)
+		}
+	}
+	w.WriteInt(tree.Parent, kit.idWidth())
+	w.WriteInt(tree.Dist, kit.idWidth())
+}
+
+func (kit *gsKit) readHead(r *wire.Reader, lay gsLayout) (gsHead, error) {
+	h := gsHead{reps: make([]gsRep, kit.reps)}
+	var err error
+	for i := range h.reps {
+		rep := &h.reps[i]
+		if rep.success, err = r.ReadBool(); err != nil {
+			return h, err
+		}
+		if !rep.success {
+			continue
+		}
+		h.successes++
+		if rep.b, err = r.ReadInt(1); err != nil {
+			return h, err
+		}
+		if rep.seedEcho, err = readBits(r, kit.echoBits()); err != nil {
+			return h, err
+		}
+		if lay.a3Bits > 0 {
+			if rep.a3Echo, err = readBits(r, lay.a3Bits); err != nil {
+				return h, err
+			}
+		}
+		if lay.perm > 0 {
+			if rep.sigma, err = readInts(r, lay.perm, lay.perm, lay.permWidth); err != nil {
+				return h, err
+			}
+		}
+		if lay.tau {
+			if rep.tau, err = readInts(r, lay.perm, lay.perm, lay.permWidth); err != nil {
+				return h, err
+			}
+		}
+	}
+	if h.tree.Parent, err = r.ReadInt(kit.idWidth()); err != nil {
+		return h, err
+	}
+	if h.tree.Dist, err = r.ReadInt(kit.idWidth()); err != nil {
+		return h, err
+	}
+	if h.tree.Parent >= kit.n {
+		return h, errors.New("core: parent id out of range")
+	}
+	h.tree.Root = 0
+	return h, nil
+}
+
+// sameReps reports whether two decoded broadcast sections agree.
+func sameReps(a, b []gsRep) bool {
+	return slices.EqualFunc(a, b, func(x, y gsRep) bool {
+		if x.success != y.success {
+			return false
+		}
+		return !x.success || (x.b == y.b && msgEqual(x.seedEcho, y.seedEcho) &&
+			msgEqual(x.a3Echo, y.a3Echo) && slices.Equal(x.sigma, y.sigma) && slices.Equal(x.tau, y.tau))
+	})
+}
+
+// treeChildren runs node v's spanning-tree check (root 0) on its own
+// advice and its neighbors' and returns v's children.
+func treeChildren(v int, own spantree.Advice, nbrs map[int]spantree.Advice, view *network.NodeView) ([]int, bool) {
+	if !spantree.VerifyLocal(v, own, nbrs, view.HasNeighbor) {
+		return nil, false
+	}
+	return spantree.Children(v, nbrs), true
+}
+
+// echoSlices concatenates the nodes' slices of one repetition — width
+// bits at offset off of each node's first challenge — into its echo.
+func echoSlices(challenges []wire.Message, off, width int) (wire.Message, error) {
+	var w wire.Writer
+	for v, ch := range challenges {
+		s, err := subBits(ch, off, width)
+		if err != nil {
+			return wire.Message{}, fmt.Errorf("core: GNI prover slice of node %d: %w", v, err)
+		}
+		w.WriteBits(s.Data, s.Bits)
+	}
+	return w.Message(), nil
+}
+
+// proverSeed assembles repetition r's seed echo from the nodes' first
+// challenges, which hold one repetition every stride bits, and reads the
+// seed from it.
+func (kit *gsKit) proverSeed(challenges []wire.Message, r, stride int) (wire.Message, *hashing.GSSeed, error) {
+	e, err := echoSlices(challenges, r*stride, kit.sw)
+	if err != nil {
+		return wire.Message{}, nil, err
+	}
+	seed, err := kit.params.SeedFromBits(e)
+	return e, seed, err
+}
+
+// echoedIntact reports whether node v's slice — width bits at offset off
+// of its challenge mine — sits unchanged at position v of echo, so the
+// prover cannot have biased v's contribution.
+func echoedIntact(echo, mine wire.Message, v, off, width int) bool {
+	got, err := subBits(echo, v*width, width)
+	if err != nil {
+		return false
+	}
+	sent, err := subBits(mine, off, width)
+	return err == nil && msgEqual(got, sent)
+}
+
+// verifierSeed checks node v's seed slice at offset off of its challenge
+// mine inside echo and reads the seed from the echo.
+func (kit *gsKit) verifierSeed(v int, mine, echo wire.Message, off int) (*hashing.GSSeed, bool) {
+	if !echoedIntact(echo, mine, v, off, kit.sw) {
+		return nil, false
+	}
+	seed, err := kit.params.SeedFromBits(echo)
+	return seed, err == nil
+}
+
+// hits reports whether the aggregated f_α sum c hashes to the seed's
+// target: the root's final check of a claimed success.
+func (kit *gsKit) hits(seed *hashing.GSSeed, c *big.Int) bool {
+	return kit.params.Finish(seed, c).Cmp(seed.Y) == 0
+}
+
+// searchGNIPreimage enumerates (b, σ) in Lehmer order for a member σ(G_b)
+// of S = {σ(G_b)} hashing to the seed's target, where closed[b] lists G_b's
+// closed neighborhoods.
+func searchGNIPreimage(params *hashing.GSParams, closed [2][][]int, seed *hashing.GSSeed) (int, perm.Perm, bool) {
+	table := params.Powers(seed.Alpha)
+	for b := 0; b < 2; b++ {
+		sigma := perm.Identity(params.N())
+		for {
+			f := new(big.Int)
+			for v, cls := range closed[b] {
+				f = params.AddModQ(f, params.RowTerm(table, sigma[v], imagesOf(sigma, cls)))
+			}
+			if params.Finish(seed, f).Cmp(seed.Y) == 0 {
+				return b, sigma.Clone(), true
+			}
+			if !sigma.NextLex() {
+				break
+			}
+		}
+	}
+	return 0, nil, false
+}
+
+// closedTable lists the n vertices' closed neighborhoods, sorted, given
+// their open ones.
+func closedTable(n int, open func(v int) []int) [][]int {
+	out := make([][]int, n)
+	for v := range out {
+		out[v] = append(append([]int(nil), open(v)...), v)
+		sort.Ints(out[v])
+	}
+	return out
+}
+
+// pairTables checks the prover view of a pair protocol (G₀ the network, G₁
+// in the inputs) and returns G₁'s rows and both closed-neighborhood
+// tables.
+func (kit *gsKit) pairTables(view *network.ProverView, name string) ([][]int, [2][][]int, error) {
+	if view.Graph.N() != kit.n {
+		return nil, [2][][]int{}, fmt.Errorf("core: graph has %d vertices, protocol built for %d", view.Graph.N(), kit.n)
+	}
+	if len(view.Inputs) != kit.n {
+		return nil, [2][][]int{}, fmt.Errorf("core: %s prover needs G1 inputs", name)
+	}
+	rows := make([][]int, kit.n)
+	for v := range rows {
+		var err error
+		if rows[v], err = decodeGNIInput(view.Inputs[v], kit.n); err != nil {
+			return nil, [2][][]int{}, fmt.Errorf("core: %s prover input %d: %w", name, v, err)
+		}
+	}
+	row := func(v int) []int { return rows[v] }
+	return rows, [2][][]int{closedTable(kit.n, view.Graph.Neighbors), closedTable(kit.n, row)}, nil
+}
+
+// closedNbhdFromView returns v's sorted closed G_b-neighborhood as seen by
+// the verifier: the network neighbors for b = 0, the decoded input for
+// b = 1.
+func closedNbhdFromView(view *network.NodeView, b, n int) ([]int, error) {
+	var open []int
+	if b == 0 {
+		open = view.Neighbors
+	} else {
+		decoded, err := decodeGNIInput(view.Input, n)
+		if err != nil {
+			return nil, err
+		}
+		open = decoded
+	}
+	closed := make([]int, 0, len(open)+1)
+	closed = append(closed, open...)
+	closed = append(closed, view.V)
+	sort.Ints(closed)
+	return closed, nil
+}
+
+// imagesOf maps xs through σ.
+func imagesOf(sigma []int, xs []int) []int {
+	out := make([]int, len(xs))
+	for j, x := range xs {
+		out[j] = sigma[x]
+	}
+	return out
+}
+
+func hasDuplicate(xs []int) bool {
+	seen := map[int]bool{}
+	for _, x := range xs {
+		if seen[x] {
+			return true
+		}
+		seen[x] = true
+	}
+	return false
+}
+
+func expMod(base *big.Int, e int, mod *big.Int) *big.Int {
+	return new(big.Int).Exp(base, big.NewInt(int64(e)), mod)
+}
+
+// subBits extracts m's bits [from, from+width).
+func subBits(m wire.Message, from, width int) (wire.Message, error) {
+	if from < 0 || width < 0 || from+width > m.Bits {
+		return wire.Message{}, fmt.Errorf("core: bit range [%d,%d) outside message of %d bits",
+			from, from+width, m.Bits)
+	}
+	var w wire.Writer
+	for i := from; i < from+width; i++ {
+		w.WriteBool(m.Data[i/8]&(1<<(uint(i)%8)) != 0)
+	}
+	return w.Message(), nil
+}
+
+// readBits reads the next width bits as a message of their own.
+func readBits(r *wire.Reader, width int) (wire.Message, error) {
+	raw, err := r.ReadBig(width)
+	if err != nil {
+		return wire.Message{}, err
+	}
+	var w wire.Writer
+	w.WriteBig(raw, width)
+	return w.Message(), nil
+}
+
+func writeInts(w *wire.Writer, xs []int, width int) {
+	for _, x := range xs {
+		w.WriteInt(x, width)
+	}
+}
+
+// readInts reads count width-bit values, each of which must be below
+// bound.
+func readInts(r *wire.Reader, count, bound, width int) ([]int, error) {
+	out := make([]int, count)
+	for i := range out {
+		var err error
+		if out[i], err = r.ReadInt(width); err != nil {
+			return nil, err
+		}
+		if out[i] >= bound {
+			return nil, errors.New("core: image out of range")
+		}
+	}
+	return out, nil
+}

@@ -6,7 +6,9 @@
 // compared against, and the cheating provers used to measure soundness.
 //
 // Every protocol is expressed as a network.Spec (round schedule plus
-// per-node decision function) together with an honest network.Prover.
+// per-node decision function) together with an honest network.Prover. The
+// four GNI protocols embed one Goldwasser–Sipser kit (gsKit, gs.go) and
+// differ only in what they broadcast and when.
 // Running a protocol against its honest prover on a yes-instance must
 // accept; running any prover on a no-instance must accept with probability
 // below 1/3.

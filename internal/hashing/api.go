@@ -115,8 +115,8 @@ type GSSeed struct {
 }
 
 // SeedFromSlices assembles a seed from the n per-node bit slices (each
-// SliceWidth bits wide, node 0 first). The concatenated bits are split into
-// the four raw fields and reduced into the respective moduli.
+// SliceWidth bits wide, node 0 first): it reads the seed from their
+// concatenation with SeedFromBits.
 func (g *GSParams) SeedFromSlices(slices []wire.Message) (*GSSeed, error) {
 	if len(slices) != g.n {
 		return nil, fmt.Errorf("hashing: %d seed slices, want %d", len(slices), g.n)
@@ -128,29 +128,7 @@ func (g *GSParams) SeedFromSlices(slices []wire.Message) (*GSSeed, error) {
 		}
 		all.WriteBits(s.Data, s.Bits)
 	}
-	r := wire.NewReader(all.Message())
-	read := func(width int, mod *big.Int) (*big.Int, error) {
-		raw, err := r.ReadBig(width)
-		if err != nil {
-			return nil, err
-		}
-		return raw.Mod(raw, mod), nil
-	}
-	var seed GSSeed
-	var err error
-	if seed.Alpha, err = read(g.fieldBits(), g.q); err != nil {
-		return nil, err
-	}
-	if seed.S, err = read(g.fieldBits(), g.q); err != nil {
-		return nil, err
-	}
-	if seed.T, err = read(g.fieldBits(), g.q); err != nil {
-		return nil, err
-	}
-	if seed.Y, err = read(g.rangeBits(), g.p); err != nil {
-		return nil, err
-	}
-	return &seed, nil
+	return g.SeedFromBits(all.Message())
 }
 
 // RandomSlices draws the n per-node seed slices uniformly at random, as the
@@ -245,10 +223,10 @@ func (g *GSParams) Finish(seed *GSSeed, fsum *big.Int) *big.Int {
 	return z.Mod(z, g.p)
 }
 
-// SeedFromBits assembles a seed directly from a concatenated bit string of
-// at least SeedBits bits (extra bits are ignored). Protocols whose hash
-// domain size differs from the network size use this instead of
-// SeedFromSlices and manage the per-node slicing themselves.
+// SeedFromBits assembles a seed from a concatenated bit string of at least
+// SeedBits bits (extra bits are ignored): the bits are split into the four
+// raw fields and reduced into the respective moduli. The GNI protocols
+// read the seed from the prover's echo of the nodes' slices this way.
 func (g *GSParams) SeedFromBits(m wire.Message) (*GSSeed, error) {
 	if m.Bits < g.SeedBits() {
 		return nil, fmt.Errorf("hashing: %d seed bits, need %d", m.Bits, g.SeedBits())

@@ -10,11 +10,11 @@ import (
 // TestWriteFuzzCorpus regenerates the checked-in FuzzPeerFrame seed
 // corpus under testdata/fuzz/FuzzPeerFrame — the same seeds FuzzPeerFrame
 // adds in code, persisted so `go test` replays them even when the fuzz
-// engine is not invoked. Run with PEER_WRITE_CORPUS=1 after changing the
+// engine is not invoked. Run with WRITE_CORPUS=1 after changing the
 // frame codec.
 func TestWriteFuzzCorpus(t *testing.T) {
-	if os.Getenv("PEER_WRITE_CORPUS") == "" {
-		t.Skip("set PEER_WRITE_CORPUS=1 to regenerate testdata/fuzz/FuzzPeerFrame")
+	if os.Getenv("WRITE_CORPUS") == "" {
+		t.Skip("set WRITE_CORPUS=1 to regenerate testdata/fuzz/FuzzPeerFrame")
 	}
 	dir := filepath.Join("testdata", "fuzz", "FuzzPeerFrame")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
