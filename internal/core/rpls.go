@@ -64,11 +64,14 @@ func (s *SymRPLS) AdviceBits() int { return s.lcp.AdviceBits() }
 // a hash seed and a hash value, 2·⌈lg p⌉ = O(log n) bits.
 func (s *SymRPLS) FingerprintBits() int { return 2 * wire.WidthForBig(s.p) }
 
-// adviceCoords converts an advice message into the indicator-coordinate
-// form the linear family hashes (the positions of its one-bits).
-func adviceCoords(m wire.Message) []int {
+// adviceCoords converts the first AdviceBits() bits of an advice message
+// into the indicator-coordinate form the linear family hashes (the
+// positions of its one-bits, ascending). Bits past that length have no
+// coordinate in the family; a node holding such advice rejects it on its
+// own length check, so its fingerprint leaves them out rather than panic.
+func (s *SymRPLS) adviceCoords(m wire.Message) []int {
 	var coords []int
-	for i := 0; i < m.Bits; i++ {
+	for i, n := 0, min(m.Bits, s.AdviceBits()); i < n; i++ {
 		if m.Data[i/8]&(1<<(uint(i)%8)) != 0 {
 			coords = append(coords, i)
 		}
@@ -80,7 +83,7 @@ func adviceCoords(m wire.Message) []int {
 // the advice hashed under it.
 func (s *SymRPLS) digest(rng *rand.Rand, m wire.Message) wire.Message {
 	seed := s.family.RandomSeed(rng)
-	fp := s.family.HashIndicator(seed, adviceCoords(m))
+	fp := s.family.HashIndicator(seed, s.adviceCoords(m))
 	var w wire.Writer
 	width := wire.WidthForBig(s.p)
 	w.WriteBig(seed, width)
@@ -113,6 +116,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 	}
 	// Neighbor agreement via fingerprints: evaluate each neighbor's seed
 	// on OUR advice and compare with the neighbor's fingerprint of theirs.
+	coords := s.adviceCoords(advice)
 	width := wire.WidthForBig(s.p)
 	for _, u := range view.Neighbors {
 		r := wire.NewReader(view.NeighborResponses[0][u])
@@ -127,7 +131,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 		if err := r.Done(); err != nil {
 			return false
 		}
-		mine := s.family.HashIndicator(seed, adviceCoords(advice))
+		mine := s.family.HashIndicator(seed, coords)
 		if mine.Cmp(fp) != 0 {
 			return false
 		}

@@ -2,6 +2,10 @@ package core
 
 import (
 	"testing"
+
+	"dip/internal/graph"
+	"dip/internal/network"
+	"dip/internal/wire"
 )
 
 func TestSymRPLSCompleteness(t *testing.T) {
@@ -115,5 +119,38 @@ func TestSymRPLSFingerprintBits(t *testing.T) {
 	}
 	if rpls.AdviceBits() < 64*63/2 {
 		t.Fatal("advice not quadratic")
+	}
+}
+
+// TestSymRPLSOverlongAdviceRejects hands node 3 of an 8-cycle its honest
+// advice plus one extra set bit. The fingerprint must cover only the first
+// AdviceBits() bits (so the digest step cannot index past the family's
+// dimension), and node 3 must reject on its own length check: the run
+// completes with a rejection, not a RunError.
+func TestSymRPLSOverlongAdviceRejects(t *testing.T) {
+	g := graph.Cycle(8)
+	rpls, err := NewSymRPLS(g.N(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prover := proverFunc(func(round int, view *network.ProverView) (*network.Response, error) {
+		resp, err := rpls.HonestProver().Respond(round, view)
+		if err != nil {
+			return nil, err
+		}
+		var w wire.Writer
+		w.WriteBits(resp.PerNode[3].Data, resp.PerNode[3].Bits)
+		w.WriteBool(true)
+		resp.PerNode[3] = w.Message()
+		return resp, nil
+	})
+	for seed := int64(0); seed < 4; seed++ {
+		res, err := rpls.Run(g, prover, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if res.Accepted || res.Decisions[3] {
+			t.Fatalf("seed %d: overlong advice accepted: %v", seed, res.Decisions)
+		}
 	}
 }

@@ -108,30 +108,84 @@ func (f *LinearFamily) ValidSeed(i *big.Int) bool {
 // HashIndicator evaluates h_i on the characteristic vector of the given
 // coordinate set: h_i(χ) = Σ_{j ∈ set} i^{j+1} mod p. Coordinates are
 // 0-based; coordinate j corresponds to the monomial i^{j+1} so that the
-// constant term is never used and h_i(0) = 0.
+// constant term is never used and h_i(0) = 0. Coordinates may come in any
+// order and repeat; the powers are taken by running powers (see
+// smallPowers and bigPowers), cheapest when the coordinates ascend.
 func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
 	if iv, ok := f.smallSeed(i); ok {
+		pw := smallPowers{i: iv, p: f.pSmall}
 		var sum uint64
 		for _, j := range coords {
-			if j < 0 || j >= f.m {
-				panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
-			}
-			sum = (sum + powmodSmall(iv, uint64(j+1), f.pSmall)) % f.pSmall
+			f.checkCoord(j)
+			sum = (sum + pw.next(uint64(j+1))) % f.pSmall
 		}
 		return new(big.Int).SetUint64(sum)
 	}
+	pw := newBigPowers(i, f.p)
 	sum := new(big.Int)
-	e := new(big.Int)
 	for _, j := range coords {
-		if j < 0 || j >= f.m {
-			panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
+		f.checkCoord(j)
+		sum.Add(sum, pw.next(j+1))
+		if sum.Cmp(f.p) >= 0 {
+			sum.Sub(sum, f.p)
 		}
-		e.SetInt64(int64(j + 1))
-		term := new(big.Int).Exp(i, e, f.p)
-		sum.Add(sum, term)
-		sum.Mod(sum, f.p)
 	}
 	return sum
+}
+
+func (f *LinearFamily) checkCoord(j int) {
+	if j < 0 || j >= f.m {
+		panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
+	}
+}
+
+// smallPowers yields i^e mod p (p < 2^32, i < p) for a sequence of
+// exponents e ≥ 1 by running powers: each power is the previous one times
+// i^{gap}, and only the first exponent, or one below its predecessor, pays
+// a full square-and-multiply. Either way the arithmetic is exact in Z_p,
+// so every power equals powmodSmall(i, e, p).
+type smallPowers struct {
+	i, p      uint64
+	cur, prev uint64 // prev = 0: no power taken yet
+}
+
+func (w *smallPowers) next(e uint64) uint64 {
+	switch {
+	case w.prev == 0 || e < w.prev:
+		w.cur = powmodSmall(w.i, e, w.p)
+	case e > w.prev:
+		w.cur = w.cur * powmodSmall(w.i, e-w.prev, w.p) % w.p
+	}
+	w.prev = e
+	return w.cur
+}
+
+// bigPowers is smallPowers for a big.Int modulus. The seed is reduced into
+// [0, p) once (big.Int.Exp of a negative or oversized base gives the same
+// residue), and a gap of one multiplies by it without an exponentiation.
+type bigPowers struct {
+	i, p, cur, step, e *big.Int
+	prev               int // 0: no power taken yet
+}
+
+func newBigPowers(i, p *big.Int) *bigPowers {
+	return &bigPowers{i: new(big.Int).Mod(i, p), p: p,
+		cur: new(big.Int), step: new(big.Int), e: new(big.Int)}
+}
+
+// next returns i^e mod p in storage the next call overwrites.
+func (w *bigPowers) next(e int) *big.Int {
+	switch {
+	case w.prev == 0 || e < w.prev:
+		w.cur.Exp(w.i, w.e.SetInt64(int64(e)), w.p)
+	case e == w.prev+1:
+		w.cur.Mod(w.cur.Mul(w.cur, w.i), w.p)
+	case e > w.prev:
+		w.step.Exp(w.i, w.e.SetInt64(int64(e-w.prev)), w.p)
+		w.cur.Mod(w.cur.Mul(w.cur, w.step), w.p)
+	}
+	w.prev = e
+	return w.cur
 }
 
 // HashRowMatrix evaluates h_i on the row matrix [row, r] of Section 3.1.1 —
@@ -152,19 +206,10 @@ func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big
 	if iv, ok := f.smallSeed(i); ok {
 		// Iterate the set bits directly — no coords slice, no big.Int
 		// terms. The coordinates row*n+c are in range by the panics above.
-		// Successive exponents are close together (gaps of a few within one
-		// row), so after the first full powmod each term is the previous
-		// power times i^gap.
-		var sum, cur, prevExp uint64
+		pw := smallPowers{i: iv, p: f.pSmall}
+		var sum uint64
 		for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-			e := uint64(row*n + c + 1)
-			if prevExp == 0 {
-				cur = powmodSmall(iv, e, f.pSmall)
-			} else {
-				cur = cur * powmodSmall(iv, e-prevExp, f.pSmall) % f.pSmall
-			}
-			prevExp = e
-			sum = (sum + cur) % f.pSmall
+			sum = (sum + pw.next(uint64(row*n+c+1))) % f.pSmall
 		}
 		return new(big.Int).SetUint64(sum)
 	}

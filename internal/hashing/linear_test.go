@@ -277,3 +277,88 @@ func TestSmallModulusFastPathMatchesBig(t *testing.T) {
 		}
 	}
 }
+
+// TestRunningPowersMatchDense checks HashIndicator and HashRowMatrix, which
+// take powers by running powers, against HashDense, which keeps one full
+// exponentiation per coordinate. It covers both evaluation paths (a
+// cubic-window modulus below 2^32 and a power-window modulus above 2^64),
+// coordinates sorted, shuffled and repeated (a repeat counts twice, and a
+// coordinate below its predecessor restarts the running power), and seeds
+// at and beyond the edges of Z_p.
+func TestRunningPowersMatchDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	cubic, err := prime.ForCubicWindow(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := prime.ForPowerWindow(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		n     int
+		p     *big.Int
+		small bool
+	}{
+		{"cubic-window", 12, cubic, true},
+		{"power-window", 16, power, false},
+	} {
+		n, m := tc.n, tc.n*tc.n
+		f, err := NewLinearFamily(m, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (f.pSmall != 0) != tc.small {
+			t.Fatalf("%s: modulus %v took the wrong path", tc.name, tc.p)
+		}
+		seeds := []*big.Int{
+			new(big.Int),
+			new(big.Int).Sub(tc.p, big.NewInt(1)),
+			new(big.Int).Add(tc.p, big.NewInt(5)),
+			big.NewInt(-7),
+		}
+		for k := 0; k < 8; k++ {
+			seeds = append(seeds, f.RandomSeed(rng))
+		}
+		for _, i := range seeds {
+			for trial := 0; trial < 20; trial++ {
+				var sorted []int
+				for j := 0; j < m; j++ {
+					if rng.Intn(3) == 0 {
+						sorted = append(sorted, j)
+					}
+				}
+				shuffled := append([]int(nil), sorted...)
+				rng.Shuffle(len(shuffled), func(a, b int) { shuffled[a], shuffled[b] = shuffled[b], shuffled[a] })
+				repeated := append([]int(nil), sorted...)
+				for k := 0; k < 6 && len(sorted) > 0; k++ {
+					at := rng.Intn(len(repeated))
+					repeated = append(repeated[:at+1], repeated[at:]...)
+				}
+				repeated = append(repeated, shuffled...)
+				for _, coords := range [][]int{sorted, shuffled, repeated} {
+					dense := make([]int64, m)
+					for _, j := range coords {
+						dense[j]++
+					}
+					if got, want := f.HashIndicator(i, coords), f.HashDense(i, dense); got.Cmp(want) != 0 {
+						t.Fatalf("%s seed %v HashIndicator(%v) = %v, HashDense %v", tc.name, i, coords, got, want)
+					}
+				}
+				row := rng.Intn(n)
+				r := bitset.New(n)
+				dense := make([]int64, m)
+				for c := 0; c < n; c++ {
+					if rng.Intn(2) == 0 {
+						r.Add(c)
+						dense[row*n+c] = 1
+					}
+				}
+				if got, want := f.HashRowMatrix(i, n, row, r), f.HashDense(i, dense); got.Cmp(want) != 0 {
+					t.Fatalf("%s seed %v HashRowMatrix(row %d) = %v, HashDense %v", tc.name, i, row, got, want)
+				}
+			}
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package prime
 
 import (
+	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
@@ -172,6 +174,153 @@ func TestIsPrimeUint64MatchesBig(t *testing.T) {
 		want := new(big.Int).SetUint64(n).ProbablyPrime(probablyPrimeRounds)
 		if got := isPrimeUint64(n); got != want {
 			t.Fatalf("n=%d: uint64 test says %v, big.Int says %v", n, got, want)
+		}
+	}
+}
+
+// inWindowReference is InWindow as it was before the sieve: one candidate
+// at a time through isPrime, from the seeded start up to hi, then once from
+// the window bottom up to the start.
+func inWindowReference(lo, hi *big.Int, seed int64) (*big.Int, error) {
+	if lo.Cmp(hi) > 0 {
+		return nil, fmt.Errorf("prime: empty window [%v, %v]", lo, hi)
+	}
+	two := big.NewInt(2)
+	if hi.Cmp(two) < 0 {
+		return nil, fmt.Errorf("prime: window [%v, %v] below 2", lo, hi)
+	}
+	start := new(big.Int).Set(lo)
+	if start.Cmp(two) < 0 {
+		start.Set(two)
+	}
+	width := new(big.Int).Sub(hi, start)
+	width.Add(width, big.NewInt(1))
+	rng := rand.New(rand.NewSource(seed))
+	offset := new(big.Int).Rand(rng, width)
+	p := new(big.Int).Add(start, offset)
+	wrapped := false
+	for {
+		if p.Cmp(hi) > 0 {
+			if wrapped {
+				return nil, fmt.Errorf("prime: no prime in [%v, %v]", lo, hi)
+			}
+			wrapped = true
+			p.Set(start)
+		}
+		if isPrime(p) {
+			return p, nil
+		}
+		p.Add(p, big.NewInt(1))
+		if wrapped && p.Cmp(new(big.Int).Add(start, offset)) > 0 {
+			return nil, fmt.Errorf("prime: no prime in [%v, %v]", lo, hi)
+		}
+	}
+}
+
+// TestInWindowMatchesReference requires the sieved scan to return exactly
+// the reference scan's prime, or exactly its error, on every window shape
+// the protocols use and on the edges of the sieve: power windows (sym-dam,
+// up to about 410 bits), factorial windows (GNI), windows straddling 2^64
+// (where the scan switches from one-at-a-time to sieved segments), every
+// tiny window (prime-free ones included) and narrow windows above 2^200,
+// some wider than one sieve segment.
+func TestInWindowMatchesReference(t *testing.T) {
+	check := func(lo, hi *big.Int, seed int64) {
+		t.Helper()
+		want, wantErr := inWindowReference(lo, hi, seed)
+		got, err := InWindow(lo, hi, seed)
+		switch {
+		case wantErr != nil || err != nil:
+			if wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("[%v, %v] seed %d: error %v, reference %v", lo, hi, seed, err, wantErr)
+			}
+		case got.Cmp(want) != 0:
+			t.Fatalf("[%v, %v] seed %d: %v, reference %v", lo, hi, seed, got, want)
+		case !isPrime(got):
+			t.Fatalf("[%v, %v] seed %d: %v not prime", lo, hi, seed, got)
+		}
+	}
+	for n := 2; n <= 66; n++ {
+		if testing.Short() && n > 20 {
+			break
+		}
+		pow := new(big.Int).Exp(big.NewInt(int64(n)), big.NewInt(int64(n+2)), nil)
+		lo := new(big.Int).Mul(big.NewInt(10), pow)
+		hi := new(big.Int).Mul(big.NewInt(100), pow)
+		for seed := int64(0); seed < 12; seed++ {
+			check(lo, hi, seed)
+		}
+	}
+	for n := 1; n <= 30; n++ {
+		lo := new(big.Int).Mul(big.NewInt(4), Factorial(n))
+		hi := new(big.Int).Mul(big.NewInt(2), lo)
+		for seed := int64(0); seed < 4; seed++ {
+			check(lo, hi, seed)
+		}
+	}
+	// 2^64-59 is the largest prime below 2^64 and 2^64+13 the smallest
+	// above it, so [2^64-58, 2^64+12] is prime-free.
+	w := new(big.Int).Lsh(big.NewInt(1), 64)
+	at := func(base *big.Int, d int64) *big.Int { return new(big.Int).Add(base, big.NewInt(d)) }
+	for _, win := range [][2]int64{{-58, 12}, {-59, 12}, {-58, 13}, {-59, 13}, {-1, 0}, {0, 13}, {-4000, 4000}, {-100, 5000}} {
+		for seed := int64(0); seed < 12; seed++ {
+			check(at(w, win[0]), at(w, win[1]), seed)
+		}
+	}
+	for lo := int64(0); lo < 60; lo++ {
+		for width := int64(0); width < 12; width++ {
+			for seed := int64(0); seed < 3; seed++ {
+				check(big.NewInt(lo), big.NewInt(lo+width), seed)
+			}
+		}
+	}
+	w = new(big.Int).Lsh(big.NewInt(1), 200)
+	for _, width := range []int64{10, 300, 2047, 2048, 5000} {
+		for seed := int64(0); seed < 12; seed++ {
+			check(w, at(w, width), seed)
+		}
+	}
+}
+
+// TestFirstPrimeCrossesSegments pins the sieve's segment boundary. With P
+// the product of the primes below 2048, each of 56P+5 .. 56P+2052 has a
+// factor below 2048, and 56P+2053 is prime (Miller–Rabin with 30 rounds).
+// A scan from 56P+5 strikes out its whole first segment and must return
+// the first candidate of the second; a scan from 56P+6 must return the
+// last candidate of its first segment; and InWindow on the prime-free
+// [56P+5, 56P+2052] must report no prime. (The reference scan would run
+// Miller–Rabin on hundreds of 2,900-bit candidates, so the expected
+// answers are stated instead.)
+func TestFirstPrimeCrossesSegments(t *testing.T) {
+	base := big.NewInt(56)
+	for _, q := range sievePrimes {
+		if q < 2048 {
+			base.Mul(base, new(big.Int).SetUint64(q))
+		}
+	}
+	at := func(d int64) *big.Int { return new(big.Int).Add(base, big.NewInt(d)) }
+	want := at(2053)
+	for _, from := range []int64{5, 6} {
+		p := at(from)
+		if !firstPrime(p, at(4000)) || p.Cmp(want) != 0 {
+			t.Fatalf("scan from 56P+%d: got 56P+%v, want 56P+2053", from, new(big.Int).Sub(p, base))
+		}
+	}
+	lo, hi := at(5), at(2052)
+	noPrime := fmt.Sprintf("prime: no prime in [%v, %v]", lo, hi)
+	for seed := int64(0); seed < 3; seed++ {
+		if _, err := InWindow(lo, hi, seed); err == nil || err.Error() != noPrime {
+			t.Fatalf("prime-free window seed %d: error %v", seed, err)
+		}
+	}
+}
+
+// BenchmarkForPowerWindow times sym-dam's modulus search at n = 64 (about
+// 400 bits), a fresh seed per op.
+func BenchmarkForPowerWindow(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := ForPowerWindow(64, int64(i)); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -49,3 +49,24 @@ func BenchmarkRequestSymDMAMFixedSeed(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRequestHeavyMix times the full request path on the benchmark's
+// inproc-heavy stream: sym-dam, sym-lcp and sym-rpls round-robin on a
+// 64-cycle, a fresh seed per op, so every sym-dam and sym-rpls op pays its
+// own prime search as a served request does.
+func BenchmarkRequestHeavyMix(b *testing.B) {
+	edges := cycleEdges(64)
+	mix := [...]string{"sym-dam", "sym-lcp", "sym-rpls"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := Request{Protocol: mix[i%len(mix)], N: 64, Edges: edges, Options: Options{Seed: int64(i)}}
+		rep, err := Run(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Accepted {
+			b.Fatal("rejected")
+		}
+	}
+}
