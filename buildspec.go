@@ -18,7 +18,7 @@ func BuildSpec(req Request) (*network.Spec, error) {
 	if !ok {
 		return nil, badRequestf("dip: unknown protocol %q (see dip.Protocols)", req.Protocol)
 	}
-	if err := e.checkFields(&req); err != nil {
+	if err := e.validate(&req); err != nil {
 		return nil, err
 	}
 	return e.spec(&req)

@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -69,6 +70,9 @@ func TestBuildSpecRejects(t *testing.T) {
 		{"marks-length", Request{Protocol: "gni-marked", N: 4, Marks: []int{0}}, "marks for"},
 		{"bad-mark", Request{Protocol: "gni-marked", N: 2, Marks: []int{0, 7}}, "mark 7"},
 		{"unequal-marked-sets", Request{Protocol: "gni-marked", N: 7, Marks: []int{0, 0, 0, 1, 1, 1, 1}}, "sizes 3 and 4"},
+		{"vertex-cap", Request{Protocol: "sym-dam", N: MaxVertices + 1}, "cap of 1024 vertices"},
+		{"dsym-vertex-cap", Request{Protocol: "dsym-dam", Side: 300, Half: 300}, "cap of 1024 vertices"},
+		{"repetition-cap", Request{Protocol: "gni-general", N: 6, Options: Options{Repetitions: MaxRepetitions + 1}}, "cap of 1000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,5 +80,14 @@ func TestBuildSpecRejects(t *testing.T) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.frag)
 			}
 		})
+	}
+	// The caps are answered as request errors (HTTP 400), on the peer path
+	// as on the run path; a request at the cap passes.
+	if _, err := BuildSpec(Request{Protocol: "sym-lcp", N: MaxVertices}); err != nil {
+		t.Fatalf("n at the cap: %v", err)
+	}
+	var reqErr *RequestError
+	if _, err := BuildSpec(Request{Protocol: "gni-marked", N: MaxVertices + 1}); !errors.As(err, &reqErr) {
+		t.Fatalf("vertex cap on BuildSpec returned %v, want a RequestError", err)
 	}
 }

@@ -27,8 +27,9 @@
 // case — executes it through dip.Run, the same entry point library users
 // and cmd/dipserve go through. The -fault and -v paths need engine knobs
 // the public API deliberately does not expose (delivery corruption,
-// transcript recording), so they drive the engine directly on the same
-// instance and shape the result into the same Report.
+// transcript recording), so they drive the engine directly on the
+// instance dip.AssembleRun assembles from the same request — the
+// registry's, as in dip.Run — and shape the result into the same Report.
 //
 // -fault injects a fault class from internal/faults into the honest run
 // (bitflip, truncate, drop, replay, nodeswap, equivocate); -fault-plane
@@ -64,7 +65,6 @@ import (
 	"dip/internal/graph"
 	"dip/internal/network"
 	"dip/internal/obs"
-	"dip/internal/wire"
 )
 
 func main() {
@@ -114,142 +114,72 @@ func parseFlags(args []string) simOptions {
 	return o
 }
 
-// instance is one generated problem instance in both forms dipsim needs:
-// the dip.Request the public API executes, and the engine artifacts
-// (spec, graph, inputs, prover) the fault/transcript path drives directly.
-// Both describe the same run: the request's edge lists are read off the
-// very graphs the engine path uses.
+// instance is one generated problem instance: the dip.Request that every
+// path executes — dip.Run, a fleet, or the engine driven directly through
+// dip.AssembleRun — so all of them run the registry's construction of it.
 type instance struct {
-	label  string // "graph" for single-graph protocols, "instance" for GNI
-	desc   string
-	req    dip.Request
-	spec   *network.Spec
-	g      *graph.Graph
-	inputs []wire.Message
-	prover network.Prover
+	label string // "graph" for single-graph protocols, "instance" for GNI
+	desc  string
+	req   dip.Request
 }
 
 // buildInstance generates the instance for the chosen protocol. The "gni"
 // spelling is kept as an alias for the registry's canonical "gni-damam".
 func buildInstance(o simOptions, rng *rand.Rand) (*instance, error) {
+	opts := dip.Options{Seed: o.seed}
 	switch o.protocol {
 	case "sym-dmam", "sym-dam", "sym-rpls", "sym-lcp":
 		g, err := makeGraph(o.kind, o.n, rng)
 		if err != nil {
 			return nil, err
 		}
-		inst := &instance{
+		return &instance{
 			label: "graph",
 			desc:  fmt.Sprintf("%s (%d vertices, %d edges)", o.kind, g.N(), g.NumEdges()),
-			req: dip.Request{
-				Protocol: o.protocol,
-				N:        g.N(),
-				Edges:    g.Edges(),
-				Options:  dip.Options{Seed: o.seed},
-			},
-			g: g,
-		}
-		switch o.protocol {
-		case "sym-dmam":
-			proto, perr := core.NewSymDMAM(g.N(), o.seed)
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-		case "sym-dam":
-			proto, perr := core.NewSymDAM(g.N(), o.seed)
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-		case "sym-rpls":
-			proto, perr := core.NewSymRPLS(g.N(), o.seed)
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-		case "sym-lcp":
-			proto, perr := core.NewSymLCP(g.N())
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-		}
-		return inst, nil
+			req:   dip.Request{Protocol: o.protocol, N: g.N(), Edges: g.Edges(), Options: opts},
+		}, nil
 
 	case "dsym-dam":
-		f := graph.ConnectedGNP(o.side, 0.5, rng)
-		g := graph.DSymGraph(f, o.half)
-		proto, perr := core.NewDSymDAM(o.side, o.half, o.seed)
-		if perr != nil {
-			return nil, perr
+		// The registry validates -side and -half (the generator would
+		// panic on, or allocate, what it refuses) before the graph exists.
+		req := dip.Request{Protocol: "dsym-dam", Side: o.side, Half: o.half, Options: opts}
+		if _, err := dip.BuildSpec(req); err != nil {
+			return nil, err
 		}
+		g := graph.DSymGraph(graph.ConnectedGNP(o.side, 0.5, rng), o.half)
+		req.Edges = g.Edges()
 		return &instance{
 			label: "graph",
 			desc: fmt.Sprintf("DSym dumbbell (side %d, path half-length %d, %d vertices)",
 				o.side, o.half, g.N()),
-			req: dip.Request{
-				Protocol: "dsym-dam",
-				Side:     o.side,
-				Half:     o.half,
-				Edges:    g.Edges(),
-				Options:  dip.Options{Seed: o.seed},
-			},
-			g:      g,
-			spec:   proto.Spec(),
-			prover: proto.HonestProver(),
+			req: req,
 		}, nil
 
 	case "gni", "gni-lcp":
-		yes, ierr := core.NewGNIYesInstance(o.n, rng)
-		if ierr != nil {
-			return nil, ierr
+		yes, err := core.NewGNIYesInstance(o.n, rng)
+		if err != nil {
+			return nil, err
 		}
-		inst := &instance{
-			label:  "instance",
-			desc:   fmt.Sprintf("two non-isomorphic rigid graphs on %d vertices", o.n),
-			g:      yes.G0,
-			inputs: core.EncodeGNIInputs(yes.G1),
-		}
+		req := dip.Request{Protocol: "gni-lcp", N: o.n, Edges: yes.G0.Edges(), Edges1: yes.G1.Edges(), Options: opts}
 		if o.protocol == "gni" {
-			proto, perr := core.NewGNIDAMAM(o.n, o.k, o.seed)
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-			inst.req = dip.Request{
-				Protocol: "gni-damam",
-				N:        o.n,
-				Edges:    yes.G0.Edges(),
-				Edges1:   yes.G1.Edges(),
-				Options:  dip.Options{Seed: o.seed, Repetitions: o.k},
-			}
-		} else {
-			proto, perr := core.NewGNILCP(o.n)
-			if perr != nil {
-				return nil, perr
-			}
-			inst.spec, inst.prover = proto.Spec(), proto.HonestProver()
-			inst.req = dip.Request{
-				Protocol: "gni-lcp",
-				N:        o.n,
-				Edges:    yes.G0.Edges(),
-				Edges1:   yes.G1.Edges(),
-				Options:  dip.Options{Seed: o.seed},
-			}
+			req.Protocol = "gni-damam"
+			req.Options.Repetitions = o.k
 		}
-		return inst, nil
+		return &instance{
+			label: "instance",
+			desc:  fmt.Sprintf("two non-isomorphic rigid graphs on %d vertices", o.n),
+			req:   req,
+		}, nil
 
 	case "gni-marked":
-		a, aerr := graph.RandomAsymmetricConnected(o.n, rng)
-		if aerr != nil {
-			return nil, aerr
+		a, err := graph.RandomAsymmetricConnected(o.n, rng)
+		if err != nil {
+			return nil, err
 		}
 		var b *graph.Graph
 		for {
-			var berr error
-			if b, berr = graph.RandomAsymmetricConnected(o.n, rng); berr != nil {
-				return nil, berr
+			if b, err = graph.RandomAsymmetricConnected(o.n, rng); err != nil {
+				return nil, err
 			}
 			if !graph.AreIsomorphic(a, b) {
 				break
@@ -259,14 +189,12 @@ func buildInstance(o simOptions, rng *rand.Rand) (*instance, error) {
 		const hubs = 3
 		total := 2*o.n + hubs
 		g := graph.New(total)
-		marks := make([]core.Mark, total)
-		intMarks := make([]int, total)
+		marks := make([]int, total)
 		for v := 0; v < o.n; v++ {
-			marks[v], intMarks[v] = core.MarkZero, 0
-			marks[v+o.n], intMarks[v+o.n] = core.MarkOne, 1
+			marks[v], marks[v+o.n] = 0, 1
 		}
 		for v := 2 * o.n; v < total; v++ {
-			marks[v], intMarks[v] = core.MarkNone, -1
+			marks[v] = -1
 		}
 		for _, e := range a.Edges() {
 			g.AddEdge(e[0], e[1])
@@ -280,29 +208,12 @@ func buildInstance(o simOptions, rng *rand.Rand) (*instance, error) {
 		for h := 1; h < hubs; h++ {
 			g.AddEdge(2*o.n, 2*o.n+h)
 		}
-		proto, perr := core.NewMarkedGNI(total, o.n, o.k, o.seed)
-		if perr != nil {
-			return nil, perr
-		}
-		inputs, ierr := core.EncodeMarks(marks)
-		if ierr != nil {
-			return nil, ierr
-		}
+		opts.Repetitions = o.k
 		return &instance{
 			label: "instance",
 			desc: fmt.Sprintf("%d-node network, two rigid non-isomorphic induced %d-vertex subgraphs",
 				total, o.n),
-			req: dip.Request{
-				Protocol: "gni-marked",
-				N:        total,
-				Edges:    g.Edges(),
-				Marks:    intMarks,
-				Options:  dip.Options{Seed: o.seed, Repetitions: o.k},
-			},
-			g:      g,
-			spec:   proto.Spec(),
-			inputs: inputs,
-			prover: proto.HonestProver(),
+			req: dip.Request{Protocol: "gni-marked", N: total, Edges: g.Edges(), Marks: marks, Options: opts},
 		}, nil
 
 	default:
@@ -326,6 +237,10 @@ func dialFleet(o simOptions, stdout io.Writer) (*dip.Fleet, error) {
 // expose: fault injection, transcript recording, and peer fleets
 // combined with either.
 func runEngine(o simOptions, inst *instance, fleet *dip.Fleet, stdout io.Writer) (*network.Result, error) {
+	run, err := dip.AssembleRun(inst.req)
+	if err != nil {
+		return nil, err
+	}
 	ro := network.Options{Seed: o.seed, RecordTranscript: o.verbose}
 	if fleet != nil {
 		coord, err := fleet.EngineTransport(inst.req)
@@ -354,13 +269,13 @@ func runEngine(o simOptions, inst *instance, fleet *dip.Fleet, stdout io.Writer)
 			inj = faults.WithProbability(o.faultProb, inj)
 		}
 		if plane == faults.PlaneProver {
-			ro.Corrupt = faults.Corruptor(o.seed, inst.g.N(), inj)
+			ro.Corrupt = faults.Corruptor(o.seed, run.Graph.N(), inj)
 		} else {
-			ro.CorruptExchange = faults.ExchangeCorruptor(o.seed, inst.g.N(), inj)
+			ro.CorruptExchange = faults.ExchangeCorruptor(o.seed, run.Graph.N(), inj)
 		}
 		fmt.Fprintf(stdout, "fault: %s on %s plane, probability %v\n", o.fault, plane, o.faultProb)
 	}
-	return network.Run(inst.spec, inst.g, inst.inputs, inst.prover, ro)
+	return network.Run(run.Spec, run.Graph, run.Inputs, run.Prover, ro)
 }
 
 func run(o simOptions, stdout io.Writer) error {
@@ -455,14 +370,22 @@ func run(o simOptions, stdout io.Writer) error {
 	return nil
 }
 
-// makeGraph builds the network graph for the Sym protocols. For the
-// random kinds it validates n instead of silently resizing: "doubled"
-// graphs have 2·base+2 vertices with a rigid core of base ≥ 6 vertices,
-// so n must be even and at least 14 (and then g.N() == n exactly);
-// "asymmetric" needs n ≥ 6 (no rigid graph exists below that).
+// makeGraph builds the network graph for the Sym protocols. It validates
+// n instead of silently resizing or letting a generator panic: n is at
+// least 1 and at most the service's vertex cap, a cycle needs n ≥ 3,
+// "doubled" graphs have 2·base+2 vertices with a rigid core of base ≥ 6
+// vertices, so n must be even and at least 14 (and then g.N() == n
+// exactly), and "asymmetric" needs n ≥ 6 (no rigid graph exists below
+// that).
 func makeGraph(kind string, n int, rng *rand.Rand) (*graph.Graph, error) {
+	if n < 1 || n > dip.MaxVertices {
+		return nil, fmt.Errorf("graph size -n %d outside [1, %d]", n, dip.MaxVertices)
+	}
 	switch kind {
 	case "cycle":
+		if n < 3 {
+			return nil, fmt.Errorf("graph kind %q needs a size of at least 3, got -n %d", kind, n)
+		}
 		return graph.Cycle(n), nil
 	case "complete":
 		return graph.Complete(n), nil

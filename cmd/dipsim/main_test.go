@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"dip"
 	"dip/internal/core"
+	"dip/internal/obs"
 )
 
 // TestMakeGraphValidatesRandomKinds is the regression test for the
@@ -28,6 +32,16 @@ func TestMakeGraphValidatesRandomKinds(t *testing.T) {
 		{"asymmetric", 4, "at least 6"},
 		{"asymmetric", 6, ""},
 		{"nonsense", 10, "unknown graph kind"},
+		// Sizes the deterministic generators would panic on, or that the
+		// service would refuse after the graph is already allocated.
+		{"cycle", 2, "at least 3"},
+		{"cycle", 3, ""},
+		{"complete", -1, "outside [1, 1024]"},
+		{"star", -1, "outside [1, 1024]"},
+		{"path", -1, "outside [1, 1024]"},
+		{"path", 0, "outside [1, 1024]"},
+		{"path", 1, ""},
+		{"complete", dip.MaxVertices + 1, "outside [1, 1024]"},
 	}
 	for _, tc := range cases {
 		g, err := makeGraph(tc.kind, tc.n, rng)
@@ -49,13 +63,26 @@ func TestMakeGraphValidatesRandomKinds(t *testing.T) {
 	}
 }
 
-// TestRunReportsGraphErrors drives the CLI entry point end to end with an
-// unsatisfiable size.
+// TestRunReportsGraphErrors drives the CLI entry point end to end with
+// unsatisfiable sizes: each must be a usage error, not a generator panic.
 func TestRunReportsGraphErrors(t *testing.T) {
-	var out bytes.Buffer
-	err := run(simOptions{protocol: "sym-dmam", kind: "doubled", n: 12, seed: 1}, &out)
-	if err == nil || !strings.Contains(err.Error(), "at least 14") {
-		t.Fatalf("run with -n 12 returned %v, want the size error", err)
+	cases := []struct {
+		o    simOptions
+		want string
+	}{
+		{simOptions{protocol: "sym-dmam", kind: "doubled", n: 12}, "at least 14"},
+		{simOptions{protocol: "sym-dmam", kind: "cycle", n: 2}, "at least 3"},
+		{simOptions{protocol: "sym-dam", kind: "complete", n: -1}, "outside [1, 1024]"},
+		{simOptions{protocol: "dsym-dam", side: 0, half: 1}, "invalid parameters side=0"},
+		{simOptions{protocol: "dsym-dam", side: 4, half: -1}, "invalid parameters side=4 half=-1"},
+		{simOptions{protocol: "dsym-dam", side: 300, half: 300}, "cap of 1024 vertices"},
+	}
+	for _, tc := range cases {
+		tc.o.seed = 1
+		var out bytes.Buffer
+		if err := run(tc.o, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("run(%+v) returned %v, want an error mentioning %q", tc.o, err, tc.want)
+		}
 	}
 }
 
@@ -140,6 +167,48 @@ func TestRunMatchesDipRun(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("per-round breakdowns differ: %s vs %s", a, b)
 	}
+
+	// Every protocol spelling: the engine path (-v, which drives the
+	// engine on the registry's assembled run) and the plain path (dip.Run)
+	// emit the same document. -k 0 selects the default repetition count
+	// on both.
+	for name, o := range map[string]simOptions{
+		"sym-dmam":      {protocol: "sym-dmam", kind: "cycle", n: 8},
+		"sym-dam":       {protocol: "sym-dam", kind: "doubled", n: 14},
+		"sym-rpls":      {protocol: "sym-rpls", kind: "star", n: 8},
+		"sym-lcp":       {protocol: "sym-lcp", kind: "path", n: 8},
+		"dsym-dam":      {protocol: "dsym-dam", side: 4, half: 1},
+		"gni":           {protocol: "gni", n: 6, k: 4},
+		"gni-default-k": {protocol: "gni", n: 6, k: 0},
+		"gni-lcp":       {protocol: "gni-lcp", n: 6},
+		"gni-marked":    {protocol: "gni-marked", n: 6, k: 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o.seed = 3
+			plain := runDocument(t, o)
+			o.verbose = true
+			if engine := runDocument(t, o); !bytes.Equal(plain, engine) {
+				t.Fatalf("engine path document differs from the plain path's:\n%s\n%s", engine, plain)
+			}
+		})
+	}
+}
+
+// runDocument runs dipsim and returns the dip-report/v1 document it
+// writes, with the process-wide delivery meters zeroed first so that
+// they count this run alone.
+func runDocument(t *testing.T, o simOptions) []byte {
+	t.Helper()
+	o.jsonPath = filepath.Join(t.TempDir(), "report.json")
+	obs.Reset()
+	if err := run(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile(o.jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return doc
 }
 
 // TestRunWithFault drives the -fault path: an honest sym-dam run with

@@ -36,7 +36,8 @@ type Options struct {
 	Seed int64 `json:"seed"`
 	// Repetitions is the parallel-repetition count of the GNI protocols
 	// (ignored elsewhere). 0 selects core.DefaultGNIRepetitions;
-	// negative values are rejected with an error.
+	// negative values and values above MaxRepetitions are rejected with
+	// an error.
 	Repetitions int `json:"repetitions,omitempty"`
 	// Timeout, when positive, bounds the prover's per-round response time
 	// (plumbed to the engine's ProverTimeout): a prover that has not

@@ -165,6 +165,22 @@ func TestBuildGraphValidation(t *testing.T) {
 	}
 }
 
+// TestRunCapsVertices: a request one vertex past MaxVertices is a
+// RequestError naming the cap, answered before the graph's adjacency rows
+// are allocated (building them would take over a thousand allocations).
+func TestRunCapsVertices(t *testing.T) {
+	req := Request{Protocol: "sym-dmam", N: MaxVertices + 1, Edges: [][2]int{{0, 1}}}
+	var err error
+	allocs := testing.AllocsPerRun(3, func() { _, err = Run(req) })
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "cap of 1024 vertices") {
+		t.Fatalf("n=%d returned %v, want a RequestError naming the cap", req.N, err)
+	}
+	if allocs > 20 {
+		t.Fatalf("rejecting n=%d took %.0f allocations", req.N, allocs)
+	}
+}
+
 func TestProveNonIsomorphismGeneralOnSymmetricGraphs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("general GNI run is slow")
@@ -303,6 +319,12 @@ func TestRepetitionsValidation(t *testing.T) {
 	if _, err := Run(Request{Protocol: "gni-marked", N: 3, Edges: edges, Marks: []int{0, 1, -1},
 		Options: Options{Repetitions: -7}}); err == nil {
 		t.Fatal("negative Repetitions accepted by gni-marked")
+	}
+	_, err = Run(Request{Protocol: "gni-damam", N: 3, Edges: edges, Edges1: edges,
+		Options: Options{Repetitions: MaxRepetitions + 1}})
+	var reqErr *RequestError
+	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "cap of 1000") {
+		t.Fatalf("Repetitions one past the cap returned %v, want a RequestError naming the cap", err)
 	}
 	if k, err := resolveRepetitions(0); err != nil || k != core.DefaultGNIRepetitions {
 		t.Fatalf("resolveRepetitions(0) = %d, %v; want the shared default %d",

@@ -87,17 +87,11 @@ func (c *symDMAMEchoCheater) Respond(round int, view *network.ProverView) (*netw
 	if forged == nil {
 		// No collision in budget: echo the real challenge and lose.
 		var err error
-		forged, err = decodeBigChallenge(view.Challenges[0][c.root], s.p)
-		if err != nil {
+		if forged, err = s.rootIndex(view, c.root); err != nil {
 			return nil, err
 		}
 	}
-	a, b := subtreeHashSums(g, s.family, forged, c.rho, c.inner.advice)
-	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
-	for v := 0; v < s.n; v++ {
-		resp.PerNode[v] = s.encodeSecond(symDMAMSecond{echo: forged, a: a[v], b: b[v]})
-	}
-	return resp, nil
+	return s.respondSums(g, forged, c.rho, c.inner.advice), nil
 }
 
 // InconsistentBroadcastProver attacks Protocol 1 by telling different nodes

@@ -1,16 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
-	"math/rand"
 
-	"dip/internal/bitset"
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/prime"
+	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -34,11 +31,9 @@ import (
 // automorphism — is verified with the spanning-tree hash aggregation of
 // Protocol 1.
 type DSymDAM struct {
+	symKit     // n = 2·side + 2·half + 1
 	side   int // n of Definition 5: vertices per dumbbell side
 	half   int // r of Definition 5: half-length of the connecting path
-	total  int // 2·side + 2·half + 1
-	p      *big.Int
-	family *hashing.LinearFamily
 	sigma  []int
 }
 
@@ -54,28 +49,12 @@ func NewDSymDAM(side, half int, seed int64) (*DSymDAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: DSymDAM modulus: %w", err)
 	}
-	family, err := hashing.NewLinearFamily(total*total, p)
+	kit, err := newSymKit("DSymDAM", total, p)
 	if err != nil {
-		return nil, fmt.Errorf("core: DSymDAM family: %w", err)
+		return nil, err
 	}
-	return &DSymDAM{
-		side:   side,
-		half:   half,
-		total:  total,
-		p:      p,
-		family: family,
-		sigma:  graph.DSymAutomorphism(side, half),
-	}, nil
+	return &DSymDAM{symKit: kit, side: side, half: half, sigma: graph.DSymAutomorphism(side, half)}, nil
 }
-
-// N returns the total number of vertices of a conforming instance.
-func (d *DSymDAM) N() int { return d.total }
-
-// P returns (a copy of) the hash modulus.
-func (d *DSymDAM) P() *big.Int { return new(big.Int).Set(d.p) }
-
-func (d *DSymDAM) idWidth() int   { return wire.WidthFor(d.total) }
-func (d *DSymDAM) hashWidth() int { return wire.WidthForBig(d.p) }
 
 type dsymMessage struct {
 	echo *big.Int
@@ -85,43 +64,15 @@ type dsymMessage struct {
 
 func (d *DSymDAM) encode(m dsymMessage) wire.Message {
 	var w wire.Writer
-	w.WriteBig(m.echo, d.hashWidth())
-	w.WriteInt(m.tree.Parent, d.idWidth())
-	w.WriteInt(m.tree.Dist, d.idWidth())
-	w.WriteBig(m.a, d.hashWidth())
-	w.WriteBig(m.b, d.hashWidth())
+	d.writeFields(&w, m.echo)
+	writeTree(&w, m.tree, d.n)
+	d.writeFields(&w, m.a, m.b)
 	return w.Message()
 }
 
 func (d *DSymDAM) decode(m wire.Message) (dsymMessage, error) {
-	r := wire.NewReader(m)
-	var out dsymMessage
-	var err error
-	if out.echo, err = r.ReadBig(d.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent, err = r.ReadInt(d.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Dist, err = r.ReadInt(d.idWidth()); err != nil {
-		return out, err
-	}
-	if out.a, err = r.ReadBig(d.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.b, err = r.ReadBig(d.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent >= d.total {
-		return out, errors.New("core: parent id out of range")
-	}
-	for _, x := range []*big.Int{out.echo, out.a, out.b} {
-		if x.Cmp(d.p) >= 0 {
-			return out, errors.New("core: field value out of range")
-		}
-	}
-	out.tree.Root = 0
-	return out, r.Done()
+	r := d.reader(m)
+	return dsymMessage{echo: r.field(), tree: r.tree(0), a: r.field(), b: r.field()}, r.done()
 }
 
 // legalNeighborhood runs node v's prover-free structure checks: conditions
@@ -201,19 +152,14 @@ func (d *DSymDAM) legalNeighborhood(v int, neighbors []int) bool {
 // Spec returns the protocol's round schedule and verifier.
 func (d *DSymDAM) Spec() *network.Spec {
 	return &network.Spec{
-		Name: "dsym-dam",
-		Rounds: []network.Round{
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				return bigChallenge(rng, d.p)
-			}},
-			{Kind: network.Merlin},
-		},
+		Name:   "dsym-dam",
+		Rounds: []network.Round{d.hashIndexRound(), {Kind: network.Merlin}},
 		Decide: d.decide,
 	}
 }
 
 func (d *DSymDAM) decide(v int, view *network.NodeView) bool {
-	if view.NumVertices != d.total {
+	if view.NumVertices != d.n {
 		return false
 	}
 	// Prover-free structure checks first.
@@ -225,60 +171,18 @@ func (d *DSymDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]dsymMessage, len(view.Neighbors))
+	// The echo is the only broadcast field; every image is σ's.
+	nbrs := make(map[int]symShare, len(view.Neighbors))
 	for _, u := range view.Neighbors {
 		nm, err := d.decode(view.NeighborResponses[0][u])
-		if err != nil {
+		if err != nil || nm.echo.Cmp(msg.echo) != 0 {
 			return false
 		}
-		if nm.echo.Cmp(msg.echo) != 0 {
-			return false
-		}
-		neighborMsgs[u] = nm
+		nbrs[u] = symShare{tree: nm.tree, image: d.sigma[u], a: nm.a, b: nm.b}
 	}
-
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
-	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
-		return false
-	}
-	children := spantree.Children(v, treeAdvice)
-	i := msg.echo
-
-	closed := bitset.New(d.total)
-	closed.Add(v)
-	for _, u := range view.Neighbors {
-		closed.Add(u)
-	}
-	aExpect := d.family.HashRowMatrix(i, d.total, v, closed)
-	for _, u := range children {
-		aExpect = d.family.AddModInto(aExpect, neighborMsgs[u].a)
-	}
-	if aExpect.Cmp(msg.a) != 0 {
-		return false
-	}
-
-	mappedRow := closed.Permute(d.sigma)
-	bExpect := d.family.HashRowMatrix(i, d.total, d.sigma[v], mappedRow)
-	for _, u := range children {
-		bExpect = d.family.AddModInto(bExpect, neighborMsgs[u].b)
-	}
-	if bExpect.Cmp(msg.b) != 0 {
-		return false
-	}
-
-	if v == 0 { // root checks; σ(0) = side ≠ 0 by construction
-		if msg.a.Cmp(msg.b) != 0 {
-			return false
-		}
-		iv, err := decodeBigChallenge(view.MyChallenges[0], d.p)
-		if err != nil || iv.Cmp(i) != 0 {
-			return false
-		}
-	}
-	return true
+	// The root is vertex 0, which σ moves to side ≠ 0.
+	own := symShare{tree: msg.tree, image: d.sigma[v], a: msg.a, b: msg.b}
+	return d.verify(v, 0, msg.echo, own, nbrs, view)
 }
 
 // HonestProver returns the completeness prover: it echoes the root's hash
@@ -306,26 +210,24 @@ func (p *dsymProver) Respond(round int, view *network.ProverView) (*network.Resp
 	}
 	d := p.proto
 	g := view.Graph
-	if g.N() != d.total {
-		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g.N(), d.total)
+	if err := d.checkGraph(g); err != nil {
+		return nil, err
 	}
-	i, err := decodeBigChallenge(view.Challenges[0][0], d.p)
+	i, err := d.rootIndex(view, 0)
 	if err != nil {
-		return nil, fmt.Errorf("core: DSym prover challenge: %w", err)
+		return nil, err
 	}
-	advice, err := spantree.Compute(g, 0)
+	advice, err := setupcache.ForGraph(g).SpanTree(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: DSym prover tree: %w", err)
 	}
-	a, b := subtreeHashSums(g, d.family, i, d.sigma, advice)
+	a, b := d.subtreeHashSums(g, i, d.sigma, advice)
 	if p.forge {
 		a[p.forgeAt] = new(big.Int).Mod(new(big.Int).Add(a[p.forgeAt], big.NewInt(1)), d.p)
 	}
-	resp := &network.Response{PerNode: make([]wire.Message, d.total)}
-	for v := 0; v < d.total; v++ {
-		resp.PerNode[v] = d.encode(dsymMessage{echo: i, tree: advice[v], a: a[v], b: b[v]})
-	}
-	return resp, nil
+	return d.perNode(func(v int) wire.Message {
+		return d.encode(dsymMessage{echo: i, tree: advice[v], a: a[v], b: b[v]})
+	}), nil
 }
 
 // Run executes the protocol on g against the given prover.

@@ -156,6 +156,10 @@ func equivCases(t *testing.T) []equivCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gniLCP, err := NewGNILCP(gniN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c6 := graph.Cycle(gniN)
 	c6Shuffled, _ := c6.Shuffle(rng)
 
@@ -192,6 +196,7 @@ func equivCases(t *testing.T) []equivCase {
 		{"gni-dam", gniDAM.Spec, gniYes.G0, EncodeGNIInputs(gniYes.G1), gniDAM.HonestProver},
 		{"gni-general", general.Spec, c6, EncodeGNIInputs(c6Shuffled), general.HonestProver},
 		{"gni-marked", marked.Spec, markedG, markInputs, marked.HonestProver},
+		{"gni-lcp", gniLCP.Spec, gniYes.G0, EncodeGNIInputs(gniYes.G1), gniLCP.HonestProver},
 	}
 }
 

@@ -45,9 +45,15 @@ func FuzzSymDecoders(f *testing.F) {
 	addBoundarySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, bits int) {
 		m := fuzzMessage(t, data, bits)
-		_, _ = dmam.decodeFirst(m)
-		_, _ = dmam.decodeSecond(m)
-		_, _ = dam.decode(m)
+		if first, err := dmam.decodeFirst(m); err == nil {
+			requireReencodes(t, m, dmam.encodeFirst(first))
+		}
+		if second, err := dmam.decodeSecond(m); err == nil {
+			requireReencodes(t, m, dmam.encodeSecond(second))
+		}
+		if msg, err := dam.decode(m); err == nil {
+			requireReencodes(t, m, dam.encode(msg))
+		}
 	})
 }
 
@@ -59,7 +65,9 @@ func FuzzDSymDecoder(f *testing.F) {
 	addBoundarySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, bits int) {
 		m := fuzzMessage(t, data, bits)
-		_, _ = dsym.decode(m)
+		if msg, err := dsym.decode(m); err == nil {
+			requireReencodes(t, m, dsym.encode(msg))
+		}
 	})
 }
 
@@ -139,7 +147,11 @@ func FuzzLCPDecoders(f *testing.F) {
 	addBoundarySeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte, bits int) {
 		m := fuzzMessage(t, data, bits)
-		_, _ = lcp.decode(m)
-		_, _, _ = glcp.decode(m)
+		if a, err := lcp.decode(m); err == nil {
+			requireReencodes(t, m, lcp.encode(a))
+		}
+		if g0, g1, err := glcp.decode(m); err == nil {
+			requireReencodes(t, m, glcp.encode(g0, g1))
+		}
 	})
 }

@@ -137,8 +137,7 @@ func (kit *gsKit) writeHead(w *wire.Writer, lay gsLayout, reps []gsRep, tree spa
 			writeInts(w, r.tau, lay.permWidth)
 		}
 	}
-	w.WriteInt(tree.Parent, kit.idWidth())
-	w.WriteInt(tree.Dist, kit.idWidth())
+	writeTree(w, tree, kit.n)
 }
 
 func (kit *gsKit) readHead(r *wire.Reader, lay gsLayout) (gsHead, error) {
@@ -175,17 +174,8 @@ func (kit *gsKit) readHead(r *wire.Reader, lay gsLayout) (gsHead, error) {
 			}
 		}
 	}
-	if h.tree.Parent, err = r.ReadInt(kit.idWidth()); err != nil {
-		return h, err
-	}
-	if h.tree.Dist, err = r.ReadInt(kit.idWidth()); err != nil {
-		return h, err
-	}
-	if h.tree.Parent >= kit.n {
-		return h, errors.New("core: parent id out of range")
-	}
-	h.tree.Root = 0
-	return h, nil
+	h.tree, err = readTree(r, kit.n, 0)
+	return h, err
 }
 
 // sameReps reports whether two decoded broadcast sections agree.

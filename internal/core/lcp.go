@@ -51,56 +51,31 @@ func (s *SymLCP) AdviceBits() int {
 }
 
 type symLCPAdvice struct {
-	adj     *bitset.Set // upper-triangle packing
+	g       *graph.Graph // the claimed graph, sent as its upper triangle
 	rho     []int
 	witness int
 }
 
 func (s *SymLCP) encode(a symLCPAdvice) wire.Message {
 	var w wire.Writer
-	for i := 0; i < a.adj.Len(); i++ {
-		w.WriteBool(a.adj.Contains(i))
-	}
+	writeTriangle(&w, a.g)
 	idW := wire.WidthFor(s.n)
-	for _, img := range a.rho {
-		w.WriteInt(img, idW)
-	}
+	writeInts(&w, a.rho, idW)
 	w.WriteInt(a.witness, idW)
 	return w.Message()
 }
 
 func (s *SymLCP) decode(m wire.Message) (symLCPAdvice, error) {
 	r := wire.NewReader(m)
-	tri := s.n * (s.n - 1) / 2
-	adj := bitset.New(tri)
-	for i := 0; i < tri; i++ {
-		b, err := r.ReadBool()
-		if err != nil {
-			return symLCPAdvice{}, err
-		}
-		if b {
-			adj.Add(i)
-		}
-	}
-	idW := wire.WidthFor(s.n)
-	rho := make([]int, s.n)
-	for v := range rho {
-		var err error
-		if rho[v], err = r.ReadInt(idW); err != nil {
-			return symLCPAdvice{}, err
-		}
-		if rho[v] >= s.n {
-			return symLCPAdvice{}, fmt.Errorf("core: image out of range")
-		}
-	}
-	witness, err := r.ReadInt(idW)
+	g, err := readTriangle(r, s.n)
 	if err != nil {
 		return symLCPAdvice{}, err
 	}
-	if witness >= s.n {
-		return symLCPAdvice{}, fmt.Errorf("core: witness out of range")
+	ids, err := readInts(r, s.n+1, s.n, wire.WidthFor(s.n)) // ρ, then the witness
+	if err != nil {
+		return symLCPAdvice{}, err
 	}
-	return symLCPAdvice{adj: adj, rho: rho, witness: witness}, r.Done()
+	return symLCPAdvice{g: g, rho: ids[:s.n], witness: ids[s.n]}, r.Done()
 }
 
 // Spec returns the one-round scheme.
@@ -116,37 +91,60 @@ func (s *SymLCP) decide(v int, view *network.NodeView) bool {
 	if view.NumVertices != s.n {
 		return false
 	}
-	a, err := s.decode(view.Responses[0])
-	if err != nil {
-		return false
-	}
 	// All neighbors must hold identical advice.
 	for _, u := range view.Neighbors {
 		if !msgEqual(view.Responses[0], view.NeighborResponses[0][u]) {
 			return false
 		}
 	}
-	g, err := graph.FromAdjacencyBits(s.n, a.adj)
-	if err != nil {
+	return s.checkAdvice(v, view.Neighbors, view.Responses[0])
+}
+
+// checkAdvice is node v's content check of its own advice m, shared with
+// SymRPLS: m must decode, v's row of the claimed matrix must be v's actual
+// neighborhood nbrs, and ρ must be a non-trivial automorphism of the
+// claimed graph that moves the witness.
+func (s *SymLCP) checkAdvice(v int, nbrs []int, m wire.Message) bool {
+	a, err := s.decode(m)
+	return err == nil && rowIs(a.g, v, nbrs) && perm.IsValid(a.rho) &&
+		a.rho[a.witness] != a.witness && a.g.IsAutomorphism(a.rho)
+}
+
+// writeTriangle writes g as its packed upper triangle (graph.AdjacencyBits):
+// the n(n-1)/2 bits with which the labeling schemes hand out a graph.
+func writeTriangle(w *wire.Writer, g *graph.Graph) {
+	adj := g.AdjacencyBits()
+	for i := 0; i < adj.Len(); i++ {
+		w.WriteBool(adj.Contains(i))
+	}
+}
+
+// readTriangle reads an n-vertex graph written by writeTriangle.
+func readTriangle(r *wire.Reader, n int) (*graph.Graph, error) {
+	adj := bitset.New(n * (n - 1) / 2)
+	for i := 0; i < adj.Len(); i++ {
+		edge, err := r.ReadBool()
+		if err != nil {
+			return nil, err
+		}
+		if edge {
+			adj.Add(i)
+		}
+	}
+	return graph.FromAdjacencyBits(n, adj)
+}
+
+// rowIs reports whether v's row of the claimed graph g is exactly nbrs.
+func rowIs(g *graph.Graph, v int, nbrs []int) bool {
+	if g.Degree(v) != len(nbrs) {
 		return false
 	}
-	// My row of the claimed matrix must match my actual neighborhood.
-	if len(g.Neighbors(v)) != len(view.Neighbors) {
-		return false
-	}
-	for _, u := range view.Neighbors {
+	for _, u := range nbrs {
 		if !g.HasEdge(v, u) {
 			return false
 		}
 	}
-	// The mapping must be a non-trivial automorphism of the claimed matrix.
-	if !perm.IsValid(a.rho) {
-		return false
-	}
-	if a.rho[a.witness] == a.witness {
-		return false
-	}
-	return g.IsAutomorphism(a.rho)
+	return true
 }
 
 // HonestProver returns the prover that publishes the true matrix and an
@@ -168,7 +166,7 @@ func (s *SymLCP) HonestProver() network.Prover {
 		if witness < 0 {
 			witness = 0
 		}
-		adv := s.encode(symLCPAdvice{adj: g.AdjacencyBits(), rho: rho, witness: witness})
+		adv := s.encode(symLCPAdvice{g: g, rho: rho, witness: witness})
 		return network.Broadcast(s.n, adv), nil
 	})
 }
@@ -207,35 +205,17 @@ func (s *GNILCP) AdviceBits() int { return s.n * (s.n - 1) }
 
 func (s *GNILCP) encode(g0, g1 *graph.Graph) wire.Message {
 	var w wire.Writer
-	for _, g := range []*graph.Graph{g0, g1} {
-		bits := g.AdjacencyBits()
-		for i := 0; i < bits.Len(); i++ {
-			w.WriteBool(bits.Contains(i))
-		}
-	}
+	writeTriangle(&w, g0)
+	writeTriangle(&w, g1)
 	return w.Message()
 }
 
 func (s *GNILCP) decode(m wire.Message) (g0, g1 *graph.Graph, err error) {
 	r := wire.NewReader(m)
-	tri := s.n * (s.n - 1) / 2
-	read := func() (*graph.Graph, error) {
-		adj := bitset.New(tri)
-		for i := 0; i < tri; i++ {
-			b, err := r.ReadBool()
-			if err != nil {
-				return nil, err
-			}
-			if b {
-				adj.Add(i)
-			}
-		}
-		return graph.FromAdjacencyBits(s.n, adj)
-	}
-	if g0, err = read(); err != nil {
+	if g0, err = readTriangle(r, s.n); err != nil {
 		return nil, nil, err
 	}
-	if g1, err = read(); err != nil {
+	if g1, err = readTriangle(r, s.n); err != nil {
 		return nil, nil, err
 	}
 	return g0, g1, r.Done()
@@ -263,27 +243,13 @@ func (s *GNILCP) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 	}
-	// G₀ row vs actual neighborhood.
-	if len(g0.Neighbors(v)) != len(view.Neighbors) {
+	// G₀ row vs actual neighborhood, G₁ row vs input.
+	if !rowIs(g0, v, view.Neighbors) {
 		return false
 	}
-	for _, u := range view.Neighbors {
-		if !g0.HasEdge(v, u) {
-			return false
-		}
-	}
-	// G₁ row vs input.
 	open, err := decodeGNIInput(view.Input, s.n)
-	if err != nil {
+	if err != nil || !rowIs(g1, v, open) {
 		return false
-	}
-	if len(open) != len(g1.Neighbors(v)) {
-		return false
-	}
-	for _, u := range open {
-		if !g1.HasEdge(v, u) {
-			return false
-		}
 	}
 	// Unbounded verifier: decide non-isomorphism outright.
 	return !graph.AreIsomorphic(g0, g1)

@@ -59,7 +59,7 @@ func TestSymLCPSoundness(t *testing.T) {
 	forged := proverFunc(func(round int, view *network.ProverView) (*network.Response, error) {
 		fake := graph.Cycle(g.N()) // symmetric, but not the real graph
 		rho := graph.FindNontrivialAutomorphism(fake)
-		adv := lcp.encode(symLCPAdvice{adj: fake.AdjacencyBits(), rho: rho, witness: rho.Moved()})
+		adv := lcp.encode(symLCPAdvice{g: fake, rho: rho, witness: rho.Moved()})
 		return network.Broadcast(g.N(), adv), nil
 	})
 	res, err = lcp.Run(g, forged, 3)

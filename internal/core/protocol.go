@@ -7,18 +7,23 @@
 //
 // Every protocol is expressed as a network.Spec (round schedule plus
 // per-node decision function) together with an honest network.Prover. The
-// four GNI protocols embed one Goldwasser–Sipser kit (gsKit, gs.go) and
-// differ only in what they broadcast and when.
+// three symmetry protocols embed one Protocol 1 kit (symKit, symkit.go)
+// and differ only in their message layout, their broadcast comparison and
+// where a node's image ρ(v) comes from; the four GNI protocols embed one
+// Goldwasser–Sipser kit (gsKit, gs.go) and differ only in what they
+// broadcast and when.
 // Running a protocol against its honest prover on a yes-instance must
 // accept; running any prover on a no-instance must accept with probability
 // below 1/3.
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
 
+	"dip/internal/spantree"
 	"dip/internal/wire"
 )
 
@@ -68,4 +73,28 @@ func decodeBigChallenge(m wire.Message, modulus *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("core: challenge %v out of range", v)
 	}
 	return v, nil
+}
+
+// writeTree writes spanning-tree advice as parent | dist, each a vertex id
+// of an n-vertex graph; the root travels in a field of its own or is fixed.
+func writeTree(w *wire.Writer, t spantree.Advice, n int) {
+	w.WriteInt(t.Parent, wire.WidthFor(n))
+	w.WriteInt(t.Dist, wire.WidthFor(n))
+}
+
+// readTree reads advice written by writeTree for a tree rooted at root;
+// the parent must be a vertex.
+func readTree(r *wire.Reader, n, root int) (spantree.Advice, error) {
+	t := spantree.Advice{Root: root}
+	var err error
+	if t.Parent, err = r.ReadInt(wire.WidthFor(n)); err != nil {
+		return t, err
+	}
+	if t.Dist, err = r.ReadInt(wire.WidthFor(n)); err != nil {
+		return t, err
+	}
+	if t.Parent >= n {
+		return t, errors.New("core: parent id out of range")
+	}
+	return t, nil
 }

@@ -9,7 +9,6 @@ import (
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
-	"dip/internal/perm"
 	"dip/internal/prime"
 	"dip/internal/wire"
 )
@@ -136,27 +135,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 	}
-	// Content checks on our own full advice, exactly as in SymLCP.
-	a, err := s.lcp.decode(advice)
-	if err != nil {
-		return false
-	}
-	g, err := graph.FromAdjacencyBits(s.n, a.adj)
-	if err != nil {
-		return false
-	}
-	if len(g.Neighbors(v)) != len(view.Neighbors) {
-		return false
-	}
-	for _, u := range view.Neighbors {
-		if !g.HasEdge(v, u) {
-			return false
-		}
-	}
-	if !perm.IsValid(a.rho) || a.rho[a.witness] == a.witness {
-		return false
-	}
-	return g.IsAutomorphism(a.rho)
+	return s.lcp.checkAdvice(v, view.Neighbors, advice)
 }
 
 // HonestProver returns the SymLCP prover (the advice is identical).
@@ -177,9 +156,7 @@ func (s *SymRPLS) InconsistentAdviceProver(at int) network.Prover {
 		if rho == nil {
 			return nil, errors.New("core: cycle has no automorphism?")
 		}
-		resp.PerNode[at] = s.lcp.encode(symLCPAdvice{
-			adj: fake.AdjacencyBits(), rho: rho, witness: rho.Moved(),
-		})
+		resp.PerNode[at] = s.lcp.encode(symLCPAdvice{g: fake, rho: rho, witness: rho.Moved()})
 		return resp, nil
 	})
 }

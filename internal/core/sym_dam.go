@@ -1,14 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
-	"math/rand"
+	"slices"
 
-	"dip/internal/bitset"
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
 	"dip/internal/prime"
@@ -34,9 +31,7 @@ import (
 //	Merlin  — per node v: [ρ (full) | echo i | root r]  (broadcast fields)
 //	          ++ [parent t_v | dist d_v | a_v | b_v]     (unicast fields)
 type SymDAM struct {
-	n      int
-	p      *big.Int
-	family *hashing.LinearFamily
+	symKit
 }
 
 // NewSymDAM builds the protocol for graphs on n ≥ 2 vertices.
@@ -48,7 +43,7 @@ func NewSymDAM(n int, seed int64) (*SymDAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDAM modulus: %w", err)
 	}
-	return newSymDAMWithPrime(n, p)
+	return NewSymDAMWithPrime(n, p)
 }
 
 // NewSymDAMWithPrime builds the protocol with an explicit hash modulus.
@@ -59,25 +54,12 @@ func NewSymDAMWithPrime(n int, p *big.Int) (*SymDAM, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: SymDAM needs n >= 2, got %d", n)
 	}
-	return newSymDAMWithPrime(n, p)
-}
-
-func newSymDAMWithPrime(n int, p *big.Int) (*SymDAM, error) {
-	family, err := hashing.NewLinearFamily(n*n, p)
+	kit, err := newSymKit("SymDAM", n, p)
 	if err != nil {
-		return nil, fmt.Errorf("core: SymDAM family: %w", err)
+		return nil, err
 	}
-	return &SymDAM{n: n, p: p, family: family}, nil
+	return &SymDAM{symKit: kit}, nil
 }
-
-// N returns the number of vertices the protocol instance is for.
-func (s *SymDAM) N() int { return s.n }
-
-// P returns (a copy of) the hash modulus.
-func (s *SymDAM) P() *big.Int { return new(big.Int).Set(s.p) }
-
-func (s *SymDAM) idWidth() int   { return wire.WidthFor(s.n) }
-func (s *SymDAM) hashWidth() int { return wire.WidthForBig(s.p) }
 
 // symDAMMessage is the single Merlin message, decoded.
 type symDAMMessage struct {
@@ -90,84 +72,31 @@ type symDAMMessage struct {
 
 func (s *SymDAM) encode(m symDAMMessage) wire.Message {
 	var w wire.Writer
-	for _, img := range m.rho {
-		w.WriteInt(img, s.idWidth())
-	}
-	w.WriteBig(m.echo, s.hashWidth())
+	writeInts(&w, m.rho, s.idWidth())
+	s.writeFields(&w, m.echo)
 	w.WriteInt(m.root, s.idWidth())
-	w.WriteInt(m.tree.Parent, s.idWidth())
-	w.WriteInt(m.tree.Dist, s.idWidth())
-	w.WriteBig(m.a, s.hashWidth())
-	w.WriteBig(m.b, s.hashWidth())
+	writeTree(&w, m.tree, s.n)
+	s.writeFields(&w, m.a, m.b)
 	return w.Message()
 }
 
 func (s *SymDAM) decode(m wire.Message) (symDAMMessage, error) {
-	r := wire.NewReader(m)
+	r := s.reader(m)
 	out := symDAMMessage{rho: make([]int, s.n)}
-	var err error
 	for v := range out.rho {
-		if out.rho[v], err = r.ReadInt(s.idWidth()); err != nil {
-			return out, err
-		}
-		if out.rho[v] >= s.n {
-			return out, errors.New("core: image out of range")
-		}
+		out.rho[v] = r.id()
 	}
-	if out.echo, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.root, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Dist, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.a, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.b, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.root >= s.n || out.tree.Parent >= s.n {
-		return out, errors.New("core: vertex id out of range")
-	}
-	for _, x := range []*big.Int{out.echo, out.a, out.b} {
-		if x.Cmp(s.p) >= 0 {
-			return out, errors.New("core: field value out of range")
-		}
-	}
-	out.tree.Root = out.root
-	return out, r.Done()
-}
-
-// sameBroadcast reports whether the broadcast fields (ρ, echo, root) of two
-// decoded messages agree.
-func sameBroadcast(a, b symDAMMessage) bool {
-	if a.root != b.root || a.echo.Cmp(b.echo) != 0 {
-		return false
-	}
-	for i := range a.rho {
-		if a.rho[i] != b.rho[i] {
-			return false
-		}
-	}
-	return true
+	out.echo, out.root = r.field(), r.id()
+	out.tree = r.tree(out.root)
+	out.a, out.b = r.field(), r.field()
+	return out, r.done()
 }
 
 // Spec returns the protocol's round schedule and verifier.
 func (s *SymDAM) Spec() *network.Spec {
 	return &network.Spec{
-		Name: "sym-dam",
-		Rounds: []network.Round{
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				return bigChallenge(rng, s.p)
-			}},
-			{Kind: network.Merlin},
-		},
+		Name:   "sym-dam",
+		Rounds: []network.Round{s.hashIndexRound(), {Kind: network.Merlin}},
 		Decide: s.decide,
 	}
 }
@@ -181,68 +110,19 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]symDAMMessage, len(view.Neighbors))
+	// Broadcast checks: ρ, the echo and the root agree with every
+	// neighbor's copy, so v reads every image from its own copy of ρ (and
+	// no first-round commitment is needed).
+	nbrs := make(map[int]symShare, len(view.Neighbors))
 	for _, u := range view.Neighbors {
 		nm, err := s.decode(view.NeighborResponses[0][u])
-		if err != nil {
+		if err != nil || nm.root != msg.root || nm.echo.Cmp(msg.echo) != 0 || !slices.Equal(nm.rho, msg.rho) {
 			return false
 		}
-		if !sameBroadcast(msg, nm) {
-			return false
-		}
-		neighborMsgs[u] = nm
+		nbrs[u] = symShare{tree: nm.tree, image: msg.rho[u], a: nm.a, b: nm.b}
 	}
-
-	// Line 1: spanning-tree checks.
-	treeAdvice := make(map[int]spantree.Advice, len(neighborMsgs))
-	for u, nm := range neighborMsgs {
-		treeAdvice[u] = nm.tree
-	}
-	if !spantree.VerifyLocal(v, msg.tree, treeAdvice, view.HasNeighbor) {
-		return false
-	}
-	children := spantree.Children(v, treeAdvice)
-	i := msg.echo
-
-	// Line 3a: a_v = h_i([v, N(v)]) + Σ_{u∈C(v)} a_u.
-	closed := bitset.New(s.n)
-	closed.Add(v)
-	for _, u := range view.Neighbors {
-		closed.Add(u)
-	}
-	aExpect := s.family.HashRowMatrix(i, s.n, v, closed)
-	for _, u := range children {
-		aExpect = s.family.AddModInto(aExpect, neighborMsgs[u].a)
-	}
-	if aExpect.Cmp(msg.a) != 0 {
-		return false
-	}
-
-	// Line 3b: b_v = h_i([ρ(v), ρ(N(v))]) + Σ_{u∈C(v)} b_u, with ρ read
-	// from the broadcast (so no first-round commitment is needed).
-	mappedRow := closed.Permute(msg.rho)
-	bExpect := s.family.HashRowMatrix(i, s.n, msg.rho[v], mappedRow)
-	for _, u := range children {
-		bExpect = s.family.AddModInto(bExpect, neighborMsgs[u].b)
-	}
-	if bExpect.Cmp(msg.b) != 0 {
-		return false
-	}
-
-	// Line 4: root-only checks.
-	if v == msg.root {
-		if msg.a.Cmp(msg.b) != 0 {
-			return false
-		}
-		if msg.rho[v] == v {
-			return false
-		}
-		iv, err := decodeBigChallenge(view.MyChallenges[0], s.p)
-		if err != nil || iv.Cmp(i) != 0 {
-			return false
-		}
-	}
-	return true
+	own := symShare{tree: msg.tree, image: msg.rho[v], a: msg.a, b: msg.b}
+	return s.verify(v, msg.root, msg.echo, own, nbrs, view)
 }
 
 // HonestProver returns a prover implementing the completeness strategy of
@@ -273,10 +153,14 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 	}
 	s := p.proto
 	g := view.Graph
-	if g.N() != s.n {
-		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g.N(), s.n)
+	if err := s.checkGraph(g); err != nil {
+		return nil, err
 	}
 
+	// The honest search and the spanning tree are seed-independent, so
+	// they go through the per-graph setup cache (the PostHoc and
+	// fixed-mapping strategies below deliberately do not cache mappings).
+	art := setupcache.ForGraph(g)
 	var rho perm.Perm
 	var root int
 	switch {
@@ -290,20 +174,12 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 	case p.fixedRho != nil:
 		rho, root = p.fixedRho, p.fixedRoot
 	default:
-		// The honest search is seed-independent, so it goes through the
-		// per-graph setup cache (the PostHoc and fixed-mapping strategies
-		// above deliberately do not).
-		rho = setupcache.ForGraph(g).Automorphism()
-		if rho == nil {
-			rho = perm.Identity(s.n)
-			rho[0], rho[1] = 1, 0
-		}
-		root = rho.Moved()
+		rho, root = s.honestMapping(art)
 	}
 
-	i, err := decodeBigChallenge(view.Challenges[0][root], s.p)
+	i, err := s.rootIndex(view, root)
 	if err != nil {
-		return nil, fmt.Errorf("core: SymDAM prover challenge: %w", err)
+		return nil, err
 	}
 	if p.PostHoc != nil {
 		// Now that the root (and hence the binding challenge) is known,
@@ -311,24 +187,14 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 		rho, _ = p.PostHoc(g, i)
 	}
 
-	advice, err := setupcache.ForGraph(g).SpanTree(root)
+	advice, err := art.SpanTree(root)
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDAM prover tree: %w", err)
 	}
-	a, b := subtreeHashSums(g, s.family, i, rho, advice)
-
-	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
-	for v := 0; v < s.n; v++ {
-		resp.PerNode[v] = s.encode(symDAMMessage{
-			rho:  rho,
-			echo: i,
-			root: root,
-			tree: advice[v],
-			a:    a[v],
-			b:    b[v],
-		})
-	}
-	return resp, nil
+	a, b := s.subtreeHashSums(g, i, rho, advice)
+	return s.perNode(func(v int) wire.Message {
+		return s.encode(symDAMMessage{rho: rho, echo: i, root: root, tree: advice[v], a: a[v], b: b[v]})
+	}), nil
 }
 
 // Run executes the protocol on g against the given prover.

@@ -1,14 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/big"
-	"math/rand"
 
-	"dip/internal/bitset"
 	"dip/internal/graph"
-	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
 	"dip/internal/prime"
@@ -33,9 +29,7 @@ import (
 // ablation experiment E9 — is that the prover commits to ρ before seeing
 // the random hash index.
 type SymDMAM struct {
-	n      int
-	p      *big.Int
-	family *hashing.LinearFamily
+	symKit
 }
 
 // NewSymDMAM builds the protocol for graphs on n ≥ 2 vertices, deriving the
@@ -48,26 +42,14 @@ func NewSymDMAM(n int, seed int64) (*SymDMAM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDMAM modulus: %w", err)
 	}
-	family, err := hashing.NewLinearFamily(n*n, p)
+	kit, err := newSymKit("SymDMAM", n, p)
 	if err != nil {
-		return nil, fmt.Errorf("core: SymDMAM family: %w", err)
+		return nil, err
 	}
-	return &SymDMAM{n: n, p: p, family: family}, nil
+	return &SymDMAM{symKit: kit}, nil
 }
 
-// N returns the number of vertices the protocol instance is for.
-func (s *SymDMAM) N() int { return s.n }
-
-// P returns (a copy of) the hash modulus.
-func (s *SymDMAM) P() *big.Int { return new(big.Int).Set(s.p) }
-
-// idWidth is the bit width of a vertex identifier.
-func (s *SymDMAM) idWidth() int { return wire.WidthFor(s.n) }
-
-// hashWidth is the bit width of a hash index or hash value.
-func (s *SymDMAM) hashWidth() int { return wire.WidthForBig(s.p) }
-
-// firstMessage is the decoded first Merlin message.
+// symDMAMFirst is the decoded first Merlin message.
 type symDMAMFirst struct {
 	root int
 	rho  int
@@ -78,35 +60,17 @@ func (s *SymDMAM) encodeFirst(m symDMAMFirst) wire.Message {
 	var w wire.Writer
 	w.WriteInt(m.root, s.idWidth())
 	w.WriteInt(m.rho, s.idWidth())
-	w.WriteInt(m.tree.Parent, s.idWidth())
-	w.WriteInt(m.tree.Dist, s.idWidth())
+	writeTree(&w, m.tree, s.n)
 	return w.Message()
 }
 
 func (s *SymDMAM) decodeFirst(m wire.Message) (symDMAMFirst, error) {
-	r := wire.NewReader(m)
-	var out symDMAMFirst
-	var err error
-	if out.root, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.rho, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Parent, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	if out.tree.Dist, err = r.ReadInt(s.idWidth()); err != nil {
-		return out, err
-	}
-	out.tree.Root = out.root
-	if out.root >= s.n || out.rho >= s.n || out.tree.Parent >= s.n {
-		return out, errors.New("core: vertex id out of range")
-	}
-	return out, r.Done()
+	r := s.reader(m)
+	root, rho := r.id(), r.id()
+	return symDMAMFirst{root: root, rho: rho, tree: r.tree(root)}, r.done()
 }
 
-// secondMessage is the decoded second Merlin message.
+// symDMAMSecond is the decoded second Merlin message.
 type symDMAMSecond struct {
 	echo *big.Int // claimed hash index chosen by the root
 	a, b *big.Int
@@ -114,44 +78,20 @@ type symDMAMSecond struct {
 
 func (s *SymDMAM) encodeSecond(m symDMAMSecond) wire.Message {
 	var w wire.Writer
-	w.WriteBig(m.echo, s.hashWidth())
-	w.WriteBig(m.a, s.hashWidth())
-	w.WriteBig(m.b, s.hashWidth())
+	s.writeFields(&w, m.echo, m.a, m.b)
 	return w.Message()
 }
 
 func (s *SymDMAM) decodeSecond(m wire.Message) (symDMAMSecond, error) {
-	r := wire.NewReader(m)
-	var out symDMAMSecond
-	var err error
-	if out.echo, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.a, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	if out.b, err = r.ReadBig(s.hashWidth()); err != nil {
-		return out, err
-	}
-	for _, v := range []*big.Int{out.echo, out.a, out.b} {
-		if v.Cmp(s.p) >= 0 {
-			return out, errors.New("core: hash value out of range")
-		}
-	}
-	return out, r.Done()
+	r := s.reader(m)
+	return symDMAMSecond{echo: r.field(), a: r.field(), b: r.field()}, r.done()
 }
 
 // Spec returns the protocol's round schedule and verifier.
 func (s *SymDMAM) Spec() *network.Spec {
 	return &network.Spec{
-		Name: "sym-dmam",
-		Rounds: []network.Round{
-			{Kind: network.Merlin},
-			{Kind: network.Arthur, Challenge: func(_ int, rng *rand.Rand, _ *network.NodeView) wire.Message {
-				return bigChallenge(rng, s.p)
-			}},
-			{Kind: network.Merlin},
-		},
+		Name:   "sym-dmam",
+		Rounds: []network.Round{{Kind: network.Merlin}, s.hashIndexRound(), {Kind: network.Merlin}},
 		Decide: s.decide,
 	}
 }
@@ -169,89 +109,24 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-
-	// Neighbor copies of both rounds, with broadcast-field checks: all
-	// nodes must have received the same root and the same echoed index.
-	neighborFirst := make(map[int]symDMAMFirst, len(view.Neighbors))
-	neighborSecond := make(map[int]symDMAMSecond, len(view.Neighbors))
+	// Broadcast checks: all nodes must have received the same root and the
+	// same echoed index. Node v learns the images ρ(u) of its neighbors
+	// from their first-round messages (Definition 1: v sees the responses
+	// of N(v)).
+	nbrs := make(map[int]symShare, len(view.Neighbors))
 	for _, u := range view.Neighbors {
 		nf, err := s.decodeFirst(view.NeighborResponses[0][u])
-		if err != nil {
+		if err != nil || nf.root != first.root {
 			return false
 		}
-		if nf.root != first.root {
-			return false
-		}
-		neighborFirst[u] = nf
 		ns, err := s.decodeSecond(view.NeighborResponses[1][u])
-		if err != nil {
+		if err != nil || ns.echo.Cmp(second.echo) != 0 {
 			return false
 		}
-		if ns.echo.Cmp(second.echo) != 0 {
-			return false
-		}
-		neighborSecond[u] = ns
+		nbrs[u] = symShare{tree: nf.tree, image: nf.rho, a: ns.a, b: ns.b}
 	}
-
-	// Line 1: spanning-tree checks.
-	treeAdvice := make(map[int]spantree.Advice, len(neighborFirst))
-	for u, nf := range neighborFirst {
-		treeAdvice[u] = nf.tree
-	}
-	if !spantree.VerifyLocal(v, first.tree, treeAdvice, view.HasNeighbor) {
-		return false
-	}
-
-	// Line 2: C(v) = {u ∈ N(v) : t_u = v}.
-	children := spantree.Children(v, treeAdvice)
-
-	i := second.echo
-
-	// Line 3a: a_v = h_i([v, N(v)]) + Σ_{u∈C(v)} a_u.
-	closed := bitset.New(s.n)
-	closed.Add(v)
-	for _, u := range view.Neighbors {
-		closed.Add(u)
-	}
-	aExpect := s.family.HashRowMatrix(i, s.n, v, closed)
-	for _, u := range children {
-		aExpect = s.family.AddModInto(aExpect, neighborSecond[u].a)
-	}
-	if aExpect.Cmp(second.a) != 0 {
-		return false
-	}
-
-	// Line 3b: b_v = h_i([ρ(v), ρ(N(v))]) + Σ_{u∈C(v)} b_u, where node v
-	// learns the images ρ(u) of its neighbors from their first-round
-	// messages (Definition 1: v sees the responses of N(v)).
-	mappedRow := closed // closed is dead past line 3a; reuse its storage
-	mappedRow.Clear()
-	mappedRow.Add(first.rho)
-	for _, nf := range neighborFirst {
-		mappedRow.Add(nf.rho)
-	}
-	bExpect := s.family.HashRowMatrix(i, s.n, first.rho, mappedRow)
-	for _, u := range children {
-		bExpect = s.family.AddModInto(bExpect, neighborSecond[u].b)
-	}
-	if bExpect.Cmp(second.b) != 0 {
-		return false
-	}
-
-	// Line 4: root-only checks.
-	if v == first.root {
-		if second.a.Cmp(second.b) != 0 {
-			return false
-		}
-		if first.rho == v {
-			return false // claimed automorphism must move the root
-		}
-		iv, err := decodeBigChallenge(view.MyChallenges[0], s.p)
-		if err != nil || iv.Cmp(i) != 0 {
-			return false
-		}
-	}
-	return true
+	own := symShare{tree: first.tree, image: first.rho, a: second.a, b: second.b}
+	return s.verify(v, first.root, second.echo, own, nbrs, view)
 }
 
 // HonestProver returns the prover of Theorem 3.4's completeness direction:
@@ -296,8 +171,8 @@ func (p *symDMAMProver) Respond(round int, view *network.ProverView) (*network.R
 func (p *symDMAMProver) first(view *network.ProverView) (*network.Response, error) {
 	s := p.proto
 	g := view.Graph
-	if g.N() != s.n {
-		return nil, fmt.Errorf("core: graph has %d vertices, protocol built for %d", g.N(), s.n)
+	if err := s.checkGraph(g); err != nil {
+		return nil, err
 	}
 	p.g = g
 
@@ -307,76 +182,36 @@ func (p *symDMAMProver) first(view *network.ProverView) (*network.Response, erro
 	// for the refinement-backtracking search once.
 	art := setupcache.ForGraph(g)
 	if p.fixedRho != nil {
-		p.rho = p.fixedRho
-		p.root = p.fixedRoot
+		p.rho, p.root = p.fixedRho, p.fixedRoot
 	} else {
-		p.rho = art.Automorphism()
-		if p.rho == nil {
-			// The graph is asymmetric: Merlin cannot win. Commit to a
-			// transposition so the protocol proceeds (and rejects).
-			p.rho = perm.Identity(s.n)
-			p.rho[0], p.rho[1] = 1, 0
-		}
-		p.root = p.rho.Moved()
+		p.rho, p.root = s.honestMapping(art)
 	}
-
 	advice, err := art.SpanTree(p.root)
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDMAM prover tree: %w", err)
 	}
 	p.advice = advice
-
-	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
-	for v := 0; v < s.n; v++ {
-		resp.PerNode[v] = s.encodeFirst(symDMAMFirst{
-			root: p.root,
-			rho:  p.rho[v],
-			tree: advice[v],
-		})
-	}
-	return resp, nil
+	return s.perNode(func(v int) wire.Message {
+		return s.encodeFirst(symDMAMFirst{root: p.root, rho: p.rho[v], tree: advice[v]})
+	}), nil
 }
 
 func (p *symDMAMProver) second(view *network.ProverView) (*network.Response, error) {
 	s := p.proto
-	i, err := decodeBigChallenge(view.Challenges[0][p.root], s.p)
+	i, err := s.rootIndex(view, p.root)
 	if err != nil {
-		return nil, fmt.Errorf("core: SymDMAM prover challenge: %w", err)
+		return nil, err
 	}
-	a, b := subtreeHashSums(p.g, s.family, i, p.rho, p.advice)
-
-	resp := &network.Response{PerNode: make([]wire.Message, s.n)}
-	for v := 0; v < s.n; v++ {
-		resp.PerNode[v] = s.encodeSecond(symDMAMSecond{echo: i, a: a[v], b: b[v]})
-	}
-	return resp, nil
+	return s.respondSums(p.g, i, p.rho, p.advice), nil
 }
 
-// subtreeHashSums computes, for every node v, the honest subtree aggregates
-//
-//	a_v = Σ_{u∈T_v} h_i([u, N(u)])
-//	b_v = Σ_{u∈T_v} h_i([ρ(u), ρ(N(u))])
-//
-// in post-order over the tree described by advice. It is shared by the
-// provers of Protocols 1 and 2 and the DSym protocol.
-func subtreeHashSums(g *graph.Graph, family *hashing.LinearFamily, i *big.Int, rho perm.Perm, advice []spantree.Advice) (a, b []*big.Int) {
-	n := g.N()
-	a = make([]*big.Int, n)
-	b = make([]*big.Int, n)
-	children := spantree.ChildLists(advice)
-	closed := bitset.New(n)
-	mapped := bitset.New(n)
-	for _, v := range spantree.PostOrder(advice) {
-		av := family.HashRowMatrix(i, n, v, g.ClosedRowInto(v, closed))
-		closed.PermuteInto(mapped, rho)
-		bv := family.HashRowMatrix(i, n, rho[v], mapped)
-		for _, c := range children[v] {
-			av = family.AddModInto(av, a[c])
-			bv = family.AddModInto(bv, b[c])
-		}
-		a[v], b[v] = av, bv
-	}
-	return a, b
+// respondSums is the second Merlin message: the echo of i and every node's
+// subtree sums for the committed ρ.
+func (s *SymDMAM) respondSums(g *graph.Graph, i *big.Int, rho perm.Perm, advice []spantree.Advice) *network.Response {
+	a, b := s.subtreeHashSums(g, i, rho, advice)
+	return s.perNode(func(v int) wire.Message {
+		return s.encodeSecond(symDMAMSecond{echo: i, a: a[v], b: b[v]})
+	})
 }
 
 // Run executes the protocol on g against the given prover.

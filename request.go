@@ -18,8 +18,9 @@ import (
 type Request struct {
 	// Protocol is a registry name; see Protocols.
 	Protocol string `json:"protocol"`
-	// N is the number of vertices. dsym-dam derives its vertex count from
-	// Side and Half instead, and there N may be either 0 or that count.
+	// N is the number of vertices, at most MaxVertices. dsym-dam derives
+	// its vertex count from Side and Half instead, and there N may be
+	// either 0 or that count.
 	N int `json:"n,omitempty"`
 	// Edges is the network graph (for GNI pairs: G₀), as undirected edges.
 	Edges [][2]int `json:"edges"`
@@ -54,7 +55,7 @@ type entry struct {
 	info entryInfo
 	// build validates the request and assembles its instance; RunContext
 	// runs every protocol's instance through the same engine call.
-	build func(req *Request) (engineRun, error)
+	build func(req *Request) (EngineRun, error)
 	// spec rebuilds the protocol's Spec without running it; see BuildSpec.
 	spec func(req *Request) (*network.Spec, error)
 	// uses flags which optional Request fields this protocol reads;
@@ -64,9 +65,20 @@ type entry struct {
 	usesSide   bool
 }
 
-// checkFields rejects a request that populates a field this protocol does
-// not read, shared by the run and BuildSpec dispatch paths.
-func (e *entry) checkFields(req *Request) error {
+// MaxVertices and MaxRepetitions cap the size of a request. A graph's
+// adjacency rows are allocated before its first edge is read, and the GNI
+// challenges grow with the repetition count, so without the caps a request
+// body of a few dozen bytes could ask for gigabytes. The largest requests
+// in this repository use 99 vertices and 60 repetitions.
+const (
+	MaxVertices    = 1024
+	MaxRepetitions = 1000
+)
+
+// validate rejects a request that populates a field this protocol does not
+// read or that exceeds a size cap. The run and BuildSpec dispatch paths
+// both call it before anything is built.
+func (e *entry) validate(req *Request) error {
 	if !e.usesEdges1 && req.Edges1 != nil {
 		return badRequestf("dip: protocol %q takes no Edges1", e.info.Name)
 	}
@@ -75,6 +87,18 @@ func (e *entry) checkFields(req *Request) error {
 	}
 	if !e.usesSide && (req.Side != 0 || req.Half != 0) {
 		return badRequestf("dip: protocol %q takes no Side/Half", e.info.Name)
+	}
+	if req.N > MaxVertices {
+		return badRequestf("dip: n=%d exceeds the cap of %d vertices", req.N, MaxVertices)
+	}
+	// Side and Half are capped one by one first, so that the sum cannot
+	// overflow.
+	if req.Side > MaxVertices || req.Half > MaxVertices || 2*req.Side+2*req.Half+1 > MaxVertices {
+		return badRequestf("dip: dsym-dam with side=%d half=%d exceeds the cap of %d vertices",
+			req.Side, req.Half, MaxVertices)
+	}
+	if req.Options.Repetitions > MaxRepetitions {
+		return badRequestf("dip: Repetitions=%d exceeds the cap of %d", req.Options.Repetitions, MaxRepetitions)
 	}
 	return nil
 }
@@ -168,14 +192,7 @@ func Run(req Request) (Report, error) {
 // the next engine step, and a context deadline additionally clamps the
 // prover deadline (Options.Timeout), whichever is tighter.
 func RunContext(ctx context.Context, req Request) (Report, error) {
-	e, ok := registry[req.Protocol]
-	if !ok {
-		return Report{}, badRequestf("dip: unknown protocol %q (see dip.Protocols)", req.Protocol)
-	}
-	if err := e.checkFields(&req); err != nil {
-		return Report{}, err
-	}
-	run, err := e.build(&req)
+	run, err := AssembleRun(req)
 	if err != nil {
 		return Report{}, err
 	}
@@ -183,11 +200,28 @@ func RunContext(ctx context.Context, req Request) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	res, err := network.RunContext(ctx, run.spec, run.g, run.inputs, run.prover, nopts)
+	res, err := network.RunContext(ctx, run.Spec, run.Graph, run.Inputs, run.Prover, nopts)
 	if err != nil {
 		return Report{}, err
 	}
-	return report(e.info.Name, res), nil
+	return report(req.Protocol, res), nil
+}
+
+// AssembleRun validates req and assembles its instance through the
+// registry, exactly as Run does before it calls the engine. It exists for
+// in-module tools (cmd/dipsim) that drive the engine directly — for fault
+// injection or transcript recording — on the instance Run would execute.
+// network is an internal package, so the result is unusable outside this
+// module (compare ReportFromResult).
+func AssembleRun(req Request) (EngineRun, error) {
+	e, ok := registry[req.Protocol]
+	if !ok {
+		return EngineRun{}, badRequestf("dip: unknown protocol %q (see dip.Protocols)", req.Protocol)
+	}
+	if err := e.validate(&req); err != nil {
+		return EngineRun{}, err
+	}
+	return e.build(&req)
 }
 
 // engineOptions validates the request options and maps them onto the
@@ -216,13 +250,13 @@ func transportFrom(ctx context.Context) network.Transport {
 	return t
 }
 
-// engineRun is one assembled instance: everything the engine call needs
+// EngineRun is one assembled instance: everything the engine call needs
 // besides the context and the options.
-type engineRun struct {
-	spec   *network.Spec
-	g      *graph.Graph
-	inputs []wire.Message
-	prover network.Prover
+type EngineRun struct {
+	Spec   *network.Spec
+	Graph  *graph.Graph
+	Inputs []wire.Message // node inputs (G₁ rows, marks); nil if the protocol has none
+	Prover network.Prover
 }
 
 // protocol is the run-side face of every core protocol type.
@@ -233,77 +267,77 @@ type protocol interface {
 
 // graphRun builds a single-graph instance (no node inputs); the graph is
 // validated before the protocol is built.
-func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (engineRun, error) {
-	return func(req *Request) (engineRun, error) {
+func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (EngineRun, error) {
+	return func(req *Request) (EngineRun, error) {
 		g, err := cachedGraph(req.N, req.Edges)
 		if err != nil {
-			return engineRun{}, err
+			return EngineRun{}, err
 		}
 		p, err := proto(req)
 		if err != nil {
-			return engineRun{}, err
+			return EngineRun{}, err
 		}
-		return engineRun{spec: p.Spec(), g: g, prover: p.HonestProver()}, nil
+		return EngineRun{Spec: p.Spec(), Graph: g, Prover: p.HonestProver()}, nil
 	}
 }
 
 // pairRun builds a two-graph GNI instance: G₀ is the network, G₁ travels
 // as node inputs, row by row. Both graphs are validated before the
 // protocol is built.
-func pairRun[T protocol](proto func(*Request) (T, error)) func(*Request) (engineRun, error) {
-	return func(req *Request) (engineRun, error) {
+func pairRun[T protocol](proto func(*Request) (T, error)) func(*Request) (EngineRun, error) {
+	return func(req *Request) (EngineRun, error) {
 		g0, err := cachedGraph(req.N, req.Edges)
 		if err != nil {
-			return engineRun{}, err
+			return EngineRun{}, err
 		}
 		g1, err := cachedGraph(req.N, req.Edges1)
 		if err != nil {
-			return engineRun{}, err
+			return EngineRun{}, err
 		}
 		p, err := proto(req)
 		if err != nil {
-			return engineRun{}, err
+			return EngineRun{}, err
 		}
-		return engineRun{spec: p.Spec(), g: g0, inputs: core.EncodeGNIInputs(g1), prover: p.HonestProver()}, nil
+		return EngineRun{Spec: p.Spec(), Graph: g0, Inputs: core.EncodeGNIInputs(g1), Prover: p.HonestProver()}, nil
 	}
 }
 
 // buildDSymDAM derives the vertex count from Side and Half, so the
 // protocol is built before the graph it must match.
-func buildDSymDAM(req *Request) (engineRun, error) {
+func buildDSymDAM(req *Request) (EngineRun, error) {
 	proto, err := protoDSymDAM(req)
 	if err != nil {
-		return engineRun{}, err
+		return EngineRun{}, err
 	}
 	if req.N != 0 && req.N != proto.N() {
-		return engineRun{}, badRequestf("dip: dsym-dam with side=%d half=%d has %d vertices, request says n=%d",
+		return EngineRun{}, badRequestf("dip: dsym-dam with side=%d half=%d has %d vertices, request says n=%d",
 			req.Side, req.Half, proto.N(), req.N)
 	}
 	g, err := cachedGraph(proto.N(), req.Edges)
 	if err != nil {
-		return engineRun{}, err
+		return EngineRun{}, err
 	}
-	return engineRun{spec: proto.Spec(), g: g, prover: proto.HonestProver()}, nil
+	return EngineRun{Spec: proto.Spec(), Graph: g, Prover: proto.HonestProver()}, nil
 }
 
 // buildGNIMarked ships the marks as node inputs; they are decoded before
 // the protocol is built.
-func buildGNIMarked(req *Request) (engineRun, error) {
+func buildGNIMarked(req *Request) (EngineRun, error) {
 	g, err := cachedGraph(req.N, req.Edges)
 	if err != nil {
-		return engineRun{}, err
+		return EngineRun{}, err
 	}
 	coreMarks, _, err := decodeMarks(req)
 	if err != nil {
-		return engineRun{}, err
+		return EngineRun{}, err
 	}
 	proto, err := protoGNIMarked(req)
 	if err != nil {
-		return engineRun{}, err
+		return EngineRun{}, err
 	}
 	inputs, err := core.EncodeMarks(coreMarks)
 	if err != nil {
-		return engineRun{}, asBadRequest(err)
+		return EngineRun{}, asBadRequest(err)
 	}
-	return engineRun{spec: proto.Spec(), g: g, inputs: inputs, prover: proto.HonestProver()}, nil
+	return EngineRun{Spec: proto.Spec(), Graph: g, Inputs: inputs, Prover: proto.HonestProver()}, nil
 }

@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -176,6 +177,14 @@ func TestRunDSymDAMVertexCount(t *testing.T) {
 	}
 	if !rep.Accepted {
 		t.Fatal("honest dumbbell run rejected")
+	}
+	// 2·Side + 2·Half + 1 is capped at MaxVertices, and so is each
+	// parameter on its own, before the sum could overflow.
+	for _, sh := range [][2]int{{256, 256}, {MaxVertices + 1, 0}, {1, MaxVertices + 1}, {math.MaxInt / 2, math.MaxInt / 2}} {
+		_, err := Run(Request{Protocol: "dsym-dam", Side: sh[0], Half: sh[1], Edges: edges})
+		if err == nil || !strings.Contains(err.Error(), "cap of 1024 vertices") {
+			t.Fatalf("side=%d half=%d returned %v, want the vertex cap", sh[0], sh[1], err)
+		}
 	}
 }
 
