@@ -78,11 +78,11 @@ smoke:
 # invocation, hence the loop).
 FUZZ_TIME ?= 2s
 fuzz-short:
-	@for target in FuzzReader FuzzRoundTrip FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerFrame; do \
+	@for target in FuzzReader FuzzRoundTrip FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerSpec FuzzPeerFrame; do \
 		pkg=./internal/core; \
 		case $$target in \
 			FuzzReader|FuzzRoundTrip) pkg=./internal/wire;; \
-			FuzzWireReport|FuzzRequestDecode) pkg=.;; \
+			FuzzWireReport|FuzzRequestDecode|FuzzPeerSpec) pkg=.;; \
 			FuzzPeerFrame) pkg=./internal/peer;; \
 		esac; \
 		$(GO) test -run xxx -fuzz "^$$target$$" -fuzztime $(FUZZ_TIME) $$pkg || exit 1; \
@@ -214,6 +214,10 @@ jobs-smoke:
 # dippeer processes on ephemeral ports, run the same sym-dmam instance
 # in-process and against the fleet, and require the two dip-report/v1
 # files to be byte-identical (cmp, not a field diff — the pin is exact).
+# Do the same for sym-dam, whose peers build their spec from the modulus
+# the coordinator provisions: the in-process suites share one setup cache
+# between coordinator and peers, so only here does each peer build it in
+# a process of its own.
 # Then boot a peer armed with -fail-session 1 (os.Exit mid-exchange on
 # its first session), run against a fleet containing it, and require a
 # non-zero exit with a structured transport-phase error on stderr — a
@@ -238,6 +242,9 @@ peer-smoke:
 	$$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -json $$dir/inproc.json >/dev/null || exit 1; \
 	$$dir/dipsim -protocol sym-dmam -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet.json >/dev/null || { echo "fleet run failed"; for i in 1 2 3 4; do cat $$dir/peer$$i.log; done; exit 1; }; \
 	cmp $$dir/inproc.json $$dir/fleet.json || { echo "fleet report is not byte-identical to in-process"; exit 1; }; \
+	$$dir/dipsim -protocol sym-dam -graph doubled -n 16 -seed 7 -json $$dir/inproc-dam.json >/dev/null || exit 1; \
+	$$dir/dipsim -protocol sym-dam -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet-dam.json >/dev/null || { echo "sym-dam fleet run failed"; for i in 1 2 3 4; do cat $$dir/peer$$i.log; done; exit 1; }; \
+	cmp $$dir/inproc-dam.json $$dir/fleet-dam.json || { echo "sym-dam fleet report is not byte-identical to in-process"; exit 1; }; \
 	$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/addrF -fail-session 1 >$$dir/peerF.log 2>&1 & \
 	failpid=$$!; \
 	for t in $$(seq 1 100); do [ -s $$dir/addrF ] && break; sleep 0.1; done; \

@@ -12,7 +12,9 @@ import (
 // byte-identical Spec locally. Only the fields that shape the spec itself
 // matter — N (or Side/Half for dsym-dam), Marks for gni-marked, and the
 // seed/repetitions options — and they are validated exactly as in Run,
-// through the same cached constructors.
+// through the same cached constructors. PeerSpec, the builder dippeer
+// installs, decodes a fleet run's params and calls BuildSpec, unless the
+// params provision sym-dam's modulus.
 func BuildSpec(req Request) (*network.Spec, error) {
 	e, ok := registry[req.Protocol]
 	if !ok {
@@ -74,19 +76,13 @@ func protoSymRPLS(req *Request) (*core.SymRPLS, error) {
 }
 
 func protoGNIDAMAM(req *Request) (*core.GNIDAMAM, error) {
-	k, err := resolveRepetitions(req.Options.Repetitions)
-	if err != nil {
-		return nil, err
-	}
+	k := resolveRepetitions(req.Options.Repetitions)
 	return cachedProto[*core.GNIDAMAM]("proto/gni-damam", int64(req.N), int64(k), 0, req.Options.Seed,
 		func() (any, error) { return core.NewGNIDAMAM(req.N, k, req.Options.Seed) })
 }
 
 func protoGNIGeneral(req *Request) (*core.GNIGeneral, error) {
-	k, err := resolveRepetitions(req.Options.Repetitions)
-	if err != nil {
-		return nil, err
-	}
+	k := resolveRepetitions(req.Options.Repetitions)
 	return cachedProto[*core.GNIGeneral]("proto/gni-general", int64(req.N), int64(k), 0, req.Options.Seed,
 		func() (any, error) { return core.NewGNIGeneral(req.N, k, req.Options.Seed) })
 }
@@ -132,10 +128,7 @@ func protoGNIMarked(req *Request) (*core.MarkedGNI, error) {
 	if err != nil {
 		return nil, err
 	}
-	reps, err := resolveRepetitions(req.Options.Repetitions)
-	if err != nil {
-		return nil, err
-	}
+	reps := resolveRepetitions(req.Options.Repetitions)
 	return cachedProto[*core.MarkedGNI]("proto/gni-marked", int64(req.N), int64(k), int64(reps), req.Options.Seed,
 		func() (any, error) { return core.NewMarkedGNI(req.N, k, reps, req.Options.Seed) })
 }

@@ -2,19 +2,18 @@ package dip
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"dip/internal/network"
 )
 
-// TestBuildSpecAllProtocols exercises the peer-provisioning path for every
-// registry protocol: a request with the edge lists stripped (the form a
-// dippeer fleet receives in its handshake) must still rebuild a Spec, and
-// repeated builds must agree on the protocol structure — the constructors
-// behind them are memoized per (protocol, params, seed), so callbacks in
-// both specs close over the same cached instance.
-func TestBuildSpecAllProtocols(t *testing.T) {
+// strippedRequests holds one request per registry protocol with the edge
+// lists stripped, the form a dippeer fleet receives in its hello.
+func strippedRequests() map[string]Request {
 	marks := []int{0, 0, 0, 1, 1, 1}
-	stripped := map[string]Request{
+	return map[string]Request{
 		"sym-dmam":    {Protocol: "sym-dmam", N: 8, Options: Options{Seed: 3}},
 		"sym-dam":     {Protocol: "sym-dam", N: 8, Options: Options{Seed: 3}},
 		"dsym-dam":    {Protocol: "dsym-dam", Side: 6, Half: 1, Options: Options{Seed: 3}},
@@ -25,6 +24,16 @@ func TestBuildSpecAllProtocols(t *testing.T) {
 		"gni-marked":  {Protocol: "gni-marked", N: 6, Marks: marks, Options: Options{Seed: 3, Repetitions: 2}},
 		"gni-lcp":     {Protocol: "gni-lcp", N: 6},
 	}
+}
+
+// TestBuildSpecAllProtocols exercises the peer-provisioning path for every
+// registry protocol: a request with the edge lists stripped (the form a
+// dippeer fleet receives in its handshake) must still rebuild a Spec, and
+// repeated builds must agree on the protocol structure — the constructors
+// behind them are memoized per (protocol, params, seed), so callbacks in
+// both specs close over the same cached instance.
+func TestBuildSpecAllProtocols(t *testing.T) {
+	stripped := strippedRequests()
 	for name, e := range registry {
 		req, ok := stripped[name]
 		if !ok {
@@ -44,25 +53,34 @@ func TestBuildSpecAllProtocols(t *testing.T) {
 			t.Errorf("%s: second build: %v", name, err)
 			continue
 		}
-		if again.Name != spec.Name || len(again.Rounds) != len(spec.Rounds) ||
-			again.ShareChallenges != spec.ShareChallenges {
-			t.Errorf("%s: rebuilt spec diverges: %d rounds share=%v vs %d rounds share=%v",
-				name, len(spec.Rounds), spec.ShareChallenges, len(again.Rounds), again.ShareChallenges)
-		}
-		for i := range spec.Rounds {
-			if spec.Rounds[i].Kind != again.Rounds[i].Kind {
-				t.Errorf("%s: round %d kind differs across builds", name, i)
-			}
+		if err := specsAgree(spec, again); err != nil {
+			t.Errorf("%s: rebuilt spec diverges: %v", name, err)
 		}
 	}
 }
 
+// specsAgree reports how two builds of a Spec differ in structure: name,
+// round count and kinds, and challenge sharing.
+func specsAgree(a, b *network.Spec) error {
+	if a.Name != b.Name || len(a.Rounds) != len(b.Rounds) || a.ShareChallenges != b.ShareChallenges {
+		return fmt.Errorf("%s: %d rounds share=%v vs %s: %d rounds share=%v",
+			a.Name, len(a.Rounds), a.ShareChallenges, b.Name, len(b.Rounds), b.ShareChallenges)
+	}
+	for i := range a.Rounds {
+		if a.Rounds[i].Kind != b.Rounds[i].Kind {
+			return fmt.Errorf("round %d kind differs across builds", i)
+		}
+	}
+	return nil
+}
+
 func TestBuildSpecRejects(t *testing.T) {
-	cases := []struct {
+	type rejectCase struct {
 		name string
 		req  Request
 		frag string
-	}{
+	}
+	cases := []rejectCase{
 		{"unknown", Request{Protocol: "nope"}, "unknown protocol"},
 		{"stray-edges1", Request{Protocol: "sym-dmam", N: 4, Edges1: [][2]int{{0, 1}}}, "takes no Edges1"},
 		{"stray-marks", Request{Protocol: "sym-dam", N: 4, Marks: []int{0, 0, 1, 1}}, "takes no Marks"},
@@ -73,6 +91,10 @@ func TestBuildSpecRejects(t *testing.T) {
 		{"vertex-cap", Request{Protocol: "sym-dam", N: MaxVertices + 1}, "cap of 1024 vertices"},
 		{"dsym-vertex-cap", Request{Protocol: "dsym-dam", Side: 300, Half: 300}, "cap of 1024 vertices"},
 		{"repetition-cap", Request{Protocol: "gni-general", N: 6, Options: Options{Repetitions: MaxRepetitions + 1}}, "cap of 1000"},
+	}
+	for _, p := range Protocols() {
+		cases = append(cases, rejectCase{"negative-repetitions-" + p.Name,
+			Request{Protocol: p.Name, N: 6, Options: Options{Repetitions: -1}}, "Repetitions must be non-negative"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,7 +26,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +35,6 @@ import (
 	"syscall"
 
 	"dip"
-	"dip/internal/network"
 	"dip/internal/peer"
 )
 
@@ -73,13 +71,7 @@ func run(addr, addrFile string, opts peer.Options, failSession, failSoft int, ve
 	}
 
 	srv := &peer.Server{
-		Build: func(params []byte) (*network.Spec, error) {
-			var req dip.Request
-			if err := json.Unmarshal(params, &req); err != nil {
-				return nil, fmt.Errorf("decoding request params: %w", err)
-			}
-			return dip.BuildSpec(req)
-		},
+		Build:       dip.PeerSpec,
 		Opts:        opts,
 		FailSession: failSession,
 		FailSoft:    failSoft,

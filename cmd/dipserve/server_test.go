@@ -914,8 +914,8 @@ func TestRequestStormChaos(t *testing.T) {
 }
 
 // startPeerFleet boots k in-process peer servers with the dippeer
-// SpecBuilder and returns a dialed dip.Fleet plus a kill switch that
-// severs every peer (listener and live sessions).
+// SpecBuilder, dip.PeerSpec, and returns a dialed dip.Fleet plus a kill
+// switch that severs every peer (listener and live sessions).
 func startPeerFleet(t *testing.T, k int) (*dip.Fleet, func()) {
 	t.Helper()
 	var (
@@ -928,13 +928,7 @@ func startPeerFleet(t *testing.T, k int) (*dip.Fleet, func()) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &peer.Server{Build: func(params []byte) (*network.Spec, error) {
-			var req dip.Request
-			if err := json.Unmarshal(params, &req); err != nil {
-				return nil, err
-			}
-			return dip.BuildSpec(req)
-		}}
+		srv := &peer.Server{Build: dip.PeerSpec}
 		go srv.Serve(l)
 		listeners = append(listeners, l)
 		servers = append(servers, srv)

@@ -35,9 +35,9 @@ type Options struct {
 	// hash moduli from Seed.
 	Seed int64 `json:"seed"`
 	// Repetitions is the parallel-repetition count of the GNI protocols
-	// (ignored elsewhere). 0 selects core.DefaultGNIRepetitions;
-	// negative values and values above MaxRepetitions are rejected with
-	// an error.
+	// (ignored elsewhere). 0 selects core.DefaultGNIRepetitions; every
+	// protocol rejects negative values and values above MaxRepetitions
+	// with an error.
 	Repetitions int `json:"repetitions,omitempty"`
 	// Timeout, when positive, bounds the prover's per-round response time
 	// (plumbed to the engine's ProverTimeout): a prover that has not
@@ -48,17 +48,14 @@ type Options struct {
 	Timeout time.Duration `json:"timeout_ns,omitempty"`
 }
 
-// resolveRepetitions maps Options.Repetitions onto a concrete count: 0
-// selects the shared default, negatives are invalid.
-func resolveRepetitions(reps int) (int, error) {
-	if reps < 0 {
-		return 0, badRequestf("dip: Repetitions must be non-negative, got %d (0 selects the default of %d)",
-			reps, core.DefaultGNIRepetitions)
-	}
+// resolveRepetitions maps a validated Options.Repetitions onto a concrete
+// count: 0 selects the shared default (entry.validate has refused
+// negatives and counts above MaxRepetitions).
+func resolveRepetitions(reps int) int {
 	if reps == 0 {
-		return core.DefaultGNIRepetitions, nil
+		return core.DefaultGNIRepetitions
 	}
-	return reps, nil
+	return reps
 }
 
 // resolveTimeout validates Options.Timeout: 0 disables the bound,

@@ -303,8 +303,9 @@ func TestMarkedUnequalSetsRejected(t *testing.T) {
 }
 
 // TestRepetitionsValidation pins the shared repetition-count resolution:
-// negatives are rejected up front with a clear error, zero selects the
-// library-wide default (which dipsim's -k flag shares).
+// negatives are rejected up front with a clear error (for every protocol:
+// see TestRunRejectsUnusedFields), zero selects the library-wide default
+// (which dipsim's -k flag shares).
 func TestRepetitionsValidation(t *testing.T) {
 	edges := [][2]int{{0, 1}, {1, 2}}
 	_, err := Run(Request{Protocol: "gni-damam", N: 3, Edges: edges, Edges1: edges,
@@ -326,11 +327,10 @@ func TestRepetitionsValidation(t *testing.T) {
 	if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "cap of 1000") {
 		t.Fatalf("Repetitions one past the cap returned %v, want a RequestError naming the cap", err)
 	}
-	if k, err := resolveRepetitions(0); err != nil || k != core.DefaultGNIRepetitions {
-		t.Fatalf("resolveRepetitions(0) = %d, %v; want the shared default %d",
-			k, err, core.DefaultGNIRepetitions)
+	if k := resolveRepetitions(0); k != core.DefaultGNIRepetitions {
+		t.Fatalf("resolveRepetitions(0) = %d; want the shared default %d", k, core.DefaultGNIRepetitions)
 	}
-	if k, err := resolveRepetitions(12); err != nil || k != 12 {
-		t.Fatalf("resolveRepetitions(12) = %d, %v", k, err)
+	if k := resolveRepetitions(12); k != 12 {
+		t.Fatalf("resolveRepetitions(12) = %d", k)
 	}
 }

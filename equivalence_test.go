@@ -2,7 +2,6 @@ package dip
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"math/rand"
 	"net"
@@ -85,9 +84,8 @@ func fleetTestRequests(t *testing.T) []Request {
 	}
 }
 
-// startDipPeers boots k in-process peer servers with the exact
-// SpecBuilder cmd/dippeer installs — unmarshal a Request, rebuild via
-// BuildSpec — and returns their addresses.
+// startDipPeers boots k in-process peer servers with the SpecBuilder
+// cmd/dippeer installs, PeerSpec, and returns their addresses.
 func startDipPeers(t *testing.T, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
@@ -96,13 +94,7 @@ func startDipPeers(t *testing.T, k int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &peer.Server{Build: func(params []byte) (*network.Spec, error) {
-			var req Request
-			if err := json.Unmarshal(params, &req); err != nil {
-				return nil, err
-			}
-			return BuildSpec(req)
-		}}
+		srv := &peer.Server{Build: PeerSpec}
 		go srv.Serve(l)
 		t.Cleanup(func() {
 			l.Close()

@@ -3,11 +3,14 @@ package dip
 import (
 	"context"
 	"encoding/json"
+	"math/big"
 	"time"
 
+	"dip/internal/core"
 	"dip/internal/faults"
 	"dip/internal/network"
 	"dip/internal/peer"
+	"dip/internal/prime"
 )
 
 // LinkFaults is a seed-deterministic per-link fault policy for fleet
@@ -88,11 +91,15 @@ func DialFleet(addrs []string, opts FleetOptions) (*Fleet, error) {
 // peer, stalled session, canceled context) surface as structured
 // *network.RunError values with Phase "transport" or "canceled".
 func (f *Fleet) Run(ctx context.Context, req Request) (*Report, error) {
-	tr, err := f.EngineTransport(req)
+	run, err := AssembleRun(req)
 	if err != nil {
 		return nil, err
 	}
-	rep, err := RunContext(withTransport(ctx, tr), req)
+	tr, err := f.transport(req, run)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := runAssembled(ctx, req, run, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -104,23 +111,73 @@ func (f *Fleet) Run(ctx context.Context, req Request) (*Report, error) {
 // engine directly — for fault injection or transcript recording — while
 // still placing nodes on the fleet. network is an internal package, so
 // the method is unusable outside this module (compare ReportFromResult).
+// It assembles req's instance (AssembleRun) for the setup it provisions.
 func (f *Fleet) EngineTransport(req Request) (network.Transport, error) {
-	params, err := fleetParams(req)
+	run, err := AssembleRun(req)
+	if err != nil {
+		return nil, err
+	}
+	return f.transport(req, run)
+}
+
+// transport mints the transport of one run of req's assembled instance.
+func (f *Fleet) transport(req Request, run EngineRun) (network.Transport, error) {
+	req.Edges, req.Edges1 = nil, nil
+	params, err := json.Marshal(fleetParams{Request: req, Modulus: run.modulus})
 	if err != nil {
 		return nil, err
 	}
 	return f.pf.NewRun(params), nil
 }
 
-// fleetParams serializes a request for the fleet's SpecBuilder (dippeer
-// rebuilds the Spec via BuildSpec): the edge lists are stripped — each
-// peer receives only its own nodes' neighbor slices in the session's
-// hello — while spec-shaping fields (protocol, N, Side/Half, Marks, seed,
-// repetitions) travel whole.
-func fleetParams(req Request) ([]byte, error) {
-	req.Edges = nil
-	req.Edges1 = nil
-	return json.Marshal(req)
+// fleetParams is the params blob a fleet run sends every peer in its
+// hello, and PeerSpec is its one reader. It carries the request with its
+// edge lists stripped — each peer receives only its own nodes' neighbor
+// slices in the hello — while the spec-shaping fields (protocol, N,
+// Side/Half, Marks, seed, repetitions) travel whole, plus the setup the
+// coordinator already derived: Modulus is sym-dam's seed-derived prime
+// (nil, and omitted, for every other protocol). DESIGN.md §13 says why
+// a peer may trust it.
+type fleetParams struct {
+	Request
+	Modulus *big.Int `json:"modulus,omitempty"`
+}
+
+// PeerSpec is a fleet peer's SpecBuilder (cmd/dippeer installs it): it
+// decodes the params blob of a Fleet run and rebuilds the run's Spec
+// through BuildSpec. A provisioned sym-dam modulus replaces the peer's
+// own prime search: it must lie in the protocol's window
+// [10·n^{n+2}, 100·n^{n+2}], it is refused for any other protocol, and
+// the instance built from it is not cached, so no later session for the
+// same seed sees it. Params without a modulus, as older coordinators
+// send them, build exactly as BuildSpec does.
+func PeerSpec(params []byte) (*network.Spec, error) {
+	var fp fleetParams
+	if err := json.Unmarshal(params, &fp); err != nil {
+		return nil, badRequestf("dip: decoding fleet params: %w", err)
+	}
+	req := fp.Request
+	if fp.Modulus == nil {
+		return BuildSpec(req)
+	}
+	if req.Protocol != "sym-dam" {
+		return nil, badRequestf("dip: protocol %q takes no provisioned modulus", req.Protocol)
+	}
+	if err := registry[req.Protocol].validate(&req); err != nil {
+		return nil, err
+	}
+	lo, hi, err := prime.PowerWindow(req.N)
+	if err != nil {
+		return nil, asBadRequest(err)
+	}
+	if fp.Modulus.Cmp(lo) < 0 || fp.Modulus.Cmp(hi) > 0 {
+		return nil, badRequestf("dip: sym-dam modulus outside [10·n^(n+2), 100·n^(n+2)] for n=%d", req.N)
+	}
+	proto, err := core.NewSymDAMWithPrime(req.N, fp.Modulus)
+	if err != nil {
+		return nil, asBadRequest(err)
+	}
+	return proto.Spec(), nil
 }
 
 // Ready probes every peer, redialing lost connections, and reports the

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dip/internal/network"
+	"dip/internal/prime"
 )
 
 // FuzzWireReport mutates dip-report/v1 bytes through the decoder: no
@@ -116,6 +117,51 @@ func FuzzRequestDecode(f *testing.F) {
 		// A successful run must yield a valid wire document.
 		if err := WireReportFrom(rep, req.Options.Seed).Validate(); err != nil {
 			t.Fatalf("successful run produced an invalid report: %v", err)
+		}
+	})
+}
+
+// FuzzPeerSpec mutates fleet params blobs through the peer's builder: no
+// input may panic it, and params it accepts must build again to an
+// agreeing spec. The seeds are every protocol's stripped request and one
+// sym-dam blob carrying its modulus.
+func FuzzPeerSpec(f *testing.F) {
+	stripped := strippedRequests()
+	for _, info := range Protocols() {
+		b, err := json.Marshal(fleetParams{Request: stripped[info.Name]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	sd := stripped["sym-dam"]
+	p, err := prime.ForPowerWindow(sd.N, sd.Options.Seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	b, err := json.Marshal(fleetParams{Request: sd, Modulus: p})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(b)
+	f.Fuzz(func(t *testing.T, params []byte) {
+		// Bound instance sizes so the mutation budget explores decoding
+		// and validation, not prime searches over thousands of bits.
+		var req Request
+		if json.Unmarshal(params, &req) == nil && (req.N > 10 || len(req.Marks) > 10 ||
+			req.Side > 6 || req.Half > 6 || req.Options.Repetitions > 4) {
+			t.Skip()
+		}
+		spec, err := PeerSpec(params)
+		if err != nil {
+			return
+		}
+		again, err := PeerSpec(params)
+		if err != nil {
+			t.Fatalf("accepted params refused on a second build: %v", err)
+		}
+		if err := specsAgree(spec, again); err != nil {
+			t.Fatalf("two builds of one blob disagree: %v", err)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
+	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -187,7 +188,7 @@ func (p *gniDamProver) Respond(round int, view *network.ProverView) (*network.Re
 	if err != nil {
 		return nil, err
 	}
-	advice, err := spantree.Compute(view.Graph, 0)
+	advice, err := setupcache.ForGraph(view.Graph).SpanTree(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: GNIDAM prover tree: %w", err)
 	}

@@ -9,6 +9,7 @@ import (
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
+	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -457,7 +458,7 @@ func (p *gniProver) first(view *network.ProverView) (*network.Response, error) {
 		p.seeds[r] = seed
 	}
 
-	if p.advice, err = spantree.Compute(view.Graph, 0); err != nil {
+	if p.advice, err = setupcache.ForGraph(view.Graph).SpanTree(0); err != nil {
 		return nil, fmt.Errorf("core: GNI prover tree: %w", err)
 	}
 

@@ -10,6 +10,7 @@ import (
 	"dip/internal/network"
 	"dip/internal/perm"
 	"dip/internal/prime"
+	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -294,7 +295,7 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 	}
 	auts := [2][]perm.Perm{graph.AllAutomorphisms(view.Graph), graph.AllAutomorphisms(g1)}
 
-	advice, err := spantree.Compute(view.Graph, 0)
+	advice, err := setupcache.ForGraph(view.Graph).SpanTree(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: GNIGeneral prover tree: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
+	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
 )
@@ -536,7 +537,7 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 		closed[b] = closedTable(g.k, induced.Neighbors)
 	}
 
-	advice, err := spantree.Compute(g0, 0)
+	advice, err := setupcache.ForGraph(g0).SpanTree(0)
 	if err != nil {
 		return nil, fmt.Errorf("core: MarkedGNI prover tree: %w", err)
 	}

@@ -90,8 +90,8 @@ func (f *Fleet) Addrs() []string {
 
 // NewRun mints a transport for one run over the fleet's connections.
 // params is the opaque protocol parameter blob every peer's SpecBuilder
-// will rebuild the Spec from (for dippeer fleets: a JSON dip.Request
-// without edge lists). The returned transport serves exactly one run.
+// will rebuild the Spec from (for dippeer fleets: the JSON params
+// dip.PeerSpec decodes). The returned transport serves exactly one run.
 func (f *Fleet) NewRun(params []byte) *Transport {
 	return &Transport{
 		fleet:   f,

@@ -341,8 +341,8 @@ func decodeDecisions(dst []bool, body []byte, count int) ([]bool, error) {
 
 // hello is the coordinator's session-opening frame: everything a peer
 // needs to host its slice of the run. params is an opaque protocol
-// parameter blob the peer's SpecBuilder understands (for dippeer: a JSON
-// dip.Request without edge lists); nodes lists the hosted nodes, strictly
+// parameter blob the peer's SpecBuilder understands (for dippeer: the
+// JSON params dip.PeerSpec decodes); nodes lists the hosted nodes, strictly
 // ascending, with their neighbor lists and private inputs — the peer
 // never sees the rest of the graph. The node order and each neighbor
 // list's order are the positional order of every batch in the session.

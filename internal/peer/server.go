@@ -17,7 +17,7 @@ import (
 // SpecBuilder rebuilds a protocol Spec from the hello's opaque parameter
 // blob. It is injected rather than imported so this package stays below
 // the protocol registry in the dependency order: cmd/dippeer wires it to
-// dip.BuildSpec, and tests wire it to fixtures. The builder must be
+// dip.PeerSpec, and tests wire it to fixtures. The builder must be
 // deterministic in its parameters — both sides of a run construct the
 // Spec independently, and bit-identity with the sequential executor
 // relies on the constructions agreeing.

@@ -240,13 +240,21 @@ func ForCubicWindow(n int, seed int64) (*big.Int, error) {
 // [10·n^{n+2}, 100·n^{n+2}]. Its bit length is Θ(n log n), which is exactly
 // why Protocol 2 costs O(n log n) bits per node.
 func ForPowerWindow(n int, seed int64) (*big.Int, error) {
+	lo, hi, err := PowerWindow(n)
+	if err != nil {
+		return nil, err
+	}
+	return InWindow(lo, hi, seed)
+}
+
+// PowerWindow returns the bounds [10·n^{n+2}, 100·n^{n+2}] of the window
+// ForPowerWindow searches.
+func PowerWindow(n int) (lo, hi *big.Int, err error) {
 	if n < 2 {
-		return nil, fmt.Errorf("prime: n = %d < 2", n)
+		return nil, nil, fmt.Errorf("prime: n = %d < 2", n)
 	}
 	pow := new(big.Int).Exp(big.NewInt(int64(n)), big.NewInt(int64(n+2)), nil)
-	lo := new(big.Int).Mul(big.NewInt(10), pow)
-	hi := new(big.Int).Mul(big.NewInt(100), pow)
-	return InWindow(lo, hi, seed)
+	return new(big.Int).Mul(big.NewInt(10), pow), new(big.Int).Mul(big.NewInt(100), pow), nil
 }
 
 // NearFactorial returns a prime in [mult·n!, 2·mult·n!]. The GNI protocol

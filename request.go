@@ -2,6 +2,7 @@ package dip
 
 import (
 	"context"
+	"math/big"
 	"sort"
 
 	"dip/internal/core"
@@ -76,8 +77,9 @@ const (
 )
 
 // validate rejects a request that populates a field this protocol does not
-// read or that exceeds a size cap. The run and BuildSpec dispatch paths
-// both call it before anything is built.
+// read, that exceeds a size cap, or whose repetition count is negative.
+// The run, BuildSpec and PeerSpec dispatch paths all call it before
+// anything is built.
 func (e *entry) validate(req *Request) error {
 	if !e.usesEdges1 && req.Edges1 != nil {
 		return badRequestf("dip: protocol %q takes no Edges1", e.info.Name)
@@ -96,6 +98,10 @@ func (e *entry) validate(req *Request) error {
 	if req.Side > MaxVertices || req.Half > MaxVertices || 2*req.Side+2*req.Half+1 > MaxVertices {
 		return badRequestf("dip: dsym-dam with side=%d half=%d exceeds the cap of %d vertices",
 			req.Side, req.Half, MaxVertices)
+	}
+	if req.Options.Repetitions < 0 {
+		return badRequestf("dip: Repetitions must be non-negative, got %d (0 selects the default of %d)",
+			req.Options.Repetitions, core.DefaultGNIRepetitions)
 	}
 	if req.Options.Repetitions > MaxRepetitions {
 		return badRequestf("dip: Repetitions=%d exceeds the cap of %d", req.Options.Repetitions, MaxRepetitions)
@@ -118,7 +124,7 @@ var registry = map[string]*entry{
 	"sym-dam": {
 		info: entryInfo{Name: "sym-dam", Family: "sym", Rounds: 2,
 			Summary: "O(n log n) dAM proof of symmetry, nodes speak first (Theorem 1.3)"},
-		build: graphRun(protoSymDAM),
+		build: buildSymDAM,
 		spec:  specOf(protoSymDAM),
 	},
 	"dsym-dam": {
@@ -196,15 +202,7 @@ func RunContext(ctx context.Context, req Request) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	nopts, err := engineOptions(ctx, req.Options)
-	if err != nil {
-		return Report{}, err
-	}
-	res, err := network.RunContext(ctx, run.Spec, run.Graph, run.Inputs, run.Prover, nopts)
-	if err != nil {
-		return Report{}, err
-	}
-	return report(req.Protocol, res), nil
+	return runAssembled(ctx, req, run, nil)
 }
 
 // AssembleRun validates req and assembles its instance through the
@@ -224,30 +222,19 @@ func AssembleRun(req Request) (EngineRun, error) {
 	return e.build(&req)
 }
 
-// engineOptions validates the request options and maps them onto the
-// engine's knobs. A fleet transport riding on the context (Fleet.Run)
-// selects the networked executor; otherwise the run stays in-process.
-func engineOptions(ctx context.Context, opts Options) (network.Options, error) {
-	timeout, err := resolveTimeout(opts.Timeout)
+// runAssembled is the engine step of RunContext and Fleet.Run: it runs an
+// assembled instance in-process, or on a fleet when tr is non-nil.
+func runAssembled(ctx context.Context, req Request, run EngineRun, tr network.Transport) (Report, error) {
+	timeout, err := resolveTimeout(req.Options.Timeout)
 	if err != nil {
-		return network.Options{}, err
+		return Report{}, err
 	}
-	return network.Options{Seed: opts.Seed, ProverTimeout: timeout, Transport: transportFrom(ctx)}, nil
-}
-
-// transportKey carries a Fleet.Run transport through RunContext to the
-// engine call sites. A context key (rather than a Request field) keeps
-// the transport out of the wire format: a Request stays a pure value, and
-// placement is a property of how it is run, not of the instance.
-type transportKey struct{}
-
-func withTransport(ctx context.Context, t network.Transport) context.Context {
-	return context.WithValue(ctx, transportKey{}, t)
-}
-
-func transportFrom(ctx context.Context) network.Transport {
-	t, _ := ctx.Value(transportKey{}).(network.Transport)
-	return t
+	nopts := network.Options{Seed: req.Options.Seed, ProverTimeout: timeout, Transport: tr}
+	res, err := network.RunContext(ctx, run.Spec, run.Graph, run.Inputs, run.Prover, nopts)
+	if err != nil {
+		return Report{}, err
+	}
+	return report(req.Protocol, res), nil
 }
 
 // EngineRun is one assembled instance: everything the engine call needs
@@ -257,6 +244,9 @@ type EngineRun struct {
 	Graph  *graph.Graph
 	Inputs []wire.Message // node inputs (G₁ rows, marks); nil if the protocol has none
 	Prover network.Prover
+	// modulus is sym-dam's seed-derived hash modulus, which a fleet run
+	// sends its peers (fleetParams); nil for every other protocol.
+	modulus *big.Int
 }
 
 // protocol is the run-side face of every core protocol type.
@@ -279,6 +269,21 @@ func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (Engin
 		}
 		return EngineRun{Spec: p.Spec(), Graph: g, Prover: p.HonestProver()}, nil
 	}
+}
+
+// buildSymDAM is graphRun for sym-dam that also keeps the instance's
+// modulus, so that a fleet run provisions its peers with it instead of
+// having each repeat the prime search.
+func buildSymDAM(req *Request) (EngineRun, error) {
+	g, err := cachedGraph(req.N, req.Edges)
+	if err != nil {
+		return EngineRun{}, err
+	}
+	p, err := protoSymDAM(req)
+	if err != nil {
+		return EngineRun{}, err
+	}
+	return EngineRun{Spec: p.Spec(), Graph: g, Prover: p.HonestProver(), modulus: p.P()}, nil
 }
 
 // pairRun builds a two-graph GNI instance: G₀ is the network, G₁ travels

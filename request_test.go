@@ -129,15 +129,22 @@ func TestRunRejectsUnknownProtocol(t *testing.T) {
 
 func TestRunRejectsUnusedFields(t *testing.T) {
 	cycle := [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}
-	cases := []struct {
+	type rejectCase struct {
 		name string
 		req  Request
 		want string
-	}{
+	}
+	cases := []rejectCase{
 		{"edges1 on sym", Request{Protocol: "sym-dmam", N: 4, Edges: cycle, Edges1: cycle}, "takes no Edges1"},
 		{"marks on sym", Request{Protocol: "sym-dam", N: 4, Edges: cycle, Marks: []int{0, 0, 1, 1}}, "takes no Marks"},
 		{"side on sym", Request{Protocol: "sym-dmam", N: 4, Edges: cycle, Side: 3}, "takes no Side/Half"},
 		{"marks on gni pair", Request{Protocol: "gni-damam", N: 4, Edges: cycle, Edges1: cycle, Marks: []int{0}}, "takes no Marks"},
+	}
+	// A negative repetition count is refused by every protocol, including
+	// those that ignore the count.
+	for _, p := range Protocols() {
+		cases = append(cases, rejectCase{"negative repetitions on " + p.Name,
+			Request{Protocol: p.Name, N: 4, Edges: cycle, Options: Options{Repetitions: -1}}, "Repetitions must be non-negative"})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
