@@ -243,7 +243,7 @@ func runEngine(o simOptions, inst *instance, fleet *dip.Fleet, stdout io.Writer)
 	}
 	ro := network.Options{Seed: o.seed, RecordTranscript: o.verbose}
 	if fleet != nil {
-		coord, err := fleet.EngineTransport(inst.req)
+		coord, err := fleet.TransportFor(inst.req, run)
 		if err != nil {
 			return nil, err
 		}

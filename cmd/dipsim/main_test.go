@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"dip"
 	"dip/internal/core"
 	"dip/internal/obs"
+	"dip/internal/peer"
 )
 
 // TestMakeGraphValidatesRandomKinds is the regression test for the
@@ -209,6 +211,37 @@ func runDocument(t *testing.T, o simOptions) []byte {
 		t.Fatal(err)
 	}
 	return doc
+}
+
+// TestPeersEngineRunAssemblesOnce drives the engine path (-v) of a
+// sym-dam run on a one-peer fleet. dipsim assembles the instance once and
+// mints the fleet transport from it, so the run makes one graph-cache and
+// one protocol-cache lookup (its peer builds from the provisioned modulus
+// and looks nothing up), and it writes the in-process run's document.
+func TestPeersEngineRunAssemblesOnce(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &peer.Server{Build: dip.PeerSpec}
+	go srv.Serve(l)
+	defer func() {
+		l.Close()
+		srv.Close()
+	}()
+
+	o := simOptions{protocol: "sym-dam", kind: "doubled", n: 16, seed: 7, verbose: true}
+	local := runDocument(t, o)
+	graphs, protocols := obs.Cache("graphs"), obs.Cache("protocols")
+	lookups := func(m *obs.CacheMeter) int64 { return m.Hits.Value() + m.Misses.Value() }
+	g0, p0 := lookups(graphs), lookups(protocols)
+	o.peers = l.Addr().String()
+	if fleet := runDocument(t, o); !bytes.Equal(fleet, local) {
+		t.Fatalf("fleet document differs from the in-process one:\n%s\n%s", fleet, local)
+	}
+	if g, p := lookups(graphs)-g0, lookups(protocols)-p0; g != 1 || p != 1 {
+		t.Fatalf("fleet run made %d graph-cache and %d protocol-cache lookups, want 1 and 1", g, p)
+	}
 }
 
 // TestRunWithFault drives the -fault path: an honest sym-dam run with

@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
@@ -160,6 +161,67 @@ func TestFleetMatchesRun(t *testing.T) {
 					*outcomes[i].fleet, local)
 			}
 		})
+	}
+}
+
+// TestFleetMemosMatchRun runs the protocols whose verifiers share work
+// through a host's run memo — sym-lcp and sym-rpls (the advice check) and
+// sym-dam (the row-hash table) — two seeds each, all concurrently on one
+// 2-peer fleet, so several peer sessions fill their memos at once. Each
+// dip-report/v1 document must be byte-identical to dip.Run's. It runs
+// under -short, so the race detector sees concurrent sessions' memos.
+func TestFleetMemosMatchRun(t *testing.T) {
+	ring := edgesOf(graph.Cycle(16))
+	var reqs []Request
+	for i, protocol := range []string{"sym-lcp", "sym-rpls", "sym-dam"} {
+		for k := int64(0); k < 2; k++ {
+			reqs = append(reqs, Request{Protocol: protocol, N: 16, Edges: ring,
+				Options: Options{Seed: 300 + 2*int64(i) + k}})
+		}
+	}
+	fleet, err := DialFleet(startDipPeers(t, 2), FleetOptions{IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	document := func(rep Report, seed int64) []byte {
+		var buf bytes.Buffer
+		if err := WireReportFrom(rep, seed).Encode(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	docs := make([][]byte, len(reqs))
+	var wg sync.WaitGroup
+	for i, req := range reqs {
+		wg.Add(1)
+		go func(i int, req Request) {
+			defer wg.Done()
+			rep, err := fleet.Run(context.Background(), req)
+			if err != nil {
+				t.Errorf("%s seed %d: fleet run: %v", req.Protocol, req.Options.Seed, err)
+				return
+			}
+			docs[i] = document(*rep, req.Options.Seed)
+		}(i, req)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, req := range reqs {
+		local, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !local.Accepted {
+			t.Fatalf("%s seed %d: honest run rejected", req.Protocol, req.Options.Seed)
+		}
+		if want := document(local, req.Options.Seed); !bytes.Equal(docs[i], want) {
+			t.Fatalf("%s seed %d: fleet document differs from dip.Run's:\n%s\n%s",
+				req.Protocol, req.Options.Seed, docs[i], want)
+		}
 	}
 }
 

@@ -95,7 +95,7 @@ func (f *Fleet) Run(ctx context.Context, req Request) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr, err := f.transport(req, run)
+	tr, err := f.TransportFor(req, run)
 	if err != nil {
 		return nil, err
 	}
@@ -107,21 +107,23 @@ func (f *Fleet) Run(ctx context.Context, req Request) (*Report, error) {
 }
 
 // EngineTransport mints a single-run transport for req on this fleet's
-// connections. It exists for in-module tools (cmd/dipsim) that drive the
-// engine directly — for fault injection or transcript recording — while
-// still placing nodes on the fleet. network is an internal package, so
-// the method is unusable outside this module (compare ReportFromResult).
-// It assembles req's instance (AssembleRun) for the setup it provisions.
+// connections: it assembles req's instance (AssembleRun) for the setup it
+// provisions, then calls TransportFor.
 func (f *Fleet) EngineTransport(req Request) (network.Transport, error) {
 	run, err := AssembleRun(req)
 	if err != nil {
 		return nil, err
 	}
-	return f.transport(req, run)
+	return f.TransportFor(req, run)
 }
 
-// transport mints the transport of one run of req's assembled instance.
-func (f *Fleet) transport(req Request, run EngineRun) (network.Transport, error) {
+// TransportFor mints the transport of one run of run, the instance
+// AssembleRun assembled from req, on this fleet's connections. It exists
+// for in-module tools (cmd/dipsim) that drive the engine directly — for
+// fault injection or transcript recording — while still placing nodes on
+// the fleet. network is an internal package, so the method is unusable
+// outside this module (compare ReportFromResult).
+func (f *Fleet) TransportFor(req Request, run EngineRun) (network.Transport, error) {
 	req.Edges, req.Edges1 = nil, nil
 	params, err := json.Marshal(fleetParams{Request: req, Modulus: run.modulus})
 	if err != nil {

@@ -23,11 +23,12 @@ import (
 func fullMatrixHashes(g *graph.Graph, family *hashing.LinearFamily, i *big.Int, rho perm.Perm) (*big.Int, *big.Int) {
 	n := g.N()
 	ha, hb := new(big.Int), new(big.Int)
+	tab := family.RowTable(i, n)
 	mapped := bitset.New(n)
 	for v := 0; v < n; v++ {
 		closed := g.ClosedRow(v)
-		ha = family.AddModInto(ha, family.HashRowMatrix(i, n, v, closed))
-		hb = family.AddModInto(hb, family.HashRowMatrix(i, n, rho[v], closed.PermuteInto(mapped, rho)))
+		ha = family.AddModInto(ha, tab.Hash(v, closed))
+		hb = family.AddModInto(hb, tab.Hash(rho[v], closed.PermuteInto(mapped, rho)))
 	}
 	return ha, hb
 }

@@ -97,17 +97,30 @@ func (s *SymLCP) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 	}
-	return s.checkAdvice(v, view.Neighbors, view.Responses[0])
+	return s.checkAdvice(v, view)
 }
 
-// checkAdvice is node v's content check of its own advice m, shared with
-// SymRPLS: m must decode, v's row of the claimed matrix must be v's actual
-// neighborhood nbrs, and ρ must be a non-trivial automorphism of the
-// claimed graph that moves the witness.
-func (s *SymLCP) checkAdvice(v int, nbrs []int, m wire.Message) bool {
+// checkAdvice is node v's content check of its own advice, shared with
+// SymRPLS: the advice must decode, v's row of the claimed matrix must be
+// v's actual neighborhood, and ρ must be a non-trivial automorphism of the
+// claimed graph that moves the witness. Only the row check depends on v,
+// so the rest runs once per distinct advice on a host, through the memo.
+func (s *SymLCP) checkAdvice(v int, view *network.NodeView) bool {
+	m := view.Responses[0]
+	g := network.Memoize(view.Memo, s, network.MessageKey(m), func() *graph.Graph {
+		return s.claimedGraph(m)
+	})
+	return g != nil && rowIs(g, v, view.Neighbors)
+}
+
+// claimedGraph decodes advice m and returns its claimed graph if ρ is a
+// non-trivial automorphism of it that moves the witness, nil otherwise.
+func (s *SymLCP) claimedGraph(m wire.Message) *graph.Graph {
 	a, err := s.decode(m)
-	return err == nil && rowIs(a.g, v, nbrs) && perm.IsValid(a.rho) &&
-		a.rho[a.witness] != a.witness && a.g.IsAutomorphism(a.rho)
+	if err != nil || !perm.IsValid(a.rho) || a.rho[a.witness] == a.witness || !a.g.IsAutomorphism(a.rho) {
+		return nil
+	}
+	return a.g
 }
 
 // writeTriangle writes g as its packed upper triangle (graph.AdjacencyBits):
@@ -230,29 +243,53 @@ func (s *GNILCP) Spec() *network.Spec {
 	}
 }
 
+// gniAdvice is one decoded GNILCP advice string. Its graphs and their
+// non-isomorphism depend only on the advice bits, so a host decodes and
+// decides each distinct advice once, through the memo.
+type gniAdvice struct {
+	g0, g1 *graph.Graph
+	// nonIso is decided on the first node that gets that far, so a host
+	// searches no more often than its nodes did one by one.
+	decided, nonIso bool
+}
+
+func (a *gniAdvice) nonIsomorphic() bool {
+	if !a.decided {
+		a.nonIso, a.decided = !graph.AreIsomorphic(a.g0, a.g1), true
+	}
+	return a.nonIso
+}
+
 func (s *GNILCP) decide(v int, view *network.NodeView) bool {
 	if view.NumVertices != s.n {
 		return false
 	}
-	g0, g1, err := s.decode(view.Responses[0])
-	if err != nil {
+	m := view.Responses[0]
+	a := network.Memoize(view.Memo, s, network.MessageKey(m), func() *gniAdvice {
+		g0, g1, err := s.decode(m)
+		if err != nil {
+			return nil
+		}
+		return &gniAdvice{g0: g0, g1: g1}
+	})
+	if a == nil {
 		return false
 	}
 	for _, u := range view.Neighbors {
-		if !msgEqual(view.Responses[0], view.NeighborResponses[0][u]) {
+		if !msgEqual(m, view.NeighborResponses[0][u]) {
 			return false
 		}
 	}
 	// G₀ row vs actual neighborhood, G₁ row vs input.
-	if !rowIs(g0, v, view.Neighbors) {
+	if !rowIs(a.g0, v, view.Neighbors) {
 		return false
 	}
 	open, err := decodeGNIInput(view.Input, s.n)
-	if err != nil || !rowIs(g1, v, open) {
+	if err != nil || !rowIs(a.g1, v, open) {
 		return false
 	}
 	// Unbounded verifier: decide non-isomorphism outright.
-	return !graph.AreIsomorphic(g0, g1)
+	return a.nonIsomorphic()
 }
 
 // HonestProver returns the prover that publishes both true matrices.

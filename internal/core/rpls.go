@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"dip/internal/graph"
@@ -68,11 +69,25 @@ func (s *SymRPLS) FingerprintBits() int { return 2 * wire.WidthForBig(s.p) }
 // positions of its one-bits, ascending). Bits past that length have no
 // coordinate in the family; a node holding such advice rejects it on its
 // own length check, so its fingerprint leaves them out rather than panic.
+// It scans a byte at a time: one pass counts the set bits, so the second
+// fills a slice of exactly that size.
 func (s *SymRPLS) adviceCoords(m wire.Message) []int {
-	var coords []int
-	for i, n := 0, min(m.Bits, s.AdviceBits()); i < n; i++ {
-		if m.Data[i/8]&(1<<(uint(i)%8)) != 0 {
-			coords = append(coords, i)
+	nbits := max(min(m.Bits, s.AdviceBits()), 0)
+	data := m.Data[:(nbits+7)/8]
+	byteAt := func(k int) byte { // byte k, without bits at or past nbits
+		if rest := nbits - 8*k; rest < 8 {
+			return data[k] & (1<<rest - 1)
+		}
+		return data[k]
+	}
+	count := 0
+	for k := range data {
+		count += bits.OnesCount8(byteAt(k))
+	}
+	coords := make([]int, 0, count)
+	for k := range data {
+		for b := byteAt(k); b != 0; b &= b - 1 {
+			coords = append(coords, 8*k+bits.TrailingZeros8(b))
 		}
 	}
 	return coords
@@ -135,7 +150,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 	}
-	return s.lcp.checkAdvice(v, view.Neighbors, advice)
+	return s.lcp.checkAdvice(v, view)
 }
 
 // HonestProver returns the SymLCP prover (the advice is identical).

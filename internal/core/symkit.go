@@ -157,12 +157,13 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]sy
 		return false
 	}
 
+	tab := kit.rowTable(view.Memo, i)
 	row := bitset.New(kit.n)
 	row.Add(v)
 	for _, u := range view.Neighbors {
 		row.Add(u)
 	}
-	a := kit.family.HashRowMatrix(i, kit.n, v, row)
+	a := tab.Hash(v, row)
 	for _, u := range children {
 		a = kit.family.AddModInto(a, nbrs[u].a)
 	}
@@ -175,7 +176,7 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]sy
 	for _, sh := range nbrs {
 		row.Add(sh.image)
 	}
-	b := kit.family.HashRowMatrix(i, kit.n, own.image, row)
+	b := tab.Hash(own.image, row)
 	for _, u := range children {
 		b = kit.family.AddModInto(b, nbrs[u].b)
 	}
@@ -191,6 +192,15 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]sy
 		return err == nil && iv.Cmp(i) == 0
 	}
 	return true
+}
+
+// rowTable returns the row-hash table of index i. Every honest node
+// hashes under the same echoed index, so the table is built once per host
+// and run, through the memo.
+func (kit *symKit) rowTable(memo *network.Memo, i *big.Int) *hashing.RowTable {
+	return network.Memoize(memo, kit, network.FieldKey(i), func() *hashing.RowTable {
+		return kit.family.RowTable(i, kit.n)
+	})
 }
 
 // checkGraph is the prover's check that g has the size the instance was
@@ -245,12 +255,13 @@ func (kit *symKit) subtreeHashSums(g *graph.Graph, i *big.Int, rho perm.Perm, ad
 	a = make([]*big.Int, n)
 	b = make([]*big.Int, n)
 	children := spantree.ChildLists(advice)
+	tab := kit.family.RowTable(i, n)
 	closed := bitset.New(n)
 	mapped := bitset.New(n)
 	for _, v := range spantree.PostOrder(advice) {
-		av := kit.family.HashRowMatrix(i, n, v, g.ClosedRowInto(v, closed))
+		av := tab.Hash(v, g.ClosedRowInto(v, closed))
 		closed.PermuteInto(mapped, rho)
-		bv := kit.family.HashRowMatrix(i, n, rho[v], mapped)
+		bv := tab.Hash(rho[v], mapped)
 		for _, c := range children[v] {
 			av = kit.family.AddModInto(av, a[c])
 			bv = kit.family.AddModInto(bv, b[c])

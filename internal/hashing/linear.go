@@ -188,36 +188,88 @@ func (w *bigPowers) next(e int) *big.Int {
 	return w.cur
 }
 
-// HashRowMatrix evaluates h_i on the row matrix [row, r] of Section 3.1.1 —
-// the n×n boolean matrix that is r in the given row and zero elsewhere —
-// flattened row-major into an n²-dimensional vector. The family dimension
-// must be n². This is the per-node hash both Sym protocols compute locally:
-// node v hashes [v, N(v)] and [ρ(v), ρ(N(v))].
-func (f *LinearFamily) HashRowMatrix(i *big.Int, n, row int, r *bitset.Set) *big.Int {
+// RowTable hashes the row matrices [row, r] of Section 3.1.1 — the n×n
+// boolean matrix that is r in the given row and zero elsewhere, flattened
+// row-major into an n²-dimensional vector — under one index i. It is the
+// per-node hash of the Sym protocols: node v hashes [v, N(v)] and
+// [ρ(v), ρ(N(v))], and the prover hashes every node's pair. Since
+//
+//	h_i([row, r]) = Σ_{c∈r} i^{row·n+c+1} = i^{row·n} · Σ_{c∈r} i^{c+1},
+//
+// the table keeps i^k for k ≤ n and i^{vn} for v < n, and a row hash costs
+// one addition per set bit and one multiplication, with no
+// exponentiation. The arithmetic is exact in Z_p, so every hash equals
+// the one HashIndicator gives for the row's coordinates. A table is
+// read-only once built.
+type RowTable struct {
+	f *LinearFamily
+	n int
+	// The powers i^0..i^n, then i^{0·n}..i^{(n-1)·n}: in small when the
+	// family's modulus is below 2^32 (pSmall ≠ 0), in big otherwise.
+	small []uint64
+	big   []big.Int
+}
+
+// RowTable builds the table of hash index i (reduced mod p) for n×n row
+// matrices. The family dimension must be n².
+func (f *LinearFamily) RowTable(i *big.Int, n int) *RowTable {
 	if n*n != f.m {
 		panic(fmt.Sprintf("hashing: matrix side %d for family dimension %d", n, f.m))
 	}
-	if row < 0 || row >= n {
-		panic(fmt.Sprintf("hashing: row %d out of range [0,%d)", row, n))
+	t := &RowTable{f: f, n: n}
+	if f.pSmall != 0 {
+		iv, ok := f.smallSeed(i)
+		if !ok {
+			iv = new(big.Int).Mod(i, f.p).Uint64()
+		}
+		t.small = make([]uint64, 2*n+1)
+		t.small[0] = 1 % f.pSmall
+		for k := 1; k <= n; k++ {
+			t.small[k] = t.small[k-1] * iv % f.pSmall
+		}
+		hi := t.small[n+1:]
+		hi[0] = t.small[0]
+		for v := 1; v < n; v++ {
+			hi[v] = hi[v-1] * t.small[n] % f.pSmall
+		}
+		return t
 	}
-	if r.Len() != n {
-		panic(fmt.Sprintf("hashing: row vector of length %d, want %d", r.Len(), n))
+	t.big = make([]big.Int, 2*n+1)
+	t.big[0].SetInt64(1)
+	t.big[1].Mod(i, f.p)
+	for k := 2; k <= n; k++ {
+		t.big[k].Mod(t.big[k].Mul(&t.big[k-1], &t.big[1]), f.p)
 	}
-	if iv, ok := f.smallSeed(i); ok {
-		// Iterate the set bits directly — no coords slice, no big.Int
-		// terms. The coordinates row*n+c are in range by the panics above.
-		pw := smallPowers{i: iv, p: f.pSmall}
+	hi := t.big[n+1:]
+	hi[0].SetInt64(1)
+	for v := 1; v < n; v++ {
+		hi[v].Mod(hi[v].Mul(&hi[v-1], &t.big[n]), f.p)
+	}
+	return t
+}
+
+// Hash returns h_i([row, r]).
+func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
+	if row < 0 || row >= t.n {
+		panic(fmt.Sprintf("hashing: row %d out of range [0,%d)", row, t.n))
+	}
+	if r.Len() != t.n {
+		panic(fmt.Sprintf("hashing: row vector of length %d, want %d", r.Len(), t.n))
+	}
+	if p := t.f.pSmall; p != 0 {
+		// At most n terms below 2^32 each: the sum fits in uint64.
 		var sum uint64
 		for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-			sum = (sum + pw.next(uint64(row*n+c+1))) % f.pSmall
+			sum += t.small[c+1]
 		}
-		return new(big.Int).SetUint64(sum)
+		return new(big.Int).SetUint64(sum % p * t.small[t.n+1+row] % p)
 	}
-	coords := make([]int, 0, r.Count())
+	sum := new(big.Int)
 	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
-		coords = append(coords, row*n+c)
+		sum.Add(sum, &t.big[c+1])
 	}
-	return f.HashIndicator(i, coords)
+	sum.Mul(sum, &t.big[t.n+1+row])
+	return sum.Mod(sum, t.f.p)
 }
 
 // HashDense evaluates h_i on an arbitrary vector x over Z_p given as int64

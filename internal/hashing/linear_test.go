@@ -110,9 +110,10 @@ func TestRowMatrixDecomposition(t *testing.T) {
 			}
 		}
 	}
+	tab := f.RowTable(seed, n)
 	total := new(big.Int)
 	for v := 0; v < n; v++ {
-		total = f.AddMod(total, f.HashRowMatrix(seed, n, v, rows[v]))
+		total = f.AddMod(total, tab.Hash(v, rows[v]))
 	}
 	direct := f.HashIndicator(seed, flat)
 	if total.Cmp(direct) != 0 {
@@ -123,9 +124,9 @@ func TestRowMatrixDecomposition(t *testing.T) {
 func TestHashRowMatrixPanics(t *testing.T) {
 	f := mustFamily(t, 16, 101)
 	cases := []func(){
-		func() { f.HashRowMatrix(big.NewInt(1), 5, 0, bitset.New(5)) }, // wrong n
-		func() { f.HashRowMatrix(big.NewInt(1), 4, 4, bitset.New(4)) }, // row range
-		func() { f.HashRowMatrix(big.NewInt(1), 4, 0, bitset.New(3)) }, // row length
+		func() { f.RowTable(big.NewInt(1), 5) },                        // wrong n
+		func() { f.RowTable(big.NewInt(1), 4).Hash(4, bitset.New(4)) }, // row range
+		func() { f.RowTable(big.NewInt(1), 4).Hash(0, bitset.New(3)) }, // row length
 		func() { f.HashDense(big.NewInt(1), make([]int64, 3)) },        // dense length
 	}
 	for i, c := range cases {
@@ -261,9 +262,9 @@ func TestSmallModulusFastPathMatchesBig(t *testing.T) {
 				t.Fatalf("n=%d HashIndicator(%v, %v) = %v, big path %v", n, i, coords, got, want)
 			}
 			r := rng.Intn(n)
-			got, want := fast.HashRowMatrix(i, n, r, row), slow.HashRowMatrix(i, n, r, row)
+			got, want := fast.RowTable(i, n).Hash(r, row), slow.RowTable(i, n).Hash(r, row)
 			if got.Cmp(want) != 0 {
-				t.Fatalf("n=%d HashRowMatrix(%v, row %d) = %v, big path %v", n, i, r, got, want)
+				t.Fatalf("n=%d RowTable(%v).Hash(row %d) = %v, big path %v", n, i, r, got, want)
 			}
 			sum := fast.AddMod(got, want)
 			if sum.Cmp(slow.AddMod(got, want)) != 0 {
@@ -278,9 +279,9 @@ func TestSmallModulusFastPathMatchesBig(t *testing.T) {
 	}
 }
 
-// TestRunningPowersMatchDense checks HashIndicator and HashRowMatrix, which
-// take powers by running powers, against HashDense, which keeps one full
-// exponentiation per coordinate. It covers both evaluation paths (a
+// TestRunningPowersMatchDense checks HashIndicator, which takes powers by
+// running powers, and RowTable, which takes them from a table, against
+// HashDense, which keeps one full exponentiation per coordinate. It covers both evaluation paths (a
 // cubic-window modulus below 2^32 and a power-window modulus above 2^64),
 // coordinates sorted, shuffled and repeated (a repeat counts twice, and a
 // coordinate below its predecessor restarts the running power), and seeds
@@ -355,8 +356,8 @@ func TestRunningPowersMatchDense(t *testing.T) {
 						dense[row*n+c] = 1
 					}
 				}
-				if got, want := f.HashRowMatrix(i, n, row, r), f.HashDense(i, dense); got.Cmp(want) != 0 {
-					t.Fatalf("%s seed %v HashRowMatrix(row %d) = %v, HashDense %v", tc.name, i, row, got, want)
+				if got, want := f.RowTable(i, n).Hash(row, r), f.HashDense(i, dense); got.Cmp(want) != 0 {
+					t.Fatalf("%s seed %v RowTable.Hash(row %d) = %v, HashDense %v", tc.name, i, row, got, want)
 				}
 			}
 		}

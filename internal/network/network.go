@@ -184,6 +184,12 @@ type NodeView struct {
 	// NeighborResponses[k][u] is the prover's k-th Merlin-round message to
 	// neighbor u, as forwarded by u.
 	NeighborResponses []map[int]wire.Message
+
+	// Memo is the run's memo on the host playing this node, shared with
+	// every other node it plays in the run (nil when the host keeps none).
+	// It only caches pure functions of the instance and a full key, so
+	// it widens no node's view; see Memo.
+	Memo *Memo
 }
 
 // HasNeighbor reports whether u is a neighbor of this node.

@@ -24,10 +24,12 @@ type NodeState struct {
 }
 
 // NewNodeState builds node v of an n-node run: RNG seeded mix(seed, v),
-// fresh view over the given neighbor slice and input. The spec is
-// validated with the same gate Run uses, so a host cannot start playing a
-// schedule the coordinator would have rejected.
-func NewNodeState(spec *Spec, v, n int, neighbors []int, input wire.Message, seed int64) (*NodeState, error) {
+// fresh view over the given neighbor slice and input. memo is the host's
+// memo for this run, shared by every NodeState the host plays in it on
+// the same goroutine (nil for none). The spec is validated with the same
+// gate Run uses, so a host cannot start playing a schedule the
+// coordinator would have rejected.
+func NewNodeState(spec *Spec, v, n int, neighbors []int, input wire.Message, seed int64, memo *Memo) (*NodeState, error) {
 	if _, err := validateSpec(spec); err != nil {
 		return nil, err
 	}
@@ -37,7 +39,7 @@ func NewNodeState(spec *Spec, v, n int, neighbors []int, input wire.Message, see
 	ns := &NodeState{spec: spec, v: v, n: n}
 	ns.src = nodeSource(seed, v)
 	ns.rng = rand.New(&ns.src)
-	ns.view = NodeView{V: v, NumVertices: n, Neighbors: neighbors, Input: input}
+	ns.view = NodeView{V: v, NumVertices: n, Neighbors: neighbors, Input: input, Memo: memo}
 	return ns, nil
 }
 

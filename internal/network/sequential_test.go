@@ -134,7 +134,9 @@ func (gt *goTransport) Begin(run *TransportRun) *RunError {
 			input = run.Inputs[v]
 		}
 		nbrs := append([]int(nil), run.Neighbors[v]...)
-		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed)
+		// Each node is a host of its own on its own goroutine, so none
+		// shares a memo.
+		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed, new(Memo))
 		if err != nil {
 			return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport,
 				Round: -1, Node: v, Err: err}

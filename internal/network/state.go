@@ -81,6 +81,9 @@ type runState struct {
 	delivered []wire.Message
 	forwards  []wire.Message
 
+	// memo is the run's memo, shared by every view; release empties it.
+	memo Memo
+
 	// abandoned is set when a ProverTimeout expired: the abandoned Respond
 	// goroutine may still reference this state, so release must drop it to
 	// the garbage collector instead of pooling it.
@@ -244,6 +247,7 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 			MyChallenges:      s.myBack[v*nA : v*nA : (v+1)*nA],
 			Responses:         s.respBack[v*nM : v*nM : (v+1)*nM],
 			NeighborResponses: s.nbrRespBack[v*nM : v*nM : (v+1)*nM],
+			Memo:              &s.memo,
 		}
 		if spec.ShareChallenges {
 			s.views[v].NeighborChallenges = s.nbrChalBack[v*nA : v*nA : (v+1)*nA]
@@ -257,8 +261,9 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 // release returns the state to the pool after dropping every per-run
 // reference: caller data (spec, graph, prover, options with their
 // injector closures), the escaping pieces (cost, decisions, transcript),
-// and the message headers and exchange-map entries of the finished run —
-// a pooled state must not pin another run's payloads alive.
+// the message headers and exchange-map entries of the finished run and
+// the memo's entries — a pooled state must not pin another run's
+// payloads alive, and the next run starts with an empty memo.
 func (s *runState) release() {
 	if s.abandoned {
 		return // a timed-out prover goroutine may still hold this state
@@ -270,6 +275,7 @@ func (s *runState) release() {
 	clearMessages(s.forwards)
 	clearMaps(s.nbrRespBack)
 	clearMaps(s.nbrChalBack)
+	s.memo.reset()
 	for i := range s.pv.Challenges {
 		s.pv.Challenges[i] = nil
 	}

@@ -31,6 +31,7 @@ type loopTransport struct {
 
 func (lt *loopTransport) Begin(run *TransportRun) *RunError {
 	lt.n = run.N
+	memo := new(Memo) // one host: all its nodes share the run's memo
 	lt.nodes = make([]*NodeState, run.N)
 	lt.degrees = make([]int, run.N)
 	lt.pending = make(map[int]map[int]wire.Message)
@@ -42,7 +43,7 @@ func (lt *loopTransport) Begin(run *TransportRun) *RunError {
 		// Copy the neighbor slice: TransportRun.Neighbors aliases pooled
 		// engine state that a transport must not retain.
 		nbrs := append([]int(nil), run.Neighbors[v]...)
-		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed)
+		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed, memo)
 		if err != nil {
 			return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport,
 				Round: -1, Node: v, Err: err}

@@ -324,6 +324,9 @@ type session struct {
 	nodes []*network.NodeState
 	nbrs  [][]int
 	edges int
+	// memo is the run's memo on this host, shared by every hosted node:
+	// the session plays them all on its one goroutine.
+	memo network.Memo
 	// out holds the frames staged since the last flush; batched reports
 	// that they include a batch, not only the helloOK.
 	out     []byte
@@ -442,7 +445,7 @@ func (st *session) run() *network.RunError {
 			Err: fmt.Errorf("peer: compiling schedule: %w", err)}
 	}
 	for _, hn := range h.nodes {
-		ns, nerr := network.NewNodeState(spec, hn.v, h.n, hn.nbrs, hn.input, h.seed)
+		ns, nerr := network.NewNodeState(spec, hn.v, h.n, hn.nbrs, hn.input, h.seed, &st.memo)
 		if nerr != nil {
 			return st.failf(-1, "node %d: %v", hn.v, nerr)
 		}
