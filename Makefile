@@ -11,9 +11,9 @@ GO ?= go
 # (bench-check, under a second), a short
 # mutation burst on every decoder fuzz target,
 # a fault-matrix smoke run, a live service round-trip (dipserve under
-# dipload, drained cleanly), a plain+batch load round-trip with a
-# leak check on the drained service, an adversarial chaos session
-# against the live service (dipload -chaos), and the job-tier
+# dipload with zero errors, drained cleanly), a plain+batch load
+# round-trip with a leak check on the drained service, an adversarial
+# chaos session against the live service (dipload -chaos), and the job-tier
 # crash-replay drill (jobs-smoke: SIGKILL mid-backlog, restart, every
 # job completes exactly once), the multi-process peer drill
 # (peer-smoke: a real dippeer fleet must produce the byte-identical
@@ -63,15 +63,15 @@ bench-vet:
 
 # smoke regenerates the quick machine-readable benchmark file and requires
 # it to be byte-identical to the committed BENCH_seed1.json (GOMAXPROCS=1,
-# the setting the sidecar records), so a hand-edited or stale artifact
-# cannot sit in the tree; it then round-trips the file through the schema
-# validator and schema-checks every committed results sidecar (the LOAD
-# files are timing measurements, so only their schema is checked).
+# the setting the sidecar records), so a hand-edited or stale artifact —
+# including either allocation budget — cannot sit in the tree; it then
+# round-trips the file through the schema validator and schema-checks
+# both committed results sidecars.
 smoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json /tmp/dip-bench-smoke.json >/dev/null
 	@cmp /tmp/dip-bench-smoke.json BENCH_seed1.json || { echo "BENCH_seed1.json is stale: regenerate it with make tables"; exit 1; }
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-bench-smoke.json
-	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json LOAD_seed1.json LOAD_seed2.json LOAD_seed3.json LOAD_seed4.json
+	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json
 
 # fuzz-short gives each decoder fuzz target a brief mutation burst on top
 # of the checked-in seed corpus (go only allows one -fuzz pattern per
@@ -99,8 +99,10 @@ fault-smoke:
 
 # serve-smoke exercises the verification service end to end: build
 # dipserve and dipload, boot the service on an ephemeral port, fire a
-# short load run, validate the dip-load/v1 file, and drain with SIGTERM.
-# The trap tears the server down even when a middle step fails.
+# short load run (dipload itself fails on a dropped connection, a wrong
+# answer or nothing completed), require zero errors on its count line,
+# and drain with SIGTERM. The trap tears the server down even when a
+# middle step fails.
 serve-smoke:
 	@dir=$$(mktemp -d /tmp/dip-serve-smoke.XXXXXX); \
 	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
@@ -111,8 +113,9 @@ serve-smoke:
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
 	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 32 -c 4 -requests 300 -seed 1 -json $$dir/load.json || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/load.json || exit 1; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 32 -c 4 -requests 300 -seed 1 >$$dir/load.out || { cat $$dir/load.out $$dir/serve.log; exit 1; }; \
+	cat $$dir/load.out; \
+	grep -q ' errors=0 ' $$dir/load.out || { echo "load reported errors"; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
 	grep -q drained $$dir/serve.log || { echo "no drain marker in log"; cat $$dir/serve.log; exit 1; }; \
@@ -120,11 +123,11 @@ serve-smoke:
 
 # load-check exercises the request path end to end in both shapes: boot
 # dipserve on an ephemeral port, run a short plain load and a short batch
-# load, validate both dip-load/v1 files, fail on any request error, and
-# fail if the drained service reports leaked work (non-zero in-flight or
-# queue gauges on /metrics).
+# load, fail on any request error (dipload's count line) or wrong answer
+# (dipload's exit), and fail if the drained service reports leaked work
+# (non-zero in-flight or queue gauges on /metrics).
 load-check:
-	@dir=$$(mktemp -d /tmp/dip-load-check.XXXXXX); \
+	@dir=$$(mktemp -d /tmp/dipload-check.XXXXXX); \
 	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
 	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
 	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 >$$dir/serve.log 2>&1 & \
@@ -133,11 +136,11 @@ load-check:
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
 	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -seed 1 -json $$dir/plain.json || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -batch 25 -seed 1 -json $$dir/batch.json || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/plain.json $$dir/batch.json || exit 1; \
-	grep -q '"errors": 0' $$dir/plain.json || { echo "plain load reported errors"; cat $$dir/plain.json; exit 1; }; \
-	grep -q '"errors": 0' $$dir/batch.json || { echo "batch load reported errors"; cat $$dir/batch.json; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -seed 1 >$$dir/plain.out || { cat $$dir/plain.out $$dir/serve.log; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -batch 25 -seed 1 >$$dir/batch.out || { cat $$dir/batch.out $$dir/serve.log; exit 1; }; \
+	cat $$dir/plain.out $$dir/batch.out; \
+	grep -q ' errors=0 ' $$dir/plain.out || { echo "plain load reported errors"; exit 1; }; \
+	grep -q ' errors=0 ' $$dir/batch.out || { echo "batch load reported errors"; exit 1; }; \
 	curl -sf http://$$addr/metrics >$$dir/metrics.json || { echo "metrics unreachable"; exit 1; }; \
 	grep -q '"in_flight": 0' $$dir/metrics.json || { echo "in-flight gauge nonzero after load"; cat $$dir/metrics.json; exit 1; }; \
 	grep -q '"queue_depth": 0' $$dir/metrics.json || { echo "queue gauge nonzero after load"; cat $$dir/metrics.json; exit 1; }; \
@@ -265,10 +268,10 @@ peer-smoke:
 # dippeer processes and a dipserve pointed at them with -peers, then push
 # the full request surface through the standing fleet: a plain load, a
 # batch load, and an async jobs submit/poll round (all must finish with
-# zero errors; the two dip-load/v1 files must validate). Then SIGKILL one
-# peer while a second plain load is in flight: dipload must still exit
-# cleanly (no dropped connections — the failures are structured 502
-# answers, which it counts as errors), the load file must record a
+# zero errors on dipload's count line). Then SIGKILL one peer while a
+# second plain load is in flight: dipload must still exit cleanly (no
+# dropped connections and no wrong answers — the failures are structured
+# 502 answers, which it counts as errors), its count line must record a
 # non-zero error count for the kill window, /readyz must stay 200 while
 # naming the dead peer unreachable, and a fresh load against the
 # two-peer remainder must complete with zero errors. The kill waits until
@@ -302,17 +305,17 @@ fleet-smoke:
 	for t in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
 	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 24 -c 4 -requests 120 -seed 1 -json $$dir/plain.json || { cat $$dir/serve.log; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 100 -batch 20 -seed 2 -json $$dir/batch.json || { cat $$dir/serve.log; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 24 -c 4 -requests 120 -seed 1 >$$dir/plain.out || { cat $$dir/plain.out $$dir/serve.log; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 100 -batch 20 -seed 2 >$$dir/batch.out || { cat $$dir/batch.out $$dir/serve.log; exit 1; }; \
 	$$dir/dipload -url http://$$addr -jobs submit -jobs-file $$dir/ids -protocol sym-dmam -n 24 -c 4 -requests 30 -seed 3 || { cat $$dir/serve.log; exit 1; }; \
 	$$dir/dipload -url http://$$addr -jobs poll -jobs-file $$dir/ids -seed 3 || { cat $$dir/serve.log; exit 1; }; \
-	$(GO) run ./cmd/dipbench -validate $$dir/plain.json $$dir/batch.json || exit 1; \
-	grep -q '"errors": 0' $$dir/plain.json || { echo "healthy-fleet plain load reported errors"; cat $$dir/plain.json; exit 1; }; \
-	grep -q '"errors": 0' $$dir/batch.json || { echo "healthy-fleet batch load reported errors"; cat $$dir/batch.json; exit 1; }; \
+	cat $$dir/plain.out $$dir/batch.out; \
+	grep -q ' errors=0 ' $$dir/plain.out || { echo "healthy-fleet plain load reported errors"; exit 1; }; \
+	grep -q ' errors=0 ' $$dir/batch.out || { echo "healthy-fleet batch load reported errors"; exit 1; }; \
 	served() { curl -sf http://$$addr/metrics | sed -n 's/^    "requests": \([0-9]*\),$$/\1/p'; }; \
 	base=$$(served); \
 	[ -n "$$base" ] || { echo "no service.requests on /metrics"; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 8 -requests 1500 -seed 4 -json $$dir/kill.json >$$dir/kill.out 2>&1 & \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 8 -requests 1500 -seed 4 >$$dir/kill.out 2>&1 & \
 	loadpid=$$!; \
 	now=$$base; \
 	for t in $$(seq 1 400); do \
@@ -322,14 +325,16 @@ fleet-smoke:
 	done; \
 	[ "$${now:-0}" -ge $$((base + 100)) ] || { echo "kill load never reached 100 requests (at $$now, from $$base)"; cat $$dir/kill.out; exit 1; }; \
 	kill -9 $$p1; \
-	wait $$loadpid || { echo "load across the peer kill dropped connections"; cat $$dir/kill.out $$dir/serve.log; exit 1; }; \
-	if grep -q '"errors": 0' $$dir/kill.json; then \
-		echo "no structured 502s observed across the peer kill"; cat $$dir/kill.json; exit 1; \
+	wait $$loadpid || { echo "load across the peer kill dropped connections or answered wrongly"; cat $$dir/kill.out $$dir/serve.log; exit 1; }; \
+	cat $$dir/kill.out; \
+	if grep -q ' errors=0 ' $$dir/kill.out; then \
+		echo "no structured 502s observed across the peer kill"; exit 1; \
 	fi; \
 	curl -sf http://$$addr/readyz >$$dir/ready.json || { echo "readyz not 200 with one peer down"; exit 1; }; \
 	grep -q '"unreachable"' $$dir/ready.json || { echo "readyz does not name the dead peer"; cat $$dir/ready.json; exit 1; }; \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 60 -seed 5 -json $$dir/recover.json || { cat $$dir/serve.log; exit 1; }; \
-	grep -q '"errors": 0' $$dir/recover.json || { echo "fleet did not recover on the surviving peers"; cat $$dir/recover.json; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 24 -c 4 -requests 60 -seed 5 >$$dir/recover.out || { cat $$dir/recover.out $$dir/serve.log; exit 1; }; \
+	cat $$dir/recover.out; \
+	grep -q ' errors=0 ' $$dir/recover.out || { echo "fleet did not recover on the surviving peers"; exit 1; }; \
 	kill -TERM $$srvpid; \
 	wait $$srvpid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
 	grep -q drained $$dir/serve.log || { echo "no drain marker in dipserve log"; cat $$dir/serve.log; exit 1; }; \
@@ -343,12 +348,13 @@ fleet-smoke:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 2s .
 
-# bench-check re-measures allocs/op for both committed baselines and fails
-# on a >10% regression: the engine workload against the engine_bench record
-# in BENCH_seed1.json and the full request path against the request_bench
-# record in LOAD_seed2.json.
+# bench-check re-measures allocs/op of both reference workloads and fails
+# on a >10% regression against the records in BENCH_seed1.json: the engine
+# workload against engine_bench, the full request path against
+# request_bench. smoke already pins both records byte-for-byte; this gate
+# measures them in a process of their own.
 bench-check:
-	$(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json LOAD_seed2.json
+	$(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json
 
 # tables regenerates every EXPERIMENTS.md table at full trial counts and
 # the committed BENCH_seed1.json / FAULT_seed1.json sidecars (quick sizes

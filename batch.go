@@ -1,12 +1,6 @@
 package dip
 
-import (
-	"context"
-	"testing"
-
-	"dip/internal/graph"
-	"dip/internal/stats"
-)
+import "context"
 
 // BatchResult is one item's outcome in a RunBatch call: exactly one of
 // Report (Err == nil) or Err is meaningful.
@@ -41,43 +35,4 @@ func RunBatchContext(ctx context.Context, reqs []Request) []BatchResult {
 		out[i].Report, out[i].Err = RunContext(ctx, reqs[i])
 	}
 	return out
-}
-
-// requestBenchNodes matches cmd/dipload's default instance size.
-const requestBenchNodes = 64
-
-// requestBenchTrials keeps the measurement under ~50ms at the workload's
-// steady-state cost.
-const requestBenchTrials = 50
-
-// MeasureRequestAllocs replays the load generator's reference workload —
-// sym-dmam on a 64-vertex cycle, a fresh derived seed per request, exactly
-// what `dipload -protocol sym-dmam -n 64` sends — under
-// testing.AllocsPerRun and reports the steady-state allocations per
-// request. The figure belongs in the request_bench block of dip-load/v1
-// files, where `dipbench -bench-check` diffs it against a fresh
-// measurement and fails on regressions. The warmup run AllocsPerRun
-// performs also warms the setup caches, so the figure is the steady state
-// a loaded service sees (per-request seeds vary, so protocol construction
-// including its prime search is deliberately NOT amortized here).
-func MeasureRequestAllocs() (float64, error) {
-	edges := graph.Cycle(requestBenchNodes).Edges()
-	var i int64
-	var runErr error
-	allocs := testing.AllocsPerRun(requestBenchTrials, func() {
-		if runErr != nil {
-			return
-		}
-		req := Request{
-			Protocol: "sym-dmam",
-			N:        requestBenchNodes,
-			Edges:    edges,
-			Options:  Options{Seed: stats.DeriveSeed(1, i)},
-		}
-		i++
-		if _, err := Run(req); err != nil {
-			runErr = err
-		}
-	})
-	return allocs, runErr
 }

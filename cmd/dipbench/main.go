@@ -11,6 +11,7 @@
 //	dipbench -trials 500      # override the per-cell trial count
 //	dipbench -parallel 2      # cap the trial-harness worker count
 //	dipbench -json out.json   # also emit machine-readable results
+//	dipbench -bench-check BENCH_seed1.json  # re-measure both allocation budgets
 //	dipbench -faults          # run the fault matrix (E12) instead of E1..E11
 //	dipbench -validate x.json [y.json ...]  # check results files against their schemas
 //	dipbench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -19,10 +20,12 @@
 // trial's randomness is derived from (seed, experiment, trial index)
 // alone. The -json file is likewise byte-identical across -parallel and
 // GOMAXPROCS settings, so committed BENCH_*.json artifacts diff cleanly
-// across PRs; -json-timings adds a non-reproducible timings block (wall
-// times, worker count, engine meters) for profiling sessions. Long runs
-// report live progress (trials per cell, ETA) on stderr; silence it with
-// -progress=false.
+// across PRs. It always carries the allocation budgets of the engine and
+// request-path reference workloads (engine_bench, request_bench), which
+// -bench-check re-measures; -json-timings adds a non-reproducible
+// timings block (wall times, worker count, engine meters) for profiling
+// sessions. Long runs report live progress (trials per cell, ETA) on
+// stderr; silence it with -progress=false.
 package main
 
 import (
@@ -57,8 +60,7 @@ func run() error {
 		progress    = flag.Bool("progress", true, "report live per-cell progress on stderr")
 		faultsMode  = flag.Bool("faults", false, "run the fault-injection matrix (E12); -json emits dip-fault/v1")
 		validate    = flag.String("validate", "", "validate existing results files against their schemas and exit (accepts further paths as positional args)")
-		benchAllocs = flag.Bool("bench-allocs", true, "measure the engine reference workload's allocs/op and embed it in -json output")
-		benchCheck  = flag.String("bench-check", "", "re-measure allocs/op and fail on >10% regressions: dip-bench files gate the engine workload, dip-load files the request path (accepts further paths as positional args)")
+		benchCheck  = flag.String("bench-check", "", "re-measure the engine and request-path allocs/op and fail on a >10% rise over this dip-bench file's records")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this path")
 	)
@@ -69,7 +71,14 @@ func run() error {
 	}
 
 	if *benchCheck != "" {
-		return checkBenchFiles(append([]string{*benchCheck}, flag.Args()...))
+		if flag.NArg() > 0 {
+			return fmt.Errorf("-bench-check takes one file, got %d more", flag.NArg())
+		}
+		return checkBench(*benchCheck)
+	}
+
+	if *trials < 0 || *parallel < 0 {
+		return fmt.Errorf("-trials %d, -parallel %d: want >= 0 (0 = default)", *trials, *parallel)
 	}
 
 	if *cpuprofile != "" {
@@ -141,14 +150,15 @@ func run() error {
 	}
 
 	if *jsonPath != "" {
-		if *benchAllocs {
-			eb, err := experiments.MeasureEngineAllocs()
-			if err != nil {
-				return err
-			}
-			results.EngineBench = eb
-			fmt.Fprintf(os.Stderr, "engine bench: %.0f allocs/op (%s, n=%d)\n",
-				eb.AllocsPerOp, eb.Workload, eb.Nodes)
+		var err error
+		if results.EngineBench, err = experiments.MeasureEngineAllocs(); err != nil {
+			return err
+		}
+		if results.RequestBench, err = experiments.MeasureRequestAllocs(); err != nil {
+			return err
+		}
+		for _, b := range []*experiments.AllocBench{results.EngineBench, results.RequestBench} {
+			fmt.Fprintf(os.Stderr, "alloc bench: %.0f allocs/op (%s, n=%d)\n", b.AllocsPerOp, b.Workload, b.Nodes)
 		}
 		if *jsonTimings {
 			timings.Parallel = *parallel
@@ -206,78 +216,39 @@ func runFaults(cfg experiments.Config, jsonPath string) error {
 	return nil
 }
 
-// checkBenchFiles is the allocation-regression gate, dispatching on each
-// file's schema: dip-bench/v1 files gate the engine reference workload
-// (engine_bench block), dip-load/v1 files gate the full request path
-// (request_bench block). Accepts several files in one invocation
-// (`dipbench -bench-check BENCH_seed1.json LOAD_seed2.json`) and reports
-// every failure before exiting.
-func checkBenchFiles(paths []string) error {
-	failed := 0
-	for _, path := range paths {
-		if err := checkBenchFile(path); err != nil {
-			fmt.Fprintf(os.Stderr, "dipbench: %s: %v\n", path, err)
-			failed++
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d of %d file(s) failed the bench check", failed, len(paths))
-	}
-	return nil
-}
-
-func checkBenchFile(path string) error {
-	schema, err := experiments.SniffSchema(path)
-	if err != nil {
-		return err
-	}
-	switch schema {
-	case experiments.Schema:
-		return checkEngineAllocs(path)
-	case experiments.LoadSchema:
-		return checkRequestAllocs(path)
-	default:
-		return fmt.Errorf("schema %q carries no allocation budget (want %s or %s)",
-			schema, experiments.Schema, experiments.LoadSchema)
-	}
-}
-
-// checkEngineAllocs re-measures the engine reference workload and compares
-// against the engine_bench record committed in a dip-bench/v1 file.
-func checkEngineAllocs(path string) error {
+// checkBench is the allocation-regression gate: it re-measures both
+// reference workloads and compares each against its record in the
+// dip-bench/v1 file at path, reporting every failure before exiting.
+func checkBench(path string) error {
 	f, err := experiments.ReadResultsFile(path)
 	if err != nil {
 		return err
 	}
-	measured, err := experiments.MeasureEngineAllocs()
-	if err != nil {
-		return err
+	checks := []struct {
+		name     string
+		recorded *experiments.AllocBench
+		measure  func() (*experiments.AllocBench, error)
+	}{
+		{"engine_bench", f.EngineBench, experiments.MeasureEngineAllocs},
+		{"request_bench", f.RequestBench, experiments.MeasureRequestAllocs},
 	}
-	recorded := f.EngineBench
-	if err := experiments.CheckEngineAllocs(recorded, measured); err != nil {
-		return err
+	failed := 0
+	for _, c := range checks {
+		measured, err := c.measure()
+		if err == nil {
+			err = experiments.CheckAllocs(c.name, c.recorded, measured.AllocsPerOp)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dipbench: %s: %v\n", path, err)
+			failed++
+			continue
+		}
+		fmt.Printf("%s: %s OK: %.0f allocs/op measured vs %.0f recorded (limit +%d%%)\n",
+			path, c.name, measured.AllocsPerOp, c.recorded.AllocsPerOp, int(experiments.AllocRegressionLimit*100))
 	}
-	fmt.Printf("%s: engine bench OK: %.0f allocs/op measured vs %.0f recorded (limit +%d%%)\n",
-		path, measured.AllocsPerOp, recorded.AllocsPerOp, int(experiments.AllocRegressionLimit*100))
-	return nil
-}
-
-// checkRequestAllocs re-measures the service-layer request path and
-// compares against the request_bench record in a dip-load/v1 file.
-func checkRequestAllocs(path string) error {
-	f, err := experiments.ReadLoadResultsFile(path)
-	if err != nil {
-		return err
+	if failed > 0 {
+		return fmt.Errorf("%s: %d of %d allocation budget(s) failed the bench check", path, failed, len(checks))
 	}
-	measured, err := dip.MeasureRequestAllocs()
-	if err != nil {
-		return err
-	}
-	if err := experiments.CheckRequestAllocs(f.RequestBench, measured); err != nil {
-		return err
-	}
-	fmt.Printf("%s: request bench OK: %.0f allocs/op measured vs %.0f recorded (limit +%d%%)\n",
-		path, measured, f.RequestBench.AllocsPerOp, int(experiments.AllocRegressionLimit*100))
 	return nil
 }
 
@@ -300,8 +271,7 @@ func validateFiles(paths []string) error {
 }
 
 // validateFile dispatches on the file's schema field: dip-bench/v1,
-// dip-fault/v1, dip-report/v1, dip-job/v1 and dip-load/v1 files are all
-// accepted.
+// dip-fault/v1, dip-report/v1 and dip-job/v1 files are all accepted.
 func validateFile(path string) error {
 	schema, err := experiments.SniffSchema(path)
 	if err != nil {
@@ -323,14 +293,6 @@ func validateFile(path string) error {
 		}
 		fmt.Printf("%s: valid %s (id %s, state %s, protocol %s, %d attempts)\n",
 			path, w.Schema, w.ID, w.State, w.Protocol, w.Attempts)
-		return nil
-	case experiments.LoadSchema:
-		f, err := experiments.ReadLoadResultsFile(path)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%s: valid %s results (seed %d, c=%d, %d requests, %.1f req/s, %d dropped)\n",
-			path, f.Schema, f.Seed, f.Concurrency, f.Requests, f.ThroughputRPS, f.Dropped)
 		return nil
 	case experiments.Schema:
 		f, err := experiments.ReadResultsFile(path)

@@ -63,14 +63,10 @@ func runChaos(o options) error {
 
 	// A well-formed /v1/run body for scenarios to corrupt: the cycle-graph
 	// symmetry instance every load run uses.
-	edges := make([][2]int, o.n)
-	for i := 0; i < o.n; i++ {
-		edges[i] = [2]int{i, (i + 1) % o.n}
-	}
 	body, err := json.Marshal(dip.Request{
 		Protocol: o.protocols[0],
 		N:        o.n,
-		Edges:    edges,
+		Edges:    cycleEdges(o.n),
 		Options:  dip.Options{Seed: o.seed},
 	})
 	if err != nil {

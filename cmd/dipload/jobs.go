@@ -75,19 +75,10 @@ func runJobs(o options) error {
 // schedule. Request i carries seed DeriveSeed(o.seed, i) and the
 // idempotency key "dipload-<seed>-<i>".
 func submitJobs(o options) ([]manifestEntry, error) {
-	edges := make([][2]int, o.n)
-	for i := 0; i < o.n; i++ {
-		edges[i] = [2]int{i, (i + 1) % o.n}
-	}
-	bodies := make([][]byte, o.requests)
-	for i := 0; i < o.requests; i++ {
-		req := dip.Request{
-			Protocol: o.protocols[i%len(o.protocols)],
-			N:        o.n,
-			Edges:    edges,
-			Options:  dip.Options{Seed: stats.DeriveSeed(o.seed, int64(i))},
-		}
-		b, err := json.Marshal(req)
+	reqs := requestStream(o)
+	bodies := make([][]byte, len(reqs))
+	for i := range reqs {
+		b, err := json.Marshal(reqs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -125,8 +116,8 @@ func submitJobs(o options) ([]manifestEntry, error) {
 				}
 				entries[i] = manifestEntry{
 					ID:       id,
-					Seed:     stats.DeriveSeed(o.seed, int64(i)),
-					Protocol: o.protocols[int(i)%len(o.protocols)],
+					Seed:     reqs[i].Options.Seed,
+					Protocol: reqs[i].Protocol,
 				}
 			}
 		}()
@@ -263,17 +254,7 @@ func checkJob(env *dip.WireJob, want manifestEntry) error {
 	if env.State != dip.JobStateDone {
 		return fmt.Errorf("settled %s: %s", env.State, env.Error)
 	}
-	r := env.Report
-	if r.Protocol != want.Protocol {
-		return fmt.Errorf("report protocol %q, submitted %q", r.Protocol, want.Protocol)
-	}
-	if r.Seed != want.Seed {
-		return fmt.Errorf("report seed %d, submitted %d", r.Seed, want.Seed)
-	}
-	if !r.Accepted {
-		return fmt.Errorf("symmetric instance rejected (seed %d)", want.Seed)
-	}
-	return nil
+	return checkReport(env.Report, want.Protocol, want.Seed)
 }
 
 // The manifest is one line per job: "<id> <seed> <protocol>".

@@ -1,34 +1,43 @@
-// Command dipload is the load generator for cmd/dipserve: it fires a fixed
-// number of protocol-run requests at a running service from a pool of
-// concurrent clients, retries admission overflows (503), decodes every
-// dip-report/v1 answer, and reports throughput and latency quantiles as a
-// dip-load/v1 document.
+// Command dipload drives traffic at cmd/dipserve: it fires a fixed number
+// of protocol-run requests at a running service from a pool of concurrent
+// clients, retries admission overflows (503), checks every dip-report/v1
+// answer against the request it answers, and prints one count line:
 //
-//	dipload -url http://127.0.0.1:8123 -protocol sym-dmam -n 64 -c 8 -requests 2000 -json LOAD_seed1.json
+//	dipload: completed=N errors=E exhausted=X retries=R dropped=D
+//
+// for example after
+//
+//	dipload -url http://127.0.0.1:8123 -protocol sym-dmam -n 64 -c 8 -requests 2000
 //
 // Request i runs with seed DeriveSeed(-seed, i), so the request stream is
-// reproducible; the timings of course are not. Transport-level failures
-// (dropped connections) are counted separately from protocol errors — a
-// healthy service under overload answers 503, it never drops.
+// reproducible. retries counts 503 round trips; the other four count
+// requests (a batch of k items moves its class by k) in disjoint
+// classes: completed are answered correctly, errors are structured error
+// answers, exhausted are retry budgets spent against 503s (overload, not
+// failure), and dropped are transport-level losses — a healthy service
+// under overload answers 503, it never drops. A 200 whose report does not
+// answer its request (another protocol or seed, or a rejected symmetric
+// instance) is none of these: it fails the run, naming the request.
+// dipload exits 1 on a wrong answer, a dropped connection, or a run in
+// which nothing completed. Throughput and latency are the benchmark's
+// business (bench/run.sh), not dipload's.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dip"
-	"dip/internal/experiments"
 	"dip/internal/stats"
 )
 
@@ -42,8 +51,6 @@ type options struct {
 	chaos     int
 	seed      int64
 	wait      time.Duration
-	jsonPath  string
-	reqBench  bool
 	// jobsMode drives the async tier instead of /v1/run: "submit" only
 	// enqueues (and records the ids), "poll" verifies a recorded id set,
 	// "full" does both in one process. Empty stays in load mode.
@@ -76,21 +83,10 @@ func main() {
 	flag.IntVar(&o.chaos, "chaos", 0, "chaos mode: fire this many adversarial HTTP exchanges (seed-deterministic scenarios) instead of a load run, then gate on service health")
 	flag.Int64Var(&o.seed, "seed", 1, "base seed (request i uses DeriveSeed(seed, i))")
 	flag.DurationVar(&o.wait, "wait", 10*time.Second, "wait up to this long for the service to report ready")
-	flag.StringVar(&o.jsonPath, "json", "", "write dip-load/v1 results to this file")
-	flag.BoolVar(&o.reqBench, "request-bench", false, "measure the in-process request path's allocs/op and embed it in -json output")
 	flag.StringVar(&o.jobsMode, "jobs", "", "async job mode: submit (enqueue and record ids), poll (verify a recorded id set), full (both)")
 	flag.StringVar(&o.jobsFile, "jobs-file", "", "job id manifest: -jobs submit writes it, -jobs poll reads it")
 	flag.DurationVar(&o.pollWait, "poll-wait", time.Minute, "bound on waiting for the whole job set to settle in -jobs poll/full")
-	gomaxprocs := flag.Int("gomaxprocs", 0, "pin the generator's GOMAXPROCS for the run (0 keeps the runtime default); recorded in -json output for sweep provenance")
 	flag.Parse()
-
-	if *gomaxprocs < 0 {
-		fmt.Fprintln(os.Stderr, "dipload: -gomaxprocs must be >= 0")
-		os.Exit(2)
-	}
-	if *gomaxprocs > 0 {
-		runtime.GOMAXPROCS(*gomaxprocs)
-	}
 
 	for _, p := range strings.Split(protoList, ",") {
 		p = strings.TrimSpace(p)
@@ -122,68 +118,131 @@ func main() {
 		}
 		return
 	}
-	if err := run(o); err != nil {
+	if err := run(o, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "dipload: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-// protoStats collects one protocol's outcomes across workers. The four
-// outcome classes are disjoint: errors are protocol/service failures,
-// exhausted are retry budgets spent against 503s (overload, not
-// failure), dropped are transport losses; completed = requests -
-// errors - exhausted - dropped.
-type protoStats struct {
-	mu        sync.Mutex
-	requests  int
-	errors    int
-	exhausted int
-	dropped   int
-	latencies []time.Duration
-	// batchLatencies holds whole-batch round trips in -batch mode;
-	// latencies then holds the per-request approximation (batch latency
-	// divided by item count), so both views stay comparable across modes.
-	batchLatencies []time.Duration
+// cycleEdges returns the edge list of the n-cycle, the instance of every
+// request dipload sends.
+func cycleEdges(n int) [][2]int {
+	edges := make([][2]int, n)
+	for i := range edges {
+		edges[i] = [2]int{i, (i + 1) % n}
+	}
+	return edges
 }
 
-func run(o options) error {
+// requestStream builds the seeded request stream every mode sends:
+// request i asks protocol i mod len(protocols) on the n-cycle with seed
+// DeriveSeed(o.seed, i).
+func requestStream(o options) []dip.Request {
+	edges := cycleEdges(o.n)
+	reqs := make([]dip.Request, o.requests)
+	for i := range reqs {
+		reqs[i] = dip.Request{
+			Protocol: o.protocols[i%len(o.protocols)],
+			N:        o.n,
+			Edges:    edges,
+			Options:  dip.Options{Seed: stats.DeriveSeed(o.seed, int64(i))},
+		}
+	}
+	return reqs
+}
+
+// checkReport verifies the content of a decoded report: it answers the
+// protocol and seed sent, and accepts — every instance dipload sends is a
+// symmetric cycle with an honest prover behind it.
+func checkReport(r *dip.WireReport, protocol string, seed int64) error {
+	if r.Protocol != protocol {
+		return fmt.Errorf("report protocol %q, sent %q", r.Protocol, protocol)
+	}
+	if r.Seed != seed {
+		return fmt.Errorf("report seed %d, sent %d", r.Seed, seed)
+	}
+	if !r.Accepted {
+		return fmt.Errorf("symmetric instance rejected (seed %d)", seed)
+	}
+	return nil
+}
+
+// body is one HTTP body of the stream: a single /v1/run request, or a
+// /v1/batch of same-protocol requests. idx holds the stream indices of
+// the requests it carries, in order.
+type body struct {
+	batch bool
+	data  []byte
+	idx   []int
+}
+
+// buildBodies marshals the stream before any request is sent. With
+// o.batch > 0 it groups the stream by protocol and chunks each group
+// into bodies of up to o.batch items; seeds are those of the plain
+// stream.
+func buildBodies(o options, reqs []dip.Request) ([]body, error) {
+	if o.batch == 0 {
+		bodies := make([]body, len(reqs))
+		for i := range reqs {
+			data, err := json.Marshal(reqs[i])
+			if err != nil {
+				return nil, err
+			}
+			bodies[i] = body{data: data, idx: []int{i}}
+		}
+		return bodies, nil
+	}
+	perProto := make(map[string][]int, len(o.protocols))
+	for i := range reqs {
+		perProto[reqs[i].Protocol] = append(perProto[reqs[i].Protocol], i)
+	}
+	var bodies []body
+	for _, p := range o.protocols {
+		idx := perProto[p]
+		for len(idx) > 0 {
+			chunk := idx[:min(o.batch, len(idx))]
+			idx = idx[len(chunk):]
+			items := make([]dip.Request, len(chunk))
+			for k, i := range chunk {
+				items[k] = reqs[i]
+			}
+			data, err := json.Marshal(struct {
+				Requests []dip.Request `json:"requests"`
+			}{items})
+			if err != nil {
+				return nil, err
+			}
+			bodies = append(bodies, body{batch: true, data: data, idx: chunk})
+		}
+	}
+	return bodies, nil
+}
+
+// counts is the run's ledger: retries in 503 round trips, the rest in
+// requests.
+type counts struct {
+	completed, errors, exhausted, retries, dropped atomic.Int64
+}
+
+// wrongAnswer is a 200 that does not answer request i of the stream.
+type wrongAnswer struct {
+	i   int
+	err error
+}
+
+func run(o options, stdout io.Writer) error {
 	if err := waitReady(o.url, o.wait); err != nil {
 		return err
 	}
-
-	// Pre-build every request body before the clock starts: the generator
-	// should spend the measured window driving the service, not encoding
-	// JSON on the same cores.
-	edges := make([][2]int, o.n)
-	for i := 0; i < o.n; i++ {
-		edges[i] = [2]int{i, (i + 1) % o.n}
-	}
-	var bodies [][]byte
-	if o.batch == 0 {
-		bodies = make([][]byte, o.requests)
-		for i := 0; i < o.requests; i++ {
-			req := dip.Request{
-				Protocol: o.protocols[i%len(o.protocols)],
-				N:        o.n,
-				Edges:    edges,
-				Options:  dip.Options{Seed: stats.DeriveSeed(o.seed, int64(i))},
-			}
-			b, err := json.Marshal(req)
-			if err != nil {
-				return err
-			}
-			bodies[i] = b
-		}
-	}
-
-	perProto := make(map[string]*protoStats, len(o.protocols))
-	for _, p := range o.protocols {
-		perProto[p] = &protoStats{}
+	reqs := requestStream(o)
+	bodies, err := buildBodies(o, reqs)
+	if err != nil {
+		return err
 	}
 
 	// One warm connection per client: the default Transport keeps only two
 	// idle connections per host, so higher concurrency would constantly
-	// re-dial and the measured latency would be TCP churn, not the service.
+	// re-dial.
 	client := &http.Client{
 		Timeout: 30 * time.Second,
 		Transport: &http.Transport{
@@ -191,234 +250,136 @@ func run(o options) error {
 			MaxIdleConnsPerHost: o.clients,
 		},
 	}
-	var batches []batchJob
-	if o.batch > 0 {
-		var err error
-		if batches, err = buildBatches(o); err != nil {
-			return err
-		}
-	}
-
-	var next, retries, dropped, errs, exhausted atomic.Int64
-	start := time.Now()
-	var wg sync.WaitGroup
+	var (
+		c     counts
+		next  atomic.Int64
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		wrong []wrongAnswer
+	)
 	for w := 0; w < o.clients; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if o.batch > 0 {
-				for {
-					i := next.Add(1) - 1
-					if i >= int64(len(batches)) {
-						return
-					}
-					job := batches[i]
-					ps := perProto[job.proto]
-					reqStart := time.Now()
-					good, out, retried := fireBatch(client, o.url, job.body, job.count, stats.DeriveSeed(o.seed, i))
-					lat := time.Since(reqStart)
-					retries.Add(retried)
-					// All counters are per-item: one batch body carries
-					// job.count requests, so a dropped or exhausted batch
-					// moves its class by job.count, never by 1.
-					var bad, spent, lost int
-					switch out {
-					case fireOK:
-						bad = job.count - good
-					case fireExhausted:
-						spent = job.count
-					case fireDropped:
-						lost = job.count
-					default:
-						bad = job.count - good
-					}
-					// Per-request latency approximation: the batch round
-					// trip spread evenly over its items (retry waits
-					// included, like every plain-mode sample).
-					per := lat / time.Duration(job.count)
-					ps.mu.Lock()
-					ps.requests += job.count
-					ps.errors += bad
-					ps.exhausted += spent
-					ps.dropped += lost
-					ps.batchLatencies = append(ps.batchLatencies, lat)
-					for k := 0; k < job.count; k++ {
-						ps.latencies = append(ps.latencies, per)
-					}
-					ps.mu.Unlock()
-					errs.Add(int64(bad))
-					exhausted.Add(int64(spent))
-					dropped.Add(int64(lost))
-				}
-			}
 			for {
-				i := next.Add(1) - 1
-				if i >= int64(o.requests) {
+				b := next.Add(1) - 1
+				if b >= int64(len(bodies)) {
 					return
 				}
-				proto := o.protocols[int(i)%len(o.protocols)]
-				ps := perProto[proto]
-				reqStart := time.Now()
-				out, retried := fire(client, o.url, bodies[i], stats.DeriveSeed(o.seed, i))
-				lat := time.Since(reqStart)
-				retries.Add(retried)
-				ps.mu.Lock()
-				ps.requests++
-				switch out {
-				case fireErr:
-					ps.errors++
-				case fireExhausted:
-					ps.exhausted++
-				case fireDropped:
-					ps.dropped++
-				}
-				ps.latencies = append(ps.latencies, lat)
-				ps.mu.Unlock()
-				switch out {
-				case fireErr:
-					errs.Add(1)
-				case fireExhausted:
-					exhausted.Add(1)
-				case fireDropped:
-					dropped.Add(1)
+				if bad := fire(client, o.url, bodies[b], reqs, stats.DeriveSeed(o.seed, b), &c); len(bad) > 0 {
+					mu.Lock()
+					wrong = append(wrong, bad...)
+					mu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
 
-	completed := 0
-	var protoResults []experiments.LoadProtocolResult
-	names := make([]string, 0, len(perProto))
-	for name := range perProto {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		ps := perProto[name]
-		good := ps.requests - ps.errors - ps.exhausted - ps.dropped
-		completed += good
-		pr := experiments.LoadProtocolResult{
-			Protocol:      name,
-			Requests:      good,
-			Errors:        ps.errors,
-			Exhausted:     ps.exhausted,
-			ThroughputRPS: float64(good) / wall.Seconds(),
-			LatencyMS:     experiments.SummarizeLatencies(ps.latencies),
+	fmt.Fprintf(stdout, "dipload: completed=%d errors=%d exhausted=%d retries=%d dropped=%d\n",
+		c.completed.Load(), c.errors.Load(), c.exhausted.Load(), c.retries.Load(), c.dropped.Load())
+	if len(wrong) > 0 {
+		first := wrong[0]
+		for _, w := range wrong[1:] {
+			if w.i < first.i {
+				first = w
+			}
 		}
-		if len(ps.batchLatencies) > 0 {
-			bl := experiments.SummarizeLatencies(ps.batchLatencies)
-			pr.BatchLatencyMS = &bl
-		}
-		protoResults = append(protoResults, pr)
+		return fmt.Errorf("%d wrong answer(s), first to request %d: %v", len(wrong), first.i, first.err)
 	}
-
-	results := &experiments.LoadResultsFile{
-		Schema:        experiments.LoadSchema,
-		Tool:          "dipload",
-		Target:        o.url,
-		Seed:          o.seed,
-		Concurrency:   o.clients,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Requests:      completed,
-		Errors:        int(errs.Load()),
-		Exhausted:     int(exhausted.Load()),
-		Retries:       int(retries.Load()),
-		Dropped:       int(dropped.Load()),
-		WallMS:        float64(wall) / float64(time.Millisecond),
-		ThroughputRPS: float64(completed) / wall.Seconds(),
-		Protocols:     protoResults,
+	if d := c.dropped.Load(); d > 0 {
+		return fmt.Errorf("%d dropped connections", d)
 	}
-	if o.batch > 0 {
-		results.BatchSize = o.batch
-		results.Batches = len(batches)
-	}
-	if o.reqBench {
-		allocs, err := dip.MeasureRequestAllocs()
-		if err != nil {
-			return fmt.Errorf("request bench: %w", err)
-		}
-		results.RequestBench = &experiments.RequestBench{
-			Workload:    "sym-dmam request, cycle graph, fresh seed per run",
-			Nodes:       64,
-			Trials:      50,
-			AllocsPerOp: allocs,
-		}
-		fmt.Printf("dipload: request bench %.0f allocs/op\n", allocs)
-	}
-	if err := results.Validate(); err != nil {
-		return err
-	}
-
-	fmt.Printf("dipload: %d requests in %v (%.1f req/s, c=%d), %d errors, %d exhausted, %d retries, %d dropped\n",
-		completed, wall.Round(time.Millisecond), results.ThroughputRPS, o.clients,
-		results.Errors, results.Exhausted, results.Retries, results.Dropped)
-	for _, pr := range results.Protocols {
-		fmt.Printf("  %-10s %5d ok  p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  max %6.2fms\n",
-			pr.Protocol, pr.Requests, pr.LatencyMS.P50, pr.LatencyMS.P95, pr.LatencyMS.P99, pr.LatencyMS.Max)
-		if b := pr.BatchLatencyMS; b != nil {
-			fmt.Printf("  %-10s batch(%d): p50 %6.2fms  p95 %6.2fms  p99 %6.2fms  max %6.2fms\n",
-				"", o.batch, b.P50, b.P95, b.P99, b.Max)
-		}
-	}
-	if o.jsonPath != "" {
-		if err := results.WriteFile(o.jsonPath); err != nil {
-			return err
-		}
-		fmt.Printf("dipload: wrote %s\n", o.jsonPath)
-	}
-	if results.Dropped > 0 {
-		return fmt.Errorf("%d dropped connections", results.Dropped)
+	if c.completed.Load() == 0 {
+		return errors.New("no request completed")
 	}
 	return nil
 }
 
-// fireOutcome classifies one request's fate. The classes matter because
-// they answer different questions: fireErr means the service (or its
-// answer) is wrong, fireExhausted means it is merely overloaded — its
-// every 503 was a correct admission answer — and fireDropped means the
-// transport failed underneath the exchange.
-type fireOutcome int
-
-const (
-	fireOK fireOutcome = iota
-	fireErr
-	fireExhausted
-	fireDropped
-)
-
-// fire sends one run request, retrying 503 admission overflows on the
+// fire sends one body, retrying 503 admission overflows on the
 // capped-exponential schedule in backoff.go (seeded jitter, Retry-After
-// honored); retried counts the overflow round-trips. An exhausted retry
-// budget is its own outcome, not an error: 50 polite 503s are a
-// capacity statement, not a protocol failure.
-func fire(client *http.Client, url string, body []byte, seed int64) (out fireOutcome, retried int64) {
+// honored), and charges its outcome to c. A dropped connection, a spent
+// retry budget or a structured error status moves its class by every
+// request the body carries: an exhausted budget is not an error, since
+// 50 polite 503s are a capacity statement, not a protocol failure. A 200
+// is judged item by item: a batch item may be a structured error, and
+// every report must answer its request, or it is returned as a wrong
+// answer.
+func fire(client *http.Client, url string, b body, reqs []dip.Request, seed int64, c *counts) []wrongAnswer {
+	path := "/v1/run"
+	if b.batch {
+		path = "/v1/batch"
+	}
+	k := int64(len(b.idx))
 	const maxAttempts = 50
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		resp, err := client.Post(url+"/v1/run", "application/json", bytes.NewReader(body))
+		resp, err := client.Post(url+path, "application/json", bytes.NewReader(b.data))
 		if err != nil {
-			return fireDropped, retried
+			c.dropped.Add(k)
+			return nil
 		}
 		switch resp.StatusCode {
 		case http.StatusOK:
-			_, derr := dip.DecodeWireReport(resp.Body)
-			drain(resp)
-			if derr != nil {
-				return fireErr, retried
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil { // the connection broke mid-answer
+				c.dropped.Add(k)
+				return nil
 			}
-			return fireOK, retried
+			items, err := splitItems(data, b)
+			if err != nil {
+				return []wrongAnswer{{b.idx[0], err}}
+			}
+			var wrong []wrongAnswer
+			for j, item := range items {
+				i := b.idx[j]
+				var itemErr struct {
+					Error string `json:"error"`
+				}
+				if b.batch && json.Unmarshal(item, &itemErr) == nil && itemErr.Error != "" {
+					c.errors.Add(1)
+					continue
+				}
+				rep, err := dip.DecodeWireReport(bytes.NewReader(item))
+				if err == nil {
+					err = checkReport(rep, reqs[i].Protocol, reqs[i].Options.Seed)
+				}
+				if err != nil {
+					wrong = append(wrong, wrongAnswer{i, err})
+					continue
+				}
+				c.completed.Add(1)
+			}
+			return wrong
 		case http.StatusServiceUnavailable:
 			hint := retryAfterHint(resp)
 			drain(resp)
-			retried++
+			c.retries.Add(1)
 			time.Sleep(retryDelay(seed, attempt, hint))
 		default:
 			drain(resp)
-			return fireErr, retried
+			c.errors.Add(k)
+			return nil
 		}
 	}
-	return fireExhausted, retried
+	c.exhausted.Add(k)
+	return nil
+}
+
+// splitItems splits a 200 answer to b into one item per request: the
+// report of a /v1/run, or the elements of a /v1/batch array.
+func splitItems(data []byte, b body) ([]json.RawMessage, error) {
+	if !b.batch {
+		return []json.RawMessage{data}, nil
+	}
+	var items []json.RawMessage
+	if err := json.Unmarshal(data, &items); err != nil {
+		return nil, fmt.Errorf("batch answer: %w", err)
+	}
+	if len(items) != len(b.idx) {
+		return nil, fmt.Errorf("batch answer has %d items for %d requests", len(items), len(b.idx))
+	}
+	return items, nil
 }
 
 // drain reads the body to EOF and closes it, so the transport can return
@@ -447,90 +408,4 @@ func waitReady(url string, bound time.Duration) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-}
-
-// batchJob is one pre-marshaled /v1/batch body: count same-protocol
-// requests sharing the instance, seeds preserved from the plain-mode
-// stream (request i still runs with DeriveSeed(seed, i)).
-type batchJob struct {
-	proto string
-	body  []byte
-	count int
-}
-
-// buildBatches groups the request stream by protocol and chunks each
-// group into bodies of up to o.batch items.
-func buildBatches(o options) ([]batchJob, error) {
-	edges := make([][2]int, o.n)
-	for i := 0; i < o.n; i++ {
-		edges[i] = [2]int{i, (i + 1) % o.n}
-	}
-	perProto := make(map[string][]dip.Request, len(o.protocols))
-	for i := 0; i < o.requests; i++ {
-		p := o.protocols[i%len(o.protocols)]
-		perProto[p] = append(perProto[p], dip.Request{
-			Protocol: p,
-			N:        o.n,
-			Edges:    edges,
-			Options:  dip.Options{Seed: stats.DeriveSeed(o.seed, int64(i))},
-		})
-	}
-	var jobs []batchJob
-	for _, p := range o.protocols {
-		reqs := perProto[p]
-		perProto[p] = nil
-		for len(reqs) > 0 {
-			size := o.batch
-			if size > len(reqs) {
-				size = len(reqs)
-			}
-			body, err := json.Marshal(struct {
-				Requests []dip.Request `json:"requests"`
-			}{reqs[:size]})
-			if err != nil {
-				return nil, err
-			}
-			jobs = append(jobs, batchJob{proto: p, body: body, count: size})
-			reqs = reqs[size:]
-		}
-	}
-	return jobs, nil
-}
-
-// fireBatch sends one batch body, retrying 503 overflows like fire. good
-// counts elements that decoded as dip-report/v1 documents (meaningful
-// only for fireOK); the outcome classifies the whole batch, and the
-// caller charges it per item.
-func fireBatch(client *http.Client, url string, body []byte, count int, seed int64) (good int, out fireOutcome, retried int64) {
-	const maxAttempts = 50
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		resp, err := client.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return 0, fireDropped, retried
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var elems []json.RawMessage
-			derr := json.NewDecoder(resp.Body).Decode(&elems)
-			drain(resp)
-			if derr != nil || len(elems) != count {
-				return 0, fireErr, retried
-			}
-			for _, e := range elems {
-				if _, err := dip.DecodeWireReport(bytes.NewReader(e)); err == nil {
-					good++
-				}
-			}
-			return good, fireOK, retried
-		case http.StatusServiceUnavailable:
-			hint := retryAfterHint(resp)
-			drain(resp)
-			retried++
-			time.Sleep(retryDelay(seed, attempt, hint))
-		default:
-			drain(resp)
-			return 0, fireErr, retried
-		}
-	}
-	return 0, fireExhausted, retried
 }

@@ -32,11 +32,13 @@ type ResultsFile struct {
 	TrialsOverride int                `json:"trials_override,omitempty"`
 	GoMaxProcs     int                `json:"gomaxprocs"`
 	Experiments    []ExperimentResult `json:"experiments"`
-	// EngineBench records the deterministic allocs/op of the engine
-	// reference workload (see MeasureEngineAllocs); unlike Timings it is
-	// reproducible, so it lives in the canonical block and feeds the
+	// EngineBench and RequestBench record the deterministic allocs/op of
+	// the engine and request-path reference workloads (see
+	// MeasureEngineAllocs and MeasureRequestAllocs); unlike Timings they
+	// are reproducible, so they live in the canonical block and feed the
 	// `dipbench -bench-check` regression gate.
-	EngineBench *EngineBench `json:"engine_bench,omitempty"`
+	EngineBench  *AllocBench `json:"engine_bench,omitempty"`
+	RequestBench *AllocBench `json:"request_bench,omitempty"`
 	// Timings is execution metadata (wall times, worker count, engine
 	// meters). It is inherently non-reproducible, so dipbench omits it
 	// unless -json-timings is set, keeping the default artifact canonical.
@@ -139,12 +141,22 @@ type ExperimentTiming struct {
 }
 
 // Validate checks the structural invariants of a decoded results file:
-// a recognized schema, sane estimates, and — the metering contract — that
-// every cell's per-round prover bits sum exactly to its aggregate
-// MaxProverBits.
+// a recognized schema, a trial override the harness can have run,
+// positive allocation budgets, sane estimates, and — the metering
+// contract — that every cell's per-round prover bits sum exactly to its
+// aggregate MaxProverBits.
 func (f *ResultsFile) Validate() error {
 	if f.Schema != Schema {
 		return fmt.Errorf("results: schema %q, want %q", f.Schema, Schema)
+	}
+	if f.TrialsOverride < 0 {
+		return fmt.Errorf("results: trials_override %d is negative", f.TrialsOverride)
+	}
+	if b := f.EngineBench; b != nil && b.AllocsPerOp <= 0 {
+		return fmt.Errorf("results: engine_bench allocs/op %v is not positive", b.AllocsPerOp)
+	}
+	if b := f.RequestBench; b != nil && b.AllocsPerOp <= 0 {
+		return fmt.Errorf("results: request_bench allocs/op %v is not positive", b.AllocsPerOp)
 	}
 	for _, exp := range f.Experiments {
 		if exp.ID == "" {

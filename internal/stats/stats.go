@@ -96,52 +96,3 @@ func DeriveSeed(seed, stream int64) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// MaxInt returns the maximum of xs (0 for an empty slice).
-func MaxInt(xs []int) int {
-	m := 0
-	for i, x := range xs {
-		if i == 0 || x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (p in [0, 100]) of xs by linear
-// interpolation between closest ranks, the same estimator as numpy's
-// default. xs must be sorted ascending; an empty slice yields 0.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return xs[0]
-	}
-	if p >= 100 {
-		return xs[len(xs)-1]
-	}
-	rank := p / 100 * float64(len(xs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return xs[lo]
-	}
-	// a + (b-a)·frac, clamped to [a, b]: equal neighbors give exactly
-	// their value, and the result never leaves its segment, so quantiles
-	// stay monotone in p. The form a·(1-frac) + b·frac can round past b.
-	a, b := xs[lo], xs[hi]
-	return math.Min(math.Max(a+(b-a)*(rank-float64(lo)), a), b)
-}

@@ -62,27 +62,6 @@ func TestChernoffTrials(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("Mean = %v", got)
-	}
-}
-
-func TestMaxInt(t *testing.T) {
-	if MaxInt(nil) != 0 {
-		t.Fatal("empty max")
-	}
-	if got := MaxInt([]int{3, 9, 1}); got != 9 {
-		t.Fatalf("MaxInt = %v", got)
-	}
-	if got := MaxInt([]int{-5, -2}); got != -2 {
-		t.Fatalf("MaxInt = %v", got)
-	}
-}
-
 // TestDeriveSeedStreams pins the properties RunTrials depends on:
 // determinism, and distinct streams for distinct (seed, index) pairs.
 func TestDeriveSeedStreams(t *testing.T) {
@@ -119,41 +98,5 @@ func TestCertifyingTrials(t *testing.T) {
 	}
 	if _, hi := WilsonInterval(0, n, 1.96); hi >= 1.0/3 {
 		t.Fatalf("hi = %v at 0/%d: cannot certify soundness < 1/3", hi, n)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {87.5, 4.5},
-	}
-	for _, tc := range cases {
-		if got := Percentile(xs, tc.p); got != tc.want {
-			t.Errorf("Percentile(xs, %v) = %v, want %v", tc.p, got, tc.want)
-		}
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Errorf("Percentile(nil) = %v", got)
-	}
-	if got := Percentile([]float64{7}, 99); got != 7 {
-		t.Errorf("single element: %v", got)
-	}
-	// A tie at the top of 60 samples: p95 and p99 interpolate between
-	// equal values and must both be that value exactly. The a·(1-f) + b·f
-	// form gave p95 = 1.1531850000000001 > p99 here, and dip-load/v1
-	// validation refused the file as non-monotone.
-	ties := make([]float64, 60)
-	for i := range ties {
-		ties[i] = float64(i) / 100
-	}
-	for i := 56; i < 60; i++ {
-		ties[i] = 1.153185
-	}
-	p95, p99 := Percentile(ties, 95), Percentile(ties, 99)
-	if p95 != 1.153185 || p99 != 1.153185 {
-		t.Errorf("tied top: p95 = %v, p99 = %v, want both 1.153185", p95, p99)
 	}
 }

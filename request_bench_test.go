@@ -14,8 +14,9 @@ func cycleEdges(n int) [][2]int {
 }
 
 // BenchmarkRequestSymDMAM times the full service request path — dispatch,
-// graph build, protocol setup, engine run, report assembly — on the
-// LOAD_seed1 workload (sym-dmam on a 64-cycle).
+// graph build, protocol setup, engine run, report assembly — on dipload's
+// default workload (sym-dmam on a 64-cycle), the one request_bench in
+// BENCH_seed1.json counts allocations of.
 func BenchmarkRequestSymDMAM(b *testing.B) {
 	edges := cycleEdges(64)
 	b.ReportAllocs()
