@@ -73,15 +73,16 @@ smoke:
 	$(GO) run ./cmd/dipbench -validate /tmp/dip-bench-smoke.json
 	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json
 
-# fuzz-short gives each decoder fuzz target a brief mutation burst on top
-# of the checked-in seed corpus (go only allows one -fuzz pattern per
-# invocation, hence the loop).
+# fuzz-short gives each decoder fuzz target, and FuzzHashBits, a brief
+# mutation burst on top of the checked-in seed corpus (go only allows one
+# -fuzz pattern per invocation, hence the loop).
 FUZZ_TIME ?= 2s
 fuzz-short:
-	@for target in FuzzReader FuzzRoundTrip FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerSpec FuzzPeerFrame; do \
+	@for target in FuzzReader FuzzRoundTrip FuzzHashBits FuzzSymDecoders FuzzDSymDecoder FuzzGNIDecoders FuzzLCPDecoders FuzzWireReport FuzzRequestDecode FuzzPeerSpec FuzzPeerFrame; do \
 		pkg=./internal/core; \
 		case $$target in \
 			FuzzReader|FuzzRoundTrip) pkg=./internal/wire;; \
+			FuzzHashBits) pkg=./internal/hashing;; \
 			FuzzWireReport|FuzzRequestDecode|FuzzPeerSpec) pkg=.;; \
 			FuzzPeerFrame) pkg=./internal/peer;; \
 		esac; \

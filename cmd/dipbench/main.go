@@ -42,39 +42,47 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "dipbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run parses the command line args (without the program name) and runs
+// the mode they select.
+func run(args []string) error {
+	fs := flag.NewFlagSet("dipbench", flag.ExitOnError)
 	var (
-		which       = flag.String("experiment", "all", "experiment ID (E1..E12) or 'all'")
-		seed        = flag.Int64("seed", 1, "reproducibility seed")
-		quick       = flag.Bool("quick", false, "reduced sizes and trial counts")
-		trials      = flag.Int("trials", 0, "override the per-cell trial count (0 = experiment default)")
-		parallel    = flag.Int("parallel", 0, "trial-harness worker count (0 = GOMAXPROCS)")
-		jsonPath    = flag.String("json", "", "write machine-readable results to this path")
-		jsonTimings = flag.Bool("json-timings", false, "include the non-reproducible timings block in -json output")
-		progress    = flag.Bool("progress", true, "report live per-cell progress on stderr")
-		faultsMode  = flag.Bool("faults", false, "run the fault-injection matrix (E12); -json emits dip-fault/v1")
-		validate    = flag.String("validate", "", "validate existing results files against their schemas and exit (accepts further paths as positional args)")
-		benchCheck  = flag.String("bench-check", "", "re-measure the engine and request-path allocs/op and fail on a >10% rise over this dip-bench file's records")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprofile  = flag.String("memprofile", "", "write a heap profile to this path")
+		which       = fs.String("experiment", "all", "experiment ID (E1..E12) or 'all'")
+		seed        = fs.Int64("seed", 1, "reproducibility seed")
+		quick       = fs.Bool("quick", false, "reduced sizes and trial counts")
+		trials      = fs.Int("trials", 0, "override the per-cell trial count (0 = experiment default)")
+		parallel    = fs.Int("parallel", 0, "trial-harness worker count (0 = GOMAXPROCS)")
+		jsonPath    = fs.String("json", "", "write machine-readable results to this path")
+		jsonTimings = fs.Bool("json-timings", false, "include the non-reproducible timings block in -json output")
+		progress    = fs.Bool("progress", true, "report live per-cell progress on stderr")
+		faultsMode  = fs.Bool("faults", false, "run the fault-injection matrix (E12); -json emits dip-fault/v1")
+		validate    = fs.String("validate", "", "validate existing results files against their schemas and exit (accepts further paths as positional args)")
+		benchCheck  = fs.String("bench-check", "", "re-measure the engine and request-path allocs/op and fail on a >10% rise over this dip-bench file's records")
+		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memprofile  = fs.String("memprofile", "", "write a heap profile to this path")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *validate != "" {
-		return validateFiles(append([]string{*validate}, flag.Args()...))
+		return validateFiles(append([]string{*validate}, fs.Args()...))
 	}
 
+	// Only -validate takes positional arguments: anywhere else one is a
+	// mistyped flag (a dropped -json, say), which must not pass silently.
 	if *benchCheck != "" {
-		if flag.NArg() > 0 {
-			return fmt.Errorf("-bench-check takes one file, got %d more", flag.NArg())
+		if fs.NArg() > 0 {
+			return fmt.Errorf("-bench-check takes one file, got %d more", fs.NArg())
 		}
 		return checkBench(*benchCheck)
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q: only -validate takes file arguments (results go to -json FILE)", fs.Arg(0))
 	}
 
 	if *trials < 0 || *parallel < 0 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/bits"
 	"math/rand"
 
 	"dip/internal/graph"
@@ -64,40 +63,19 @@ func (s *SymRPLS) AdviceBits() int { return s.lcp.AdviceBits() }
 // a hash seed and a hash value, 2·⌈lg p⌉ = O(log n) bits.
 func (s *SymRPLS) FingerprintBits() int { return 2 * wire.WidthForBig(s.p) }
 
-// adviceCoords converts the first AdviceBits() bits of an advice message
-// into the indicator-coordinate form the linear family hashes (the
-// positions of its one-bits, ascending). Bits past that length have no
-// coordinate in the family; a node holding such advice rejects it on its
-// own length check, so its fingerprint leaves them out rather than panic.
-// It scans a byte at a time: one pass counts the set bits, so the second
-// fills a slice of exactly that size.
-func (s *SymRPLS) adviceCoords(m wire.Message) []int {
-	nbits := max(min(m.Bits, s.AdviceBits()), 0)
-	data := m.Data[:(nbits+7)/8]
-	byteAt := func(k int) byte { // byte k, without bits at or past nbits
-		if rest := nbits - 8*k; rest < 8 {
-			return data[k] & (1<<rest - 1)
-		}
-		return data[k]
-	}
-	count := 0
-	for k := range data {
-		count += bits.OnesCount8(byteAt(k))
-	}
-	coords := make([]int, 0, count)
-	for k := range data {
-		for b := byteAt(k); b != 0; b &= b - 1 {
-			coords = append(coords, 8*k+bits.TrailingZeros8(b))
-		}
-	}
-	return coords
+// fingerprint hashes the first AdviceBits() bits of an advice message
+// under seed. Bits past that length have no coordinate in the family; a
+// node holding such advice rejects it on its own length check, so its
+// fingerprint leaves them out rather than panic.
+func (s *SymRPLS) fingerprint(seed *big.Int, m wire.Message) *big.Int {
+	return s.family.HashBits(seed, m.Data, max(min(m.Bits, s.AdviceBits()), 0))
 }
 
 // digest produces node v's fingerprint message: a fresh random seed and
 // the advice hashed under it.
 func (s *SymRPLS) digest(rng *rand.Rand, m wire.Message) wire.Message {
 	seed := s.family.RandomSeed(rng)
-	fp := s.family.HashIndicator(seed, s.adviceCoords(m))
+	fp := s.fingerprint(seed, m)
 	var w wire.Writer
 	width := wire.WidthForBig(s.p)
 	w.WriteBig(seed, width)
@@ -130,7 +108,6 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 	}
 	// Neighbor agreement via fingerprints: evaluate each neighbor's seed
 	// on OUR advice and compare with the neighbor's fingerprint of theirs.
-	coords := s.adviceCoords(advice)
 	width := wire.WidthForBig(s.p)
 	for _, u := range view.Neighbors {
 		r := wire.NewReader(view.NeighborResponses[0][u])
@@ -145,7 +122,7 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 		if err := r.Done(); err != nil {
 			return false
 		}
-		mine := s.family.HashIndicator(seed, coords)
+		mine := s.fingerprint(seed, advice)
 		if mine.Cmp(fp) != 0 {
 			return false
 		}

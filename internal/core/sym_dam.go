@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/big"
-	"slices"
 
 	"dip/internal/graph"
 	"dip/internal/network"
@@ -70,15 +69,33 @@ type symDAMMessage struct {
 	a, b *big.Int
 }
 
+// encode writes one whole message. The honest prover writes the shared
+// broadcast prefix once instead (see Respond); FuzzSymDecoders re-encodes
+// every message decode accepts with it.
 func (s *SymDAM) encode(m symDAMMessage) wire.Message {
 	var w wire.Writer
-	writeInts(&w, m.rho, s.idWidth())
-	s.writeFields(&w, m.echo)
-	w.WriteInt(m.root, s.idWidth())
-	writeTree(&w, m.tree, s.n)
-	s.writeFields(&w, m.a, m.b)
+	s.writeBroadcast(&w, m.rho, m.echo, m.root)
+	s.writeUnicast(&w, m.tree, m.a, m.b)
 	return w.Message()
 }
+
+// writeBroadcast writes the fields every node receives alike: ρ, the echo
+// and the root, broadcastBits() bits in all.
+func (s *SymDAM) writeBroadcast(w *wire.Writer, rho []int, echo *big.Int, root int) {
+	writeInts(w, rho, s.idWidth())
+	s.writeFields(w, echo)
+	w.WriteInt(root, s.idWidth())
+}
+
+// writeUnicast writes one node's own fields: its tree advice, a_v and b_v.
+func (s *SymDAM) writeUnicast(w *wire.Writer, tree spantree.Advice, a, b *big.Int) {
+	writeTree(w, tree, s.n)
+	s.writeFields(w, a, b)
+}
+
+// broadcastBits is the length of the broadcast prefix: n·⌈lg n⌉ + ⌈lg p⌉ +
+// ⌈lg n⌉ bits.
+func (s *SymDAM) broadcastBits() int { return (s.n+1)*s.idWidth() + s.hashWidth() }
 
 func (s *SymDAM) decode(m wire.Message) (symDAMMessage, error) {
 	r := s.reader(m)
@@ -87,9 +104,14 @@ func (s *SymDAM) decode(m wire.Message) (symDAMMessage, error) {
 		out.rho[v] = r.id()
 	}
 	out.echo, out.root = r.field(), r.id()
-	out.tree = r.tree(out.root)
-	out.a, out.b = r.field(), r.field()
+	out.tree, out.a, out.b = s.readUnicast(&r, out.root)
 	return out, r.done()
+}
+
+// readUnicast reads the fields writeUnicast writes, for a tree rooted at
+// root.
+func (s *SymDAM) readUnicast(r *symReader, root int) (spantree.Advice, *big.Int, *big.Int) {
+	return r.tree(root), r.field(), r.field()
 }
 
 // Spec returns the protocol's round schedule and verifier.
@@ -106,20 +128,31 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 	if view.NumVertices != s.n {
 		return false
 	}
-	msg, err := s.decode(view.Responses[0])
+	mine := view.Responses[0]
+	msg, err := s.decode(mine)
 	if err != nil {
 		return false
 	}
 	// Broadcast checks: ρ, the echo and the root agree with every
 	// neighbor's copy, so v reads every image from its own copy of ρ (and
-	// no first-round commitment is needed).
+	// no first-round commitment is needed). Every field is fixed-width and
+	// v's own copy decoded within range, so a neighbor's prefix decodes to
+	// the same ρ, echo and root exactly when its bits equal v's: the
+	// prefix is compared, and only the unicast suffix is decoded.
+	k := s.broadcastBits()
 	nbrs := make(map[int]symShare, len(view.Neighbors))
 	for _, u := range view.Neighbors {
-		nm, err := s.decode(view.NeighborResponses[0][u])
-		if err != nil || nm.root != msg.root || nm.echo.Cmp(msg.echo) != 0 || !slices.Equal(nm.rho, msg.rho) {
+		nm := view.NeighborResponses[0][u]
+		if !wire.SamePrefix(nm, mine, k) {
 			return false
 		}
-		nbrs[u] = symShare{tree: nm.tree, image: msg.rho[u], a: nm.a, b: nm.b}
+		r := s.reader(nm)
+		r.skip(k)
+		tree, a, b := s.readUnicast(&r, msg.root)
+		if r.done() != nil {
+			return false
+		}
+		nbrs[u] = symShare{tree: tree, image: msg.rho[u], a: a, b: b}
 	}
 	own := symShare{tree: msg.tree, image: msg.rho[v], a: msg.a, b: msg.b}
 	return s.verify(v, msg.root, msg.echo, own, nbrs, view)
@@ -192,8 +225,15 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 		return nil, fmt.Errorf("core: SymDAM prover tree: %w", err)
 	}
 	a, b := s.subtreeHashSums(g, i, rho, advice)
+	// The broadcast prefix is the same in every message: write it once.
+	var pre wire.Writer
+	s.writeBroadcast(&pre, rho, i, root)
+	prefix := pre.Message()
 	return s.perNode(func(v int) wire.Message {
-		return s.encode(symDAMMessage{rho: rho, echo: i, root: root, tree: advice[v], a: a[v], b: b[v]})
+		var w wire.Writer
+		w.WriteBits(prefix.Data, prefix.Bits)
+		s.writeUnicast(&w, advice[v], a[v], b[v])
+		return w.Message()
 	}), nil
 }
 

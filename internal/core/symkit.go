@@ -112,6 +112,14 @@ func (sr *symReader) field() *big.Int {
 	return x
 }
 
+// skip moves past k bits the caller has already compared (see
+// SymDAM.decide).
+func (sr *symReader) skip(k int) {
+	if sr.err == nil {
+		sr.keep(sr.r.Skip(k))
+	}
+}
+
 // tree reads spanning-tree advice written by writeTree, for a tree rooted
 // at root.
 func (sr *symReader) tree(root int) spantree.Advice {

@@ -10,6 +10,7 @@ package hashing
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"math/rand"
 
 	"dip/internal/bitset"
@@ -109,25 +110,69 @@ func (f *LinearFamily) ValidSeed(i *big.Int) bool {
 // coordinate set: h_i(χ) = Σ_{j ∈ set} i^{j+1} mod p. Coordinates are
 // 0-based; coordinate j corresponds to the monomial i^{j+1} so that the
 // constant term is never used and h_i(0) = 0. Coordinates may come in any
-// order and repeat; the powers are taken by running powers (see
-// smallPowers and bigPowers), cheapest when the coordinates ascend.
+// order and repeat; the powers are taken by a power walk (see smallWalk),
+// cheapest when the coordinates ascend.
 func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
 	if iv, ok := f.smallSeed(i); ok {
-		pw := smallPowers{i: iv, p: f.pSmall}
+		w := newSmallWalk(iv, f.pSmall)
 		var sum uint64
 		for _, j := range coords {
 			f.checkCoord(j)
-			sum = (sum + pw.next(uint64(j+1))) % f.pSmall
+			if sum += w.next(j + 1); sum >= f.pSmall {
+				sum -= f.pSmall
+			}
 		}
 		return new(big.Int).SetUint64(sum)
 	}
-	pw := newBigPowers(i, f.p)
+	w := newBigWalk(i, f.p)
 	sum := new(big.Int)
 	for _, j := range coords {
 		f.checkCoord(j)
-		sum.Add(sum, pw.next(j+1))
+		sum.Add(sum, w.next(j+1))
 		if sum.Cmp(f.p) >= 0 {
 			sum.Sub(sum, f.p)
+		}
+	}
+	return sum
+}
+
+// HashBits evaluates h_i on the first nbits bits of a message, coordinate j
+// being bit j of data in the wire package's order (bit j%8 of byte j/8):
+// h_i(x) = Σ_{j < nbits, x_j = 1} i^{j+1} mod p. Bits at or past nbits are
+// ignored. It equals HashIndicator on the ascending positions of the set
+// bits, but walks the bytes (bits.TrailingZeros8) instead of building that
+// slice. It panics unless 0 ≤ nbits ≤ M() and data holds nbits bits.
+func (f *LinearFamily) HashBits(i *big.Int, data []byte, nbits int) *big.Int {
+	if nbits < 0 || nbits > f.m || nbits > 8*len(data) {
+		panic(fmt.Sprintf("hashing: %d bits of a %d-byte message for dimension %d", nbits, len(data), f.m))
+	}
+	data = data[:(nbits+7)/8]
+	if iv, ok := f.smallSeed(i); ok {
+		w := newSmallWalk(iv, f.pSmall)
+		var sum uint64
+		for k, b := range data {
+			if rest := nbits - 8*k; rest < 8 {
+				b &= 1<<rest - 1
+			}
+			for ; b != 0; b &= b - 1 {
+				if sum += w.next(8*k + bits.TrailingZeros8(b) + 1); sum >= f.pSmall {
+					sum -= f.pSmall
+				}
+			}
+		}
+		return new(big.Int).SetUint64(sum)
+	}
+	w := newBigWalk(i, f.p)
+	sum := new(big.Int)
+	for k, b := range data {
+		if rest := nbits - 8*k; rest < 8 {
+			b &= 1<<rest - 1
+		}
+		for ; b != 0; b &= b - 1 {
+			sum.Add(sum, w.next(8*k+bits.TrailingZeros8(b)+1))
+			if sum.Cmp(f.p) >= 0 {
+				sum.Sub(sum, f.p)
+			}
 		}
 	}
 	return sum
@@ -139,53 +184,94 @@ func (f *LinearFamily) checkCoord(j int) {
 	}
 }
 
-// smallPowers yields i^e mod p (p < 2^32, i < p) for a sequence of
-// exponents e ≥ 1 by running powers: each power is the previous one times
-// i^{gap}, and only the first exponent, or one below its predecessor, pays
-// a full square-and-multiply. Either way the arithmetic is exact in Z_p,
-// so every power equals powmodSmall(i, e, p).
-type smallPowers struct {
-	i, p      uint64
-	cur, prev uint64 // prev = 0: no power taken yet
+// walkTable is how many powers i^1..i^walkTable a power walk keeps.
+const walkTable = 64
+
+// smallWalk yields i^e mod p (p < 2^32, i < p) for a sequence of exponents
+// e ≥ 1: each power is the previous one times i^gap, with i^gap read from
+// a table of i^1..i^walkTable that is filled up to the largest gap met so
+// far. A gap beyond the table pays one square-and-multiply, and an
+// exponent below its predecessor restarts the walk from i^0. The walk
+// lives on its caller's stack, and the arithmetic is exact in Z_p, so
+// every power equals powmodSmall(i, e, p).
+type smallWalk struct {
+	p, cur uint64
+	prev   int // the exponent of cur
+	filled int // tab[:filled] holds i^1..i^filled
+	tab    [walkTable]uint64
 }
 
-func (w *smallPowers) next(e uint64) uint64 {
-	switch {
-	case w.prev == 0 || e < w.prev:
-		w.cur = powmodSmall(w.i, e, w.p)
-	case e > w.prev:
-		w.cur = w.cur * powmodSmall(w.i, e-w.prev, w.p) % w.p
+func newSmallWalk(i, p uint64) smallWalk {
+	w := smallWalk{p: p, cur: 1, filled: 1}
+	w.tab[0] = i
+	return w
+}
+
+func (w *smallWalk) next(e int) uint64 {
+	if e < w.prev {
+		w.cur, w.prev = 1, 0
 	}
-	w.prev = e
+	if gap := e - w.prev; gap > 0 {
+		step := w.tab[0] // a gap of 1, common in dense runs of set bits
+		if gap > 1 {
+			step = w.step(gap)
+		}
+		w.cur = w.cur * step % w.p
+		w.prev = e
+	}
 	return w.cur
 }
 
-// bigPowers is smallPowers for a big.Int modulus. The seed is reduced into
-// [0, p) once (big.Int.Exp of a negative or oversized base gives the same
-// residue), and a gap of one multiplies by it without an exponentiation.
-type bigPowers struct {
-	i, p, cur, step, e *big.Int
-	prev               int // 0: no power taken yet
+// step returns i^gap for gap ≥ 2.
+func (w *smallWalk) step(gap int) uint64 {
+	if gap > walkTable {
+		return powmodSmall(w.tab[0], uint64(gap), w.p)
+	}
+	for ; w.filled < gap; w.filled++ {
+		w.tab[w.filled] = w.tab[w.filled-1] * w.tab[0] % w.p
+	}
+	return w.tab[gap-1]
 }
 
-func newBigPowers(i, p *big.Int) *bigPowers {
-	return &bigPowers{i: new(big.Int).Mod(i, p), p: p,
-		cur: new(big.Int), step: new(big.Int), e: new(big.Int)}
+// bigWalk is smallWalk for a big.Int modulus. The seed is reduced into
+// [0, p) once (big.Int.Exp of a negative or oversized base gives the same
+// residue).
+type bigWalk struct {
+	p            *big.Int
+	cur, e, pow  big.Int
+	prev, filled int
+	tab          [walkTable]big.Int
+}
+
+func newBigWalk(i, p *big.Int) *bigWalk {
+	w := &bigWalk{p: p, filled: 1}
+	w.cur.SetInt64(1)
+	w.tab[0].Mod(i, p)
+	return w
 }
 
 // next returns i^e mod p in storage the next call overwrites.
-func (w *bigPowers) next(e int) *big.Int {
-	switch {
-	case w.prev == 0 || e < w.prev:
-		w.cur.Exp(w.i, w.e.SetInt64(int64(e)), w.p)
-	case e == w.prev+1:
-		w.cur.Mod(w.cur.Mul(w.cur, w.i), w.p)
-	case e > w.prev:
-		w.step.Exp(w.i, w.e.SetInt64(int64(e-w.prev)), w.p)
-		w.cur.Mod(w.cur.Mul(w.cur, w.step), w.p)
+func (w *bigWalk) next(e int) *big.Int {
+	if e < w.prev {
+		w.cur.SetInt64(1)
+		w.prev = 0
 	}
-	w.prev = e
-	return w.cur
+	if gap := e - w.prev; gap > 0 {
+		w.cur.Mod(w.cur.Mul(&w.cur, w.step(gap)), w.p)
+		w.prev = e
+	}
+	return &w.cur
+}
+
+func (w *bigWalk) step(gap int) *big.Int {
+	if gap > walkTable {
+		return w.pow.Exp(&w.tab[0], w.e.SetInt64(int64(gap)), w.p)
+	}
+	for ; w.filled < gap; w.filled++ {
+		t := &w.tab[w.filled]
+		t.Mod(t.Mul(&w.tab[w.filled-1], &w.tab[0]), w.p)
+	}
+	return &w.tab[gap-1]
 }
 
 // RowTable hashes the row matrices [row, r] of Section 3.1.1 — the n×n

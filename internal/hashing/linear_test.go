@@ -363,3 +363,131 @@ func TestRunningPowersMatchDense(t *testing.T) {
 		}
 	}
 }
+
+// setBitsMessage returns nbits bits (and a byte of slack) with the given
+// coordinates set, plus every bit past nbits set as well: HashBits must
+// ignore them.
+func setBitsMessage(coords []int, nbits int) []byte {
+	data := make([]byte, (nbits+7)/8+1)
+	for _, j := range coords {
+		data[j/8] |= 1 << (j % 8)
+	}
+	for j := nbits; j < 8*len(data); j++ {
+		data[j/8] |= 1 << (j % 8)
+	}
+	return data
+}
+
+// TestHashBitsMatchesDense checks HashBits and HashIndicator against
+// HashDense on coordinate sets whose gaps hit each case of the power walk:
+// 1 (one multiplication by i), 64 (the table's last entry), 65 (the first
+// gap past the table) and more than 1,000; on lengths that end inside a
+// byte, with set bits past them; on seeds 0, p−1, p, above p and negative;
+// for a modulus below 2^32 and one above 2^64.
+func TestHashBitsMatchesDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const m = 2400
+	cubic, err := prime.ForCubicWindow(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := prime.ForPowerWindow(16, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(start, gap, count int) []int {
+		var coords []int
+		for k := 0; k < count && start+k*gap < m; k++ {
+			coords = append(coords, start+k*gap)
+		}
+		return coords
+	}
+	random := func() []int {
+		var coords []int
+		for j := 0; j < m; j++ {
+			if rng.Intn(5) == 0 {
+				coords = append(coords, j)
+			}
+		}
+		return coords
+	}
+	sets := map[string][]int{
+		"gap 1":       run(3, 1, 70),
+		"gap 64":      run(5, 64, 30),
+		"gap 65":      run(7, 65, 30),
+		"gap 1,001":   run(2, 1001, 3),
+		"gaps mixed":  {0, 1, 65, 129, 130, 1200, 1264, 2399},
+		"first at 64": {63, 64},
+		"first at 65": {64, 1100},
+		"random":      random(),
+		"empty":       nil,
+	}
+	for _, tc := range []struct {
+		name  string
+		p     *big.Int
+		small bool
+	}{
+		{"cubic-window", cubic, true},
+		{"power-window", power, false},
+	} {
+		f, err := NewLinearFamily(m, tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (f.pSmall != 0) != tc.small {
+			t.Fatalf("%s: modulus %v took the wrong path", tc.name, tc.p)
+		}
+		seeds := []*big.Int{
+			new(big.Int),
+			new(big.Int).Sub(tc.p, big.NewInt(1)),
+			new(big.Int).Set(tc.p),
+			new(big.Int).Add(tc.p, big.NewInt(5)),
+			big.NewInt(-7),
+			f.RandomSeed(rng),
+			f.RandomSeed(rng),
+		}
+		for name, coords := range sets {
+			for _, nbits := range []int{m, m - 1, m - 3, 1203, 130, 65, 64, 8, 7, 1, 0} {
+				var in []int
+				dense := make([]int64, m)
+				for _, j := range coords {
+					if j < nbits {
+						in = append(in, j)
+						dense[j] = 1
+					}
+				}
+				data := setBitsMessage(in, nbits)
+				for _, i := range seeds {
+					want := f.HashDense(i, dense)
+					if got := f.HashBits(i, data, nbits); got.Cmp(want) != 0 {
+						t.Fatalf("%s, %s, %d bits, seed %v: HashBits = %v, HashDense %v", tc.name, name, nbits, i, got, want)
+					}
+					if got := f.HashIndicator(i, in); got.Cmp(want) != 0 {
+						t.Fatalf("%s, %s, %d bits, seed %v: HashIndicator = %v, HashDense %v", tc.name, name, nbits, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestHashBitsPanics(t *testing.T) {
+	f := mustFamily(t, 20, 101)
+	for _, c := range []struct {
+		data  []byte
+		nbits int
+	}{
+		{make([]byte, 3), 21}, // past the dimension
+		{make([]byte, 2), 17}, // past the data
+		{make([]byte, 3), -1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("HashBits(%d bytes, %d bits) did not panic", len(c.data), c.nbits)
+				}
+			}()
+			f.HashBits(big.NewInt(2), c.data, c.nbits)
+		}()
+	}
+}

@@ -21,7 +21,9 @@ func FuzzReader(f *testing.F) {
 		_, _ = r.ReadUint(int(width % 65))
 		_, _ = r.ReadInt(int(width % 65))
 		_, _ = r.ReadBig(int(width))
+		_ = r.Skip(int(width % 17))
 		_ = r.Done()
+		_ = SamePrefix(m, m, int(width))
 		if r.Remaining() < 0 {
 			t.Fatal("negative remaining")
 		}

@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/big"
@@ -29,20 +30,18 @@ func WidthFor(n int) int {
 }
 
 // WidthForBig is WidthFor for big domains: the number of bits needed to
-// represent every value in [0, n).
+// represent every value in [0, n). For n ≥ 1 that is the bit length of
+// n − 1, which is n's own bit length less one exactly when n is a power
+// of two; reading it so allocates nothing.
 func WidthForBig(n *big.Int) int {
-	if n.IsUint64() {
-		u := n.Uint64()
-		if u <= 1 {
-			return 0
-		}
-		return bits.Len64(u - 1)
-	}
 	if n.Sign() <= 0 {
 		return 0
 	}
-	m := new(big.Int).Sub(n, big.NewInt(1))
-	return m.BitLen()
+	width := n.BitLen()
+	if n.TrailingZeroBits() == uint(width-1) {
+		width--
+	}
+	return width
 }
 
 // Writer accumulates a bit string. The zero value is an empty writer ready
@@ -147,6 +146,12 @@ func (w *Writer) WriteBig(v *big.Int, width int) {
 // WriteBits appends raw bits from another encoded message.
 func (w *Writer) WriteBits(data []byte, nbit int) {
 	i := 0
+	if w.nbit&7 == 0 {
+		// Byte-aligned: the whole bytes go in with one append.
+		i = nbit &^ 7
+		w.data = append(w.data, data[:i>>3]...)
+		w.nbit += i
+	}
 	for ; i+8 <= nbit; i += 8 {
 		w.writeChunk(uint64(data[i>>3]), 8)
 	}
@@ -192,6 +197,33 @@ func NewReader(m Message) *Reader {
 
 // Remaining returns the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
+
+// Skip moves past the next nbits bits without decoding them, as when a
+// protocol has already compared them bit for bit (see SamePrefix). Like a
+// read, it consumes the tail and returns ErrShortMessage when fewer than
+// nbits bits remain.
+func (r *Reader) Skip(nbits int) error {
+	if nbits < 0 || r.pos+nbits > r.nbit {
+		r.pos = r.nbit
+		return ErrShortMessage
+	}
+	r.pos += nbits
+	return nil
+}
+
+// SamePrefix reports whether a and b both hold at least k bits and agree
+// on the first k. Bits at or past k, padding included, are not compared.
+func SamePrefix(a, b Message, k int) bool {
+	if k < 0 || k > a.Bits || k > b.Bits || 8*len(a.Data) < k || 8*len(b.Data) < k {
+		return false
+	}
+	whole := k >> 3
+	if !bytes.Equal(a.Data[:whole], b.Data[:whole]) {
+		return false
+	}
+	rest := k & 7
+	return rest == 0 || (a.Data[whole]^b.Data[whole])&(1<<rest-1) == 0
+}
 
 // readBit reads a single bit.
 func (r *Reader) readBit() (bool, error) {

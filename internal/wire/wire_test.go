@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"math/big"
 	"math/rand"
@@ -33,6 +34,29 @@ func TestWidthForBig(t *testing.T) {
 	huge := new(big.Int).Lsh(big.NewInt(1), 500) // 2^500
 	if got := WidthForBig(huge); got != 500 {
 		t.Errorf("WidthForBig(2^500) = %d, want 500", got)
+	}
+	// Against the definition, the bit length of n−1, on both sides of
+	// every power of two up to 2^600 and on negative n.
+	one := big.NewInt(1)
+	for k := 0; k <= 600; k++ {
+		pow := new(big.Int).Lsh(one, uint(k))
+		for _, d := range []int64{-1, 0, 1} {
+			n := new(big.Int).Add(pow, big.NewInt(d))
+			want := 0
+			if n.Cmp(one) > 0 {
+				want = new(big.Int).Sub(n, one).BitLen()
+			}
+			if got := WidthForBig(n); got != want {
+				t.Fatalf("WidthForBig(2^%d%+d) = %d, want %d", k, d, got, want)
+			}
+			if got := WidthForBig(new(big.Int).Neg(n)); got != 0 {
+				t.Fatalf("WidthForBig(-(2^%d%+d)) = %d, want 0", k, d, got)
+			}
+		}
+	}
+	p := new(big.Int).Add(huge, big.NewInt(123))
+	if allocs := testing.AllocsPerRun(100, func() { WidthForBig(p) }); allocs != 0 {
+		t.Errorf("WidthForBig allocates %.0f times per call", allocs)
 	}
 }
 
@@ -138,6 +162,87 @@ func TestWriteBits(t *testing.T) {
 	}
 	if v, err := r.ReadUint(6); err != nil || v != 0x2A {
 		t.Fatalf("nested = %d, %v", v, err)
+	}
+}
+
+// TestWriteBitsMatchesPerBit checks WriteBits at every writer offset,
+// byte-aligned or not, against copying the same bits one at a time, with
+// set bits past nbit in the source that must not be copied.
+func TestWriteBitsMatchesPerBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	src := make([]byte, 8)
+	for off := 0; off <= 17; off++ {
+		for nbit := 0; nbit <= 8*len(src); nbit++ {
+			rng.Read(src)
+			var got, want Writer
+			for i := 0; i < off; i++ {
+				b := i%3 == 0
+				got.WriteBool(b)
+				want.WriteBool(b)
+			}
+			got.WriteBits(src, nbit)
+			for i := 0; i < nbit; i++ {
+				want.WriteBool(src[i/8]>>(i%8)&1 == 1)
+			}
+			g, w := got.Message(), want.Message()
+			if g.Bits != w.Bits || !bytes.Equal(g.Data, w.Data) {
+				t.Fatalf("offset %d, %d bits: WriteBits wrote %x/%d, want %x/%d", off, nbit, g.Data, g.Bits, w.Data, w.Bits)
+			}
+		}
+	}
+}
+
+func TestSkip(t *testing.T) {
+	var w Writer
+	w.WriteUint(0x155, 9)
+	w.WriteUint(0x2A, 6)
+	r := NewReader(w.Message())
+	if err := r.Skip(9); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := r.ReadUint(6); err != nil || v != 0x2A {
+		t.Fatalf("read after Skip(9) = %#x, %v", v, err)
+	}
+	if err := r.Skip(0); err != nil || r.Done() != nil {
+		t.Fatalf("Skip(0) at the end = %v, Done = %v", err, r.Done())
+	}
+	for _, k := range []int{16, -1} {
+		r := NewReader(w.Message())
+		if err := r.Skip(k); !errors.Is(err, ErrShortMessage) || r.Remaining() != 0 {
+			t.Fatalf("Skip(%d) of 15 bits = %v with %d bits left, want ErrShortMessage and none", k, err, r.Remaining())
+		}
+	}
+}
+
+func TestSamePrefix(t *testing.T) {
+	msg := func(data []byte, nbits int) Message { return Message{Data: data, Bits: nbits} }
+	a := msg([]byte{0xA5, 0x0F}, 12)
+	cases := []struct {
+		name string
+		b    Message
+		k    int
+		want bool
+	}{
+		{"equal, whole", msg([]byte{0xA5, 0x0F}, 12), 12, true},
+		{"equal, empty prefix", msg(nil, 0), 0, true},
+		{"differs in bit 11", msg([]byte{0xA5, 0x07}, 12), 12, false},
+		{"differs only at bit 11, prefix of 11", msg([]byte{0xA5, 0x07}, 12), 11, true},
+		{"differs in bit 0", msg([]byte{0xA4, 0x0F}, 12), 12, false},
+		{"differs only past the prefix, same byte", msg([]byte{0xA5, 0xF3}, 12), 10, true},
+		{"garbage past Bits", msg([]byte{0xA5, 0xFF}, 12), 12, true},
+		{"longer", msg([]byte{0xA5, 0x0F, 0x01}, 17), 12, true},
+		{"shorter than k", msg([]byte{0xA5, 0x0F}, 11), 12, false},
+		{"byte-aligned prefix", msg([]byte{0xA5}, 8), 8, true},
+		{"data shorter than Bits claims", msg([]byte{0xA5}, 12), 12, false},
+		{"negative k", msg([]byte{0xA5, 0x0F}, 12), -1, false},
+	}
+	for _, c := range cases {
+		if got := SamePrefix(a, c.b, c.k); got != c.want {
+			t.Errorf("%s: SamePrefix(k=%d) = %v, want %v", c.name, c.k, got, c.want)
+		}
+		if got := SamePrefix(c.b, a, c.k); got != c.want {
+			t.Errorf("%s, swapped: SamePrefix(k=%d) = %v, want %v", c.name, c.k, got, c.want)
+		}
 	}
 }
 

@@ -71,3 +71,26 @@ func BenchmarkRequestHeavyMix(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRequestHeavyProtocols times the heavy mix one protocol at a
+// time, so that sym-lcp's and sym-rpls's costs are not lost under
+// sym-dam's prime search: each sub-benchmark runs its protocol on the
+// 64-cycle with a fresh seed per op, as BenchmarkRequestHeavyMix does.
+func BenchmarkRequestHeavyProtocols(b *testing.B) {
+	edges := cycleEdges(64)
+	for _, protocol := range []string{"sym-dam", "sym-lcp", "sym-rpls"} {
+		b.Run(protocol, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				req := Request{Protocol: protocol, N: 64, Edges: edges, Options: Options{Seed: int64(i)}}
+				rep, err := Run(req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !rep.Accepted {
+					b.Fatal("rejected")
+				}
+			}
+		})
+	}
+}
