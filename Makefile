@@ -221,7 +221,9 @@ jobs-smoke:
 # Do the same for sym-dam, whose peers build their spec from the modulus
 # the coordinator provisions: the in-process suites share one setup cache
 # between coordinator and peers, so only here does each peer build it in
-# a process of its own.
+# a process of its own. And for sym-rpls, the one protocol with a Digest
+# round: its peers' forward batches cross the sockets, and each peer
+# derives its own seed-keyed modulus.
 # Then boot a peer armed with -fail-session 1 (os.Exit mid-exchange on
 # its first session), run against a fleet containing it, and require a
 # non-zero exit with a structured transport-phase error on stderr — a
@@ -249,6 +251,9 @@ peer-smoke:
 	$$dir/dipsim -protocol sym-dam -graph doubled -n 16 -seed 7 -json $$dir/inproc-dam.json >/dev/null || exit 1; \
 	$$dir/dipsim -protocol sym-dam -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet-dam.json >/dev/null || { echo "sym-dam fleet run failed"; for i in 1 2 3 4; do cat $$dir/peer$$i.log; done; exit 1; }; \
 	cmp $$dir/inproc-dam.json $$dir/fleet-dam.json || { echo "sym-dam fleet report is not byte-identical to in-process"; exit 1; }; \
+	$$dir/dipsim -protocol sym-rpls -graph doubled -n 16 -seed 7 -json $$dir/inproc-rpls.json >/dev/null || exit 1; \
+	$$dir/dipsim -protocol sym-rpls -graph doubled -n 16 -seed 7 -peers $$addrs -json $$dir/fleet-rpls.json >/dev/null || { echo "sym-rpls fleet run failed"; for i in 1 2 3 4; do cat $$dir/peer$$i.log; done; exit 1; }; \
+	cmp $$dir/inproc-rpls.json $$dir/fleet-rpls.json || { echo "sym-rpls fleet report is not byte-identical to in-process"; exit 1; }; \
 	$$dir/dippeer -addr 127.0.0.1:0 -addr-file $$dir/addrF -fail-session 1 >$$dir/peerF.log 2>&1 & \
 	failpid=$$!; \
 	for t in $$(seq 1 100); do [ -s $$dir/addrF ] && break; sleep 0.1; done; \

@@ -238,6 +238,29 @@ func TestJobFailureTaxonomy(t *testing.T) {
 	}
 }
 
+// TestJobDisconnectedGraphFails: a disconnected network graph is the
+// request's fault, so through the real run path its job settles failed
+// on the first attempt instead of retrying a mid-run error until it
+// parks.
+func TestJobDisconnectedGraphFails(t *testing.T) {
+	cfg := config{}
+	cfg.jobs = defaultJobsConfig()
+	cfg.jobs.attempts = 3
+	cfg.jobs.backoffBase = time.Millisecond
+	s, ts := startTestServer(t, cfg, nil)
+	_, w := submitJob(t, ts.URL, `{"protocol":"sym-dam","n":8,"edges":[[0,1],[2,3]]}`, "")
+	failed := pollJob(t, ts.URL, w.ID)
+	if failed.State != dip.JobStateFailed || failed.Attempts != 1 {
+		t.Fatalf("disconnected graph: %+v", failed)
+	}
+	if !strings.Contains(failed.Error, "not connected") {
+		t.Fatalf("error %q", failed.Error)
+	}
+	if got := s.async.metrics.Retries.Value(); got != 0 {
+		t.Fatalf("retries %d, want 0", got)
+	}
+}
+
 // TestJobBacklogFull: with no workers draining, submissions beyond the
 // bound answer 503 with a Retry-After hint, and a rejected submission
 // does not burn its idempotency key.

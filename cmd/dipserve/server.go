@@ -78,7 +78,7 @@ type job struct {
 	done chan struct{}
 
 	batch   []dip.Request
-	results []dip.BatchResult
+	results []batchResult
 }
 
 // server is the dipserve service: a bounded admission queue in front of a
@@ -286,11 +286,18 @@ func (s *server) safeRun(ctx context.Context, req dip.Request) (rep dip.Report, 
 	return s.runFunc(ctx, req)
 }
 
+// batchResult is one item's outcome in a batch job: exactly one of
+// Report (Err == nil) or Err is meaningful.
+type batchResult struct {
+	Report dip.Report
+	Err    error
+}
+
 // runBatch runs every item of a batch job sequentially on this worker,
 // metering each item like a plain request (one deadline covers the whole
 // batch, matching the admission unit).
-func (s *server) runBatch(ctx context.Context, reqs []dip.Request) []dip.BatchResult {
-	out := make([]dip.BatchResult, len(reqs))
+func (s *server) runBatch(ctx context.Context, reqs []dip.Request) []batchResult {
+	out := make([]batchResult, len(reqs))
 	for i := range reqs {
 		pm := s.meters.Protocol(reqs[i].Protocol)
 		pm.Requests.Add(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"dip/internal/graph"
 	"dip/internal/network"
@@ -138,14 +139,7 @@ func (d *DSymDAM) legalNeighborhood(v int, neighbors []int) bool {
 		if v == pathLast {
 			next = n
 		}
-		if len(neighbors) != 2 {
-			return false
-		}
-		seen := map[int]bool{}
-		for _, u := range neighbors {
-			seen[u] = true
-		}
-		return seen[prev] && seen[next]
+		return len(neighbors) == 2 && slices.Contains(neighbors, prev) && slices.Contains(neighbors, next)
 	}
 }
 
@@ -172,13 +166,13 @@ func (d *DSymDAM) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	// The echo is the only broadcast field; every image is σ's.
-	nbrs := make(map[int]symShare, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nm, err := d.decode(view.NeighborResponses[0][u])
+	nbrs := make([]symShare, 0, nbrCap)
+	for j, u := range view.Neighbors {
+		nm, err := d.decode(view.NeighborResponses[0][j])
 		if err != nil || nm.echo.Cmp(msg.echo) != 0 {
 			return false
 		}
-		nbrs[u] = symShare{tree: nm.tree, image: d.sigma[u], a: nm.a, b: nm.b}
+		nbrs = append(nbrs, symShare{tree: nm.tree, image: d.sigma[u], a: nm.a, b: nm.b})
 	}
 	// The root is vertex 0, which σ moves to side ≠ 0.
 	own := symShare{tree: msg.tree, image: d.sigma[v], a: msg.a, b: msg.b}

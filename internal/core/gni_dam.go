@@ -116,14 +116,14 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]gniDamMessage, len(view.Neighbors))
-	trees := make(map[int]spantree.Advice, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nm, err := g.decode(view.NeighborResponses[0][u])
+	neighborMsgs := make([]gniDamMessage, 0, nbrCap)
+	trees := make([]spantree.Advice, 0, nbrCap)
+	for j := range view.Neighbors {
+		nm, err := g.decode(view.NeighborResponses[0][j])
 		if err != nil || !sameReps(msg.reps, nm.reps) {
 			return false
 		}
-		neighborMsgs[u], trees[u] = nm, nm.tree
+		neighborMsgs, trees = append(neighborMsgs, nm), append(trees, nm.tree)
 	}
 	children, ok := treeChildren(v, msg.tree, trees, view)
 	if !ok {
@@ -151,8 +151,8 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 		cExpect := g.params.RowTermSlow(seed.Alpha, rep.sigma[v], imagesOf(rep.sigma, closed))
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[u].sums[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].sums[si])
 		}
 		if cExpect.Cmp(msg.sums[si]) != 0 {
 			return false

@@ -268,13 +268,13 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	}
 
 	// Neighbors' M₁: broadcast sections must match ours.
-	trees := make(map[int]spantree.Advice, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nf, err := g.decodeFirst(view.NeighborResponses[0][u], nil)
+	trees := make([]spantree.Advice, 0, nbrCap)
+	for j := range view.Neighbors {
+		nf, err := g.decodeFirst(view.NeighborResponses[0][j], nil)
 		if err != nil || !sameReps(first.reps, nf.reps) {
 			return false
 		}
-		trees[u] = nf.tree
+		trees = append(trees, nf.tree)
 	}
 
 	// Verify our own seed slices inside each successful repetition's echo.
@@ -305,16 +305,16 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborSecond := make(map[int]gniSecond, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		ns, err := g.decodeSecond(view.NeighborResponses[1][u], first.successes)
+	neighborSecond := make([]gniSecond, 0, nbrCap)
+	for j := range view.Neighbors {
+		ns, err := g.decodeSecond(view.NeighborResponses[1][j], first.successes)
 		if err != nil {
 			return false
 		}
 		if ns.zEcho.Cmp(second.zEcho) != 0 {
 			return false
 		}
-		neighborSecond[u] = ns
+		neighborSecond = append(neighborSecond, ns)
 	}
 	z := second.zEcho
 	if v == 0 {
@@ -341,8 +341,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 
 		// c: partial hash sum.
 		cExpect := g.params.RowTermSlow(rd.seed.Alpha, sigmaV, images)
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborSecond[u].sums[si].c)
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborSecond[j].sums[si].c)
 		}
 		if cExpect.Cmp(second.sums[si].c) != 0 {
 			return false
@@ -359,8 +359,8 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		s2.Mul(s2, big.NewInt(int64(len(closed))))
 		s2.Mod(s2, g.p2)
 		s3 := expMod(z, sigmaV+1, g.p2)
-		for _, u := range children {
-			ns := neighborSecond[u].sums[si]
+		for _, j := range children {
+			ns := neighborSecond[j].sums[si]
 			s1.Add(s1, ns.s1)
 			s2.Add(s2, ns.s2)
 			s3.Add(s3, ns.s3)

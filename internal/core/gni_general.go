@@ -182,14 +182,14 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborMsgs := make(map[int]gniGenMessage, len(view.Neighbors))
-	trees := make(map[int]spantree.Advice, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nm, err := g.decode(view.NeighborResponses[0][u])
+	neighborMsgs := make([]gniGenMessage, 0, nbrCap)
+	trees := make([]spantree.Advice, 0, nbrCap)
+	for j := range view.Neighbors {
+		nm, err := g.decode(view.NeighborResponses[0][j])
 		if err != nil || !sameReps(msg.reps, nm.reps) {
 			return false
 		}
-		neighborMsgs[u], trees[u] = nm, nm.tree
+		neighborMsgs, trees = append(neighborMsgs, nm), append(trees, nm.tree)
 	}
 	children, ok := treeChildren(v, msg.tree, trees, view)
 	if !ok {
@@ -226,8 +226,8 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		// τ block: row n + σ(v), single column τ(σ(v)).
 		cExpect = g.params.AddModQ(cExpect,
 			g.params.RowTermSlow(seed.Alpha, g.n+sigmaV, []int{rep.tau[sigmaV]}))
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[u].c[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].c[si])
 		}
 		if cExpect.Cmp(msg.c[si]) != 0 {
 			return false
@@ -237,9 +237,9 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 		// h3([σ(v), row]), e aggregates h3([τ(σ(v)), τ(row)]).
 		dExpect := g.h3Row(alpha3, sigmaV, cols)
 		eExpect := g.h3Row(alpha3, rep.tau[sigmaV], imagesOf(rep.tau, cols))
-		for _, u := range children {
-			dExpect.Add(dExpect, neighborMsgs[u].d[si])
-			eExpect.Add(eExpect, neighborMsgs[u].e[si])
+		for _, j := range children {
+			dExpect.Add(dExpect, neighborMsgs[j].d[si])
+			eExpect.Add(eExpect, neighborMsgs[j].e[si])
 		}
 		dExpect.Mod(dExpect, g.q3)
 		eExpect.Mod(eExpect, g.q3)

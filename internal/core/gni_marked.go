@@ -294,14 +294,14 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborFirst := make(map[int]markedFirst, len(view.Neighbors))
-	trees := make(map[int]spantree.Advice, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nf, err := g.decodeFirst(view.NeighborResponses[0][u], -1)
+	neighborFirst := make([]markedFirst, 0, nbrCap)
+	trees := make([]spantree.Advice, 0, nbrCap)
+	for j := range view.Neighbors {
+		nf, err := g.decodeFirst(view.NeighborResponses[0][j], -1)
 		if err != nil || nf.k0 != first.k0 || nf.k1 != first.k1 || !sameReps(first.reps, nf.reps) {
 			return false
 		}
-		neighborFirst[u], trees[u] = nf, nf.tree
+		neighborFirst, trees = append(neighborFirst, nf), append(trees, nf.tree)
 	}
 
 	// Truthful self-fields: each node verifies its own mark echo, so a
@@ -316,9 +316,8 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	// self-reported mark and (for marked u) rank. Combined with u's own
 	// mark echo and the rank-multiset certification below, every claim is
 	// bound to the claimee's true mark and a bijective rank assignment.
-	for i, u := range view.Neighbors {
-		cl := first.claims[i]
-		nf := neighborFirst[u]
+	for j, nf := range neighborFirst {
+		cl := first.claims[j]
 		if cl.mark != nf.ownMark {
 			return false
 		}
@@ -340,9 +339,9 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if myMark == MarkOne {
 		c1 = 1
 	}
-	for _, u := range children {
-		c0 += neighborFirst[u].c0
-		c1 += neighborFirst[u].c1
+	for _, j := range children {
+		c0 += neighborFirst[j].c0
+		c1 += neighborFirst[j].c1
 	}
 	if c0 != first.c0 || c1 != first.c1 {
 		return false
@@ -361,16 +360,16 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	neighborSecond := make(map[int]markedSecond, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		ns, err := g.decodeSecond(view.NeighborResponses[1][u])
+	neighborSecond := make([]markedSecond, 0, nbrCap)
+	for j := range view.Neighbors {
+		ns, err := g.decodeSecond(view.NeighborResponses[1][j])
 		if err != nil {
 			return false
 		}
 		if ns.zEcho.Cmp(second.zEcho) != 0 {
 			return false
 		}
-		neighborSecond[u] = ns
+		neighborSecond = append(neighborSecond, ns)
 	}
 	z := second.zEcho
 	if v == 0 {
@@ -386,9 +385,9 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 	if myMark == MarkOne {
 		m1 = expMod(z, first.rank+1, g.p2)
 	}
-	for _, u := range children {
-		m0.Add(m0, neighborSecond[u].m0)
-		m1.Add(m1, neighborSecond[u].m1)
+	for _, j := range children {
+		m0.Add(m0, neighborSecond[j].m0)
+		m1.Add(m1, neighborSecond[j].m1)
 	}
 	m0.Mod(m0, g.p2)
 	m1.Mod(m1, g.p2)
@@ -436,8 +435,8 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 			contrib = g.params.RowTermSlow(seed.Alpha, rep.sigma[first.rank], cols)
 		}
 		cExpect := contrib
-		for _, u := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborFirst[u].sums[si])
+		for _, j := range children {
+			cExpect = g.params.AddModQ(cExpect, neighborFirst[j].sums[si])
 		}
 		if cExpect.Cmp(first.sums[si]) != 0 {
 			return false

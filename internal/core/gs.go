@@ -189,13 +189,21 @@ func sameReps(a, b []gsRep) bool {
 	})
 }
 
-// treeChildren runs node v's spanning-tree check (root 0) on its own
-// advice and its neighbors' and returns v's children.
-func treeChildren(v int, own spantree.Advice, nbrs map[int]spantree.Advice, view *network.NodeView) ([]int, bool) {
-	if !spantree.VerifyLocal(v, own, nbrs, view.HasNeighbor) {
+// nbrCap is the capacity of the per-neighbor slices a decide builds. A
+// constant capacity lets the compiler keep such a slice on the stack when
+// it does not escape, so a node of degree at most nbrCap allocates
+// nothing for its neighbors' shares; a larger degree grows it on the
+// heap.
+const nbrCap = 8
+
+// treeChildren runs node v's spanning-tree check on its own advice and
+// its neighbors' (trees[j] is view.Neighbors[j]'s) and returns the
+// positions of v's children in view.Neighbors.
+func treeChildren(v int, own spantree.Advice, trees []spantree.Advice, view *network.NodeView) ([]int, bool) {
+	if !spantree.VerifyLocal(v, own, view.Neighbors, trees) {
 		return nil, false
 	}
-	return spantree.Children(v, nbrs), true
+	return spantree.Children(v, view.Neighbors, trees), true
 }
 
 // echoSlices concatenates the nodes' slices of one repetition — width

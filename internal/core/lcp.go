@@ -92,8 +92,8 @@ func (s *SymLCP) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	// All neighbors must hold identical advice.
-	for _, u := range view.Neighbors {
-		if !msgEqual(view.Responses[0], view.NeighborResponses[0][u]) {
+	for j := range view.Neighbors {
+		if !msgEqual(view.Responses[0], view.NeighborResponses[0][j]) {
 			return false
 		}
 	}
@@ -275,8 +275,8 @@ func (s *GNILCP) decide(v int, view *network.NodeView) bool {
 	if a == nil {
 		return false
 	}
-	for _, u := range view.Neighbors {
-		if !msgEqual(m, view.NeighborResponses[0][u]) {
+	for j := range view.Neighbors {
+		if !msgEqual(m, view.NeighborResponses[0][j]) {
 			return false
 		}
 	}
@@ -351,15 +351,15 @@ func (s *SpanTreeLCP) Spec() *network.Spec {
 			if err != nil {
 				return false
 			}
-			neighbors := make(map[int]spantree.Advice, len(view.Neighbors))
-			for _, u := range view.Neighbors {
-				na, err := spantree.Decode(wire.NewReader(view.NeighborResponses[0][u]), s.n)
+			advice := make([]spantree.Advice, 0, nbrCap)
+			for j := range view.Neighbors {
+				na, err := spantree.Decode(wire.NewReader(view.NeighborResponses[0][j]), s.n)
 				if err != nil {
 					return false
 				}
-				neighbors[u] = na
+				advice = append(advice, na)
 			}
-			return spantree.VerifyLocal(v, mine, neighbors, view.HasNeighbor)
+			return spantree.VerifyLocal(v, mine, view.Neighbors, advice)
 		},
 	}
 }

@@ -109,8 +109,8 @@ func (s *SymRPLS) decide(v int, view *network.NodeView) bool {
 	// Neighbor agreement via fingerprints: evaluate each neighbor's seed
 	// on OUR advice and compare with the neighbor's fingerprint of theirs.
 	width := wire.WidthForBig(s.p)
-	for _, u := range view.Neighbors {
-		r := wire.NewReader(view.NeighborResponses[0][u])
+	for j := range view.Neighbors {
+		r := wire.NewReader(view.NeighborResponses[0][j])
 		seed, err := r.ReadBig(width)
 		if err != nil || seed.Cmp(s.p) >= 0 {
 			return false

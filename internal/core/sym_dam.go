@@ -140,9 +140,9 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 	// the same ρ, echo and root exactly when its bits equal v's: the
 	// prefix is compared, and only the unicast suffix is decoded.
 	k := s.broadcastBits()
-	nbrs := make(map[int]symShare, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nm := view.NeighborResponses[0][u]
+	nbrs := make([]symShare, 0, nbrCap)
+	for j, u := range view.Neighbors {
+		nm := view.NeighborResponses[0][j]
 		if !wire.SamePrefix(nm, mine, k) {
 			return false
 		}
@@ -152,7 +152,7 @@ func (s *SymDAM) decide(v int, view *network.NodeView) bool {
 		if r.done() != nil {
 			return false
 		}
-		nbrs[u] = symShare{tree: tree, image: msg.rho[u], a: a, b: b}
+		nbrs = append(nbrs, symShare{tree: tree, image: msg.rho[u], a: a, b: b})
 	}
 	own := symShare{tree: msg.tree, image: msg.rho[v], a: msg.a, b: msg.b}
 	return s.verify(v, msg.root, msg.echo, own, nbrs, view)

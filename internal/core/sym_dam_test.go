@@ -22,13 +22,13 @@ func referenceSymDAMDecide(s *SymDAM, v int, view *network.NodeView) bool {
 	if err != nil {
 		return false
 	}
-	nbrs := make(map[int]symShare, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nm, err := s.decode(view.NeighborResponses[0][u])
+	nbrs := make([]symShare, len(view.Neighbors))
+	for j, u := range view.Neighbors {
+		nm, err := s.decode(view.NeighborResponses[0][j])
 		if err != nil || nm.root != msg.root || nm.echo.Cmp(msg.echo) != 0 || !slices.Equal(nm.rho, msg.rho) {
 			return false
 		}
-		nbrs[u] = symShare{tree: nm.tree, image: msg.rho[u], a: nm.a, b: nm.b}
+		nbrs[j] = symShare{tree: nm.tree, image: msg.rho[u], a: nm.a, b: nm.b}
 	}
 	own := symShare{tree: msg.tree, image: msg.rho[v], a: msg.a, b: msg.b}
 	return s.verify(v, msg.root, msg.echo, own, nbrs, view)
@@ -86,15 +86,16 @@ func TestSymDAMBroadcastCheckMatchesDecodeRule(t *testing.T) {
 	}
 	msgs := resp.PerNode
 	view := func(v int) *network.NodeView {
-		nbr := make(map[int]wire.Message)
-		for _, u := range g.Neighbors(v) {
-			nbr[u] = msgs[u]
+		nbrs := g.Neighbors(v)
+		copies := make([]wire.Message, len(nbrs))
+		for j, u := range nbrs {
+			copies[j] = msgs[u]
 		}
 		return &network.NodeView{
-			V: v, NumVertices: n, Neighbors: g.Neighbors(v),
+			V: v, NumVertices: n, Neighbors: nbrs,
 			MyChallenges:      []wire.Message{challenges[v]},
 			Responses:         []wire.Message{msgs[v]},
-			NeighborResponses: []map[int]wire.Message{nbr},
+			NeighborResponses: [][]wire.Message{copies},
 		}
 	}
 	verdicts := map[bool]int{}
@@ -103,16 +104,16 @@ func TestSymDAMBroadcastCheckMatchesDecodeRule(t *testing.T) {
 		if !s.decide(v, nv) || !referenceSymDAMDecide(s, v, nv) {
 			t.Fatalf("node %d rejects the honest run", v)
 		}
-		for _, u := range nv.Neighbors {
+		for j, u := range nv.Neighbors {
 			for k, m := range messageVariants(msgs[u]) {
-				nv.NeighborResponses[0][u] = m
+				nv.NeighborResponses[0][j] = m
 				got, want := s.decide(v, nv), referenceSymDAMDecide(s, v, nv)
 				if got != want {
 					t.Fatalf("node %d, neighbor %d, variant %d (%d bits): decide = %v, reference %v", v, u, k, m.Bits, got, want)
 				}
 				verdicts[got]++
 			}
-			nv.NeighborResponses[0][u] = msgs[u]
+			nv.NeighborResponses[0][j] = msgs[u]
 		}
 	}
 	// Flips in a non-child's a and b, and in padding, leave the node

@@ -113,17 +113,17 @@ func (s *SymDMAM) decide(v int, view *network.NodeView) bool {
 	// same echoed index. Node v learns the images ρ(u) of its neighbors
 	// from their first-round messages (Definition 1: v sees the responses
 	// of N(v)).
-	nbrs := make(map[int]symShare, len(view.Neighbors))
-	for _, u := range view.Neighbors {
-		nf, err := s.decodeFirst(view.NeighborResponses[0][u])
+	nbrs := make([]symShare, 0, nbrCap)
+	for j := range view.Neighbors {
+		nf, err := s.decodeFirst(view.NeighborResponses[0][j])
 		if err != nil || nf.root != first.root {
 			return false
 		}
-		ns, err := s.decodeSecond(view.NeighborResponses[1][u])
+		ns, err := s.decodeSecond(view.NeighborResponses[1][j])
 		if err != nil || ns.echo.Cmp(second.echo) != 0 {
 			return false
 		}
-		nbrs[u] = symShare{tree: nf.tree, image: nf.rho, a: ns.a, b: ns.b}
+		nbrs = append(nbrs, symShare{tree: nf.tree, image: nf.rho, a: ns.a, b: ns.b})
 	}
 	own := symShare{tree: first.tree, image: first.rho, a: second.a, b: second.b}
 	return s.verify(v, first.root, second.echo, own, nbrs, view)

@@ -148,19 +148,19 @@ type symShare struct {
 }
 
 // verify runs Lines 1–4 of Protocol 1 at node v on its own share and its
-// neighbors' (keyed by vertex), under the echoed hash index i and the
-// broadcast root r:
+// neighbors' (nbrs[j] is view.Neighbors[j]'s), under the echoed hash index
+// i and the broadcast root r:
 //
 //	Line 1   the spanning-tree check, which yields C(v) = {u ∈ N(v) : t_u = v}
 //	Line 3a  a_v = h_i([v, N(v)]) + Σ_{u∈C(v)} a_u
 //	Line 3b  b_v = h_i([ρ(v), ρ(N(v))]) + Σ_{u∈C(v)} b_u
 //	Line 4   at the root: a_r = b_r, ρ(r) ≠ r, and i is the root's own i_r
-func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]symShare, view *network.NodeView) bool {
-	tree := make(map[int]spantree.Advice, len(nbrs))
-	for u, sh := range nbrs {
-		tree[u] = sh.tree
+func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs []symShare, view *network.NodeView) bool {
+	trees := make([]spantree.Advice, 0, nbrCap)
+	for _, sh := range nbrs {
+		trees = append(trees, sh.tree)
 	}
-	children, ok := treeChildren(v, own.tree, tree, view)
+	children, ok := treeChildren(v, own.tree, trees, view)
 	if !ok {
 		return false
 	}
@@ -172,8 +172,8 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]sy
 		row.Add(u)
 	}
 	a := tab.Hash(v, row)
-	for _, u := range children {
-		a = kit.family.AddModInto(a, nbrs[u].a)
+	for _, j := range children {
+		a = kit.family.AddModInto(a, nbrs[j].a)
 	}
 	if a.Cmp(own.a) != 0 {
 		return false
@@ -185,8 +185,8 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs map[int]sy
 		row.Add(sh.image)
 	}
 	b := tab.Hash(own.image, row)
-	for _, u := range children {
-		b = kit.family.AddModInto(b, nbrs[u].b)
+	for _, j := range children {
+		b = kit.family.AddModInto(b, nbrs[j].b)
 	}
 	if b.Cmp(own.b) != 0 {
 		return false

@@ -47,19 +47,19 @@ func playNetworked(s *runState, t Transport) *RunError {
 	// absorbed state corruption.
 	seen := make([]bool, n)
 	for _, st := range s.script.steps {
-		if rerr := s.checkCancel(st.ri); rerr != nil {
+		if rerr := s.checkCancel(st.Round); rerr != nil {
 			return rerr
 		}
-		switch st.kind {
+		switch st.Kind {
 		case StepChallenge:
-			row := s.chalRows[st.arthur*n : (st.arthur+1)*n]
+			row := s.chalRows[st.Arthur*n : (st.Arthur+1)*n]
 			clearSeen(seen)
 			for i := 0; i < n; i++ {
-				v, c, rerr := t.RecvChallenge(st.ri)
+				v, c, rerr := t.RecvChallenge(st.Round)
 				if rerr != nil {
 					return rerr
 				}
-				if rerr := claimNode(s, st.ri, seen, v, "challenge"); rerr != nil {
+				if rerr := claimNode(s, st.Round, seen, v, "challenge"); rerr != nil {
 					return rerr
 				}
 				row[v] = c
@@ -68,7 +68,7 @@ func playNetworked(s *runState, t Transport) *RunError {
 			// executors share. (The challenge plane has no corruption hook,
 			// so deliver returns the message unchanged.)
 			for v := 0; v < n; v++ {
-				m, rerr := s.deliver(planeChallenge, st.ri, v, -1, row[v])
+				m, rerr := s.deliver(planeChallenge, st.Round, v, -1, row[v])
 				if rerr != nil {
 					return rerr
 				}
@@ -78,17 +78,17 @@ func playNetworked(s *runState, t Transport) *RunError {
 			s.recordRound(Arthur, row)
 
 		case StepRespond:
-			resp, rerr := s.callRespond(st.ri, st.merlin)
+			resp, rerr := s.callRespond(st.Round, st.Merlin)
 			if rerr != nil {
 				return rerr
 			}
 			for v := 0; v < n; v++ {
-				m, rerr := s.deliver(planeResponse, st.ri, -1, v, resp.PerNode[v])
+				m, rerr := s.deliver(planeResponse, st.Round, -1, v, resp.PerNode[v])
 				if rerr != nil {
 					return rerr
 				}
 				s.delivered[v] = m
-				if rerr := t.SendResponse(st.ri, v, m); rerr != nil {
+				if rerr := t.SendResponse(st.Round, v, m); rerr != nil {
 					return rerr
 				}
 			}
@@ -102,16 +102,16 @@ func playNetworked(s *runState, t Transport) *RunError {
 			// draw must happen on the node's host) and reports it before
 			// any delivery.
 			var msgs []wire.Message
-			if st.chal {
-				msgs = s.chalRows[st.arthur*n : (st.arthur+1)*n]
-			} else if s.spec.Rounds[st.ri].Digest != nil {
+			if st.Chal {
+				msgs = s.chalRows[st.Arthur*n : (st.Arthur+1)*n]
+			} else if s.spec.Rounds[st.Round].Digest != nil {
 				clearSeen(seen)
 				for i := 0; i < n; i++ {
-					v, f, rerr := t.RecvForward(st.ri)
+					v, f, rerr := t.RecvForward(st.Round)
 					if rerr != nil {
 						return rerr
 					}
-					if rerr := claimNode(s, st.ri, seen, v, "forward"); rerr != nil {
+					if rerr := claimNode(s, st.Round, seen, v, "forward"); rerr != nil {
 						return rerr
 					}
 					s.forwards[v] = f
@@ -124,8 +124,8 @@ func playNetworked(s *runState, t Transport) *RunError {
 				for _, u := range s.nbrs[v] {
 					// u→v delivery: u is charged for its honest copy, v's
 					// host receives the (possibly corrupted) one.
-					m, _ := s.deliver(planeExchange, st.ri, u, v, msgs[u])
-					if rerr := t.SendExchange(st.ri, u, v, st.chal, m); rerr != nil {
+					m, _ := s.deliver(planeExchange, st.Round, u, v, msgs[u])
+					if rerr := t.SendExchange(st.Round, u, v, st.Chal, m); rerr != nil {
 						return rerr
 					}
 				}

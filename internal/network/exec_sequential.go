@@ -8,19 +8,20 @@ import "dip/internal/wire"
 // executor or host runs it.
 func runSequential(s *runState) *RunError {
 	n := s.n
+	ex := 0 // exchanges played so far
 	for _, st := range s.script.steps {
-		if rerr := s.checkCancel(st.ri); rerr != nil {
+		if rerr := s.checkCancel(st.Round); rerr != nil {
 			return rerr
 		}
-		switch st.kind {
+		switch st.Kind {
 		case StepChallenge:
-			row := s.chalRows[st.arthur*n : (st.arthur+1)*n]
+			row := s.chalRows[st.Arthur*n : (st.Arthur+1)*n]
 			for v := 0; v < n; v++ {
-				c, rerr := s.nodeChallenge(st.ri, v)
+				c, rerr := s.nodeChallenge(st.Round, v)
 				if rerr != nil {
 					return rerr
 				}
-				m, rerr := s.deliver(planeChallenge, st.ri, v, -1, c)
+				m, rerr := s.deliver(planeChallenge, st.Round, v, -1, c)
 				if rerr != nil {
 					return rerr
 				}
@@ -30,12 +31,12 @@ func runSequential(s *runState) *RunError {
 			s.recordRound(Arthur, row)
 
 		case StepRespond:
-			resp, rerr := s.callRespond(st.ri, st.merlin)
+			resp, rerr := s.callRespond(st.Round, st.Merlin)
 			if rerr != nil {
 				return rerr
 			}
 			for v := 0; v < n; v++ {
-				m, rerr := s.deliver(planeResponse, st.ri, -1, v, resp.PerNode[v])
+				m, rerr := s.deliver(planeResponse, st.Round, -1, v, resp.PerNode[v])
 				if rerr != nil {
 					return rerr
 				}
@@ -50,11 +51,11 @@ func runSequential(s *runState) *RunError {
 			// node RNGs, so they run for all nodes (ascending) before any
 			// delivery.
 			var msgs []wire.Message
-			if st.chal {
-				msgs = s.chalRows[st.arthur*n : (st.arthur+1)*n]
-			} else if s.spec.Rounds[st.ri].Digest != nil {
+			if st.Chal {
+				msgs = s.chalRows[st.Arthur*n : (st.Arthur+1)*n]
+			} else if s.spec.Rounds[st.Round].Digest != nil {
 				for v := 0; v < n; v++ {
-					f, rerr := s.nodeForward(st.ri, v, s.delivered[v])
+					f, rerr := s.nodeForward(st.Round, v, s.delivered[v])
 					if rerr != nil {
 						return rerr
 					}
@@ -64,21 +65,19 @@ func runSequential(s *runState) *RunError {
 			} else {
 				msgs = s.delivered
 			}
+			// Node v's copies land in this exchange's region of exBack,
+			// carved by adjOff: slot j holds the copy from s.nbrs[v][j].
+			base := ex * len(s.adjFlat)
+			ex++
 			for v := 0; v < n; v++ {
-				deg := len(s.nbrs[v])
-				var got map[int]wire.Message
-				if st.chal {
-					got = takeMap(s.nbrChalBack, v*s.script.nA+len(s.views[v].NeighborChallenges), deg)
-				} else {
-					got = takeMap(s.nbrRespBack, v*s.script.nM+len(s.views[v].NeighborResponses), deg)
-				}
-				for _, u := range s.nbrs[v] {
+				lo, hi := base+s.adjOff[v], base+s.adjOff[v+1]
+				got := s.exBack[lo:hi:hi]
+				for j, u := range s.nbrs[v] {
 					// u→v delivery: u is charged for its honest copy, v
 					// receives the (possibly corrupted) one.
-					m, _ := s.deliver(planeExchange, st.ri, u, v, msgs[u])
-					got[u] = m
+					got[j], _ = s.deliver(planeExchange, st.Round, u, v, msgs[u])
 				}
-				if st.chal {
+				if st.Chal {
 					s.views[v].NeighborChallenges = append(s.views[v].NeighborChallenges, got)
 				} else {
 					s.views[v].NeighborResponses = append(s.views[v].NeighborResponses, got)

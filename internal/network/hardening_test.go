@@ -298,6 +298,30 @@ func TestCorruptExchangeBothEngines(t *testing.T) {
 				v, seq.Cost.NodeToNode[v], clean.Cost.NodeToNode[v])
 		}
 	}
+
+	// Rewriting only the copy of a's digest that b receives must fail b
+	// alone: every node checks each neighbor slot against its sender.
+	const a, b = 9, 2
+	one := func(round, from, to int, m wire.Message) wire.Message {
+		if from != a || to != b || m.Bits == 0 {
+			return m
+		}
+		out := wire.Message{Data: append([]byte(nil), m.Data...), Bits: m.Bits}
+		out.Data[0] ^= 0xFF
+		return out
+	}
+	for _, tr := range []Transport{nil, &loopTransport{}} {
+		res, err := Run(digestSpec(), starPath(), nil, echoProver{},
+			Options{Seed: 5, CorruptExchange: one, Transport: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v, d := range res.Decisions {
+			if d == (v == b) {
+				t.Fatalf("transport %T: node %d decided %v with only the copy %d→%d rewritten", tr, v, d, a, b)
+			}
+		}
+	}
 }
 
 // TestRunErrorFormat pins the attribution rendering.

@@ -12,7 +12,9 @@
 // exchange: honest provers send everyone the same value and the verifiers
 // reject when a neighbor's copy differs, which is precisely the paper's
 // semantics (a cheating prover is free to send different "broadcast" values
-// and must be caught).
+// and must be caught). A node's view holds its neighbors' copies by
+// position in its ascending neighbor list, the one order in which every
+// executor, Transport and peer batch delivers them.
 //
 // The engine is layered (one file per layer):
 //
@@ -176,30 +178,22 @@ type NodeView struct {
 
 	// MyChallenges[k] is the challenge v sent in the k-th Arthur round.
 	MyChallenges []wire.Message
-	// NeighborChallenges[k][u] is neighbor u's k-th challenge; populated
-	// only when Spec.ShareChallenges is set.
-	NeighborChallenges []map[int]wire.Message
+	// NeighborChallenges[k][j] is the k-th challenge of neighbor
+	// Neighbors[j]; populated only when Spec.ShareChallenges is set.
+	NeighborChallenges [][]wire.Message
 	// Responses[k] is the prover's message to v in the k-th Merlin round.
 	Responses []wire.Message
-	// NeighborResponses[k][u] is the prover's k-th Merlin-round message to
-	// neighbor u, as forwarded by u.
-	NeighborResponses []map[int]wire.Message
+	// NeighborResponses[k][j] is what neighbor Neighbors[j] forwarded
+	// after the k-th Merlin round: the prover's message to it, or its
+	// Digest when the round defines one. Every neighbor row is indexed
+	// like Neighbors, the order in which the Transport delivers it.
+	NeighborResponses [][]wire.Message
 
 	// Memo is the run's memo on the host playing this node, shared with
 	// every other node it plays in the run (nil when the host keeps none).
 	// It only caches pure functions of the instance and a full key, so
 	// it widens no node's view; see Memo.
 	Memo *Memo
-}
-
-// HasNeighbor reports whether u is a neighbor of this node.
-func (nv *NodeView) HasNeighbor(u int) bool {
-	for _, w := range nv.Neighbors {
-		if w == u {
-			return true
-		}
-	}
-	return false
 }
 
 // Result is the outcome of one protocol run. Results are freshly

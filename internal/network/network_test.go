@@ -31,6 +31,51 @@ func challengeRound(bits int) Round {
 	}}
 }
 
+// fromNeighbors reports whether copies holds one message per neighbor
+// and copies[j] opens with the id byte of view.Neighbors[j]: the position
+// contract of NodeView's neighbor rows.
+func fromNeighbors(view *NodeView, copies []wire.Message) bool {
+	if len(copies) != len(view.Neighbors) {
+		return false
+	}
+	for j, u := range view.Neighbors {
+		if c := copies[j]; c.Bits < 8 || c.Data[0] != byte(u) {
+			return false
+		}
+	}
+	return true
+}
+
+// shareSpec shares each node's challenge, its id byte and a random byte,
+// with its neighbors; a node accepts iff every neighbor slot holds that
+// neighbor's challenge.
+func shareSpec() *Spec {
+	return &Spec{
+		Name:            "share-ids",
+		ShareChallenges: true,
+		Rounds: []Round{{Kind: Arthur, Challenge: func(v int, rng *rand.Rand, _ *NodeView) wire.Message {
+			var w wire.Writer
+			w.WriteInt(v, 8)
+			w.WriteUint(rng.Uint64()&0xFF, 8)
+			return w.Message()
+		}}, {Kind: Merlin}},
+		Decide: func(v int, view *NodeView) bool {
+			return fromNeighbors(view, view.NeighborChallenges[0])
+		},
+	}
+}
+
+// starPath is a star joined to a path: centre 2 with leaves 0, 5, 7 and
+// 9, and the path 9–1–8–3–6–4, so degrees are uneven and no neighbor list
+// is a run of consecutive ids.
+func starPath() *graph.Graph {
+	g := graph.New(10)
+	for _, e := range [][2]int{{2, 0}, {2, 5}, {2, 7}, {2, 9}, {9, 1}, {1, 8}, {8, 3}, {3, 6}, {6, 4}} {
+		g.AddEdge(e[0], e[1])
+	}
+	return g
+}
+
 func echoSpec(bits int) *Spec {
 	return &Spec{
 		Name:   "echo",
@@ -138,8 +183,7 @@ func broadcastSpec() *Spec {
 		Rounds: []Round{{Kind: Merlin}},
 		Decide: func(v int, view *NodeView) bool {
 			mine := view.Responses[0]
-			for _, u := range view.Neighbors {
-				other := view.NeighborResponses[0][u]
+			for _, other := range view.NeighborResponses[0] {
 				if other.Bits != mine.Bits {
 					return false
 				}
@@ -392,13 +436,6 @@ func TestInputsDelivered(t *testing.T) {
 	}
 }
 
-func TestHasNeighbor(t *testing.T) {
-	nv := &NodeView{Neighbors: []int{1, 4}}
-	if !nv.HasNeighbor(4) || nv.HasNeighbor(2) {
-		t.Fatal("HasNeighbor wrong")
-	}
-}
-
 func TestKindString(t *testing.T) {
 	if Arthur.String() != "Arthur" || Merlin.String() != "Merlin" {
 		t.Fatal("Kind strings wrong")
@@ -426,13 +463,8 @@ func TestDigestReplacesNeighborExchange(t *testing.T) {
 			if view.Responses[0].Bits != 64 {
 				return false // own response must be the full message
 			}
-			for u, d := range view.NeighborResponses[0] {
-				got, err := wire.NewReader(d).ReadInt(8)
-				if err != nil || got != u {
-					return false // neighbor message must be u's digest
-				}
-			}
-			return true
+			// every neighbor slot must hold that neighbor's digest
+			return fromNeighbors(view, view.NeighborResponses[0])
 		},
 	}
 	big64 := proverFunc(func(int, *ProverView) (*Response, error) {

@@ -74,9 +74,9 @@ func (ns *NodeState) ExchangeOut(st ScheduleStep) (wire.Message, *RunError) {
 }
 
 // PushExchange records the post-funnel copies received from the node's
-// neighbors for exchange step st. got is keyed by sender and must hold one
-// entry per neighbor; the NodeState retains it.
-func (ns *NodeState) PushExchange(st ScheduleStep, got map[int]wire.Message) {
+// neighbors for exchange step st. got[j] is the copy from the node's j-th
+// neighbor, one entry per neighbor; the NodeState retains it.
+func (ns *NodeState) PushExchange(st ScheduleStep, got []wire.Message) {
 	if st.Chal {
 		ns.view.NeighborChallenges = append(ns.view.NeighborChallenges, got)
 	} else {

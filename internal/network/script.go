@@ -34,26 +34,26 @@ const (
 	StepDecide
 )
 
-// step is one entry of the compiled schedule.
-type step struct {
-	kind StepKind
-	// ri is the spec round index the step belongs to (-1 for StepDecide);
-	// it is the round coordinate of cost attribution and of the exchange
-	// plane's corruption hook.
-	ri int
-	// merlin is the Merlin-round counter for StepRespond.
-	merlin int
-	// arthur is the Arthur-round counter for StepChallenge and for
-	// challenge exchanges (it selects the pooled challenge row / map slot).
-	arthur int
-	// chal marks a StepExchange that exchanges Arthur challenges
-	// (Spec.ShareChallenges) rather than Merlin responses.
-	chal bool
+// ScheduleStep is one step of the compiled schedule: everything an
+// executor, or a node host outside this process, needs to play its half of
+// the step. Round is the spec round index (-1 for the decide step); it is
+// the round coordinate of cost attribution and of the exchange plane's
+// corruption hook. Merlin is the Merlin-round counter of a StepRespond;
+// Arthur is the Arthur-round counter of a StepChallenge and of a challenge
+// exchange (it selects the challenge row). Chal marks an exchange that
+// shares Arthur challenges (Spec.ShareChallenges) rather than Merlin
+// responses.
+type ScheduleStep struct {
+	Kind   StepKind
+	Round  int
+	Merlin int
+	Arthur int
+	Chal   bool
 }
 
 // script is the compiled synchronous schedule of one run.
 type script struct {
-	steps []step
+	steps []ScheduleStep
 	// merlinOf[ri] is the Merlin-round counter of spec round ri, or -1 for
 	// Arthur rounds; it converts the funnel's spec-round coordinate into
 	// the Corruptor contract's Merlin-round coordinate.
@@ -72,53 +72,36 @@ func (sc *script) compile(spec *Spec) {
 	for ri, r := range spec.Rounds {
 		switch r.Kind {
 		case Arthur:
-			sc.steps = append(sc.steps, step{kind: StepChallenge, ri: ri, arthur: sc.nA})
+			sc.steps = append(sc.steps, ScheduleStep{Kind: StepChallenge, Round: ri, Arthur: sc.nA})
 			sc.merlinOf = append(sc.merlinOf, -1)
 			if spec.ShareChallenges {
-				sc.steps = append(sc.steps, step{kind: StepExchange, ri: ri, arthur: sc.nA, chal: true})
+				sc.steps = append(sc.steps, ScheduleStep{Kind: StepExchange, Round: ri, Arthur: sc.nA, Chal: true})
 				sc.nEx++
 			}
 			sc.nA++
 		case Merlin:
-			sc.steps = append(sc.steps, step{kind: StepRespond, ri: ri, merlin: sc.nM})
+			sc.steps = append(sc.steps, ScheduleStep{Kind: StepRespond, Round: ri, Merlin: sc.nM})
 			sc.merlinOf = append(sc.merlinOf, sc.nM)
-			sc.steps = append(sc.steps, step{kind: StepExchange, ri: ri})
+			sc.steps = append(sc.steps, ScheduleStep{Kind: StepExchange, Round: ri})
 			sc.nEx++
 			sc.nM++
 		}
 	}
-	sc.steps = append(sc.steps, step{kind: StepDecide, ri: -1})
+	sc.steps = append(sc.steps, ScheduleStep{Kind: StepDecide, Round: -1})
 }
 
-// ScheduleStep is the exported projection of one compiled step: everything
-// a node host outside this process needs to play its half of the step.
-// Round is the spec round index (-1 for the decide step); Merlin and
-// Arthur are the respective round counters (selecting challenge rows and
-// response slots); Chal marks an exchange that shares Arthur challenges
-// (Spec.ShareChallenges) rather than Merlin responses.
-type ScheduleStep struct {
-	Kind   StepKind
-	Round  int
-	Merlin int
-	Arthur int
-	Chal   bool
-}
-
-// Schedule compiles spec's synchronous schedule into its exported form.
-// Remote node hosts (internal/peer) walk this exact step list alongside
-// the coordinator's networked executor; because both sides derive it from
-// the same Spec, no schedule negotiation happens on the wire.
+// Schedule compiles spec's synchronous schedule into a step list of the
+// caller's own. Remote node hosts (internal/peer) walk this exact step
+// list alongside the coordinator's networked executor; because both sides
+// derive it from the same Spec, no schedule negotiation happens on the
+// wire.
 func Schedule(spec *Spec) ([]ScheduleStep, error) {
 	if _, err := validateSpec(spec); err != nil {
 		return nil, err
 	}
 	var sc script
 	sc.compile(spec)
-	out := make([]ScheduleStep, len(sc.steps))
-	for i, st := range sc.steps {
-		out[i] = ScheduleStep{Kind: st.kind, Round: st.ri, Merlin: st.merlin, Arthur: st.arthur, Chal: st.chal}
-	}
-	return out, nil
+	return sc.steps, nil
 }
 
 // The helpers below are the per-node halves of the script's steps. They
@@ -198,15 +181,4 @@ func (s *runState) recordRound(kind Kind, perNode []wire.Message) {
 	rec := make([]wire.Message, len(perNode))
 	copy(rec, perNode)
 	s.transcript.Rounds = append(s.transcript.Rounds, TranscriptRound{Kind: kind, PerNode: rec})
-}
-
-// takeMap returns the pooled exchange map at back[slot], allocating it on
-// first use. Maps are cleared on release, so a reused map is empty here.
-func takeMap(back []map[int]wire.Message, slot, deg int) map[int]wire.Message {
-	m := back[slot]
-	if m == nil {
-		m = make(map[int]wire.Message, deg)
-		back[slot] = m
-	}
-	return m
 }

@@ -71,6 +71,8 @@ func resultsIdentical(t *testing.T, label string, a, b *Result) {
 }
 
 // digestSpec exercises the Digest hook and multi-round RNG consumption.
+// A digest is the node's id byte and a random byte, so a node accepts
+// only if every neighbor slot holds that neighbor's digest.
 func digestSpec() *Spec {
 	return &Spec{
 		Name: "seq-digest",
@@ -78,6 +80,7 @@ func digestSpec() *Spec {
 			challengeRound(16),
 			{Kind: Merlin, Digest: func(v int, rng *rand.Rand, m wire.Message) wire.Message {
 				var w wire.Writer
+				w.WriteInt(v, 8)
 				w.WriteUint(rng.Uint64()&0xFF, 8)
 				return w.Message()
 			}},
@@ -85,8 +88,8 @@ func digestSpec() *Spec {
 			{Kind: Merlin},
 		},
 		Decide: func(v int, view *NodeView) bool {
-			return len(view.Responses) == 2 &&
-				len(view.NeighborResponses[0]) == len(view.Neighbors)
+			return len(view.Responses) == 2 && fromNeighbors(view, view.NeighborResponses[0]) &&
+				len(view.NeighborResponses[1]) == len(view.Neighbors)
 		},
 	}
 }
@@ -105,9 +108,10 @@ type goTransport struct {
 	// chalCur, fwdCur and decCur count the Recv* calls of each collect
 	// phase; the first call of a phase fans the step out to every node.
 	chalCur, fwdCur, decCur int
-	// pending accumulates exchange deliveries per receiver until the
-	// receiver's neighbor set is complete.
-	pending map[int]map[int]wire.Message
+	// pending accumulates exchange deliveries per receiver, in the
+	// Transport contract's sender order, until the receiver's neighbor row
+	// is complete.
+	pending [][]wire.Message
 	degrees []int
 	ended   bool
 	failure *RunError
@@ -145,7 +149,7 @@ func (gt *goTransport) Begin(run *TransportRun) *RunError {
 		gt.degrees[v] = len(nbrs)
 	}
 	gt.n = run.N
-	gt.pending = make(map[int]map[int]wire.Message)
+	gt.pending = make([][]wire.Message, run.N)
 	// At most one reply per node is outstanding, so hosts never block on
 	// replies, even when the executor aborts mid-phase.
 	gt.replies = make(chan nodeReply, run.N)
@@ -199,16 +203,12 @@ func (gt *goTransport) RecvForward(ri int) (int, wire.Message, *RunError) {
 }
 
 func (gt *goTransport) SendExchange(ri, from, to int, chal bool, m wire.Message) *RunError {
-	got := gt.pending[to]
-	if got == nil {
-		got = make(map[int]wire.Message, gt.degrees[to])
-		gt.pending[to] = got
-	}
-	got[from] = cloneMessage(m)
+	got := append(gt.pending[to], cloneMessage(m))
+	gt.pending[to] = got
 	if len(got) == gt.degrees[to] {
 		st := ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}
 		gt.inbox[to] <- func(ns *NodeState) { ns.PushExchange(st, got) }
-		delete(gt.pending, to)
+		gt.pending[to] = nil
 	}
 	return nil
 }
@@ -244,33 +244,29 @@ func TestSequentialMatchesConcurrent(t *testing.T) {
 		out.Data[0] ^= 0x80
 		return out
 	}
-	shareSpec := &Spec{
-		Name:            "seq-share",
-		ShareChallenges: true,
-		Rounds:          []Round{challengeRound(8), {Kind: Merlin}},
-		Decide: func(v int, view *NodeView) bool {
-			return len(view.NeighborChallenges[0]) == len(view.Neighbors)
-		},
-	}
 	cases := []struct {
 		name   string
 		spec   *Spec
 		g      *graph.Graph
 		prover Prover
 		opts   Options
+		accept bool
 	}{
-		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}},
-		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}},
+		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}, true},
+		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}, true},
 		{"echo-path-transcript", echoSpec(24), graph.Path(6), echoProver{},
-			Options{Seed: 3, RecordTranscript: true}},
-		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}},
-		{"broadcast-liar", broadcastSpec(), graph.Path(5), broadcastProver{liar: 2}, Options{Seed: 5}},
+			Options{Seed: 3, RecordTranscript: true}, true},
+		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}, false},
+		{"broadcast-liar", broadcastSpec(), graph.Path(5), broadcastProver{liar: 2}, Options{Seed: 5}, false},
 		{"corrupted", echoSpec(16), graph.Cycle(6), echoProver{},
-			Options{Seed: 6, Corrupt: corrupt, RecordTranscript: true}},
-		{"share-challenges", shareSpec, graph.Path(4), echoProver{}, Options{Seed: 7}},
+			Options{Seed: 6, Corrupt: corrupt, RecordTranscript: true}, false},
+		{"share-challenges", shareSpec(), graph.Path(4), echoProver{}, Options{Seed: 7}, true},
+		{"share-star-path", shareSpec(), starPath(), echoProver{}, Options{Seed: 10}, true},
 		{"digest-amam", digestSpec(), graph.Cycle(8), echoProver{},
-			Options{Seed: 8, RecordTranscript: true}},
-		{"single-node", echoSpec(8), graph.New(1), echoProver{}, Options{Seed: 9}},
+			Options{Seed: 8, RecordTranscript: true}, true},
+		{"digest-star-path", digestSpec(), starPath(), echoProver{},
+			Options{Seed: 11, RecordTranscript: true}, true},
+		{"single-node", echoSpec(8), graph.New(1), echoProver{}, Options{Seed: 9}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -280,6 +276,9 @@ func TestSequentialMatchesConcurrent(t *testing.T) {
 				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if seqRes.Accepted != tc.accept {
+					t.Fatalf("seed %d: accepted %v, want %v: %v", opts.Seed, seqRes.Accepted, tc.accept, seqRes.Decisions)
 				}
 				gt := &goTransport{}
 				conOpts := opts

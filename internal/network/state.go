@@ -13,7 +13,7 @@ import (
 // a single pooled object. The experiment harness executes hundreds of
 // trials per cell (experiments.RunTrials), and before this layer existed
 // every trial re-allocated its node views, view backing arrays, RNGs,
-// exchange maps, and adjacency snapshot from scratch. A runState keeps all
+// exchange buffers, and adjacency snapshot from scratch. A runState keeps all
 // of that and is reused through an explicit free list.
 //
 // What is pooled and what is not follows one rule: anything reachable from
@@ -21,7 +21,7 @@ import (
 // Decisions, the Transcript and its rows), because callers retain results
 // — experiments.TrialStats.Sample is read long after its trial finished.
 // Everything only reachable during the run (views, RNG state, exchange
-// maps, scratch rows, the ProverView's challenge rows) is pooled.
+// copies, scratch rows, the ProverView's challenge rows) is pooled.
 //
 // The free list is a plain mutex-guarded LIFO with a fixed cap rather than
 // a sync.Pool: sync.Pool empties on GC, which would make the engine's
@@ -73,8 +73,13 @@ type runState struct {
 	rngs        []*rand.Rand
 	myBack      []wire.Message
 	respBack    []wire.Message
-	nbrRespBack []map[int]wire.Message
-	nbrChalBack []map[int]wire.Message
+	nbrRespRows [][]wire.Message
+	nbrChalRows [][]wire.Message
+
+	// exBack holds every exchange's copies: exchange k's region is
+	// exBack[k*len(adjFlat):], carved per receiver by adjOff, so a view's
+	// neighbor row is positional like the adjacency snapshot.
+	exBack []wire.Message
 
 	// Scratch rows for the driver side of a Merlin round: the delivered
 	// (post-corruption) messages and their digests.
@@ -189,27 +194,28 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 	// Adjacency snapshot: offsets first (appending may reallocate
 	// adjFlat), then the capacity-clipped per-node headers.
 	s.adjFlat = s.adjFlat[:0]
-	s.adjOff = growInts(s.adjOff, n+1)
+	s.adjOff = grow(s.adjOff, n+1)
 	for v := 0; v < n; v++ {
 		s.adjOff[v] = len(s.adjFlat)
 		s.adjFlat = g.AppendNeighbors(v, s.adjFlat)
 	}
 	s.adjOff[n] = len(s.adjFlat)
-	s.nbrs = growRows(s.nbrs, n)
+	s.nbrs = grow(s.nbrs, n)
 	for v := 0; v < n; v++ {
 		lo, hi := s.adjOff[v], s.adjOff[v+1]
 		s.nbrs[v] = s.adjFlat[lo:hi:hi]
 	}
 
-	s.chalRows = growMessages(s.chalRows, n*nA)
-	s.myBack = growMessages(s.myBack, n*nA)
-	s.respBack = growMessages(s.respBack, n*nM)
-	s.nbrRespBack = growMaps(s.nbrRespBack, n*nM)
+	s.chalRows = grow(s.chalRows, n*nA)
+	s.myBack = grow(s.myBack, n*nA)
+	s.respBack = grow(s.respBack, n*nM)
+	s.nbrRespRows = grow(s.nbrRespRows, n*nM)
 	if spec.ShareChallenges {
-		s.nbrChalBack = growMaps(s.nbrChalBack, n*nA)
+		s.nbrChalRows = grow(s.nbrChalRows, n*nA)
 	}
-	s.delivered = growMessages(s.delivered, n)
-	s.forwards = growMessages(s.forwards, n)
+	s.exBack = grow(s.exBack, s.script.nEx*len(s.adjFlat))
+	s.delivered = grow(s.delivered, n)
+	s.forwards = grow(s.forwards, n)
 
 	s.pv.Graph = g
 	s.pv.Inputs = inputs
@@ -246,11 +252,11 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 			Neighbors:         s.nbrs[v],
 			MyChallenges:      s.myBack[v*nA : v*nA : (v+1)*nA],
 			Responses:         s.respBack[v*nM : v*nM : (v+1)*nM],
-			NeighborResponses: s.nbrRespBack[v*nM : v*nM : (v+1)*nM],
+			NeighborResponses: s.nbrRespRows[v*nM : v*nM : (v+1)*nM],
 			Memo:              &s.memo,
 		}
 		if spec.ShareChallenges {
-			s.views[v].NeighborChallenges = s.nbrChalBack[v*nA : v*nA : (v+1)*nA]
+			s.views[v].NeighborChallenges = s.nbrChalRows[v*nA : v*nA : (v+1)*nA]
 		}
 		if inputs != nil {
 			s.views[v].Input = inputs[v]
@@ -261,20 +267,21 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 // release returns the state to the pool after dropping every per-run
 // reference: caller data (spec, graph, prover, options with their
 // injector closures), the escaping pieces (cost, decisions, transcript),
-// the message headers and exchange-map entries of the finished run and
-// the memo's entries — a pooled state must not pin another run's
-// payloads alive, and the next run starts with an empty memo.
+// the message headers of the finished run and the memo's entries — a
+// pooled state must not pin another run's payloads alive, and the next
+// run starts with an empty memo.
 func (s *runState) release() {
 	if s.abandoned {
 		return // a timed-out prover goroutine may still hold this state
 	}
-	clearMessages(s.chalRows)
-	clearMessages(s.myBack)
-	clearMessages(s.respBack)
-	clearMessages(s.delivered)
-	clearMessages(s.forwards)
-	clearMaps(s.nbrRespBack)
-	clearMaps(s.nbrChalBack)
+	clear(s.chalRows)
+	clear(s.myBack)
+	clear(s.respBack)
+	clear(s.nbrRespRows)
+	clear(s.nbrChalRows)
+	clear(s.exBack)
+	clear(s.delivered)
+	clear(s.forwards)
 	s.memo.reset()
 	for i := range s.pv.Challenges {
 		s.pv.Challenges[i] = nil
@@ -320,48 +327,12 @@ func (s *runState) finish() *Result {
 	}
 }
 
-// The grow helpers resize a pooled slice to length n, reallocating only
-// when capacity is exhausted. Stale contents beyond a previous, shorter
-// run are unreachable (release zeroed them).
-
-func growInts(s []int, n int) []int {
+// grow resizes a pooled slice to length n, reallocating only when
+// capacity is exhausted. Stale contents beyond a previous, shorter run
+// are unreachable (release zeroed them).
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func growRows(s [][]int, n int) [][]int {
-	if cap(s) < n {
-		return make([][]int, n)
-	}
-	return s[:n]
-}
-
-func growMessages(s []wire.Message, n int) []wire.Message {
-	if cap(s) < n {
-		return make([]wire.Message, n)
-	}
-	return s[:n]
-}
-
-func growMaps(s []map[int]wire.Message, n int) []map[int]wire.Message {
-	if cap(s) < n {
-		return make([]map[int]wire.Message, n)
-	}
-	return s[:n]
-}
-
-func clearMessages(ms []wire.Message) {
-	for i := range ms {
-		ms[i] = wire.Message{}
-	}
-}
-
-func clearMaps(maps []map[int]wire.Message) {
-	for _, m := range maps {
-		if len(m) > 0 {
-			clear(m)
-		}
-	}
 }

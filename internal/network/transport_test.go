@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,9 +22,10 @@ type loopTransport struct {
 	// cursor walks each collect phase (challenges, forwards, decisions)
 	// once; the executor calls each Recv* exactly n times per phase.
 	chalCur, fwdCur, decCur int
-	// pending accumulates exchange deliveries per receiver until the
-	// receiver's neighbor set is complete.
-	pending map[int]map[int]wire.Message
+	// pending accumulates exchange deliveries per receiver, in the
+	// Transport contract's sender order, until the receiver's neighbor row
+	// is complete.
+	pending [][]wire.Message
 	degrees []int
 	ended   bool
 	failure *RunError
@@ -34,7 +36,7 @@ func (lt *loopTransport) Begin(run *TransportRun) *RunError {
 	memo := new(Memo) // one host: all its nodes share the run's memo
 	lt.nodes = make([]*NodeState, run.N)
 	lt.degrees = make([]int, run.N)
-	lt.pending = make(map[int]map[int]wire.Message)
+	lt.pending = make([][]wire.Message, run.N)
 	for v := 0; v < run.N; v++ {
 		var input wire.Message
 		if run.Inputs != nil {
@@ -79,15 +81,11 @@ func (lt *loopTransport) RecvForward(ri int) (int, wire.Message, *RunError) {
 }
 
 func (lt *loopTransport) SendExchange(ri, from, to int, chal bool, m wire.Message) *RunError {
-	got := lt.pending[to]
-	if got == nil {
-		got = make(map[int]wire.Message, lt.degrees[to])
-		lt.pending[to] = got
-	}
-	got[from] = m
+	got := append(lt.pending[to], m)
+	lt.pending[to] = got
 	if len(got) == lt.degrees[to] {
 		lt.nodes[to].PushExchange(ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}, got)
-		delete(lt.pending, to)
+		lt.pending[to] = nil
 	}
 	return nil
 }
@@ -124,35 +122,31 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 		out.Data[len(out.Data)-1] ^= 0x01
 		return out
 	}
-	shareSpec := &Spec{
-		Name:            "net-share",
-		ShareChallenges: true,
-		Rounds:          []Round{challengeRound(8), {Kind: Merlin}},
-		Decide: func(v int, view *NodeView) bool {
-			return len(view.NeighborChallenges[0]) == len(view.Neighbors)
-		},
-	}
 	cases := []struct {
 		name   string
 		spec   *Spec
 		g      *graph.Graph
 		prover Prover
 		opts   Options
+		accept bool
 	}{
-		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}},
-		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}},
+		{"echo-cycle", echoSpec(16), graph.Cycle(9), echoProver{}, Options{Seed: 1}, true},
+		{"echo-complete", echoSpec(32), graph.Complete(7), echoProver{}, Options{Seed: 2}, true},
 		{"echo-transcript", echoSpec(24), graph.Path(6), echoProver{},
-			Options{Seed: 3, RecordTranscript: true}},
-		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}},
-		{"broadcast-liar", broadcastSpec(), graph.Path(5), broadcastProver{liar: 2}, Options{Seed: 5}},
+			Options{Seed: 3, RecordTranscript: true}, true},
+		{"lying", echoSpec(16), graph.Cycle(5), lyingProver{}, Options{Seed: 4}, false},
+		{"broadcast-liar", broadcastSpec(), graph.Path(5), broadcastProver{liar: 2}, Options{Seed: 5}, false},
 		{"corrupted", echoSpec(16), graph.Cycle(6), echoProver{},
-			Options{Seed: 6, Corrupt: corrupt, RecordTranscript: true}},
+			Options{Seed: 6, Corrupt: corrupt, RecordTranscript: true}, false},
 		{"corrupted-exchange", echoSpec(16), graph.Complete(5), echoProver{},
-			Options{Seed: 10, CorruptExchange: corruptEx, RecordTranscript: true}},
-		{"share-challenges", shareSpec, graph.Path(4), echoProver{}, Options{Seed: 7}},
+			Options{Seed: 10, CorruptExchange: corruptEx, RecordTranscript: true}, true},
+		{"share-challenges", shareSpec(), graph.Path(4), echoProver{}, Options{Seed: 7}, true},
+		{"share-star-path", shareSpec(), starPath(), echoProver{}, Options{Seed: 11}, true},
 		{"digest-amam", digestSpec(), graph.Cycle(8), echoProver{},
-			Options{Seed: 8, RecordTranscript: true}},
-		{"single-node", echoSpec(8), graph.New(1), echoProver{}, Options{Seed: 9}},
+			Options{Seed: 8, RecordTranscript: true}, true},
+		{"digest-star-path", digestSpec(), starPath(), echoProver{},
+			Options{Seed: 12, RecordTranscript: true}, true},
+		{"single-node", echoSpec(8), graph.New(1), echoProver{}, Options{Seed: 9}, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -162,6 +156,9 @@ func TestNetworkedMatchesSequential(t *testing.T) {
 				seqRes, err := Run(tc.spec, tc.g, nil, tc.prover, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if seqRes.Accepted != tc.accept {
+					t.Fatalf("seed %d: accepted %v, want %v: %v", opts.Seed, seqRes.Accepted, tc.accept, seqRes.Decisions)
 				}
 				lt := &loopTransport{}
 				netOpts := opts
@@ -233,9 +230,9 @@ func TestTransportProtocolViolations(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesCompile pins the exported Schedule against the
-// in-process script for a digest+share spec: same step kinds, rounds, and
-// counters.
+// TestScheduleMatchesCompile pins the steps Schedule compiles for a spec
+// of two Arthur–Merlin pairs that shares its challenges: step kinds,
+// rounds and counters.
 func TestScheduleMatchesCompile(t *testing.T) {
 	spec := &Spec{
 		Name:            "sched",
@@ -250,17 +247,19 @@ func TestScheduleMatchesCompile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var own script
-	own.compile(spec)
-	if len(steps) != len(own.steps) {
-		t.Fatalf("Schedule len %d, compile len %d", len(steps), len(own.steps))
+	want := []ScheduleStep{
+		{Kind: StepChallenge, Round: 0, Arthur: 0},
+		{Kind: StepExchange, Round: 0, Arthur: 0, Chal: true},
+		{Kind: StepRespond, Round: 1, Merlin: 0},
+		{Kind: StepExchange, Round: 1},
+		{Kind: StepChallenge, Round: 2, Arthur: 1},
+		{Kind: StepExchange, Round: 2, Arthur: 1, Chal: true},
+		{Kind: StepRespond, Round: 3, Merlin: 1},
+		{Kind: StepExchange, Round: 3},
+		{Kind: StepDecide, Round: -1},
 	}
-	for i, st := range own.steps {
-		got := steps[i]
-		want := ScheduleStep{Kind: st.kind, Round: st.ri, Merlin: st.merlin, Arthur: st.arthur, Chal: st.chal}
-		if got != want {
-			t.Fatalf("step %d: %+v vs %+v", i, got, want)
-		}
+	if !slices.Equal(steps, want) {
+		t.Fatalf("Schedule = %+v\nwant       %+v", steps, want)
 	}
 	if _, err := Schedule(&Spec{Name: "bad", Rounds: []Round{{Kind: Arthur}}}); err == nil {
 		t.Fatal("Schedule accepted an Arthur round without Challenge")

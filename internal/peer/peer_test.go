@@ -53,6 +53,43 @@ func challengeRound(bits int) network.Round {
 		}}
 }
 
+// fromNeighbors reports whether copies holds one message per neighbor
+// and copies[j] opens with the id byte of view.Neighbors[j]: the position
+// contract of NodeView's neighbor rows, which a peer fills from the
+// positional exchange batch.
+func fromNeighbors(view *network.NodeView, copies []wire.Message) bool {
+	if len(copies) != len(view.Neighbors) {
+		return false
+	}
+	for j, u := range view.Neighbors {
+		if c := copies[j]; c.Bits < 8 || c.Data[0] != byte(u) {
+			return false
+		}
+	}
+	return true
+}
+
+// idMessage is node v's id byte followed by bits random bits.
+func idMessage(v int, rng *rand.Rand, bits int) wire.Message {
+	var w wire.Writer
+	w.WriteInt(v, 8)
+	for i := 0; i < bits; i++ {
+		w.WriteBool(rng.Intn(2) == 1)
+	}
+	return w.Message()
+}
+
+// starPath is a star joined to a path: centre 2 with leaves 0, 5, 7 and
+// 9, and the path 9–1–8–3–6–4, so degrees are uneven and no neighbor list
+// is a run of consecutive ids.
+func starPath() *graph.Graph {
+	g := graph.New(10)
+	for _, e := range [][2]int{{2, 0}, {2, 5}, {2, 7}, {2, 9}, {9, 1}, {1, 8}, {8, 3}, {3, 6}, {6, 4}} {
+		g.AddEdge(e[0], e[1])
+	}
+	return g
+}
+
 func echoSpec(bits int) *network.Spec {
 	return &network.Spec{
 		Name:   "peer-echo",
@@ -75,7 +112,8 @@ func echoSpec(bits int) *network.Spec {
 // mamSpec is shaped like sym-dmam: Merlin, Arthur, Merlin. The prover
 // answers round 0 before any challenge exists, so the coordinator sends
 // the hello, the round-0 responses and the round-0 exchange before it
-// first waits on a peer.
+// first waits on a peer. Round 0 hands every node its id, so every
+// neighbor slot of round 0 must hold that neighbor's id.
 func mamSpec(bits int) *network.Spec {
 	return &network.Spec{
 		Name:   "peer-mam",
@@ -84,7 +122,7 @@ func mamSpec(bits int) *network.Spec {
 			id, echo, chal := view.Responses[0], view.Responses[1], view.MyChallenges[0]
 			return id.Bits == 8 && id.Data[0] == byte(v) &&
 				echo.Bits == chal.Bits && bytes.Equal(echo.Data, chal.Data) &&
-				len(view.NeighborResponses[0]) == len(view.Neighbors) &&
+				fromNeighbors(view, view.NeighborResponses[0]) &&
 				len(view.NeighborResponses[1]) == len(view.Neighbors)
 		},
 	}
@@ -96,16 +134,13 @@ func digestSpec(bits int) *network.Spec {
 		Rounds: []network.Round{
 			challengeRound(bits),
 			{Kind: network.Merlin, Digest: func(v int, rng *rand.Rand, m wire.Message) wire.Message {
-				var w wire.Writer
-				w.WriteUint(rng.Uint64()&0xFF, 8)
-				return w.Message()
+				return idMessage(v, rng, 8)
 			}},
 			challengeRound(8),
 			{Kind: network.Merlin},
 		},
 		Decide: func(v int, view *network.NodeView) bool {
-			return len(view.Responses) == 2 &&
-				len(view.NeighborResponses[0]) == len(view.Neighbors)
+			return len(view.Responses) == 2 && fromNeighbors(view, view.NeighborResponses[0])
 		},
 	}
 }
@@ -114,9 +149,12 @@ func shareSpec(bits int) *network.Spec {
 	return &network.Spec{
 		Name:            "peer-share",
 		ShareChallenges: true,
-		Rounds:          []network.Round{challengeRound(bits), {Kind: network.Merlin}},
+		Rounds: []network.Round{{Kind: network.Arthur,
+			Challenge: func(v int, rng *rand.Rand, _ *network.NodeView) wire.Message {
+				return idMessage(v, rng, bits)
+			}}, {Kind: network.Merlin}},
 		Decide: func(v int, view *network.NodeView) bool {
-			return len(view.NeighborChallenges[0]) == len(view.Neighbors)
+			return fromNeighbors(view, view.NeighborChallenges[0])
 		},
 	}
 }
@@ -283,16 +321,20 @@ func TestPeerMatchesSequential(t *testing.T) {
 		inputs func(n int) []wire.Message
 		peers  int
 		opts   network.Options
+		accept bool
 	}{
-		{"echo-1peer", "echo", 16, graph.Cycle(6), nil, 1, network.Options{Seed: 1}},
-		{"echo-4peers", "echo", 16, graph.Cycle(9), nil, 4, network.Options{Seed: 2, RecordTranscript: true}},
-		{"echo-n-peers", "echo", 24, graph.Complete(5), nil, 5, network.Options{Seed: 3}},
-		{"merlin-first", "mam", 16, graph.Cycle(7), nil, 2, network.Options{Seed: 8, RecordTranscript: true}},
-		{"digest", "digest", 16, graph.Cycle(8), nil, 3, network.Options{Seed: 4, RecordTranscript: true}},
-		{"share", "share", 8, graph.Path(7), nil, 2, network.Options{Seed: 5}},
-		{"inputs", "input", 0, graph.Star(6), byteInputs, 2, network.Options{Seed: 6}},
+		{"echo-1peer", "echo", 16, graph.Cycle(6), nil, 1, network.Options{Seed: 1}, true},
+		{"echo-4peers", "echo", 16, graph.Cycle(9), nil, 4, network.Options{Seed: 2, RecordTranscript: true}, true},
+		{"echo-n-peers", "echo", 24, graph.Complete(5), nil, 5, network.Options{Seed: 3}, true},
+		{"merlin-first", "mam", 16, graph.Cycle(7), nil, 2, network.Options{Seed: 8, RecordTranscript: true}, true},
+		{"merlin-first-star-path", "mam", 16, starPath(), nil, 3, network.Options{Seed: 9}, true},
+		{"digest", "digest", 16, graph.Cycle(8), nil, 3, network.Options{Seed: 4, RecordTranscript: true}, true},
+		{"digest-star-path", "digest", 16, starPath(), nil, 3, network.Options{Seed: 10, RecordTranscript: true}, true},
+		{"share", "share", 8, graph.Path(7), nil, 2, network.Options{Seed: 5}, true},
+		{"share-star-path", "share", 8, starPath(), nil, 4, network.Options{Seed: 11}, true},
+		{"inputs", "input", 0, graph.Star(6), byteInputs, 2, network.Options{Seed: 6}, true},
 		{"corrupted", "echo", 16, graph.Cycle(6), nil, 2,
-			network.Options{Seed: 7, Corrupt: corrupt, RecordTranscript: true}},
+			network.Options{Seed: 7, Corrupt: corrupt, RecordTranscript: true}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,6 +353,9 @@ func TestPeerMatchesSequential(t *testing.T) {
 			seqRes, err := network.Run(spec, tc.g, inputs, prover, tc.opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if seqRes.Accepted != tc.accept {
+				t.Fatalf("accepted %v, want %v: %v", seqRes.Accepted, tc.accept, seqRes.Decisions)
 			}
 
 			fleet, coord := oneRun(t, startFleet(t, tc.peers), marshalParams(t, tc.spec, tc.bits), Options{})

@@ -535,12 +535,13 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 		if rerr != nil {
 			return rerr
 		}
+		// The batch is positional, receivers ascending and each one's
+		// senders in neighbor-list order, so node i's copies are the
+		// next len(nbrs[i]) entries, already in its view's order.
 		for i, ns := range st.nodes {
-			got := make(map[int]wire.Message, len(st.nbrs[i]))
-			for _, u := range st.nbrs[i] {
-				got[u], msgs = msgs[0], msgs[1:]
-			}
-			ns.PushExchange(step, got)
+			deg := len(st.nbrs[i])
+			ns.PushExchange(step, msgs[:deg:deg])
+			msgs = msgs[deg:]
 		}
 
 	case network.StepDecide:

@@ -21,6 +21,7 @@ package spantree
 
 import (
 	"fmt"
+	"slices"
 
 	"dip/internal/graph"
 	"dip/internal/wire"
@@ -78,10 +79,10 @@ func Compute(g *graph.Graph, root int) ([]Advice, error) {
 }
 
 // VerifyLocal runs node v's local acceptance test given its own advice and
-// its neighbors' advice (keyed by neighbor id). isNeighbor must report
-// membership in N(v).
-func VerifyLocal(v int, mine Advice, neighbors map[int]Advice, isNeighbor func(u int) bool) bool {
-	for _, a := range neighbors {
+// its neighbors': nbrs lists N(v) ascending and advice[j] is the advice of
+// nbrs[j].
+func VerifyLocal(v int, mine Advice, nbrs []int, advice []Advice) bool {
+	for _, a := range advice {
 		if a.Root != mine.Root {
 			return false
 		}
@@ -89,28 +90,19 @@ func VerifyLocal(v int, mine Advice, neighbors map[int]Advice, isNeighbor func(u
 	if v == mine.Root {
 		return mine.Parent == v && mine.Dist == 0
 	}
-	if !isNeighbor(mine.Parent) {
-		return false
-	}
-	pa, ok := neighbors[mine.Parent]
-	if !ok {
-		return false
-	}
-	return pa.Dist == mine.Dist-1
+	j, ok := slices.BinarySearch(nbrs, mine.Parent)
+	return ok && advice[j].Dist == mine.Dist-1
 }
 
 // Children returns the tree children of v among its neighbors: the
-// neighbors whose parent pointer is v. This is the set C(v) of Protocols 1
-// and 2.
-func Children(v int, neighbors map[int]Advice) []int {
+// positions j, ascending, of the neighbors nbrs[j] whose parent pointer
+// (advice[j]) is v. This is the set C(v) of Protocols 1 and 2.
+func Children(v int, nbrs []int, advice []Advice) []int {
 	var out []int
-	for u, a := range neighbors {
-		if a.Parent == u {
-			// the root points to itself; it is nobody's child
-			continue
-		}
-		if a.Parent == v {
-			out = append(out, u)
+	for j, a := range advice {
+		// the root points to itself; it is nobody's child
+		if a.Parent == v && a.Parent != nbrs[j] {
+			out = append(out, j)
 		}
 	}
 	return out

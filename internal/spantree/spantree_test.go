@@ -2,6 +2,7 @@ package spantree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -13,12 +14,17 @@ import (
 func verifyAll(g *graph.Graph, advice []Advice) []bool {
 	out := make([]bool, g.N())
 	for v := 0; v < g.N(); v++ {
-		neighbors := map[int]Advice{}
-		for _, u := range g.Neighbors(v) {
-			neighbors[u] = advice[u]
-		}
-		isNeighbor := func(u int) bool { return g.HasEdge(v, u) }
-		out[v] = VerifyLocal(v, advice[v], neighbors, isNeighbor)
+		nbrs := g.Neighbors(v)
+		out[v] = VerifyLocal(v, advice[v], nbrs, adviceOf(advice, nbrs))
+	}
+	return out
+}
+
+// adviceOf returns the advice of nbrs, position by position.
+func adviceOf(advice []Advice, nbrs []int) []Advice {
+	out := make([]Advice, len(nbrs))
+	for j, u := range nbrs {
+		out[j] = advice[u]
 	}
 	return out
 }
@@ -147,18 +153,13 @@ func TestChildren(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	neighbors := map[int]Advice{}
-	for _, u := range g.Neighbors(0) {
-		neighbors[u] = advice[u]
-	}
-	kids := Children(0, neighbors)
-	sort.Ints(kids)
-	if len(kids) != 4 {
+	nbrs := g.Neighbors(0)
+	// Children are positions in the neighbor list, ascending.
+	if kids := Children(0, nbrs, adviceOf(advice, nbrs)); !slices.Equal(kids, []int{0, 1, 2, 3}) {
 		t.Fatalf("children of center = %v", kids)
 	}
 	// A leaf has no children.
-	leafNeighbors := map[int]Advice{0: advice[0]}
-	if got := Children(1, leafNeighbors); len(got) != 0 {
+	if got := Children(1, []int{0}, adviceOf(advice, []int{0})); len(got) != 0 {
 		t.Fatalf("children of leaf = %v", got)
 	}
 }

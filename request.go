@@ -256,10 +256,10 @@ type protocol interface {
 }
 
 // graphRun builds a single-graph instance (no node inputs); the graph is
-// validated before the protocol is built.
+// validated, connectivity included, before the protocol is built.
 func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (EngineRun, error) {
 	return func(req *Request) (EngineRun, error) {
-		g, err := cachedGraph(req.N, req.Edges)
+		g, err := networkGraph(req.N, req.Edges)
 		if err != nil {
 			return EngineRun{}, err
 		}
@@ -275,7 +275,7 @@ func graphRun[T protocol](proto func(*Request) (T, error)) func(*Request) (Engin
 // modulus, so that a fleet run provisions its peers with it instead of
 // having each repeat the prime search.
 func buildSymDAM(req *Request) (EngineRun, error) {
-	g, err := cachedGraph(req.N, req.Edges)
+	g, err := networkGraph(req.N, req.Edges)
 	if err != nil {
 		return EngineRun{}, err
 	}
@@ -288,10 +288,10 @@ func buildSymDAM(req *Request) (EngineRun, error) {
 
 // pairRun builds a two-graph GNI instance: G₀ is the network, G₁ travels
 // as node inputs, row by row. Both graphs are validated before the
-// protocol is built.
+// protocol is built; only G₀ must be connected.
 func pairRun[T protocol](proto func(*Request) (T, error)) func(*Request) (EngineRun, error) {
 	return func(req *Request) (EngineRun, error) {
-		g0, err := cachedGraph(req.N, req.Edges)
+		g0, err := networkGraph(req.N, req.Edges)
 		if err != nil {
 			return EngineRun{}, err
 		}
@@ -303,7 +303,7 @@ func pairRun[T protocol](proto func(*Request) (T, error)) func(*Request) (Engine
 		if err != nil {
 			return EngineRun{}, err
 		}
-		return EngineRun{Spec: p.Spec(), Graph: g0, Inputs: core.EncodeGNIInputs(g1), Prover: p.HonestProver()}, nil
+		return EngineRun{Spec: p.Spec(), Graph: g0, Inputs: core.EncodeGNIInputs(g1.g), Prover: p.HonestProver()}, nil
 	}
 }
 
@@ -318,7 +318,7 @@ func buildDSymDAM(req *Request) (EngineRun, error) {
 		return EngineRun{}, badRequestf("dip: dsym-dam with side=%d half=%d has %d vertices, request says n=%d",
 			req.Side, req.Half, proto.N(), req.N)
 	}
-	g, err := cachedGraph(proto.N(), req.Edges)
+	g, err := networkGraph(proto.N(), req.Edges)
 	if err != nil {
 		return EngineRun{}, err
 	}
@@ -328,7 +328,7 @@ func buildDSymDAM(req *Request) (EngineRun, error) {
 // buildGNIMarked ships the marks as node inputs; they are decoded before
 // the protocol is built.
 func buildGNIMarked(req *Request) (EngineRun, error) {
-	g, err := cachedGraph(req.N, req.Edges)
+	g, err := networkGraph(req.N, req.Edges)
 	if err != nil {
 		return EngineRun{}, err
 	}

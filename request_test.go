@@ -1,6 +1,7 @@
 package dip
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -9,6 +10,7 @@ import (
 	"dip/internal/core"
 	"dip/internal/graph"
 	"dip/internal/network"
+	"dip/internal/obs"
 )
 
 // TestProtocolRoundsMatchSpecs pins the round counts stated in the registry
@@ -153,6 +155,51 @@ func TestRunRejectsUnusedFields(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRejectsDisconnectedNetwork: every protocol refuses a network
+// graph that is not connected as a request error, before it runs. The
+// builders that take n from the request check the graph before they
+// build the protocol, so they make no protocol-cache lookup; dsym-dam
+// takes n from Side and Half, so it builds its instance first. G₁ of a
+// GNI pair is node input, not a network, and may be disconnected.
+func TestRunRejectsDisconnectedNetwork(t *testing.T) {
+	split := [][2]int{{0, 1}, {2, 3}}
+	cycle := edgesOf(graph.Cycle(8))
+	marks := []int{0, 0, 1, 1, -1, -1, -1, -1}
+	reqs := []Request{
+		{Protocol: "sym-dmam", N: 8, Edges: split},
+		{Protocol: "sym-dam", N: 8, Edges: split},
+		{Protocol: "dsym-dam", Side: 3, Half: 1, Edges: split},
+		{Protocol: "sym-lcp", N: 8, Edges: split},
+		{Protocol: "sym-rpls", N: 8, Edges: split},
+		{Protocol: "gni-damam", N: 8, Edges: split, Edges1: cycle},
+		{Protocol: "gni-general", N: 8, Edges: split, Edges1: cycle},
+		{Protocol: "gni-marked", N: 8, Edges: split, Marks: marks},
+		{Protocol: "gni-lcp", N: 8, Edges: split, Edges1: cycle},
+	}
+	if len(reqs) != len(Protocols()) {
+		t.Fatalf("%d cases for %d protocols", len(reqs), len(Protocols()))
+	}
+	protos := obs.Cache("protocols")
+	for _, req := range reqs {
+		t.Run(req.Protocol, func(t *testing.T) {
+			before := protos.Hits.Value() + protos.Misses.Value()
+			_, err := Run(req)
+			var rerr *RequestError
+			if !errors.As(err, &rerr) || !strings.Contains(err.Error(), "not connected") {
+				t.Fatalf("err = %v, want a RequestError naming the disconnected network", err)
+			}
+			lookups := protos.Hits.Value() + protos.Misses.Value() - before
+			if req.Protocol != "dsym-dam" && lookups != 0 {
+				t.Fatalf("%d protocol-cache lookups before the graph was refused", lookups)
+			}
+		})
+	}
+	// Only the network must be connected.
+	if _, err := Run(Request{Protocol: "gni-lcp", N: 8, Edges: cycle, Edges1: split}); err != nil {
+		t.Fatalf("disconnected G₁ refused: %v", err)
 	}
 }
 

@@ -19,11 +19,13 @@ var (
 
 // graphEntry pairs the cached graph with the exact edge list that built
 // it, so a digest collision (or a semantically different ordering that
-// happens to collide) is detected and rebuilt rather than served.
+// happens to collide) is detected and rebuilt rather than served, and
+// with its connectivity, found once when the graph is built.
 type graphEntry struct {
-	n     int
-	edges [][2]int
-	g     *graph.Graph
+	n         int
+	edges     [][2]int
+	g         *graph.Graph
+	connected bool
 }
 
 func (e *graphEntry) matches(n int, edges [][2]int) bool {
@@ -50,10 +52,10 @@ func edgesDigest(edges [][2]int) uint64 {
 	return h
 }
 
-// cachedGraph is buildGraph behind the graphs cache. The returned graph is
+// cachedGraph is buildGraph behind the graphs cache. The entry's graph is
 // shared across requests and must be treated read-only (the engine and
 // every prover already do).
-func cachedGraph(n int, edges [][2]int) (*graph.Graph, error) {
+func cachedGraph(n int, edges [][2]int) (*graphEntry, error) {
 	key := setupcache.Key{
 		Kind:   "graph",
 		A:      int64(n),
@@ -69,12 +71,28 @@ func cachedGraph(n int, edges [][2]int) (*graph.Graph, error) {
 			}
 			cp := make([][2]int, len(edges))
 			copy(cp, edges)
-			return &graphEntry{n: n, edges: cp, g: g}, nil
+			return &graphEntry{n: n, edges: cp, g: g, connected: g.IsConnected()}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*graphEntry).g, nil
+	return v.(*graphEntry), nil
+}
+
+// networkGraph is cachedGraph for the graph a run's nodes talk over,
+// which must be connected: the paper's network is, the spanning-tree
+// checks fail on any other mid-run, and the labeling schemes' neighbor
+// comparisons reach one component only, so their verdict would not be
+// justified. A disconnected one is refused before a protocol is built.
+func networkGraph(n int, edges [][2]int) (*graph.Graph, error) {
+	e, err := cachedGraph(n, edges)
+	if err != nil {
+		return nil, err
+	}
+	if !e.connected {
+		return nil, badRequestf("dip: the network graph on %d vertices is not connected", n)
+	}
+	return e.g, nil
 }
 
 // cachedProtocol memoizes one protocol constructor call. The key carries

@@ -83,53 +83,6 @@ func TestCachedRunsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRunBatchMatchesSingleRuns: batching is a scheduling optimization,
-// not a semantic one — each batch item's report is byte-identical to the
-// same request run alone.
-func TestRunBatchMatchesSingleRuns(t *testing.T) {
-	reqs := cacheTestRequests()
-	ResetSetupCaches()
-	want := make([][]byte, len(reqs))
-	for i, req := range reqs {
-		want[i] = encodeReport(t, req)
-	}
-
-	results := RunBatch(reqs)
-	if len(results) != len(reqs) {
-		t.Fatalf("%d results for %d requests", len(results), len(reqs))
-	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("item %d: %v", i, res.Err)
-		}
-		var buf bytes.Buffer
-		if err := WireReportFrom(res.Report, reqs[i].Options.Seed).Encode(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want[i], buf.Bytes()) {
-			t.Fatalf("item %d (%s): batch report differs from single run", i, reqs[i].Protocol)
-		}
-	}
-}
-
-// TestRunBatchPartialFailure: a bad item yields its own error and leaves
-// the rest of the batch untouched.
-func TestRunBatchPartialFailure(t *testing.T) {
-	edges := graph.Cycle(6).Edges()
-	reqs := []Request{
-		{Protocol: "sym-dmam", N: 6, Edges: edges, Options: Options{Seed: 1}},
-		{Protocol: "sym-dmam", N: 6, Edges: [][2]int{{0, 9}}, Options: Options{Seed: 1}},
-		{Protocol: "sym-dmam", N: 6, Edges: edges, Options: Options{Seed: 2}},
-	}
-	results := RunBatch(reqs)
-	if results[0].Err != nil || results[2].Err != nil {
-		t.Fatalf("good items failed: %v / %v", results[0].Err, results[2].Err)
-	}
-	if results[1].Err == nil {
-		t.Fatal("bad item did not fail")
-	}
-}
-
 // TestConcurrentMixedRequestStorm hammers the full request path — setup
 // caches and the engine-state pool — with mixed (protocol, n) requests
 // from many goroutines. Run under -race this is the cache/pool data-race
