@@ -56,8 +56,8 @@ func protoSymDMAM(req *Request) (*core.SymDMAM, error) {
 }
 
 func protoSymDAM(req *Request) (*core.SymDAM, error) {
-	return cachedProto[*core.SymDAM]("proto/sym-dam", int64(req.N), 0, 0, req.Options.Seed,
-		func() (any, error) { return core.NewSymDAM(req.N, req.Options.Seed) })
+	return cachedProto[*core.SymDAM]("proto/sym-dam", int64(req.N), 0, 0, 0,
+		func() (any, error) { return core.NewSymDAM(req.N, 0) })
 }
 
 func protoDSymDAM(req *Request) (*core.DSymDAM, error) {

@@ -12,7 +12,7 @@
 //	dipbench -parallel 2      # cap the trial-harness worker count
 //	dipbench -json out.json   # also emit machine-readable results
 //	dipbench -bench-check BENCH_seed1.json  # re-measure both allocation budgets
-//	dipbench -faults          # run the fault matrix (E12) instead of E1..E11
+//	dipbench -faults          # run the fault matrix (E12) instead of the tables
 //	dipbench -validate x.json [y.json ...]  # check results files against their schemas
 //	dipbench -cpuprofile cpu.pprof -memprofile mem.pprof
 //
@@ -53,7 +53,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("dipbench", flag.ExitOnError)
 	var (
-		which       = fs.String("experiment", "all", "experiment ID (E1..E12) or 'all'")
+		which       = fs.String("experiment", "all", "experiment ID (E1..E12, E14) or 'all'")
 		seed        = fs.Int64("seed", 1, "reproducibility seed")
 		quick       = fs.Bool("quick", false, "reduced sizes and trial counts")
 		trials      = fs.Int("trials", 0, "override the per-cell trial count (0 = experiment default)")
@@ -114,7 +114,7 @@ func run(args []string) error {
 	if *which != "all" {
 		r, ok := experiments.ByID(*which)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (want E1..E12 or all)", *which)
+			return fmt.Errorf("unknown experiment %q (want E1..E12, E14 or all)", *which)
 		}
 		runners = []experiments.Runner{r}
 	}

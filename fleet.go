@@ -137,9 +137,9 @@ func (f *Fleet) TransportFor(req Request, run EngineRun) (network.Transport, err
 // edge lists stripped — each peer receives only its own nodes' neighbor
 // slices in the hello — while the spec-shaping fields (protocol, N,
 // Side/Half, Marks, seed, repetitions) travel whole, plus the setup the
-// coordinator already derived: Modulus is sym-dam's seed-derived prime
-// (nil, and omitted, for every other protocol). DESIGN.md §13 says why
-// a peer may trust it.
+// coordinator already derived: Modulus is sym-dam's prime, the least of
+// its window for N (nil, and omitted, for every other protocol), so a
+// peer skips that search. DESIGN.md §13 says why a peer may trust it.
 type fleetParams struct {
 	Request
 	Modulus *big.Int `json:"modulus,omitempty"`
@@ -151,8 +151,8 @@ type fleetParams struct {
 // own prime search: it must lie in the protocol's window
 // [10·n^{n+2}, 100·n^{n+2}], it is refused for any other protocol, and
 // the instance built from it is not cached, so no later session for the
-// same seed sees it. Params without a modulus, as older coordinators
-// send them, build exactly as BuildSpec does.
+// same n sees it. Params without a modulus, as older coordinators send
+// them, build exactly as BuildSpec does.
 func PeerSpec(params []byte) (*network.Spec, error) {
 	var fp fleetParams
 	if err := json.Unmarshal(params, &fp); err != nil {

@@ -39,17 +39,13 @@ func verifiesUnder(t *testing.T, spec *network.Spec, n int, p *big.Int) bool {
 // spec a peer builds verifies under the modulus the coordinator sent, a
 // modulus outside the protocol's window, unparsable, or sent for another
 // protocol is refused (through a live peer, as a setup-phase RunError),
-// params without one build the seed's prime as before, and a provisioned
-// instance is never cached under the seed, so a later session for that
-// seed still gets the seed's prime.
+// params without one build the per-n prime, whatever their seed, and a
+// provisioned instance is never cached, so a later session for the same
+// n and seed still gets the per-n prime.
 func TestPeerSpec(t *testing.T) {
 	ResetSetupCaches()
 	const n, seed, oldSeed = 8, 61, 62
-	own, err := prime.ForPowerWindow(n, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldOwn, err := prime.ForPowerWindow(n, oldSeed)
+	own, err := prime.ForPowerWindow(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +54,8 @@ func TestPeerSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	other, err := prime.InWindow(lo, hi, seed+100)
-	if err != nil || other.Cmp(own) == 0 || other.Cmp(oldOwn) == 0 {
-		t.Fatalf("another in-window prime %v (%v) must differ from the seeds' %v and %v", other, err, own, oldOwn)
+	if err != nil || other.Cmp(own) == 0 {
+		t.Fatalf("another in-window prime %v (%v) must differ from the per-n %v", other, err, own)
 	}
 	provisioned := func(protocol string, p *big.Int) []byte {
 		b, err := json.Marshal(fleetParams{Request: Request{Protocol: protocol, N: n, Options: Options{Seed: seed}}, Modulus: p})
@@ -90,7 +86,7 @@ func TestPeerSpec(t *testing.T) {
 			params:  []byte(`{"protocol":"sym-dam","n":8,"edges":null,"options":{"seed":61},"modulus":1.5e30}`),
 			refusal: "decoding fleet params"},
 		{name: "modulus for sym-dmam", params: provisioned("sym-dmam", own), refusal: "takes no provisioned modulus"},
-		{name: "no modulus", params: legacy(oldSeed), want: oldOwn, notWant: other},
+		{name: "no modulus", params: legacy(oldSeed), want: own, notWant: other},
 		{name: "later build for the same seed", params: legacy(seed), want: own, notWant: other},
 	}
 
@@ -210,12 +206,12 @@ func TestFleetRunProvisionsModulus(t *testing.T) {
 			}
 			continue
 		}
-		p, err := prime.ForPowerWindow(req.N, tc.seed)
+		p, err := prime.ForPowerWindow(req.N)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if blobs[0].Modulus == nil || blobs[0].Modulus.Cmp(p) != 0 {
-			t.Errorf("sym-dam params carry modulus %v, want the seed's %v", blobs[0].Modulus, p)
+			t.Errorf("sym-dam params carry modulus %v, want the per-n %v", blobs[0].Modulus, p)
 		}
 	}
 }

@@ -135,7 +135,7 @@ func FuzzPeerSpec(f *testing.F) {
 		f.Add(b)
 	}
 	sd := stripped["sym-dam"]
-	p, err := prime.ForPowerWindow(sd.N, sd.Options.Seed)
+	p, err := prime.ForPowerWindow(sd.N)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -114,10 +114,7 @@ func equivCases(t *testing.T) []equivCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dam, err := NewSymDAM(n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dam := seedKeyedSymDAM(t, n, 1)
 	dsym, err := NewDSymDAM(6, 1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -10,6 +10,7 @@ import (
 
 	"dip/internal/graph"
 	"dip/internal/network"
+	"dip/internal/prime"
 	"dip/internal/wire"
 )
 
@@ -35,10 +36,7 @@ func TestHeavyMixTranscriptsPinned(t *testing.T) {
 	g := graph.Cycle(n)
 	h := sha256.New()
 	for seed := int64(1); seed <= 24; seed++ {
-		dam, err := NewSymDAM(n, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dam := seedKeyedSymDAM(t, n, seed)
 		rpls, err := NewSymRPLS(n, seed)
 		if err != nil {
 			t.Fatal(err)
@@ -85,6 +83,28 @@ func TestHeavyMixTranscriptsPinned(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != heavyMixDigest {
 		t.Fatalf("heavy-mix runs hash to %s, want %s", got, heavyMixDigest)
 	}
+}
+
+// seedKeyedSymDAM builds sym-dam on the modulus NewSymDAM drew for seed
+// before its modulus became the least prime of the window: the prime
+// InWindow finds from a seed-keyed start. heavyMixDigest and
+// symFaultDigest were recorded on these moduli; they pin the hashing and
+// the codecs, which do not depend on which prime of the window is used.
+func seedKeyedSymDAM(t testing.TB, n int, seed int64) *SymDAM {
+	t.Helper()
+	lo, hi, err := prime.PowerWindow(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := prime.InWindow(lo, hi, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dam, err := NewSymDAMWithPrime(n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dam
 }
 
 // hashMessage writes a message's bit length and payload bytes into h.

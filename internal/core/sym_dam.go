@@ -33,12 +33,17 @@ type SymDAM struct {
 	symKit
 }
 
-// NewSymDAM builds the protocol for graphs on n ≥ 2 vertices.
-func NewSymDAM(n int, seed int64) (*SymDAM, error) {
+// NewSymDAM builds the protocol for graphs on n ≥ 2 vertices, with the
+// least prime of the window as its modulus (prime.ForPowerWindow): a
+// function of n alone, since Theorem 3.2's bound holds for every prime in
+// the window. The seed is unused: it stays in the signature for callers
+// written against the earlier seed-keyed modulus, bench/trace.go among
+// them.
+func NewSymDAM(n int, _ int64) (*SymDAM, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("core: SymDAM needs n >= 2, got %d", n)
 	}
-	p, err := prime.ForPowerWindow(n, seed)
+	p, err := prime.ForPowerWindow(n)
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDAM modulus: %w", err)
 	}

@@ -3,13 +3,17 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
+	"sync"
 
 	"dip/internal/core"
 	"dip/internal/graph"
 	"dip/internal/lower"
 	"dip/internal/network"
 	"dip/internal/perm"
+	"dip/internal/prime"
+	"dip/internal/wire"
 )
 
 // symInstance builds a connected symmetric graph on 2·base+2 vertices.
@@ -130,6 +134,132 @@ func E2SymDAMCost(cfg Config) (*Table, error) {
 			float64(bits)/(float64(n)*math.Log2(float64(n))),
 			honest.Estimate().String(),
 			cheat.Estimate().String())
+	}
+	return t, nil
+}
+
+// E14ModulusChoice asks whether Protocol 2's modulus needs randomness.
+// NewSymDAM takes the least prime of [10·n^{n+2}, 100·n^{n+2}], a
+// function of n alone; before, every instance drew a seed-keyed prime of
+// the window. Theorem 3.2 bounds a collision of two distinct matrices by
+// n²/p over the random hash index alone, for every prime p, so the choice
+// of prime should move no rate. E14 runs sym-dam's honest prover, E2's
+// wrong-mapping prover and the post-hoc collision search under the per-n
+// prime and under a fresh seed-keyed prime per trial, each beside its
+// bound. The post-hoc search runs at n = 6, the smallest n with an
+// asymmetric connected graph, where p is smallest and budget·n²/p largest.
+func E14ModulusChoice(cfg Config) (*Table, error) {
+	t := &Table{
+		ID:      "E14",
+		Title:   "Protocol 2's modulus: the least prime per n vs a seed-keyed prime per trial (Theorem 3.2)",
+		Columns: []string{"prover", "n", "modulus", "lg p", "acceptance", "Theorem 3.2 bound"},
+		Notes: []string{
+			"per n: the least prime ≥ 10·n^{n+2}, NewSymDAM's modulus; seed-keyed: prime.InWindow from a fresh seed each trial, the modulus before it",
+			"bounds: the honest prover always convinces; a fixed wrong mapping collides with probability ≤ n²/p, a post-hoc search over B mappings with ≤ B·n²/p (the least p of the row)",
+			"every prime of the window has n^n·n²/p ≤ 1/10, the paper's union bound; the least prime is the window's worst case",
+		},
+	}
+	bases := []int{6, 31}
+	trials := cfg.TrialCount(DefaultTrials, 20)
+	budget := 600
+	if cfg.Quick {
+		bases = []int{6}
+		budget = 100
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed + 14))
+
+	// measure runs one prover on g under the per-n prime (cells salt) and
+	// under a fresh seed-keyed prime per trial (salt+50), one row each.
+	measure := func(prover string, g *graph.Graph, salt int64, bound func(p *big.Int) string,
+		run func(dam *core.SymDAM, rng *rand.Rand) (*network.Result, error)) error {
+		n := g.N()
+		perN, err := core.NewSymDAM(n, cfg.Seed)
+		if err != nil {
+			return err
+		}
+		st, err := RunTrials(cfg, salt, trials, func(_ int, rng *rand.Rand) (*network.Result, error) {
+			return run(perN, rng)
+		})
+		if err != nil {
+			return err
+		}
+		t.AddRow(prover, n, "least prime (per n)", wire.WidthForBig(perN.P()), st.Estimate().String(), bound(perN.P()))
+
+		lo, hi, err := prime.PowerWindow(n)
+		if err != nil {
+			return err
+		}
+		var mu sync.Mutex
+		var least, most *big.Int
+		st, err = RunTrials(cfg, salt+50, trials, func(_ int, rng *rand.Rand) (*network.Result, error) {
+			p, err := prime.InWindow(lo, hi, rng.Int63())
+			if err != nil {
+				return nil, err
+			}
+			mu.Lock()
+			if least == nil || p.Cmp(least) < 0 {
+				least = p
+			}
+			if most == nil || p.Cmp(most) > 0 {
+				most = p
+			}
+			mu.Unlock()
+			dam, err := core.NewSymDAMWithPrime(n, p)
+			if err != nil {
+				return nil, err
+			}
+			return run(dam, rng)
+		})
+		if err != nil {
+			return err
+		}
+		widths := fmt.Sprint(wire.WidthForBig(least))
+		if w := wire.WidthForBig(most); w != wire.WidthForBig(least) {
+			widths += fmt.Sprintf("–%d", w)
+		}
+		t.AddRow(prover, n, "seed-keyed, fresh per trial", widths, st.Estimate().String(), bound(least))
+		return nil
+	}
+	// atMost formats the bound k·n²/p.
+	atMost := func(k, n int) func(p *big.Int) string {
+		return func(p *big.Int) string {
+			r, _ := new(big.Float).Quo(new(big.Float).SetInt64(int64(k*n*n)), new(big.Float).SetInt(p)).Float64()
+			return fmt.Sprintf("≤ %.1e", r)
+		}
+	}
+	complete := func(*big.Int) string { return "= 1" }
+
+	for bi, base := range bases {
+		g, err := symInstance(base, rng)
+		if err != nil {
+			return nil, err
+		}
+		n := g.N()
+		if err := measure("honest", g, int64(14100+bi), complete, func(dam *core.SymDAM, rng *rand.Rand) (*network.Result, error) {
+			return dam.Run(g, dam.HonestProver(), rng.Int63())
+		}); err != nil {
+			return nil, err
+		}
+		asym, err := graph.RandomAsymmetricConnected(n, rng)
+		if err != nil {
+			return nil, err
+		}
+		if err := measure("wrong mapping", asym, int64(14200+bi), atMost(1, n), func(dam *core.SymDAM, rng *rand.Rand) (*network.Result, error) {
+			rho := perm.RandomNonIdentity(n, rng)
+			return dam.Run(asym, dam.ProverWithMapping(rho, rho.Moved()), rng.Int63())
+		}); err != nil {
+			return nil, err
+		}
+	}
+	small, err := graph.RandomAsymmetricConnected(6, rng)
+	if err != nil {
+		return nil, err
+	}
+	if err := measure(fmt.Sprintf("post-hoc search (budget %d)", budget), small, 14300, atMost(budget, small.N()),
+		func(dam *core.SymDAM, rng *rand.Rand) (*network.Result, error) {
+			return dam.Run(small, dam.PostHocCollisionProver(budget, rng), rng.Int63())
+		}); err != nil {
+		return nil, err
 	}
 	return t, nil
 }

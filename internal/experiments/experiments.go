@@ -122,6 +122,7 @@ func All() []Runner {
 		{"E10", "GNI variants: round reduction, promise-free extension", E10GNIVariants},
 		{"E11", "Randomized PLS fingerprinting ([4])", E11RPLS},
 		{"E12", "Soundness under injected faults", E12FaultMatrix},
+		{"E14", "Sym dAM modulus: per n vs per seed (Theorem 3.2)", E14ModulusChoice},
 	}
 }
 

@@ -18,7 +18,7 @@ func FuzzHashBits(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	power, err := prime.ForPowerWindow(12, 1)
+	power, err := prime.ForPowerWindow(12)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -397,13 +397,27 @@ func (f *LinearFamily) AddMod(a, b *big.Int) *big.Int {
 // AddModInto is AddMod for accumulation chains: it folds b into dst, which
 // the caller must own exclusively (a fresh hash value, not a decoded message
 // field someone else still reads). Reusing dst's storage keeps tree-sum
-// loops allocation-free on the small-modulus path.
+// loops allocation-free on the small-modulus path. On the big-modulus path,
+// operands that are both residues in [0, p), as every tree sum's are, sum
+// below 2p, so one subtraction of p replaces the division; any other
+// operand still goes through Mod.
 func (f *LinearFamily) AddModInto(dst, b *big.Int) *big.Int {
 	if av, ok := f.smallSeed(dst); ok {
 		if bv, ok := f.smallSeed(b); ok {
 			return dst.SetUint64((av + bv) % f.pSmall)
 		}
 	}
+	if f.isResidue(dst) && f.isResidue(b) {
+		if dst.Add(dst, b); dst.Cmp(f.p) >= 0 {
+			dst.Sub(dst, f.p)
+		}
+		return dst
+	}
 	dst.Add(dst, b)
 	return dst.Mod(dst, f.p)
+}
+
+// isResidue reports whether x lies in [0, p).
+func (f *LinearFamily) isResidue(x *big.Int) bool {
+	return x.Sign() >= 0 && x.Cmp(f.p) < 0
 }

@@ -279,6 +279,60 @@ func TestSmallModulusFastPathMatchesBig(t *testing.T) {
 	}
 }
 
+// TestAddModIntoMatchesMod checks AddModInto against (a + b) mod p on a
+// modulus below 2^32 and one above 2^64: on random residues, which take
+// the one-subtraction path, and on 0, 1, p−1, p, 2p and negative operands
+// in every pairing (1 + (p−1) sums to exactly p), which must still reduce
+// in full. The result must reuse dst and leave b unchanged.
+func TestAddModIntoMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cubic, err := prime.ForCubicWindow(12, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	power, err := prime.ForPowerWindow(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*big.Int{cubic, power} {
+		f, err := NewLinearFamily(16, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := []*big.Int{
+			new(big.Int),
+			big.NewInt(1),
+			new(big.Int).Sub(p, big.NewInt(1)),
+			new(big.Int).Set(p),
+			new(big.Int).Lsh(p, 1),
+			big.NewInt(-1),
+			new(big.Int).Neg(p),
+			new(big.Int).Sub(big.NewInt(-3), p),
+		}
+		var pairs [][2]*big.Int
+		for _, a := range edges {
+			for _, b := range edges {
+				pairs = append(pairs, [2]*big.Int{a, b})
+			}
+		}
+		for k := 0; k < 500; k++ {
+			pairs = append(pairs, [2]*big.Int{f.RandomSeed(rng), f.RandomSeed(rng)})
+		}
+		for _, ab := range pairs {
+			a, b := ab[0], ab[1]
+			want := new(big.Int).Add(a, b)
+			want.Mod(want, p)
+			bWas := new(big.Int).Set(b)
+			dst := new(big.Int).Set(a)
+			got := f.AddModInto(dst, b)
+			if got != dst || got.Cmp(want) != 0 || b.Cmp(bWas) != 0 {
+				t.Fatalf("p=%v: AddModInto(%v, %v) = %v (reused dst: %v, b now %v), want %v",
+					p, a, bWas, got, got == dst, b, want)
+			}
+		}
+	}
+}
+
 // TestRunningPowersMatchDense checks HashIndicator, which takes powers by
 // running powers, and RowTable, which takes them from a table, against
 // HashDense, which keeps one full exponentiation per coordinate. It covers both evaluation paths (a
@@ -292,7 +346,7 @@ func TestRunningPowersMatchDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power, err := prime.ForPowerWindow(16, 3)
+	power, err := prime.ForPowerWindow(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +445,7 @@ func TestHashBitsMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power, err := prime.ForPowerWindow(16, 3)
+	power, err := prime.ForPowerWindow(16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,10 @@
 // Package prime finds the prime moduli the paper's hash families need.
 //
-// Protocol 1 uses a prime p ∈ [10n³, 100n³]; Protocol 2 uses a prime
-// p ∈ [10·n^{n+2}, 100·n^{n+2}]; the GNI protocol's set-size estimation uses
-// primes near multiples of n!. All windows are wide enough that a prime is
-// guaranteed by Bertrand's postulate, which the paper invokes explicitly.
+// Protocol 1 uses a prime p ∈ [10n³, 100n³]; Protocol 2 uses the least
+// prime p ∈ [10·n^{n+2}, 100·n^{n+2}]; the GNI protocol's set-size
+// estimation uses primes near multiples of n!. All windows are wide enough
+// that a prime is guaranteed by Bertrand's postulate, which the paper
+// invokes explicitly.
 package prime
 
 import (
@@ -236,19 +237,25 @@ func ForCubicWindow(n int, seed int64) (*big.Int, error) {
 	return InWindow(lo, hi, seed)
 }
 
-// ForPowerWindow returns the Protocol 2 modulus: a prime in
-// [10·n^{n+2}, 100·n^{n+2}]. Its bit length is Θ(n log n), which is exactly
-// why Protocol 2 costs O(n log n) bits per node.
-func ForPowerWindow(n int, seed int64) (*big.Int, error) {
+// ForPowerWindow returns the Protocol 2 modulus: the least prime in
+// [10·n^{n+2}, 100·n^{n+2}]. Theorem 3.2's bound holds for every prime in
+// the window, so the modulus is a function of n alone and a process needs
+// one search per n (DESIGN.md §10). Its bit length is Θ(n log n), which is
+// exactly why Protocol 2 costs O(n log n) bits per node.
+func ForPowerWindow(n int) (*big.Int, error) {
 	lo, hi, err := PowerWindow(n)
 	if err != nil {
 		return nil, err
 	}
-	return InWindow(lo, hi, seed)
+	p := new(big.Int).Set(lo)
+	if !firstPrime(p, hi) {
+		return nil, fmt.Errorf("prime: no prime in [%v, %v]", lo, hi)
+	}
+	return p, nil
 }
 
 // PowerWindow returns the bounds [10·n^{n+2}, 100·n^{n+2}] of the window
-// ForPowerWindow searches.
+// ForPowerWindow scans.
 func PowerWindow(n int) (lo, hi *big.Int, err error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("prime: n = %d < 2", n)

@@ -82,31 +82,40 @@ func TestForCubicWindow(t *testing.T) {
 	}
 }
 
+// TestForPowerWindow: the Protocol 2 modulus is the least prime of its
+// window, found by the reference scan one candidate at a time from the
+// bottom. (sym-dam's TestSymDAMModulusPerN, in the root package, checks
+// n = 2..66 through the protocol.)
 func TestForPowerWindow(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 16} {
-		p, err := ForPowerWindow(n, 1)
+	for n := 2; n <= 16; n++ {
+		p, err := ForPowerWindow(n)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		pow := new(big.Int).Exp(big.NewInt(int64(n)), big.NewInt(int64(n+2)), nil)
-		lo := new(big.Int).Mul(big.NewInt(10), pow)
-		hi := new(big.Int).Mul(big.NewInt(100), pow)
-		if p.Cmp(lo) < 0 || p.Cmp(hi) > 0 {
-			t.Fatalf("n=%d: p outside window", n)
+		lo, hi, err := PowerWindow(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int).Set(lo)
+		for !isPrime(want) {
+			want.Add(want, big.NewInt(1))
+		}
+		if p.Cmp(want) != 0 || p.Cmp(hi) > 0 {
+			t.Fatalf("n=%d: p=%v, want the least prime %v of [%v, %v]", n, p, want, lo, hi)
 		}
 	}
-	if _, err := ForPowerWindow(1, 0); err == nil {
+	if _, err := ForPowerWindow(1); err == nil {
 		t.Fatal("n=1 should error")
 	}
 }
 
 func TestForPowerWindowBitLength(t *testing.T) {
 	// The Protocol 2 modulus must have Θ(n log n) bits; check growth.
-	p8, err := ForPowerWindow(8, 0)
+	p8, err := ForPowerWindow(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p16, err := ForPowerWindow(16, 0)
+	p16, err := ForPowerWindow(16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +325,10 @@ func TestFirstPrimeCrossesSegments(t *testing.T) {
 }
 
 // BenchmarkForPowerWindow times sym-dam's modulus search at n = 64 (about
-// 400 bits), a fresh seed per op.
+// 400 bits), which a process runs once.
 func BenchmarkForPowerWindow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := ForPowerWindow(64, int64(i)); err != nil {
+		if _, err := ForPowerWindow(64); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,12 +21,16 @@
 //     inserting, so concurrent misses for one key build twice but cache
 //     once.
 //  3. Bounded. Each cache holds at most its capacity, evicting in FIFO
-//     order, and meters hits/misses/evictions/size through internal/obs
-//     so cmd/dipserve can expose them on /metrics.
+//     order with a second chance: an entry hit since it was queued is
+//     queued again once instead of evicted, so a hot entry (a seedless
+//     protocol instance) outlives any stream of cold ones. Each cache
+//     meters hits/misses/evictions/size through internal/obs so
+//     cmd/dipserve can expose them on /metrics.
 package setupcache
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"dip/internal/obs"
 )
@@ -44,16 +48,28 @@ type Key struct {
 	Digest uint64
 }
 
-// Cache is one named, bounded memo table: a map under one mutex plus the
-// FIFO queue of its keys.
+// Cache is one named, bounded memo table: a map from key to slot under
+// one mutex, and a ring of at most capacity slots that a clock hand sweeps
+// in insertion order, which is FIFO with a second chance.
 type Cache struct {
 	meter    *obs.CacheMeter
 	capacity int
 
-	mu sync.Mutex
-	m  map[Key]any
-	// order is the FIFO eviction queue of the cached keys, oldest first.
-	order []Key
+	mu    sync.Mutex
+	index map[Key]int // the slot of each cached key
+	slots []slot      // filled in insertion order up to capacity
+	// hand is the slot the next eviction looks at first once the ring is
+	// full: the entry queued longest ago.
+	hand int
+}
+
+// slot is one cached entry. ref is its reference bit: a hit sets it
+// without taking the lock, and the clock hand clears it and passes the
+// entry by once instead of evicting it.
+type slot struct {
+	key Key
+	v   any
+	ref atomic.Bool
 }
 
 // New returns a cache registered under name holding at most capacity
@@ -74,10 +90,20 @@ func New(name string, capacity int) *Cache {
 // are returned without caching.
 func (c *Cache) Do(key Key, verify func(v any) bool, build func() (any, error)) (any, error) {
 	c.mu.Lock()
-	v, ok := c.m[key]
+	var s *slot
+	var v any
+	if i, ok := c.index[key]; ok {
+		s = &c.slots[i]
+		v = s.v
+	}
 	c.mu.Unlock()
-	if ok && (verify == nil || verify(v)) {
+	if s != nil && (verify == nil || verify(v)) {
 		c.meter.Hits.Add(1)
+		// A stale s (its slot refilled since) only grants the newer
+		// entry one early second chance.
+		if !s.ref.Load() {
+			s.ref.Store(true)
+		}
 		return v, nil
 	}
 	c.meter.Misses.Add(1)
@@ -87,43 +113,61 @@ func (c *Cache) Do(key Key, verify func(v any) bool, build func() (any, error)) 
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if cur, ok := c.m[key]; ok {
+	if i, ok := c.index[key]; ok {
 		// Raced with another builder, or a verified collision holds the
 		// slot: prefer the incumbent when it matches (bounding memory),
 		// otherwise serve our build uncached.
-		if verify == nil || verify(cur) {
+		if cur := c.slots[i].v; verify == nil || verify(cur) {
 			return cur, nil
 		}
 		return built, nil
 	}
-	if c.m == nil {
-		c.m = make(map[Key]any, c.capacity)
+	if c.index == nil {
+		c.index = make(map[Key]int, c.capacity)
+		c.slots = make([]slot, 0, c.capacity)
 	}
-	if len(c.m) >= c.capacity {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.m, oldest)
-		c.meter.Evictions.Add(1)
-		c.meter.Size.Add(-1)
+	i := len(c.slots)
+	if i < c.capacity {
+		c.slots = c.slots[:i+1]
+	} else {
+		i = c.evict()
 	}
-	c.m[key] = built
-	c.order = append(c.order, key)
+	s = &c.slots[i]
+	s.key, s.v = key, built
+	s.ref.Store(false)
+	c.index[key] = i
 	c.meter.Size.Add(1)
 	return built, nil
+}
+
+// evict frees the slot of the entry queued longest ago that has not been
+// hit since it was queued and returns it. The hand passes each entry it
+// finds referenced, clearing its bit, which queues it again; it passes
+// at most capacity of them, so concurrent hits cannot keep it sweeping.
+// The caller holds c.mu and the ring is full.
+func (c *Cache) evict() int {
+	for n := 0; n < c.capacity && c.slots[c.hand].ref.Swap(false); n++ {
+		c.hand = (c.hand + 1) % c.capacity
+	}
+	i := c.hand
+	c.hand = (c.hand + 1) % c.capacity
+	delete(c.index, c.slots[i].key)
+	c.meter.Evictions.Add(1)
+	c.meter.Size.Add(-1)
+	return i
 }
 
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.m)
+	return len(c.index)
 }
 
 // Reset drops every entry (tests and cold-path baselines).
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.meter.Size.Add(-int64(len(c.m)))
-	c.m = nil
-	c.order = nil
+	c.meter.Size.Add(-int64(len(c.index)))
+	c.index, c.slots, c.hand = nil, nil, 0
 }

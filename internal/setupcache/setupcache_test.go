@@ -78,28 +78,77 @@ func TestEvictionBounded(t *testing.T) {
 	}
 }
 
-// TestEvictionFIFO: one insert past the bound evicts the oldest key and
-// keeps every later one.
+// TestEvictionFIFO: keys that are never hit leave in insertion order.
+// Each insert past the bound evicts exactly the oldest key and keeps every
+// later one, for three rounds of the ring.
 func TestEvictionFIFO(t *testing.T) {
 	const capacity = 12
 	c := New("test-fifo", capacity)
-	for i := 0; i <= capacity; i++ {
+	t.Cleanup(c.Reset)
+	for i := 0; i < 4*capacity; i++ {
 		if _, err := c.Do(Key{Kind: "k", A: int64(i)}, nil, func() (any, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, ok := c.m[Key{Kind: "k", A: 0}]; ok {
-		t.Fatal("first key survived an insert past capacity")
-	}
-	for i := 1; i <= capacity; i++ {
-		if _, ok := c.m[Key{Kind: "k", A: int64(i)}]; !ok {
-			t.Fatalf("key %d evicted, want only key 0 evicted", i)
+		for j := 0; j <= i; j++ {
+			_, ok := c.index[Key{Kind: "k", A: int64(j)}]
+			if want := j > i-capacity; ok != want {
+				t.Fatalf("after inserting key %d: key %d cached = %v, want %v", i, j, ok, want)
+			}
 		}
 	}
 }
 
+// TestHitEntrySurvivesColdInserts: a key hit between insertions is never
+// evicted, however many cold keys are inserted after it; the cold keys
+// still leave oldest first, the cache never holds more than its capacity,
+// and every eviction is metered.
+func TestHitEntrySurvivesColdInserts(t *testing.T) {
+	const capacity = 8
+	c := New("test-second-chance", capacity)
+	t.Cleanup(c.Reset)
+	hot := Key{Kind: "hot"}
+	builds := 0
+	buildHot := func() (any, error) { builds++; return "hot", nil }
+	if _, err := c.Do(hot, nil, buildHot); err != nil {
+		t.Fatal(err)
+	}
+	evictions := c.meter.Evictions.Value()
+	const cold = 50 * capacity
+	for i := 0; i < cold; i++ {
+		if _, err := c.Do(Key{Kind: "cold", A: int64(i)}, nil, func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Do(hot, nil, buildHot); err != nil || v != "hot" {
+			t.Fatalf("hot key: %v %v", v, err)
+		}
+		if n := c.Len(); n > capacity {
+			t.Fatalf("cache holds %d entries, capacity %d", n, capacity)
+		}
+		// The hot key and the capacity-1 latest cold keys.
+		for j := 0; j <= i; j++ {
+			_, ok := c.index[Key{Kind: "cold", A: int64(j)}]
+			if want := j > i-capacity+1; ok != want {
+				t.Fatalf("after cold insert %d: cold key %d cached = %v, want %v", i, j, ok, want)
+			}
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("hot key built %d times, want once", builds)
+	}
+	if got, want := c.meter.Evictions.Value()-evictions, int64(cold-(capacity-1)); got != want {
+		t.Fatalf("%d evictions metered, want %d", got, want)
+	}
+	if got := c.meter.Size.Value(); got != capacity {
+		t.Fatalf("meter reports size %d, want %d", got, capacity)
+	}
+}
+
+// TestDoConcurrent runs hits, misses and evictions from eight goroutines
+// at once: ten keys share four slots, so hits set reference bits while
+// the clock hand clears them and refills slots (run it under -race).
 func TestDoConcurrent(t *testing.T) {
-	c := New("test-conc", 64)
+	c := New("test-conc", 4)
+	t.Cleanup(c.Reset)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

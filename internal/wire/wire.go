@@ -9,6 +9,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/big"
@@ -290,17 +291,27 @@ func (r *Reader) ReadBig(width int) (*big.Int, error) {
 	if width <= 64 {
 		return new(big.Int).SetUint64(r.readChunk(width)), nil
 	}
-	// Wide values (Protocol 2's Θ(n log n)-bit hashes): assemble the bytes
-	// big-endian for one SetBytes call instead of width SetBit calls.
-	buf := make([]byte, (width+7)/8)
-	for j := 0; j < len(buf); j++ { // chunk j carries value bits [8j, 8j+take)
-		take := 8
-		if j == len(buf)-1 && width%8 != 0 {
-			take = width % 8
-		}
-		buf[len(buf)-1-j] = byte(r.readChunk(take))
+	// Wide values (Protocol 2's Θ(n log n)-bit hashes): the stream is
+	// least significant bit first, like a big.Int's words, so each word is
+	// the next bits.UintSize bits; SetBits adopts the words as they are.
+	words := make([]big.Word, (width+bits.UintSize-1)/bits.UintSize)
+	for i := range words {
+		words[i] = big.Word(r.readWord(min(bits.UintSize, width-i*bits.UintSize)))
 	}
-	return new(big.Int).SetBytes(buf), nil
+	return new(big.Int).SetBits(words), nil
+}
+
+// readWord is readChunk for the wide path: it reads a whole 64-bit word
+// with one little-endian load (and the odd bits of a ninth byte) where
+// the data allows, and falls back to readChunk elsewhere.
+func (r *Reader) readWord(width int) uint64 {
+	i, off := r.pos>>3, uint(r.pos&7)
+	if width != 64 || i+9 > len(r.data) {
+		return r.readChunk(width)
+	}
+	r.pos += 64
+	// A shift by 64 (off = 0) yields 0.
+	return binary.LittleEndian.Uint64(r.data[i:])>>off | uint64(r.data[i+8])<<(64-off)
 }
 
 // Done returns an error unless every bit of the message has been consumed.

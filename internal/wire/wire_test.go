@@ -192,6 +192,51 @@ func TestWriteBitsMatchesPerBit(t *testing.T) {
 	}
 }
 
+// readBigBytewise is ReadBig's wide path as it was before it filled
+// words: the value's bytes, read a byte at a time, for one SetBytes call.
+func readBigBytewise(r *Reader, width int) (*big.Int, error) {
+	if width < 0 || r.pos+width > r.nbit {
+		r.pos = r.nbit
+		return nil, ErrShortMessage
+	}
+	buf := make([]byte, (width+7)/8)
+	for j := 0; j < len(buf); j++ {
+		take := 8
+		if j == len(buf)-1 && width%8 != 0 {
+			take = width % 8
+		}
+		buf[len(buf)-1-j] = byte(r.readChunk(take))
+	}
+	return new(big.Int).SetBytes(buf), nil
+}
+
+// TestReadBigMatchesBytewise reads every width from 65 to 700 at every bit
+// offset from 0 to 63 out of random bytes, with no bits, a few bits and
+// more than a word after the field, and one bit short, and requires the
+// value, the error and the position to be those of the byte-wise reader.
+func TestReadBigMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	data := make([]byte, (63+700+70+7)/8)
+	for width := 65; width <= 700; width++ {
+		for off := 0; off < 64; off++ {
+			rng.Read(data)
+			for _, extra := range []int{0, 5, 70, -1} {
+				m := Message{Data: data[:(off+width+extra+7)/8], Bits: off + width + extra}
+				got, want := NewReader(m), NewReader(m)
+				if err := errors.Join(got.Skip(off), want.Skip(off)); err != nil {
+					t.Fatal(err)
+				}
+				gv, gerr := got.ReadBig(width)
+				wv, werr := readBigBytewise(want, width)
+				if gerr != werr || got.pos != want.pos || (gerr == nil && gv.Cmp(wv) != 0) {
+					t.Fatalf("width %d offset %d extra %d: ReadBig = %v, %v at %d; byte-wise = %v, %v at %d",
+						width, off, extra, gv, gerr, got.pos, wv, werr, want.pos)
+				}
+			}
+		}
+	}
+}
+
 func TestSkip(t *testing.T) {
 	var w Writer
 	w.WriteUint(0x155, 9)

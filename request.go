@@ -244,8 +244,8 @@ type EngineRun struct {
 	Graph  *graph.Graph
 	Inputs []wire.Message // node inputs (G₁ rows, marks); nil if the protocol has none
 	Prover network.Prover
-	// modulus is sym-dam's seed-derived hash modulus, which a fleet run
-	// sends its peers (fleetParams); nil for every other protocol.
+	// modulus is sym-dam's hash modulus, which a fleet run sends its
+	// peers (fleetParams); nil for every other protocol.
 	modulus *big.Int
 }
 

@@ -53,8 +53,9 @@ func BenchmarkRequestSymDMAMFixedSeed(b *testing.B) {
 
 // BenchmarkRequestHeavyMix times the full request path on the benchmark's
 // inproc-heavy stream: sym-dam, sym-lcp and sym-rpls round-robin on a
-// 64-cycle, a fresh seed per op, so every sym-dam and sym-rpls op pays its
-// own prime search as a served request does.
+// 64-cycle, a fresh seed per op, as served requests arrive: every sym-rpls
+// op pays its own prime search, and sym-dam's per-n instance is searched
+// once and then hit.
 func BenchmarkRequestHeavyMix(b *testing.B) {
 	edges := cycleEdges(64)
 	mix := [...]string{"sym-dam", "sym-lcp", "sym-rpls"}
@@ -73,9 +74,9 @@ func BenchmarkRequestHeavyMix(b *testing.B) {
 }
 
 // BenchmarkRequestHeavyProtocols times the heavy mix one protocol at a
-// time, so that sym-lcp's and sym-rpls's costs are not lost under
-// sym-dam's prime search: each sub-benchmark runs its protocol on the
-// 64-cycle with a fresh seed per op, as BenchmarkRequestHeavyMix does.
+// time, so that each protocol's cost shows apart from the others': each
+// sub-benchmark runs its protocol on the 64-cycle with a fresh seed per
+// op, as BenchmarkRequestHeavyMix does.
 func BenchmarkRequestHeavyProtocols(b *testing.B) {
 	edges := cycleEdges(64)
 	for _, protocol := range []string{"sym-dam", "sym-lcp", "sym-rpls"} {

@@ -7,11 +7,13 @@ import (
 
 // The request path memoizes its two setup stages here: validated graphs
 // (keyed by vertex count and edge-list digest) and constructed protocol
-// instances (keyed by name and every constructor parameter, including the
-// seed — prime search is seed-dependent). Both caches hold values that are
-// immutable after construction, so concurrent requests share them freely;
-// both verify or exactly match their inputs, so a cached request is
-// byte-identical to a cold one (TestCachedRunsByteIdentical pins this).
+// instances (keyed by name and every constructor parameter the instance
+// depends on: the seed where it picks a prime, and no seed for sym-dam,
+// whose prime is a function of n, or for the labeling schemes). Both
+// caches hold values that are immutable after construction, so concurrent
+// requests share them freely; both verify or exactly match their inputs,
+// so a cached request is byte-identical to a cold one
+// (TestCachedRunsByteIdentical pins this).
 var (
 	graphCache = setupcache.New("graphs", 64)
 	protoCache = setupcache.New("protocols", 128)

@@ -3,17 +3,22 @@ package dip
 import (
 	"bytes"
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 
+	"dip/internal/core"
 	"dip/internal/graph"
 	"dip/internal/network"
+	"dip/internal/obs"
+	"dip/internal/prime"
 	"dip/internal/stats"
 )
 
 // cacheTestRequests is a mixed workload hitting every cache from several
 // angles: two symmetry protocols on two instance sizes, repeated seeds
-// (protocol-cache hits) and fresh seeds (misses), plus a baseline scheme.
+// (protocol-cache hits) and fresh seeds (misses, except for sym-dam,
+// whose instance is one per n), plus a baseline scheme.
 func cacheTestRequests() []Request {
 	var reqs []Request
 	for _, n := range []int{8, 12} {
@@ -141,5 +146,50 @@ func TestConcurrentMixedRequestStorm(t *testing.T) {
 	st := network.StatePoolStats()
 	if st.Free > st.Capacity {
 		t.Fatalf("state pool leak: %d free states for capacity %d", st.Free, st.Capacity)
+	}
+}
+
+// TestSymDAMModulusPerN pins sym-dam's modulus as a function of n alone:
+// for n = 2..66 the instance's modulus is the least prime at or above
+// 10·n^{n+2}, found here by testing one candidate at a time, and seeds 1
+// and 2 get the same one. Run of sym-dam at seeds 1–3 then makes one
+// protocol-cache miss, and hits after it.
+func TestSymDAMModulusPerN(t *testing.T) {
+	for n := 2; n <= 66; n++ {
+		lo, _, err := prime.PowerWindow(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := new(big.Int).Set(lo)
+		for !prime.IsPrime(want) {
+			want.Add(want, big.NewInt(1))
+		}
+		for _, seed := range []int64{1, 2} {
+			dam, err := core.NewSymDAM(n, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if dam.P().Cmp(want) != 0 {
+				t.Fatalf("n=%d seed %d: modulus %v, want the least prime %v at or above 10·n^(n+2)", n, seed, dam.P(), want)
+			}
+		}
+	}
+
+	ResetSetupCaches()
+	meter := obs.Cache("protocols")
+	req := Request{Protocol: "sym-dam", N: 8, Edges: edgesOf(graph.Cycle(8))}
+	for seed := int64(1); seed <= 3; seed++ {
+		hits, misses := meter.Hits.Value(), meter.Misses.Value()
+		req.Options.Seed = seed
+		if _, err := Run(req); err != nil {
+			t.Fatal(err)
+		}
+		wantMisses := int64(0)
+		if seed == 1 {
+			wantMisses = 1
+		}
+		if h, m := meter.Hits.Value()-hits, meter.Misses.Value()-misses; m != wantMisses || h+m != 1 {
+			t.Fatalf("seed %d: %d protocol-cache hits and %d misses, want %d misses of one lookup", seed, h, m, wantMisses)
+		}
 	}
 }
