@@ -66,11 +66,15 @@ bench-vet:
 # the setting the sidecar records), so a hand-edited or stale artifact —
 # including either allocation budget — cannot sit in the tree; it then
 # round-trips the file through the schema validator and schema-checks
-# both committed results sidecars.
+# both committed results sidecars. The regenerated file lives in a
+# directory of its own run, removed on exit, so two checkouts verified
+# side by side on one host never compare each other's file.
 smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json /tmp/dip-bench-smoke.json >/dev/null
-	@cmp /tmp/dip-bench-smoke.json BENCH_seed1.json || { echo "BENCH_seed1.json is stale: regenerate it with make tables"; exit 1; }
-	$(GO) run ./cmd/dipbench -validate /tmp/dip-bench-smoke.json
+	@dir=$$(mktemp -d /tmp/dip-bench-smoke.XXXXXX); \
+	trap 'rm -rf '"$$dir" EXIT; \
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -quick -seed 1 -progress=false -json $$dir/bench.json >/dev/null || exit 1; \
+	cmp $$dir/bench.json BENCH_seed1.json || { echo "BENCH_seed1.json is stale: regenerate it with make tables"; exit 1; }; \
+	$(GO) run ./cmd/dipbench -validate $$dir/bench.json || exit 1; \
 	$(GO) run ./cmd/dipbench -validate BENCH_seed1.json FAULT_seed1.json
 
 # fuzz-short gives each decoder fuzz target, and FuzzHashBits, a brief
@@ -92,11 +96,13 @@ fuzz-short:
 # fault-smoke runs the quick fault matrix (E12) end to end, requires the
 # dip-fault/v1 file to be byte-identical to the committed FAULT_seed1.json
 # (at GOMAXPROCS=1, like smoke), and round-trips it through the schema
-# validator.
+# validator. Like smoke, it writes into a directory of its own run.
 fault-smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json /tmp/dip-fault-smoke.json >/dev/null
-	@cmp /tmp/dip-fault-smoke.json FAULT_seed1.json || { echo "FAULT_seed1.json is stale: regenerate it with make tables"; exit 1; }
-	$(GO) run ./cmd/dipbench -validate /tmp/dip-fault-smoke.json
+	@dir=$$(mktemp -d /tmp/dip-fault-smoke.XXXXXX); \
+	trap 'rm -rf '"$$dir" EXIT; \
+	GOMAXPROCS=1 $(GO) run ./cmd/dipbench -faults -quick -seed 1 -progress=false -json $$dir/fault.json >/dev/null || exit 1; \
+	cmp $$dir/fault.json FAULT_seed1.json || { echo "FAULT_seed1.json is stale: regenerate it with make tables"; exit 1; }; \
+	$(GO) run ./cmd/dipbench -validate $$dir/fault.json
 
 # serve-smoke exercises the verification service end to end: build
 # dipserve and dipload, boot the service on an ephemeral port, fire a

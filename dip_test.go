@@ -302,6 +302,33 @@ func TestMarkedUnequalSetsRejected(t *testing.T) {
 	}
 }
 
+// TestGNISearchBound pins the bound on the GS provers' brute-force
+// search: a request whose hashed graph has more than 8 vertices (n for
+// gni-damam and gni-general, k for gni-marked) is refused as the caller's
+// error while the protocol is built, before any prover runs. Without the
+// bound, each honest prover would enumerate 9! permutations per
+// repetition, and a run's deadline cannot stop it.
+func TestGNISearchBound(t *testing.T) {
+	c9 := edgesOf(graph.Cycle(9))
+	path18 := edgesOf(graph.Path(18))
+	marks := make([]int, 18)
+	for v := 9; v < 18; v++ {
+		marks[v] = 1
+	}
+	for _, req := range []Request{
+		{Protocol: "gni-damam", N: 9, Edges: c9, Edges1: c9},
+		{Protocol: "gni-general", N: 9, Edges: c9, Edges1: c9},
+		{Protocol: "gni-marked", N: 18, Edges: path18, Marks: marks},
+	} {
+		req.Options.Repetitions = 1
+		_, err := Run(req)
+		var reqErr *RequestError
+		if !errors.As(err, &reqErr) || !strings.Contains(err.Error(), "9 vertices > 8") {
+			t.Fatalf("%s: err = %v, want a RequestError naming the bound", req.Protocol, err)
+		}
+	}
+}
+
 // TestRepetitionsValidation pins the shared repetition-count resolution:
 // negatives are rejected up front with a clear error (for every protocol:
 // see TestRunRejectsUnusedFields), zero selects the library-wide default

@@ -16,15 +16,6 @@ func benchSet(n int, density float64, seed int64) *Set {
 	return s
 }
 
-func BenchmarkUnionWith(b *testing.B) {
-	x := benchSet(4096, 0.5, 1)
-	y := benchSet(4096, 0.5, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x.UnionWith(y)
-	}
-}
-
 func BenchmarkCount(b *testing.B) {
 	x := benchSet(4096, 0.5, 3)
 	b.ResetTimer()

@@ -3,8 +3,8 @@
 // The paper represents subsets of the vertex set V as characteristic vectors
 // in {0,1}^V (Section 2.1), and adjacency-matrix rows as vectors N(v). This
 // package is the concrete realization of those vectors: a Set is a sequence
-// of n bits backed by 64-bit words, supporting the boolean-algebra and
-// iteration operations the protocols need.
+// of n bits backed by 64-bit words, supporting the membership, permutation
+// and iteration operations the protocols need.
 package bitset
 
 import (
@@ -49,8 +49,8 @@ func (s *Set) Len() int { return s.n }
 // AppendHash folds the vector's length and content into h (FNV-1a over the
 // backing words) and returns the extended hash. It allocates nothing, which
 // is what makes it usable as the per-request cache-key fold in the setup
-// cache: equal vectors fold equally, and the words beyond Len are kept
-// zeroed by trim, so the fold is canonical.
+// cache: equal vectors fold equally, and no operation sets a bit at or
+// beyond Len, so the fold is canonical.
 func (s *Set) AppendHash(h uint64) uint64 {
 	const fnvPrime = 1099511628211
 	h ^= uint64(s.n)
@@ -91,15 +91,6 @@ func (s *Set) Flip(i int) {
 func (s *Set) Contains(i int) bool {
 	s.check(i)
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// SetTo sets bit i to v.
-func (s *Set) SetTo(i int, v bool) {
-	if v {
-		s.Add(i)
-	} else {
-		s.Remove(i)
-	}
 }
 
 // Count returns the number of set bits.
@@ -153,79 +144,10 @@ func (s *Set) sameLen(t *Set, op string) {
 	}
 }
 
-// UnionWith sets s to s ∪ t.
-func (s *Set) UnionWith(t *Set) {
-	s.sameLen(t, "union")
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
-}
-
-// IntersectWith sets s to s ∩ t.
-func (s *Set) IntersectWith(t *Set) {
-	s.sameLen(t, "intersect")
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
-// DifferenceWith sets s to s \ t.
-func (s *Set) DifferenceWith(t *Set) {
-	s.sameLen(t, "difference")
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// XorWith sets s to the symmetric difference of s and t.
-func (s *Set) XorWith(t *Set) {
-	s.sameLen(t, "xor")
-	for i := range s.words {
-		s.words[i] ^= t.words[i]
-	}
-}
-
-// Intersects reports whether s and t share any set bit.
-func (s *Set) Intersects(t *Set) bool {
-	s.sameLen(t, "intersects")
-	for i := range s.words {
-		if s.words[i]&t.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// SubsetOf reports whether every set bit of s is also set in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.sameLen(t, "subset")
-	for i := range s.words {
-		if s.words[i]&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear zeroes all bits.
 func (s *Set) Clear() {
 	for i := range s.words {
 		s.words[i] = 0
-	}
-}
-
-// Fill sets all n bits.
-func (s *Set) Fill() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// trim clears any bits beyond position n-1 in the last word.
-func (s *Set) trim() {
-	if rem := s.n % wordBits; rem != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
 	}
 }
 
@@ -285,21 +207,6 @@ func (s *Set) Bytes() []byte {
 		out[i/8] |= 1 << (uint(i) % 8)
 	}
 	return out
-}
-
-// FromBytes reconstructs a vector of length n from the packing produced by
-// Bytes. Extra bits in the final byte are ignored.
-func FromBytes(n int, data []byte) (*Set, error) {
-	if want := (n + 7) / 8; len(data) != want {
-		return nil, fmt.Errorf("bitset: got %d bytes for length %d, want %d", len(data), n, want)
-	}
-	s := New(n)
-	for i := 0; i < n; i++ {
-		if data[i/8]&(1<<(uint(i)%8)) != 0 {
-			s.Add(i)
-		}
-	}
-	return s, nil
 }
 
 // Permute returns the vector whose bit p(i) equals s's bit i. p must be a

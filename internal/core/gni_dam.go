@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"dip/internal/bitset"
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
@@ -51,6 +52,9 @@ func NewGNIDAM(n, k int, seed int64) (*GNIDAM, error) {
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: GNIDAM needs k >= 1, got %d", k)
+	}
+	if err := checkHashedVertices("GNIDAM", n); err != nil {
+		return nil, err
 	}
 	params, err := hashing.NewGSParams(n, 2, seed)
 	if err != nil {
@@ -150,9 +154,10 @@ func (g *GNIDAM) decide(v int, view *network.NodeView) bool {
 		if err != nil {
 			return false
 		}
-		cExpect := g.params.RowTermSlow(seed.Alpha, rep.sigma[v], imagesOf(rep.sigma, closed))
+		f := g.params.Family()
+		cExpect := f.RowTable(seed.Alpha, g.n).Hash(rep.sigma[v], closed.Permute(rep.sigma))
 		for _, j := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].sums[si])
+			f.AddModInto(cExpect, neighborMsgs[j].sums[si])
 		}
 		if cExpect.Cmp(msg.sums[si]) != 0 {
 			return false
@@ -184,7 +189,7 @@ func (p *gniDamProver) Respond(round int, view *network.ProverView) (*network.Re
 	}
 	g := p.proto
 	n := g.n
-	_, closed, err := g.pairTables(view, "GNIDAM")
+	closed, err := g.pairRows(view, "GNIDAM")
 	if err != nil {
 		return nil, err
 	}
@@ -207,12 +212,14 @@ func (p *gniDamProver) Respond(round int, view *network.ProverView) (*network.Re
 		if !ok {
 			continue
 		}
-		table := g.params.Powers(seed.Alpha)
+		f := g.params.Family()
+		tab := f.RowTable(seed.Alpha, n)
+		mapped := bitset.New(n)
 		perNode := make([]*big.Int, n)
 		for _, v := range order {
-			c := g.params.RowTerm(table, sigma[v], imagesOf(sigma, closed[b][v]))
+			c := tab.Hash(sigma[v], closed[b][v].PermuteInto(mapped, sigma))
 			for _, ch := range childLists[v] {
-				c = g.params.AddModQ(c, perNode[ch])
+				f.AddModInto(c, perNode[ch])
 			}
 			perNode[v] = c
 		}

@@ -15,6 +15,9 @@ func TestGNIDAMValidation(t *testing.T) {
 	if _, err := NewGNIDAM(6, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	if _, err := NewGNIDAM(maxHashedVertices+1, 1, 0); err == nil {
+		t.Fatal("n above the search bound accepted")
+	}
 	proto, err := NewGNIDAM(6, 12, 0)
 	if err != nil {
 		t.Fatal(err)

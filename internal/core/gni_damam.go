@@ -6,9 +6,11 @@ import (
 	"math/big"
 	"math/rand"
 
+	"dip/internal/bitset"
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
+	"dip/internal/perm"
 	"dip/internal/setupcache"
 	"dip/internal/spantree"
 	"dip/internal/wire"
@@ -58,7 +60,8 @@ import (
 // argument applies.
 type GNIDAMAM struct {
 	gsKit
-	p2 *big.Int // consistency-check prime, ≈ 1000·k·n³
+	p2 *big.Int              // consistency-check prime, ≈ 1000·k·n³
+	sz *hashing.LinearFamily // the Schwartz–Zippel sums' family over p₂
 }
 
 // NewGNIDAMAM builds the protocol for graphs on n vertices with k parallel
@@ -71,12 +74,15 @@ func NewGNIDAMAM(n, k int, seed int64) (*GNIDAMAM, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: GNI needs k >= 1, got %d", k)
 	}
+	if err := checkHashedVertices("GNI", n); err != nil {
+		return nil, err
+	}
 	params, err := hashing.NewGSParams(n, 2, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: GNI hash params: %w", err)
 	}
 	g := &GNIDAMAM{gsKit: newGSKit(n, k, params)}
-	if g.p2, err = g.consistencyPrime(seed + 7); err != nil {
+	if g.p2, g.sz, err = g.consistencyPrime(seed + 7); err != nil {
 		return nil, fmt.Errorf("core: GNI consistency prime: %w", err)
 	}
 	return g, nil
@@ -86,6 +92,42 @@ func NewGNIDAMAM(n, k int, seed int64) (*GNIDAMAM, error) {
 func (g *GNIDAMAM) K() int { return g.reps }
 
 func (g *GNIDAMAM) p2Width() int { return wire.WidthForBig(g.p2) }
+
+// ownSums returns node v's own terms of the four aggregates of one
+// repetition, given its closed G_b-row and the images of the row's
+// members, ascending: c hashes its row [σ(v), σ(N_b[v])] under tab, and
+// s₁, s₂ and s₃ are the terms the type comment lists, at z. It reports
+// false if two images coincide, when σ is not injective on the row.
+func (g *GNIDAMAM) ownSums(tab *hashing.RowTable, z *big.Int, v int, closed *bitset.Set, images []int) (gniSums, bool) {
+	set := bitset.FromIndices(g.n, images...)
+	if len(images) != closed.Count() || set.Count() != len(images) {
+		return gniSums{}, false
+	}
+	rowClaims := make([]int, 0, len(images))
+	var sigmaV int
+	for j, u := 0, closed.NextSet(0); u >= 0; j, u = j+1, closed.NextSet(u+1) {
+		if u == v {
+			sigmaV = images[j]
+		}
+		rowClaims = append(rowClaims, u*g.n+images[j])
+	}
+	s2 := g.sz.HashIndicator(z, []int{v*g.n + sigmaV})
+	s2.Mod(s2.Mul(s2, big.NewInt(int64(len(images)))), g.p2)
+	return gniSums{
+		c:  tab.Hash(sigmaV, set),
+		s1: g.sz.HashIndicator(z, rowClaims),
+		s2: s2,
+		s3: g.sz.HashIndicator(z, []int{sigmaV}),
+	}, true
+}
+
+// addSums folds a child's aggregates into own.
+func (g *GNIDAMAM) addSums(own, child gniSums) {
+	g.params.Family().AddModInto(own.c, child.c)
+	g.sz.AddModInto(own.s1, child.s1)
+	g.sz.AddModInto(own.s2, child.s2)
+	g.sz.AddModInto(own.s3, child.s3)
+}
 
 // EncodeGNIInputs encodes G₁ into per-node inputs: node v receives its open
 // G₁-neighborhood as an n-bit row.
@@ -243,7 +285,7 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		return false
 	}
 	// Node v's own closed neighborhoods determine its image-list lengths.
-	var closedB [2][]int
+	var closedB [2]*bitset.Set
 	for b := range closedB {
 		c, err := closedNbhdFromView(view, b, g.n)
 		if err != nil {
@@ -258,7 +300,7 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		var counts []int
 		for _, c := range first.reps {
 			if c.success {
-				counts = append(counts, len(closedB[c.b]))
+				counts = append(counts, closedB[c.b].Count())
 			}
 		}
 		first, err = g.decodeFirst(view.Responses[0], counts)
@@ -324,70 +366,33 @@ func (g *GNIDAMAM) decide(v int, view *network.NodeView) bool {
 		}
 	}
 
-	// Per-repetition aggregate checks.
+	// Per-repetition aggregate checks: c is the partial hash sum, s₁ the
+	// per-row image claims, s₂ the weighted diagonal claim and s₃ the
+	// image multiset.
 	for si, rd := range reps {
-		closed := closedB[rd.b]
-		images := rd.image
-		// Row claims must form a set (σ injective on the neighborhood).
-		if len(images) != len(closed) || hasDuplicate(images) {
-			return false
+		expect, ok := g.ownSums(g.params.Family().RowTable(rd.seed.Alpha, g.n), z, v, closedB[rd.b], rd.image)
+		if !ok {
+			return false // row claims must form a set
 		}
-		var sigmaV int
-		for j, u := range closed {
-			if u == v {
-				sigmaV = images[j]
-			}
-		}
-
-		// c: partial hash sum.
-		cExpect := g.params.RowTermSlow(rd.seed.Alpha, sigmaV, images)
 		for _, j := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborSecond[j].sums[si].c)
+			g.addSums(expect, neighborSecond[j].sums[si])
 		}
-		if cExpect.Cmp(second.sums[si].c) != 0 {
-			return false
-		}
-
-		// s1: per-row image claims, s2: weighted diagonal claim,
-		// s3: image multiset — all in Z_{p₂}.
-		s1 := new(big.Int)
-		for j, u := range closed {
-			s1.Add(s1, expMod(z, u*g.n+images[j]+1, g.p2))
-		}
-		s1.Mod(s1, g.p2)
-		s2 := expMod(z, v*g.n+sigmaV+1, g.p2)
-		s2.Mul(s2, big.NewInt(int64(len(closed))))
-		s2.Mod(s2, g.p2)
-		s3 := expMod(z, sigmaV+1, g.p2)
-		for _, j := range children {
-			ns := neighborSecond[j].sums[si]
-			s1.Add(s1, ns.s1)
-			s2.Add(s2, ns.s2)
-			s3.Add(s3, ns.s3)
-		}
-		s1.Mod(s1, g.p2)
-		s2.Mod(s2, g.p2)
-		s3.Mod(s3, g.p2)
-		if s1.Cmp(second.sums[si].s1) != 0 ||
-			s2.Cmp(second.sums[si].s2) != 0 ||
-			s3.Cmp(second.sums[si].s3) != 0 {
+		got := second.sums[si]
+		if expect.c.Cmp(got.c) != 0 || expect.s1.Cmp(got.s1) != 0 ||
+			expect.s2.Cmp(got.s2) != 0 || expect.s3.Cmp(got.s3) != 0 {
 			return false
 		}
 
 		// Root-only: the aggregates must close the argument.
 		if v == 0 {
-			if second.sums[si].s1.Cmp(second.sums[si].s2) != 0 {
+			if got.s1.Cmp(got.s2) != 0 {
 				return false
 			}
-			multiset := new(big.Int)
-			for w := 0; w < g.n; w++ {
-				multiset.Add(multiset, expMod(z, w+1, g.p2))
-			}
-			multiset.Mod(multiset, g.p2)
-			if second.sums[si].s3.Cmp(multiset) != 0 {
+			// s₃ = Σ_{w<n} z^{w+1}: the images are exactly [n].
+			if got.s3.Cmp(g.sz.HashIndicator(z, perm.Identity(g.n))) != 0 {
 				return false
 			}
-			if !g.hits(rd.seed, second.sums[si].c) {
+			if !g.hits(rd.seed, got.c) {
 				return false // claimed success did not hash to the target
 			}
 		}
@@ -423,7 +428,7 @@ type gniProver struct {
 	reps   []gsRep
 	seeds  []*hashing.GSSeed
 	advice []spantree.Advice
-	closed [2][][]int // per b, per node: sorted closed neighborhood
+	closed [2][]*bitset.Set // per b, per node: closed row
 }
 
 func (p *gniProver) Respond(round int, view *network.ProverView) (*network.Response, error) {
@@ -440,7 +445,7 @@ func (p *gniProver) Respond(round int, view *network.ProverView) (*network.Respo
 func (p *gniProver) first(view *network.ProverView) (*network.Response, error) {
 	g := p.proto
 	var err error
-	if _, p.closed, err = g.pairTables(view, "GNI"); err != nil {
+	if p.closed, err = g.pairRows(view, "GNI"); err != nil {
 		return nil, err
 	}
 
@@ -494,27 +499,13 @@ func (p *gniProver) second(view *network.ProverView) (*network.Response, error) 
 			continue
 		}
 		sums := make([]gniSums, n)
-		table := g.params.Powers(p.seeds[r].Alpha)
+		tab := g.params.Family().RowTable(p.seeds[r].Alpha, n)
 		for _, v := range order {
 			closed := p.closed[st.b][v]
-			s1 := new(big.Int)
-			for _, u := range closed {
-				s1.Add(s1, expMod(z, u*n+st.sigma[u]+1, g.p2))
-			}
-			c := g.params.RowTerm(table, st.sigma[v], imagesOf(st.sigma, closed))
-			s2 := expMod(z, v*n+st.sigma[v]+1, g.p2)
-			s2.Mul(s2, big.NewInt(int64(len(closed))))
-			s3 := expMod(z, st.sigma[v]+1, g.p2)
+			sums[v], _ = g.ownSums(tab, z, v, closed, imagesOf(st.sigma, closed))
 			for _, ch := range children[v] {
-				c = g.params.AddModQ(c, sums[ch].c)
-				s1.Add(s1, sums[ch].s1)
-				s2.Add(s2, sums[ch].s2)
-				s3.Add(s3, sums[ch].s3)
+				g.addSums(sums[v], sums[ch])
 			}
-			s1.Mod(s1, g.p2)
-			s2.Mod(s2, g.p2)
-			s3.Mod(s3, g.p2)
-			sums[v] = gniSums{c: c, s1: s1, s2: s2, s3: s3}
 		}
 		allSums = append(allSums, sums)
 	}

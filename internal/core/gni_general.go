@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"dip/internal/bitset"
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
@@ -46,8 +47,9 @@ import (
 //
 // Round structure: a single Arthur-Merlin exchange, as in GNIDAM.
 type GNIGeneral struct {
-	gsKit          // hash dimension 2n²
-	q3    *big.Int // automorphism-check modulus
+	gsKit                       // hash dimension 2n²
+	q3    *big.Int              // automorphism-check modulus
+	h3    *hashing.LinearFamily // the automorphism check's family over q3, dimension n²
 }
 
 // NewGNIGeneral builds the promise-free protocol for graphs on n vertices
@@ -56,11 +58,11 @@ func NewGNIGeneral(n, k int, seed int64) (*GNIGeneral, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("core: GNIGeneral needs n >= 3, got %d", n)
 	}
-	if n > 8 {
-		return nil, fmt.Errorf("core: GNIGeneral prover enumerates Aut by brute force; n = %d > 8", n)
-	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: GNIGeneral needs k >= 1, got %d", k)
+	}
+	if err := checkHashedVertices("GNIGeneral", n); err != nil {
+		return nil, err
 	}
 	params, err := hashing.NewGSParamsDim(n, 2, 2, seed)
 	if err != nil {
@@ -74,7 +76,11 @@ func NewGNIGeneral(n, k int, seed int64) (*GNIGeneral, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: GNIGeneral q3: %w", err)
 	}
-	return &GNIGeneral{gsKit: newGSKit(n, k, params), q3: q3}, nil
+	h3, err := hashing.NewLinearFamily(n*n, q3)
+	if err != nil {
+		return nil, fmt.Errorf("core: GNIGeneral q3: %w", err)
+	}
+	return &GNIGeneral{gsKit: newGSKit(n, k, params), q3: q3, h3: h3}, nil
 }
 
 // K returns the number of parallel repetitions.
@@ -108,16 +114,17 @@ func (g *GNIGeneral) alpha3FromEcho(echo wire.Message) (*big.Int, error) {
 	return raw.Mod(raw, g.q3), nil
 }
 
-// h3Row computes Σ_c α3^{row·n+c+1} mod q3 — one row's contribution to the
-// Lemma 3.1 automorphism comparison.
-func (g *GNIGeneral) h3Row(alpha3 *big.Int, row int, cols []int) *big.Int {
-	sum := new(big.Int)
-	e := new(big.Int)
-	for _, c := range cols {
-		e.SetInt64(int64(row*g.n + c + 1))
-		sum.Add(sum, new(big.Int).Exp(alpha3, e, g.q3))
-	}
-	return sum.Mod(sum, g.q3)
+// ownTerms returns node v's own terms of one repetition's aggregates,
+// given its closed G_b-row: c hashes its row [σ(v), σ(N_b[v])] of σ(G_b)
+// and its τ-indicator entry (row n+σ(v), column τ(σ(v))) under tab, the
+// f_α table; d and e hash [σ(v), σ(N_b[v])] and its τ-image under h3,
+// the q3 table of the Lemma 3.1 comparison.
+func (g *GNIGeneral) ownTerms(tab, h3 *hashing.RowTable, sigma, tau perm.Perm, v int, closed *bitset.Set) (c, d, e *big.Int) {
+	mapped := closed.Permute(sigma)
+	sigmaV := sigma[v]
+	c = tab.Hash(sigmaV, mapped)
+	g.params.Family().AddModInto(c, tab.Hash(g.n+sigmaV, bitset.FromIndices(g.n, tau[sigmaV])))
+	return c, h3.Hash(sigmaV, mapped), h3.Hash(tau[sigmaV], mapped.Permute(tau))
 }
 
 type gniGenMessage struct {
@@ -215,35 +222,21 @@ func (g *GNIGeneral) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 
-		// Our row of σ(G_b) plus our τ-indicator entry.
+		// Our row of σ(G_b) plus our τ-indicator entry, and the
+		// automorphism comparison, Lemma 3.1 style: d aggregates
+		// h3([σ(v), row]), e aggregates h3([τ(σ(v)), τ(row)]).
 		closed, err := closedNbhdFromView(view, rep.b, g.n)
 		if err != nil {
 			return false
 		}
-		cols := imagesOf(rep.sigma, closed)
-		sigmaV := rep.sigma[v]
-		cExpect := g.params.RowTermSlow(seed.Alpha, sigmaV, cols)
-		// τ block: row n + σ(v), single column τ(σ(v)).
-		cExpect = g.params.AddModQ(cExpect,
-			g.params.RowTermSlow(seed.Alpha, g.n+sigmaV, []int{rep.tau[sigmaV]}))
+		cExpect, dExpect, eExpect := g.ownTerms(g.params.Family().RowTable(seed.Alpha, g.n),
+			g.h3.RowTable(alpha3, g.n), rep.sigma, rep.tau, v, closed)
 		for _, j := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborMsgs[j].c[si])
+			g.params.Family().AddModInto(cExpect, neighborMsgs[j].c[si])
+			g.h3.AddModInto(dExpect, neighborMsgs[j].d[si])
+			g.h3.AddModInto(eExpect, neighborMsgs[j].e[si])
 		}
-		if cExpect.Cmp(msg.c[si]) != 0 {
-			return false
-		}
-
-		// Automorphism comparison, Lemma 3.1 style: d aggregates
-		// h3([σ(v), row]), e aggregates h3([τ(σ(v)), τ(row)]).
-		dExpect := g.h3Row(alpha3, sigmaV, cols)
-		eExpect := g.h3Row(alpha3, rep.tau[sigmaV], imagesOf(rep.tau, cols))
-		for _, j := range children {
-			dExpect.Add(dExpect, neighborMsgs[j].d[si])
-			eExpect.Add(eExpect, neighborMsgs[j].e[si])
-		}
-		dExpect.Mod(dExpect, g.q3)
-		eExpect.Mod(eExpect, g.q3)
-		if dExpect.Cmp(msg.d[si]) != 0 || eExpect.Cmp(msg.e[si]) != 0 {
+		if cExpect.Cmp(msg.c[si]) != 0 || dExpect.Cmp(msg.d[si]) != 0 || eExpect.Cmp(msg.e[si]) != 0 {
 			return false
 		}
 
@@ -281,16 +274,14 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 	}
 	g := p.proto
 	n := g.n
-	rows, closed, err := g.pairTables(view, "GNIGeneral")
+	closed, err := g.pairRows(view, "GNIGeneral")
 	if err != nil {
 		return nil, err
 	}
 	g1 := graph.New(n)
-	for v, open := range rows {
-		for _, u := range open {
-			if u > v {
-				g1.AddEdge(v, u)
-			}
+	for v, row := range closed[1] {
+		for u := row.NextSet(v + 1); u >= 0; u = row.NextSet(u + 1) {
+			g1.AddEdge(v, u)
 		}
 	}
 	auts := [2][]perm.Perm{graph.AllAutomorphisms(view.Graph), graph.AllAutomorphisms(g1)}
@@ -325,26 +316,20 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 		if err != nil {
 			return nil, err
 		}
-		table := g.params.Powers(seed.Alpha)
+		f := g.params.Family()
+		tab, h3 := f.RowTable(seed.Alpha, n), g.h3.RowTable(alpha3, n)
 		s := sums{
 			c: make([]*big.Int, n),
 			d: make([]*big.Int, n),
 			e: make([]*big.Int, n),
 		}
 		for _, v := range order {
-			cols := imagesOf(sigma, closed[b][v])
-			sigmaV := sigma[v]
-			c := g.params.RowTerm(table, sigmaV, cols)
-			c = g.params.AddModQ(c, g.params.RowTerm(table, n+sigmaV, []int{tau[sigmaV]}))
-			d := g.h3Row(alpha3, sigmaV, cols)
-			e := g.h3Row(alpha3, tau[sigmaV], imagesOf(tau, cols))
+			c, d, e := g.ownTerms(tab, h3, sigma, tau, v, closed[b][v])
 			for _, ch := range childLists[v] {
-				c = g.params.AddModQ(c, s.c[ch])
-				d.Add(d, s.d[ch])
-				e.Add(e, s.e[ch])
+				f.AddModInto(c, s.c[ch])
+				g.h3.AddModInto(d, s.d[ch])
+				g.h3.AddModInto(e, s.e[ch])
 			}
-			d.Mod(d, g.q3)
-			e.Mod(e, g.q3)
 			s.c[v], s.d[v], s.e[v] = c, d, e
 		}
 		all = append(all, s)
@@ -365,27 +350,33 @@ func (p *gniGenProver) Respond(round int, view *network.ProverView) (*network.Re
 
 // search enumerates S' for a preimage of the target: coset-minimal σ
 // (each image graph once) × conjugated automorphisms.
-func (p *gniGenProver) search(closed [2][][]int, auts [2][]perm.Perm, seed *hashing.GSSeed) (int, perm.Perm, perm.Perm, bool) {
+func (p *gniGenProver) search(closed [2][]*bitset.Set, auts [2][]perm.Perm, seed *hashing.GSSeed) (int, perm.Perm, perm.Perm, bool) {
 	g := p.proto
 	n := g.n
-	table := g.params.Powers(seed.Alpha)
+	f := g.params.Family()
+	tab := f.RowTable(seed.Alpha, n)
+	mapped, entry := bitset.New(n), bitset.New(n)
+	base, sum := new(big.Int), new(big.Int)
 	for b := 0; b < 2; b++ {
 		sigma := perm.Identity(n)
 		for {
 			if cosetMinimal(sigma, auts[b]) {
 				// Matrix-block hash, shared by all τ for this σ.
-				base := new(big.Int)
-				for v, cls := range closed[b] {
-					base = g.params.AddModQ(base, g.params.RowTerm(table, sigma[v], imagesOf(sigma, cls)))
+				base.SetInt64(0)
+				for v, row := range closed[b] {
+					f.AddModInto(base, tab.Hash(sigma[v], row.PermuteInto(mapped, sigma)))
 				}
 				sigmaInv := sigma.Inverse()
 				for _, a := range auts[b] {
 					tau := sigma.Compose(a).Compose(sigmaInv)
-					f := new(big.Int).Set(base)
+					// τ block: row n+w holds τ(w).
+					sum.Set(base)
 					for w := 0; w < n; w++ {
-						f = g.params.AddModQ(f, g.params.RowTerm(table, n+w, []int{tau[w]}))
+						entry.Clear()
+						entry.Add(tau[w])
+						f.AddModInto(sum, tab.Hash(n+w, entry))
 					}
-					if g.params.Finish(seed, f).Cmp(seed.Y) == 0 {
+					if g.params.Finish(seed, sum).Cmp(seed.Y) == 0 {
 						return b, sigma.Clone(), tau, true
 					}
 				}

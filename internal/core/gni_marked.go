@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 
+	"dip/internal/bitset"
 	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
@@ -59,9 +60,10 @@ const (
 // claims), Arthur (z), Merlin (multiset + hash aggregates) — a dAMAM
 // protocol, like Theorem 1.5's.
 type MarkedGNI struct {
-	gsKit          // hash built for k-vertex graphs, seed spread over all n nodes
-	k     int      // size of each marked set
-	p2    *big.Int // rank-multiset modulus
+	gsKit                       // hash built for k-vertex graphs, seed spread over all n nodes
+	k     int                   // size of each marked set
+	p2    *big.Int              // rank-multiset modulus
+	sz    *hashing.LinearFamily // the rank multisets' family over p₂
 }
 
 // NewMarkedGNI builds the protocol for an n-node network whose two marked
@@ -76,12 +78,15 @@ func NewMarkedGNI(n, k, reps int, seed int64) (*MarkedGNI, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("core: MarkedGNI needs reps >= 1, got %d", reps)
 	}
+	if err := checkHashedVertices("MarkedGNI", k); err != nil {
+		return nil, err
+	}
 	params, err := hashing.NewGSParams(k, 2, seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: MarkedGNI hash params: %w", err)
 	}
 	g := &MarkedGNI{gsKit: newGSKit(n, reps, params), k: k}
-	if g.p2, err = g.consistencyPrime(seed + 17); err != nil {
+	if g.p2, g.sz, err = g.consistencyPrime(seed + 17); err != nil {
 		return nil, fmt.Errorf("core: MarkedGNI p2: %w", err)
 	}
 	return g, nil
@@ -90,6 +95,19 @@ func NewMarkedGNI(n, k, reps int, seed int64) (*MarkedGNI, error) {
 // K returns the size of each marked set; Reps the repetition count.
 func (g *MarkedGNI) K() int    { return g.k }
 func (g *MarkedGNI) Reps() int { return g.reps }
+
+// rankTerms returns a node's own terms of the rank multisets m₀ and m₁:
+// z^{rank+1} in the one its mark selects, 0 in the other.
+func (g *MarkedGNI) rankTerms(z *big.Int, mark Mark, rank int) (m0, m1 *big.Int) {
+	m0, m1 = new(big.Int), new(big.Int)
+	switch mark {
+	case MarkZero:
+		m0 = g.sz.HashIndicator(z, []int{rank})
+	case MarkOne:
+		m1 = g.sz.HashIndicator(z, []int{rank})
+	}
+	return m0, m1
+}
 
 func (g *MarkedGNI) rankWidth() int  { return wire.WidthFor(g.k) }
 func (g *MarkedGNI) countWidth() int { return wire.WidthFor(g.n + 1) }
@@ -378,28 +396,17 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 			return false
 		}
 	}
-	m0, m1 := new(big.Int), new(big.Int)
-	if myMark == MarkZero {
-		m0 = expMod(z, first.rank+1, g.p2)
-	}
-	if myMark == MarkOne {
-		m1 = expMod(z, first.rank+1, g.p2)
-	}
+	m0, m1 := g.rankTerms(z, myMark, first.rank)
 	for _, j := range children {
-		m0.Add(m0, neighborSecond[j].m0)
-		m1.Add(m1, neighborSecond[j].m1)
+		g.sz.AddModInto(m0, neighborSecond[j].m0)
+		g.sz.AddModInto(m1, neighborSecond[j].m1)
 	}
-	m0.Mod(m0, g.p2)
-	m1.Mod(m1, g.p2)
 	if m0.Cmp(second.m0) != 0 || m1.Cmp(second.m1) != 0 {
 		return false
 	}
 	if v == 0 {
-		want := new(big.Int)
-		for i := 0; i < g.k; i++ {
-			want.Add(want, expMod(z, i+1, g.p2))
-		}
-		want.Mod(want, g.p2)
+		// Σ_{i<k} z^{i+1}: each marked set's ranks are exactly [k].
+		want := g.sz.HashIndicator(z, perm.Identity(g.k))
 		if second.m0.Cmp(want) != 0 || second.m1.Cmp(want) != 0 {
 			return false
 		}
@@ -418,25 +425,28 @@ func (g *MarkedGNI) decide(v int, view *network.NodeView) bool {
 		if !ok {
 			return false
 		}
-		contrib := new(big.Int)
+		cExpect := new(big.Int)
 		if int(myMark) == rep.b {
-			cols := []int{rep.sigma[first.rank]}
+			// Our row of σ(H_b): σ of our rank and of our b-marked
+			// neighbors' ranks, which must be distinct.
+			row := bitset.FromIndices(g.k, rep.sigma[first.rank])
+			cols := 1
 			for _, cl := range first.claims {
 				if int(cl.mark) == rep.b {
 					if cl.rank >= g.k {
 						return false
 					}
-					cols = append(cols, rep.sigma[cl.rank])
+					row.Add(rep.sigma[cl.rank])
+					cols++
 				}
 			}
-			if hasDuplicate(cols) {
+			if row.Count() != cols {
 				return false
 			}
-			contrib = g.params.RowTermSlow(seed.Alpha, rep.sigma[first.rank], cols)
+			cExpect = g.params.Family().RowTable(seed.Alpha, g.k).Hash(rep.sigma[first.rank], row)
 		}
-		cExpect := contrib
 		for _, j := range children {
-			cExpect = g.params.AddModQ(cExpect, neighborFirst[j].sums[si])
+			g.params.Family().AddModInto(cExpect, neighborFirst[j].sums[si])
 		}
 		if cExpect.Cmp(first.sums[si]) != 0 {
 			return false
@@ -523,7 +533,7 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 	}
 
 	// Build the induced subgraphs on [k] via the ranks.
-	var closed [2][][]int
+	var closed [2][]*bitset.Set
 	for b := range closed {
 		induced := graph.New(g.k)
 		for _, v := range set[b] {
@@ -533,7 +543,7 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 				}
 			}
 		}
-		closed[b] = closedTable(g.k, induced.Neighbors)
+		closed[b] = closedRows(induced)
 	}
 
 	advice, err := setupcache.ForGraph(g0).SpanTree(0)
@@ -573,15 +583,17 @@ func (p *markedProver) first(view *network.ProverView) (*network.Response, error
 		if !ok {
 			continue
 		}
-		table := g.params.Powers(seed.Alpha)
+		f := g.params.Family()
+		tab := f.RowTable(seed.Alpha, g.k)
+		mapped := bitset.New(g.k)
 		sums := make([]*big.Int, n)
 		for _, v := range order {
 			s := new(big.Int)
 			if int(marks[v]) == b {
-				s = g.params.RowTerm(table, sigma[ranks[v]], imagesOf(sigma, closed[b][ranks[v]]))
+				s = tab.Hash(sigma[ranks[v]], closed[b][ranks[v]].PermuteInto(mapped, sigma))
 			}
 			for _, ch := range childLists[v] {
-				s = g.params.AddModQ(s, sums[ch])
+				f.AddModInto(s, sums[ch])
 			}
 			sums[v] = s
 		}
@@ -622,20 +634,11 @@ func (p *markedProver) second(view *network.ProverView) (*network.Response, erro
 	m0 := make([]*big.Int, n)
 	m1 := make([]*big.Int, n)
 	for _, v := range order {
-		a, b := new(big.Int), new(big.Int)
-		if p.marks[v] == MarkZero {
-			a = expMod(z, p.ranks[v]+1, g.p2)
-		}
-		if p.marks[v] == MarkOne {
-			b = expMod(z, p.ranks[v]+1, g.p2)
-		}
+		m0[v], m1[v] = g.rankTerms(z, p.marks[v], p.ranks[v])
 		for _, ch := range childLists[v] {
-			a.Add(a, m0[ch])
-			b.Add(b, m1[ch])
+			g.sz.AddModInto(m0[v], m0[ch])
+			g.sz.AddModInto(m1[v], m1[ch])
 		}
-		a.Mod(a, g.p2)
-		b.Mod(b, g.p2)
-		m0[v], m1[v] = a, b
 	}
 	resp := &network.Response{PerNode: make([]wire.Message, n)}
 	for v := 0; v < n; v++ {

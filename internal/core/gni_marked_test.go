@@ -58,6 +58,9 @@ func TestMarkedGNIValidation(t *testing.T) {
 	if _, err := NewMarkedGNI(14, 6, 0, 0); err == nil {
 		t.Fatal("reps=0 accepted")
 	}
+	if _, err := NewMarkedGNI(18, maxHashedVertices+1, 1, 0); err == nil {
+		t.Fatal("k above the search bound accepted")
+	}
 	proto, err := NewMarkedGNI(14, 6, 10, 0)
 	if err != nil {
 		t.Fatal(err)

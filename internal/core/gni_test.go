@@ -32,6 +32,9 @@ func TestGNIParamsValidation(t *testing.T) {
 	if _, err := NewGNIDAMAM(6, 0, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
+	if _, err := NewGNIDAMAM(maxHashedVertices+1, 1, 0); err == nil {
+		t.Fatal("n above the search bound accepted")
+	}
 	proto, err := NewGNIDAMAM(6, 10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestGNICostIsNearLinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whatever the acceptance outcome, cost is measured. Per node, per
-	// repetition, the dominant term is the seed echo: n·SliceWidth bits.
+	// repetition, the dominant term is the seed echo: n·⌈SeedBits/n⌉ bits.
 	// Sanity bound: ≤ 40·k·n·log n bits.
 	n, k := 6, 2
 	logn := wire.WidthFor(n)

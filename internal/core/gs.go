@@ -7,8 +7,9 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
-	"sort"
 
+	"dip/internal/bitset"
+	"dip/internal/graph"
 	"dip/internal/hashing"
 	"dip/internal/network"
 	"dip/internal/perm"
@@ -32,9 +33,27 @@ type gsKit struct {
 	thresh int // the root accepts iff at least thresh repetitions verify
 }
 
+// maxHashedVertices bounds the vertex count of the graph a GNI protocol
+// hashes: n for the pair protocols, k for gni-marked. Every honest prover
+// searches S_n for a hash preimage once per repetition (8! = 40,320
+// permutations; 12! is about 12,000 times as many), and gni-general's
+// also enumerates Aut by brute force. A run's deadline cannot stop a
+// prover mid-search, so the constructors refuse a larger graph.
+const maxHashedVertices = 8
+
+// checkHashedVertices refuses a hashed graph of more than
+// maxHashedVertices vertices.
+func checkHashedVertices(name string, n int) error {
+	if n > maxHashedVertices {
+		return fmt.Errorf("core: %s prover searches all %d! permutations; %d vertices > %d",
+			name, n, n, maxHashedVertices)
+	}
+	return nil
+}
+
 // newGSKit builds the kit for an n-node network running reps repetitions
-// of the hash params describes. The seed is spread over all n nodes, which
-// equals params.SliceWidth() whenever the network is the hashed graph.
+// of the hash params describes. The seed is spread over all n nodes, in
+// slices of ⌈SeedBits/n⌉ bits.
 func newGSKit(n, reps int, params *hashing.GSParams) gsKit {
 	kit := gsKit{n: n, reps: reps, params: params, sw: (params.SeedBits() + n - 1) / n}
 	yes, no := kit.SingleShotBounds()
@@ -72,11 +91,19 @@ func (kit *gsKit) qWidth() int   { return wire.WidthForBig(kit.params.Q()) }
 func (kit *gsKit) echoBits() int { return kit.n * kit.sw }
 
 // consistencyPrime draws the modulus p₂ ∈ [1000·reps·n³, 2000·reps·n³] of
-// the post-commitment Schwartz–Zippel checks.
-func (kit *gsKit) consistencyPrime(seed int64) (*big.Int, error) {
+// the post-commitment Schwartz–Zippel checks and builds the Theorem 3.2
+// family over it of dimension n², which holds every coordinate those
+// checks use: each of their sums Σ z^{j+1} over coordinates j is the
+// family's HashIndicator at index z.
+func (kit *gsKit) consistencyPrime(seed int64) (*big.Int, *hashing.LinearFamily, error) {
 	lo := big.NewInt(int64(1000 * kit.reps))
 	lo.Mul(lo, big.NewInt(int64(kit.n*kit.n*kit.n)))
-	return prime.InWindow(lo, new(big.Int).Mul(lo, big.NewInt(2)), seed)
+	p2, err := prime.InWindow(lo, new(big.Int).Mul(lo, big.NewInt(2)), seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	f, err := hashing.NewLinearFamily(kit.n*kit.n, p2)
+	return p2, f, err
 }
 
 // seedChallenge is the first Arthur round: per repetition, stride coin
@@ -261,18 +288,22 @@ func (kit *gsKit) hits(seed *hashing.GSSeed, c *big.Int) bool {
 }
 
 // searchGNIPreimage enumerates (b, σ) in Lehmer order for a member σ(G_b)
-// of S = {σ(G_b)} hashing to the seed's target, where closed[b] lists G_b's
-// closed neighborhoods.
-func searchGNIPreimage(params *hashing.GSParams, closed [2][][]int, seed *hashing.GSSeed) (int, perm.Perm, bool) {
-	table := params.Powers(seed.Alpha)
+// of S = {σ(G_b)} hashing to the seed's target, where rows[b] holds G_b's
+// closed rows.
+func searchGNIPreimage(params *hashing.GSParams, rows [2][]*bitset.Set, seed *hashing.GSSeed) (int, perm.Perm, bool) {
+	n := params.N()
+	f := params.Family()
+	tab := f.RowTable(seed.Alpha, n)
+	mapped := bitset.New(n)
+	sum := new(big.Int)
 	for b := 0; b < 2; b++ {
-		sigma := perm.Identity(params.N())
+		sigma := perm.Identity(n)
 		for {
-			f := new(big.Int)
-			for v, cls := range closed[b] {
-				f = params.AddModQ(f, params.RowTerm(table, sigma[v], imagesOf(sigma, cls)))
+			sum.SetInt64(0)
+			for v, row := range rows[b] {
+				f.AddModInto(sum, tab.Hash(sigma[v], row.PermuteInto(mapped, sigma)))
 			}
-			if params.Finish(seed, f).Cmp(seed.Y) == 0 {
+			if params.Finish(seed, sum).Cmp(seed.Y) == 0 {
 				return b, sigma.Clone(), true
 			}
 			if !sigma.NextLex() {
@@ -283,81 +314,65 @@ func searchGNIPreimage(params *hashing.GSParams, closed [2][][]int, seed *hashin
 	return 0, nil, false
 }
 
-// closedTable lists the n vertices' closed neighborhoods, sorted, given
-// their open ones.
-func closedTable(n int, open func(v int) []int) [][]int {
-	out := make([][]int, n)
-	for v := range out {
-		out[v] = append(append([]int(nil), open(v)...), v)
-		sort.Ints(out[v])
-	}
-	return out
+// closedRow returns v's closed neighborhood, given its open one, as a row
+// of length n.
+func closedRow(n, v int, open []int) *bitset.Set {
+	row := bitset.FromIndices(n, open...)
+	row.Add(v)
+	return row
 }
 
-// pairTables checks the prover view of a pair protocol (G₀ the network, G₁
-// in the inputs) and returns G₁'s rows and both closed-neighborhood
-// tables.
-func (kit *gsKit) pairTables(view *network.ProverView, name string) ([][]int, [2][][]int, error) {
+// closedRows lists g's closed rows.
+func closedRows(g *graph.Graph) []*bitset.Set {
+	rows := make([]*bitset.Set, g.N())
+	for v := range rows {
+		rows[v] = g.ClosedRow(v)
+	}
+	return rows
+}
+
+// pairRows checks the prover view of a pair protocol (G₀ the network, G₁
+// in the inputs) and returns both graphs' closed rows.
+func (kit *gsKit) pairRows(view *network.ProverView, name string) ([2][]*bitset.Set, error) {
+	var rows [2][]*bitset.Set
 	if view.Graph.N() != kit.n {
-		return nil, [2][][]int{}, fmt.Errorf("core: graph has %d vertices, protocol built for %d", view.Graph.N(), kit.n)
+		return rows, fmt.Errorf("core: graph has %d vertices, protocol built for %d", view.Graph.N(), kit.n)
 	}
 	if len(view.Inputs) != kit.n {
-		return nil, [2][][]int{}, fmt.Errorf("core: %s prover needs G1 inputs", name)
+		return rows, fmt.Errorf("core: %s prover needs G1 inputs", name)
 	}
-	rows := make([][]int, kit.n)
-	for v := range rows {
-		var err error
-		if rows[v], err = decodeGNIInput(view.Inputs[v], kit.n); err != nil {
-			return nil, [2][][]int{}, fmt.Errorf("core: %s prover input %d: %w", name, v, err)
-		}
-	}
-	row := func(v int) []int { return rows[v] }
-	return rows, [2][][]int{closedTable(kit.n, view.Graph.Neighbors), closedTable(kit.n, row)}, nil
-}
-
-// closedNbhdFromView returns v's sorted closed G_b-neighborhood as seen by
-// the verifier: the network neighbors for b = 0, the decoded input for
-// b = 1.
-func closedNbhdFromView(view *network.NodeView, b, n int) ([]int, error) {
-	var open []int
-	if b == 0 {
-		open = view.Neighbors
-	} else {
-		decoded, err := decodeGNIInput(view.Input, n)
+	rows[0] = closedRows(view.Graph)
+	rows[1] = make([]*bitset.Set, kit.n)
+	for v := range rows[1] {
+		open, err := decodeGNIInput(view.Inputs[v], kit.n)
 		if err != nil {
-			return nil, err
+			return rows, fmt.Errorf("core: %s prover input %d: %w", name, v, err)
 		}
-		open = decoded
+		rows[1][v] = closedRow(kit.n, v, open)
 	}
-	closed := make([]int, 0, len(open)+1)
-	closed = append(closed, open...)
-	closed = append(closed, view.V)
-	sort.Ints(closed)
-	return closed, nil
+	return rows, nil
 }
 
-// imagesOf maps xs through σ.
-func imagesOf(sigma []int, xs []int) []int {
-	out := make([]int, len(xs))
-	for j, x := range xs {
-		out[j] = sigma[x]
+// closedNbhdFromView returns v's closed G_b-neighborhood as seen by the
+// verifier: the network neighbors for b = 0, the decoded input for b = 1.
+func closedNbhdFromView(view *network.NodeView, b, n int) (*bitset.Set, error) {
+	if b == 0 {
+		return closedRow(n, view.V, view.Neighbors), nil
+	}
+	open, err := decodeGNIInput(view.Input, n)
+	if err != nil {
+		return nil, err
+	}
+	return closedRow(n, view.V, open), nil
+}
+
+// imagesOf maps row's members, ascending, through σ.
+func imagesOf(sigma []int, row *bitset.Set) []int {
+	out := make([]int, 0, row.Count())
+	for u := row.NextSet(0); u >= 0; u = row.NextSet(u + 1) {
+		out = append(out, sigma[u])
 	}
 	return out
-}
-
-func hasDuplicate(xs []int) bool {
-	seen := map[int]bool{}
-	for _, x := range xs {
-		if seen[x] {
-			return true
-		}
-		seen[x] = true
-	}
-	return false
-}
-
-func expMod(base *big.Int, e int, mod *big.Int) *big.Int {
-	return new(big.Int).Exp(base, big.NewInt(int64(e)), mod)
 }
 
 // subBits extracts m's bits [from, from+width).

@@ -59,10 +59,6 @@ func NewSymRPLS(n int, seed int64) (*SymRPLS, error) {
 // part randomization cannot remove).
 func (s *SymRPLS) AdviceBits() int { return s.lcp.AdviceBits() }
 
-// FingerprintBits returns the per-neighbor verification message length:
-// a hash seed and a hash value, 2·⌈lg p⌉ = O(log n) bits.
-func (s *SymRPLS) FingerprintBits() int { return 2 * wire.WidthForBig(s.p) }
-
 // fingerprint hashes the first AdviceBits() bits of an advice message
 // under seed. Bits past that length have no coordinate in the family; a
 // node holding such advice rejects it on its own length check, so its

@@ -108,14 +108,25 @@ func TestSymRPLSRejectsAsymmetric(t *testing.T) {
 	}
 }
 
+// TestSymRPLSFingerprintBits runs sym-rpls on the 64-cycle and checks
+// every exchanged fingerprint, a hash seed and a hash value, against
+// 2·⌈lg p⌉ = O(log n) bits, and the advice against Θ(n²).
 func TestSymRPLSFingerprintBits(t *testing.T) {
 	rpls, err := NewSymRPLS(64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	widest := 0
+	opts := network.Options{Seed: 1, CorruptExchange: func(_, _, _ int, m wire.Message) wire.Message {
+		widest = max(widest, m.Bits)
+		return m
+	}}
+	if _, err := network.Run(rpls.Spec(), graph.Cycle(64), nil, rpls.HonestProver(), opts); err != nil {
+		t.Fatal(err)
+	}
 	// 2·⌈lg p⌉ with p ≤ 100·64³: at most 2·25 bits.
-	if fb := rpls.FingerprintBits(); fb > 50 {
-		t.Fatalf("fingerprint %d bits, want O(log n)", fb)
+	if widest == 0 || widest > 50 {
+		t.Fatalf("fingerprint %d bits, want O(log n)", widest)
 	}
 	if rpls.AdviceBits() < 64*63/2 {
 		t.Fatal("advice not quadratic")

@@ -206,16 +206,6 @@ func equivocate(limit int) Injector {
 	}
 }
 
-// Chain applies injectors left to right.
-func Chain(injs ...Injector) Injector {
-	return func(rng *rand.Rand, ctx Context, m wire.Message) wire.Message {
-		for _, inj := range injs {
-			m = inj(rng, ctx, m)
-		}
-		return m
-	}
-}
-
 // WithProbability applies inj to each delivery independently with
 // probability p (drawn from the delivery's private stream, so the
 // decision is deterministic per delivery). Note that gating a *stateful*
@@ -224,35 +214,6 @@ func Chain(injs ...Injector) Injector {
 func WithProbability(p float64, inj Injector) Injector {
 	return func(rng *rand.Rand, ctx Context, m wire.Message) wire.Message {
 		if rng.Float64() >= p {
-			return m
-		}
-		return inj(rng, ctx, m)
-	}
-}
-
-// OnRounds restricts inj to the listed rounds (in the plane's native
-// round coordinate, see Context.Round).
-func OnRounds(inj Injector, rounds ...int) Injector {
-	set := make(map[int]bool, len(rounds))
-	for _, r := range rounds {
-		set[r] = true
-	}
-	return func(rng *rand.Rand, ctx Context, m wire.Message) wire.Message {
-		if !set[ctx.Round] {
-			return m
-		}
-		return inj(rng, ctx, m)
-	}
-}
-
-// OnNodes restricts inj to deliveries whose receiver is in nodes.
-func OnNodes(inj Injector, nodes ...int) Injector {
-	set := make(map[int]bool, len(nodes))
-	for _, v := range nodes {
-		set[v] = true
-	}
-	return func(rng *rand.Rand, ctx Context, m wire.Message) wire.Message {
-		if !set[ctx.To] {
 			return m
 		}
 		return inj(rng, ctx, m)

@@ -149,22 +149,6 @@ func TestCombinators(t *testing.T) {
 	if out := WithProbability(1, Drop())(deliveryRNG(ctx), ctx, m); out.Bits != 0 {
 		t.Fatal("p=1 skipped the injector")
 	}
-	if out := OnRounds(Drop(), 0)(nil, ctx, m); out.Bits != m.Bits {
-		t.Fatal("OnRounds applied on an unlisted round")
-	}
-	if out := OnRounds(Drop(), 1)(nil, ctx, m); out.Bits != 0 {
-		t.Fatal("OnRounds skipped a listed round")
-	}
-	if out := OnNodes(Drop(), 3)(nil, ctx, m); out.Bits != m.Bits {
-		t.Fatal("OnNodes applied on an unlisted node")
-	}
-	if out := OnNodes(Drop(), 4)(nil, ctx, m); out.Bits != 0 {
-		t.Fatal("OnNodes skipped a listed node")
-	}
-	chained := Chain(Truncate(), Truncate())
-	if out := chained(nil, ctx, m); out.Bits != 4 {
-		t.Fatalf("Chain(Truncate, Truncate) bits = %d, want 4", out.Bits)
-	}
 }
 
 // TestExchangeCorruptorOrderIndependent pins the contract the concurrent

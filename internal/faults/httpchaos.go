@@ -89,12 +89,6 @@ var httpChaosRegistry = map[string]HTTPChaos{
 	},
 }
 
-// HTTPChaosByName looks a scenario up by its CLI name.
-func HTTPChaosByName(name string) (HTTPChaos, bool) {
-	c, ok := httpChaosRegistry[name]
-	return c, ok
-}
-
 // HTTPChaosNames returns all scenario names, sorted.
 func HTTPChaosNames() []string {
 	out := make([]string, 0, len(httpChaosRegistry))

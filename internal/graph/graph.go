@@ -376,52 +376,3 @@ func (g *Graph) Shuffle(rng *rand.Rand) (*Graph, perm.Perm) {
 	p := perm.Random(g.n, rng)
 	return g.Relabel(p), p
 }
-
-// Complement returns the complement graph: {u,v} is an edge iff it is not
-// an edge of g. Complements preserve automorphism groups, which makes them
-// useful when building rigid test families.
-func (g *Graph) Complement() *Graph {
-	c := New(g.n)
-	for u := 0; u < g.n; u++ {
-		for v := u + 1; v < g.n; v++ {
-			if !g.HasEdge(u, v) {
-				c.AddEdge(u, v)
-			}
-		}
-	}
-	return c
-}
-
-// Diameter returns the largest finite distance between any two vertices,
-// or -1 if g is disconnected (or has no vertices).
-func (g *Graph) Diameter() int {
-	if g.n == 0 {
-		return -1
-	}
-	diam := 0
-	for v := 0; v < g.n; v++ {
-		for _, d := range g.BFSDistances(v, -1) {
-			if d == -1 {
-				return -1
-			}
-			if d > diam {
-				diam = d
-			}
-		}
-	}
-	return diam
-}
-
-// IsRegular reports whether every vertex has the same degree.
-func (g *Graph) IsRegular() bool {
-	if g.n == 0 {
-		return true
-	}
-	d := g.Degree(0)
-	for v := 1; v < g.n; v++ {
-		if g.Degree(v) != d {
-			return false
-		}
-	}
-	return true
-}

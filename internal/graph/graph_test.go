@@ -338,61 +338,3 @@ func TestString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
-
-func TestComplement(t *testing.T) {
-	g := Path(4)
-	c := g.Complement()
-	if c.NumEdges() != 4*3/2-3 {
-		t.Fatalf("complement edges = %d", c.NumEdges())
-	}
-	for u := 0; u < 4; u++ {
-		for v := u + 1; v < 4; v++ {
-			if g.HasEdge(u, v) == c.HasEdge(u, v) {
-				t.Fatalf("edge {%d,%d} in both or neither", u, v)
-			}
-		}
-	}
-	// Complement preserves the automorphism group.
-	rng := rand.New(rand.NewSource(30))
-	h, err := RandomAsymmetricConnected(7, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if FindNontrivialAutomorphism(h.Complement()) != nil {
-		t.Fatal("complement of rigid graph not rigid")
-	}
-	// Double complement is the identity.
-	if !g.Complement().Complement().Equal(g) {
-		t.Fatal("double complement changed graph")
-	}
-}
-
-func TestDiameter(t *testing.T) {
-	if got := Path(5).Diameter(); got != 4 {
-		t.Fatalf("path diameter = %d", got)
-	}
-	if got := Complete(5).Diameter(); got != 1 {
-		t.Fatalf("K5 diameter = %d", got)
-	}
-	if got := Cycle(6).Diameter(); got != 3 {
-		t.Fatalf("C6 diameter = %d", got)
-	}
-	if got := New(3).Diameter(); got != -1 {
-		t.Fatal("disconnected diameter should be -1")
-	}
-	if got := New(1).Diameter(); got != 0 {
-		t.Fatalf("K1 diameter = %d", got)
-	}
-	if got := New(0).Diameter(); got != -1 {
-		t.Fatal("empty graph diameter should be -1")
-	}
-}
-
-func TestIsRegular(t *testing.T) {
-	if !Cycle(5).IsRegular() || !Complete(4).IsRegular() || !New(0).IsRegular() {
-		t.Fatal("regular graphs not recognized")
-	}
-	if Path(4).IsRegular() || Star(4).IsRegular() {
-		t.Fatal("irregular graphs reported regular")
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dip/internal/bitset"
 	"dip/internal/prime"
 	"dip/internal/wire"
 )
@@ -39,6 +40,16 @@ func TestNewGSParams(t *testing.T) {
 	if g.N() != 6 {
 		t.Fatal("N wrong")
 	}
+	// f_α is the Theorem 3.2 family over q, of dimension dimFactor·n².
+	for _, dim := range []int{1, 2} {
+		g, err := NewGSParamsDim(6, dim, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f := g.Family(); f.M() != dim*36 || f.P().Cmp(g.Q()) != 0 {
+			t.Fatalf("dimFactor %d: family of dimension %d over %v, want %d over q = %v", dim, f.M(), f.P(), dim*36, g.Q())
+		}
+	}
 }
 
 func TestSeedBitsScaling(t *testing.T) {
@@ -47,19 +58,48 @@ func TestSeedBitsScaling(t *testing.T) {
 	if g8.SeedBits() <= g6.SeedBits() {
 		t.Fatal("seed bits not growing")
 	}
-	if g6.SliceWidth()*g6.N() < g6.SeedBits() {
-		t.Fatal("slices do not cover the seed")
+}
+
+// randomSlices draws the n per-node seed slices of ⌈SeedBits/n⌉ bits
+// each, as the GNI protocols' first Arthur round does.
+func randomSlices(g *GSParams, rng *rand.Rand) []wire.Message {
+	width := (g.SeedBits() + g.N() - 1) / g.N()
+	out := make([]wire.Message, g.N())
+	for i := range out {
+		var w wire.Writer
+		for b := 0; b < width; b++ {
+			w.WriteBool(rng.Intn(2) == 1)
+		}
+		out[i] = w.Message()
 	}
+	return out
+}
+
+// echo concatenates slices, node 0 first, as the GNI prover's seed echo
+// does.
+func echo(slices []wire.Message) wire.Message {
+	var all wire.Writer
+	for _, s := range slices {
+		all.WriteBits(s.Data, s.Bits)
+	}
+	return all.Message()
+}
+
+// randomSeed reads a seed from the echo of random slices.
+func randomSeed(t testing.TB, g *GSParams, rng *rand.Rand) *GSSeed {
+	t.Helper()
+	seed, err := g.SeedFromBits(echo(randomSlices(g, rng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seed
 }
 
 func TestSeedFromSlicesRoundTrip(t *testing.T) {
 	g := mustGS(t, 6)
 	rng := rand.New(rand.NewSource(2))
-	slices := g.RandomSlices(rng)
-	if len(slices) != 6 {
-		t.Fatalf("%d slices", len(slices))
-	}
-	seed, err := g.SeedFromSlices(slices)
+	slices := randomSlices(g, rng)
+	seed, err := g.SeedFromBits(echo(slices))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,61 +112,75 @@ func TestSeedFromSlicesRoundTrip(t *testing.T) {
 		t.Fatalf("target %v out of range", seed.Y)
 	}
 	// Determinism: same slices, same seed.
-	seed2, err := g.SeedFromSlices(slices)
+	seed2, err := g.SeedFromBits(echo(slices))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seed.Alpha.Cmp(seed2.Alpha) != 0 || seed.Y.Cmp(seed2.Y) != 0 {
-		t.Fatal("SeedFromSlices not deterministic")
+		t.Fatal("seed from slices not deterministic")
 	}
 }
 
 func TestSeedFromSlicesValidation(t *testing.T) {
 	g := mustGS(t, 6)
 	rng := rand.New(rand.NewSource(3))
-	slices := g.RandomSlices(rng)
-	if _, err := g.SeedFromSlices(slices[:5]); err == nil {
-		t.Fatal("short slice list accepted")
+	slices := randomSlices(g, rng)
+	if _, err := g.SeedFromBits(echo(slices[:5])); err == nil {
+		t.Fatal("echo of 5 of 6 slices accepted")
 	}
 	var w wire.Writer
 	w.WriteBool(true)
-	slices[2] = w.Message()
-	if _, err := g.SeedFromSlices(slices); err == nil {
-		t.Fatal("wrong-width slice accepted")
+	slices[5] = w.Message()
+	if _, err := g.SeedFromBits(echo(slices)); err == nil {
+		t.Fatal("echo with a one-bit slice accepted")
 	}
 }
 
+// TestRowTermMatchesSlow checks f_α's row terms, hashed from a RowTable
+// as the GNI nodes and provers hash them, against HashIndicator on the
+// row's coordinates: in both blocks of a 2n²-dimensional family, with q
+// below 2^32 (n = 6) and above it (n = 8).
 func TestRowTermMatchesSlow(t *testing.T) {
-	g := mustGS(t, 6)
 	rng := rand.New(rand.NewSource(4))
-	seed, err := g.SeedFromSlices(g.RandomSlices(rng))
+	for _, n := range []int{6, 8} {
+		g, err := NewGSParamsDim(n, 2, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := g.Family()
+		seed := randomSeed(t, g, rng)
+		tab := f.RowTable(seed.Alpha, n)
+		for trial := 0; trial < 30; trial++ {
+			row := rng.Intn(2 * n)
+			cols := bitset.New(n)
+			var coords []int
+			for c := 0; c < n; c++ {
+				if rng.Intn(2) == 1 {
+					cols.Add(c)
+					coords = append(coords, row*n+c)
+				}
+			}
+			if fast, slow := tab.Hash(row, cols), f.HashIndicator(seed.Alpha, coords); fast.Cmp(slow) != 0 {
+				t.Fatalf("n=%d row %d: RowTable %v, HashIndicator %v", n, row, fast, slow)
+			}
+		}
+	}
+}
+
+// TestRowTermPanics pins the range checks a row term gets from RowTable
+// (rows below m/n, row vectors of length n) and from bitset (columns
+// below n).
+func TestRowTermPanics(t *testing.T) {
+	g, err := NewGSParamsDim(4, 2, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := g.Powers(seed.Alpha)
-	for trial := 0; trial < 30; trial++ {
-		row := rng.Intn(6)
-		var cols []int
-		for c := 0; c < 6; c++ {
-			if rng.Intn(2) == 1 {
-				cols = append(cols, c)
-			}
-		}
-		fast := g.RowTerm(table, row, cols)
-		slow := g.RowTermSlow(seed.Alpha, row, cols)
-		if fast.Cmp(slow) != 0 {
-			t.Fatalf("RowTerm mismatch: %v vs %v", fast, slow)
-		}
-	}
-}
-
-func TestRowTermPanics(t *testing.T) {
-	g := mustGS(t, 4)
-	table := g.Powers(big.NewInt(3))
+	tab := g.Family().RowTable(big.NewInt(3), 4)
 	cases := []func(){
-		func() { g.RowTerm(table, 4, nil) },
-		func() { g.RowTerm(table, 0, []int{4}) },
-		func() { g.RowTermSlow(big.NewInt(3), 0, []int{-1}) },
+		func() { tab.Hash(8, bitset.New(4)) },
+		func() { tab.Hash(-1, bitset.New(4)) },
+		func() { tab.Hash(0, bitset.New(5)) },
+		func() { bitset.FromIndices(4, 4) },
 	}
 	for i, c := range cases {
 		func() {
@@ -148,9 +202,10 @@ func TestFinishAndAddModQ(t *testing.T) {
 	if got := g.Finish(seed, f); got.Int64() != 35 {
 		t.Fatalf("Finish = %v, want 35", got)
 	}
+	// Partial f_α sums fold mod q.
 	a := new(big.Int).Sub(g.Q(), big.NewInt(1))
-	if got := g.AddModQ(a, big.NewInt(2)); got.Int64() != 1 {
-		t.Fatalf("AddModQ wraparound = %v, want 1", got)
+	if got := g.Family().AddModInto(a, big.NewInt(2)); got.Int64() != 1 {
+		t.Fatalf("sum mod q wraparound = %v, want 1", got)
 	}
 }
 
@@ -165,14 +220,11 @@ func TestUniformityOfRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := int(g.P().Int64())
 	counts := make([]int, p)
-	cols := []int{0, 2}
+	coords := []int{3, 5} // row 1, columns 0 and 2
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		seed, err := g.SeedFromSlices(g.RandomSlices(rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsum := g.RowTermSlow(seed.Alpha, 1, cols)
+		seed := randomSeed(t, g, rng)
+		fsum := g.Family().HashIndicator(seed.Alpha, coords)
 		h := g.Finish(seed, fsum)
 		counts[h.Int64()]++
 	}
@@ -196,12 +248,9 @@ func TestPairwiseCollisionRate(t *testing.T) {
 	collisions := 0
 	const trials = 20000
 	for i := 0; i < trials; i++ {
-		seed, err := g.SeedFromSlices(g.RandomSlices(rng))
-		if err != nil {
-			t.Fatal(err)
-		}
-		h1 := g.Finish(seed, g.RowTermSlow(seed.Alpha, 0, []int{0, 1}))
-		h2 := g.Finish(seed, g.RowTermSlow(seed.Alpha, 0, []int{0, 2}))
+		seed := randomSeed(t, g, rng)
+		h1 := g.Finish(seed, g.Family().HashIndicator(seed.Alpha, []int{0, 1}))
+		h2 := g.Finish(seed, g.Family().HashIndicator(seed.Alpha, []int{0, 2}))
 		if h1.Cmp(h2) == 0 {
 			collisions++
 		}
@@ -215,22 +264,31 @@ func TestPairwiseCollisionRate(t *testing.T) {
 func TestSeedFromBitsMatchesSlices(t *testing.T) {
 	g := mustGS(t, 6)
 	rng := rand.New(rand.NewSource(9))
-	slices := g.RandomSlices(rng)
-	fromSlices, err := g.SeedFromSlices(slices)
+	all := echo(randomSlices(g, rng))
+	if all.Bits == g.SeedBits() {
+		t.Fatal("test wants padded slices")
+	}
+	fromSlices, err := g.SeedFromBits(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all wire.Writer
-	for _, s := range slices {
-		all.WriteBits(s.Data, s.Bits)
+	// The padding past SeedBits is ignored.
+	var exact wire.Writer
+	r := wire.NewReader(all)
+	for b := 0; b < g.SeedBits(); b++ {
+		bit, err := r.ReadBool()
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact.WriteBool(bit)
 	}
-	fromBits, err := g.SeedFromBits(all.Message())
+	fromBits, err := g.SeedFromBits(exact.Message())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fromSlices.Alpha.Cmp(fromBits.Alpha) != 0 || fromSlices.Y.Cmp(fromBits.Y) != 0 ||
 		fromSlices.S.Cmp(fromBits.S) != 0 || fromSlices.T.Cmp(fromBits.T) != 0 {
-		t.Fatal("SeedFromBits disagrees with SeedFromSlices")
+		t.Fatal("SeedFromBits reads the padded echo differently")
 	}
 	// Too few bits errors.
 	var short wire.Writer

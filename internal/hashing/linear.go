@@ -2,9 +2,12 @@
 // are built on:
 //
 //   - the linear family of Theorem 3.2 (used by Protocols 1 and 2 and the
-//     DSym protocol) — see LinearFamily;
+//     DSym protocol, and by the GNI protocols for their inner hash, their
+//     automorphism check and their Schwartz–Zippel sums) — see
+//     LinearFamily;
 //   - a concrete ε-almost-pairwise-independent family with a distributable
-//     seed (used by the GNI protocol of Section 4) — see GSParams.
+//     seed (used by the GNI protocol of Section 4) — see GSParams. Its
+//     inner layer is a LinearFamily.
 package hashing
 
 import (
@@ -99,11 +102,6 @@ func (f *LinearFamily) Size() *big.Int { return f.P() }
 // RandomSeed returns a uniformly random hash index i ∈ Z_p.
 func (f *LinearFamily) RandomSeed(rng *rand.Rand) *big.Int {
 	return new(big.Int).Rand(rng, f.p)
-}
-
-// ValidSeed reports whether i is a valid hash index (0 ≤ i < p).
-func (f *LinearFamily) ValidSeed(i *big.Int) bool {
-	return i.Sign() >= 0 && i.Cmp(f.p) < 0
 }
 
 // HashIndicator evaluates h_i on the characteristic vector of the given
@@ -274,53 +272,57 @@ func (w *bigWalk) step(gap int) *big.Int {
 	return &w.tab[gap-1]
 }
 
-// RowTable hashes the row matrices [row, r] of Section 3.1.1 — the n×n
-// boolean matrix that is r in the given row and zero elsewhere, flattened
-// row-major into an n²-dimensional vector — under one index i. It is the
-// per-node hash of the Sym protocols: node v hashes [v, N(v)] and
-// [ρ(v), ρ(N(v))], and the prover hashes every node's pair. Since
+// RowTable hashes the row matrices [row, r] of Section 3.1.1 — the
+// matrix of n columns that is r in the given row and zero elsewhere,
+// flattened row-major — under one index i. It is the per-node hash of the
+// Sym protocols, where the family's dimension is n²: node v hashes
+// [v, N(v)] and [ρ(v), ρ(N(v))], and the prover hashes every node's pair.
+// The GNI protocols hash their rows of σ(G_b) through it, and gni-general
+// its τ block too, as rows n..2n−1 of a family of dimension 2n². Since
 //
 //	h_i([row, r]) = Σ_{c∈r} i^{row·n+c+1} = i^{row·n} · Σ_{c∈r} i^{c+1},
 //
-// the table keeps i^k for k ≤ n and i^{vn} for v < n, and a row hash costs
-// one addition per set bit and one multiplication, with no
+// the table keeps i^k for k ≤ n and i^{vn} for v < m/n, and a row hash
+// costs one addition per set bit and one multiplication, with no
 // exponentiation. The arithmetic is exact in Z_p, so every hash equals
 // the one HashIndicator gives for the row's coordinates. A table is
 // read-only once built.
 type RowTable struct {
 	f *LinearFamily
 	n int
-	// The powers i^0..i^n, then i^{0·n}..i^{(n-1)·n}: in small when the
-	// family's modulus is below 2^32 (pSmall ≠ 0), in big otherwise.
+	// The powers i^0..i^n, then i^{0·n}..i^{(m/n−1)·n}: in small when
+	// the family's modulus is below 2^32 (pSmall ≠ 0), in big otherwise.
 	small []uint64
 	big   []big.Int
 }
 
-// RowTable builds the table of hash index i (reduced mod p) for n×n row
-// matrices. The family dimension must be n².
+// RowTable builds the table of hash index i (reduced mod p) for rows of n
+// columns. The family dimension must be a multiple of n; the rows run
+// below m/n.
 func (f *LinearFamily) RowTable(i *big.Int, n int) *RowTable {
-	if n*n != f.m {
-		panic(fmt.Sprintf("hashing: matrix side %d for family dimension %d", n, f.m))
+	if n < 1 || f.m%n != 0 {
+		panic(fmt.Sprintf("hashing: row length %d for family dimension %d", n, f.m))
 	}
+	rows := f.m / n
 	t := &RowTable{f: f, n: n}
 	if f.pSmall != 0 {
 		iv, ok := f.smallSeed(i)
 		if !ok {
 			iv = new(big.Int).Mod(i, f.p).Uint64()
 		}
-		t.small = make([]uint64, 2*n+1)
+		t.small = make([]uint64, n+1+rows)
 		t.small[0] = 1 % f.pSmall
 		for k := 1; k <= n; k++ {
 			t.small[k] = t.small[k-1] * iv % f.pSmall
 		}
 		hi := t.small[n+1:]
 		hi[0] = t.small[0]
-		for v := 1; v < n; v++ {
+		for v := 1; v < rows; v++ {
 			hi[v] = hi[v-1] * t.small[n] % f.pSmall
 		}
 		return t
 	}
-	t.big = make([]big.Int, 2*n+1)
+	t.big = make([]big.Int, n+1+rows)
 	t.big[0].SetInt64(1)
 	t.big[1].Mod(i, f.p)
 	for k := 2; k <= n; k++ {
@@ -328,16 +330,16 @@ func (f *LinearFamily) RowTable(i *big.Int, n int) *RowTable {
 	}
 	hi := t.big[n+1:]
 	hi[0].SetInt64(1)
-	for v := 1; v < n; v++ {
+	for v := 1; v < rows; v++ {
 		hi[v].Mod(hi[v].Mul(&hi[v-1], &t.big[n]), f.p)
 	}
 	return t
 }
 
-// Hash returns h_i([row, r]).
+// Hash returns h_i([row, r]) for row < m/n and r of length n.
 func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
-	if row < 0 || row >= t.n {
-		panic(fmt.Sprintf("hashing: row %d out of range [0,%d)", row, t.n))
+	if rows := t.f.m / t.n; row < 0 || row >= rows {
+		panic(fmt.Sprintf("hashing: row %d out of range [0,%d)", row, rows))
 	}
 	if r.Len() != t.n {
 		panic(fmt.Sprintf("hashing: row vector of length %d, want %d", r.Len(), t.n))
@@ -350,12 +352,17 @@ func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
 		}
 		return new(big.Int).SetUint64(sum % p * t.small[t.n+1+row] % p)
 	}
-	sum := new(big.Int)
+	// The column sum stays below n·p and the product below n·p², so one
+	// buffer of 3w words holds both and neither regrows as it is formed.
+	w := len(t.f.p.Bits()) + 1
+	buf := make([]big.Word, 3*w)
+	sum := new(big.Int).SetBits(buf[:0:w])
 	for c := r.NextSet(0); c >= 0; c = r.NextSet(c + 1) {
 		sum.Add(sum, &t.big[c+1])
 	}
-	sum.Mul(sum, &t.big[t.n+1+row])
-	return sum.Mod(sum, t.f.p)
+	h := new(big.Int).SetBits(buf[w:w])
+	h.Mul(sum, &t.big[t.n+1+row])
+	return h.Mod(h, t.f.p)
 }
 
 // HashDense evaluates h_i on an arbitrary vector x over Z_p given as int64

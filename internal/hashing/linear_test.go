@@ -124,8 +124,10 @@ func TestRowMatrixDecomposition(t *testing.T) {
 func TestHashRowMatrixPanics(t *testing.T) {
 	f := mustFamily(t, 16, 101)
 	cases := []func(){
-		func() { f.RowTable(big.NewInt(1), 5) },                        // wrong n
+		func() { f.RowTable(big.NewInt(1), 5) },                        // n does not divide m
+		func() { f.RowTable(big.NewInt(1), 0) },                        // empty rows
 		func() { f.RowTable(big.NewInt(1), 4).Hash(4, bitset.New(4)) }, // row range
+		func() { f.RowTable(big.NewInt(1), 2).Hash(8, bitset.New(2)) }, // row range, m/n = 8
 		func() { f.RowTable(big.NewInt(1), 4).Hash(0, bitset.New(3)) }, // row length
 		func() { f.HashDense(big.NewInt(1), make([]int64, 3)) },        // dense length
 	}
@@ -199,13 +201,9 @@ func TestSeedHelpers(t *testing.T) {
 	f := mustFamily(t, 4, 101)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 100; i++ {
-		s := f.RandomSeed(rng)
-		if !f.ValidSeed(s) {
+		if s := f.RandomSeed(rng); s.Sign() < 0 || s.Cmp(f.P()) >= 0 {
 			t.Fatalf("RandomSeed produced invalid %v", s)
 		}
-	}
-	if f.ValidSeed(big.NewInt(101)) || f.ValidSeed(big.NewInt(-1)) {
-		t.Fatal("ValidSeed accepted out-of-range")
 	}
 	if f.Size().Int64() != 101 || f.P().Int64() != 101 || f.M() != 4 {
 		t.Fatal("accessors wrong")
@@ -338,8 +336,9 @@ func TestAddModIntoMatchesMod(t *testing.T) {
 // HashDense, which keeps one full exponentiation per coordinate. It covers both evaluation paths (a
 // cubic-window modulus below 2^32 and a power-window modulus above 2^64),
 // coordinates sorted, shuffled and repeated (a repeat counts twice, and a
-// coordinate below its predecessor restarts the running power), and seeds
-// at and beyond the edges of Z_p.
+// coordinate below its predecessor restarts the running power), seeds at
+// and beyond the edges of Z_p, and families of dimension 2n², whose rows
+// run up to 2n−1 (gni-general's τ block).
 func TestRunningPowersMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cubic, err := prime.ForCubicWindow(12, 3)
@@ -351,15 +350,18 @@ func TestRunningPowersMatchDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name  string
-		n     int
-		p     *big.Int
-		small bool
+		name   string
+		n      int
+		p      *big.Int
+		small  bool
+		blocks int
 	}{
-		{"cubic-window", 12, cubic, true},
-		{"power-window", 16, power, false},
+		{"cubic-window", 12, cubic, true, 1},
+		{"cubic-window, two blocks", 12, cubic, true, 2},
+		{"power-window", 16, power, false, 1},
+		{"power-window, two blocks", 8, power, false, 2},
 	} {
-		n, m := tc.n, tc.n*tc.n
+		n, m := tc.n, tc.blocks*tc.n*tc.n
 		f, err := NewLinearFamily(m, tc.p)
 		if err != nil {
 			t.Fatal(err)
@@ -401,7 +403,7 @@ func TestRunningPowersMatchDense(t *testing.T) {
 						t.Fatalf("%s seed %v HashIndicator(%v) = %v, HashDense %v", tc.name, i, coords, got, want)
 					}
 				}
-				row := rng.Intn(n)
+				row := rng.Intn(tc.blocks * n)
 				r := bitset.New(n)
 				dense := make([]int64, m)
 				for c := 0; c < n; c++ {

@@ -15,8 +15,8 @@
 //     Lemmas 3.9–3.11): for each side graph F, the challenge induces a
 //     distribution μ_A(F) over prover-response sets, and correctness
 //     forces these distributions pairwise far apart in L1
-//     (SimpleHashProtocol realizes a concrete simple protocol family and
-//     Mu/L1Distance measure the separation);
+//     (SimpleHashProtocol realizes a concrete simple protocol family, and
+//     its matched-challenge disagreement measures the separation);
 //  4. the packing bound (Lemma 3.12): at most 5^d distributions with
 //     pairwise L1 distance > 1/2 fit in dimension d (PackingCapacity),
 //     which combined with |F| = 2^Ω(n²) yields L = Ω(log log n)
@@ -123,8 +123,6 @@ func VerifySymmetryCriterion(family []*graph.Graph) error {
 // M_A(F, r) of Lemma 3.8 are then singletons {hash_r(F)}, which makes every
 // quantity of Section 3.4 exactly computable:
 //
-//   - Mu(F) is the distribution μ_A(F) of the response set over the
-//     challenge;
 //   - OptimalAcceptance(F_A, F_B) is the best prover's acceptance
 //     probability on G(F_A, F_B) (Lemma 3.9): the probability that the two
 //     sides demand the same message;
@@ -187,20 +185,6 @@ func splitmix(z uint64) uint64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return z
-}
-
-// Mu returns the marginal distribution of the demanded message over the
-// uniform challenge, as a vector of length 2^L. Note: because the two
-// bridge nodes share the challenge, the *marginal* distributions of two
-// sides can be close even when the sides are perfectly distinguishable at
-// matched challenges; the quantity Lemma 3.11 actually controls is the
-// matched-challenge disagreement rate (MinPairwiseDisagreement below).
-func (p SimpleHashProtocol) Mu(f Side) []float64 {
-	mu := make([]float64, 1<<uint(p.L))
-	for r := 0; r < p.R; r++ {
-		mu[p.Message(f, r)] += 1 / float64(p.R)
-	}
-	return mu
 }
 
 // OptimalAcceptance returns the best prover's probability of making every

@@ -145,25 +145,6 @@ func TestMessageIsIsomorphismInvariant(t *testing.T) {
 	}
 }
 
-func TestMuIsDistribution(t *testing.T) {
-	fam := getFamily6(t)
-	p := SimpleHashProtocol{L: 2, R: 64}
-	mu := p.Mu(MakeSide(fam[0]))
-	if len(mu) != 4 {
-		t.Fatalf("dimension %d", len(mu))
-	}
-	sum := 0.0
-	for _, x := range mu {
-		if x < 0 {
-			t.Fatal("negative mass")
-		}
-		sum += x
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("total mass %v", sum)
-	}
-}
-
 func TestCompletenessIsAutomatic(t *testing.T) {
 	fam := getFamily6(t)
 	p := SimpleHashProtocol{L: 2, R: 64}

@@ -3,14 +3,13 @@
 // Permutations are the central object of the paper's protocols: the Sym
 // prover commits to a claimed automorphism ρ, and the GNI prover answers the
 // Goldwasser-Sipser challenge with a permutation σ. This package provides
-// composition, inversion, sampling, Lehmer-code (un)ranking for enumerating
-// S_n in a canonical order, and lexicographic successor for streaming
-// enumeration.
+// composition, inversion, sampling, cycle notation, and lexicographic
+// successor for enumerating S_n in a canonical order without
+// materializing it.
 package perm
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"sort"
 	"strings"
@@ -131,17 +130,6 @@ func (p Perm) Inverse() Perm {
 	return inv
 }
 
-// FixedPoints returns the elements i with p(i) = i, in increasing order.
-func (p Perm) FixedPoints() []int {
-	var out []int
-	for i, v := range p {
-		if i == v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Moved returns some element i with p(i) != i, or -1 if p is the identity.
 // Protocol 1's prover broadcasts such a witness as the spanning-tree root.
 func (p Perm) Moved() int {
@@ -175,18 +163,6 @@ func (p Perm) Cycles() [][]int {
 	return cycles
 }
 
-// Order returns the order of p in the symmetric group (the lcm of its cycle
-// lengths).
-func (p Perm) Order() *big.Int {
-	ord := big.NewInt(1)
-	for _, c := range p.Cycles() {
-		l := big.NewInt(int64(len(c)))
-		g := new(big.Int).GCD(nil, nil, ord, l)
-		ord.Div(ord.Mul(ord, l), g)
-	}
-	return ord
-}
-
 // String renders p in cycle notation, e.g. "(0 2 1)(3 4)"; the identity
 // renders as "id".
 func (p Perm) String() string {
@@ -205,61 +181,6 @@ func (p Perm) String() string {
 		return "id"
 	}
 	return strings.Join(parts, "")
-}
-
-// Rank returns the Lehmer rank of p: its index in the lexicographic
-// enumeration of S_n, in [0, n!).
-func (p Perm) Rank() *big.Int {
-	n := len(p)
-	rank := new(big.Int)
-	fact := factorials(n)
-	// For each position, count how many smaller unused elements exist.
-	used := make([]bool, n)
-	for i, v := range p {
-		smaller := 0
-		for u := 0; u < v; u++ {
-			if !used[u] {
-				smaller++
-			}
-		}
-		used[v] = true
-		term := new(big.Int).Mul(big.NewInt(int64(smaller)), fact[n-1-i])
-		rank.Add(rank, term)
-	}
-	return rank
-}
-
-// Unrank returns the permutation of n elements with the given Lehmer rank.
-// It returns an error if rank is outside [0, n!).
-func Unrank(n int, rank *big.Int) (Perm, error) {
-	fact := factorials(n)
-	if rank.Sign() < 0 || rank.Cmp(fact[n]) >= 0 {
-		return nil, fmt.Errorf("perm: rank %v outside [0, %d!)", rank, n)
-	}
-	rem := new(big.Int).Set(rank)
-	avail := make([]int, n)
-	for i := range avail {
-		avail[i] = i
-	}
-	p := make(Perm, 0, n)
-	for i := 0; i < n; i++ {
-		q, r := new(big.Int).DivMod(rem, fact[n-1-i], new(big.Int))
-		idx := int(q.Int64())
-		p = append(p, avail[idx])
-		avail = append(avail[:idx], avail[idx+1:]...)
-		rem = r
-	}
-	return p, nil
-}
-
-// factorials returns [0!, 1!, ..., n!].
-func factorials(n int) []*big.Int {
-	f := make([]*big.Int, n+1)
-	f[0] = big.NewInt(1)
-	for i := 1; i <= n; i++ {
-		f[i] = new(big.Int).Mul(f[i-1], big.NewInt(int64(i)))
-	}
-	return f
 }
 
 // NextLex advances p to its lexicographic successor in place and reports
@@ -291,41 +212,4 @@ func (p Perm) NextLex() bool {
 // convenience used by enumeration loops.
 func (p Perm) Sorted() bool {
 	return sort.IntsAreSorted(p)
-}
-
-// Parity returns +1 for even permutations and -1 for odd ones, computed
-// from the cycle decomposition (a k-cycle contributes k-1 transpositions).
-func (p Perm) Parity() int {
-	transpositions := 0
-	for _, c := range p.Cycles() {
-		transpositions += len(c) - 1
-	}
-	if transpositions%2 == 0 {
-		return 1
-	}
-	return -1
-}
-
-// Power returns p composed with itself k times; k may be negative (inverse
-// powers) or zero (identity).
-func (p Perm) Power(k int) Perm {
-	base := p.Clone()
-	if k < 0 {
-		base = p.Inverse()
-		k = -k
-	}
-	out := Identity(len(p))
-	for ; k > 0; k >>= 1 {
-		if k&1 == 1 {
-			out = base.Compose(out)
-		}
-		base = base.Compose(base)
-	}
-	return out
-}
-
-// Conjugate returns q∘p∘q⁻¹: the relabeling of p by q. Conjugation maps
-// Aut(G) to Aut(q(G)), which the general GNI prover exploits.
-func (p Perm) Conjugate(q Perm) Perm {
-	return q.Compose(p).Compose(q.Inverse())
 }

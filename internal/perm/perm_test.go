@@ -1,7 +1,6 @@
 package perm
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,9 +16,6 @@ func TestIdentity(t *testing.T) {
 	}
 	if got := p.String(); got != "id" {
 		t.Fatalf("String = %q", got)
-	}
-	if len(p.FixedPoints()) != 5 {
-		t.Fatal("identity should fix all")
 	}
 }
 
@@ -115,62 +111,28 @@ func TestCycles(t *testing.T) {
 	}
 }
 
-func TestOrder(t *testing.T) {
-	p, _ := FromSlice([]int{2, 0, 1, 3, 5, 4}) // 3-cycle and 2-cycle: order 6
-	if got := p.Order(); got.Int64() != 6 {
-		t.Fatalf("Order = %v, want 6", got)
-	}
-	if got := Identity(4).Order(); got.Int64() != 1 {
-		t.Fatalf("identity order = %v", got)
-	}
-}
-
-func TestRankUnrankRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		n := 1 + rng.Intn(10)
-		p := Random(n, rng)
-		q, err := Unrank(n, p.Rank())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !q.Equal(p) {
-			t.Fatalf("round trip: %v -> %v", p, q)
-		}
-	}
-}
-
-func TestRankEnumeratesLexOrder(t *testing.T) {
-	// Ranks 0..23 of S_4 should be exactly the lexicographic enumeration.
+func TestNextLexEnumeratesSn(t *testing.T) {
+	// From the identity, NextLex must walk all 24 permutations of S_4,
+	// each lexicographically after the one before.
 	p := Identity(4)
-	rank := int64(0)
+	count := 1
 	for {
-		if got := p.Rank().Int64(); got != rank {
-			t.Fatalf("rank of %v = %d, want %d", p, got, rank)
-		}
-		q, err := Unrank(4, big.NewInt(rank))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !q.Equal(p) {
-			t.Fatalf("Unrank(%d) = %v, want %v", rank, q, p)
-		}
+		prev := p.Clone()
 		if !p.NextLex() {
 			break
 		}
-		rank++
+		count++
+		for i := range p {
+			if p[i] != prev[i] {
+				if p[i] < prev[i] {
+					t.Fatalf("%v follows %v", p, prev)
+				}
+				break
+			}
+		}
 	}
-	if rank != 23 {
-		t.Fatalf("enumerated %d+1 permutations, want 24", rank+1)
-	}
-}
-
-func TestUnrankRange(t *testing.T) {
-	if _, err := Unrank(3, big.NewInt(6)); err == nil {
-		t.Fatal("rank 6 of S_3 should error")
-	}
-	if _, err := Unrank(3, big.NewInt(-1)); err == nil {
-		t.Fatal("negative rank should error")
+	if count != 24 {
+		t.Fatalf("enumerated %d permutations, want 24", count)
 	}
 }
 
@@ -216,23 +178,6 @@ func TestQuickInverseComposition(t *testing.T) {
 	}
 }
 
-func TestQuickRankBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		p := Random(n, rng)
-		r := p.Rank()
-		fact := big.NewInt(1)
-		for i := 2; i <= n; i++ {
-			fact.Mul(fact, big.NewInt(int64(i)))
-		}
-		return r.Sign() >= 0 && r.Cmp(fact) < 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSorted(t *testing.T) {
 	if !Identity(5).Sorted() {
 		t.Fatal("identity not sorted")
@@ -240,72 +185,5 @@ func TestSorted(t *testing.T) {
 	p, _ := FromSlice([]int{1, 0})
 	if p.Sorted() {
 		t.Fatal("transposition sorted")
-	}
-}
-
-func TestParity(t *testing.T) {
-	if Identity(5).Parity() != 1 {
-		t.Fatal("identity not even")
-	}
-	swap, _ := FromSlice([]int{1, 0, 2})
-	if swap.Parity() != -1 {
-		t.Fatal("transposition not odd")
-	}
-	threeCycle, _ := FromSlice([]int{1, 2, 0})
-	if threeCycle.Parity() != 1 {
-		t.Fatal("3-cycle not even")
-	}
-	// Parity is a homomorphism: sign(pq) = sign(p)·sign(q).
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 50; i++ {
-		p := Random(6, rng)
-		q := Random(6, rng)
-		if p.Compose(q).Parity() != p.Parity()*q.Parity() {
-			t.Fatal("parity not multiplicative")
-		}
-	}
-}
-
-func TestPower(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	p := Random(7, rng)
-	if !p.Power(0).IsIdentity() {
-		t.Fatal("p^0 != id")
-	}
-	if !p.Power(1).Equal(p) {
-		t.Fatal("p^1 != p")
-	}
-	if !p.Power(2).Equal(p.Compose(p)) {
-		t.Fatal("p^2 wrong")
-	}
-	if !p.Power(-1).Equal(p.Inverse()) {
-		t.Fatal("p^-1 wrong")
-	}
-	ord := int(p.Order().Int64())
-	if !p.Power(ord).IsIdentity() {
-		t.Fatal("p^order != id")
-	}
-	if !p.Power(-3).Compose(p.Power(3)).IsIdentity() {
-		t.Fatal("p^-3 · p^3 != id")
-	}
-}
-
-func TestConjugate(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	p := Random(6, rng)
-	q := Random(6, rng)
-	c := p.Conjugate(q)
-	// Conjugation preserves cycle type, hence order and parity.
-	if c.Order().Cmp(p.Order()) != 0 {
-		t.Fatal("conjugation changed order")
-	}
-	if c.Parity() != p.Parity() {
-		t.Fatal("conjugation changed parity")
-	}
-	// q(p(q^{-1}(x))) definition check.
-	for x := 0; x < 6; x++ {
-		if c[x] != q[p[q.Inverse()[x]]] {
-			t.Fatal("conjugate definition violated")
-		}
 	}
 }
