@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify lint vet build test examples race bench-vet smoke fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
+.PHONY: verify lint vet build test examples race bench-vet smoke fuzz-short fault-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke bench bench-check tables tables-quick clean
 
 # verify is the tier-1 gate: lint, build, tests, the six example programs
 # run end to end, the race check across the whole module (short mode
@@ -10,9 +10,9 @@ GO ?= go
 # allocation-budget check of the engine and the full request path
 # (bench-check, under a second), a short
 # mutation burst on every decoder fuzz target,
-# a fault-matrix smoke run, a live service round-trip (dipserve under
-# dipload with zero errors, drained cleanly), a plain+batch load
-# round-trip with a leak check on the drained service, an adversarial
+# a fault-matrix smoke run, a live service round-trip (load-check:
+# dipserve under a plain and a batch dipload with zero errors, no leaked
+# work on /metrics, drained cleanly by SIGTERM), an adversarial
 # chaos session against the live service (dipload -chaos), and the job-tier
 # crash-replay drill (jobs-smoke: SIGKILL mid-backlog, restart, every
 # job completes exactly once), the multi-process peer drill
@@ -21,7 +21,7 @@ GO ?= go
 # and the fleet-backed serving drill (fleet-smoke: dipserve -peers on a
 # standing dippeer fleet, one peer killed mid-load, structured 502s and
 # recovery on the survivors, clean drain end to end).
-verify: lint build test examples race bench-vet smoke bench-check fuzz-short fault-smoke serve-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
+verify: lint build test examples race bench-vet smoke bench-check fuzz-short fault-smoke load-check chaos-smoke jobs-smoke peer-smoke fleet-smoke
 
 # lint fails on unformatted files or vet findings.
 lint:
@@ -104,35 +104,14 @@ fault-smoke:
 	cmp $$dir/fault.json FAULT_seed1.json || { echo "FAULT_seed1.json is stale: regenerate it with make tables"; exit 1; }; \
 	$(GO) run ./cmd/dipbench -validate $$dir/fault.json
 
-# serve-smoke exercises the verification service end to end: build
-# dipserve and dipload, boot the service on an ephemeral port, fire a
-# short load run (dipload itself fails on a dropped connection, a wrong
-# answer or nothing completed), require zero errors on its count line,
-# and drain with SIGTERM. The trap tears the server down even when a
-# middle step fails.
-serve-smoke:
-	@dir=$$(mktemp -d /tmp/dip-serve-smoke.XXXXXX); \
-	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
-	$(GO) build -o $$dir/dipload ./cmd/dipload || exit 1; \
-	$$dir/dipserve -addr 127.0.0.1:0 -addr-file $$dir/addr -workers 4 -queue 16 >$$dir/serve.log 2>&1 & \
-	pid=$$!; \
-	trap 'kill -TERM $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf '"$$dir" EXIT; \
-	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
-	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
-	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 32 -c 4 -requests 300 -seed 1 >$$dir/load.out || { cat $$dir/load.out $$dir/serve.log; exit 1; }; \
-	cat $$dir/load.out; \
-	grep -q ' errors=0 ' $$dir/load.out || { echo "load reported errors"; exit 1; }; \
-	kill -TERM $$pid; \
-	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
-	grep -q drained $$dir/serve.log || { echo "no drain marker in log"; cat $$dir/serve.log; exit 1; }; \
-	echo "serve-smoke: ok"
-
-# load-check exercises the request path end to end in both shapes: boot
-# dipserve on an ephemeral port, run a short plain load and a short batch
-# load, fail on any request error (dipload's count line) or wrong answer
-# (dipload's exit), and fail if the drained service reports leaked work
-# (non-zero in-flight or queue gauges on /metrics).
+# load-check exercises the request path end to end in both shapes: build
+# dipserve and dipload, boot the service on an ephemeral port, run a short
+# plain load over two protocols and a short batch load (dipload itself
+# fails on a dropped connection, a wrong answer or nothing completed),
+# require zero errors on both count lines, fail if the service then
+# reports leaked work (non-zero in-flight or queue gauges on /metrics),
+# and drain with SIGTERM: exit 0 and the drain marker in the log. The
+# trap tears the server down even when a middle step fails.
 load-check:
 	@dir=$$(mktemp -d /tmp/dipload-check.XXXXXX); \
 	$(GO) build -o $$dir/dipserve ./cmd/dipserve || exit 1; \
@@ -143,7 +122,7 @@ load-check:
 	for i in $$(seq 1 100); do [ -s $$dir/addr ] && break; sleep 0.1; done; \
 	[ -s $$dir/addr ] || { echo "dipserve never bound"; cat $$dir/serve.log; exit 1; }; \
 	addr=$$(head -n1 $$dir/addr); \
-	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -seed 1 >$$dir/plain.out || { cat $$dir/plain.out $$dir/serve.log; exit 1; }; \
+	$$dir/dipload -url http://$$addr -protocol sym-dmam,sym-dam -n 32 -c 4 -requests 300 -seed 1 >$$dir/plain.out || { cat $$dir/plain.out $$dir/serve.log; exit 1; }; \
 	$$dir/dipload -url http://$$addr -protocol sym-dmam -n 32 -c 4 -requests 200 -batch 25 -seed 1 >$$dir/batch.out || { cat $$dir/batch.out $$dir/serve.log; exit 1; }; \
 	cat $$dir/plain.out $$dir/batch.out; \
 	grep -q ' errors=0 ' $$dir/plain.out || { echo "plain load reported errors"; exit 1; }; \
@@ -153,6 +132,7 @@ load-check:
 	grep -q '"queue_depth": 0' $$dir/metrics.json || { echo "queue gauge nonzero after load"; cat $$dir/metrics.json; exit 1; }; \
 	kill -TERM $$pid; \
 	wait $$pid || { echo "dipserve exited non-zero after drain"; cat $$dir/serve.log; exit 1; }; \
+	grep -q drained $$dir/serve.log || { echo "no drain marker in log"; cat $$dir/serve.log; exit 1; }; \
 	echo "load-check: ok"
 
 # chaos-smoke hardens the serving boundary: boot dipserve on an ephemeral

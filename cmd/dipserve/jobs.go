@@ -226,25 +226,12 @@ func jobRetryable(err error) bool {
 
 // handleJobs is POST /v1/jobs: admit a request into the async tier.
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only (poll GET /v1/jobs/{id})"})
-		return
-	}
-	if !s.allowClient(w, r, 1) {
-		return
-	}
 	var req dip.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, decodeStatus(err), errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
+	if !s.decodePost(w, r, "POST only (poll GET /v1/jobs/{id})", 1, "request", &req) {
 		return
 	}
 	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server draining"})
-		s.meters.Rejected.Add(1)
+		s.refuse(w, "server draining", 1)
 		return
 	}
 
@@ -274,9 +261,7 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		t.store.Discard(id)
 		switch {
 		case errors.Is(err, jobs.ErrBacklogFull):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "job backlog full"})
-			s.meters.Rejected.Add(1)
+			s.refuse(w, "job backlog full", 1)
 		case errors.Is(err, jobs.ErrClosed):
 			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "job queue closed"})
 			s.meters.Rejected.Add(1)

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,16 +18,18 @@ import (
 	"dip/internal/obs"
 )
 
-// config are the serving knobs; flags in main.go fill it.
+// config are the serving knobs; parseConfig in main.go fills it.
 type config struct {
 	// addr is the listen address (":8123", "127.0.0.1:0", ...).
 	addr string
-	// workers is the number of run workers — the service's concurrency
-	// ceiling. Each worker checks engine state out of the shared pool, so
-	// the pool is sized to at least this.
+	// workers caps the bodies running at once (a /v1/run request or a
+	// whole /v1/batch each) — the service's concurrency ceiling. Each
+	// running body checks engine state out of the shared pool, so the
+	// pool is sized to at least this.
 	workers int
-	// queue is the admission queue depth: requests admitted but not yet
-	// picked up by a worker. A full queue answers 503 immediately.
+	// queue caps the bodies admitted but still waiting for one of the
+	// workers run slots. A body that finds workers+queue bodies admitted
+	// is answered 503 at once.
 	queue int
 	// timeout bounds each run (request deadline); 0 disables.
 	timeout time.Duration
@@ -65,43 +66,21 @@ func defaultConfig() config {
 	}
 }
 
-// job is one admitted unit of work traveling from handler to worker —
-// a single run request, or a whole batch (batch non-nil). The handler
-// blocks on done; the worker fulfills exactly once. A batch occupies one
-// queue slot and one worker for its whole duration: admission control is
-// per body, so a client trades queue fairness for setup amortization.
-type job struct {
-	ctx  context.Context
-	req  dip.Request
-	rep  dip.Report
-	err  error
-	done chan struct{}
-
-	batch   []dip.Request
-	results []batchResult
-}
-
-// server is the dipserve service: a bounded admission queue in front of a
-// fixed worker pool, every worker running requests through dip.RunContext
-// on the shared pooled engine.
+// server is the dipserve service. Every admitted body runs on its own
+// handler goroutine through runFunc, behind two counting semaphores:
+// places holds a token per body admitted, waiting or running
+// (workers+queue of them), and slots a token per body running (workers
+// of them).
 type server struct {
 	cfg    config
 	meters *obs.ServiceMeters
-	jobs   chan *job
-	// quit tells the workers to finish the queue and exit; stopped is
-	// closed once stop() has retired them and failed any straggler job.
-	// The jobs channel itself is NEVER closed: a handler may race its
-	// draining check against stop() (httpSrv.Shutdown can time out with
-	// handlers still between admission and enqueue), and a send on a
-	// closed channel would panic the process during its last breath.
-	quit    chan struct{}
-	stopped chan struct{}
+	places chan struct{}
+	slots  chan struct{}
 	// limiter is the per-client admission rate limiter; nil when
 	// cfg.rateLimit is 0.
 	limiter *limiter
 	// async is the durable job tier behind POST /v1/jobs — its queue,
-	// store, and worker pool are independent of the synchronous
-	// admission queue above.
+	// store, and worker pool are independent of the two semaphores above.
 	async *jobsTier
 	// runFunc is dip.RunContext in production (or a fleet-backed closure
 	// under -peers); tests inject stubs to pin queue/timeout behavior
@@ -113,7 +92,6 @@ type server struct {
 	fleet    *dip.Fleet
 	draining atomic.Bool
 	started  time.Time
-	wg       sync.WaitGroup
 }
 
 // useFleet points every serving tier at a standing peer fleet: runFunc
@@ -132,18 +110,11 @@ func (s *server) useFleet(f *dip.Fleet) {
 }
 
 func newServer(cfg config) (*server, error) {
-	if cfg.workers < 1 {
-		cfg.workers = 1
-	}
-	if cfg.queue < 1 {
-		cfg.queue = 1
-	}
 	s := &server{
 		cfg:     cfg,
 		meters:  &obs.ServiceMeters{},
-		jobs:    make(chan *job, cfg.queue),
-		quit:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		places:  make(chan struct{}, cfg.workers+cfg.queue),
+		slots:   make(chan struct{}, cfg.workers),
 		runFunc: dip.RunContext,
 		started: time.Now(),
 	}
@@ -168,135 +139,76 @@ func newServer(cfg config) (*server, error) {
 	return s, nil
 }
 
-// start launches the worker pool. stop drains it: the admission queue is
-// closed and every queued job still runs before workers exit.
+// start sizes the engine-state pool and starts the job tier's workers.
 func (s *server) start() {
 	// Size the shared engine-state pool to the engine concurrency — the
-	// request workers plus the job workers, which run through the same pool
+	// running bodies plus the job workers, which run through the same pool
 	// at the same time — so a fully loaded service recycles state instead
 	// of allocating; keep the default floor so harness runs in the same
 	// process stay pooled.
-	if n := s.cfg.workers + max(s.cfg.jobs.workers, 0); n > 32 {
+	if n := s.cfg.workers + s.cfg.jobs.workers; n > 32 {
 		network.SetStatePoolCapacity(n)
-	}
-	for i := 0; i < s.cfg.workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
 	}
 	s.async.pool.Start()
 }
 
-// stop retires the worker pool: every job queued before (or racing
-// with) the stop signal still runs or is failed, and every handler
-// blocked on a job is released. Safe against concurrent admission —
-// see the field comment on quit/stopped.
+// stop marks the server draining, so every later body is answered 503,
+// and retires the job tier: its workers finish their current attempt,
+// backoff waits nack their job back, and closing the queue seals the
+// journal for the next boot. A body still running (http.Server.Shutdown
+// timed out around it) finishes on its own handler goroutine.
 func (s *server) stop() {
-	close(s.quit)
-	s.wg.Wait()
-	// Fail any job that slipped into the queue after the workers took
-	// their final drain pass; its handler is released via j.done.
-	for {
-		select {
-		case j := <-s.jobs:
-			s.meters.QueueDepth.Add(-1)
-			j.err = errServerStopped
-			close(j.done)
-		default:
-			// Handlers that enqueue after this point find stopped
-			// closed and answer 503 without waiting on j.done.
-			close(s.stopped)
-			// Retire the job tier last: its workers finish their current
-			// attempt, backoff waits nack their job back, and closing the
-			// queue seals the journal for the next boot.
-			s.async.stop()
-			return
-		}
-	}
+	s.draining.Store(true)
+	s.async.stop()
 }
 
-// errServerStopped marks a job the worker pool never ran because the
-// service shut down around it.
-var errServerStopped = errors.New("server stopped before the request ran")
-
-func (s *server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case j := <-s.jobs:
-			s.meters.QueueDepth.Add(-1)
-			s.runJob(j)
-		case <-s.quit:
-			// Finish what is already queued, then exit. New jobs may
-			// still race in behind this drain; stop() sweeps those.
-			for {
-				select {
-				case j := <-s.jobs:
-					s.meters.QueueDepth.Add(-1)
-					s.runJob(j)
-				default:
-					return
-				}
-			}
-		}
+// admitAndRun is the one run path of /v1/run and /v1/batch. It admits
+// one body of reqs (a /v1/run request is a body of one), waits for a run
+// slot, and runs the items in order on the calling handler goroutine
+// under one deadline, metering each item like a plain request. Admission
+// is per body, so a batch holds one place and one slot for its whole
+// duration: a client trades fairness in line for setup amortization.
+// When the body is refused, or its client leaves before it runs,
+// admitAndRun answers w itself and reports false.
+func (s *server) admitAndRun(w http.ResponseWriter, r *http.Request, reqs []dip.Request) ([]batchResult, bool) {
+	if s.draining.Load() {
+		s.refuse(w, "server draining", len(reqs))
+		return nil, false
 	}
-}
+	select {
+	case s.places <- struct{}{}:
+	default:
+		// Backpressure: a full line answers immediately instead of
+		// stacking goroutines. Clients retry after the hint.
+		s.refuse(w, "admission queue full", len(reqs))
+		return nil, false
+	}
+	defer func() { <-s.places }()
+	s.meters.Requests.Add(int64(len(reqs)))
 
-func (s *server) runJob(j *job) {
-	defer close(j.done)
-	// The client may be gone (handler timeout, dropped connection); don't
-	// burn a worker on a run nobody will read.
-	if err := j.ctx.Err(); err != nil {
-		j.err = err
-		return
+	ctx := r.Context()
+	s.meters.QueueDepth.Add(1)
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	case <-ctx.Done():
+	}
+	s.meters.QueueDepth.Add(-1)
+	// The client may be gone (handler timeout, dropped connection): give
+	// the place back now instead of running what nobody will read.
+	if err := ctx.Err(); err != nil {
+		status, phase := mapRunError(err)
+		writeJSON(w, status, errorBody{Error: err.Error(), Phase: phase})
+		return nil, false
 	}
 	s.meters.InFlight.Add(1)
 	defer s.meters.InFlight.Add(-1)
 
-	ctx := j.ctx
 	if s.cfg.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.timeout)
 		defer cancel()
 	}
-	if j.batch != nil {
-		j.results = s.runBatch(ctx, j.batch)
-		return
-	}
-	pm := s.meters.Protocol(j.req.Protocol)
-	pm.Requests.Add(1)
-	start := time.Now()
-	j.rep, j.err = s.safeRun(ctx, j.req)
-	pm.Latency.Observe(time.Since(start))
-	if j.err != nil {
-		pm.Errors.Add(1)
-		s.meters.Failures.Add(1)
-	}
-}
-
-// safeRun shields the worker from a panicking run: the engine recovers
-// prover/node panics itself, but the boundary must also survive bugs in
-// code outside that net (and injected run funcs in tests). The panic
-// surfaces as a plain error, which the status taxonomy maps to 500.
-func (s *server) safeRun(ctx context.Context, req dip.Request) (rep dip.Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("run panicked: %v", p)
-		}
-	}()
-	return s.runFunc(ctx, req)
-}
-
-// batchResult is one item's outcome in a batch job: exactly one of
-// Report (Err == nil) or Err is meaningful.
-type batchResult struct {
-	Report dip.Report
-	Err    error
-}
-
-// runBatch runs every item of a batch job sequentially on this worker,
-// metering each item like a plain request (one deadline covers the whole
-// batch, matching the admission unit).
-func (s *server) runBatch(ctx context.Context, reqs []dip.Request) []batchResult {
 	out := make([]batchResult, len(reqs))
 	for i := range reqs {
 		pm := s.meters.Protocol(reqs[i].Protocol)
@@ -313,7 +225,36 @@ func (s *server) runBatch(ctx context.Context, reqs []dip.Request) []batchResult
 			s.meters.Failures.Add(1)
 		}
 	}
-	return out
+	return out, true
+}
+
+// refuse answers 503 with a Retry-After hint and meters the body's units
+// requests as rejected: Rejected moves in request units, like Requests,
+// for rejected/(requests+rejected) to mean anything.
+func (s *server) refuse(w http.ResponseWriter, msg string, units int) {
+	w.Header().Set("Retry-After", "1")
+	writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: msg})
+	s.meters.Rejected.Add(int64(units))
+}
+
+// safeRun shields the handler from a panicking run: the engine recovers
+// prover/node panics itself, but the boundary must also survive bugs in
+// code outside that net (and injected run funcs in tests). The panic
+// surfaces as a plain error, which the status taxonomy maps to 500.
+func (s *server) safeRun(ctx context.Context, req dip.Request) (rep dip.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("run panicked: %v", p)
+		}
+	}()
+	return s.runFunc(ctx, req)
+}
+
+// batchResult is one item's outcome in a body: exactly one of Report
+// (Err == nil) or Err is meaningful.
+type batchResult struct {
+	Report dip.Report
+	Err    error
 }
 
 // handler builds the service mux.
@@ -334,8 +275,8 @@ func (s *server) handler() http.Handler {
 
 // readyBody is the /readyz answer: not just a status word but the
 // load picture an orchestrator or smoke gate wants in one probe — the
-// synchronous admission queue's depth, the async backlog and its
-// in-flight count, and whether the server is draining.
+// bodies waiting for a run slot, the async backlog and its in-flight
+// count, and whether the server is draining.
 type readyBody struct {
 	Status       string `json:"status"`
 	QueueDepth   int64  `json:"queue_depth"`
@@ -395,56 +336,48 @@ type errorBody struct {
 	Protocol string `json:"protocol,omitempty"`
 }
 
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+// decodePost is the preamble of the three POST handlers. Another method
+// is answered 405 with notPost; cost rate-limit tokens are spent before
+// the body is read (a batch passes 0 and spends one per item once its
+// length is known); and the capped body is strictly decoded into v, a
+// failure answered 413 or 400 as "decoding <what>". It reports whether
+// the handler goes on.
+func (s *server) decodePost(w http.ResponseWriter, r *http.Request, notPost string, cost int, what string, v any) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
+		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: notPost})
+		return false
 	}
-	if !s.allowClient(w, r, 1) {
-		return
+	if cost > 0 && !s.allowClient(w, r, cost) {
+		return false
 	}
-	var req dip.Request
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, decodeStatus(err), errorBody{Error: fmt.Sprintf("decoding request: %v", err)})
-		return
+	if err := dec.Decode(v); err != nil {
+		writeJSON(w, decodeStatus(err), errorBody{Error: fmt.Sprintf("decoding %s: %v", what, err)})
+		return false
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server draining"})
-		s.meters.Rejected.Add(1)
-		return
-	}
+	return true
+}
 
-	j := &job{ctx: r.Context(), req: req, done: make(chan struct{})}
-	select {
-	case s.jobs <- j:
-		s.meters.QueueDepth.Add(1)
-		s.meters.Requests.Add(1)
-	default:
-		// Backpressure: a full queue answers immediately instead of
-		// stacking goroutines. Clients retry after the hint.
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "admission queue full"})
-		s.meters.Rejected.Add(1)
+func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+	var req dip.Request
+	if !s.decodePost(w, r, "POST only", 1, "request", &req) {
 		return
 	}
-
-	if !s.awaitJob(j) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errServerStopped.Error()})
+	res, ok := s.admitAndRun(w, r, []dip.Request{req})
+	if !ok {
 		return
 	}
-	if j.err != nil {
-		status, phase := mapRunError(j.err)
-		writeJSON(w, status, errorBody{Error: j.err.Error(), Phase: phase, Protocol: req.Protocol})
+	if err := res[0].Err; err != nil {
+		status, phase := mapRunError(err)
+		writeJSON(w, status, errorBody{Error: err.Error(), Phase: phase, Protocol: req.Protocol})
 		return
 	}
 	// Encode to a buffer first: one write sets Content-Length and puts the
 	// whole response in a single segment, which matters at load-test rates.
 	var buf bytes.Buffer
-	if err := dip.WireReportFrom(j.rep, req.Options.Seed).Encode(&buf); err != nil {
+	if err := dip.WireReportFrom(res[0].Report, req.Options.Seed).Encode(&buf); err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error(), Protocol: req.Protocol})
 		return
 	}
@@ -459,28 +392,20 @@ type batchBody struct {
 	Requests []dip.Request `json:"requests"`
 }
 
-// maxBatchItems bounds one batch body: a batch occupies a worker for its
-// whole duration, so the bound keeps a single client from turning the
-// bounded worker pool into one unbounded run.
+// maxBatchItems bounds one batch body: a batch holds a run slot for its
+// whole duration, so the bound keeps a single client from turning one
+// bounded slot into one unbounded run.
 const maxBatchItems = 256
 
-// handleBatch admits a whole batch as one queue unit and answers with a
-// JSON array, one element per request in order: a dip-report/v1 document
-// on success, an error object (same shape as /v1/run errors) on failure.
-// Items share a worker and the process-wide setup caches, so a batch of
-// requests on one instance amortizes graph validation, protocol
+// handleBatch admits a whole batch as one body and answers with a JSON
+// array, one element per request in order: a dip-report/v1 document on
+// success, an error object (same shape as /v1/run errors) on failure.
+// Items share a run slot and the process-wide setup caches, so a batch
+// of requests on one instance amortizes graph validation, protocol
 // construction and per-graph artifacts across its items.
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
-		return
-	}
 	var body batchBody
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.maxBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		writeJSON(w, decodeStatus(err), errorBody{Error: fmt.Sprintf("decoding batch: %v", err)})
+	if !s.decodePost(w, r, "POST only", 0, "batch", &body) {
 		return
 	}
 	if len(body.Requests) == 0 {
@@ -497,43 +422,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.allowClient(w, r, len(body.Requests)) {
 		return
 	}
-	if s.draining.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "server draining"})
-		s.meters.Rejected.Add(int64(len(body.Requests)))
-		return
-	}
-
-	j := &job{ctx: r.Context(), batch: body.Requests, done: make(chan struct{})}
-	select {
-	case s.jobs <- j:
-		s.meters.QueueDepth.Add(1)
-		s.meters.Requests.Add(int64(len(body.Requests)))
-	default:
-		// Rejected counts requests, not bodies: a turned-away batch of k
-		// items is k rejections, mirroring the Requests.Add above (the
-		// admission and rejection counters must stay in the same unit
-		// for rejected/(requests+rejected) to mean anything).
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "admission queue full"})
-		s.meters.Rejected.Add(int64(len(body.Requests)))
-		return
-	}
-
-	if !s.awaitJob(j) {
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: errServerStopped.Error()})
-		return
-	}
-	if j.err != nil { // pre-run failure (client gone before a worker started)
-		status, phase := mapRunError(j.err)
-		writeJSON(w, status, errorBody{Error: j.err.Error(), Phase: phase})
+	results, ok := s.admitAndRun(w, r, body.Requests)
+	if !ok {
 		return
 	}
 	// Assemble the array by hand from per-item Encode output so each
 	// element is byte-identical to the corresponding /v1/run body.
 	var buf bytes.Buffer
 	buf.WriteString("[\n")
-	for i, res := range j.results {
+	for i, res := range results {
 		if i > 0 {
 			buf.WriteString(",\n")
 		}
@@ -559,27 +456,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(buf.Bytes())
-}
-
-// awaitJob blocks until the job is fulfilled. The false return is the
-// shutdown edge case: the handler enqueued after the workers' final
-// drain pass AND after stop()'s straggler sweep, so nobody will ever
-// close j.done — possible only when httpSrv.Shutdown timed out with
-// this handler still in flight. Any job fulfilled or swept during
-// stop() has its done closed before stopped closes, so the re-check is
-// race-free.
-func (s *server) awaitJob(j *job) bool {
-	select {
-	case <-j.done:
-		return true
-	case <-s.stopped:
-		select {
-		case <-j.done:
-			return true
-		default:
-			return false
-		}
-	}
 }
 
 // allowClient enforces the per-client rate limit, spending cost tokens
@@ -635,11 +511,6 @@ func mapRunError(err error) (status int, phase string) {
 	}
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
 		return http.StatusGatewayTimeout, "deadline"
-	}
-	if errors.Is(err, errServerStopped) {
-		// stop() failed the job while it was still queued: the same
-		// answer as admission after stop.
-		return http.StatusServiceUnavailable, "stopped"
 	}
 	return http.StatusInternalServerError, "internal"
 }

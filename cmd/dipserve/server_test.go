@@ -211,6 +211,169 @@ func TestQueueFull(t *testing.T) {
 	wg.Wait()
 }
 
+// TestAdmissionBound drives the synchronous tier to its bound: with
+// workers 3 and queue 2, four /v1/run bodies and one two-item /v1/batch
+// (one place, one slot) fill the line, at most three runs are in flight
+// at any time, two bodies wait, the next body of each kind is refused at
+// once and metered in request units, and once released every admitted
+// body answers 200 with both gauges back at 0.
+func TestAdmissionBound(t *testing.T) {
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free() // on a failure too, so the cleanup's ts.Close does not wait on a blocked run
+	var running, peak atomic.Int64
+	runFunc := func(ctx context.Context, req dip.Request) (dip.Report, error) {
+		n := running.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		defer running.Add(-1)
+		<-release
+		return dip.Report{Protocol: req.Protocol}, nil
+	}
+	s, ts := startTestServer(t, config{workers: 3, queue: 2, timeout: time.Minute}, runFunc)
+
+	batch := func(k int) string {
+		items := make([]string, k)
+		for i := range items {
+			items[i] = cycleRequest(4, int64(100+i))
+		}
+		return `{"requests": [` + strings.Join(items, ",") + `]}`
+	}
+	post := func(path, body string) (*http.Response, error) {
+		return http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	}
+	statuses := make(chan int, 5)
+	admit := func(path, body string) {
+		go func() {
+			resp, err := post(path, body)
+			if err != nil {
+				t.Errorf("%s: %v", path, err)
+				statuses <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			statuses <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < 4; i++ {
+		admit("/v1/run", cycleRequest(4, int64(i)))
+	}
+	admit("/v1/batch", batch(2))
+	waitFor(t, func() bool { return running.Load() == 3 && s.meters.QueueDepth.Value() == 2 })
+
+	bound := 5 * time.Millisecond
+	if raceEnabled {
+		bound = 50 * time.Millisecond
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/run", cycleRequest(4, 9)},
+		{"/v1/batch", batch(2)},
+	} {
+		start := time.Now()
+		resp, err := post(c.path, c.body)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s past the bound: status %d, Retry-After %q; want 503 with a hint", c.path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
+		if elapsed > bound {
+			t.Fatalf("%s past the bound refused after %v, want < %v", c.path, elapsed, bound)
+		}
+	}
+	if got := s.meters.Rejected.Value(); got != 3 {
+		t.Fatalf("rejected meter = %d, want 3 (one run, two batch items)", got)
+	}
+	if got := s.meters.Requests.Value(); got != 6 {
+		t.Fatalf("admitted meter = %d, want 6 (four runs, two batch items)", got)
+	}
+
+	free()
+	for i := 0; i < 5; i++ {
+		if status := <-statuses; status != http.StatusOK {
+			t.Fatalf("admitted body answered %d, want 200", status)
+		}
+	}
+	if p := peak.Load(); p > 3 {
+		t.Fatalf("%d runs in flight at once, want at most 3 (workers)", p)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsPayload
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Service.InFlight != 0 || m.Service.QueueDepth != 0 {
+		t.Fatalf("/metrics after release: in_flight %d, queue_depth %d; want 0 and 0", m.Service.InFlight, m.Service.QueueDepth)
+	}
+}
+
+// TestClientLeavesQueue: a body whose client goes away while it waits
+// for a run slot gives its place back at once, not when a slot frees,
+// and never runs.
+func TestClientLeavesQueue(t *testing.T) {
+	release := make(chan struct{})
+	free := sync.OnceFunc(func() { close(release) })
+	defer free()
+	blocked := make(chan struct{}, 2)
+	var calls atomic.Int64
+	runFunc := func(ctx context.Context, req dip.Request) (dip.Report, error) {
+		calls.Add(1)
+		blocked <- struct{}{}
+		<-release
+		return dip.Report{Protocol: req.Protocol}, nil
+	}
+	s, ts := startTestServer(t, config{workers: 1, queue: 2, timeout: time.Minute}, runFunc)
+
+	statusA := make(chan int, 1)
+	go func() {
+		resp := postRun(t, ts.URL, cycleRequest(4, 1))
+		resp.Body.Close()
+		statusA <- resp.StatusCode
+	}()
+	<-blocked // A holds the one run slot
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/run", strings.NewReader(cycleRequest(4, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errB := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errB <- err
+	}()
+	waitFor(t, func() bool { return s.meters.QueueDepth.Value() == 1 })
+	cancel()
+	if err := <-errB; err == nil {
+		t.Fatal("canceled request B returned a response")
+	}
+	waitFor(t, func() bool { return s.meters.QueueDepth.Value() == 0 })
+	select {
+	case status := <-statusA:
+		t.Fatalf("A answered %d before its release", status)
+	default:
+	}
+
+	free()
+	if status := <-statusA; status != http.StatusOK {
+		t.Fatalf("A answered %d, want 200", status)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("runFunc ran %d times, want 1 (B must never run)", n)
+	}
+}
+
 // TestRunDeadline: a run exceeding the per-request deadline is cut off and
 // answered 504 with the engine's phase attached.
 func TestRunDeadline(t *testing.T) {
@@ -490,7 +653,6 @@ func TestMapRunError(t *testing.T) {
 		{"context deadline", context.DeadlineExceeded, http.StatusGatewayTimeout, "deadline"},
 		{"context canceled", context.Canceled, http.StatusGatewayTimeout, "deadline"},
 		{"wrapped context deadline", fmt.Errorf("run: %w", context.DeadlineExceeded), http.StatusGatewayTimeout, "deadline"},
-		{"server stopped", errServerStopped, http.StatusServiceUnavailable, "stopped"},
 		{"unclassified", errors.New("disk on fire"), http.StatusInternalServerError, "internal"},
 		{"wrapped unclassified", fmt.Errorf("outer: %w", errors.New("inner")), http.StatusInternalServerError, "internal"},
 	}
@@ -613,11 +775,13 @@ func TestMidBodyDisconnect(t *testing.T) {
 }
 
 // TestStopUnderConcurrentAdmission is the drain-race regression test:
-// stop() fires while handlers are mid-admission, exactly the window in
-// which the pre-fix server closed s.jobs and a racing handler's enqueue
-// panicked the whole process ("send on closed channel"). With the fix
-// every storm request must come back 200 or 503 — and the process must
-// survive. Run under -race this also checks the quit/stopped signaling.
+// stop() fires while handlers are mid-admission, the window in which an
+// early server closed its job channel and a racing handler's enqueue
+// panicked the whole process ("send on closed channel"). No channel is
+// left to close: each body runs on its own handler goroutine, and stop()
+// only marks the server draining. Every storm request must come back
+// 200 or 503 — and the process must survive. Run under -race this also
+// checks the draining flag against handlers admitting and running.
 func TestStopUnderConcurrentAdmission(t *testing.T) {
 	cfg := defaultConfig()
 	cfg.workers = 2
@@ -628,7 +792,7 @@ func TestStopUnderConcurrentAdmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.runFunc = func(ctx context.Context, req dip.Request) (dip.Report, error) {
-		time.Sleep(200 * time.Microsecond) // hold workers busy so admission races stop()
+		time.Sleep(200 * time.Microsecond) // hold the run slots busy so admission races stop()
 		return dip.Report{Protocol: req.Protocol}, nil
 	}
 	s.start()
@@ -668,8 +832,8 @@ func TestStopUnderConcurrentAdmission(t *testing.T) {
 	s.stop()
 	wg.Wait()
 
-	// After stop, admission still answers (503 via the stopped channel),
-	// never hangs.
+	// After stop, admission still answers (503, as draining), never
+	// hangs.
 	resp, err := http.Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

@@ -31,8 +31,10 @@ import (
 // dip-report/v1 request wire format consumed by cmd/dipserve.
 type Options struct {
 	// Seed makes runs reproducible: equal seeds (with the same inputs)
-	// yield identical node randomness. The prover additionally derives its
-	// hash moduli from Seed.
+	// yield identical node randomness. sym-dmam, dsym-dam, sym-rpls and
+	// the GNI protocols that hash (gni-damam, gni-general, gni-marked)
+	// also pick their primes from Seed; sym-dam's modulus depends only on
+	// n, and sym-lcp and gni-lcp hash nothing.
 	Seed int64 `json:"seed"`
 	// Repetitions is the parallel-repetition count of the GNI protocols
 	// (ignored elsewhere). 0 selects core.DefaultGNIRepetitions; every

@@ -34,8 +34,8 @@ type ServiceMeters struct {
 	Rejected    Counter
 	RateLimited Counter
 	Failures    Counter
-	// InFlight is the number of requests currently executing; QueueDepth
-	// the number admitted but not yet picked up by a worker.
+	// InFlight is the number of bodies currently running (a batch counts
+	// once); QueueDepth the number admitted but still waiting to run.
 	InFlight   Gauge
 	QueueDepth Gauge
 
