@@ -7,8 +7,8 @@ GO ?= go
 # keeps it minutes, not hours), vet and unit tests of the benchmark
 # module, a results-file smoke round-trip that also
 # requires the committed sidecars to regenerate byte-for-byte, the
-# allocation-budget check of the engine and the full request path
-# (bench-check, under a second), a short
+# allocation-budget check of the engine, the full request path and the
+# heavy mix (bench-check, under a second), a short
 # mutation burst on every decoder fuzz target,
 # a fault-matrix smoke run, a live service round-trip (load-check:
 # dipserve under a plain and a batch dipload with zero errors, no leaked
@@ -340,10 +340,11 @@ fleet-smoke:
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 2s .
 
-# bench-check re-measures allocs/op of both reference workloads and fails
-# on a >10% regression against the records in BENCH_seed1.json: the engine
-# workload against engine_bench, the full request path against
-# request_bench. smoke already pins both records byte-for-byte; this gate
+# bench-check re-measures allocs/op of the three reference workloads and
+# fails on a >10% regression against the records in BENCH_seed1.json: the
+# engine workload against engine_bench, the full request path against
+# request_bench, the heavy mix (sym-dam, sym-lcp, sym-rpls) against
+# heavy_bench. smoke already pins the records byte-for-byte; this gate
 # measures them in a process of their own.
 bench-check:
 	$(GO) run ./cmd/dipbench -bench-check BENCH_seed1.json

@@ -11,7 +11,7 @@
 //	dipbench -trials 500      # override the per-cell trial count
 //	dipbench -parallel 2      # cap the trial-harness worker count
 //	dipbench -json out.json   # also emit machine-readable results
-//	dipbench -bench-check BENCH_seed1.json  # re-measure both allocation budgets
+//	dipbench -bench-check BENCH_seed1.json  # re-measure every allocation budget
 //	dipbench -faults          # run the fault matrix (E12) instead of the tables
 //	dipbench -validate x.json [y.json ...]  # check results files against their schemas
 //	dipbench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -20,9 +20,9 @@
 // trial's randomness is derived from (seed, experiment, trial index)
 // alone. The -json file is likewise byte-identical across -parallel and
 // GOMAXPROCS settings, so committed BENCH_*.json artifacts diff cleanly
-// across PRs. It always carries the allocation budgets of the engine and
-// request-path reference workloads (engine_bench, request_bench), which
-// -bench-check re-measures; -json-timings adds a non-reproducible
+// across PRs. It always carries the allocation budgets of the engine,
+// request-path and heavy-mix reference workloads (engine_bench,
+// request_bench, heavy_bench), which -bench-check re-measures; -json-timings adds a non-reproducible
 // timings block (wall times, worker count, engine meters) for profiling
 // sessions. Long runs report live progress (trials per cell, ETA) on
 // stderr; silence it with -progress=false.
@@ -63,7 +63,7 @@ func run(args []string) error {
 		progress    = fs.Bool("progress", true, "report live per-cell progress on stderr")
 		faultsMode  = fs.Bool("faults", false, "run the fault-injection matrix (E12); -json emits dip-fault/v1")
 		validate    = fs.String("validate", "", "validate existing results files against their schemas and exit (accepts further paths as positional args)")
-		benchCheck  = fs.String("bench-check", "", "re-measure the engine and request-path allocs/op and fail on a >10% rise over this dip-bench file's records")
+		benchCheck  = fs.String("bench-check", "", "re-measure the engine, request-path and heavy-mix allocs/op and fail on a >10% rise over this dip-bench file's records")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this path")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this path")
 	)
@@ -165,7 +165,10 @@ func run(args []string) error {
 		if results.RequestBench, err = experiments.MeasureRequestAllocs(); err != nil {
 			return err
 		}
-		for _, b := range []*experiments.AllocBench{results.EngineBench, results.RequestBench} {
+		if results.HeavyBench, err = experiments.MeasureHeavyAllocs(); err != nil {
+			return err
+		}
+		for _, b := range []*experiments.AllocBench{results.EngineBench, results.RequestBench, results.HeavyBench} {
 			fmt.Fprintf(os.Stderr, "alloc bench: %.0f allocs/op (%s, n=%d)\n", b.AllocsPerOp, b.Workload, b.Nodes)
 		}
 		if *jsonTimings {
@@ -224,8 +227,8 @@ func runFaults(cfg experiments.Config, jsonPath string) error {
 	return nil
 }
 
-// checkBench is the allocation-regression gate: it re-measures both
-// reference workloads and compares each against its record in the
+// checkBench is the allocation-regression gate: it re-measures every
+// reference workload and compares each against its record in the
 // dip-bench/v1 file at path, reporting every failure before exiting.
 func checkBench(path string) error {
 	f, err := experiments.ReadResultsFile(path)
@@ -239,6 +242,7 @@ func checkBench(path string) error {
 	}{
 		{"engine_bench", f.EngineBench, experiments.MeasureEngineAllocs},
 		{"request_bench", f.RequestBench, experiments.MeasureRequestAllocs},
+		{"heavy_bench", f.HeavyBench, experiments.MeasureHeavyAllocs},
 	}
 	failed := 0
 	for _, c := range checks {

@@ -225,6 +225,63 @@ func TestFleetMemosMatchRun(t *testing.T) {
 	}
 }
 
+// TestProverMemoUnderTimeout runs sym-dam and sym-dmam, whose provers
+// leave the echoed index's row table in the run's memo for the verifiers,
+// concurrently through dip.Run with Options.Timeout set: each prover then
+// answers from a goroutine of its own, so the table it fills there is
+// read by the nodes on the run's goroutine, while other runs hash on the
+// same cached protocol instances. Every dip-report/v1 document must be
+// byte-identical to a run's without a deadline. It runs under -short, so
+// `make race` checks the hand-off.
+func TestProverMemoUnderTimeout(t *testing.T) {
+	ring := edgesOf(graph.Cycle(16))
+	var reqs []Request
+	for _, protocol := range []string{"sym-dam", "sym-dmam"} {
+		for k := int64(0); k < 3; k++ {
+			reqs = append(reqs, Request{Protocol: protocol, N: 16, Edges: ring,
+				Options: Options{Seed: 500 + k}})
+		}
+	}
+	document := func(rep Report, seed int64) []byte {
+		var buf bytes.Buffer
+		if err := WireReportFrom(rep, seed).Encode(&buf); err != nil {
+			t.Error(err)
+		}
+		return buf.Bytes()
+	}
+	want := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		rep, err := Run(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Accepted {
+			t.Fatalf("%s seed %d: honest run rejected", req.Protocol, req.Options.Seed)
+		}
+		want[i] = document(rep, req.Options.Seed)
+	}
+	var wg sync.WaitGroup
+	for copies := 0; copies < 3; copies++ {
+		for i, req := range reqs {
+			wg.Add(1)
+			go func(i int, req Request) {
+				defer wg.Done()
+				req.Options.Timeout = time.Minute
+				rep, err := Run(req)
+				if err != nil {
+					t.Errorf("%s seed %d: %v", req.Protocol, req.Options.Seed, err)
+					return
+				}
+				if got := document(rep, req.Options.Seed); !bytes.Equal(got, want[i]) {
+					t.Errorf("%s seed %d: document with a prover deadline differs:\n%s\n%s",
+						req.Protocol, req.Options.Seed, got, want[i])
+				}
+			}(i, req)
+		}
+	}
+	wg.Wait()
+}
+
 // TestLegacyEntryPointsMatchRun is the compatibility contract for callers
 // of the retired Prove* entry points. Each was a thin mapping onto one
 // registry protocol, and the Report it returned — recorded below field for

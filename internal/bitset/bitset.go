@@ -34,6 +34,21 @@ func New(n int) *Set {
 	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
 }
 
+// NewSlice returns k zeroed bit vectors of length n, carved from one
+// backing array: two allocations however large k is.
+func NewSlice(k, n int) []Set {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative length %d", n))
+	}
+	w := (n + wordBits - 1) / wordBits
+	back := make([]uint64, k*w)
+	sets := make([]Set, k)
+	for i := range sets {
+		sets[i] = Set{n: n, words: back[i*w : (i+1)*w : (i+1)*w]}
+	}
+	return sets
+}
+
 // FromIndices returns a bit vector of length n with the given bits set.
 func FromIndices(n int, indices ...int) *Set {
 	s := New(n)

@@ -81,6 +81,35 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// TestNewSliceSetsAreIndependent checks that the sets NewSlice carves
+// from one array start empty and at their length, and that filling one
+// leaves its neighbors untouched, across word boundaries.
+func TestNewSliceSetsAreIndependent(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 130} {
+		sets := NewSlice(4, n)
+		if len(sets) != 4 {
+			t.Fatalf("n=%d: %d sets, want 4", n, len(sets))
+		}
+		for i := range sets {
+			if sets[i].Len() != n || !sets[i].Empty() {
+				t.Fatalf("n=%d: set %d has length %d, empty %v", n, i, sets[i].Len(), sets[i].Empty())
+			}
+		}
+		for c := 0; c < n; c++ {
+			sets[1].Add(c)
+		}
+		sets[2].CopyFrom(FromIndices(n))
+		for _, i := range []int{0, 2, 3} {
+			if !sets[i].Empty() {
+				t.Fatalf("n=%d: filling set 1 reached set %d: %v", n, i, &sets[i])
+			}
+		}
+		if sets[1].Count() != n {
+			t.Fatalf("n=%d: set 1 holds %d bits, want %d", n, sets[1].Count(), n)
+		}
+	}
+}
+
 func TestEqual(t *testing.T) {
 	if !FromIndices(8, 1, 2).Equal(FromIndices(8, 1, 2)) {
 		t.Fatal("equal sets not Equal")

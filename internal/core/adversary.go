@@ -92,7 +92,7 @@ func (c *symDMAMEchoCheater) Respond(round int, view *network.ProverView) (*netw
 			return nil, err
 		}
 	}
-	return s.respondSums(g, forged, c.rho, c.inner.advice), nil
+	return s.respondSums(view.Memo, g, forged, c.rho, c.inner.advice), nil
 }
 
 // InconsistentBroadcastProver attacks Protocol 1 by telling different nodes

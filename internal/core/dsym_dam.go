@@ -215,7 +215,7 @@ func (p *dsymProver) Respond(round int, view *network.ProverView) (*network.Resp
 	if err != nil {
 		return nil, fmt.Errorf("core: DSym prover tree: %w", err)
 	}
-	a, b := d.subtreeHashSums(g, i, d.sigma, advice)
+	a, b := d.subtreeHashSums(view.Memo, g, i, d.sigma, advice)
 	if p.forge {
 		a[p.forgeAt] = new(big.Int).Mod(new(big.Int).Add(a[p.forgeAt], big.NewInt(1)), d.p)
 	}

@@ -229,7 +229,7 @@ func (p *symDAMProver) Respond(round int, view *network.ProverView) (*network.Re
 	if err != nil {
 		return nil, fmt.Errorf("core: SymDAM prover tree: %w", err)
 	}
-	a, b := s.subtreeHashSums(g, i, rho, advice)
+	a, b := s.subtreeHashSums(view.Memo, g, i, rho, advice)
 	// The broadcast prefix is the same in every message: write it once.
 	var pre wire.Writer
 	s.writeBroadcast(&pre, rho, i, root)

@@ -202,13 +202,13 @@ func (p *symDMAMProver) second(view *network.ProverView) (*network.Response, err
 	if err != nil {
 		return nil, err
 	}
-	return s.respondSums(p.g, i, p.rho, p.advice), nil
+	return s.respondSums(view.Memo, p.g, i, p.rho, p.advice), nil
 }
 
 // respondSums is the second Merlin message: the echo of i and every node's
-// subtree sums for the committed ρ.
-func (s *SymDMAM) respondSums(g *graph.Graph, i *big.Int, rho perm.Perm, advice []spantree.Advice) *network.Response {
-	a, b := s.subtreeHashSums(g, i, rho, advice)
+// subtree sums for the committed ρ, hashed from i's table in memo.
+func (s *SymDMAM) respondSums(memo *network.Memo, g *graph.Graph, i *big.Int, rho perm.Perm, advice []spantree.Advice) *network.Response {
+	a, b := s.subtreeHashSums(memo, g, i, rho, advice)
 	return s.perNode(func(v int) wire.Message {
 		return s.encodeSecond(symDMAMSecond{echo: i, a: a[v], b: b[v]})
 	})

@@ -204,7 +204,10 @@ func (kit *symKit) verify(v, root int, i *big.Int, own symShare, nbrs []symShare
 
 // rowTable returns the row-hash table of index i. Every honest node
 // hashes under the same echoed index, so the table is built once per host
-// and run, through the memo.
+// and run, through the memo; in-process the prover's subtreeHashSums
+// builds it there first, and prover and verifiers share its row hashes.
+// It is the only memo lookup a prover makes, and its owner is this
+// unexported kit, so what a prover stores is what a node would build.
 func (kit *symKit) rowTable(memo *network.Memo, i *big.Int) *hashing.RowTable {
 	return network.Memoize(memo, kit, network.FieldKey(i), func() *hashing.RowTable {
 		return kit.family.RowTable(i, kit.n)
@@ -257,13 +260,14 @@ func (kit *symKit) perNode(msg func(v int) wire.Message) *network.Response {
 //	a_v = Σ_{u∈T_v} h_i([u, N(u)])
 //	b_v = Σ_{u∈T_v} h_i([ρ(u), ρ(N(u))])
 //
-// in post-order over the tree described by advice.
-func (kit *symKit) subtreeHashSums(g *graph.Graph, i *big.Int, rho perm.Perm, advice []spantree.Advice) (a, b []*big.Int) {
+// in post-order over the tree described by advice. The table of i comes
+// from the run's memo (the ProverView's), where the verifiers find it.
+func (kit *symKit) subtreeHashSums(memo *network.Memo, g *graph.Graph, i *big.Int, rho perm.Perm, advice []spantree.Advice) (a, b []*big.Int) {
 	n := g.N()
 	a = make([]*big.Int, n)
 	b = make([]*big.Int, n)
 	children := spantree.ChildLists(advice)
-	tab := kit.family.RowTable(i, n)
+	tab := kit.rowTable(memo, i)
 	closed := bitset.New(n)
 	mapped := bitset.New(n)
 	for _, v := range spantree.PostOrder(advice) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dip"
@@ -110,6 +111,40 @@ func MeasureRequestAllocs() (*AllocBench, error) {
 		})
 		return err
 	})
+}
+
+// heavyBenchProtocols is the benchmark's inproc-heavy mix, in the order
+// run i takes protocol i mod 3.
+var heavyBenchProtocols = [...]string{"sym-dam", "sym-lcp", "sym-rpls"}
+
+// MeasureHeavyAllocs replays the benchmark's inproc-heavy stream through
+// the full request path: sym-dam, sym-lcp and sym-rpls round-robin on a
+// 64-vertex cycle, seed DeriveSeed(1, i) on run i. A warm-up request of
+// each first caches the per-n instances (sym-dam's modulus search is a
+// once-per-process cost) and the graph's artifacts, so the figure is what
+// a warm server allocates per request; every sym-rpls run still searches
+// its own cubic-window prime.
+func MeasureHeavyAllocs() (*AllocBench, error) {
+	edges := graph.Cycle(requestBenchNodes).Edges()
+	op := func(i int64) error {
+		_, err := dip.Run(dip.Request{
+			Protocol: heavyBenchProtocols[i%int64(len(heavyBenchProtocols))],
+			N:        requestBenchNodes,
+			Edges:    edges,
+			Options:  dip.Options{Seed: stats.DeriveSeed(1, i)},
+		})
+		return err
+	}
+	for i := range heavyBenchProtocols {
+		if err := op(int64(i)); err != nil {
+			return nil, fmt.Errorf("heavy mix warm-up: %w", err)
+		}
+	}
+	// Start from a collected heap, so that the collections inside the
+	// measured runs, which empty math/big's pool of temporary nats, fall
+	// the same way whatever the process ran before.
+	runtime.GC()
+	return measureAllocs("sym-dam, sym-lcp, sym-rpls requests round-robin, cycle graph, fresh seed per run", requestBenchNodes, op)
 }
 
 // AllocRegressionLimit is the relative allocs/op growth -bench-check

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// TestCheckAllocs pins the 10% rule both allocation budgets share. The
+// TestCheckAllocs pins the 10% rule every allocation budget shares. The
 // limit for 2549 is 2803.9, so 2803 allocs/op is the last passing whole
 // count (AllocsPerRun reports whole counts) and 2804 the first failing.
 func TestCheckAllocs(t *testing.T) {

@@ -32,13 +32,15 @@ type ResultsFile struct {
 	TrialsOverride int                `json:"trials_override,omitempty"`
 	GoMaxProcs     int                `json:"gomaxprocs"`
 	Experiments    []ExperimentResult `json:"experiments"`
-	// EngineBench and RequestBench record the deterministic allocs/op of
-	// the engine and request-path reference workloads (see
-	// MeasureEngineAllocs and MeasureRequestAllocs); unlike Timings they
-	// are reproducible, so they live in the canonical block and feed the
-	// `dipbench -bench-check` regression gate.
+	// EngineBench, RequestBench and HeavyBench record the deterministic
+	// allocs/op of the engine, request-path and heavy-mix reference
+	// workloads (see MeasureEngineAllocs, MeasureRequestAllocs and
+	// MeasureHeavyAllocs); unlike Timings they are reproducible, so they
+	// live in the canonical block and feed the `dipbench -bench-check`
+	// regression gate.
 	EngineBench  *AllocBench `json:"engine_bench,omitempty"`
 	RequestBench *AllocBench `json:"request_bench,omitempty"`
+	HeavyBench   *AllocBench `json:"heavy_bench,omitempty"`
 	// Timings is execution metadata (wall times, worker count, engine
 	// meters). It is inherently non-reproducible, so dipbench omits it
 	// unless -json-timings is set, keeping the default artifact canonical.
@@ -157,6 +159,9 @@ func (f *ResultsFile) Validate() error {
 	}
 	if b := f.RequestBench; b != nil && b.AllocsPerOp <= 0 {
 		return fmt.Errorf("results: request_bench allocs/op %v is not positive", b.AllocsPerOp)
+	}
+	if b := f.HeavyBench; b != nil && b.AllocsPerOp <= 0 {
+		return fmt.Errorf("results: heavy_bench allocs/op %v is not positive", b.AllocsPerOp)
 	}
 	for _, exp := range f.Experiments {
 		if exp.ID == "" {

@@ -43,7 +43,8 @@ func sampleResults() *ResultsFile {
 			}},
 		}},
 		EngineBench:  &AllocBench{Workload: "echo", Nodes: 256, Trials: 50, AllocsPerOp: 519},
-		RequestBench: &AllocBench{Workload: "request", Nodes: 64, Trials: 50, AllocsPerOp: 2549},
+		RequestBench: &AllocBench{Workload: "request", Nodes: 64, Trials: 50, AllocsPerOp: 2547},
+		HeavyBench:   &AllocBench{Workload: "heavy", Nodes: 64, Trials: 50, AllocsPerOp: 1359},
 	}
 }
 
@@ -72,6 +73,7 @@ func TestResultsValidateRejectsMalformed(t *testing.T) {
 		{"negative-trials-override", func(f *ResultsFile) { f.TrialsOverride = -5 }, "trials_override"},
 		{"engine-bench-zero-allocs", func(f *ResultsFile) { f.EngineBench.AllocsPerOp = 0 }, "engine_bench"},
 		{"request-bench-negative-allocs", func(f *ResultsFile) { f.RequestBench.AllocsPerOp = -1 }, "request_bench"},
+		{"heavy-bench-zero-allocs", func(f *ResultsFile) { f.HeavyBench.AllocsPerOp = 0 }, "heavy_bench"},
 		{"empty-id", func(f *ResultsFile) { f.Experiments[0].ID = "" }, "empty ID"},
 		{"successes-overflow", func(f *ResultsFile) { f.Experiments[0].Cells[0].Successes = 11 }, "successes"},
 		{"interval-out-of-range", func(f *ResultsFile) { f.Experiments[0].Cells[0].Estimate.Hi = 1.5 }, "interval"},

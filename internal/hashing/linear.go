@@ -11,6 +11,7 @@
 package hashing
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -138,42 +139,105 @@ func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
 // being bit j of data in the wire package's order (bit j%8 of byte j/8):
 // h_i(x) = Σ_{j < nbits, x_j = 1} i^{j+1} mod p. Bits at or past nbits are
 // ignored. It equals HashIndicator on the ascending positions of the set
-// bits, but walks the bytes (bits.TrailingZeros8) instead of building that
-// slice. It panics unless 0 ≤ nbits ≤ M() and data holds nbits bits.
+// bits, but reads the message a 64-bit word at a time, the rows of a
+// RowTable with rows of 64 columns:
+//
+//	h_i(x) = Σ_k i^{64k} · Σ_{t ∈ word k} i^{t+1},
+//
+// the outer sum by Horner's rule in i^64 from the top word down, the inner
+// one from a table of i^0..i^64 on the stack (smallWordPowers). A set bit
+// costs one addition, a word one multiplication. It panics unless
+// 0 ≤ nbits ≤ M() and data holds nbits bits.
 func (f *LinearFamily) HashBits(i *big.Int, data []byte, nbits int) *big.Int {
 	if nbits < 0 || nbits > f.m || nbits > 8*len(data) {
 		panic(fmt.Sprintf("hashing: %d bits of a %d-byte message for dimension %d", nbits, len(data), f.m))
 	}
 	data = data[:(nbits+7)/8]
+	words := (nbits + wordBits - 1) / wordBits
+	// Only a message of more than one word reads i^64, and then every
+	// power up to it; the top word's Horner step multiplies 0.
+	top := min(nbits, wordBits)
 	if iv, ok := f.smallSeed(i); ok {
-		w := newSmallWalk(iv, f.pSmall)
-		var sum uint64
-		for k, b := range data {
-			if rest := nbits - 8*k; rest < 8 {
-				b &= 1<<rest - 1
+		p := f.pSmall
+		var pw [wordBits + 1]uint64
+		smallWordPowers(&pw, iv, p, top)
+		var acc uint64
+		for k := words - 1; k >= 0; k-- {
+			// At most 64 terms below 2^32 each: s fits in uint64. acc and
+			// s%p are below p < 2^32, so acc·i^64 + s%p ≤ (p−1)² + (p−1) <
+			// 2^64: reducing s first is what keeps the step exact.
+			var s uint64
+			for w := messageWord(data, nbits, k); w != 0; w &= w - 1 {
+				s += pw[bits.TrailingZeros64(w)+1]
 			}
-			for ; b != 0; b &= b - 1 {
-				if sum += w.next(8*k + bits.TrailingZeros8(b) + 1); sum >= f.pSmall {
-					sum -= f.pSmall
-				}
-			}
+			acc = (acc*pw[wordBits] + s%p) % p
 		}
-		return new(big.Int).SetUint64(sum)
+		return new(big.Int).SetUint64(acc)
 	}
-	w := newBigWalk(i, f.p)
-	sum := new(big.Int)
-	for k, b := range data {
-		if rest := nbits - 8*k; rest < 8 {
-			b &= 1<<rest - 1
+	var pw [wordBits + 1]big.Int
+	bigWordPowers(&pw, i, f.p, top)
+	acc, s := new(big.Int), new(big.Int)
+	for k := words - 1; k >= 0; k-- {
+		s.SetInt64(0)
+		for w := messageWord(data, nbits, k); w != 0; w &= w - 1 {
+			s.Add(s, &pw[bits.TrailingZeros64(w)+1])
 		}
-		for ; b != 0; b &= b - 1 {
-			sum.Add(sum, w.next(8*k+bits.TrailingZeros8(b)+1))
-			if sum.Cmp(f.p) >= 0 {
-				sum.Sub(sum, f.p)
-			}
+		acc.Mul(acc, &pw[wordBits])
+		acc.Mod(acc.Add(acc, s), f.p)
+	}
+	return acc
+}
+
+// wordBits is the row length HashBits reads a message in.
+const wordBits = 64
+
+// messageWord returns bits 64k..64k+63 of the message, bit t of the word
+// being message bit 64k+t, with the bits at or past nbits cleared. data
+// holds exactly ⌈nbits/8⌉ bytes, so word k < ⌈nbits/64⌉ has at least one.
+func messageWord(data []byte, nbits, k int) uint64 {
+	var w uint64
+	if b := data[8*k:]; len(b) >= 8 {
+		w = binary.LittleEndian.Uint64(b)
+	} else {
+		for j, c := range b {
+			w |= uint64(c) << (8 * j)
 		}
 	}
-	return sum
+	if rest := nbits - wordBits*k; rest < wordBits {
+		w &= 1<<rest - 1
+	}
+	return w
+}
+
+// smallWordPowers sets pw[e] = i^e mod p for 0 ≤ e ≤ top ≤ 64 (p < 2^32,
+// i < p). Two short chains set the anchors, i^1..i^8 and i^16, i^24, ...,
+// and every other entry is the product of two anchors, independent of its
+// neighbors, so the multiplications overlap instead of waiting on one
+// chain of length top.
+func smallWordPowers(pw *[wordBits + 1]uint64, i, p uint64, top int) {
+	pw[0] = 1 % p
+	for e := 1; e <= min(top, 8); e++ {
+		pw[e] = pw[e-1] * i % p
+	}
+	for e := 16; e <= top; e += 8 {
+		pw[e] = pw[e-8] * pw[8] % p
+	}
+	for e := 9; e <= top; e++ {
+		if e%8 != 0 {
+			pw[e] = pw[e&^7] * pw[e&7] % p
+		}
+	}
+}
+
+// bigWordPowers is smallWordPowers for a big.Int modulus, filled as one
+// chain: a big.Int product is a call of its own, with nothing to overlap.
+// Every product is reduced mod p, so an oversized or negative seed gives
+// the residues big.Int.Exp would.
+func bigWordPowers(pw *[wordBits + 1]big.Int, i, p *big.Int, top int) {
+	pw[0].SetInt64(1)
+	for e := 1; e <= top; e++ {
+		pw[e].Mod(pw[e].Mul(&pw[e-1], i), p)
+	}
 }
 
 func (f *LinearFamily) checkCoord(j int) {
@@ -285,8 +349,20 @@ func (w *bigWalk) step(gap int) *big.Int {
 // the table keeps i^k for k ≤ n and i^{vn} for v < m/n, and a row hash
 // costs one addition per set bit and one multiplication, with no
 // exponentiation. The arithmetic is exact in Z_p, so every hash equals
-// the one HashIndicator gives for the row's coordinates. A table is
-// read-only once built.
+// the one HashIndicator gives for the row's coordinates.
+//
+// On the big.Int path a table also remembers, per row, the last vector it
+// hashed there and that hash: one (vector, residue) pair per row, the
+// vector compared in full. In an honest Sym run that pair is all a row
+// ever sees, since for an automorphism ρ, [ρ(v), ρ(N[v])] = [ρ(v),
+// N[ρ(v)]]: every b-hash is the a-hash of row ρ(v), and a host's prover
+// and verifiers share the table (see core's symKit.rowTable), so each row
+// is multiplied and reduced once per run. A vector that differs (a
+// corrupted share, another σ of a GNI search) is hashed and takes the
+// row's place. The uint64 path computes every hash: its multiplication
+// costs less than the copy a reuse would return.
+//
+// A table is used from one goroutine, like the memo that holds it.
 type RowTable struct {
 	f *LinearFamily
 	n int
@@ -294,6 +370,12 @@ type RowTable struct {
 	// the family's modulus is below 2^32 (pSmall ≠ 0), in big otherwise.
 	small []uint64
 	big   []big.Int
+	// Big path only: last[row] is the vector last hashed at row and
+	// hash[row] its hash, with words carved from one array of m/n·len(p)
+	// words, so storing one allocates nothing. They start as the empty
+	// vector and 0, its hash.
+	last []bitset.Set
+	hash []big.Int
 }
 
 // RowTable builds the table of hash index i (reduced mod p) for rows of n
@@ -333,10 +415,18 @@ func (f *LinearFamily) RowTable(i *big.Int, n int) *RowTable {
 	for v := 1; v < rows; v++ {
 		hi[v].Mod(hi[v].Mul(&hi[v-1], &t.big[n]), f.p)
 	}
+	t.last = bitset.NewSlice(rows, n)
+	t.hash = make([]big.Int, rows)
+	w := len(f.p.Bits())
+	words := make([]big.Word, rows*w)
+	for v := range t.hash {
+		t.hash[v].SetBits(words[v*w : v*w : (v+1)*w])
+	}
 	return t
 }
 
-// Hash returns h_i([row, r]) for row < m/n and r of length n.
+// Hash returns h_i([row, r]) for row < m/n and r of length n, in a
+// big.Int the caller owns. It keeps no reference to r.
 func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
 	if rows := t.f.m / t.n; row < 0 || row >= rows {
 		panic(fmt.Sprintf("hashing: row %d out of range [0,%d)", row, rows))
@@ -352,6 +442,9 @@ func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
 		}
 		return new(big.Int).SetUint64(sum % p * t.small[t.n+1+row] % p)
 	}
+	if t.last[row].Equal(r) {
+		return new(big.Int).Set(&t.hash[row])
+	}
 	// The column sum stays below n·p and the product below n·p², so one
 	// buffer of 3w words holds both and neither regrows as it is formed.
 	w := len(t.f.p.Bits()) + 1
@@ -362,7 +455,10 @@ func (t *RowTable) Hash(row int, r *bitset.Set) *big.Int {
 	}
 	h := new(big.Int).SetBits(buf[w:w])
 	h.Mul(sum, &t.big[t.n+1+row])
-	return h.Mod(h, t.f.p)
+	h.Mod(h, t.f.p)
+	t.last[row].CopyFrom(r)
+	t.hash[row].Set(h)
+	return h
 }
 
 // HashDense evaluates h_i on an arbitrary vector x over Z_p given as int64

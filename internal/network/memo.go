@@ -20,12 +20,24 @@ import (
 // stays the locality boundary. A corrupted copy of a message differs in
 // its bits, so it gets an entry of its own.
 //
+// The prover reaches the same memo through ProverView.Memo, and may fill
+// it before any node reads it: in-process, the prover and the verifiers
+// of one run share what both compute. The value is still one a node's own
+// lookup would build, because the owner is a value the protocol instance
+// keeps unexported and build is the instance's own function of the key;
+// a prover cannot name the owner, so it can store only what the instance
+// builds.
+//
 // A Memo holds at most MemoCap entries; past the cap a value is computed
 // and returned but not stored. The sequential executor keeps one in the
 // pooled run state and empties it when the run ends; a node host behind a
 // Transport keeps one per run (internal/peer: per session). A nil *Memo
 // stores nothing, so every lookup computes. A Memo is used from one
-// goroutine, like the executors and NodeStates that hold it.
+// goroutine at a time, like the executors and NodeStates that hold it:
+// with Options.ProverTimeout the prover runs on a goroutine of its own,
+// but the run waits for its response before it calls any node again, so
+// prover and nodes never touch the memo at once (a prover that times out
+// ends the run, and its state is not pooled).
 type Memo struct {
 	entries []memoEntry
 }

@@ -160,6 +160,11 @@ type ProverView struct {
 	Graph      *graph.Graph
 	Inputs     []wire.Message
 	Challenges [][]wire.Message
+
+	// Memo is the run's memo on the host that calls the prover: in the
+	// sequential executor, the one every NodeView shares (nil in a view
+	// built by hand). See Memo for what a prover may store in it.
+	Memo *Memo
 }
 
 // NodeView is everything a single node can see. Verifier code must use only

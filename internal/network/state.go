@@ -220,6 +220,7 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 	s.pv.Graph = g
 	s.pv.Inputs = inputs
 	s.pv.Challenges = s.pv.Challenges[:0]
+	s.pv.Memo = &s.memo
 
 	// sources and rngs grow in lockstep: each Rand wraps &sources[v], so a
 	// reallocation of sources must rebuild every Rand (and a non-grown
