@@ -15,10 +15,7 @@
 // -fail-session k makes the process kill itself (exit 2) at the first
 // exchange step of its k-th session: a crash-mid-round fault hook for
 // harness tests like `make peer-smoke`, where a coordinator must observe
-// a structured transport error rather than a hang. -fail-soft k instead
-// aborts only the k-th session with a structured error — the rest of the
-// process, including sessions concurrently multiplexed on the same
-// connection, keeps serving: the isolation drill for fleet harnesses.
+// a structured transport error rather than a hang.
 //
 // -io-timeout bounds each session's frame exchanges and idle gaps; a
 // coordinator that stalls longer has its session aborted (the trunk
@@ -43,19 +40,18 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:0", "listen address (host:port; port 0 picks a free one)")
 		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening")
 		failSession = flag.Int("fail-session", 0, "crash (exit 2) at the first exchange step of session k; 0 disables")
-		failSoft    = flag.Int("fail-soft", 0, "abort session k with a structured error, keep serving the rest; 0 disables")
 		ioTimeout   = flag.Duration("io-timeout", peer.DefaultIOTimeout, "per-session frame exchange and idle deadline")
 		verbose     = flag.Bool("v", false, "log session lifecycle")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *addrFile, peer.Options{IOTimeout: *ioTimeout}, *failSession, *failSoft, *verbose); err != nil {
+	if err := run(*addr, *addrFile, peer.Options{IOTimeout: *ioTimeout}, *failSession, *verbose); err != nil {
 		fmt.Fprintf(os.Stderr, "dippeer: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, addrFile string, opts peer.Options, failSession, failSoft int, verbose bool) error {
+func run(addr, addrFile string, opts peer.Options, failSession int, verbose bool) error {
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -74,7 +70,6 @@ func run(addr, addrFile string, opts peer.Options, failSession, failSoft int, ve
 		Build:       dip.PeerSpec,
 		Opts:        opts,
 		FailSession: failSession,
-		FailSoft:    failSoft,
 	}
 	if verbose {
 		srv.Logf = log.Printf

@@ -3,8 +3,8 @@
 // drains the backlog through the same pooled engine, and GET
 // /v1/jobs/{id} serves status and, once done, the identical
 // dip-report/v1 document the synchronous path would have returned —
-// wrapped in a dip-job/v1 envelope. With -journal the queue is
-// file-backed: a SIGKILL'd server replays its backlog on restart, jobs
+// wrapped in a dip-job/v1 envelope. With -journal the job table keeps a
+// journal: a SIGKILL'd server replays its backlog on restart, jobs
 // settled before the crash keep their results, and an Idempotency-Key
 // header dedups client resubmissions across the whole lifecycle.
 package main
@@ -26,12 +26,13 @@ import (
 
 // jobsConfig are the job-tier knobs; flags in main.go fill them.
 type jobsConfig struct {
-	// workers drains the job queue; 0 is ingest-only (accept and journal
+	// workers drain the job table; 0 is ingest-only (accept and journal
 	// now, process on a later boot with workers — the crash smoke uses
 	// this to build a deterministic backlog).
 	workers int
-	// journal is the durable queue file; empty selects the in-memory
-	// backend (jobs do not survive a restart, results still TTL-evict).
+	// journal is the job table's journal file; empty keeps the table in
+	// memory only (jobs do not survive a restart, results still
+	// TTL-evict).
 	journal string
 	// backlog bounds pending jobs; a full backlog answers 503.
 	backlog int
@@ -41,7 +42,7 @@ type jobsConfig struct {
 	attemptTimeout time.Duration
 	// backoffBase seeds the exponential retry delay.
 	backoffBase time.Duration
-	// resultTTL/resultCap bound the result store.
+	// resultTTL/resultCap bound the retained results.
 	resultTTL time.Duration
 	resultCap int
 }
@@ -57,15 +58,13 @@ func defaultJobsConfig() jobsConfig {
 	}
 }
 
-// jobsTier owns the queue, store, worker pool and metrics of the async
+// jobsTier owns the job table, worker pool and metrics of the async
 // path.
 type jobsTier struct {
-	queue   jobs.Queue
-	store   *jobs.Store
+	table   *jobs.Table
 	pool    *jobs.Pool
 	metrics jobs.Metrics
 	cfg     jobsConfig
-	durable bool
 	// bootNS + seq mint job ids unique across restarts: the boot stamp
 	// distinguishes two processes, the sequence two jobs in one.
 	bootNS int64
@@ -79,29 +78,21 @@ func newJobsTier(cfg jobsConfig, seed int64, run func(context.Context, dip.Reque
 		cfg:    cfg,
 		bootNS: time.Now().UnixNano(),
 	}
-	t.store = jobs.NewStore(cfg.resultTTL, cfg.resultCap)
-
-	if cfg.journal != "" {
-		fq, err := jobs.OpenFileQueue(cfg.journal, cfg.backlog, cfg.resultTTL)
+	tc := jobs.Config{Backlog: cfg.backlog, TTL: cfg.resultTTL, Cap: cfg.resultCap, Meta: payloadProtocol}
+	if cfg.journal == "" {
+		t.table = jobs.NewTable(tc)
+	} else {
+		table, err := jobs.OpenTable(cfg.journal, tc)
 		if err != nil {
 			return nil, err
 		}
-		t.queue = fq
-		t.durable = true
-		stats, settled := fq.Replayed()
-		t.metrics.Replayed.Add(int64(stats.Pending))
-		t.metrics.ReplayedSettled.Add(int64(stats.Settled))
-		for _, s := range settled {
-			t.store.Adopt(settledRecord(s))
-		}
-		// Pending jobs need store records too, or their status polls
-		// would 404 until a worker picks them up.
-		adoptPending(fq, t.store)
-	} else {
-		t.queue = jobs.NewMemQueue(cfg.backlog)
+		t.table = table
 	}
+	stats := t.table.Replayed()
+	t.metrics.Replayed.Add(int64(stats.Pending))
+	t.metrics.ReplayedSettled.Add(int64(stats.Settled))
 
-	t.pool = jobs.NewPool(t.queue, jobs.PoolConfig{
+	t.pool = jobs.NewPool(t.table, jobs.PoolConfig{
 		Workers:        cfg.workers,
 		Run:            jobRunFunc(run),
 		Retryable:      jobRetryable,
@@ -109,47 +100,9 @@ func newJobsTier(cfg jobsConfig, seed int64, run func(context.Context, dip.Reque
 		AttemptTimeout: cfg.attemptTimeout,
 		BaseBackoff:    cfg.backoffBase,
 		Seed:           seed,
-		Store:          t.store,
 		Metrics:        &t.metrics,
 	})
 	return t, nil
-}
-
-// settledRecord shapes a replayed terminal job into its store record.
-func settledRecord(s jobs.Settled) jobs.Record {
-	rec := jobs.Record{
-		ID:        s.Job.ID,
-		Key:       s.Job.Key,
-		Meta:      payloadProtocol(s.Job.Payload),
-		Attempts:  s.Result.Attempts,
-		SettledMS: s.AtMS,
-	}
-	switch {
-	case s.Result.OK:
-		rec.State = jobs.StateDone
-		rec.Output = s.Result.Output
-	case s.Result.Parked:
-		rec.State = jobs.StateParked
-		rec.Error = s.Result.Error
-	default:
-		rec.State = jobs.StateFailed
-		rec.Error = s.Result.Error
-	}
-	return rec
-}
-
-// adoptPending registers a queued store record for every replayed
-// pending job, so status polls work from the first instant of the boot.
-func adoptPending(fq *jobs.FileQueue, store *jobs.Store) {
-	for _, j := range fq.PendingJobs() {
-		store.Adopt(jobs.Record{
-			ID:         j.ID,
-			Key:        j.Key,
-			Meta:       payloadProtocol(j.Payload),
-			State:      jobs.StateQueued,
-			EnqueuedMS: time.Now().UnixMilli(),
-		})
-	}
 }
 
 // payloadProtocol peeks the protocol name out of a stored payload.
@@ -166,31 +119,19 @@ func (t *jobsTier) mintID() string {
 	return fmt.Sprintf("j-%x-%06d", t.bootNS, t.seq.Add(1))
 }
 
-// replayStats reports what a durable queue recovered at open (zeros,
-// false for the in-memory backend).
-func (t *jobsTier) replayStats() (jobs.ReplayStats, bool) {
-	if fq, ok := t.queue.(*jobs.FileQueue); ok {
-		st, _ := fq.Replayed()
-		return st, true
-	}
-	return jobs.ReplayStats{}, false
-}
-
 // stop drains the tier: workers finish their current attempt (backoff
-// waits are cut and the job nacked back), then the queue closes — for a
-// journal that is the flush+fsync that seals the backlog for the next
-// boot.
+// waits are cut and the job requeued), then the table closes — for a
+// journal that is the fsync that seals the backlog for the next boot.
 func (t *jobsTier) stop() {
 	t.pool.Stop()
-	_ = t.queue.Close()
+	_ = t.table.Close()
 }
 
-// jobRunFunc adapts the engine entry to the queue's payload-in,
+// jobRunFunc adapts the engine entry to the pool's payload-in,
 // payload-out shape: decode the stored dip.Request, run it, encode the
 // dip-report/v1 answer. The encoding is the same WireReportFrom path
 // /v1/run uses, so a job's report is byte-identical to the synchronous
-// answer for the same request — and identical across queue backends,
-// which only differ in how the payload waited.
+// answer for the same request, with or without a journal.
 func jobRunFunc(run func(context.Context, dip.Request) (dip.Report, error)) jobs.RunFunc {
 	return func(ctx context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		var req dip.Request
@@ -236,43 +177,32 @@ func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 
 	t := s.async
-	key := r.Header.Get("Idempotency-Key")
-	id := t.mintID()
-	rec, dup := t.store.Enqueue(id, key, req.Protocol)
-	if dup {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+		return
+	}
+	job := jobs.Job{ID: t.mintID(), Key: r.Header.Get("Idempotency-Key"), Payload: payload}
+	rec, dup, err := t.table.Submit(job, req.Protocol)
+	switch {
+	case errors.Is(err, jobs.ErrBacklogFull):
+		s.refuse(w, "job backlog full", 1)
+	case errors.Is(err, jobs.ErrClosed):
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "job queue closed"})
+		s.meters.Rejected.Add(1)
+	case err != nil:
+		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
+	case dup:
 		// The key already names a job (queued, running or settled):
 		// answer its current state and never mint a second run. This is
 		// what makes client retry storms safe.
 		t.metrics.IdemHits.Add(1)
 		s.writeJob(w, http.StatusOK, rec)
-		return
+	default:
+		t.metrics.Enqueued.Add(1)
+		s.meters.Requests.Add(1)
+		s.writeJob(w, http.StatusAccepted, rec)
 	}
-
-	payload, err := json.Marshal(req)
-	if err != nil {
-		t.store.Discard(id)
-		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		return
-	}
-	if err := t.queue.Publish(&jobs.Job{ID: id, Key: key, Payload: payload}); err != nil {
-		// Withdraw the store record so a later resubmission (same key)
-		// mints a fresh job instead of pointing at one that never
-		// queued.
-		t.store.Discard(id)
-		switch {
-		case errors.Is(err, jobs.ErrBacklogFull):
-			s.refuse(w, "job backlog full", 1)
-		case errors.Is(err, jobs.ErrClosed):
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "job queue closed"})
-			s.meters.Rejected.Add(1)
-		default:
-			writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
-		}
-		return
-	}
-	t.metrics.Enqueued.Add(1)
-	s.meters.Requests.Add(1)
-	s.writeJob(w, http.StatusAccepted, rec)
 }
 
 // handleJobStatus is GET /v1/jobs/{id}: the polling endpoint.
@@ -287,7 +217,7 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "want /v1/jobs/{id}"})
 		return
 	}
-	rec, ok := s.async.store.Get(id)
+	rec, ok := s.async.table.Get(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("job %s unknown (never submitted, or its result expired)", id)})
 		return
@@ -305,7 +235,7 @@ func (s *server) writeJob(w http.ResponseWriter, status int, rec jobs.Record) {
 	writeJSON(w, status, env)
 }
 
-// wireJobFromRecord shapes a store record into its dip-job/v1 document.
+// wireJobFromRecord shapes a table record into its dip-job/v1 document.
 func wireJobFromRecord(rec jobs.Record) (*dip.WireJob, error) {
 	env := &dip.WireJob{
 		Schema:         dip.JobSchema,

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,10 +121,10 @@ func TestJobStatusErrors(t *testing.T) {
 	}
 }
 
-// TestJobMatchesSyncReport is the backend-equivalence acceptance check:
-// for the same seeded request, the synchronous /v1/run body and the
-// async tier's embedded report are byte-identical — on the in-memory
-// backend AND the journal-backed one.
+// TestJobMatchesSyncReport is the equivalence acceptance check: for the
+// same seeded request, the synchronous /v1/run body and the async
+// tier's embedded report are byte-identical — on an in-memory table AND
+// a journaled one.
 func TestJobMatchesSyncReport(t *testing.T) {
 	body := cycleRequest(10, 42)
 
@@ -202,6 +203,89 @@ func TestJobIdempotencyStorm(t *testing.T) {
 	status, w := submitJob(t, ts.URL, string(body), "storm-key")
 	if status != http.StatusOK || w.ID != id || w.State != dip.JobStateDone {
 		t.Fatalf("late duplicate: status %d, envelope %+v", status, w)
+	}
+}
+
+// TestJobIdempotencyFullBacklog: a key stormed at a full backlog never
+// answers with a job that does not exist. With the one worker held by a
+// blocked run and the one backlog place taken, 32 concurrent
+// submissions of a new key each get a 503 or name a job that polls 200,
+// and the key mints at most one id; once the run is released, the same
+// storm mints exactly one job, which completes.
+func TestJobIdempotencyFullBacklog(t *testing.T) {
+	cfg := config{}
+	cfg.jobs = defaultJobsConfig()
+	cfg.jobs.workers = 1
+	cfg.jobs.backlog = 1
+	block := make(chan struct{})
+	s, ts := startTestServer(t, cfg, func(ctx context.Context, req dip.Request) (dip.Report, error) {
+		<-block
+		dec := make([]bool, req.N)
+		for i := range dec {
+			dec[i] = true
+		}
+		return dip.Report{Protocol: req.Protocol, Accepted: true, Decisions: dec}, nil
+	})
+	// A failing check must not leave the worker blocked: the server's
+	// cleanup waits for it.
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release)
+	body := []byte(cycleRequest(6, 1))
+	var held []string
+	for i := 0; i < 2; i++ {
+		status, w := submitJob(t, ts.URL, string(body), "")
+		if status != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d", i, status)
+		}
+		held = append(held, w.ID)
+		if i == 0 {
+			waitFor(t, func() bool { return s.async.table.InFlight() == 1 })
+		}
+	}
+
+	storm := func() faults.DupStormResult {
+		t.Helper()
+		res := faults.DupSubmitStorm(ts.URL, "full-key", body, 32)
+		if res.Transport != 0 {
+			t.Fatalf("%d transport failures", res.Transport)
+		}
+		for id := range res.IDs {
+			resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("the storm was answered with job %s, which polls %d", id, resp.StatusCode)
+			}
+		}
+		return res
+	}
+	res := storm()
+	if len(res.IDs) > 1 {
+		t.Fatalf("one key minted %d jobs: %v", len(res.IDs), res.IDs)
+	}
+	for status, n := range res.Statuses {
+		if status != http.StatusServiceUnavailable && status != http.StatusOK && status != http.StatusAccepted {
+			t.Fatalf("%d answers with status %d: %v", n, status, res.Statuses)
+		}
+	}
+
+	release()
+	for _, id := range held {
+		if done := pollJob(t, ts.URL, id); done.State != dip.JobStateDone {
+			t.Fatalf("held job %s: state %s", id, done.State)
+		}
+	}
+	res = storm()
+	if len(res.IDs) != 1 || res.Statuses[http.StatusAccepted] != 1 || res.Statuses[http.StatusOK] != 31 {
+		t.Fatalf("storm after release: ids %v, statuses %v", res.IDs, res.Statuses)
+	}
+	for id := range res.IDs {
+		if done := pollJob(t, ts.URL, id); done.State != dip.JobStateDone {
+			t.Fatalf("stormed job %s: state %s", id, done.State)
+		}
 	}
 }
 
@@ -393,7 +477,7 @@ func TestJobJournalRestart(t *testing.T) {
 	// Boot 2: replay and drain.
 	s2, ts2 := boot(2)
 	defer func() { ts2.Close(); s2.stop() }()
-	stats, durable := s2.async.replayStats()
+	stats, durable := s2.async.table.Replayed(), s2.async.table.Durable()
 	if !durable || stats.Pending != 3 {
 		t.Fatalf("replay stats: %+v (durable %v)", stats, durable)
 	}

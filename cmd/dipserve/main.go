@@ -122,7 +122,7 @@ func serve(cfg config) error {
 		log.Printf("dipserve: serving from a %d-peer fleet", len(fleet.Addrs()))
 	}
 	s.start()
-	if stats, _ := s.async.replayStats(); stats.Pending+stats.Settled > 0 {
+	if stats := s.async.table.Replayed(); stats.Pending+stats.Settled > 0 {
 		log.Printf("dipserve: journal replayed %d pending, %d settled (%d expired, %d torn bytes cut)",
 			stats.Pending, stats.Settled, stats.Expired, stats.TruncatedBytes)
 	}

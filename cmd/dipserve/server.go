@@ -79,8 +79,8 @@ type server struct {
 	// limiter is the per-client admission rate limiter; nil when
 	// cfg.rateLimit is 0.
 	limiter *limiter
-	// async is the durable job tier behind POST /v1/jobs — its queue,
-	// store, and worker pool are independent of the two semaphores above.
+	// async is the durable job tier behind POST /v1/jobs — its job table
+	// and worker pool are independent of the two semaphores above.
 	async *jobsTier
 	// runFunc is dip.RunContext in production (or a fleet-backed closure
 	// under -peers); tests inject stubs to pin queue/timeout behavior
@@ -154,7 +154,7 @@ func (s *server) start() {
 
 // stop marks the server draining, so every later body is answered 503,
 // and retires the job tier: its workers finish their current attempt,
-// backoff waits nack their job back, and closing the queue seals the
+// backoff waits requeue their job, and closing the job table seals the
 // journal for the next boot. A body still running (http.Server.Shutdown
 // timed out around it) finishes on its own handler goroutine.
 func (s *server) stop() {
@@ -301,8 +301,8 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	body := readyBody{
 		Status:       "ready",
 		QueueDepth:   s.meters.QueueDepth.Value(),
-		JobBacklog:   s.async.queue.Depth(),
-		JobsInFlight: s.async.queue.InFlight(),
+		JobBacklog:   s.async.table.Depth(),
+		JobsInFlight: s.async.table.InFlight(),
 		Draining:     s.draining.Load(),
 	}
 	if body.Draining {
@@ -561,7 +561,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		Engine:    obs.Snapshot(),
 		StatePool: network.StatePoolStats(),
 		Caches:    obs.SnapshotCaches(),
-		Jobs:      s.async.metrics.Snapshot(s.async.queue, s.async.store, s.async.cfg.workers, s.async.durable),
+		Jobs:      s.async.metrics.Snapshot(s.async.table, s.async.cfg.workers),
 		Workers:   s.cfg.workers,
 		QueueCap:  s.cfg.queue,
 		UptimeMS:  time.Since(s.started).Milliseconds(),

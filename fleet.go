@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"math/big"
-	"time"
 
 	"dip/internal/core"
 	"dip/internal/faults"
@@ -20,47 +19,16 @@ import (
 // returns promptly, it does not sleep out the injected latency); drops
 // starve the session until a deadline turns them into a structured
 // transport error — a partition can fail a run but never flip a decision.
-type LinkFaults struct {
-	// Seed keys the per-frame decisions; runs with equal seeds see the
-	// identical delay/drop schedule.
-	Seed int64 `json:"seed"`
-	// Delay is the injected latency; applied to a frame with probability
-	// DelayProb (0 disables, 1 delays every frame).
-	Delay     time.Duration `json:"delay_ns,omitempty"`
-	DelayProb float64       `json:"delay_prob,omitempty"`
-	// DropProb silently discards a frame with the given probability,
-	// emulating a lossy or partitioned link.
-	DropProb float64 `json:"drop_prob,omitempty"`
-}
+type LinkFaults = faults.LinkPolicy
 
-// FleetOptions configure a fleet handle. The zero value is ready to use:
-// every field has a documented default applied on dial.
-type FleetOptions struct {
-	// DialTimeout bounds each per-peer TCP connect (default 5s).
-	DialTimeout time.Duration
-	// IOTimeout bounds each frame exchange and each session's idle gaps
-	// (default 30s). A peer that stalls longer fails the run with a
-	// structured transport error instead of hanging the caller.
-	IOTimeout time.Duration
-	// LinkFaults, when non-nil, injects socket-level delay/drop faults on
-	// every run placed through this fleet. Nil means a clean network.
-	LinkFaults *LinkFaults
-}
-
-// peerOptions projects the public options onto the transport layer's
-// validated config struct — the single place fleet defaults live.
-func (o FleetOptions) peerOptions() peer.Options {
-	po := peer.Options{DialTimeout: o.DialTimeout, IOTimeout: o.IOTimeout}
-	if o.LinkFaults != nil {
-		po.LinkFaults = &faults.LinkPolicy{
-			Seed:      o.LinkFaults.Seed,
-			Delay:     o.LinkFaults.Delay,
-			DelayProb: o.LinkFaults.DelayProb,
-			DropProb:  o.LinkFaults.DropProb,
-		}
-	}
-	return po
-}
+// FleetOptions configure a fleet handle: DialTimeout bounds each
+// per-peer TCP connect (default 5s), IOTimeout each frame exchange and
+// each session's idle gaps (default 30s; a peer that stalls longer fails
+// the run with a structured transport error instead of hanging the
+// caller), and a non-nil LinkFaults injects socket-level delay/drop
+// faults on every run placed through the fleet. The zero value is ready
+// to use.
+type FleetOptions = peer.Options
 
 // Fleet is a long-lived handle on a set of dippeer processes. It owns
 // node→peer placement, connection reuse, and per-run session minting:
@@ -77,7 +45,7 @@ type Fleet struct {
 // dial fails as a whole. Lost connections are redialed transparently on
 // later runs; a peer that stays down fails only the runs placed on it.
 func DialFleet(addrs []string, opts FleetOptions) (*Fleet, error) {
-	pf, err := peer.DialFleet(addrs, opts.peerOptions())
+	pf, err := peer.DialFleet(addrs, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -109,25 +109,25 @@ func (f *LinearFamily) RandomSeed(rng *rand.Rand) *big.Int {
 // coordinate set: h_i(χ) = Σ_{j ∈ set} i^{j+1} mod p. Coordinates are
 // 0-based; coordinate j corresponds to the monomial i^{j+1} so that the
 // constant term is never used and h_i(0) = 0. Coordinates may come in any
-// order and repeat; the powers are taken by a power walk (see smallWalk),
-// cheapest when the coordinates ascend.
+// order and repeat. Each term is one exponentiation of i reduced mod p:
+// the callers pass a handful of coordinates (at most n ≤ 8 for a GNI
+// Schwartz–Zippel term), and HashBits and RowTable serve long sets.
 func (f *LinearFamily) HashIndicator(i *big.Int, coords []int) *big.Int {
 	if iv, ok := f.smallSeed(i); ok {
-		w := newSmallWalk(iv, f.pSmall)
 		var sum uint64
 		for _, j := range coords {
 			f.checkCoord(j)
-			if sum += w.next(j + 1); sum >= f.pSmall {
+			if sum += powmodSmall(iv, uint64(j+1), f.pSmall); sum >= f.pSmall {
 				sum -= f.pSmall
 			}
 		}
 		return new(big.Int).SetUint64(sum)
 	}
-	w := newBigWalk(i, f.p)
-	sum := new(big.Int)
+	base := new(big.Int).Mod(i, f.p)
+	sum, e, term := new(big.Int), new(big.Int), new(big.Int)
 	for _, j := range coords {
 		f.checkCoord(j)
-		sum.Add(sum, w.next(j+1))
+		sum.Add(sum, term.Exp(base, e.SetInt64(int64(j+1)), f.p))
 		if sum.Cmp(f.p) >= 0 {
 			sum.Sub(sum, f.p)
 		}
@@ -244,96 +244,6 @@ func (f *LinearFamily) checkCoord(j int) {
 	if j < 0 || j >= f.m {
 		panic(fmt.Sprintf("hashing: coordinate %d out of range [0,%d)", j, f.m))
 	}
-}
-
-// walkTable is how many powers i^1..i^walkTable a power walk keeps.
-const walkTable = 64
-
-// smallWalk yields i^e mod p (p < 2^32, i < p) for a sequence of exponents
-// e ≥ 1: each power is the previous one times i^gap, with i^gap read from
-// a table of i^1..i^walkTable that is filled up to the largest gap met so
-// far. A gap beyond the table pays one square-and-multiply, and an
-// exponent below its predecessor restarts the walk from i^0. The walk
-// lives on its caller's stack, and the arithmetic is exact in Z_p, so
-// every power equals powmodSmall(i, e, p).
-type smallWalk struct {
-	p, cur uint64
-	prev   int // the exponent of cur
-	filled int // tab[:filled] holds i^1..i^filled
-	tab    [walkTable]uint64
-}
-
-func newSmallWalk(i, p uint64) smallWalk {
-	w := smallWalk{p: p, cur: 1, filled: 1}
-	w.tab[0] = i
-	return w
-}
-
-func (w *smallWalk) next(e int) uint64 {
-	if e < w.prev {
-		w.cur, w.prev = 1, 0
-	}
-	if gap := e - w.prev; gap > 0 {
-		step := w.tab[0] // a gap of 1, common in dense runs of set bits
-		if gap > 1 {
-			step = w.step(gap)
-		}
-		w.cur = w.cur * step % w.p
-		w.prev = e
-	}
-	return w.cur
-}
-
-// step returns i^gap for gap ≥ 2.
-func (w *smallWalk) step(gap int) uint64 {
-	if gap > walkTable {
-		return powmodSmall(w.tab[0], uint64(gap), w.p)
-	}
-	for ; w.filled < gap; w.filled++ {
-		w.tab[w.filled] = w.tab[w.filled-1] * w.tab[0] % w.p
-	}
-	return w.tab[gap-1]
-}
-
-// bigWalk is smallWalk for a big.Int modulus. The seed is reduced into
-// [0, p) once (big.Int.Exp of a negative or oversized base gives the same
-// residue).
-type bigWalk struct {
-	p            *big.Int
-	cur, e, pow  big.Int
-	prev, filled int
-	tab          [walkTable]big.Int
-}
-
-func newBigWalk(i, p *big.Int) *bigWalk {
-	w := &bigWalk{p: p, filled: 1}
-	w.cur.SetInt64(1)
-	w.tab[0].Mod(i, p)
-	return w
-}
-
-// next returns i^e mod p in storage the next call overwrites.
-func (w *bigWalk) next(e int) *big.Int {
-	if e < w.prev {
-		w.cur.SetInt64(1)
-		w.prev = 0
-	}
-	if gap := e - w.prev; gap > 0 {
-		w.cur.Mod(w.cur.Mul(&w.cur, w.step(gap)), w.p)
-		w.prev = e
-	}
-	return &w.cur
-}
-
-func (w *bigWalk) step(gap int) *big.Int {
-	if gap > walkTable {
-		return w.pow.Exp(&w.tab[0], w.e.SetInt64(int64(gap)), w.p)
-	}
-	for ; w.filled < gap; w.filled++ {
-		t := &w.tab[w.filled]
-		t.Mod(t.Mul(&w.tab[w.filled-1], &w.tab[0]), w.p)
-	}
-	return &w.tab[gap-1]
 }
 
 // RowTable hashes the row matrices [row, r] of Section 3.1.1 — the

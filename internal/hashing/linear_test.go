@@ -331,14 +331,14 @@ func TestAddModIntoMatchesMod(t *testing.T) {
 	}
 }
 
-// TestRunningPowersMatchDense checks HashIndicator, which takes powers by
-// running powers, and RowTable, which takes them from a table, against
-// HashDense, which keeps one full exponentiation per coordinate. It covers both evaluation paths (a
-// cubic-window modulus below 2^32 and a power-window modulus above 2^64),
-// coordinates sorted, shuffled and repeated (a repeat counts twice, and a
-// coordinate below its predecessor restarts the running power), seeds at
-// and beyond the edges of Z_p, and families of dimension 2n², whose rows
-// run up to 2n−1 (gni-general's τ block).
+// TestRunningPowersMatchDense checks HashIndicator, which reduces the
+// seed mod p and exponentiates it per coordinate, and RowTable, which
+// takes its powers from a table, against HashDense, which exponentiates
+// the seed as given. It covers both evaluation paths (a cubic-window
+// modulus below 2^32 and a power-window modulus above 2^64),
+// coordinates sorted, shuffled and repeated (a repeat counts twice),
+// seeds at and beyond the edges of Z_p, and families of dimension 2n²,
+// whose rows run up to 2n−1 (gni-general's τ block).
 func TestRunningPowersMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	cubic, err := prime.ForCubicWindow(12, 3)

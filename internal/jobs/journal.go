@@ -2,42 +2,45 @@ package jobs
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"sync"
-	"time"
+	"sort"
 )
 
-// The file-backed queue is an append-only journal of two record kinds:
+// The journal is an append-only file of two record kinds:
 //
 //	{"v":1,"op":"enq","at_ms":...,"job":{"id":...,"key":...,"payload":...}}
 //	{"v":1,"op":"settle","at_ms":...,"id":...,"result":{...}}
 //
-// one JSON document per line. Publish appends an enq record, Ack appends
-// a settle record; Nack and Dequeue touch nothing — an in-flight job is
+// one JSON document per line. Submit appends an enq record, Settle a
+// settle record; Dequeue and Requeue touch nothing — an in-flight job is
 // simply one whose enq has no settle yet, so a crash anywhere between
-// dequeue and ack replays the job as pending on the next open. That is
-// the whole recovery story: replay is a single forward pass that
-// partitions enq records into settled (result retained for the store)
-// and pending (re-enqueued in original order).
+// dequeue and settle replays the job as pending on the next open. That
+// is the whole recovery story: replay is a single forward pass that
+// sorts enq records into settled (the result is retained) and pending
+// (re-queued in original order).
 //
 // Torn tails are expected: a SIGKILL can land mid-write, leaving a final
-// partial line. Replay stops at the first undecodable record, truncates
-// the file back to the last good byte offset, and reports the cut — the
-// journal loses at most the single record being written at the instant
-// of death, which for an enq means the client never got its 202 and
-// resubmits (idempotency key dedups), and for a settle means the job
-// re-runs (deterministic, so the effect is identical).
+// partial line. Replay stops at the first undecodable record and
+// reports the cut: the journal loses at most the record being written
+// at the instant of death, which for an enq means the client never got
+// its 202 and resubmits (its idempotency key dedups), and for a settle
+// means the job re-runs (deterministic, so the effect is identical).
 //
-// Open also compacts: settled records older than retain are dropped and
-// the file is rewritten to hold only live state, so the journal's size
-// is bounded by backlog + retained results, not by lifetime throughput.
+// The file is rewritten to the table's live state at open, and while
+// serving once the records appended since the last rewrite outnumber
+// both the live records and rewriteFloor, so its size is bounded by
+// the backlog plus the retained results, not by lifetime throughput.
 
 // journalVersion is the record format version.
 const journalVersion = 1
+
+// rewriteFloor is how many records a rewrite while serving waits for at
+// least, so a small table is not rewritten on every append.
+const rewriteFloor = 1024
 
 // journalRecord is one line of the journal file.
 type journalRecord struct {
@@ -51,315 +54,244 @@ type journalRecord struct {
 	Result *Result `json:"result,omitempty"`
 }
 
-// Settled is one replayed terminal job: what Open recovered from an
-// enq+settle pair, handed to the caller to reseed its result store.
-type Settled struct {
-	Job    Job
-	Result Result
-	AtMS   int64 // settle wall-clock, for TTL accounting across restarts
+func (e *entry) enqRecord() journalRecord {
+	j := e.job()
+	return journalRecord{V: journalVersion, Op: "enq", AtMS: e.rec.EnqueuedMS, Job: &j}
 }
 
-// ReplayStats describes what Open recovered from an existing journal.
+func (e *entry) settleRecord() journalRecord {
+	res := e.rec.result()
+	return journalRecord{V: journalVersion, Op: "settle", AtMS: e.rec.SettledMS, ID: e.rec.ID, Result: &res}
+}
+
+// ReplayStats describes what OpenTable recovered from an existing
+// journal.
 type ReplayStats struct {
-	// Pending is how many unsettled jobs were re-enqueued.
+	// Pending is how many unsettled jobs were re-queued.
 	Pending int
-	// Settled is how many terminal jobs were recovered (and retained
-	// through compaction).
+	// Settled is how many results were recovered within the TTL.
 	Settled int
-	// Expired is how many settle records were dropped by compaction
-	// because they aged past the retain bound.
+	// Expired is how many results were dropped as older than the TTL.
 	Expired int
 	// TruncatedBytes is how many bytes of torn tail were cut; 0 on a
 	// clean journal.
 	TruncatedBytes int64
 }
 
-// FileQueue is the durable backend: MemQueue ordering semantics plus an
-// append-only journal that makes the backlog survive SIGKILL.
-type FileQueue struct {
-	mem  *MemQueue
+// journal is a table's open journal file.
+type journal struct {
 	path string
-
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
-	closed bool
-
-	replay  ReplayStats
-	settled []Settled
-	pending []Job
-
-	// now is injectable for tests; records carry wall-clock stamps only
-	// for TTL accounting, never for ordering.
-	now func() time.Time
+	f    *os.File // opened for appends; nil once closed
+	// appended counts the records appended since the last rewrite.
+	appended int
 }
 
-// OpenFileQueue opens (or creates) the journal at path, replays it, and
-// returns the queue with any unsettled backlog already pending. bound
-// caps the pending backlog as in NewMemQueue; retain bounds how old a
-// settled record may be before compaction drops it (0 keeps all).
-func OpenFileQueue(path string, bound int, retain time.Duration) (*FileQueue, error) {
-	q := &FileQueue{
-		mem:  NewMemQueue(bound),
-		path: path,
-		now:  time.Now,
+// OpenTable opens (or creates) the journal at path, replays it into a
+// new table — pending jobs queued in their original order, results
+// within the TTL retained in settle order — and rewrites the file to
+// that live state. A replayed backlog longer than cfg.Backlog is kept
+// whole: the bound gates new submissions, not recovery.
+func OpenTable(path string, cfg Config) (*Table, error) {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("jobs: reading journal: %w", err)
 	}
-	if err := q.openAndReplay(retain); err != nil {
+	t := NewTable(cfg)
+	if err := t.replayJournal(data); err != nil {
 		return nil, err
 	}
-	return q, nil
+	t.j = &journal{path: path}
+	if err := t.j.rewrite(t.eachLiveLocked); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
-// openAndReplay reads the journal, truncates any torn tail, compacts it,
-// and re-enqueues the pending backlog.
-func (q *FileQueue) openAndReplay(retain time.Duration) error {
-	data, err := os.ReadFile(q.path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("jobs: reading journal: %w", err)
-	}
-
-	type enqState struct {
-		job     *Job
-		settled *Result
-		atMS    int64
-	}
-	var order []string // enq order
-	byID := make(map[string]*enqState)
-
-	good := int64(0) // byte offset of the last fully-decoded record
-	for off := int64(0); off < int64(len(data)); {
-		nl := int64(-1)
-		for i := off; i < int64(len(data)); i++ {
-			if data[i] == '\n' {
-				nl = i
-				break
-			}
-		}
+// replayJournal rebuilds the table's lists from a journal's bytes.
+func (t *Table) replayJournal(data []byte) error {
+	byID := make(map[string]*entry)
+	var order []*entry // enq order
+	good := 0          // byte offset past the last decoded record
+	for good < len(data) {
+		nl := bytes.IndexByte(data[good:], '\n')
 		if nl < 0 {
 			break // no terminator: torn tail
 		}
-		line := data[off : nl+1]
 		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := json.Unmarshal(data[good:good+nl+1], &rec); err != nil {
 			break // undecodable record: torn or corrupt tail
 		}
 		switch rec.Op {
 		case "enq":
 			if rec.Job == nil || rec.Job.ID == "" {
-				return fmt.Errorf("jobs: journal enq record without a job at offset %d", off)
+				return fmt.Errorf("jobs: journal enq record without a job at offset %d", good)
 			}
-			if byID[rec.Job.ID] == nil {
-				byID[rec.Job.ID] = &enqState{job: rec.Job}
-				order = append(order, rec.Job.ID)
+			// A second enq of an unsettled id is a duplicate; one of a
+			// settled id (resubmitted after its result expired) starts
+			// the id's next life.
+			if prior := byID[rec.Job.ID]; prior == nil || prior.rec.State.Terminal() {
+				e := &entry{rec: Record{ID: rec.Job.ID, Key: rec.Job.Key, State: StateQueued}, payload: rec.Job.Payload}
+				byID[e.rec.ID] = e
+				order = append(order, e)
 			}
 		case "settle":
-			st := byID[rec.ID]
-			if st == nil {
-				return fmt.Errorf("jobs: journal settles unknown job %q at offset %d", rec.ID, off)
+			e := byID[rec.ID]
+			if e == nil {
+				return fmt.Errorf("jobs: journal settles unknown job %q at offset %d", rec.ID, good)
 			}
-			if st.settled == nil {
-				st.settled = rec.Result
-				st.atMS = rec.AtMS
+			if rec.Result != nil && !e.rec.State.Terminal() {
+				e.rec.settle(*rec.Result, rec.AtMS)
 			}
 		default:
-			return fmt.Errorf("jobs: journal record with unknown op %q at offset %d", rec.Op, off)
+			return fmt.Errorf("jobs: journal record with unknown op %q at offset %d", rec.Op, good)
 		}
-		good = nl + 1
-		off = nl + 1
+		good += nl + 1
 	}
-	q.replay.TruncatedBytes = int64(len(data)) - good
+	t.replay.TruncatedBytes = int64(len(data) - good)
 
-	// Partition into pending (re-enqueue) and settled (retain unless
-	// expired), preserving enq order for both.
-	cutoff := int64(0)
-	if retain > 0 {
-		cutoff = q.now().Add(-retain).UnixMilli()
-	}
-	var pendingJobs []*Job
-	for _, id := range order {
-		st := byID[id]
+	// A replayed job is queued again now, and a replayed result keeps
+	// only its settle stamp.
+	now := t.cfg.now()
+	cutoff := now.Add(-t.cfg.TTL).UnixMilli()
+	for _, e := range order {
 		switch {
-		case st.settled == nil:
-			pendingJobs = append(pendingJobs, st.job)
-			q.pending = append(q.pending, *st.job)
-			q.replay.Pending++
-		case retain > 0 && st.atMS < cutoff:
-			q.replay.Expired++
+		case byID[e.rec.ID] != e:
+			continue // superseded by a later life of its id
+		case !e.rec.State.Terminal():
+			e.rec.EnqueuedMS = now.UnixMilli()
+			t.pending = append(t.pending, e)
+			t.replay.Pending++
+		case e.rec.SettledMS < cutoff:
+			t.replay.Expired++
+			continue
 		default:
-			res := *st.settled
-			q.settled = append(q.settled, Settled{Job: *st.job, Result: res, AtMS: st.atMS})
-			q.replay.Settled++
+			t.settled = append(t.settled, e)
+			t.replay.Settled++
 		}
+		if t.cfg.Meta != nil {
+			e.rec.Meta = t.cfg.Meta(e.payload)
+		}
+		t.indexLocked(e)
 	}
+	sort.SliceStable(t.settled, func(a, b int) bool { return t.settled[a].rec.SettledMS < t.settled[b].rec.SettledMS })
+	t.sweepLocked()
+	return nil
+}
 
-	// Compact: rewrite the journal to live state only, atomically via a
-	// temp file so a crash mid-compaction leaves the old journal intact.
-	tmp := q.path + ".compact"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: compacting journal: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	for _, s := range q.settled {
-		job := s.Job
-		res := s.Result
-		if err := writeRecord(w, journalRecord{V: journalVersion, Op: "enq", AtMS: s.AtMS, Job: &job}); err != nil {
-			f.Close()
+// eachLiveLocked emits the records of the table's live state, the ones
+// replay rebuilds it from: each retained result as its enq and settle
+// records in settle order, then each in-flight and pending job as its
+// enq record in admission order.
+func (t *Table) eachLiveLocked(emit func(journalRecord) error) error {
+	for _, e := range t.settled {
+		if err := emit(e.enqRecord()); err != nil {
 			return err
 		}
-		if err := writeRecord(w, journalRecord{V: journalVersion, Op: "settle", AtMS: s.AtMS, ID: job.ID, Result: &res}); err != nil {
-			f.Close()
+		if err := emit(e.settleRecord()); err != nil {
 			return err
 		}
 	}
-	for _, j := range pendingJobs {
-		if err := writeRecord(w, journalRecord{V: journalVersion, Op: "enq", AtMS: q.now().UnixMilli(), Job: j}); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobs: compacting journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("jobs: compacting journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("jobs: compacting journal: %w", err)
-	}
-	if err := os.Rename(tmp, q.path); err != nil {
-		return fmt.Errorf("jobs: compacting journal: %w", err)
-	}
-
-	// Reopen for appends and seed the in-memory queue. Settled IDs are
-	// registered as seen so a duplicate Publish of a finished job is
-	// still refused.
-	q.f, err = os.OpenFile(q.path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: opening journal: %w", err)
-	}
-	q.w = bufio.NewWriter(q.f)
-	for _, s := range q.settled {
-		q.mem.mu.Lock()
-		q.mem.seen[s.Job.ID] = true
-		q.mem.mu.Unlock()
-	}
-	for _, j := range pendingJobs {
-		if err := q.mem.Publish(j); err != nil {
-			// A replayed backlog larger than the bound must not lose
-			// jobs: the bound applies to new admissions, not recovery.
-			if errors.Is(err, ErrBacklogFull) {
-				q.mem.mu.Lock()
-				q.mem.seen[j.ID] = true
-				q.mem.pending = append(q.mem.pending, j)
-				q.mem.mu.Unlock()
-				continue
+	for _, list := range [][]*entry{t.inflight, t.pending} {
+		for _, e := range list {
+			if err := emit(e.enqRecord()); err != nil {
+				return err
 			}
-			return fmt.Errorf("jobs: replaying job %s: %w", j.ID, err)
 		}
 	}
 	return nil
 }
 
-func writeRecord(w *bufio.Writer, rec journalRecord) error {
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("jobs: encoding journal record: %w", err)
+// compactLocked rewrites the journal once the records appended since
+// the last rewrite outnumber both the live ones and rewriteFloor. A
+// rewrite that fails leaves the old journal in place, and the next try
+// waits for as many appends again.
+func (t *Table) compactLocked() {
+	live := len(t.pending) + len(t.inflight) + 2*len(t.settled)
+	if t.j == nil || t.closed || t.j.appended <= max(live, rewriteFloor) {
+		return
 	}
-	data = append(data, '\n')
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("jobs: appending journal record: %w", err)
-	}
-	return nil
+	_ = t.j.rewrite(t.eachLiveLocked)
 }
 
-// Replayed returns what Open recovered: stats plus the settled jobs the
-// caller should reseed its result store with.
-func (q *FileQueue) Replayed() (ReplayStats, []Settled) {
-	return q.replay, q.settled
-}
-
-// PendingJobs returns the unsettled backlog Open re-enqueued, in order —
-// the caller reseeds its status store with these so polls answer from
-// the first instant of the new boot.
-func (q *FileQueue) PendingJobs() []Job {
-	return q.pending
-}
-
-// append writes one record and flushes it to the OS. The flush (not
-// fsync) is the durability point we promise: the backlog survives
-// process death; surviving whole-machine power loss would need fsync
-// per record, which the serving path does not pay by default.
-func (q *FileQueue) append(rec journalRecord) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+// append writes one record to the OS. The write (not fsync) is the
+// durability point we promise: the backlog survives process death;
+// surviving whole-machine power loss would need fsync per record, which
+// the serving path does not pay.
+func (j *journal) append(rec journalRecord) error {
+	if j.f == nil {
 		return ErrClosed
 	}
-	if err := writeRecord(q.w, rec); err != nil {
+	line, err := encodeRecord(rec)
+	if err != nil {
 		return err
 	}
-	return q.w.Flush()
-}
-
-func (q *FileQueue) Publish(j *Job) error {
-	// Admit in memory first (duplicate/bound checks), then journal. If
-	// the append fails the job is withdrawn so memory and file agree.
-	if err := q.mem.Publish(j); err != nil {
-		return err
+	if _, err := j.f.Write(line); err != nil {
+		return fmt.Errorf("jobs: appending journal record: %w", err)
 	}
-	if err := q.append(journalRecord{V: journalVersion, Op: "enq", AtMS: q.now().UnixMilli(), Job: j}); err != nil {
-		q.mem.mu.Lock()
-		for i, p := range q.mem.pending {
-			if p.ID == j.ID {
-				q.mem.pending = append(q.mem.pending[:i], q.mem.pending[i+1:]...)
-				break
-			}
-		}
-		delete(q.mem.seen, j.ID)
-		q.mem.mu.Unlock()
-		return err
-	}
+	j.appended++
 	return nil
 }
 
-func (q *FileQueue) Dequeue(ctx context.Context) (*Job, error) { return q.mem.Dequeue(ctx) }
-
-func (q *FileQueue) Ack(id string, res Result) error {
-	if err := q.mem.Ack(id, res); err != nil {
-		return err
+// encodeRecord is rec's journal line.
+func encodeRecord(rec journalRecord) ([]byte, error) {
+	data, err := json.Marshal(rec)
+	if err != nil {
+		return nil, fmt.Errorf("jobs: encoding journal record: %w", err)
 	}
-	return q.append(journalRecord{V: journalVersion, Op: "settle", AtMS: q.now().UnixMilli(), ID: id, Result: &res})
+	return append(data, '\n'), nil
 }
 
-func (q *FileQueue) Nack(id string) error { return q.mem.Nack(id) }
+// rewrite replaces the journal with the records live emits: they go to
+// path.compact, which is fsynced and renamed over path, so a crash at
+// any point leaves one whole journal (a stale .compact is truncated by
+// the next rewrite). The temporary file is opened for appends, so after
+// the rename it is the journal's append handle.
+func (j *journal) rewrite(live func(emit func(journalRecord) error) error) error {
+	j.appended = 0
+	tmp := j.path + ".compact"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("jobs: rewriting journal: %w", err)
+	}
+	w := bufio.NewWriter(f)
+	err = live(func(rec journalRecord) error {
+		line, err := encodeRecord(rec)
+		if err == nil {
+			_, err = w.Write(line)
+		}
+		return err
+	})
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, j.path)
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("jobs: rewriting journal: %w", err)
+	}
+	if j.f != nil {
+		// The rewrite holds every record appended through it, and the
+		// file it names is gone: there is nothing to flush.
+		j.f.Close()
+	}
+	j.f = f
+	return nil
+}
 
-func (q *FileQueue) Depth() int { return q.mem.Depth() }
-
-func (q *FileQueue) InFlight() int { return q.mem.InFlight() }
-
-func (q *FileQueue) Close() error {
-	// Stop admissions and dequeues first, then seal the file.
-	_ = q.mem.Close()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
+// close fsyncs and closes the journal.
+func (j *journal) close() error {
+	if j.f == nil {
 		return nil
 	}
-	q.closed = true
-	var ferr error
-	if q.w != nil {
-		ferr = q.w.Flush()
+	err := j.f.Sync()
+	if cerr := j.f.Close(); err == nil {
+		err = cerr
 	}
-	if q.f != nil {
-		if err := q.f.Sync(); err != nil && ferr == nil {
-			ferr = err
-		}
-		if err := q.f.Close(); err != nil && ferr == nil {
-			ferr = err
-		}
-	}
-	return ferr
+	j.f = nil
+	return err
 }

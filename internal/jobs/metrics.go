@@ -16,8 +16,9 @@ type Metrics struct {
 	Failed    obs.Counter
 	Parked    obs.Counter
 	// Retries counts re-attempts; Panics counts contained attempt
-	// panics; AckErrors counts settles the queue refused (a bug or a
-	// closed journal during the last breath of a drain).
+	// panics; AckErrors counts settles the table refused (a journal
+	// write that failed, or a closed journal during the last breath of
+	// a drain).
 	Retries   obs.Counter
 	Panics    obs.Counter
 	AckErrors obs.Counter
@@ -30,8 +31,8 @@ type Metrics struct {
 	InFlight obs.Gauge
 }
 
-// MetricsSnapshot is the JSON shape of a Metrics plus the live queue
-// and store readings the tier composes at snapshot time.
+// MetricsSnapshot is the JSON shape of a Metrics plus the live table
+// readings the tier composes at snapshot time.
 type MetricsSnapshot struct {
 	Enqueued        int64 `json:"enqueued"`
 	IdemHits        int64 `json:"idempotency_hits"`
@@ -51,9 +52,9 @@ type MetricsSnapshot struct {
 	Durable         bool  `json:"durable"`
 }
 
-// Snapshot composes the counters with queue depth and store occupancy.
-func (m *Metrics) Snapshot(q Queue, st *Store, workers int, durable bool) MetricsSnapshot {
-	s := MetricsSnapshot{
+// Snapshot composes the counters with the table's depth and occupancy.
+func (m *Metrics) Snapshot(t *Table, workers int) MetricsSnapshot {
+	return MetricsSnapshot{
 		Enqueued:        m.Enqueued.Value(),
 		IdemHits:        m.IdemHits.Value(),
 		Completed:       m.Completed.Value(),
@@ -65,15 +66,10 @@ func (m *Metrics) Snapshot(q Queue, st *Store, workers int, durable bool) Metric
 		Replayed:        m.Replayed.Value(),
 		ReplayedSettled: m.ReplayedSettled.Value(),
 		InFlight:        m.InFlight.Value(),
+		Depth:           int64(t.Depth()),
+		Stored:          int64(t.Len()),
+		StoreEvicted:    t.Evicted(),
 		Workers:         workers,
-		Durable:         durable,
+		Durable:         t.Durable(),
 	}
-	if q != nil {
-		s.Depth = int64(q.Depth())
-	}
-	if st != nil {
-		s.Stored = int64(st.Len())
-		s.StoreEvicted = st.Evicted()
-	}
-	return s
 }

@@ -43,9 +43,7 @@ type PoolConfig struct {
 	// Seed keys the jitter stream so a pool's retry schedule is
 	// reproducible.
 	Seed int64
-	// Store, when set, receives running/settled state transitions.
-	Store *Store
-	// Metrics, when set, is updated by the pool and its queue wrappers.
+	// Metrics, when set, is updated by the pool.
 	Metrics *Metrics
 }
 
@@ -56,20 +54,21 @@ const (
 	DefaultMaxBackoff  = 5 * time.Second
 )
 
-// Pool drains a queue through RunFunc with bounded retries. Stop is
-// drain-shaped: in-flight attempts finish, backoff waits are cut short
-// and the waiting job is nacked back to the queue (with a durable
-// backend it then survives to the next boot).
+// Pool drains a table through RunFunc with bounded retries, recording
+// each attempt, requeue and settle in the table. Stop is drain-shaped:
+// in-flight attempts finish, backoff waits are cut short and the
+// waiting job is requeued (with a journal it then survives to the next
+// boot).
 type Pool struct {
 	cfg  PoolConfig
-	q    Queue
+	t    *Table
 	ctx  context.Context
 	stop context.CancelFunc
 	wg   sync.WaitGroup
 }
 
-// NewPool builds a pool over q. Call Start to begin draining.
-func NewPool(q Queue, cfg PoolConfig) *Pool {
+// NewPool builds a pool over t. Call Start to begin draining.
+func NewPool(t *Table, cfg PoolConfig) *Pool {
 	if cfg.Workers < 0 {
 		cfg.Workers = 0
 	}
@@ -86,7 +85,7 @@ func NewPool(q Queue, cfg PoolConfig) *Pool {
 		cfg.Retryable = func(error) bool { return true }
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Pool{cfg: cfg, q: q, ctx: ctx, stop: cancel}
+	return &Pool{cfg: cfg, t: t, ctx: ctx, stop: cancel}
 }
 
 // Start launches the workers.
@@ -98,9 +97,9 @@ func (p *Pool) Start() {
 }
 
 // Stop drains the pool: running attempts finish (their per-attempt
-// timeout still applies), backoff sleeps abort and nack their job, and
-// every worker exits before Stop returns. The queue itself stays open —
-// close it after Stop so late acks are journaled.
+// timeout still applies), backoff sleeps abort and requeue their job,
+// and every worker exits before Stop returns. The table itself stays
+// open — close it after Stop so every settle is journaled.
 func (p *Pool) Stop() {
 	p.stop()
 	p.wg.Wait()
@@ -109,18 +108,18 @@ func (p *Pool) Stop() {
 func (p *Pool) worker() {
 	defer p.wg.Done()
 	for {
-		j, err := p.q.Dequeue(p.ctx)
+		j, err := p.t.Dequeue(p.ctx)
 		if err != nil {
-			return // pool stopping or queue closed
+			return // pool stopping or table closed
 		}
 		p.process(j)
 	}
 }
 
-// process runs one job to a settle or a nack. The retry loop stays on
-// this worker: between attempts it sleeps the backoff, and if the pool
-// stops mid-sleep the job is nacked so it re-queues (and, durably,
-// replays next boot) instead of losing its place.
+// process runs one job to a settle or a requeue. The retry loop stays
+// on this worker: between attempts it sleeps the backoff, and if the
+// pool stops mid-sleep the job is requeued (and, durably, replays next
+// boot) instead of losing its place.
 func (p *Pool) process(j *Job) {
 	m := p.cfg.Metrics
 	if m != nil {
@@ -128,9 +127,7 @@ func (p *Pool) process(j *Job) {
 		defer m.InFlight.Add(-1)
 	}
 	for attempt := 1; ; attempt++ {
-		if p.cfg.Store != nil {
-			p.cfg.Store.MarkRunning(j.ID, attempt)
-		}
+		p.t.Attempt(j.ID, attempt)
 		out, err := p.attempt(j)
 		if err == nil {
 			p.settle(j, Result{OK: true, Output: out, Attempts: attempt})
@@ -167,11 +164,7 @@ func (p *Pool) process(j *Job) {
 			// Draining mid-backoff: give the job back. It re-runs from
 			// attempt 1 later — attempts are not persisted, which errs
 			// toward retrying, never toward losing work.
-			if nerr := p.q.Nack(j.ID); nerr == nil {
-				if p.cfg.Store != nil {
-					p.cfg.Store.MarkQueued(j.ID)
-				}
-			}
+			_ = p.t.Requeue(j.ID) // it is in flight on this worker
 			return
 		}
 	}
@@ -196,14 +189,10 @@ func (p *Pool) attempt(j *Job) (out json.RawMessage, err error) {
 	return p.cfg.Run(ctx, j.Payload)
 }
 
+// settle records the job's result; a settle the journal refused still
+// answers pollers, and the job re-runs on the next boot.
 func (p *Pool) settle(j *Job, res Result) {
-	if p.cfg.Store != nil {
-		p.cfg.Store.Settle(j.ID, res)
-	}
-	// Ack after the store knows the outcome: a crash between the two
-	// re-runs the job (at-least-once), never strands a settled ack with
-	// no stored result.
-	if err := p.q.Ack(j.ID, res); err != nil && p.cfg.Metrics != nil {
+	if err := p.t.Settle(j.ID, res); err != nil && p.cfg.Metrics != nil {
 		p.cfg.Metrics.AckErrors.Add(1)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,8 +15,8 @@ import (
 
 // fastPool builds a pool with millisecond backoffs so retry tests run in
 // test time, not wall time.
-func fastPool(q Queue, workers int, run RunFunc, retryable func(error) bool, maxAttempts int, st *Store, m *Metrics) *Pool {
-	return NewPool(q, PoolConfig{
+func fastPool(tab *Table, workers int, run RunFunc, retryable func(error) bool, maxAttempts int, m *Metrics) *Pool {
+	return NewPool(tab, PoolConfig{
 		Workers:     workers,
 		Run:         run,
 		Retryable:   retryable,
@@ -25,7 +24,6 @@ func fastPool(q Queue, workers int, run RunFunc, retryable func(error) bool, max
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  4 * time.Millisecond,
 		Seed:        1,
-		Store:       st,
 		Metrics:     m,
 	})
 }
@@ -43,31 +41,26 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestPoolDrains: a pool of workers runs every published job to done.
+// TestPoolDrains: a pool of workers runs every submitted job to done.
 func TestPoolDrains(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 1000)
+	tab := NewTable(Config{})
 	var m Metrics
 	run := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
 		return json.RawMessage(`{"echo":` + string(payload) + `}`), nil
 	}
-	p := fastPool(q, 3, run, nil, 3, st, &m)
+	p := fastPool(tab, 3, run, nil, 3, &m)
 	p.Start()
 	const n = 40
 	for i := 0; i < n; i++ {
-		rec, _ := st.Enqueue(fmt.Sprintf("j-%04d", i), "", "t")
-		_ = rec
-		if err := q.Publish(mkJob(i)); err != nil {
-			t.Fatal(err)
-		}
+		submit(t, tab, mkJob(i))
 	}
 	waitFor(t, "all jobs done", func() bool { return m.Completed.Value() == n })
 	p.Stop()
-	if q.Depth() != 0 || q.InFlight() != 0 {
-		t.Fatalf("queue not drained: depth %d inflight %d", q.Depth(), q.InFlight())
+	if tab.Depth() != 0 || tab.InFlight() != 0 {
+		t.Fatalf("table not drained: depth %d inflight %d", tab.Depth(), tab.InFlight())
 	}
 	for i := 0; i < n; i++ {
-		r, ok := st.Get(fmt.Sprintf("j-%04d", i))
+		r, ok := tab.Get(fmt.Sprintf("j-%04d", i))
 		if !ok || r.State != StateDone {
 			t.Fatalf("job %d: %+v ok=%v", i, r, ok)
 		}
@@ -81,8 +74,7 @@ func TestPoolDrains(t *testing.T) {
 // the job completes once the fault clears, and the retry counter shows
 // the attempts.
 func TestPoolRetriesThenSucceeds(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	var calls atomic.Int64
 	run := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
@@ -91,16 +83,15 @@ func TestPoolRetriesThenSucceeds(t *testing.T) {
 		}
 		return json.RawMessage(`"ok"`), nil
 	}
-	p := fastPool(q, 1, run, nil, 5, st, &m)
+	p := fastPool(tab, 1, run, nil, 5, &m)
 	p.Start()
 	defer p.Stop()
-	st.Enqueue("j-0000", "", "t")
-	q.Publish(mkJob(0))
+	submit(t, tab, mkJob(0))
 	waitFor(t, "retried job to complete", func() bool { return m.Completed.Value() == 1 })
 	if got := m.Retries.Value(); got != 2 {
 		t.Fatalf("retries = %d, want 2", got)
 	}
-	r, _ := st.Get("j-0000")
+	r, _ := tab.Get("j-0000")
 	if r.State != StateDone || r.Attempts != 3 {
 		t.Fatalf("record: %+v, want done after 3 attempts", r)
 	}
@@ -109,8 +100,7 @@ func TestPoolRetriesThenSucceeds(t *testing.T) {
 // TestPoolPermanentFailureNoRetry: a non-retryable error settles failed
 // on the first attempt.
 func TestPoolPermanentFailureNoRetry(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	var calls atomic.Int64
 	permanent := errors.New("bad request")
@@ -118,16 +108,15 @@ func TestPoolPermanentFailureNoRetry(t *testing.T) {
 		calls.Add(1)
 		return nil, permanent
 	}
-	p := fastPool(q, 1, run, func(err error) bool { return !errors.Is(err, permanent) }, 5, st, &m)
+	p := fastPool(tab, 1, run, func(err error) bool { return !errors.Is(err, permanent) }, 5, &m)
 	p.Start()
 	defer p.Stop()
-	st.Enqueue("j-0000", "", "t")
-	q.Publish(mkJob(0))
+	submit(t, tab, mkJob(0))
 	waitFor(t, "permanent failure to settle", func() bool { return m.Failed.Value() == 1 })
 	if calls.Load() != 1 {
 		t.Fatalf("permanent failure retried: %d calls", calls.Load())
 	}
-	r, _ := st.Get("j-0000")
+	r, _ := tab.Get("j-0000")
 	if r.State != StateFailed || r.Error != "bad request" {
 		t.Fatalf("record: %+v", r)
 	}
@@ -136,48 +125,44 @@ func TestPoolPermanentFailureNoRetry(t *testing.T) {
 // TestPoolParksPoison: a job that fails retryably forever parks after
 // MaxAttempts instead of spinning.
 func TestPoolParksPoison(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	var calls atomic.Int64
 	run := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
 		calls.Add(1)
 		return nil, errors.New("always transient")
 	}
-	p := fastPool(q, 1, run, nil, 3, st, &m)
+	p := fastPool(tab, 1, run, nil, 3, &m)
 	p.Start()
 	defer p.Stop()
-	st.Enqueue("j-0000", "", "t")
-	q.Publish(mkJob(0))
+	submit(t, tab, mkJob(0))
 	waitFor(t, "poison job to park", func() bool { return m.Parked.Value() == 1 })
 	if calls.Load() != 3 {
 		t.Fatalf("parked after %d attempts, want 3", calls.Load())
 	}
-	r, _ := st.Get("j-0000")
+	r, _ := tab.Get("j-0000")
 	if r.State != StateParked || r.Attempts != 3 {
 		t.Fatalf("record: %+v", r)
 	}
-	if q.Depth() != 0 || q.InFlight() != 0 {
-		t.Fatal("parked job still occupies the queue")
+	if tab.Depth() != 0 || tab.InFlight() != 0 {
+		t.Fatal("parked job still occupies the table")
 	}
 }
 
 // TestPoolContainsPanics: a worker-kill (panic mid-attempt) is contained
 // and counted; retries converge once the chaos budget is spent.
 func TestPoolContainsPanics(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	inner := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
 		return json.RawMessage(`"survived"`), nil
 	}
 	run := faults.WorkerKill(7, 2, inner)
-	p := fastPool(q, 2, RunFunc(run), nil, 5, st, &m)
+	p := fastPool(tab, 2, RunFunc(run), nil, 5, &m)
 	p.Start()
 	defer p.Stop()
 	for i := 0; i < 4; i++ {
-		st.Enqueue(fmt.Sprintf("j-%04d", i), "", "t")
-		q.Publish(mkJob(i))
+		submit(t, tab, mkJob(i))
 	}
 	waitFor(t, "all jobs to survive worker kills", func() bool { return m.Completed.Value() == 4 })
 	if m.Panics.Value() != 2 {
@@ -191,36 +176,32 @@ func TestPoolContainsPanics(t *testing.T) {
 // TestPoolAttemptTimeout: a stuck attempt is cut by the per-attempt
 // deadline and the context actually reaches the run.
 func TestPoolAttemptTimeout(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	run := func(ctx context.Context, _ json.RawMessage) (json.RawMessage, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	}
-	p := NewPool(q, PoolConfig{
+	p := NewPool(tab, PoolConfig{
 		Workers:        1,
 		Run:            run,
 		MaxAttempts:    2,
 		AttemptTimeout: 5 * time.Millisecond,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     2 * time.Millisecond,
-		Store:          st,
 		Metrics:        &m,
 	})
 	p.Start()
 	defer p.Stop()
-	st.Enqueue("j-0000", "", "t")
-	q.Publish(mkJob(0))
+	submit(t, tab, mkJob(0))
 	waitFor(t, "stuck job to park", func() bool { return m.Parked.Value() == 1 })
 }
 
-// TestPoolStopNacksBackoffWait: stopping mid-backoff returns the job to
-// the queue instead of losing it — the drain contract the durable
-// backend's replay depends on.
+// TestPoolStopNacksBackoffWait: stopping mid-backoff requeues the job
+// instead of losing it — the drain contract the journal's replay
+// depends on.
 func TestPoolStopNacksBackoffWait(t *testing.T) {
-	q := NewMemQueue(0)
-	st := NewStore(time.Hour, 100)
+	tab := NewTable(Config{})
 	var m Metrics
 	attempted := make(chan struct{}, 1)
 	run := func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
@@ -230,21 +211,19 @@ func TestPoolStopNacksBackoffWait(t *testing.T) {
 		}
 		return nil, errors.New("transient")
 	}
-	p := NewPool(q, PoolConfig{
+	p := NewPool(tab, PoolConfig{
 		Workers:     1,
 		Run:         run,
 		MaxAttempts: 5,
 		BaseBackoff: 10 * time.Second, // park the worker in a long backoff
 		MaxBackoff:  10 * time.Second,
-		Store:       st,
 		Metrics:     &m,
 	})
 	p.Start()
-	st.Enqueue("j-0000", "", "t")
-	q.Publish(mkJob(0))
+	submit(t, tab, mkJob(0))
 	<-attempted
 	// The worker is now sleeping its 10s backoff; Stop must cut it
-	// short and nack the job promptly.
+	// short and requeue the job promptly.
 	done := make(chan struct{})
 	go func() { p.Stop(); close(done) }()
 	select {
@@ -252,11 +231,11 @@ func TestPoolStopNacksBackoffWait(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Stop blocked on a backoff sleep")
 	}
-	if q.Depth() != 1 {
-		t.Fatalf("job lost during drain: depth %d, want 1", q.Depth())
+	if tab.Depth() != 1 {
+		t.Fatalf("job lost during drain: depth %d, want 1", tab.Depth())
 	}
-	if r, _ := st.Get("j-0000"); r.State != StateQueued {
-		t.Fatalf("nacked job state %q, want queued", r.State)
+	if r, _ := tab.Get("j-0000"); r.State != StateQueued {
+		t.Fatalf("requeued job state %q, want queued", r.State)
 	}
 }
 
@@ -264,100 +243,96 @@ func TestPoolStopNacksBackoffWait(t *testing.T) {
 // never runs — the ingest-only mode the crash smoke uses to build a
 // deterministic backlog.
 func TestPoolZeroWorkersIngestOnly(t *testing.T) {
-	q := NewMemQueue(0)
+	tab := NewTable(Config{})
 	var m Metrics
-	p := fastPool(q, 0, func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
+	p := fastPool(tab, 0, func(_ context.Context, _ json.RawMessage) (json.RawMessage, error) {
 		t.Error("ingest-only pool ran a job")
 		return nil, nil
-	}, nil, 3, nil, &m)
+	}, nil, 3, &m)
 	p.Start()
 	for i := 0; i < 5; i++ {
-		q.Publish(mkJob(i))
+		submit(t, tab, mkJob(i))
 	}
 	time.Sleep(20 * time.Millisecond)
 	p.Stop()
-	if q.Depth() != 5 {
-		t.Fatalf("ingest-only depth = %d, want 5", q.Depth())
+	if tab.Depth() != 5 {
+		t.Fatalf("ingest-only depth = %d, want 5", tab.Depth())
 	}
 }
 
 // TestPoolCrashReplayConvergence is the tier-level crash drill: run a
-// file-backed pool, kill the process mid-backlog (simulated by stopping
-// the pool without settling and reopening the journal), and require the
-// second boot to complete every job exactly once.
+// journaled pool, kill the process mid-backlog (simulated by stopping
+// the pool and reopening the journal without closing the table), and
+// require the second boot to complete every job exactly once.
 func TestPoolCrashReplayConvergence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal")
 	const n = 30
 
 	// Boot 1: slow runs, so Stop() lands mid-backlog.
-	q1, err := OpenFileQueue(path, 0, time.Hour)
+	tab1, err := OpenTable(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ran1 sync.Map
 	var m1 Metrics
-	st1 := NewStore(time.Hour, 1000)
-	run1 := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		time.Sleep(3 * time.Millisecond)
+	decode := func(payload json.RawMessage) int {
 		var v struct {
 			I int `json:"i"`
 		}
 		json.Unmarshal(payload, &v)
-		ran1.Store(v.I, true)
-		return json.RawMessage(fmt.Sprintf(`{"done":%d}`, v.I)), nil
+		return v.I
 	}
-	p1 := fastPool(q1, 2, run1, nil, 3, st1, &m1)
+	run1 := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
+		time.Sleep(3 * time.Millisecond)
+		return json.RawMessage(fmt.Sprintf(`{"done":%d}`, decode(payload))), nil
+	}
+	p1 := fastPool(tab1, 2, run1, nil, 3, &m1)
 	p1.Start()
 	for i := 0; i < n; i++ {
-		st1.Enqueue(fmt.Sprintf("j-%04d", i), fmt.Sprintf("key-%d", i), "t")
-		if err := q1.Publish(mkJob(i)); err != nil {
-			t.Fatal(err)
-		}
+		j := mkJob(i)
+		j.Key = fmt.Sprintf("key-%d", i)
+		submit(t, tab1, j)
 	}
 	time.Sleep(25 * time.Millisecond) // let some jobs finish
 	p1.Stop()
-	// No q1.Close(): SIGKILL. The bufio writer has been flushed by every
-	// append, so the journal is as durable as promised.
+	// No tab1.Close(): SIGKILL. Every append has been written to the
+	// OS, so the journal is as durable as promised.
 
 	// Boot 2: replay and finish everything.
-	q2, err := OpenFileQueue(path, 0, time.Hour)
+	tab2, err := OpenTable(path, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, settled := q2.Replayed()
+	stats := tab2.Replayed()
 	if stats.Pending+stats.Settled != n {
 		t.Fatalf("replay lost jobs: %d pending + %d settled != %d", stats.Pending, stats.Settled, n)
 	}
 	if stats.Pending == 0 {
 		t.Fatal("crash drill finished everything before the kill; backlog empty")
 	}
-	var m2 Metrics
-	st2 := NewStore(time.Hour, 1000)
-	for _, s := range settled {
-		st2.Adopt(Record{ID: s.Job.ID, Key: s.Job.Key, State: StateDone, Output: s.Result.Output, Attempts: s.Result.Attempts, SettledMS: s.AtMS})
+	settled := make(map[int]bool)
+	for i := 0; i < n; i++ {
+		if r, _ := tab2.Get(fmt.Sprintf("j-%04d", i)); r.State == StateDone {
+			settled[i] = true
+		}
 	}
+	var m2 Metrics
 	var reran atomic.Int64
 	run2 := func(_ context.Context, payload json.RawMessage) (json.RawMessage, error) {
-		var v struct {
-			I int `json:"i"`
+		// A settled job must never re-run; an unsettled-but-executed one
+		// may (at-least-once).
+		i := decode(payload)
+		if settled[i] {
+			reran.Add(1)
 		}
-		json.Unmarshal(payload, &v)
-		if _, dup := ran1.Load(v.I); dup {
-			// A settled job must never re-run; an unsettled-but-executed
-			// one may (at-least-once) — only flag true double effects.
-			if r, ok := st2.Get(fmt.Sprintf("j-%04d", v.I)); ok && r.State == StateDone {
-				reran.Add(1)
-			}
-		}
-		return json.RawMessage(fmt.Sprintf(`{"done":%d}`, v.I)), nil
+		return json.RawMessage(fmt.Sprintf(`{"done":%d}`, i)), nil
 	}
-	p2 := fastPool(q2, 4, run2, nil, 3, st2, &m2)
+	p2 := fastPool(tab2, 4, run2, nil, 3, &m2)
 	p2.Start()
 	waitFor(t, "replayed backlog to finish", func() bool {
 		return m2.Completed.Value() == int64(stats.Pending)
 	})
 	p2.Stop()
-	if err := q2.Close(); err != nil {
+	if err := tab2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if reran.Load() != 0 {
@@ -365,31 +340,9 @@ func TestPoolCrashReplayConvergence(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("j-%04d", i)
-		r, ok := st2.Get(id)
-		if !ok {
-			// Settled before the crash and adopted, or completed in boot
-			// 2 — either way the store must know it. (Jobs enqueued in
-			// boot 1's store but pending at crash are re-tracked via
-			// Adopt of queued records by the service; here pending jobs
-			// were not adopted, so create-on-settle is acceptable only
-			// if the settle found a record. Require presence for
-			// adopted/settled ones.)
-			if _, wasSettled := find(settled, id); wasSettled {
-				t.Fatalf("settled job %s missing from boot-2 store", id)
-			}
-			continue
-		}
-		if r.State != StateDone {
-			t.Fatalf("job %s state %q after convergence", id, r.State)
+		r, ok := tab2.Get(id)
+		if !ok || r.State != StateDone || r.Key != fmt.Sprintf("key-%d", i) {
+			t.Fatalf("job %s after convergence: %+v (held %v)", id, r, ok)
 		}
 	}
-}
-
-func find(settled []Settled, id string) (Settled, bool) {
-	for _, s := range settled {
-		if s.Job.ID == id {
-			return s, true
-		}
-	}
-	return Settled{}, false
 }

@@ -22,7 +22,7 @@ const (
 // Options is the one validated fleet configuration struct, shared by
 // every layer that touches the peer wire: the Server (IOTimeout), the
 // Fleet client (all fields), the dippeer flags, and dip.FleetOptions,
-// which is a thin public projection of it. Zero values mean defaults.
+// which is an alias of it. Zero values mean defaults.
 type Options struct {
 	// DialTimeout bounds each TCP connect. Zero means DefaultDialTimeout.
 	DialTimeout time.Duration
