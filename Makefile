@@ -336,9 +336,10 @@ fleet-smoke:
 	echo "fleet-smoke: ok"
 
 # bench times the engine micro-benchmark (one echo round on a 256-node
-# cycle, default executor).
+# cycle, default executor) and the fleet dev-loop benchmark (sym-dmam on
+# a 64-cycle over two in-process peers on loopback). Neither has a gate.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkEngine' -benchmem -benchtime 2s .
+	$(GO) test -run xxx -bench 'BenchmarkEngine|BenchmarkRequestFleetSymDMAM' -benchmem -benchtime 2s .
 
 # bench-check re-measures allocs/op of the three reference workloads and
 # fails on a >10% regression against the records in BENCH_seed1.json: the

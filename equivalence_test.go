@@ -87,7 +87,7 @@ func fleetTestRequests(t *testing.T) []Request {
 
 // startDipPeers boots k in-process peer servers with the SpecBuilder
 // cmd/dippeer installs, PeerSpec, and returns their addresses.
-func startDipPeers(t *testing.T, k int) []string {
+func startDipPeers(t testing.TB, k int) []string {
 	t.Helper()
 	addrs := make([]string, k)
 	for i := 0; i < k; i++ {
@@ -223,6 +223,109 @@ func TestFleetMemosMatchRun(t *testing.T) {
 				req.Protocol, req.Options.Seed, docs[i], want)
 		}
 	}
+}
+
+// TestPooledHostStartsClean drives one peer through sessions that change
+// protocol and size — sym-lcp at n = 16, sym-dmam at 64 and then 8,
+// sym-rpls at 32, and gni-lcp — twice over. Each session plays its nodes
+// through a Host checked out of the engine-state pool, so a view, backing
+// array, RNG or memo entry left by an earlier, larger or different
+// session would show: every dip-report/v1 document must be byte-identical
+// to dip.Run's, and every engine Result, transcript included (it holds
+// the nodes' challenges), must equal an in-process run's. On the second
+// pass the pool is warm, and each fleet run must hit it at least twice:
+// once for the coordinator's run and once for the peer session's Host.
+func TestPooledHostStartsClean(t *testing.T) {
+	var reqs []Request
+	for i, c := range []struct {
+		protocol string
+		n        int
+	}{{"sym-lcp", 16}, {"sym-dmam", 64}, {"sym-dmam", 8}, {"sym-rpls", 32}} {
+		reqs = append(reqs, Request{Protocol: c.protocol, N: c.n, Edges: edgesOf(graph.Cycle(c.n)),
+			Options: Options{Seed: 400 + int64(i)}})
+	}
+	for _, req := range fleetTestRequests(t) {
+		if req.Protocol == "gni-lcp" {
+			reqs = append(reqs, req)
+		}
+	}
+	fleet, err := DialFleet(startDipPeers(t, 1), FleetOptions{IOTimeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fleet.Close()
+
+	document := func(rep *Report, seed int64) []byte {
+		var buf bytes.Buffer
+		if err := WireReportFrom(*rep, seed).Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// A peer session gives its Host back just after its last write, so a
+	// fleet run can return before the Host is in the pool again: each warm
+	// run starts once the pool holds two free states.
+	settle := func() {
+		for deadline := time.Now().Add(5 * time.Second); network.StatePoolStats().Free < 2; {
+			if time.Now().After(deadline) {
+				t.Fatal("the state pool never held two free states")
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	want := make([]*network.Result, len(reqs))
+	for i, req := range reqs {
+		want[i] = engineResult(t, req, nil)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, req := range reqs {
+			if pass == 1 {
+				settle()
+			}
+			before := network.StatePoolStats().Hits
+			remote, err := fleet.Run(context.Background(), req)
+			hits := network.StatePoolStats().Hits - before
+			if err != nil {
+				t.Fatalf("%s n=%d: fleet run: %v", req.Protocol, req.N, err)
+			}
+			local, err := Run(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := document(remote, req.Options.Seed), document(&local, req.Options.Seed); !bytes.Equal(got, want) {
+				t.Fatalf("pass %d, %s n=%d: fleet document differs from dip.Run's:\n%s\n%s",
+					pass, req.Protocol, req.N, got, want)
+			}
+			if pass == 1 && hits < 2 {
+				t.Fatalf("%s n=%d: a warm fleet run hit the state pool %d times, want 2 (coordinator and peer session)",
+					req.Protocol, req.N, hits)
+			}
+			if got := engineResult(t, req, fleet); !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("pass %d, %s n=%d: fleet engine result differs from an in-process run's", pass, req.Protocol, req.N)
+			}
+		}
+	}
+}
+
+// engineResult runs req's assembled instance on the engine with its
+// transcript recorded, on fleet's peers, or in-process when fleet is nil.
+func engineResult(t *testing.T, req Request, fleet *Fleet) *network.Result {
+	t.Helper()
+	run, err := AssembleRun(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := network.Options{Seed: req.Options.Seed, RecordTranscript: true}
+	if fleet != nil {
+		if opts.Transport, err = fleet.TransportFor(req, run); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := network.Run(run.Spec, run.Graph, run.Inputs, run.Prover, opts)
+	if err != nil {
+		t.Fatalf("%s n=%d: %v", req.Protocol, req.N, err)
+	}
+	return res
 }
 
 // TestProverMemoUnderTimeout runs sym-dam and sym-dmam, whose provers

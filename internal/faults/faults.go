@@ -10,11 +10,11 @@
 // node→node forward/digest plane (network.Options.CorruptExchange). All
 // randomness is derived statelessly from (seed, plane, round, from, to),
 // so a fault schedule is a pure function of the run seed and of each
-// delivery's coordinates. Both engine executors — sequential, and
-// networked with the nodes in peer processes — call the hooks on the
-// coordinator in the same fixed order, so they observe the identical
-// schedule and stay bit-identical under injection (asserted by the
-// engine-equivalence suite).
+// delivery's coordinates. The engine's one walk calls the hooks on the
+// coordinator in one fixed order, whether the nodes play in-process or in
+// peer processes, so both observe the identical schedule and stay
+// bit-identical under injection (asserted by the engine-equivalence
+// suite).
 package faults
 
 import (
@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"dip/internal/network"
+	"dip/internal/stats"
 	"dip/internal/wire"
 )
 
@@ -296,8 +297,8 @@ func clone(m wire.Message) wire.Message {
 // splitmix64, same family as the engine's node RNGs but over a disjoint
 // key space (the engine never mixes a plane tag).
 func deliveryRNG(ctx Context) *rand.Rand {
-	state := deriveState(ctx.Seed, planeTag(ctx.Plane), uint64(ctx.Round), uint64(ctx.From+1), uint64(ctx.To))
-	return rand.New(&smSource{state: state})
+	src := stats.SplitMix(deriveState(ctx.Seed, planeTag(ctx.Plane), uint64(ctx.Round), uint64(ctx.From+1), uint64(ctx.To)))
+	return rand.New(&src)
 }
 
 func planeTag(p Plane) uint64 {
@@ -313,33 +314,7 @@ func planeTag(p Plane) uint64 {
 func deriveState(seed int64, words ...uint64) uint64 {
 	z := uint64(seed)
 	for _, w := range words {
-		z = fmix64(z*0x9E3779B97F4A7C15 + w*0xBF58476D1CE4E5B9)
+		z = stats.Mix64(z*0x9E3779B97F4A7C15 + w*0xBF58476D1CE4E5B9)
 	}
 	return z
 }
-
-func fmix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// smSource is a rand.Source64 running splitmix64, duplicated from the
-// engine (which keeps its source private) — 8 bytes of state, O(1) seed.
-type smSource struct{ state uint64 }
-
-func (s *smSource) Uint64() uint64 {
-	s.state += 0x9E3779B97F4A7C15
-	z := s.state
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (s *smSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-func (s *smSource) Seed(seed int64) { s.state = uint64(seed) }

@@ -20,6 +20,8 @@ import (
 	"net/http"
 	"sort"
 	"time"
+
+	"dip/internal/stats"
 )
 
 // HTTPOutcome classifies one chaos exchange as the scenario saw it.
@@ -106,7 +108,8 @@ func HTTPChaosNames() []string {
 func HTTPChaosFor(seed int64, i int) (HTTPChaos, *rand.Rand) {
 	names := HTTPChaosNames()
 	pick := deriveState(seed, 3, uint64(i)) % uint64(len(names))
-	rng := rand.New(&smSource{state: deriveState(seed, 4, uint64(i))})
+	src := stats.SplitMix(deriveState(seed, 4, uint64(i)))
+	rng := rand.New(&src)
 	return httpChaosRegistry[names[pick]], rng
 }
 

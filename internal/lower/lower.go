@@ -31,6 +31,7 @@ import (
 	"math/rand"
 
 	"dip/internal/graph"
+	"dip/internal/stats"
 )
 
 // MaxFamilyVertices bounds the exact enumeration: beyond 7 vertices the
@@ -175,16 +176,7 @@ func MakeSides(family []*graph.Graph) []Side {
 // demand when the side graph is F and the challenge is r. It depends on F
 // only through its isomorphism class.
 func (p SimpleHashProtocol) Message(f Side, r int) uint64 {
-	return splitmix(f.key+0x9E3779B97F4A7C15*uint64(r+1)) & ((1 << uint(p.L)) - 1)
-}
-
-func splitmix(z uint64) uint64 {
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+	return stats.Mix64(f.key+0x9E3779B97F4A7C15*uint64(r+1)) & ((1 << uint(p.L)) - 1)
 }
 
 // OptimalAcceptance returns the best prover's probability of making every

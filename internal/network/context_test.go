@@ -52,7 +52,7 @@ func TestRunContextExpiredDeadline(t *testing.T) {
 
 // cancelingProver cancels the run's own context from inside Respond, so
 // the cancellation is guaranteed to land mid-run, before the next step
-// boundary — under both executors.
+// boundary — on both node sides.
 type cancelingProver struct{ cancel context.CancelFunc }
 
 func (p *cancelingProver) Respond(_ int, view *ProverView) (*Response, error) {
@@ -62,7 +62,7 @@ func (p *cancelingProver) Respond(_ int, view *ProverView) (*Response, error) {
 
 // TestRunContextCancelMidRun: a context canceled while the run is in
 // flight aborts it at the next step boundary with PhaseCanceled, under
-// both executors.
+// both node sides.
 func TestRunContextCancelMidRun(t *testing.T) {
 	g := graph.Path(4)
 	engineModes(t, func(t *testing.T, opts Options) {

@@ -1,9 +1,9 @@
 package network
 
 // Cost is the bit-exact communication accounting of a run. Every increment
-// happens in runState.deliver — the single delivery funnel both executors
-// route all messages through — so the aggregate and per-round views cannot
-// drift apart and cannot differ between executors.
+// happens in runState.deliver — the single delivery funnel the walk routes
+// all messages through — so the aggregate and per-round views cannot drift
+// apart and cannot differ between node sides.
 type Cost struct {
 	// ToProver[v] counts challenge bits node v sent to the prover.
 	ToProver []int
@@ -14,7 +14,7 @@ type Cost struct {
 	// PerRound[k] is the same accounting restricted to round k of the
 	// spec (one entry per Round, Arthur and Merlin alike). For every node
 	// v and every direction, the per-round entries sum exactly to the
-	// aggregate slices above; both executors fill them identically. This is
+	// aggregate slices above, whichever side plays the nodes. This is
 	// the granularity at which the round-vs-certificate trade-off
 	// literature measures protocols.
 	PerRound []RoundCost

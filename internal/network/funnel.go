@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the delivery-funnel layer: every message of a run — on
-// every plane, under either executor — passes through deliver exactly
-// once, on the run's goroutine. Validation, bit-charging (aggregate and
-// per-round), and fault injection therefore each exist in exactly one
-// place, which is the seam where internal/faults adapters attach
+// every plane, whichever side plays the nodes — passes through deliver
+// exactly once, on the run's goroutine. Validation, bit-charging
+// (aggregate and per-round), and fault injection therefore each exist in
+// exactly one place, which is the seam where internal/faults adapters attach
 // (Options.Corrupt / Options.CorruptExchange) and whose charge totals the
 // internal/obs delivery meters are published from (runState.finish).
 
@@ -79,8 +79,8 @@ func (s *runState) checkMessage(ri, v int, m wire.Message) *RunError {
 // this sentinel, with the caller's context holding the reason).
 var errRunCanceled = errors.New("run canceled")
 
-// checkCancel polls Options.Cancel at a step boundary. Both executors call
-// it between steps — never inside one — so an aborted run has executed an
+// checkCancel polls Options.Cancel at a step boundary. The walk calls it
+// between steps — never inside one — so an aborted run has executed an
 // integral prefix of the script and the pooled state stays releasable.
 func (s *runState) checkCancel(ri int) *RunError {
 	if s.opts.Cancel == nil {
@@ -100,27 +100,11 @@ func (s *runState) runError(phase Phase, round, node int, err error) *RunError {
 	return &RunError{Protocol: s.spec.Name, Phase: phase, Round: round, Node: node, Err: err}
 }
 
-// guardNode runs a Spec callback with panic containment: a panic in f
-// becomes a *RunError attributed to (phase, round, node) instead of
-// crashing the process (in a peer process, the node host). It is a free
-// function because it also guards callbacks on NodeState, where no
-// runState exists.
-func guardNode(protocol string, phase Phase, round, node int, f func()) (rerr *RunError) {
-	defer func() {
-		if r := recover(); r != nil {
-			rerr = &RunError{Protocol: protocol, Phase: phase, Round: round, Node: node,
-				Err: fmt.Errorf("panic: %v", r)}
-		}
-	}()
-	f()
-	return nil
-}
-
 // callRespond invokes Prover.Respond for spec round ri with panic
 // containment, response-shape validation, and (when Options.ProverTimeout
-// is set) a deadline. Both executors call the prover exclusively through
-// this helper, so a hostile prover implementation fails identically under
-// either executor.
+// is set) a deadline. The walk calls the prover exclusively through this
+// helper, so a hostile prover implementation fails identically whichever
+// side plays the nodes.
 func (s *runState) callRespond(ri, merlinRound int) (*Response, *RunError) {
 	call := func() (resp *Response, rerr *RunError) {
 		defer func() {

@@ -12,9 +12,9 @@ import (
 	"dip/internal/wire"
 )
 
-// engineModes runs a subtest under each executor — the networked one over
-// a fresh in-memory loopTransport — so every hardening path is pinned to
-// behave identically in both.
+// engineModes runs a subtest on each node side — the run's own Host
+// ("sequential"), and a fresh in-memory loopTransport ("networked") — so
+// every hardening path is pinned to behave identically on both.
 func engineModes(t *testing.T, f func(t *testing.T, opts Options)) {
 	t.Run("sequential", func(t *testing.T) { f(t, Options{Seed: 1}) })
 	t.Run("networked", func(t *testing.T) { f(t, Options{Seed: 1, Transport: &loopTransport{}}) })
@@ -143,7 +143,7 @@ func panicSpec(phase Phase, node int) (*Spec, Prover) {
 
 // TestPanicContainment: a panic in any Spec/Prover callback becomes a
 // *RunError attributed to the right phase, round, and node — under both
-// executors, without crashing or hanging.
+// node sides, without crashing or hanging.
 func TestPanicContainment(t *testing.T) {
 	g := graph.Cycle(6)
 	cases := []struct {
@@ -178,7 +178,7 @@ func (p *blockingProver) Respond(int, *ProverView) (*Response, error) {
 }
 
 // TestProverTimeout: a hung prover aborts the run with a deadline
-// *RunError under both executors instead of hanging it forever.
+// *RunError on both node sides instead of hanging it forever.
 func TestProverTimeout(t *testing.T) {
 	g := graph.Path(3)
 	spec := &Spec{
@@ -250,7 +250,7 @@ func (p *hangAfterProver) Respond(merlinRound int, view *ProverView) (*Response,
 // TestCorruptExchangeBothEngines pins (a) that exchange-plane corruption
 // changes what neighbors see, (b) that the sender is still charged for
 // the original message ("charged, then corrupted"), and (c) that the
-// sequential and networked executors agree bit-for-bit under it.
+// in-process and transport node sides agree bit-for-bit under it.
 func TestCorruptExchangeBothEngines(t *testing.T) {
 	g := graph.Cycle(8)
 	spec := broadcastSpec()

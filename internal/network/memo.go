@@ -29,15 +29,15 @@ import (
 // builds.
 //
 // A Memo holds at most MemoCap entries; past the cap a value is computed
-// and returned but not stored. The sequential executor keeps one in the
-// pooled run state and empties it when the run ends; a node host behind a
-// Transport keeps one per run (internal/peer: per session). A nil *Memo
+// and returned but not stored. Every Host keeps one, pooled with it and
+// emptied when its run ends: the run's own Host in-process, and a node
+// host's behind a Transport (internal/peer: one per session). A nil *Memo
 // stores nothing, so every lookup computes. A Memo is used from one
-// goroutine at a time, like the executors and NodeStates that hold it:
-// with Options.ProverTimeout the prover runs on a goroutine of its own,
-// but the run waits for its response before it calls any node again, so
-// prover and nodes never touch the memo at once (a prover that times out
-// ends the run, and its state is not pooled).
+// goroutine at a time, like the Host that holds it: with
+// Options.ProverTimeout the prover runs on a goroutine of its own, but the
+// run waits for its response before it calls any node again, so prover
+// and nodes never touch the memo at once (a prover that times out ends
+// the run, and its state is not pooled).
 type Memo struct {
 	entries []memoEntry
 }

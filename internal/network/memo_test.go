@@ -127,7 +127,7 @@ func memoCountSpec(builds *atomic.Int32) *Spec {
 }
 
 // TestMemoBuildsOncePerHost counts the builds of a Decide every node
-// shares: one per run in the sequential executor, whose later runs reuse
+// shares: one per in-process run, whose later runs reuse
 // the pooled state of the first, one over loopTransport (one host for all
 // nodes), and one per node over goTransport (a host per node).
 func TestMemoBuildsOncePerHost(t *testing.T) {

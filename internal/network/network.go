@@ -13,35 +13,38 @@
 // reject when a neighbor's copy differs, which is precisely the paper's
 // semantics (a cheating prover is free to send different "broadcast" values
 // and must be caught). A node's view holds its neighbors' copies by
-// position in its ascending neighbor list, the one order in which every
-// executor, Transport and peer batch delivers them.
+// position in its ascending neighbor list, the one order in which the
+// walk, every Transport and every peer batch deliver them.
 //
 // The engine is layered (one file per layer):
 //
 //   - The round script (script.go) compiles a Spec into the synchronous
-//     schedule of a run — challenge, respond, exchange, decide steps — and
-//     holds the shared per-node step helpers. The schedule exists once;
-//     executors only decide where each node's half of a step runs.
+//     schedule of a run — challenge, respond, exchange, decide steps.
 //   - The delivery funnel (funnel.go) is the single seam every message on
 //     every plane passes through: validate → charge → corrupt, in
 //     runState.deliver. Fault injectors (internal/faults via
 //     Options.Corrupt / Options.CorruptExchange) attach here, and the
 //     internal/obs delivery meters are published from its charge totals.
-//   - The executors walk the same script on the calling goroutine. The
-//     sequential executor (exec_sequential.go, the default) plays every
-//     node's steps itself. The networked executor (exec_networked.go,
-//     selected by Options.Transport) keeps the prover, funnel and
-//     transcript and has the transport's far side — NodeState hosts,
-//     typically separate processes — play the node steps. Because every
-//     node draws from its own seeded RNG and all semantics live in the
-//     shared layers, the two produce bit-identical results (Cost,
-//     Decisions, Transcript) for every protocol at a fixed seed; the test
-//     suite asserts this.
-//   - The run state (state.go) gathers everything a run touches — node
-//     views, RNGs, exchange buffers, the adjacency snapshot — in one
-//     pooled object reused across runs, so the experiment harness's
-//     hundreds of trials per cell do not re-allocate the engine each time.
-//     Everything reachable from the returned Result stays fresh per run.
+//   - The walk (walk.go) interprets the script once, on the calling
+//     goroutine: the prover, the funnel and the transcript run there, and
+//     each step's node half goes to a node side chosen once per run. By
+//     default that is the run's own Host, which plays every node in this
+//     goroutine; with Options.Transport it is an adapter that turns each
+//     step into the Transport's per-node calls, so the transport's far
+//     side — typically separate processes — plays the nodes. Because
+//     every node draws from its own seeded RNG and all semantics live in
+//     the shared layers, the two sides produce bit-identical results
+//     (Cost, Decisions, Transcript) for every protocol at a fixed seed;
+//     the test suite asserts this.
+//   - The host (host.go) holds the nodes one machine plays — their RNGs,
+//     views, view backing arrays and memo — and plays one whole step at a
+//     time for all of them. internal/peer sessions play their nodes
+//     through one too.
+//   - The run state (state.go) gathers everything a run touches — its
+//     Host, exchange buffers, the adjacency snapshot — in one pooled
+//     object reused across runs, so the experiment harness's hundreds of
+//     trials per cell do not re-allocate the engine each time. Everything
+//     reachable from the returned Result stays fresh per run.
 //
 // The engine meters every message at bit granularity. The headline figure,
 // Cost.MaxProverBits, is the paper's complexity measure: the maximum over
@@ -161,9 +164,9 @@ type ProverView struct {
 	Inputs     []wire.Message
 	Challenges [][]wire.Message
 
-	// Memo is the run's memo on the host that calls the prover: in the
-	// sequential executor, the one every NodeView shares (nil in a view
-	// built by hand). See Memo for what a prover may store in it.
+	// Memo is the run's memo on the host that calls the prover: the one
+	// every NodeView of an in-process run shares (nil in a view built by
+	// hand). See Memo for what a prover may store in it.
 	Memo *Memo
 }
 
@@ -220,7 +223,7 @@ type Result struct {
 // failures when testing verifier robustness. It is applied after cost
 // accounting of the original message: the node is charged for what the
 // prover sent, then receives the corrupted bits ("charged, then
-// corrupted"). Both executors call it on the run's goroutine, once per
+// corrupted"). The walk calls it on the run's goroutine, once per
 // (merlinRound, node), nodes ascending within each round, so a Corruptor
 // may carry state keyed on that order without locking.
 type Corruptor func(merlinRound, node int, m wire.Message) wire.Message
@@ -233,7 +236,7 @@ type Corruptor func(merlinRound, node int, m wire.Message) wire.Message
 // neighbor. Cost semantics mirror Corruptor: the sender is charged for the
 // original message, then `to` receives the corrupted copy.
 //
-// Both executors call it on the run's goroutine in one fixed order: within
+// The walk calls it on the run's goroutine in one fixed order: within
 // each exchange, receivers ascending, and for each receiver its senders in
 // neighbour-list order.
 type ExchangeCorruptor func(round, from, to int, m wire.Message) wire.Message
@@ -257,7 +260,7 @@ type Options struct {
 	ProverTimeout time.Duration
 	// Cancel, when non-nil, aborts the run at the next step boundary after
 	// the channel becomes receivable: the run returns a *RunError in
-	// PhaseCanceled instead of finishing. Both executors poll it between
+	// PhaseCanceled instead of finishing. The walk polls it between
 	// steps of the round script, never inside one, so a canceled run still
 	// leaves the pooled engine state consistent and reusable. RunContext
 	// wires a context.Context's Done channel here; long-haul callers (the
@@ -266,14 +269,14 @@ type Options struct {
 	Cancel <-chan struct{}
 	// RecordTranscript attaches a full message transcript to the Result.
 	RecordTranscript bool
-	// Transport, when non-nil, selects the networked executor: node-side
-	// steps (challenges, digests, decisions) run wherever the transport's
-	// far side hosts them — typically separate OS processes dialed by
+	// Transport, when non-nil, hosts the nodes: node-side steps
+	// (challenges, digests, decisions) run wherever the transport's far
+	// side hosts them — typically separate OS processes dialed by
 	// internal/peer — while this process keeps the coordinator half: the
 	// prover, the delivery funnel (validation, cost, corruption), and the
-	// transcript. When nil, the sequential executor plays every node in
-	// this goroutine. See the Transport interface for the contract that
-	// makes the two executors bit-identical.
+	// transcript. When nil, the run's own Host plays every node in this
+	// goroutine. See the Transport interface for the contract that makes
+	// the two bit-identical.
 	Transport Transport
 }
 
@@ -349,9 +352,9 @@ func Run(spec *Spec, g *graph.Graph, inputs []wire.Message, p Prover, opts Optio
 	s.reset(spec, g, inputs, p, opts, n)
 	var rerr *RunError
 	if opts.Transport != nil {
-		rerr = runNetworked(s)
+		rerr = s.walkTransport()
 	} else {
-		rerr = runSequential(s)
+		rerr = s.walk(&s.Host)
 	}
 	if rerr != nil {
 		s.release()

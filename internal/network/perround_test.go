@@ -45,7 +45,7 @@ func checkPerRound(t *testing.T, spec *Spec, c *Cost) {
 }
 
 // TestPerRoundCostSums runs a multi-round echo protocol on a star (so
-// node costs are heterogeneous) under both executors and checks that the
+// node costs are heterogeneous) on both node sides and checks that the
 // per-round breakdown decomposes every aggregate exactly.
 func TestPerRoundCostSums(t *testing.T) {
 	g := graph.Star(7)
@@ -81,7 +81,7 @@ func TestPerRoundCostSums(t *testing.T) {
 
 // TestPerRoundCostWithSharedChallengesAndDigest covers the two special
 // cost paths: Arthur-round neighbor exchanges (ShareChallenges) and
-// digest-metered Merlin forwarding, under both executors.
+// digest-metered Merlin forwarding, on both node sides.
 func TestPerRoundCostWithSharedChallengesAndDigest(t *testing.T) {
 	g := graph.Cycle(5)
 	digest := func(v int, rng *rand.Rand, m wire.Message) wire.Message {

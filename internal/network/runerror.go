@@ -28,8 +28,8 @@ const (
 	PhaseCanceled Phase = "canceled"
 	// PhaseTransport means a networked run (Options.Transport) lost a
 	// verifier node: a peer connection failed, answered out of protocol,
-	// or went silent past the transport's I/O deadline. The sequential
-	// executor never produces it.
+	// or went silent past the transport's I/O deadline. An in-process run
+	// never produces it.
 	PhaseTransport Phase = "transport"
 )
 

@@ -2,6 +2,7 @@ package network
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -94,17 +95,18 @@ func digestSpec() *Spec {
 	}
 }
 
-// goTransport hosts every node on a goroutine of its own, each driving its
-// NodeState from a FIFO inbox, and hands collect-phase replies to the
-// executor in whatever order the node goroutines finish — a stand-in for a
+// goTransport hosts every node on a goroutine of its own, each playing a
+// one-node Host from a FIFO inbox, and hands collect-phase replies to the
+// walk in whatever order the node goroutines finish — a stand-in for a
 // fleet of peers answering concurrently. Messages are copied at the
 // boundary in both directions, as a wire would, so no node shares bytes
 // with the coordinator or with another node.
 type goTransport struct {
 	n       int
-	inbox   []chan func(*NodeState)
+	hosts   []*Host
+	inbox   []chan func(h *Host)
 	replies chan nodeReply
-	hosts   sync.WaitGroup
+	running sync.WaitGroup
 	// chalCur, fwdCur and decCur count the Recv* calls of each collect
 	// phase; the first call of a phase fans the step out to every node.
 	chalCur, fwdCur, decCur int
@@ -130,50 +132,46 @@ func cloneMessage(m wire.Message) wire.Message {
 }
 
 func (gt *goTransport) Begin(run *TransportRun) *RunError {
-	nodes := make([]*NodeState, run.N)
+	gt.n = run.N
 	gt.degrees = make([]int, run.N)
-	for v := range nodes {
-		var input wire.Message
+	gt.pending = make([][]wire.Message, run.N)
+	// At most one reply per node is outstanding, so hosts never block on
+	// replies, even when the walk aborts mid-phase.
+	gt.replies = make(chan nodeReply, run.N)
+	for v := 0; v < run.N; v++ {
+		var inputs []wire.Message
 		if run.Inputs != nil {
-			input = run.Inputs[v]
+			inputs = []wire.Message{run.Inputs[v]}
 		}
-		nbrs := append([]int(nil), run.Neighbors[v]...)
+		nbrs := slices.Clone(run.Neighbors[v])
 		// Each node is a host of its own on its own goroutine, so none
 		// shares a memo.
-		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed, new(Memo))
+		h, err := AcquireHost(run.Spec, run.N, run.Seed, []int{v}, [][]int{nbrs}, inputs)
 		if err != nil {
 			return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport,
 				Round: -1, Node: v, Err: err}
 		}
-		nodes[v] = ns
 		gt.degrees[v] = len(nbrs)
-	}
-	gt.n = run.N
-	gt.pending = make([][]wire.Message, run.N)
-	// At most one reply per node is outstanding, so hosts never block on
-	// replies, even when the executor aborts mid-phase.
-	gt.replies = make(chan nodeReply, run.N)
-	gt.inbox = make([]chan func(*NodeState), run.N)
-	for v, ns := range nodes {
-		in := make(chan func(*NodeState), 4)
-		gt.inbox[v] = in
-		gt.hosts.Add(1)
-		go func(ns *NodeState) {
-			defer gt.hosts.Done()
+		in := make(chan func(*Host), 4)
+		gt.hosts = append(gt.hosts, h)
+		gt.inbox = append(gt.inbox, in)
+		gt.running.Add(1)
+		go func() {
+			defer gt.running.Done()
 			for f := range in {
-				f(ns)
+				f(h)
 			}
-		}(ns)
+		}()
 	}
 	return nil
 }
 
 // collect returns the next reply of a collect phase, first asking every
 // node when cur starts a new phase.
-func (gt *goTransport) collect(cur *int, ask func(ns *NodeState) nodeReply) nodeReply {
+func (gt *goTransport) collect(cur *int, ask func(h *Host) nodeReply) nodeReply {
 	if *cur%gt.n == 0 {
 		for _, in := range gt.inbox {
-			in <- func(ns *NodeState) { gt.replies <- ask(ns) }
+			in <- func(h *Host) { gt.replies <- ask(h) }
 		}
 	}
 	*cur++
@@ -181,23 +179,25 @@ func (gt *goTransport) collect(cur *int, ask func(ns *NodeState) nodeReply) node
 }
 
 func (gt *goTransport) RecvChallenge(ri int) (int, wire.Message, *RunError) {
-	r := gt.collect(&gt.chalCur, func(ns *NodeState) nodeReply {
-		m, rerr := ns.Challenge(ri)
-		return nodeReply{v: ns.V(), m: cloneMessage(m), rerr: rerr}
+	r := gt.collect(&gt.chalCur, func(h *Host) nodeReply {
+		out := make([]wire.Message, 1)
+		rerr := h.Challenge(ri, out)
+		return nodeReply{v: h.nodes[0], m: cloneMessage(out[0]), rerr: rerr}
 	})
 	return r.v, r.m, r.rerr
 }
 
 func (gt *goTransport) SendResponse(ri, node int, m wire.Message) *RunError {
-	m = cloneMessage(m)
-	gt.inbox[node] <- func(ns *NodeState) { ns.PushResponse(m) }
+	in := []wire.Message{cloneMessage(m)}
+	gt.inbox[node] <- func(h *Host) { h.Respond(ri, in) }
 	return nil
 }
 
 func (gt *goTransport) RecvForward(ri int) (int, wire.Message, *RunError) {
-	r := gt.collect(&gt.fwdCur, func(ns *NodeState) nodeReply {
-		m, rerr := ns.ExchangeOut(ScheduleStep{Kind: StepExchange, Round: ri})
-		return nodeReply{v: ns.V(), m: cloneMessage(m), rerr: rerr}
+	r := gt.collect(&gt.fwdCur, func(h *Host) nodeReply {
+		out := make([]wire.Message, 1)
+		rerr := h.Forward(ri, out)
+		return nodeReply{v: h.nodes[0], m: cloneMessage(out[0]), rerr: rerr}
 	})
 	return r.v, r.m, r.rerr
 }
@@ -207,34 +207,39 @@ func (gt *goTransport) SendExchange(ri, from, to int, chal bool, m wire.Message)
 	gt.pending[to] = got
 	if len(got) == gt.degrees[to] {
 		st := ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}
-		gt.inbox[to] <- func(ns *NodeState) { ns.PushExchange(st, got) }
+		gt.inbox[to] <- func(h *Host) { h.Exchange(st, got) }
 		gt.pending[to] = nil
 	}
 	return nil
 }
 
 func (gt *goTransport) RecvDecision() (int, bool, *RunError) {
-	r := gt.collect(&gt.decCur, func(ns *NodeState) nodeReply {
-		d, rerr := ns.Decide()
-		return nodeReply{v: ns.V(), decision: d, rerr: rerr}
+	r := gt.collect(&gt.decCur, func(h *Host) nodeReply {
+		out := make([]bool, 1)
+		rerr := h.Decide(out)
+		return nodeReply{v: h.nodes[0], decision: out[0], rerr: rerr}
 	})
 	return r.v, r.decision, r.rerr
 }
 
-// End stops every node goroutine and waits for it to exit.
+// End stops every node goroutine, waits for it to exit, and releases its
+// Host.
 func (gt *goTransport) End(failure *RunError) {
 	for _, in := range gt.inbox {
 		close(in)
 	}
-	gt.hosts.Wait()
+	gt.running.Wait()
+	for _, h := range gt.hosts {
+		h.Release()
+	}
 	gt.ended, gt.failure = true, failure
 }
 
 // TestSequentialMatchesConcurrent runs a mix of specs, graphs, provers, and
-// options on the sequential executor and on the networked executor over
-// goTransport — every node on a goroutine of its own, answering in
-// arrival order — and requires bit-identical results: a node's output
-// depends only on its own view, never on which goroutine ran it or when.
+// options on the run's own Host and over goTransport — every node on a
+// goroutine of its own, answering in arrival order — and requires
+// bit-identical results: a node's output depends only on its own view,
+// never on which goroutine ran it or when.
 func TestSequentialMatchesConcurrent(t *testing.T) {
 	corrupt := func(round, node int, m wire.Message) wire.Message {
 		if node%3 != 1 || m.Bits == 0 {
@@ -296,8 +301,8 @@ func TestSequentialMatchesConcurrent(t *testing.T) {
 	}
 }
 
-// TestSequentialProverErrors pins the wrong-shape response error on the
-// default executor.
+// TestSequentialProverErrors pins the wrong-shape response error of an
+// in-process run.
 func TestSequentialProverErrors(t *testing.T) {
 	g := graph.Path(3)
 	spec := &Spec{
@@ -335,7 +340,7 @@ func (mutatingProver) Respond(_ int, view *ProverView) (*Response, error) {
 }
 
 // TestProverMutationCannotAffectDecisions runs the echo protocol with a
-// prover that rewires the graph mid-run, under both executors: every node
+// prover that rewires the graph mid-run, on both node sides: every node
 // must still receive its echo over the original topology and accept, with
 // costs identical to an honest run on the pristine graph.
 func TestProverMutationCannotAffectDecisions(t *testing.T) {

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"math/rand"
 	"sync"
 
 	"dip/internal/graph"
@@ -30,26 +29,27 @@ import (
 // it) requires run costs to be deterministic.
 
 type runState struct {
+	// Host is the node half of the run: every node's view, RNG and
+	// backing arrays, the compiled script the walk interprets, and the
+	// run's memo. It also serves the pool's other client, a node host
+	// behind a Transport (AcquireHost).
+	Host
+
 	// Per-run wiring, set by reset and cleared by release.
-	spec   *Spec
 	g      *graph.Graph
 	inputs []wire.Message
 	prover Prover
 	opts   Options
-	n      int
 
-	// script is the compiled schedule both executors interpret; reset
-	// recompiles it into its own pooled buffers for every run.
-	script script
-
-	// nbrs is the adjacency snapshot: both executors route messages
-	// exclusively through it, never through g after reset, which (a)
-	// avoids per-exchange Neighbors allocations and (b) insulates verifier
-	// decisions from a prover that violates the ProverView.Graph read-only
-	// contract mid-run. adjFlat/adjOff are its pooled backing.
-	nbrs    [][]int
+	// The adjacency snapshot: the Host's nbrs are adjRows, carved from
+	// adjFlat by adjOff. The walk routes messages exclusively through
+	// it, never through g after reset, which (a) avoids per-exchange
+	// Neighbors allocations and (b) insulates verifier decisions from a
+	// prover that violates the ProverView.Graph read-only contract
+	// mid-run.
 	adjFlat []int
 	adjOff  []int
+	adjRows [][]int
 
 	// Fresh per run (escape into the Result).
 	cost       Cost
@@ -62,23 +62,9 @@ type runState struct {
 	pv       ProverView
 	chalRows []wire.Message
 
-	// Per-node state: views plus their append backings (capacity-clipped
-	// so an append can never cross into the next node's region), one
-	// splitmix source per node, and the *rand.Rand wrappers. rngs[v]
-	// points at &sources[v], so the two arrays grow together and a reused
-	// Rand is re-seeded via Rand.Seed (which also resets the Rand's
-	// buffered read state) — bit-identical to a freshly built nodeRNG.
-	views       []NodeView
-	sources     []splitmixSource
-	rngs        []*rand.Rand
-	myBack      []wire.Message
-	respBack    []wire.Message
-	nbrRespRows [][]wire.Message
-	nbrChalRows [][]wire.Message
-
-	// exBack holds every exchange's copies: exchange k's region is
-	// exBack[k*len(adjFlat):], carved per receiver by adjOff, so a view's
-	// neighbor row is positional like the adjacency snapshot.
+	// exBack holds every exchange's post-funnel copies: exchange k's
+	// region is exBack[k*len(adjFlat):], positional like the adjacency
+	// snapshot. In-process, the views' neighbor rows are carved from it.
 	exBack []wire.Message
 
 	// Scratch rows for the driver side of a Merlin round: the delivered
@@ -86,8 +72,8 @@ type runState struct {
 	delivered []wire.Message
 	forwards  []wire.Message
 
-	// memo is the run's memo, shared by every view; release empties it.
-	memo Memo
+	// remote is the node side of a run over Options.Transport.
+	remote transportSide
 
 	// abandoned is set when a ProverTimeout expired: the abandoned Respond
 	// goroutine may still reference this state, so release must drop it to
@@ -97,12 +83,12 @@ type runState struct {
 
 // statePool is the explicit free list (see the file comment for why it is
 // not a sync.Pool). It is shared by the whole process: the experiment
-// harness's trial workers and the verification service's request workers
-// all check states out of this pool, so a warm server recycles engine
-// state across requests exactly like a warm harness recycles it across
-// trials. A checkout holds the lock only to pop or push one pointer, next
-// to a run of tens of microseconds or more, so one mutex serves every
-// worker. Retained states stay bounded by cap.
+// harness's trial workers, the verification service's request workers and
+// a peer's sessions (AcquireHost) all check states out of this pool, so a
+// warm server recycles engine state across requests exactly like a warm
+// harness recycles it across trials. A checkout holds the lock only to
+// pop or push one pointer, next to a run of tens of microseconds or more,
+// so one mutex serves every worker. Retained states stay bounded by cap.
 var statePool struct {
 	mu   sync.Mutex
 	free []*runState
@@ -172,17 +158,18 @@ func acquireState() *runState {
 	}
 	p.misses++
 	p.mu.Unlock()
-	return &runState{}
+	s := &runState{}
+	s.Host.state = s
+	return s
 }
 
-// reset prepares the state for one run: compiles the script, takes the
-// adjacency snapshot, sizes every pooled array for (spec, n), re-seeds the
-// node RNGs, and allocates the run's fresh (escaping) pieces.
+// reset prepares the state for one run: takes the adjacency snapshot,
+// resets the Host for all n nodes (which compiles the script and re-seeds
+// the node RNGs), sizes the walk's pooled rows for (spec, n), and
+// allocates the run's fresh (escaping) pieces.
 func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Prover, opts Options, n int) {
-	s.spec, s.g, s.inputs, s.prover, s.opts, s.n = spec, g, inputs, p, opts, n
+	s.g, s.inputs, s.prover, s.opts = g, inputs, p, opts
 	s.abandoned = false
-	s.script.compile(spec)
-	nA, nM := s.script.nA, s.script.nM
 
 	s.cost = newCost(spec, n)
 	s.transcript = nil
@@ -192,7 +179,7 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 	s.decisions = make([]bool, n)
 
 	// Adjacency snapshot: offsets first (appending may reallocate
-	// adjFlat), then the capacity-clipped per-node headers.
+	// adjFlat), then the capacity-clipped per-node rows.
 	s.adjFlat = s.adjFlat[:0]
 	s.adjOff = grow(s.adjOff, n+1)
 	for v := 0; v < n; v++ {
@@ -200,19 +187,14 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 		s.adjFlat = g.AppendNeighbors(v, s.adjFlat)
 	}
 	s.adjOff[n] = len(s.adjFlat)
-	s.nbrs = grow(s.nbrs, n)
+	s.adjRows = grow(s.adjRows, n)
 	for v := 0; v < n; v++ {
 		lo, hi := s.adjOff[v], s.adjOff[v+1]
-		s.nbrs[v] = s.adjFlat[lo:hi:hi]
+		s.adjRows[v] = s.adjFlat[lo:hi:hi]
 	}
+	s.Host.reset(spec, n, opts.Seed, nil, s.adjRows, inputs)
 
-	s.chalRows = grow(s.chalRows, n*nA)
-	s.myBack = grow(s.myBack, n*nA)
-	s.respBack = grow(s.respBack, n*nM)
-	s.nbrRespRows = grow(s.nbrRespRows, n*nM)
-	if spec.ShareChallenges {
-		s.nbrChalRows = grow(s.nbrChalRows, n*nA)
-	}
+	s.chalRows = grow(s.chalRows, n*s.script.nA)
 	s.exBack = grow(s.exBack, s.script.nEx*len(s.adjFlat))
 	s.delivered = grow(s.delivered, n)
 	s.forwards = grow(s.forwards, n)
@@ -221,76 +203,32 @@ func (s *runState) reset(spec *Spec, g *graph.Graph, inputs []wire.Message, p Pr
 	s.pv.Inputs = inputs
 	s.pv.Challenges = s.pv.Challenges[:0]
 	s.pv.Memo = &s.memo
-
-	// sources and rngs grow in lockstep: each Rand wraps &sources[v], so a
-	// reallocation of sources must rebuild every Rand (and a non-grown
-	// reuse must re-seed through Rand.Seed to also reset its buffered read
-	// state — see rng.go for the shared seeding).
-	if cap(s.sources) < n {
-		s.sources = make([]splitmixSource, n)
-		s.rngs = make([]*rand.Rand, n)
-		for v := 0; v < n; v++ {
-			s.sources[v] = nodeSource(opts.Seed, v)
-			s.rngs[v] = rand.New(&s.sources[v])
-		}
-	} else {
-		s.sources = s.sources[:n]
-		s.rngs = s.rngs[:n]
-		for v := 0; v < n; v++ {
-			s.rngs[v].Seed(mix(opts.Seed, int64(v)))
-		}
-	}
-
-	if cap(s.views) < n {
-		s.views = make([]NodeView, n)
-	} else {
-		s.views = s.views[:n]
-	}
-	for v := 0; v < n; v++ {
-		s.views[v] = NodeView{
-			V:                 v,
-			NumVertices:       n,
-			Neighbors:         s.nbrs[v],
-			MyChallenges:      s.myBack[v*nA : v*nA : (v+1)*nA],
-			Responses:         s.respBack[v*nM : v*nM : (v+1)*nM],
-			NeighborResponses: s.nbrRespRows[v*nM : v*nM : (v+1)*nM],
-			Memo:              &s.memo,
-		}
-		if spec.ShareChallenges {
-			s.views[v].NeighborChallenges = s.nbrChalRows[v*nA : v*nA : (v+1)*nA]
-		}
-		if inputs != nil {
-			s.views[v].Input = inputs[v]
-		}
-	}
 }
 
 // release returns the state to the pool after dropping every per-run
 // reference: caller data (spec, graph, prover, options with their
-// injector closures), the escaping pieces (cost, decisions, transcript),
-// the message headers of the finished run and the memo's entries — a
-// pooled state must not pin another run's payloads alive, and the next
-// run starts with an empty memo.
+// injector closures, the transport), the escaping pieces (cost,
+// decisions, transcript), the message headers of the finished run and the
+// memo's entries — a pooled state must not pin another run's payloads
+// alive, and the next run starts with an empty memo. A Host checked out
+// alone comes back through here too, with the walk's rows already empty.
 func (s *runState) release() {
 	if s.abandoned {
 		return // a timed-out prover goroutine may still hold this state
 	}
+	s.Host.clear()
 	clear(s.chalRows)
-	clear(s.myBack)
-	clear(s.respBack)
-	clear(s.nbrRespRows)
-	clear(s.nbrChalRows)
 	clear(s.exBack)
 	clear(s.delivered)
 	clear(s.forwards)
-	s.memo.reset()
 	for i := range s.pv.Challenges {
 		s.pv.Challenges[i] = nil
 	}
 	s.pv.Challenges = s.pv.Challenges[:0]
 	s.pv.Graph, s.pv.Inputs = nil, nil
-	s.spec, s.g, s.inputs, s.prover = nil, nil, nil, nil
+	s.g, s.inputs, s.prover = nil, nil, nil
 	s.opts = Options{}
+	s.remote.s, s.remote.t = nil, nil
 	s.cost = Cost{}
 	s.transcript = nil
 	s.decisions = nil

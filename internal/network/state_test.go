@@ -9,7 +9,7 @@ import (
 )
 
 // TestPooledStateBitIdentical interleaves runs of different protocols,
-// graph sizes, and executors so that every run after the first executes on a
+// graph sizes, and node sides so that every run after the first executes on a
 // recycled runState, and requires each repeat of a configuration to be
 // bit-identical to its first (pool-cold) execution. This is the contract
 // that makes pooling invisible: reset must leave no residue from the

@@ -2,8 +2,8 @@ package network
 
 import "dip/internal/wire"
 
-// This file is the transport seam: the boundary the networked executor
-// (exec_networked.go) speaks through when verifier nodes live outside this
+// This file is the transport seam: the boundary the walk speaks through
+// (transportSide in walk.go) when verifier nodes live outside this
 // process. The engine's semantic layers do not move across it — the
 // delivery funnel (validation → cost → corruption), the prover, and the
 // transcript all stay on the coordinator — so a Transport carries only the
@@ -11,9 +11,9 @@ import "dip/internal/wire"
 // coming back from nodes, responses and exchange deliveries going out to
 // them, digests coming back when a Merlin round defines one.
 //
-// The in-memory path needs no Transport at all (the sequential executor
-// touches runState directly, with zero indirection); the interface exists
-// so internal/peer can put a TCP connection on the far side.
+// The in-memory path needs no Transport at all (the walk hands each step
+// to the run's own Host); the interface exists so internal/peer can put a
+// TCP connection on the far side, where a Host plays the nodes again.
 
 // TransportRun is everything the far side needs to host its nodes for one
 // run: the spec identity is negotiated out of band (internal/peer ships a
@@ -25,8 +25,8 @@ type TransportRun struct {
 	// Spec is the validated protocol of the run (read-only).
 	Spec *Spec
 	// Seed is Options.Seed; node v's RNG is derived as mix(Seed, v) on
-	// whatever host runs the node, which is what keeps a networked run
-	// bit-identical to a sequential one.
+	// whatever host runs the node, which is what keeps a run over a
+	// Transport bit-identical to an in-process one.
 	Seed int64
 	// N is the node count; Neighbors[v] lists node v's neighbors ascending.
 	N         int
@@ -39,32 +39,32 @@ type TransportRun struct {
 	Cancel <-chan struct{}
 }
 
-// Transport moves node-side traffic for the networked executor. The
-// executor drives it from a single goroutine in schedule order, so
-// implementations need no internal locking against the engine (they do
-// need their own reader goroutines to keep per-connection inboxes fed).
+// Transport moves node-side traffic for the walk, which drives it from a
+// single goroutine in schedule order, so implementations need no internal
+// locking against the engine (they do need their own reader goroutines to
+// keep per-connection inboxes fed).
 //
 // Contract, per schedule step:
 //
-//   - StepChallenge: the executor calls RecvChallenge exactly N times per
+//   - StepChallenge: the walk calls RecvChallenge exactly N times per
 //     Arthur round and expects one challenge from every node, any arrival
 //     order, no duplicates.
-//   - StepRespond: the executor calls SendResponse once per node, node
+//   - StepRespond: the walk calls SendResponse once per node, node
 //     ascending, with the post-funnel (charged, possibly corrupted)
 //     message — the copy the node must observe.
-//   - StepExchange: when the round defines a Digest, the executor first
+//   - StepExchange: when the round defines a Digest, the walk first
 //     calls RecvForward exactly N times (each node's digest of its
 //     delivered response); it then calls SendExchange once per directed
 //     edge (receiver ascending, sender ascending within the receiver's
 //     neighbor list) with the post-funnel copy. Challenge exchanges and
 //     digest-less forwards reuse messages the coordinator already holds,
 //     so nothing is re-uploaded from the nodes.
-//   - StepDecide: the executor calls RecvDecision exactly N times.
+//   - StepDecide: the walk calls RecvDecision exactly N times.
 //
 // Every method may fail the run by returning a *RunError; transport-level
 // failures (lost connections, protocol violations, I/O deadlines) use
 // PhaseTransport, cancellation uses PhaseCanceled. After any failure — or
-// normal completion — the executor calls End exactly once; End must
+// normal completion — the walk calls End exactly once; End must
 // release every resource the run pinned (reader goroutines, buffers).
 type Transport interface {
 	// Begin starts a run: provision the far side (spec parameters, seed,

@@ -10,101 +10,118 @@ import (
 	"dip/internal/wire"
 )
 
-// loopTransport is an in-memory Transport: it hosts every node in the same
-// process through NodeState — the exact node-side code internal/peer runs
-// in a separate process — with zero sockets. It deliberately reports
-// collect-phase results in *descending* node order to prove the networked
-// executor is arrival-order independent, like real peers answering at
-// their own pace.
+// loopTransport is an in-memory Transport: one Host plays every node in
+// this process — the Host internal/peer sessions play their nodes through
+// — with zero sockets. It hands collect-phase results to the walk in
+// *descending* node order to prove the walk is arrival-order independent,
+// like real peers answering at their own pace.
 type loopTransport struct {
-	nodes []*NodeState
-	n     int
-	// cursor walks each collect phase (challenges, forwards, decisions)
-	// once; the executor calls each Recv* exactly n times per phase.
-	chalCur, fwdCur, decCur int
-	// pending accumulates exchange deliveries per receiver, in the
-	// Transport contract's sender order, until the receiver's neighbor row
-	// is complete.
-	pending [][]wire.Message
-	degrees []int
+	host *Host
+	n    int
+	// cur counts the Recv* calls; the first call of each collect phase
+	// (challenges, forwards, decisions) plays the step into row or decs.
+	cur  int
+	row  []wire.Message
+	decs []bool
+	// in accumulates a send step's deliveries (a round's responses, or an
+	// exchange's positional copies) until the step is complete.
+	in      []wire.Message
+	edges   int
 	ended   bool
 	failure *RunError
 }
 
 func (lt *loopTransport) Begin(run *TransportRun) *RunError {
-	lt.n = run.N
-	memo := new(Memo) // one host: all its nodes share the run's memo
-	lt.nodes = make([]*NodeState, run.N)
-	lt.degrees = make([]int, run.N)
-	lt.pending = make([][]wire.Message, run.N)
-	for v := 0; v < run.N; v++ {
-		var input wire.Message
-		if run.Inputs != nil {
-			input = run.Inputs[v]
-		}
-		// Copy the neighbor slice: TransportRun.Neighbors aliases pooled
-		// engine state that a transport must not retain.
-		nbrs := append([]int(nil), run.Neighbors[v]...)
-		ns, err := NewNodeState(run.Spec, v, run.N, nbrs, input, run.Seed, memo)
-		if err != nil {
-			return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport,
-				Round: -1, Node: v, Err: err}
-		}
-		lt.nodes[v] = ns
-		lt.degrees[v] = len(nbrs)
+	// Copy the neighbor lists: TransportRun.Neighbors aliases pooled
+	// engine state that a transport must not retain.
+	nodes := make([]int, run.N)
+	nbrs := make([][]int, run.N)
+	for v := range nodes {
+		nodes[v] = v
+		nbrs[v] = slices.Clone(run.Neighbors[v])
+		lt.edges += len(nbrs[v])
 	}
+	h, err := AcquireHost(run.Spec, run.N, run.Seed, nodes, nbrs, run.Inputs)
+	if err != nil {
+		return &RunError{Protocol: run.Spec.Name, Phase: PhaseTransport, Round: -1, Node: -1, Err: err}
+	}
+	lt.host, lt.n = h, run.N
+	lt.row = make([]wire.Message, run.N)
+	lt.decs = make([]bool, run.N)
 	return nil
 }
 
-// next returns the collect-phase cursor's node, descending.
-func (lt *loopTransport) next(cur *int) int {
-	v := lt.n - 1 - (*cur % lt.n)
-	*cur++
-	return v
+// next returns the collect phase's next node, descending, first playing
+// the phase when cur starts a new one.
+func (lt *loopTransport) next(play func() *RunError) (int, *RunError) {
+	if lt.cur%lt.n == 0 {
+		if rerr := play(); rerr != nil {
+			return -1, rerr
+		}
+	}
+	v := lt.n - 1 - lt.cur%lt.n
+	lt.cur++
+	return v, nil
 }
 
 func (lt *loopTransport) RecvChallenge(ri int) (int, wire.Message, *RunError) {
-	v := lt.next(&lt.chalCur)
-	m, rerr := lt.nodes[v].Challenge(ri)
-	return v, m, rerr
+	v, rerr := lt.next(func() *RunError { return lt.host.Challenge(ri, lt.row) })
+	if rerr != nil {
+		return v, wire.Message{}, rerr
+	}
+	return v, lt.row[v], nil
 }
 
 func (lt *loopTransport) SendResponse(ri, node int, m wire.Message) *RunError {
-	lt.nodes[node].PushResponse(m)
-	return nil
+	lt.in = append(lt.in, m)
+	if len(lt.in) < lt.n {
+		return nil
+	}
+	rerr := lt.host.Respond(ri, lt.in)
+	lt.in = lt.in[:0]
+	return rerr
 }
 
 func (lt *loopTransport) RecvForward(ri int) (int, wire.Message, *RunError) {
-	v := lt.next(&lt.fwdCur)
-	m, rerr := lt.nodes[v].ExchangeOut(ScheduleStep{Kind: StepExchange, Round: ri})
-	return v, m, rerr
+	v, rerr := lt.next(func() *RunError { return lt.host.Forward(ri, lt.row) })
+	if rerr != nil {
+		return v, wire.Message{}, rerr
+	}
+	return v, lt.row[v], nil
 }
 
 func (lt *loopTransport) SendExchange(ri, from, to int, chal bool, m wire.Message) *RunError {
-	got := append(lt.pending[to], m)
-	lt.pending[to] = got
-	if len(got) == lt.degrees[to] {
-		lt.nodes[to].PushExchange(ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}, got)
-		lt.pending[to] = nil
+	lt.in = append(lt.in, m)
+	if len(lt.in) < lt.edges {
+		return nil
 	}
-	return nil
+	// The views keep an exchange's copies, so the next step starts a
+	// fresh row.
+	got := lt.in
+	lt.in = nil
+	return lt.host.Exchange(ScheduleStep{Kind: StepExchange, Round: ri, Chal: chal}, got)
 }
 
 func (lt *loopTransport) RecvDecision() (int, bool, *RunError) {
-	v := lt.next(&lt.decCur)
-	d, rerr := lt.nodes[v].Decide()
-	return v, d, rerr
+	v, rerr := lt.next(func() *RunError { return lt.host.Decide(lt.decs) })
+	if rerr != nil {
+		return v, false, rerr
+	}
+	return v, lt.decs[v], nil
 }
 
 func (lt *loopTransport) End(failure *RunError) {
+	if lt.host != nil {
+		lt.host.Release()
+	}
 	lt.ended = true
 	lt.failure = failure
 }
 
 // TestNetworkedMatchesSequential reuses the engine-equivalence case table:
 // every spec/graph/prover/options mix must produce bit-identical results
-// under the networked executor (nodes hosted through NodeState behind a
-// Transport) and the sequential one.
+// with the nodes behind a Transport (one Host on the far side) and on the
+// run's own Host.
 func TestNetworkedMatchesSequential(t *testing.T) {
 	corrupt := func(round, node int, m wire.Message) wire.Message {
 		if node%3 != 1 || m.Bits == 0 {
@@ -199,7 +216,7 @@ func (mt *misbehavingTransport) RecvDecision() (int, bool, *RunError) {
 	return mt.n - 1, d, rerr
 }
 
-// TestTransportProtocolViolations pins the executor's defense against a
+// TestTransportProtocolViolations pins the walk's defense against a
 // transport that reports duplicate or out-of-range nodes: a structured
 // PhaseTransport RunError, with End told about the failure.
 func TestTransportProtocolViolations(t *testing.T) {
@@ -230,9 +247,9 @@ func TestTransportProtocolViolations(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesCompile pins the steps Schedule compiles for a spec
-// of two Arthur–Merlin pairs that shares its challenges: step kinds,
-// rounds and counters.
+// TestScheduleMatchesCompile pins the steps a Host compiles for a spec of
+// two Arthur–Merlin pairs that shares its challenges: step kinds, rounds
+// and counters. AcquireHost refuses a spec Run would refuse.
 func TestScheduleMatchesCompile(t *testing.T) {
 	spec := &Spec{
 		Name:            "sched",
@@ -243,10 +260,11 @@ func TestScheduleMatchesCompile(t *testing.T) {
 		},
 		Decide: func(int, *NodeView) bool { return true },
 	}
-	steps, err := Schedule(spec)
+	h, err := AcquireHost(spec, 1, 0, []int{0}, [][]int{nil}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer h.Release()
 	want := []ScheduleStep{
 		{Kind: StepChallenge, Round: 0, Arthur: 0},
 		{Kind: StepExchange, Round: 0, Arthur: 0, Chal: true},
@@ -258,10 +276,10 @@ func TestScheduleMatchesCompile(t *testing.T) {
 		{Kind: StepExchange, Round: 3},
 		{Kind: StepDecide, Round: -1},
 	}
-	if !slices.Equal(steps, want) {
-		t.Fatalf("Schedule = %+v\nwant       %+v", steps, want)
+	if steps := h.Steps(); !slices.Equal(steps, want) {
+		t.Fatalf("Steps = %+v\nwant    %+v", steps, want)
 	}
-	if _, err := Schedule(&Spec{Name: "bad", Rounds: []Round{{Kind: Arthur}}}); err == nil {
-		t.Fatal("Schedule accepted an Arthur round without Challenge")
+	if _, err := AcquireHost(&Spec{Name: "bad", Rounds: []Round{{Kind: Arthur}}}, 1, 0, []int{0}, [][]int{nil}, nil); err == nil {
+		t.Fatal("AcquireHost accepted an Arthur round without Challenge")
 	}
 }

@@ -19,7 +19,7 @@ import (
 //
 // Node-side traffic moves as one batch per connection per schedule step.
 // The Transport contract fixes both the number and the order of the
-// executor's calls in every step, so the transport needs no schedule of
+// walk's calls in every step, so the transport needs no schedule of
 // its own: outbound entries are appended to a per-connection batch that
 // is sealed when the connection's last entry of the step arrives, and
 // inbound batches are decoded one frame at a time as the step's calls
@@ -65,7 +65,7 @@ type staged struct {
 }
 
 // collect is the peer→coordinator step in progress: the entries of the
-// last decoded batch frame not yet returned to the executor, and what
+// last decoded batch frame not yet returned to the walk, and what
 // each connection still owes.
 type collect struct {
 	owed  []int // per connection
@@ -135,20 +135,29 @@ func (t *Transport) Begin(run *network.TransportRun) *network.RunError {
 	t.in.owed = make([]int, k)
 	hellos := make([]hello, k)
 	for ci := range hellos {
-		hellos[ci] = hello{seed: run.Seed, n: run.N, params: t.params}
+		c := (run.N - ci + k - 1) / k // nodes ci, ci+k, ...
+		h := hello{seed: run.Seed, n: run.N, params: t.params,
+			nodes: make([]int, 0, c), nbrs: make([][]int, 0, c)}
+		if run.Inputs != nil {
+			h.inputs = make([]wire.Message, 0, c)
+		}
+		hellos[ci] = h
 	}
 	for v := 0; v < run.N; v++ {
 		ci := v % k
 		t.assign[v] = ci
-		t.hosted[ci] = append(t.hosted[ci], v)
 		t.edges[ci] += len(run.Neighbors[v])
-		var input wire.Message
-		if run.Inputs != nil {
-			input = run.Inputs[v]
-		}
+		h := &hellos[ci]
+		h.nodes = append(h.nodes, v)
 		// Neighbors aliases pooled engine state; the hello is encoded
 		// below, before Begin returns, so nothing retains it.
-		hellos[ci].nodes = append(hellos[ci].nodes, helloNode{v: v, nbrs: run.Neighbors[v], input: input})
+		h.nbrs = append(h.nbrs, run.Neighbors[v])
+		if run.Inputs != nil {
+			h.inputs = append(h.inputs, run.Inputs[v])
+		}
+	}
+	for ci := range hellos {
+		t.hosted[ci] = hellos[ci].nodes
 	}
 
 	t.sess = t.fleet.sess.Add(1)
@@ -396,7 +405,7 @@ func (t *Transport) flush(round int) *network.RunError {
 
 // stage appends one outbound entry to connection ci's batch for the
 // current step, whose batch holds size entries in all, and stages the
-// batch's frames once its last entry is in. The executor's call order is
+// batch's frames once its last entry is in. The walk's call order is
 // the batch's positional order, so entries are appended as they come.
 func (t *Transport) stage(ci int, typ byte, ri int, flags byte, size, node int, m wire.Message) *network.RunError {
 	o := &t.out[ci]

@@ -1,7 +1,7 @@
 // Package peer runs verifier nodes as real network peers: a Server hosts
-// nodes in its own OS process and a Fleet implements network.Transport by
-// dialing a set of servers, so the engine's networked executor drives
-// actual sockets.
+// nodes in its own OS process, playing them through a pooled network.Host
+// per session, and a Fleet implements network.Transport by dialing a set
+// of servers, so the engine's walk drives actual sockets.
 //
 // The wire protocol (v4) is deliberately minimal: length-prefixed binary
 // frames, each stamped with a session id, over TCP. One peer process
@@ -11,7 +11,7 @@
 // the peer — protocol parameters, run seed, and the graph *slice* of
 // every node the peer hosts (its neighbor lists and inputs, never the
 // whole graph) — and then both sides walk the spec-derived schedule
-// (network.Schedule), so no round negotiation ever crosses the wire. The
+// (network.Host.Steps), so no round negotiation ever crosses the wire. The
 // peer acknowledges the hello with a helloOK, but nobody waits for it:
 // the coordinator sends its first steps right behind the hello and checks
 // the helloOK when it arrives, ahead of the peer's first batch.
@@ -36,8 +36,8 @@
 // Everything semantic stays on the coordinator: validation, cost
 // accounting, fault corruption, and the transcript live in the engine's
 // delivery funnel, and peers only ever see post-funnel copies. That is
-// what keeps a multi-process run bit-identical to the in-process
-// executors (asserted by the equivalence suite) and what lets
+// what keeps a multi-process run bit-identical to an in-process one
+// (asserted by the equivalence suite) and what lets
 // internal/faults injectors corrupt traffic that genuinely crosses
 // sockets without the peers cooperating.
 package peer
@@ -342,10 +342,12 @@ func decodeDecisions(dst []bool, body []byte, count int) ([]bool, error) {
 // hello is the coordinator's session-opening frame: everything a peer
 // needs to host its slice of the run. params is an opaque protocol
 // parameter blob the peer's SpecBuilder understands (for dippeer: the
-// JSON params dip.PeerSpec decodes); nodes lists the hosted nodes, strictly
-// ascending, with their neighbor lists and private inputs — the peer
-// never sees the rest of the graph. The node order and each neighbor
-// list's order are the positional order of every batch in the session.
+// JSON params dip.PeerSpec decodes). The hosted nodes come in the layout
+// network.AcquireHost takes: nodes strictly ascending, and nbrs[i] and
+// inputs[i] (inputs nil for none) nodes[i]'s neighbor list and private
+// input — the peer never sees the rest of the graph. The node order and
+// each neighbor list's order are the positional order of every batch in
+// the session.
 //
 // On the wire (appendHello, decodeHello):
 //
@@ -355,14 +357,9 @@ type hello struct {
 	seed   int64
 	n      int
 	params []byte
-	nodes  []helloNode
-}
-
-// helloNode is one hosted node's slice of the run.
-type helloNode struct {
-	v     int
-	nbrs  []int
-	input wire.Message
+	nodes  []int
+	nbrs   [][]int
+	inputs []wire.Message
 }
 
 const (
@@ -382,27 +379,33 @@ func appendHello(b []byte, h *hello) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(h.params)))
 	b = append(b, h.params...)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(h.nodes)))
-	for _, hn := range h.nodes {
-		b = binary.BigEndian.AppendUint32(b, uint32(hn.v))
-		b = binary.BigEndian.AppendUint32(b, uint32(len(hn.nbrs)))
-		for _, u := range hn.nbrs {
+	for i, v := range h.nodes {
+		b = binary.BigEndian.AppendUint32(b, uint32(v))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(h.nbrs[i])))
+		for _, u := range h.nbrs[i] {
 			b = binary.BigEndian.AppendUint32(b, uint32(u))
 		}
+		var input wire.Message
+		if h.inputs != nil {
+			input = h.inputs[i]
+		}
 		var err error
-		if b, err = appendMessage(b, hn.input); err != nil {
-			return nil, fmt.Errorf("node %d input: %w", hn.v, err)
+		if b, err = appendMessage(b, input); err != nil {
+			return nil, fmt.Errorf("node %d input: %w", v, err)
 		}
 	}
 	return b, nil
 }
 
 // decodeHello decodes a hello payload and checks everything a session
-// relies on before it builds any node: the protocol version (a payload
+// relies on before it hosts any node: the protocol version (a payload
 // opening with '{' is the JSON hello of protocols 1 to 3), the node
 // count, nodes strictly ascending in [0, n), and every neighbor list in
 // the NodeView contract — strictly ascending, in [0, n), without the node
 // itself. Every count is bounded by the bytes left before anything is
-// allocated for it. params and the inputs alias p.
+// allocated for it. The neighbor lists are carved from one backing array,
+// sized by the bytes left once every node's helloNodeMin is set aside;
+// params and the inputs alias p.
 func decodeHello(p []byte) (*hello, error) {
 	if len(p) > 0 && p[0] == '{' {
 		return nil, fmt.Errorf("peer: JSON hello (wire protocol 3 or older): this peer requires wire protocol %d", Version)
@@ -431,40 +434,43 @@ func decodeHello(p []byte) (*hello, error) {
 	if uint64(count) > uint64(len(p)/helloNodeMin) {
 		return nil, fmt.Errorf("peer: hello claims %d nodes in %d bytes", count, len(p))
 	}
-	h.nodes = make([]helloNode, count)
-	var prev uint32
+	h.nodes = make([]int, count)
+	h.nbrs = make([][]int, count)
+	h.inputs = make([]wire.Message, count)
+	// A valid hello spends 4 bytes per neighbor beyond every node's
+	// helloNodeMin, so its lists fit flat without a reallocation.
+	flat := make([]int, 0, (len(p)-int(count)*helloNodeMin)/4)
 	for i := range h.nodes {
 		if len(p) < 8 {
 			return nil, fmt.Errorf("peer: hello node %d truncated", i)
 		}
 		v, deg := binary.BigEndian.Uint32(p), binary.BigEndian.Uint32(p[4:])
 		p = p[8:]
-		if v >= n || (i > 0 && v <= prev) {
+		if v >= n || (i > 0 && v <= uint32(h.nodes[i-1])) {
 			return nil, fmt.Errorf("peer: hello nodes not strictly ascending in [0,%d) at node %d", n, v)
 		}
-		prev = v
 		if uint64(deg) > uint64(len(p)/4) {
 			return nil, fmt.Errorf("peer: hello node %d claims %d neighbors in %d bytes", v, deg, len(p))
 		}
-		nbrs := make([]int, deg)
-		var last uint32
-		for j := range nbrs {
+		lo := len(flat)
+		for j := 0; j < int(deg); j++ {
 			u := binary.BigEndian.Uint32(p[4*j:])
 			switch {
 			case u >= n:
 				return nil, fmt.Errorf("peer: hello node %d neighbor %d out of range [0,%d)", v, u, n)
 			case u == v:
 				return nil, fmt.Errorf("peer: hello node %d lists itself as a neighbor", v)
-			case j > 0 && u <= last:
+			case j > 0 && u <= uint32(flat[len(flat)-1]):
 				return nil, fmt.Errorf("peer: hello node %d neighbors not strictly ascending at %d", v, u)
 			}
-			nbrs[j], last = int(u), u
+			flat = append(flat, int(u))
 		}
 		input, rest, err := decodeMessage(p[4*int(deg):])
 		if err != nil {
 			return nil, fmt.Errorf("hello node %d input: %w", v, err)
 		}
-		h.nodes[i], p = helloNode{v: int(v), nbrs: nbrs, input: input}, rest
+		h.nodes[i], h.nbrs[i], h.inputs[i] = int(v), flat[lo:len(flat):len(flat)], input
+		p = rest
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("peer: hello has %d trailing bytes", len(p))

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,10 +26,11 @@ func writeFrame(w io.Writer, sess uint32, typ byte, payload []byte) error {
 // sampleHello is a small well-formed hello: the two ends of a 3-node
 // path, one with an input.
 func sampleHello() *hello {
-	return &hello{seed: -7, n: 3, params: []byte(`{"spec":"echo","bits":8}`), nodes: []helloNode{
-		{v: 0, nbrs: []int{1}},
-		{v: 2, nbrs: []int{1}, input: wire.Message{Data: []byte{0xA0}, Bits: 3}},
-	}}
+	return &hello{seed: -7, n: 3, params: []byte(`{"spec":"echo","bits":8}`),
+		nodes:  []int{0, 2},
+		nbrs:   [][]int{{1}, {1}},
+		inputs: []wire.Message{{}, {Data: []byte{0xA0}, Bits: 3}},
+	}
 }
 
 // encodeHello is appendHello for a hello the test knows to be encodable.
@@ -57,11 +59,12 @@ func TestHelloRoundTrip(t *testing.T) {
 	if got.seed != want.seed || got.n != want.n || !bytes.Equal(got.params, want.params) || len(got.nodes) != len(want.nodes) {
 		t.Fatalf("round trip got %+v, want %+v", got, want)
 	}
-	for i, hn := range got.nodes {
-		w := want.nodes[i]
-		if hn.v != w.v || len(hn.nbrs) != len(w.nbrs) || hn.nbrs[0] != w.nbrs[0] ||
-			hn.input.Bits != w.input.Bits || !bytes.Equal(hn.input.Data, w.input.Data) {
-			t.Fatalf("node %d: round trip got %+v, want %+v", i, hn, w)
+	for i, v := range got.nodes {
+		in, w := got.inputs[i], want.inputs[i]
+		if v != want.nodes[i] || !slices.Equal(got.nbrs[i], want.nbrs[i]) ||
+			in.Bits != w.Bits || !bytes.Equal(in.Data, w.Data) {
+			t.Fatalf("node %d: round trip got (%d, %v, %+v), want (%d, %v, %+v)",
+				i, v, got.nbrs[i], in, want.nodes[i], want.nbrs[i], w)
 		}
 	}
 	proto, nodes, err := decodeHelloOK(appendHelloOK(nil, 5))
@@ -91,10 +94,7 @@ func TestHelloRejectsMalformed(t *testing.T) {
 	// withNodes is the good hello hosting the given node ids instead.
 	withNodes := func(vs ...int) []byte {
 		h := sampleHello()
-		h.nodes = nil
-		for _, v := range vs {
-			h.nodes = append(h.nodes, helloNode{v: v})
-		}
+		h.nodes, h.nbrs, h.inputs = vs, make([][]int, len(vs)), nil
 		return encodeHello(t, h)
 	}
 	params := len(sampleHello().params)

@@ -47,10 +47,8 @@ func peerFrameSeeds(tb testing.TB) []fuzzSeed {
 	e := wire.Message{}
 	twoAB := msgs(0, 0, 2, a, b)
 	hostile := binary.BigEndian.AppendUint32(appendBatchHeader(nil, 0, 0, 1), 0xFFFFFFFF)
-	h, err := appendHello(nil, &hello{seed: 7, n: 4, params: []byte(`{"spec":"mam","bits":8}`), nodes: []helloNode{
-		{v: 0, nbrs: []int{1, 3}},
-		{v: 2, nbrs: []int{1, 3}, input: c},
-	}})
+	h, err := appendHello(nil, &hello{seed: 7, n: 4, params: []byte(`{"spec":"mam","bits":8}`),
+		nodes: []int{0, 2}, nbrs: [][]int{{1, 3}, {1, 3}}, inputs: []wire.Message{{}, c}})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -146,16 +144,20 @@ func checkHello(t *testing.T, p []byte) {
 	if err != nil {
 		return
 	}
-	if cap(h.nodes)*helloNodeMin > len(p) {
-		t.Fatalf("hello decoder allocated %d nodes for a %d-byte payload", cap(h.nodes), len(p))
-	}
-	for _, hn := range h.nodes {
-		if 4*cap(hn.nbrs) > len(p) {
-			t.Fatalf("hello decoder allocated %d neighbors for a %d-byte payload", cap(hn.nbrs), len(p))
+	for _, c := range []int{cap(h.nodes), cap(h.nbrs), cap(h.inputs)} {
+		if c*helloNodeMin > len(p) {
+			t.Fatalf("hello decoder allocated %d nodes for a %d-byte payload", c, len(p))
 		}
-		if m := hn.input; m.Bits < 0 || m.Bits > maxMsgBits || len(m.Data) != (m.Bits+7)/8 {
+	}
+	degrees := 0
+	for i := range h.nodes {
+		degrees += cap(h.nbrs[i])
+		if m := h.inputs[i]; m.Bits < 0 || m.Bits > maxMsgBits || len(m.Data) != (m.Bits+7)/8 {
 			t.Fatalf("hello decoder produced a malformed input Bits=%d len(Data)=%d", m.Bits, len(m.Data))
 		}
+	}
+	if 4*degrees > len(p) {
+		t.Fatalf("hello decoder allocated %d neighbors for a %d-byte payload", degrees, len(p))
 	}
 	re, err := appendHello(nil, h)
 	if err != nil {

@@ -519,6 +519,32 @@ func TestSessionStorm(t *testing.T) {
 	settleGoroutines(t, baseline)
 }
 
+// TestCloseDuringAccept races Close against a connection Serve has just
+// accepted, a few hundred times: Serve must count the connection's
+// goroutine before Close can wait, so Close returns only after that
+// goroutine has, and the race detector (make race runs this under -short)
+// sees no WaitGroup reuse. After each round no server goroutine remains.
+func TestCloseDuringAccept(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for i := 0; i < 300; i++ {
+		l := listen(t)
+		srv := &Server{Build: buildTestSpec}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(l) }()
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Close()
+		l.Close()
+		if err := <-served; err != nil {
+			t.Fatalf("round %d: Serve: %v", i, err)
+		}
+		conn.Close()
+		settleGoroutines(t, baseline)
+	}
+}
+
 // TestFailSoftIsolation pins the isolation hook: the FailSoft-th session
 // fails with a structured error while the sessions before and after it —
 // on the same process, over the same connection — complete normally.
@@ -626,7 +652,7 @@ func TestWrongProtoHelloRejected(t *testing.T) {
 	jsonHello := func(proto int) []byte {
 		return []byte(fmt.Sprintf(`{"proto":%d,"seed":1,"n":2,"nodes":[{"v":0,"neighbors":[1]}]}`, proto))
 	}
-	next := encodeHello(t, &hello{seed: 1, n: 2, nodes: []helloNode{{v: 0, nbrs: []int{1}}}})
+	next := encodeHello(t, &hello{seed: 1, n: 2, nodes: []int{0}, nbrs: [][]int{{1}}})
 	binary.BigEndian.PutUint32(next, 5)
 	cases := []struct {
 		proto   int
@@ -662,7 +688,7 @@ func TestBadNeighborListsRejected(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := &hello{seed: 1, n: 4, params: marshalParams(t, "echo", 8),
-				nodes: []helloNode{{v: 0, nbrs: tc.nbrs}}}
+				nodes: []int{0}, nbrs: [][]int{tc.nbrs}}
 			ef := helloReply(t, addrs[0], encodeHello(t, h))
 			if ef.Phase != string(network.PhaseTransport) || !strings.Contains(ef.Message, tc.frag) {
 				t.Fatalf("rejection %+v does not mention %q", ef, tc.frag)
@@ -673,7 +699,7 @@ func TestBadNeighborListsRejected(t *testing.T) {
 
 // TestRemoteCallbackError pins cross-process failure attribution: a node
 // callback panicking inside a peer process surfaces on the coordinator as
-// the same phase/round/node RunError the sequential executor would raise.
+// the same phase/round/node RunError an in-process run would raise.
 func TestRemoteCallbackError(t *testing.T) {
 	fleet, coord := oneRun(t, startFleet(t, 2), marshalParams(t, "panic", 0), Options{})
 	defer fleet.Close()
@@ -889,12 +915,13 @@ func (c countingConn) Write(b []byte) (int, error) {
 // forward batch, then the coordinator's exchange batch.
 func sendStretches(t *testing.T, spec *network.Spec) (coord, peer int) {
 	t.Helper()
-	steps, err := network.Schedule(spec)
+	h, err := network.AcquireHost(spec, 1, 0, []int{0}, [][]int{nil}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer h.Release()
 	toPeer := []bool{true} // the hello
-	for _, st := range steps {
+	for _, st := range h.Steps() {
 		switch st.Kind {
 		case network.StepChallenge, network.StepDecide:
 			toPeer = append(toPeer, false)

@@ -19,20 +19,21 @@ import (
 // the protocol registry in the dependency order: cmd/dippeer wires it to
 // dip.PeerSpec, and tests wire it to fixtures. The builder must be
 // deterministic in its parameters — both sides of a run construct the
-// Spec independently, and bit-identity with the sequential executor
-// relies on the constructions agreeing.
+// Spec independently, and bit-identity with an in-process run relies on
+// the constructions agreeing.
 type SpecBuilder func(params []byte) (*network.Spec, error)
 
 // Server hosts verifier nodes for remote coordinators. Each accepted
 // connection is a frame-multiplexed trunk: every frame carries a session
 // id, a demux loop routes it to that session's state in an id-keyed
-// table, and each session runs the node-facing half of one proof through
-// network.NodeState on its own goroutine with its own deadline and
-// cancel. Sessions fail in isolation — a poisoned session reports a
-// structured error and leaves the table without disturbing its
-// neighbors on the same connection. A single Server handles any number
-// of sequential or concurrent sessions over shared or per-session
-// connections.
+// table, and each session plays the node-facing half of one proof on its
+// own goroutine, with its own deadline and cancel, through a network.Host
+// it checks out of the engine-state pool for the nodes its hello names
+// and gives back when it ends. Sessions fail in isolation — a poisoned
+// session reports a structured error and leaves the table without
+// disturbing its neighbors on the same connection. A single Server
+// handles any number of sequential or concurrent sessions over shared or
+// per-session connections.
 type Server struct {
 	// Build rebuilds the Spec a hello frame's parameters describe.
 	// Required.
@@ -91,8 +92,10 @@ func (s *Server) Serve(l net.Listener) error {
 			s.conns = make(map[*srvConn]struct{})
 		}
 		s.conns[c] = struct{}{}
-		s.mu.Unlock()
+		// Count the goroutine before unlocking: a Close that gets the lock
+		// next must find it in the WaitGroup it waits on.
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			c.demux()
@@ -316,17 +319,15 @@ type session struct {
 	cause      error
 
 	spec *network.Spec
-	n    int
-	// nodes are the hosted nodes ascending — the positional order of every
-	// batch — and nbrs[i] is nodes[i]'s neighbor list as the hello shipped
-	// it, the sender order of its exchange entries; edges is Σ len(nbrs),
-	// the entry count of one exchange batch.
-	nodes []*network.NodeState
-	nbrs  [][]int
-	edges int
-	// memo is the run's memo on this host, shared by every hosted node:
-	// the session plays them all on its one goroutine.
-	memo network.Memo
+	// host plays the hosted nodes, checked out of the engine-state pool
+	// for this session. hosted counts them, and edges is the sum of their
+	// degrees, the entry count of one exchange batch. row and decs carry
+	// one step's outbound entries, hosted nodes ascending.
+	host   *network.Host
+	hosted int
+	edges  int
+	row    []wire.Message
+	decs   []bool
 	// out holds the frames staged since the last flush; batched reports
 	// that they include a batch, not only the helloOK.
 	out     []byte
@@ -438,27 +439,25 @@ func (st *session) run() *network.RunError {
 		return &network.RunError{Protocol: "", Phase: network.PhaseSetup, Round: -1, Node: -1,
 			Err: fmt.Errorf("peer: building spec: %w", err)}
 	}
-	st.spec, st.n = spec, h.n
-	steps, err := network.Schedule(spec)
+	st.spec = spec
+	host, err := network.AcquireHost(spec, h.n, h.seed, h.nodes, h.nbrs, h.inputs)
 	if err != nil {
 		return &network.RunError{Protocol: spec.Name, Phase: network.PhaseSetup, Round: -1, Node: -1,
-			Err: fmt.Errorf("peer: compiling schedule: %w", err)}
+			Err: fmt.Errorf("peer: hosting nodes: %w", err)}
 	}
-	for _, hn := range h.nodes {
-		ns, nerr := network.NewNodeState(spec, hn.v, h.n, hn.nbrs, hn.input, h.seed, &st.memo)
-		if nerr != nil {
-			return st.failf(-1, "node %d: %v", hn.v, nerr)
-		}
-		st.nodes = append(st.nodes, ns)
-		st.nbrs = append(st.nbrs, hn.nbrs)
-		st.edges += len(hn.nbrs)
+	defer host.Release()
+	st.host, st.hosted = host, len(h.nodes)
+	for _, nbrs := range h.nbrs {
+		st.edges += len(nbrs)
 	}
-	if rerr := st.send(frameHelloOK, appendHelloOK(nil, len(st.nodes))); rerr != nil {
+	st.row = make([]wire.Message, st.hosted)
+	st.decs = make([]bool, st.hosted)
+	if rerr := st.send(frameHelloOK, appendHelloOK(nil, st.hosted)); rerr != nil {
 		return rerr
 	}
-	srv.logf("peer: session %d (#%d): hosting %d of %d nodes (%s)", st.id, st.seq, len(st.nodes), h.n, spec.Name)
+	srv.logf("peer: session %d (#%d): hosting %d of %d nodes (%s)", st.id, st.seq, st.hosted, h.n, spec.Name)
 
-	for _, step := range steps {
+	for _, step := range host.Steps() {
 		if rerr := st.step(step); rerr != nil {
 			return rerr
 		}
@@ -469,32 +468,26 @@ func (st *session) run() *network.RunError {
 	return st.flush()
 }
 
-// step plays the node-facing half of one schedule step: one batch out
-// (the challenges, digests, or decisions of every hosted node) or one
-// batch in (responses or exchange copies), in hosted-node order.
+// step plays the node-facing half of one schedule step through the host:
+// one batch out (the challenges, digests, or decisions of every hosted
+// node) or one batch in (responses or exchange copies), in hosted-node
+// order.
 func (st *session) step(step network.ScheduleStep) *network.RunError {
 	switch step.Kind {
 	case network.StepChallenge:
-		b := batch{round: step.Round}
-		for _, ns := range st.nodes {
-			m, rerr := ns.Challenge(step.Round)
-			if rerr != nil {
-				return rerr
-			}
-			if err := b.addMessage(m); err != nil {
-				return st.failf(step.Round, "encoding challenge: %v", err)
-			}
+		if rerr := st.host.Challenge(step.Round, st.row); rerr != nil {
+			return rerr
 		}
-		return st.sendBatch(frameChallenge, &b)
+		return st.sendMessages(frameChallenge, step.Round, "challenge")
 
 	case network.StepRespond:
-		msgs, rerr := st.readMessages(frameResponse, step.Round, 0, len(st.nodes))
+		// The host copies the responses into its views, so the row is
+		// free again once Respond returns.
+		msgs, rerr := st.readMessages(st.row[:0], frameResponse, step.Round, 0, st.hosted)
 		if rerr != nil {
 			return rerr
 		}
-		for i, ns := range st.nodes {
-			ns.PushResponse(msgs[i])
-		}
+		return st.host.Respond(step.Round, msgs)
 
 	case network.StepExchange:
 		srv := st.srv
@@ -513,17 +506,10 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 			return st.failf(step.Round, "FailSoft hook: session #%d aborted by configuration", st.seq)
 		}
 		if st.spec.Rounds[step.Round].Digest != nil {
-			b := batch{round: step.Round}
-			for _, ns := range st.nodes {
-				out, rerr := ns.ExchangeOut(step)
-				if rerr != nil {
-					return rerr
-				}
-				if err := b.addMessage(out); err != nil {
-					return st.failf(step.Round, "encoding forward: %v", err)
-				}
+			if rerr := st.host.Forward(step.Round, st.row); rerr != nil {
+				return rerr
 			}
-			if rerr := st.sendBatch(frameForward, &b); rerr != nil {
+			if rerr := st.sendMessages(frameForward, step.Round, "forward"); rerr != nil {
 				return rerr
 			}
 		}
@@ -531,31 +517,37 @@ func (st *session) step(step network.ScheduleStep) *network.RunError {
 		if step.Chal {
 			flags = flagChal
 		}
-		msgs, rerr := st.readMessages(frameExchange, step.Round, flags, st.edges)
+		// The batch is positional, receivers ascending and each one's
+		// senders in neighbor-list order: the layout Host.Exchange carves
+		// by neighbor offsets. The views keep it for the rest of the run.
+		msgs, rerr := st.readMessages(make([]wire.Message, 0, st.edges), frameExchange, step.Round, flags, st.edges)
 		if rerr != nil {
 			return rerr
 		}
-		// The batch is positional, receivers ascending and each one's
-		// senders in neighbor-list order, so node i's copies are the
-		// next len(nbrs[i]) entries, already in its view's order.
-		for i, ns := range st.nodes {
-			deg := len(st.nbrs[i])
-			ns.PushExchange(step, msgs[:deg:deg])
-			msgs = msgs[deg:]
-		}
+		return st.host.Exchange(step, msgs)
 
 	case network.StepDecide:
+		if rerr := st.host.Decide(st.decs); rerr != nil {
+			return rerr
+		}
 		b := batch{round: step.Round}
-		for _, ns := range st.nodes {
-			d, rerr := ns.Decide()
-			if rerr != nil {
-				return rerr
-			}
+		for _, d := range st.decs {
 			b.addDecision(d)
 		}
 		return st.sendBatch(frameDecision, &b)
 	}
 	return nil
+}
+
+// sendMessages stages the row's messages as one batch of type typ.
+func (st *session) sendMessages(typ byte, round int, what string) *network.RunError {
+	b := batch{round: round}
+	for _, m := range st.row {
+		if err := b.addMessage(m); err != nil {
+			return st.failf(round, "encoding %s: %v", what, err)
+		}
+	}
+	return st.sendBatch(typ, &b)
 }
 
 // sendBatch stages b's frames for this session.
@@ -569,11 +561,10 @@ func (st *session) sendBatch(typ byte, b *batch) *network.RunError {
 	return nil
 }
 
-// readMessages collects one step's inbound batch of want message entries:
-// one frame, or several when the sender split the batch at the frame cap.
-// A step owing nothing reads nothing.
-func (st *session) readMessages(typ byte, round int, flags byte, want int) ([]wire.Message, *network.RunError) {
-	msgs := make([]wire.Message, 0, want)
+// readMessages appends one step's inbound batch of want message entries
+// to msgs: one frame, or several when the sender split the batch at the
+// frame cap. A step owing nothing reads nothing.
+func (st *session) readMessages(msgs []wire.Message, typ byte, round int, flags byte, want int) ([]wire.Message, *network.RunError) {
 	for len(msgs) < want {
 		got, payload, rerr := st.readNext()
 		if rerr != nil {

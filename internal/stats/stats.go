@@ -88,11 +88,37 @@ func CertifyingTrials(margin, delta float64) int {
 // DeriveSeed(seed, i), making per-trial results independent of worker
 // scheduling: the harness can replay any trial in isolation.
 func DeriveSeed(seed, stream int64) int64 {
-	z := uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)*0xD1342543DE82EF95 + 0x2545F4914F6CDD1D
+	return int64(Mix64(uint64(seed)*0x9E3779B97F4A7C15 + uint64(stream)*0xD1342543DE82EF95 + 0x2545F4914F6CDD1D))
+}
+
+// Mix64 is the splitmix64 finalizer (Steele, Lea & Flood's
+// SplittableRandom output function): a bijection on 64-bit words that
+// sends nearby inputs to unrelated outputs. Every seed derivation in the
+// module runs its own combination of words through it.
+func Mix64(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
 	z ^= z >> 27
 	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return z ^ (z >> 31)
 }
+
+// SplitMix is a math/rand Source64 running splitmix64: Mix64 over a Weyl
+// sequence, whose state the value is. It seeds in O(1) from 8 bytes of
+// state, where math/rand's default source pays a ~10µs, 4.8KB
+// initialization; seeded randomness here needs to be deterministic and
+// well-distributed, not cryptographic. Start a stream at state x with
+// rand.New(&s) for s := SplitMix(x).
+type SplitMix uint64
+
+// Uint64 advances the state and returns its mix.
+func (s *SplitMix) Uint64() uint64 {
+	*s += 0x9E3779B97F4A7C15
+	return Mix64(uint64(*s))
+}
+
+// Int63 returns the top 63 bits of Uint64.
+func (s *SplitMix) Int63() int64 { return int64(s.Uint64() >> 1) }
+
+// Seed sets the state to seed.
+func (s *SplitMix) Seed(seed int64) { *s = SplitMix(seed) }

@@ -1,10 +1,12 @@
 package dip
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"dip/internal/core"
+	"dip/internal/stats"
 )
 
 // cycleEdges returns the n-cycle edge list: the load generator's instance.
@@ -27,6 +29,31 @@ func BenchmarkRequestSymDMAM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		req := Request{Protocol: "sym-dmam", N: 64, Edges: edges, Options: Options{Seed: int64(i)}}
 		rep, err := Run(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !rep.Accepted {
+			b.Fatal("rejected")
+		}
+	}
+}
+
+// BenchmarkRequestFleetSymDMAM times BenchmarkRequestSymDMAM's workload
+// on a fleet: two in-process peer servers over loopback behind DialFleet,
+// a fresh seed DeriveSeed(1, i) per op, so its time and allocations count
+// the coordinator, the wire and both peers' sessions.
+func BenchmarkRequestFleetSymDMAM(b *testing.B) {
+	fleet, err := DialFleet(startDipPeers(b, 2), FleetOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer fleet.Close()
+	edges := cycleEdges(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := Request{Protocol: "sym-dmam", N: 64, Edges: edges, Options: Options{Seed: stats.DeriveSeed(1, int64(i))}}
+		rep, err := fleet.Run(context.Background(), req)
 		if err != nil {
 			b.Fatal(err)
 		}
